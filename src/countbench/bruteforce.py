@@ -180,24 +180,20 @@ def build_projection_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pi0, np.eye(n) - pi0
 
 
-def _kron_block(block_op: np.ndarray, ground_op: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Apply (block_op tensor ground_op) to a lifted matrix without forming the Kronecker product."""
-    rows = block_op.shape[1]
-    n = ground_op.shape[0]
-    cols = m.shape[1]
-    t = m.reshape(rows, n, cols)
-    t = np.einsum("ab,bnc->anc", block_op, t)
-    t = np.einsum("mn,anc->amc", ground_op, t)
-    return t.reshape(block_op.shape[0] * n, cols)
+def _kron_apply(
+    block_op: np.ndarray, m: np.ndarray, n: int, ground_op: np.ndarray | None = None
+) -> np.ndarray:
+    """(block_op tensor ground_op) @ m for a lifted matrix m with row blocks of length n.
 
-
-def _phi_kron_apply(phi: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
-    """(phi tensor I_n) @ m for a lifted matrix m with row blocks of length n."""
-    src = phi.shape[1]
+    ``ground_op=None`` stands for I_n.  The block operator acts as one GEMM
+    on m viewed as (rows, n * cols), the ground operator as a batched matmul
+    on each length-n block; no Kronecker product is formed.
+    """
     cols = m.shape[1]
-    t = m.reshape(src, n, cols)
-    t = np.einsum("xy,ync->xnc", phi, t)
-    return t.reshape(phi.shape[0] * n, cols)
+    out = block_op @ m.reshape(block_op.shape[1], n * cols)
+    if ground_op is not None:
+        out = np.matmul(ground_op, out.reshape(-1, n, cols))
+    return out.reshape(-1, cols)
 
 
 class InstanceWorkspace:
@@ -293,6 +289,15 @@ def _xi_is_declared_zero(j: int, ell: int, m: int, level_max: int) -> bool:
     return False
 
 
+def _xi_raw(inst: ProblemInstance, j: int, ell: int, m: int, hatted: bool) -> np.ndarray:
+    """The raw channel morphism (E_{j+m} tensor Pi_ell) V E_j of a non-border channel."""
+    ws = _workspace(inst)
+    fam = ws.proj_y if hatted else ws.proj_x
+    v_iso = ws.v_iso_hat if hatted else ws.v_iso
+    pi = build_projection_pair(inst.n)[ell]
+    return _kron_apply(fam.projectors[j + m], v_iso @ fam.projectors[j], inst.n, pi)
+
+
 def build_xi(
     inst: ProblemInstance, j: int, ell: int, m: int, hatted: bool = False
 ) -> np.ndarray:
@@ -308,13 +313,10 @@ def build_xi(
     level_max = inst.k_prime if hatted else inst.k
     if not (0 <= j <= level_max):
         raise ValueError(f"need 0 <= j <= {level_max}, got j={j}")
-    fam = ws.proj_y if hatted else ws.proj_x
-    v_iso = ws.v_iso_hat if hatted else ws.v_iso
-    size = len(ws.basis_y if hatted else ws.basis_x)
     if _xi_is_declared_zero(j, ell, m, level_max):
+        size = len(ws.basis_y if hatted else ws.basis_x)
         return np.zeros((size * inst.n, size))
-    pi = build_projection_pair(inst.n)[ell]
-    raw = _kron_block(fam.projectors[j + m], pi, v_iso @ fam.projectors[j])
+    raw = _xi_raw(inst, j, ell, m, hatted)
     scale = linalg.spectral_norm(raw)
     if scale < johnson.DEGENERATE_SCALE:
         raise ArithmeticError(
@@ -322,19 +324,6 @@ def build_xi(
             f"degenerate: normaliser {scale:.3e}"
         )
     return raw / scale
-
-
-def _xi_norm(inst: ProblemInstance, j: int, ell: int, m: int, hatted: bool = False) -> float:
-    """Normaliser of the raw channel morphism (0.0 for declared-zero borders)."""
-    ws = _workspace(inst)
-    level_max = inst.k_prime if hatted else inst.k
-    if _xi_is_declared_zero(j, ell, m, level_max):
-        return 0.0
-    fam = ws.proj_y if hatted else ws.proj_x
-    v_iso = ws.v_iso_hat if hatted else ws.v_iso
-    pi = build_projection_pair(inst.n)[ell]
-    raw = _kron_block(fam.projectors[j + m], pi, v_iso @ fam.projectors[j])
-    return linalg.spectral_norm(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +434,7 @@ def _check_phi_commute(ws: InstanceWorkspace, t: float, ell: int):
             xi_hat = build_xi(inst, j, el, m, hatted=True)
             phi_j = ws.transporters[j].matrix
             phi_jm = ws.transporters[j + m].matrix
-            diff = _phi_kron_apply(phi_jm, xi_hat, inst.n) - xi @ phi_j
+            diff = _kron_apply(phi_jm, xi_hat, inst.n) - xi @ phi_j
             gap = linalg.spectral_norm(diff)
             if gap > worst:
                 worst, worst_label = gap, f"j={j},ell={el},m={m}"

@@ -124,14 +124,32 @@ class TestXi:
     @pytest.mark.parametrize("hatted", [False, True])
     def test_normalisers_match_coefficients(self, hatted):
         size = INST.k_prime if hatted else INST.k
-        for j in range(INST.k + 1):
+        for j in range(size + 1):
             coeffs = adversary.phi_components(INST.n, size, j)
             for comp, (el, m) in enumerate(bruteforce.XI_CHANNELS):
-                level_max = size
-                if bruteforce._xi_is_declared_zero(j, el, m, level_max):
+                if bruteforce._xi_is_declared_zero(j, el, m, size):
                     continue
-                norm = bruteforce._xi_norm(INST, j, el, m, hatted=hatted)
+                raw = bruteforce._xi_raw(INST, j, el, m, hatted)
+                norm = linalg.spectral_norm(raw)
                 assert norm == pytest.approx(coeffs[comp], abs=1e-9)
+
+
+class TestKronApply:
+    @pytest.mark.parametrize("seed", [17, 18])
+    @pytest.mark.parametrize(
+        "shape", [(4, 4), (math.comb(6, 1), math.comb(6, 2))], ids=["square", "transporter"]
+    )
+    def test_matches_dense_kron(self, shape, seed):
+        n = 6
+        rng = np.random.default_rng(seed)
+        block_op = rng.standard_normal(shape)
+        ground_op = rng.standard_normal((n, n))
+        m = rng.standard_normal((shape[1] * n, 7))
+        for ground, dense in ((ground_op, ground_op), (None, np.eye(n))):
+            got = bruteforce._kron_apply(block_op, m, n, ground)
+            want = np.kron(block_op, dense) @ m
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) < 1e-12
 
 
 class TestVerify:

@@ -1,6 +1,8 @@
 import json
+import re
 import shutil
 import subprocess
+import time
 
 import pytest
 
@@ -88,6 +90,15 @@ class TestVerifyCommand:
         assert run(base + ["--out", str(serial)]) == 0
         assert run(base + ["--jobs", "4", "--out", str(parallel)]) == 0
         assert (serial / "verify.csv").read_bytes() == (parallel / "verify.csv").read_bytes()
+
+    def test_summary_reports_sweep_wall_time(self, tmp_path, capsys):
+        argv = ["verify", "--instance", "8,2,3", "--instance", "9,2,3", "--t", "1"]
+        start = time.perf_counter()
+        assert run(argv + ["--jobs", "2", "--out", str(tmp_path / "r")]) == 0
+        elapsed = time.perf_counter() - start
+        match = re.search(r"\(([0-9.]+)s\)", capsys.readouterr().out)
+        # One decimal is printed, so allow half a unit of rounding.
+        assert float(match.group(1)) <= elapsed + 0.05
 
     def test_timing_flag_fills_millis(self, tmp_path):
         out = tmp_path / "timed"
