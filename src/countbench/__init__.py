@@ -9,5 +9,5 @@ with exact query accounting.
 
 __version__ = "0.1.0"
 
-from . import adversary, bruteforce, cli, johnson, linalg, simulate  # noqa: F401
+from . import adversary, bruteforce, johnson, linalg, simulate  # noqa: F401
 from .adversary import ProblemInstance  # noqa: F401

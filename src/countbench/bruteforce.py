@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import math
-import threading
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -209,15 +208,10 @@ class InstanceWorkspace:
             )
         self.inst = inst
         self._memo: dict = {}
-        # One lock per instance: concurrent sweep workers must not rebuild
-        # the heavy shared objects (or the schedule-free check results).
-        self._lock = threading.RLock()
 
     def _cache(self, key, builder):
         if key not in self._memo:
-            with self._lock:
-                if key not in self._memo:
-                    self._memo[key] = builder()
+            self._memo[key] = builder()
         return self._memo[key]
 
     @property
@@ -264,10 +258,6 @@ class InstanceWorkspace:
             "v_iso_hat",
             lambda: lift(np.eye(len(self.basis_y)), LiftKind.ROW_PSI, self.basis_y),
         )
-
-    def gamma(self, t: float) -> np.ndarray:
-        sched = adversary.gamma_schedule(t, self.inst.k)
-        return adversary.assemble_adversary(sched, self.transporters)
 
     def block_dims(self, hatted: bool = False):
         fam = self.proj_y if hatted else self.proj_x
@@ -336,7 +326,7 @@ def _check_psi_coeffs(ws: InstanceWorkspace, t: float, ell: int):
     inst = ws.inst
     sched = adversary.gamma_schedule(t, inst.k)
     closed = adversary.hadamard_psi_step(sched.gammas, inst)
-    had = ws.gamma(t) * ws.psi
+    had = adversary.adversary_matrix(inst, t) * ws.psi
     dims = ws.block_dims()
     brute = np.array(
         [
@@ -354,7 +344,7 @@ def _check_delta_gen(ws: InstanceWorkspace, t: float, ell: int):
     inst = ws.inst
     sched = adversary.gamma_schedule(t, inst.k)
     closed = adversary.norm_delta_state_gen(sched, inst)
-    gamma = ws.gamma(t)
+    gamma = adversary.adversary_matrix(inst, t)
     brute_fwd = linalg.spectral_norm(
         lift(gamma, LiftKind.ROW_PSI, ws.basis_x)
         - lift(gamma, LiftKind.COL_PSI, ws.basis_y)
@@ -379,7 +369,7 @@ def _check_delta_refl(ws: InstanceWorkspace, t: float, ell: int):
     inst = ws.inst
     sched = adversary.gamma_schedule(t, inst.k)
     closed = adversary.norm_delta_reflection(sched, inst)
-    gamma = ws.gamma(t)
+    gamma = adversary.adversary_matrix(inst, t)
     lifted = lift(gamma, LiftKind.ROW_PSI_PSI_STAR, ws.basis_x)
     lifted -= lift(gamma, LiftKind.COL_PSI_PSI_STAR, ws.basis_y)
     brute = linalg.spectral_norm(lifted)
@@ -390,7 +380,7 @@ def _check_delta_memb(ws: InstanceWorkspace, t: float, ell: int):
     inst = ws.inst
     sched = adversary.gamma_schedule(t, inst.k)
     closed = adversary.norm_delta_membership(sched, inst)
-    gamma = ws.gamma(t)
+    gamma = adversary.adversary_matrix(inst, t)
     per_i = [
         linalg.spectral_norm(gamma * delta_membership_mask(inst, i))
         for i in range(1, inst.n + 1)
@@ -509,14 +499,14 @@ def _check_projectors(ws: InstanceWorkspace, t: float, ell: int):
 def _check_norm_gamma(ws: InstanceWorkspace, t: float, ell: int):
     sched = adversary.gamma_schedule(t, ws.inst.k)
     closed = float(np.max(np.abs(sched.gammas)))
-    brute = linalg.spectral_norm(ws.gamma(t))
+    brute = linalg.spectral_norm(adversary.adversary_matrix(ws.inst, t))
     return closed, brute, abs(brute - closed), {}, "norm"
 
 
 def _check_psi_power(ws: InstanceWorkspace, t: float, ell: int):
     inst = ws.inst
     bound = adversary.psi_power_lower_bound(inst, t, ell)
-    brute = linalg.spectral_norm(ws.gamma(t) * ws.psi**ell)
+    brute = linalg.spectral_norm(adversary.adversary_matrix(inst, t) * ws.psi**ell)
     shortfall = max(0.0, bound - brute)
     return bound, brute, shortfall, {"ell": ell}, "norm"
 

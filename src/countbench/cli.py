@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__, adversary, bruteforce, simulate
@@ -64,16 +63,6 @@ def parse_config(path: str) -> dict[str, list[str]]:
     return values
 
 
-def _blas_single_threaded():
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        from contextlib import nullcontext
-
-        return nullcontext()
-    return threadpool_limits(limits=1)
-
-
 def _parse_instance(text: str) -> ProblemInstance:
     parts = [p for p in text.replace(" ", "").split(",") if p]
     if len(parts) != 3:
@@ -111,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="key=value config file; flags override it")
     common.add_argument("--out", help="output directory (default: out)")
     common.add_argument("--seed", type=int, help="master seed (env WORKBENCH_SEED as fallback)")
-    common.add_argument("--jobs", type=int, help="worker pool size (default 1)")
 
     p_verify = sub.add_parser(
         "verify", parents=[common], help="run the cross-check sweep"
@@ -222,22 +210,14 @@ def cmd_verify(args) -> int:
     tol_exact = args.tol_exact if args.tol_exact is not None else _scalar(
         config, "tol_exact", float, bruteforce.TOL_EXACT
     )
-    jobs = args.jobs if args.jobs is not None else _scalar(config, "jobs", int, 1)
     out_dir = Path(args.out if args.out is not None else _scalar(config, "out", str, "out"))
     seed = _resolve_seed(args, config)
 
-    items = _verify_items(instances, t_values, checks)
     start = time.perf_counter()
-    runner = lambda item: bruteforce.verify(
-        item[0], item[1], t=item[2], ell=item[3], tol_norm=tol_norm, tol_exact=tol_exact
-    )
-    if jobs > 1:
-        # Without a cap, each worker's BLAS spawns its own thread pool and
-        # the kernels thrash instead of overlapping.
-        with _blas_single_threaded(), ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(runner, items))
-    else:
-        reports = [runner(item) for item in items]
+    reports = [
+        bruteforce.verify(check, inst, t=t, ell=ell, tol_norm=tol_norm, tol_exact=tol_exact)
+        for check, inst, t, ell in _verify_items(instances, t_values, checks)
+    ]
     sweep_s = time.perf_counter() - start
     reports.sort(key=lambda r: (r.check_id, r.n, r.k, r.k_prime, r.t, r.ell))
 

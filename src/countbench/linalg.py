@@ -3,8 +3,8 @@
 Matrices are plain 2-D float64 numpy arrays in row-major order.  The
 routines are thin wrappers around LAPACK (via numpy) that pin down the
 conventions everything downstream relies on: spectral norms computed
-through the smaller Gram matrix, descending eigenvalue order, and a
-relative singular-value cutoff for rank decisions.
+through the smaller Gram matrix and a relative singular-value cutoff for
+rank decisions.
 """
 
 from __future__ import annotations
@@ -15,9 +15,6 @@ import numpy as np
 # The scheme matrices built downstream have integer-combinatorial entries
 # with well separated singular values, so the exact value is uncritical.
 DEFAULT_RANK_TOL = 1e-10
-
-# Maximal entrywise asymmetry accepted by symmetric_eig.
-SYMMETRY_TOL = 1e-12
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
@@ -44,22 +41,6 @@ def spectral_norm(values) -> float:
         gram = m.T @ m
     top = float(np.linalg.eigvalsh(gram)[-1])
     return float(np.sqrt(max(top, 0.0)))
-
-
-def symmetric_eig(values) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix.
-
-    Returns ``(w, V)`` with eigenvalues ``w`` sorted descending and
-    eigenvectors in the columns of ``V``, so ``m = V diag(w) V^T``.
-    Input must be square and symmetric within ``SYMMETRY_TOL``.
-    """
-    m = as_matrix(values)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
-    if float(np.max(np.abs(m - m.T))) > SYMMETRY_TOL:
-        raise ValueError("matrix is not symmetric within tolerance")
-    w, v = np.linalg.eigh(m)
-    return np.ascontiguousarray(w[::-1]), np.ascontiguousarray(v[:, ::-1])
 
 
 def orthonormal_column_basis(values, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

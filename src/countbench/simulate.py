@@ -68,24 +68,6 @@ class TrialOutcome:
     in_regime: bool = True
 
 
-@dataclass(frozen=True)
-class OracleInstance:
-    """Hidden input: a subset x of {1..n} of size k or k'."""
-
-    n: int
-    x: frozenset
-
-    def __post_init__(self):
-        if not self.x:
-            raise ValueError("hidden set must be nonempty")
-        if not all(1 <= e <= self.n for e in self.x):
-            raise ValueError("hidden set must lie inside the ground set")
-
-    @property
-    def size(self) -> int:
-        return len(self.x)
-
-
 def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
@@ -146,7 +128,7 @@ def coupon_test(
             decision, decision == _truth_label(size, k), tally, size, float(distinct)
         )
 
-    return _repeat_majority(single, repetitions, rng)
+    return _repeat_majority(single, repetitions, rng, _truth_label(size, k))
 
 
 def collision_test(
@@ -180,7 +162,7 @@ def collision_test(
             decision, decision == _truth_label(size, k), tally, size, pairs
         )
 
-    return _repeat_majority(single, repetitions, rng)
+    return _repeat_majority(single, repetitions, rng, _truth_label(size, k))
 
 
 def overlap_test(
@@ -215,73 +197,27 @@ def overlap_test(
             decision, decision == _truth_label(size, k), tally, size, fraction
         )
 
-    return _repeat_majority(single, repetitions, rng)
+    return _repeat_majority(single, repetitions, rng, _truth_label(size, k))
 
 
 # ---------------------------------------------------------------------------
-# Two-dimensional rotation simulator.
+# Rotations, in the plane of the start state and the hidden-set state.
 # ---------------------------------------------------------------------------
 
 
-class GroverState:
-    """Exact state in the plane spanned by the marked and unmarked components.
+def growth_stage(known: int, size: int) -> tuple[int, float]:
+    """Iteration count and success probability of one bootstrap growth stage.
 
-    The state is tracked as its angle from the unmarked axis; reflections
-    about the marked state and about the source compose to the textbook
-    rotation, so after j iterations the marked amplitude is
-    sin((2j+1) theta) with sin(theta) = marked_amplitude.  Each reflection
-    charges its designated tally counter (None leaves it untallied).
+    The uniform state on ``known`` elements of a hidden set of ``size``
+    overlaps the hidden-set state by sin(theta) = sqrt(known/size); each
+    pair of reflections about the two states rotates their plane by
+    pi - 2 theta, so after r = ceil(pi/4 sqrt(size/known)) pairs a
+    measurement lands outside the known subset with probability
+    sin^2(r (pi - 2 theta)) = sin^2(2 r theta).
     """
-
-    def __init__(
-        self,
-        marked_amplitude: float,
-        tally: QueryTally | None = None,
-        marked_counter: str | None = "reflections",
-        source_counter: str | None = None,
-    ):
-        if not 0.0 < marked_amplitude < 1.0:
-            raise ValueError("marked amplitude must lie strictly between 0 and 1")
-        self.theta = math.asin(marked_amplitude)
-        self.angle = self.theta
-        self.tally = tally if tally is not None else QueryTally()
-        self.marked_counter = marked_counter
-        self.source_counter = source_counter
-
-    def _charge(self, counter: str | None) -> None:
-        if counter is not None:
-            self.tally.charge(counter, 1)
-
-    def reflect_about_marked(self) -> None:
-        self.angle = -self.angle
-        self._charge(self.marked_counter)
-
-    def reflect_about_source(self) -> None:
-        self.angle = 2.0 * self.theta - self.angle
-        self._charge(self.source_counter)
-
-    def iterate(self, count: int = 1) -> None:
-        for _ in range(count):
-            self.reflect_about_marked()
-            self.reflect_about_source()
-
-    @property
-    def marked_amplitude(self) -> float:
-        return math.sin(self.angle)
-
-    @property
-    def marked_probability(self) -> float:
-        return math.sin(self.angle) ** 2
-
-    def measure_marked(self, rng: np.random.Generator) -> bool:
-        return bool(rng.random() < self.marked_probability)
-
-
-def grover_state(n: int, marked_amplitude: float, **kwargs) -> GroverState:
-    """Rotation simulator for an n-element search space (n is bookkeeping only)."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return GroverState(marked_amplitude, **kwargs)
+    theta = math.asin(math.sqrt(known / size))
+    iterations = math.ceil(math.pi / 4.0 * math.sqrt(size / known))
+    return iterations, math.sin(2.0 * iterations * theta) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +252,9 @@ def phase_estimation_distribution(theta: float, m_points: int) -> np.ndarray:
 
 
 def _kernel(offsets: np.ndarray, m_points: int) -> np.ndarray:
+    # The kernel has period 1; reducing into [-1/2, 1/2] first keeps the
+    # sines accurate where an offset sits next to a nonzero integer.
+    offsets = offsets - np.round(offsets)
     s = np.sin(np.pi * offsets)
     with np.errstate(divide="ignore", invalid="ignore"):
         value = (np.sin(np.pi * m_points * offsets) / (m_points * s)) ** 2
@@ -332,25 +271,6 @@ def _grid_points(theta_a: float, theta_b: float, margin: float = 2.0) -> int:
     if gap <= 0.0:
         raise ValueError("hypotheses have identical phases")
     return max(2, int(math.floor(margin * 2.0 * math.pi / gap)) + 1)
-
-
-def amplitude_estimate(
-    a_true: float, precision_bits: int, rng_seed
-) -> tuple[float, QueryTally]:
-    """Textbook amplitude estimation with a 2^precision_bits-point register.
-
-    Returns the estimate sin^2(pi m / M) for the sampled outcome m and a
-    tally charging M - 1 reflections (the controlled rotation powers).
-    """
-    if not 0.0 < a_true < 1.0:
-        raise ValueError("amplitude must lie strictly between 0 and 1")
-    if not 1 <= precision_bits <= 20:
-        raise ValueError("precision_bits must lie in 1..20")
-    m_points = 1 << precision_bits
-    rng = _rng(rng_seed)
-    outcome = _sample_phase(math.asin(math.sqrt(a_true)), m_points, rng)
-    estimate = math.sin(math.pi * outcome / m_points) ** 2
-    return float(estimate), QueryTally(reflections=m_points - 1)
 
 
 def _estimate_and_decide(
@@ -414,7 +334,7 @@ def quantum_counting(
             decision, decision == _truth_label(size, k), tally, size, estimate
         )
 
-    return _repeat_majority(single, repetitions, rng)
+    return _repeat_majority(single, repetitions, rng, _truth_label(size, k))
 
 
 def known_subset_counting(
@@ -462,7 +382,7 @@ def known_subset_counting(
             in_regime=in_regime,
         )
 
-    return _repeat_majority(single, repetitions, rng)
+    return _repeat_majority(single, repetitions, rng, _truth_label(size, k))
 
 
 def _collect_distinct(
@@ -518,7 +438,7 @@ def sample_then_count(
             decision, decision == _truth_label(size, k), tally, size, estimate
         )
 
-    return _repeat_majority(single, repetitions, rng)
+    return _repeat_majority(single, repetitions, rng, _truth_label(size, k))
 
 
 def bootstrap_reflection_counting(
@@ -555,9 +475,7 @@ def bootstrap_reflection_counting(
         tally = QueryTally()
         known = 1
         while known < target:
-            theta = math.asin(math.sqrt(known / size))
-            iterations = math.ceil(math.pi / 4.0 * math.sqrt(size / known))
-            success_probability = math.sin(2.0 * iterations * theta) ** 2
+            iterations, success_probability = growth_stage(known, size)
             succeeded = False
             for _ in range(1 + retries):
                 tally.charge("reflections", iterations)
@@ -577,15 +495,18 @@ def bootstrap_reflection_counting(
             decision, decision == _truth_label(size, k), tally, size, estimate
         )
 
-    return _repeat_majority(single, repetitions, rng)
+    return _repeat_majority(single, repetitions, rng, _truth_label(size, k))
 
 
-def _repeat_majority(single, repetitions: int, rng: np.random.Generator) -> TrialOutcome:
+def _repeat_majority(
+    single, repetitions: int, rng: np.random.Generator, truth: str
+) -> TrialOutcome:
     """Majority vote over independent repetitions; tallies accumulate.
 
     All repetitions run against the same hidden set (drawn by the caller
-    before building ``single``); ties and all-failed votes resolve to the
-    small hypothesis and a failed trial, respectively.
+    before building ``single``), whose size has the label ``truth``; ties
+    and all-failed votes resolve to the small hypothesis and a failed
+    trial, respectively.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -599,12 +520,6 @@ def _repeat_majority(single, repetitions: int, rng: np.random.Generator) -> Tria
     decided = [out for out in outcomes if not out.failed]
     if not decided:
         return replace(first, tally=tally, failed=True, correct=False)
-    # Failed runs carry a placeholder decision, so read the truth off the
-    # first run that actually decided (correct <=> decision == truth there).
-    reference = decided[0]
-    truth = reference.decision if reference.correct else (
-        DECIDE_SMALL if reference.decision == DECIDE_LARGE else DECIDE_LARGE
-    )
     large_votes = sum(out.decision == DECIDE_LARGE for out in decided)
     decision = DECIDE_LARGE if 2 * large_votes > len(decided) else DECIDE_SMALL
     return TrialOutcome(

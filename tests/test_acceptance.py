@@ -219,24 +219,55 @@ def test_criterion_09_query_scaling_slopes():
     )
 
 
+def _reflection(v):
+    """2|v><v| - I for a unit vector v."""
+    return 2.0 * np.outer(v, v) - np.eye(v.size)
+
+
+def _uniform(n, members):
+    v = np.zeros(n)
+    v[:members] = 1.0 / math.sqrt(members)
+    return v
+
+
 def test_criterion_10_rotation_simulator_matches_statevector():
-    worst = 0.0
-    for n, k in ((64, 4), (64, 16), (32, 2), (16, 4)):
-        amps = np.full(n, 1.0 / math.sqrt(n))
-        state = simulate.grover_state(n, math.sqrt(k / n))
-        worst = max(worst, abs(state.marked_probability - float(np.sum(amps[:k] ** 2))))
-        for _ in range(50):
-            amps[:k] *= -1.0
-            amps = 2.0 * amps.mean() - amps
-            state.iterate()
-            worst = max(
-                worst, abs(state.marked_probability - float(np.sum(amps[:k] ** 2)))
+    # Growth stage: the hidden set x is the first `size` elements and the
+    # known subset its first `known`; r applications of R_known R_x move the
+    # returned success probability onto x minus the known subset.
+    worst_growth = 0.0
+    for n, size in ((64, 48), (64, 17), (32, 9), (16, 4)):
+        x_state = _uniform(n, size)
+        for known in range(1, size):
+            start = _uniform(n, known)
+            iterations, probability = simulate.growth_stage(known, size)
+            grover = _reflection(start) @ _reflection(x_state)
+            state = np.linalg.matrix_power(grover, iterations) @ start
+            fresh = float(np.sum(state[known:size] ** 2))
+            worst_growth = max(worst_growth, abs(fresh - probability))
+
+    # Phase estimation: controlled powers of (2|s><s| - I)(I - 2 Pi_x) on the
+    # uniform superposition s, then an inverse DFT on the M-point register.
+    worst_phase = 0.0
+    for n, k in ((64, 5), (64, 16), (32, 16), (20, 3)):
+        uniform = _uniform(n, n)
+        grover = _reflection(uniform) @ np.diag(1.0 - 2.0 * (np.arange(n) < k))
+        for m_points in (8, 16, 37, 64):
+            powers = [uniform]
+            for _ in range(m_points - 1):
+                powers.append(grover @ powers[-1])
+            grid = np.arange(m_points)
+            inverse_dft = np.exp(-2j * math.pi * np.outer(grid, grid) / m_points) / m_points
+            outcome = np.sum(np.abs(inverse_dft @ np.array(powers)) ** 2, axis=1)
+            expected = simulate.phase_estimation_distribution(
+                math.asin(math.sqrt(k / n)), m_points
             )
+            worst_phase = max(worst_phase, float(np.max(np.abs(outcome - expected))))
     report(
         10,
-        "rotation simulator matches the full statevector reference at n <= 64",
-        worst <= 1e-12,
-        f"max deviation {worst:.2e}",
+        "growth-stage rotation and phase-estimation distribution match "
+        "explicit statevectors at n <= 64",
+        max(worst_growth, worst_phase) <= 1e-12,
+        f"max deviation {worst_growth:.2e} / {worst_phase:.2e}",
     )
 
 

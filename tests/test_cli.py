@@ -1,8 +1,11 @@
 import json
+import os
 import re
 import shutil
 import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +26,22 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "simulate_coupon.json").exists()
+
+
+def test_python_m_entry_point(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for module in ("countbench", "countbench.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "simulate", "coupon", "--k", "8", "--eps",
+             "1", "--trials", "20", "--seed", "1", "--out", str(tmp_path / module)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert (tmp_path / module / "simulate_coupon.json").exists()
 
 
 class TestVerifyCommand:
@@ -84,17 +103,14 @@ class TestVerifyCommand:
         assert summary["instances"] == [[6, 1, 2]]  # flag overrode the config list
         assert summary["seed"] == 5
 
-    def test_jobs_parallel_matches_serial(self, tmp_path):
-        serial, parallel = tmp_path / "s", tmp_path / "p"
-        base = ["verify", "--instance", "6,1,2", "--instance", "7,1,2", "--t", "1"]
-        assert run(base + ["--out", str(serial)]) == 0
-        assert run(base + ["--jobs", "4", "--out", str(parallel)]) == 0
-        assert (serial / "verify.csv").read_bytes() == (parallel / "verify.csv").read_bytes()
+    def test_jobs_flag_is_gone(self, tmp_path):
+        argv = ["verify", "--instance", "6,1,2", "--t", "1", "--jobs", "2"]
+        assert run(argv + ["--out", str(tmp_path / "r")]) == 2
 
     def test_summary_reports_sweep_wall_time(self, tmp_path, capsys):
         argv = ["verify", "--instance", "8,2,3", "--instance", "9,2,3", "--t", "1"]
         start = time.perf_counter()
-        assert run(argv + ["--jobs", "2", "--out", str(tmp_path / "r")]) == 0
+        assert run(argv + ["--out", str(tmp_path / "r")]) == 0
         elapsed = time.perf_counter() - start
         match = re.search(r"\(([0-9.]+)s\)", capsys.readouterr().out)
         # One decimal is printed, so allow half a unit of rounding.

@@ -87,32 +87,6 @@ class TestSpectralNorm:
         assert linalg.spectral_norm(q) == pytest.approx(1.0, abs=1e-10)
 
 
-class TestSymmetricEig:
-    def test_diagonal_sorted_descending(self):
-        w, _ = linalg.symmetric_eig(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(w, [3.0, 2.0, 1.0])
-
-    def test_swap_matrix(self):
-        w, _ = linalg.symmetric_eig([[0.0, 1.0], [1.0, 0.0]])
-        assert np.allclose(w, [1.0, -1.0])
-
-    def test_random_reconstruction(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((15, 15))
-        m = (a + a.T) / 2
-        w, v = linalg.symmetric_eig(m)
-        residual = np.linalg.norm(v @ np.diag(w) @ v.T - m) / np.linalg.norm(m)
-        assert residual < 1e-9
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            linalg.symmetric_eig([[0.0, 1.0], [0.0, 0.0]])
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            linalg.symmetric_eig(np.zeros((2, 3)))
-
-
 class TestOrthonormalColumnBasis:
     def test_rank_one_axis(self):
         q = linalg.orthonormal_column_basis([[2.0, 0.0], [0.0, 0.0]], 1e-12)
