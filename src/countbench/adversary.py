@@ -69,7 +69,7 @@ class ProblemInstance:
         return self.n >= 5 * self.k and 1.0 / self.k <= self.eps <= 1.0
 
 
-def phi_components(n: int, size: int, j: int) -> np.ndarray:
+def phi_components(n: int, size: int, j) -> np.ndarray:
     """The four coefficients attached to block j on the level of `size`-subsets.
 
     Component i is the weight of channel i in the decomposition of the
@@ -81,24 +81,23 @@ def phi_components(n: int, size: int, j: int) -> np.ndarray:
         c3 = sqrt( (n-j+1) (size-j) (n-size-j) / ((n-2j+1)(n-2j) size) )
 
     The vector (c0, c1, c2, c3) has unit norm whenever 0 <= j <= size
-    and n > 2 size.
+    and n > 2 size.  A scalar j gives shape (4,); an array of block
+    indices gives one row per index, shape (len(j), 4).
     """
-    if not (0 <= j <= size):
+    j = np.asarray(j)
+    if np.any(j < 0) or np.any(j > size):
         raise ValueError(f"need 0 <= j <= size, got j={j}, size={size}")
     if n <= 2 * size:
         raise ValueError(f"need n > 2*size, got n={n}, size={size}")
-    s = size
-    c0 = math.sqrt(
-        j * (s - j + 1) * (n - s - j + 1) / ((n - 2 * j + 2) * (n - 2 * j + 1) * s)
-    )
-    c1 = math.sqrt(s / n)
-    c2 = (n - 2 * s) / math.sqrt(n * s) * math.sqrt(
+    j = j.astype(float)
+    n, s = float(n), float(size)
+    c0 = np.sqrt(j * (s - j + 1) * (n - s - j + 1) / ((n - 2 * j + 2) * (n - 2 * j + 1) * s))
+    c1 = np.full_like(j, math.sqrt(s / n))
+    c2 = (n - 2 * s) / math.sqrt(n * s) * np.sqrt(
         j * (n - j + 1) / ((n - 2 * j + 2) * (n - 2 * j))
     )
-    c3 = math.sqrt(
-        (n - j + 1) * (s - j) * (n - s - j) / ((n - 2 * j + 1) * (n - 2 * j) * s)
-    )
-    return np.array([c0, c1, c2, c3])
+    c3 = np.sqrt((n - j + 1) * (s - j) * (n - s - j) / ((n - 2 * j + 1) * (n - 2 * j) * s))
+    return np.stack([c0, c1, c2, c3], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -116,11 +115,11 @@ class PhiTable:
         return float(np.max(np.abs(norms - 1.0)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def phi_table(inst: ProblemInstance) -> PhiTable:
-    rows = range(inst.k + 1)
-    phi = np.array([phi_components(inst.n, inst.k, j) for j in rows])
-    phi_prime = np.array([phi_components(inst.n, inst.k_prime, j) for j in rows])
+    rows = np.arange(inst.k + 1)
+    phi = phi_components(inst.n, inst.k, rows)
+    phi_prime = phi_components(inst.n, inst.k_prime, rows)
     return PhiTable(instance=inst, phi=_freeze(phi), phi_prime=_freeze(phi_prime))
 
 
@@ -143,7 +142,7 @@ class GammaSchedule:
 def gamma_schedule(t: float, k: int) -> GammaSchedule:
     if t < 1:
         raise ValueError(f"cutoff parameter must satisfy t >= 1, got {t}")
-    gammas = np.array([max(1.0 - j / t, 0.0) for j in range(k + 1)])
+    gammas = np.maximum(1.0 - np.arange(k + 1) / t, 0.0)
     return GammaSchedule(t=float(t), k=k, gammas=_freeze(gammas))
 
 
@@ -156,13 +155,16 @@ def tilde_tables(sched: GammaSchedule, table: PhiTable) -> tuple[np.ndarray, np.
     k = table.instance.k
     if sched.k != k:
         raise ValueError(f"schedule built for k={sched.k}, table for k={k}")
-    weights = np.array(
-        [
-            [sched.gamma(j - 1), sched.gamma(j), sched.gamma(j), sched.gamma(j + 1)]
-            for j in range(k + 1)
-        ]
-    )
+    g = _padded_gammas(sched)
+    weights = np.stack([g[:-2], g[1:-1], g[1:-1], g[2:]], axis=1)
     return weights * table.phi, weights * table.phi_prime
+
+
+def _padded_gammas(sched: GammaSchedule) -> np.ndarray:
+    """gamma_j for j = -1..k+1, the two out-of-range ends reading 0."""
+    g = np.zeros(sched.k + 3)
+    g[1:-1] = sched.gammas
+    return g
 
 
 def assemble_adversary(sched: GammaSchedule, transporters) -> np.ndarray:
@@ -199,14 +201,9 @@ def hadamard_psi_step(coeffs, inst: ProblemInstance) -> np.ndarray:
     if coeffs.shape != (k + 1,):
         raise ValueError(f"need {k + 1} coefficients, got shape {coeffs.shape}")
     prod = table.phi * table.phi_prime  # entrywise p_{j,i} q_{j,i}
-    out = np.zeros(k + 1)
-    for j in range(k + 1):
-        acc = coeffs[j] * (prod[j, 1] + prod[j, 2])
-        if j - 1 >= 0:
-            acc += coeffs[j - 1] * prod[j, 0]
-        if j + 1 <= k:
-            acc += coeffs[j + 1] * prod[j, 3]
-        out[j] = acc
+    out = coeffs * (prod[:, 1] + prod[:, 2])
+    out[1:] += coeffs[:-1] * prod[1:, 0]
+    out[:-1] += coeffs[1:] * prod[:-1, 3]
     return out
 
 
@@ -239,7 +236,7 @@ def norm_delta_state_gen(sched: GammaSchedule, inst: ProblemInstance) -> tuple[f
     """
     table = phi_table(inst)
     tilde, tilde_prime = tilde_tables(sched, table)
-    g = np.array([sched.gamma(j) for j in range(inst.k + 1)])[:, None]
+    g = sched.gammas[:, None]
     forward = float(np.max(np.linalg.norm(tilde_prime - g * table.phi, axis=1)))
     reverse = float(np.max(np.linalg.norm(g * table.phi_prime - tilde, axis=1)))
     return forward, reverse
@@ -253,11 +250,11 @@ def norm_delta_reflection(sched: GammaSchedule, inst: ProblemInstance) -> float:
     """
     table = phi_table(inst)
     tilde, tilde_prime = tilde_tables(sched, table)
-    best = 0.0
-    for j in range(inst.k + 1):
-        m = np.outer(table.phi_prime[j], tilde_prime[j]) - np.outer(tilde[j], table.phi[j])
-        best = max(best, float(np.linalg.svd(m, compute_uv=False)[0]))
-    return best
+    blocks = (
+        table.phi_prime[:, :, None] * tilde_prime[:, None, :]
+        - tilde[:, :, None] * table.phi[:, None, :]
+    )
+    return float(np.max(np.linalg.svd(blocks, compute_uv=False)[:, 0]))
 
 
 def norm_delta_membership(sched: GammaSchedule, inst: ProblemInstance) -> float:
@@ -269,14 +266,12 @@ def norm_delta_membership(sched: GammaSchedule, inst: ProblemInstance) -> float:
     the value does not depend on which element is singled out.
     """
     n, k, kp = inst.n, inst.k, inst.k_prime
-    best = 0.0
-    for j in range(k + 1):
-        small = math.sqrt((k - j) * (n - kp - j))
-        large = math.sqrt((kp - j) * (n - k - j))
-        g0, g1 = sched.gamma(j), sched.gamma(j + 1)
-        value = max(abs(small * g0 - large * g1), abs(large * g0 - small * g1))
-        best = max(best, value / (n - 2 * j))
-    return best
+    j = np.arange(k + 1, dtype=float)
+    small = np.sqrt((k - j) * (n - kp - j))
+    large = np.sqrt((kp - j) * (n - k - j))
+    g0, g1 = sched.gammas, _padded_gammas(sched)[2:]
+    value = np.maximum(np.abs(small * g0 - large * g1), np.abs(large * g0 - small * g1))
+    return float(np.max(value / (n - 2 * j)))
 
 
 @dataclass(frozen=True)

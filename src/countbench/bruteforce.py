@@ -101,6 +101,7 @@ class DiscrepancyReport:
     tolerance: float
     passed: bool
     wall_ms: float
+    memoised: bool  # served from the instance memo; wall_ms is only the lookup
     details: dict = field(default_factory=dict)
 
 
@@ -536,13 +537,17 @@ def verify(
     """Run one cross-check, building both sides explicitly.
 
     PSI_POWER reads ``ell`` (and requires t >= 2 ell); the schedule-free
-    checks ignore ``t`` and are memoised per instance.  The report's
-    ``discrepancy`` is the worst gap found; for DELTA_MEMB the spread of
-    the per-element values must additionally stay below ``tol_exact``.
+    checks ignore ``t`` and are memoised per instance.  A report served
+    from that memo has ``memoised`` set, and its ``wall_ms`` covers only
+    the lookup; the first report for the instance paid the cost.  The
+    report's ``discrepancy`` is the worst gap found; for DELTA_MEMB the
+    spread of the per-element values must additionally stay below
+    ``tol_exact``.
     """
     if check_id not in _CHECK_FUNCS:
         raise ValueError(f"unknown check id {check_id!r}; known: {CHECK_IDS}")
     ws = _workspace(inst)
+    memoised = check_id in _SCHEDULE_FREE and (check_id,) in ws._memo
     start = time.perf_counter()
     if check_id in _SCHEDULE_FREE:
         closed, brute, gap, details, kind = ws._cache(
@@ -570,5 +575,6 @@ def verify(
         tolerance=float(tolerance),
         passed=bool(passed),
         wall_ms=wall_ms,
+        memoised=memoised,
         details=details,
     )

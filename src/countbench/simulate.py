@@ -211,12 +211,15 @@ def growth_stage(known: int, size: int) -> tuple[int, float]:
     The uniform state on ``known`` elements of a hidden set of ``size``
     overlaps the hidden-set state by sin(theta) = sqrt(known/size); each
     pair of reflections about the two states rotates their plane by
-    pi - 2 theta, so after r = ceil(pi/4 sqrt(size/known)) pairs a
-    measurement lands outside the known subset with probability
-    sin^2(r (pi - 2 theta)) = sin^2(2 r theta).
+    pi - 2 theta, so after r pairs a measurement lands outside the known
+    subset with probability sin^2(r (pi - 2 theta)) = sin^2(2 r theta).
+    r = max(1, round(pi / (4 theta))) puts 2 r theta within pi/6 of
+    pi/2 whenever known <= size/2 (theta <= pi/4): r = 1 covers theta in
+    [pi/6, pi/4], and for r >= 2 the gap is at most theta <= pi/6.  So
+    every such stage succeeds with probability at least cos^2(pi/6) = 3/4.
     """
     theta = math.asin(math.sqrt(known / size))
-    iterations = math.ceil(math.pi / 4.0 * math.sqrt(size / known))
+    iterations = max(1, round(math.pi / (4.0 * theta)))
     return iterations, math.sin(2.0 * iterations * theta) ** 2
 
 
@@ -454,9 +457,10 @@ def bootstrap_reflection_counting(
 
     One element of the hidden set comes free.  Each growth stage rotates
     the known-subset state toward the hidden-set state (overlap
-    sqrt(s/|x|)) for ceil(pi/4 sqrt(|x|/s)) oracle reflections and then
-    measures; the rotated state has no support outside the hidden set,
-    so landing outside the known subset always yields a fresh element.
+    sin(theta) = sqrt(s/|x|)) for max(1, round(pi/(4 theta))) oracle
+    reflections and then measures (see `growth_stage`); the rotated
+    state has no support outside the hidden set, so landing outside the
+    known subset always yields a fresh element.
     Failed stages retry up to ``retries`` extra times.  The grown subset
     of size ceil(1/eps) then feeds the known-subset counter.
     """

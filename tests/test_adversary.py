@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from countbench import adversary, johnson, linalg
 from countbench.adversary import ProblemInstance
@@ -373,3 +375,147 @@ class TestTheoremTradeoff:
             adversary.theorem_tradeoff(100, 10, 0.0)
         with pytest.raises(ValueError):
             adversary.theorem_tradeoff(100, 10, 0.1, ell=-1)
+
+
+# ---------------------------------------------------------------------------
+# Property tests: the vectorised engine against per-row loops over j.
+# ---------------------------------------------------------------------------
+# The loops below evaluate the docstring formulas one block index at a time,
+# in exact integer arithmetic where the formulas allow it, and serve as the
+# reference for the array code in `adversary`.
+
+
+def loop_phi_row(n, size, j):
+    s = size
+    c0 = math.sqrt(j * (s - j + 1) * (n - s - j + 1) / ((n - 2 * j + 2) * (n - 2 * j + 1) * s))
+    c1 = math.sqrt(s / n)
+    c2 = (n - 2 * s) / math.sqrt(n * s) * math.sqrt(
+        j * (n - j + 1) / ((n - 2 * j + 2) * (n - 2 * j))
+    )
+    c3 = math.sqrt((n - j + 1) * (s - j) * (n - s - j) / ((n - 2 * j + 1) * (n - 2 * j) * s))
+    return [c0, c1, c2, c3]
+
+
+def loop_tables(inst):
+    rows = range(inst.k + 1)
+    phi = np.array([loop_phi_row(inst.n, inst.k, j) for j in rows])
+    phi_prime = np.array([loop_phi_row(inst.n, inst.k_prime, j) for j in rows])
+    return phi, phi_prime
+
+
+def loop_gamma(t, k, j):
+    return max(1.0 - j / t, 0.0) if 0 <= j <= k else 0.0
+
+
+def loop_tildes(inst, t):
+    k = inst.k
+    phi, phi_prime = loop_tables(inst)
+    g = lambda j: loop_gamma(t, k, j)
+    weights = np.array([[g(j - 1), g(j), g(j), g(j + 1)] for j in range(k + 1)])
+    return weights * phi, weights * phi_prime
+
+
+def loop_norms(inst, t):
+    """(state-generation pair, reflection norm, membership norm), row by row."""
+    n, k, kp = inst.n, inst.k, inst.k_prime
+    phi, phi_prime = loop_tables(inst)
+    tilde, tilde_prime = loop_tildes(inst, t)
+    forward = reverse = refl = memb = 0.0
+    for j in range(k + 1):
+        g0, g1 = loop_gamma(t, k, j), loop_gamma(t, k, j + 1)
+        forward = max(forward, float(np.linalg.norm(tilde_prime[j] - g0 * phi[j])))
+        reverse = max(reverse, float(np.linalg.norm(g0 * phi_prime[j] - tilde[j])))
+        m = np.outer(phi_prime[j], tilde_prime[j]) - np.outer(tilde[j], phi[j])
+        refl = max(refl, float(np.linalg.svd(m, compute_uv=False)[0]))
+        small = math.sqrt((k - j) * (n - kp - j))
+        large = math.sqrt((kp - j) * (n - k - j))
+        value = max(abs(small * g0 - large * g1), abs(large * g0 - small * g1))
+        memb = max(memb, value / (n - 2 * j))
+    return (forward, reverse), refl, memb
+
+
+def loop_hadamard_step(coeffs, inst):
+    phi, phi_prime = loop_tables(inst)
+    prod = phi * phi_prime
+    k = inst.k
+    out = np.zeros(k + 1)
+    for j in range(k + 1):
+        acc = coeffs[j] * (prod[j, 1] + prod[j, 2])
+        if j >= 1:
+            acc += coeffs[j - 1] * prod[j, 0]
+        if j + 1 <= k:
+            acc += coeffs[j + 1] * prod[j, 3]
+        out[j] = acc
+    return out
+
+
+def assert_rel(got, want, rel=1e-13):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    scale = max(float(np.max(np.abs(want))), np.finfo(float).tiny)
+    assert float(np.max(np.abs(got - want))) <= rel * scale, (got, want)
+
+
+@st.composite
+def certificate_points(draw, max_k=2000, max_log_n=9):
+    """(instance, cutoff t, power ell) with k <= max_k and n - 2k' - 1 < 10**max_log_n."""
+    k = draw(st.integers(1, max_k))
+    k_prime = draw(st.integers(k, 2 * k))
+    spare = draw(st.integers(0, 10 ** draw(st.integers(0, max_log_n))))
+    t = draw(st.floats(1.0, 2.0 * k + 4.0))
+    ell = draw(st.integers(0, 4))
+    return ProblemInstance(2 * k_prime + 1 + spare, k, k_prime), t, ell
+
+
+class TestVectorisedAgainstRowLoops:
+    @settings(max_examples=40, deadline=None)
+    @given(certificate_points())
+    def test_tables_and_tilde_tables(self, point):
+        inst, t, _ = point
+        table = adversary.phi_table(inst)
+        phi, phi_prime = loop_tables(inst)
+        np.testing.assert_allclose(table.phi, phi, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(table.phi_prime, phi_prime, rtol=1e-13, atol=0)
+        tilde, tilde_prime = adversary.tilde_tables(adversary.gamma_schedule(t, inst.k), table)
+        want, want_prime = loop_tildes(inst, t)
+        np.testing.assert_allclose(tilde, want, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(tilde_prime, want_prime, rtol=1e-13, atol=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(certificate_points())
+    def test_three_norms(self, point):
+        inst, t, _ = point
+        sched = adversary.gamma_schedule(t, inst.k)
+        pair, refl, memb = loop_norms(inst, t)
+        assert_rel(adversary.norm_delta_state_gen(sched, inst), pair)
+        assert_rel(adversary.norm_delta_reflection(sched, inst), refl)
+        assert_rel(adversary.norm_delta_membership(sched, inst), memb)
+
+    @settings(max_examples=40, deadline=None)
+    @given(certificate_points())
+    def test_iterated_hadamard_step(self, point):
+        inst, t, ell = point
+        got = want = adversary.gamma_schedule(t, inst.k).gammas
+        for _ in range(max(ell, 1)):
+            got = adversary.hadamard_psi_step(got, inst)
+            want = loop_hadamard_step(want, inst)
+        assert_rel(got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(certificate_points(max_log_n=9), st.data())
+    def test_identities_at_large_n(self, point, data):
+        inst, _, _ = point
+        assert adversary.phi_table(inst).unit_norm_error() <= 1e-13
+        j = data.draw(st.integers(0, inst.k))
+        t2, t4 = johnson.basis_change_tables(inst.n, inst.k, j)
+        assert np.max(np.abs(t2 @ t2.T - np.eye(2))) <= 1e-13
+        if t4 is not None:
+            assert np.max(np.abs(t4.T @ t4 - np.eye(4))) <= 1e-13
+
+    def test_reflection_at_a_small_eps_bench_point(self):
+        # eps = 2/27110: the two coefficient levels nearly coincide, so the
+        # rank-two blocks nearly cancel; the batched SVD must still match
+        # one SVD per row.
+        inst = ProblemInstance(482983, 27110, 27112)
+        sched = adversary.gamma_schedule(2711.0, inst.k)
+        _, want, _ = loop_norms(inst, 2711.0)
+        assert_rel(adversary.norm_delta_reflection(sched, inst), want)

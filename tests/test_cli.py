@@ -125,6 +125,28 @@ class TestVerifyCommand:
         rows = (out / "verify.csv").read_text().splitlines()[1:]
         assert all(row.split(",")[-1].isdigit() for row in rows)
 
+    def test_timing_lists_memoised_rows(self, tmp_path):
+        from countbench import bruteforce
+
+        bruteforce._workspace.cache_clear()
+        argv = ["verify", "--instance", "7,1,2", "--t", "1", "--t", "2", "--t", "3",
+                "--checks", "TABLES", "V_DECOMP", "NORM_GAMMA"]
+        # Default mode: the first run computes, the second is served from the
+        # workspace memo, and both write the same bytes with no memo listing.
+        a, b, timed = tmp_path / "a", tmp_path / "b", tmp_path / "timed"
+        assert run(argv + ["--out", str(a)]) == 0
+        assert run(argv + ["--out", str(b)]) == 0
+        assert (a / "verify.csv").read_bytes() == (b / "verify.csv").read_bytes()
+        assert (a / "verify.json").read_bytes() == (b / "verify.json").read_bytes()
+        assert "memoised" not in json.loads((a / "verify.json").read_text())
+
+        bruteforce._workspace.cache_clear()
+        assert run(argv + ["--timing", "--out", str(timed)]) == 0
+        memoised = json.loads((timed / "verify.json").read_text())["memoised"]
+        assert sorted(memoised) == [
+            [check, 7, 1, 2, t, 0] for check in ("TABLES", "V_DECOMP") for t in (2.0, 3.0)
+        ]
+
     def test_repeat_runs_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         argv = ["verify", "--instance", "6,1,2", "--t", "1", "--seed", "3"]

@@ -109,10 +109,33 @@ class TestOverlap:
 
 class TestGrowthStage:
     def test_quarter_overlap(self):
-        # sin(theta) = 1/2: two iterations leave sin^2(4 theta) = 3/4 outside.
+        # sin(theta) = 1/2: pi/(4 theta) = 3/2 rounds to one iteration, which
+        # leaves sin^2(2 theta) = 3/4 outside (two would too: sin^2(4 theta)).
         iterations, probability = simulate.growth_stage(1, 4)
-        assert iterations == 2
+        assert iterations == 1
         assert probability == pytest.approx(0.75, abs=1e-15)
+
+    def test_no_over_rotation_near_half_overlap(self):
+        # known/size = 7/16: one iteration succeeds with probability
+        # sin^2(2 asin(sqrt(7/16))) = 63/64; two would over-rotate to 0.062.
+        iterations, probability = simulate.growth_stage(7, 16)
+        assert iterations == 1
+        assert probability == pytest.approx(63 / 64, abs=1e-15)
+
+    def test_every_stage_up_to_half_succeeds_three_quarters(self):
+        worst = min(
+            simulate.growth_stage(known, size)[1]
+            for size in range(2, 200)
+            for known in range(1, size // 2 + 1)
+        )
+        assert worst >= 0.75 - 1e-15
+
+    def test_bootstrap_meets_target_at_small_k(self):
+        # Growth target 8 = k/2 takes stages up to known/size = 7/16, where
+        # two iterations over-rotate; ceil(pi/4 sqrt(size/known)) picks two
+        # there, and this batch then succeeds only 0.305 of the time.
+        outs = simulate.run_batch("bootstrap", dict(n=4096, k=16, eps=0.125), 200, 3)
+        assert simulate.aggregate(outs)["success_rate"] >= 0.9
 
     def test_bootstrap_charges_growth_stage_iterations(self):
         n, k, eps, target = 4096, 64, 0.125, 8
@@ -399,7 +422,7 @@ class TestRepetitionsAndDispatch:
         assert any(out.decision == DECIDE_LARGE for out in outs)
         monkeypatch.undo()
 
-        params = dict(n=4096, k=64, eps=0.125, retries=0)
+        params = dict(n=4096, k=64, eps=0.0625, retries=0)
         single = simulate.run_batch("bootstrap", params, 200, 47)
         assert 0.2 <= simulate.aggregate(single)["failure_rate"] <= 0.8
         outs = simulate.run_batch("bootstrap", dict(params, repetitions=3), 200, 47)
