@@ -146,18 +146,31 @@ def gamma_schedule(t: float, k: int) -> GammaSchedule:
     return GammaSchedule(t=float(t), k=k, gammas=_freeze(gammas))
 
 
-def tilde_tables(sched: GammaSchedule, table: PhiTable) -> tuple[np.ndarray, np.ndarray]:
+def tilde_tables(
+    sched: GammaSchedule, table: PhiTable, rows: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Gamma-weighted coefficient vectors.
 
     Row j of each output is (g_{j-1} c0, g_j c1, g_j c2, g_{j+1} c3) for
     the corresponding row of the plain table; index overflow reads as 0.
+    ``rows`` keeps only rows j < rows (default: all k + 1).
     """
     k = table.instance.k
     if sched.k != k:
         raise ValueError(f"schedule built for k={sched.k}, table for k={k}")
-    g = _padded_gammas(sched)
+    rows = k + 1 if rows is None else rows
+    g = _padded_gammas(sched)[: rows + 2]
     weights = np.stack([g[:-2], g[1:-1], g[1:-1], g[2:]], axis=1)
-    return weights * table.phi, weights * table.phi_prime
+    return weights * table.phi[:rows], weights * table.phi_prime[:rows]
+
+
+def _live_rows(sched: GammaSchedule) -> int:
+    """Rows j = 0..min(k, floor(t) + 1) that can carry a nonzero gamma weight.
+
+    Every later row has g_{j-1} = g_j = g_{j+1} = 0, since j - 1 > t, so it
+    contributes exact zeros to the three difference norms.
+    """
+    return min(sched.k, math.floor(sched.t) + 1) + 1
 
 
 def _padded_gammas(sched: GammaSchedule) -> np.ndarray:
@@ -234,11 +247,13 @@ def norm_delta_state_gen(sched: GammaSchedule, inst: ProblemInstance) -> tuple[f
 
     Returns (max_j ||tilde_prime_j - g_j phi_j||, max_j ||g_j phi_prime_j - tilde_j||).
     """
+    rows = _live_rows(sched)
     table = phi_table(inst)
-    tilde, tilde_prime = tilde_tables(sched, table)
-    g = sched.gammas[:, None]
-    forward = float(np.max(np.linalg.norm(tilde_prime - g * table.phi, axis=1)))
-    reverse = float(np.max(np.linalg.norm(g * table.phi_prime - tilde, axis=1)))
+    tilde, tilde_prime = tilde_tables(sched, table, rows)
+    g = sched.gammas[:rows, None]
+    phi, phi_prime = table.phi[:rows], table.phi_prime[:rows]
+    forward = float(np.max(np.linalg.norm(tilde_prime - g * phi, axis=1)))
+    reverse = float(np.max(np.linalg.norm(g * phi_prime - tilde, axis=1)))
     return forward, reverse
 
 
@@ -248,11 +263,12 @@ def norm_delta_reflection(sched: GammaSchedule, inst: ProblemInstance) -> float:
     max over j of the spectral norm of the 4x4 matrix
     phi'_j tilde'_j^T - tilde_j phi_j^T.
     """
+    rows = _live_rows(sched)
     table = phi_table(inst)
-    tilde, tilde_prime = tilde_tables(sched, table)
+    tilde, tilde_prime = tilde_tables(sched, table, rows)
     blocks = (
-        table.phi_prime[:, :, None] * tilde_prime[:, None, :]
-        - tilde[:, :, None] * table.phi[:, None, :]
+        table.phi_prime[:rows, :, None] * tilde_prime[:, None, :]
+        - tilde[:, :, None] * table.phi[:rows, None, :]
     )
     return float(np.max(np.linalg.svd(blocks, compute_uv=False)[:, 0]))
 
@@ -266,10 +282,11 @@ def norm_delta_membership(sched: GammaSchedule, inst: ProblemInstance) -> float:
     the value does not depend on which element is singled out.
     """
     n, k, kp = inst.n, inst.k, inst.k_prime
-    j = np.arange(k + 1, dtype=float)
+    rows = _live_rows(sched)
+    j = np.arange(rows, dtype=float)
     small = np.sqrt((k - j) * (n - kp - j))
     large = np.sqrt((kp - j) * (n - k - j))
-    g0, g1 = sched.gammas, _padded_gammas(sched)[2:]
+    g0, g1 = sched.gammas[:rows], _padded_gammas(sched)[2 : rows + 2]
     value = np.maximum(np.abs(small * g0 - large * g1), np.abs(large * g0 - small * g1))
     return float(np.max(value / (n - 2 * j)))
 

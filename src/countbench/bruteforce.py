@@ -77,9 +77,16 @@ CHECK_DESCRIPTIONS = {
     "PSI_POWER": "the entrywise Gram power keeps the certificate norm above the overlap bound",
 }
 
-# Checks whose value does not depend on the schedule; results are memoised
-# per instance so sweeps over t do not redo the heavy algebra.
-_SCHEDULE_FREE = frozenset({"V_DECOMP", "PHI_COMMUTE", "TABLES", "PROJECTORS"})
+# Checks whose value does not depend on the schedule, each with the key of
+# the instance memo entry that serves it, so sweeps over t do not redo the
+# heavy algebra.  Their check functions return results keyed by check id:
+# one channel pass serves both V_DECOMP and PHI_COMMUTE.
+_SCHEDULE_FREE = {
+    "V_DECOMP": ("channels",),
+    "PHI_COMMUTE": ("channels",),
+    "TABLES": ("TABLES",),
+    "PROJECTORS": ("PROJECTORS",),
+}
 
 # Channel labels (ell, m): ground-space component ell tensor block shift m.
 XI_CHANNELS = ((1, -1), (0, 0), (1, 0), (1, 1))
@@ -246,6 +253,11 @@ class InstanceWorkspace:
     def psi(self) -> np.ndarray:
         return self._cache("psi", lambda: psi_gram(self.inst))
 
+    def psi_rows(self, hatted: bool = False) -> np.ndarray:
+        """``psi_matrix`` of the k level (or k' when hatted)."""
+        size = self.inst.k_prime if hatted else self.inst.k
+        return self._cache(("psi_rows", size), lambda: psi_matrix(self.inst.n, size))
+
     @property
     def v_iso(self) -> np.ndarray:
         return self._cache(
@@ -281,12 +293,17 @@ def _xi_is_declared_zero(j: int, ell: int, m: int, level_max: int) -> bool:
 
 
 def _xi_raw(inst: ProblemInstance, j: int, ell: int, m: int, hatted: bool) -> np.ndarray:
-    """The raw channel morphism (E_{j+m} tensor Pi_ell) V E_j of a non-border channel."""
+    """The raw channel morphism (E_{j+m} tensor Pi_ell) V E_j of a non-border channel.
+
+    Row (x, i) of V holds psi_x[i] in column x and zeros elsewhere, so V E_j
+    is formed entrywise as psi_x[i] E_j[x, :].
+    """
     ws = _workspace(inst)
     fam = ws.proj_y if hatted else ws.proj_x
-    v_iso = ws.v_iso_hat if hatted else ws.v_iso
+    e_j = fam.projectors[j]
+    v_e = (ws.psi_rows(hatted)[:, :, None] * e_j[:, None, :]).reshape(-1, e_j.shape[1])
     pi = build_projection_pair(inst.n)[ell]
-    return _kron_apply(fam.projectors[j + m], v_iso @ fam.projectors[j], inst.n, pi)
+    return _kron_apply(fam.projectors[j + m], v_e, inst.n, pi)
 
 
 def build_xi(
@@ -370,11 +387,22 @@ def _check_delta_refl(ws: InstanceWorkspace, t: float, ell: int):
     inst = ws.inst
     sched = adversary.gamma_schedule(t, inst.k)
     closed = adversary.norm_delta_reflection(sched, inst)
-    gamma = adversary.adversary_matrix(inst, t)
-    lifted = lift(gamma, LiftKind.ROW_PSI_PSI_STAR, ws.basis_x)
-    lifted -= lift(gamma, LiftKind.COL_PSI_PSI_STAR, ws.basis_y)
-    brute = linalg.spectral_norm(lifted)
+    brute = _reflection_lift_norm(ws, adversary.adversary_matrix(inst, t))
     return closed, brute, abs(brute - closed), {}, "norm"
+
+
+def _reflection_lift_norm(ws: InstanceWorkspace, gamma: np.ndarray) -> float:
+    """Spectral norm of lift(gamma, ROW_PSI_PSI_STAR) - lift(gamma, COL_PSI_PSI_STAR).
+
+    By the lift composition identities the difference is L R^T with
+    L = [V, -lift(gamma, COL_PSI)] and R = [lift(gamma, ROW_PSI_STAR)^T, V-hat].
+    With L = Q_L r_L and R = Q_R r_R, its norm is that of the small r_L r_R^T.
+    """
+    left = np.hstack([ws.v_iso, -lift(gamma, LiftKind.COL_PSI, ws.basis_y)])
+    right = np.hstack([lift(gamma, LiftKind.ROW_PSI_STAR, ws.basis_x).T, ws.v_iso_hat])
+    r_left = np.linalg.qr(left, mode="r")
+    r_right = np.linalg.qr(right, mode="r")
+    return linalg.spectral_norm(r_left @ r_right.T)
 
 
 def _check_delta_memb(ws: InstanceWorkspace, t: float, ell: int):
@@ -393,43 +421,43 @@ def _check_delta_memb(ws: InstanceWorkspace, t: float, ell: int):
     return closed, float(per_i[worst]), float(max(gaps)), details, "norm"
 
 
-def _check_v_decomp(ws: InstanceWorkspace, t: float, ell: int):
+def _check_channels(ws: InstanceWorkspace, t: float, ell: int):
+    """V_DECOMP and PHI_COMMUTE from one pass over the non-border channels.
+
+    Each Xi, plain and hatted, is built once and subtracted with its
+    coefficient from the residual of its level's isometry; for j <= k the
+    plain and hatted pair of a channel also gives its PHI_COMMUTE
+    difference.  Only one channel pair is alive at a time.
+    """
     inst = ws.inst
+    coeffs = adversary.phi_components(inst.n, inst.k, np.arange(inst.k + 1))
+    coeffs_hat = adversary.phi_components(inst.n, inst.k_prime, np.arange(inst.k_prime + 1))
     residual = ws.v_iso.copy()
-    for j in range(inst.k + 1):
-        coeffs = adversary.phi_components(inst.n, inst.k, j)
-        for comp, (el, m) in enumerate(XI_CHANNELS):
-            if coeffs[comp] != 0.0:
-                residual -= coeffs[comp] * build_xi(inst, j, el, m)
-    gap = float(np.max(np.abs(residual)))
     residual_hat = ws.v_iso_hat.copy()
-    for j in range(inst.k_prime + 1):
-        coeffs = adversary.phi_components(inst.n, inst.k_prime, j)
-        for comp, (el, m) in enumerate(XI_CHANNELS):
-            if coeffs[comp] != 0.0:
-                residual_hat -= coeffs[comp] * build_xi(inst, j, el, m, hatted=True)
-    gap_hat = float(np.max(np.abs(residual_hat)))
-    details = {"residual": gap, "residual_hat": gap_hat}
-    return 0.0, max(gap, gap_hat), max(gap, gap_hat), details, "norm"
-
-
-def _check_phi_commute(ws: InstanceWorkspace, t: float, ell: int):
-    inst = ws.inst
     worst = 0.0
     worst_label = None
-    for (el, m) in XI_CHANNELS:
-        for j in range(inst.k + 1):
-            if _xi_is_declared_zero(j, el, m, inst.k):
+    for j in range(inst.k_prime + 1):
+        for comp, (el, m) in enumerate(XI_CHANNELS):
+            if _xi_is_declared_zero(j, el, m, inst.k_prime):
+                continue
+            xi_hat = build_xi(inst, j, el, m, hatted=True)
+            residual_hat -= coeffs_hat[j, comp] * xi_hat
+            if j > inst.k or _xi_is_declared_zero(j, el, m, inst.k):
                 continue
             xi = build_xi(inst, j, el, m)
-            xi_hat = build_xi(inst, j, el, m, hatted=True)
-            phi_j = ws.transporters[j].matrix
-            phi_jm = ws.transporters[j + m].matrix
-            diff = _kron_apply(phi_jm, xi_hat, inst.n) - xi @ phi_j
+            residual -= coeffs[j, comp] * xi
+            diff = _kron_apply(ws.transporters[j + m].matrix, xi_hat, inst.n)
+            diff -= xi @ ws.transporters[j].matrix
             gap = linalg.spectral_norm(diff)
             if gap > worst:
                 worst, worst_label = gap, f"j={j},ell={el},m={m}"
-    return 0.0, worst, worst, {"worst_channel": worst_label}, "norm"
+    gap = float(np.max(np.abs(residual)))
+    gap_hat = float(np.max(np.abs(residual_hat)))
+    details = {"residual": gap, "residual_hat": gap_hat}
+    return {
+        "V_DECOMP": (0.0, max(gap, gap_hat), max(gap, gap_hat), details, "norm"),
+        "PHI_COMMUTE": (0.0, worst, worst, {"worst_channel": worst_label}, "norm"),
+    }
 
 
 def _table_vector_gaps(n: int, k: int, j: int) -> float:
@@ -468,7 +496,7 @@ def _check_tables(ws: InstanceWorkspace, t: float, ell: int):
     for k_level in (inst.k, inst.k_prime):
         for j in range(k_level + 1):
             gap = max(gap, _table_vector_gaps(inst.n, k_level, j))
-    return 0.0, gap, gap, {}, "exact"
+    return {"TABLES": (0.0, gap, gap, {}, "exact")}
 
 
 def _projector_family_gap(fam: johnson.ProjectorFamily):
@@ -494,7 +522,7 @@ def _check_projectors(ws: InstanceWorkspace, t: float, ell: int):
     # A rank mismatch is a hard failure regardless of the numeric gap.
     if not (ok_x and ok_y):
         gap = max(gap, 1.0)
-    return 0.0, gap, gap, details, "exact"
+    return {"PROJECTORS": (0.0, gap, gap, details, "exact")}
 
 
 def _check_norm_gamma(ws: InstanceWorkspace, t: float, ell: int):
@@ -517,8 +545,8 @@ _CHECK_FUNCS = {
     "DELTA_GEN": _check_delta_gen,
     "DELTA_REFL": _check_delta_refl,
     "DELTA_MEMB": _check_delta_memb,
-    "V_DECOMP": _check_v_decomp,
-    "PHI_COMMUTE": _check_phi_commute,
+    "V_DECOMP": _check_channels,
+    "PHI_COMMUTE": _check_channels,
     "TABLES": _check_tables,
     "PROJECTORS": _check_projectors,
     "NORM_GAMMA": _check_norm_gamma,
@@ -539,20 +567,21 @@ def verify(
     PSI_POWER reads ``ell`` (and requires t >= 2 ell); the schedule-free
     checks ignore ``t`` and are memoised per instance.  A report served
     from that memo has ``memoised`` set, and its ``wall_ms`` covers only
-    the lookup; the first report for the instance paid the cost.  The
-    report's ``discrepancy`` is the worst gap found; for DELTA_MEMB the
-    spread of the per-element values must additionally stay below
-    ``tol_exact``.
+    the lookup; the first report for the instance paid the cost.  V_DECOMP
+    and PHI_COMMUTE share one channel pass, so whichever runs first pays
+    for both.  The report's ``discrepancy`` is the worst gap found; for
+    DELTA_MEMB the spread of the per-element values must additionally stay
+    below ``tol_exact``.
     """
     if check_id not in _CHECK_FUNCS:
         raise ValueError(f"unknown check id {check_id!r}; known: {CHECK_IDS}")
     ws = _workspace(inst)
-    memoised = check_id in _SCHEDULE_FREE and (check_id,) in ws._memo
+    memo_key = _SCHEDULE_FREE.get(check_id)
+    memoised = memo_key is not None and memo_key in ws._memo
     start = time.perf_counter()
-    if check_id in _SCHEDULE_FREE:
-        closed, brute, gap, details, kind = ws._cache(
-            (check_id,), lambda: _CHECK_FUNCS[check_id](ws, t, ell)
-        )
+    if memo_key is not None:
+        results = ws._cache(memo_key, lambda: _CHECK_FUNCS[check_id](ws, t, ell))
+        closed, brute, gap, details, kind = results[check_id]
     else:
         closed, brute, gap, details, kind = _CHECK_FUNCS[check_id](ws, t, ell)
     wall_ms = (time.perf_counter() - start) * 1000.0

@@ -466,6 +466,42 @@ def certificate_points(draw, max_k=2000, max_log_n=9):
     return ProblemInstance(2 * k_prime + 1 + spare, k, k_prime), t, ell
 
 
+@st.composite
+def truncating_points(draw, max_k=2000, max_log_n=9):
+    """(instance, t) with floor(t) + 2 <= k; t is an integer or strictly between two."""
+    k = draw(st.integers(3, max_k))
+    k_prime = draw(st.integers(k, 2 * k))
+    spare = draw(st.integers(0, 10 ** draw(st.integers(0, max_log_n))))
+    whole = draw(st.integers(1, k - 2))
+    t = float(whole) if draw(st.booleans()) else whole + draw(st.floats(0.001, 0.999))
+    return ProblemInstance(2 * k_prime + 1 + spare, k, k_prime), t
+
+
+def full_row_values(sched, inst):
+    """Per-row terms of the three norms over all rows j = 0..k, shape (k+1, 4).
+
+    Columns: state-generation forward and reverse, reflection, membership.
+    """
+    n, k, kp = inst.n, inst.k, inst.k_prime
+    table = adversary.phi_table(inst)
+    tilde, tilde_prime = adversary.tilde_tables(sched, table)
+    g = sched.gammas[:, None]
+    forward = np.linalg.norm(tilde_prime - g * table.phi, axis=1)
+    reverse = np.linalg.norm(g * table.phi_prime - tilde, axis=1)
+    blocks = (
+        table.phi_prime[:, :, None] * tilde_prime[:, None, :]
+        - tilde[:, :, None] * table.phi[:, None, :]
+    )
+    refl = np.linalg.svd(blocks, compute_uv=False)[:, 0]
+    j = np.arange(k + 1, dtype=float)
+    small = np.sqrt((k - j) * (n - kp - j))
+    large = np.sqrt((kp - j) * (n - k - j))
+    g0 = sched.gammas
+    g1 = np.append(sched.gammas[1:], 0.0)
+    memb = np.maximum(np.abs(small * g0 - large * g1), np.abs(large * g0 - small * g1))
+    return np.stack([forward, reverse, refl, memb / (n - 2 * j)], axis=1)
+
+
 class TestVectorisedAgainstRowLoops:
     @settings(max_examples=40, deadline=None)
     @given(certificate_points())
@@ -510,6 +546,23 @@ class TestVectorisedAgainstRowLoops:
         assert np.max(np.abs(t2 @ t2.T - np.eye(2))) <= 1e-13
         if t4 is not None:
             assert np.max(np.abs(t4.T @ t4 - np.eye(4))) <= 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @given(truncating_points())
+    def test_truncated_norms_equal_full_rows(self, point):
+        # Every row the norms drop must be exactly zero, and the norms must
+        # equal the full-row maxima to the bit.
+        inst, t = point
+        sched = adversary.gamma_schedule(t, inst.k)
+        per_row = full_row_values(sched, inst)
+        assert np.all(per_row[adversary._live_rows(sched) :] == 0.0)
+        want = [float(v) for v in per_row.max(axis=0)]
+        got = [
+            *adversary.norm_delta_state_gen(sched, inst),
+            adversary.norm_delta_reflection(sched, inst),
+            adversary.norm_delta_membership(sched, inst),
+        ]
+        assert got == want
 
     def test_reflection_at_a_small_eps_bench_point(self):
         # eps = 2/27110: the two coefficient levels nearly coincide, so the

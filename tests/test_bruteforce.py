@@ -6,6 +6,7 @@ import pytest
 from countbench import adversary, bruteforce, johnson, linalg
 from countbench.adversary import ProblemInstance
 from countbench.bruteforce import LiftKind, lift
+from countbench.cli import DEFAULT_INSTANCES
 
 INST = ProblemInstance(8, 2, 3)
 
@@ -132,6 +133,72 @@ class TestXi:
                 raw = bruteforce._xi_raw(INST, j, el, m, hatted)
                 norm = linalg.spectral_norm(raw)
                 assert norm == pytest.approx(coeffs[comp], abs=1e-9)
+
+
+    @pytest.mark.parametrize("hatted", [False, True])
+    def test_raw_matches_isometry_product(self, hatted):
+        # _xi_raw forms V E_j entrywise; the GEMM against V gives the same matrix.
+        ws = bruteforce._workspace(INST)
+        fam = ws.proj_y if hatted else ws.proj_x
+        v_iso = ws.v_iso_hat if hatted else ws.v_iso
+        size = INST.k_prime if hatted else INST.k
+        for j in range(size + 1):
+            for el, m in bruteforce.XI_CHANNELS:
+                if bruteforce._xi_is_declared_zero(j, el, m, size):
+                    continue
+                pi = bruteforce.build_projection_pair(INST.n)[el]
+                want = bruteforce._kron_apply(
+                    fam.projectors[j + m], v_iso @ fam.projectors[j], INST.n, pi
+                )
+                got = bruteforce._xi_raw(INST, j, el, m, hatted)
+                assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_channel_pass_builds_each_channel_once(self, monkeypatch):
+        built = []
+        original = bruteforce.build_xi
+
+        def counting(inst, j, ell, m, hatted=False):
+            built.append((j, ell, m, hatted))
+            return original(inst, j, ell, m, hatted)
+
+        monkeypatch.setattr(bruteforce, "build_xi", counting)
+        bruteforce._workspace.cache_clear()
+        first = bruteforce.verify("V_DECOMP", INST, t=1.0)
+        second = bruteforce.verify("PHI_COMMUTE", INST, t=1.0)
+        bruteforce._workspace.cache_clear()
+        assert first.passed and second.passed
+        assert not first.memoised and second.memoised
+        assert len(built) == len(set(built))
+        # 4 channels per block index, minus the three border cases per level.
+        assert len(built) == 4 * (INST.k + INST.k_prime + 2) - 6
+
+
+class TestReflectionLiftNorm:
+    """The factored DELTA_REFL norm against the dense lifted difference."""
+
+    @staticmethod
+    def dense_norm(inst, gamma):
+        basis_x = johnson.subset_basis(inst.n, inst.k)
+        basis_y = johnson.subset_basis(inst.n, inst.k_prime)
+        lifted = lift(gamma, LiftKind.ROW_PSI_PSI_STAR, basis_x)
+        lifted -= lift(gamma, LiftKind.COL_PSI_PSI_STAR, basis_y)
+        return linalg.spectral_norm(lifted)
+
+    @pytest.mark.parametrize(
+        "inst", [ProblemInstance(*triple) for triple in DEFAULT_INSTANCES],
+        ids=lambda i: f"{i.n},{i.k},{i.k_prime}",
+    )
+    def test_matches_dense_on_default_instances(self, inst):
+        brute = bruteforce.verify("DELTA_REFL", inst, t=2.0).brute_force
+        dense = self.dense_norm(inst, adversary.adversary_matrix(inst, 2.0))
+        assert abs(brute - dense) <= 1e-12 * dense
+
+    def test_matches_dense_on_a_generic_matrix(self):
+        rng = np.random.default_rng(23)
+        gamma = rng.standard_normal((math.comb(8, 2), math.comb(8, 3)))
+        got = bruteforce._reflection_lift_norm(bruteforce._workspace(INST), gamma)
+        dense = self.dense_norm(INST, gamma)
+        assert abs(got - dense) <= 1e-12 * dense
 
 
 class TestKronApply:

@@ -147,6 +147,21 @@ class TestVerifyCommand:
             [check, 7, 1, 2, t, 0] for check in ("TABLES", "V_DECOMP") for t in (2.0, 3.0)
         ]
 
+    def test_timing_lists_rows_served_by_the_shared_channel_pass(self, tmp_path):
+        from countbench import bruteforce
+
+        # V_DECOMP and PHI_COMMUTE share one channel pass: the check that runs
+        # second is served from the memo already at the first cutoff.
+        bruteforce._workspace.cache_clear()
+        argv = ["verify", "--instance", "7,1,2", "--t", "1", "--t", "2", "--t", "3",
+                "--checks", "V_DECOMP", "PHI_COMMUTE", "--timing", "--out", str(tmp_path)]
+        assert run(argv) == 0
+        memoised = json.loads((tmp_path / "verify.json").read_text())["memoised"]
+        assert sorted(memoised) == sorted(
+            [["PHI_COMMUTE", 7, 1, 2, t, 0] for t in (1.0, 2.0, 3.0)]
+            + [["V_DECOMP", 7, 1, 2, t, 0] for t in (2.0, 3.0)]
+        )
+
     def test_repeat_runs_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         argv = ["verify", "--instance", "6,1,2", "--t", "1", "--seed", "3"]
