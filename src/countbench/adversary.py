@@ -11,7 +11,7 @@ the feasibility report and the headline trade-off evaluator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -321,26 +321,15 @@ class DualFeasibilityReport:
         return _safe_inverse(self.reflection_norm)
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.instance.n,
-            "k": self.instance.k,
-            "k_prime": self.instance.k_prime,
-            "eps": self.instance.eps,
-            "t": self.t,
-            "ell": self.ell,
-            "gamma_norm": self.gamma_norm,
-            "psi_power_bound": self.psi_power_bound,
-            "membership_norm": self.membership_norm,
-            "state_gen_norm": self.state_gen_norm,
-            "state_gen_pair": list(self.state_gen_pair),
-            "reflection_norm": self.reflection_norm,
-            "T1": _json_number(self.t1),
-            "T2": _json_number(self.t2),
-            "T3": _json_number(self.t3),
-            "feasibility_threshold": self.feasibility_threshold,
-            "feasible": self.feasible,
-            "theorem_regime": self.theorem_regime,
-        }
+        out = _json_fields(self)
+        out.update(
+            out.pop("instance"),
+            eps=self.instance.eps,
+            T1=_json_number(self.t1),
+            T2=_json_number(self.t2),
+            T3=_json_number(self.t3),
+        )
+        return out
 
 
 def _safe_inverse(x: float) -> float:
@@ -349,6 +338,15 @@ def _safe_inverse(x: float) -> float:
 
 def _json_number(x: float):
     return x if math.isfinite(x) else None
+
+
+def _json_fields(report) -> dict:
+    """A report's fields by name; non-finite values inside dict fields become None."""
+    out = asdict(report)
+    for name, value in out.items():
+        if isinstance(value, dict):
+            out[name] = {key: _json_number(val) for key, val in value.items()}
+    return out
 
 
 def dual_feasibility_report(
@@ -407,28 +405,7 @@ class BoundReport:
     weights: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        clean = lambda d: {key: _json_number(val) for key, val in d.items()}
-        return {
-            "n": self.n,
-            "k": self.k,
-            "eps": self.eps,
-            "ell": self.ell,
-            "ell_prime": self.ell_prime,
-            "cprime": self.cprime,
-            "copies_terms": clean(self.copies_terms),
-            "copies_bound": self.copies_bound,
-            "state_generation_terms": clean(self.state_generation_terms),
-            "state_generation_bound": self.state_generation_bound,
-            "reflection_terms": clean(self.reflection_terms),
-            "reflection_bound": self.reflection_bound,
-            "membership_bound": self.membership_bound,
-            "fifth_case_threshold": self.fifth_case_threshold,
-            "fifth_case_reflection": self.fifth_case_reflection,
-            "t_choice": self.t_choice,
-            "regime_n": self.regime_n,
-            "regime_eps": self.regime_eps,
-            "weights": clean(self.weights),
-        }
+        return _json_fields(self)
 
 
 def theorem_tradeoff(

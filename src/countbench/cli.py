@@ -317,36 +317,50 @@ def cmd_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _simulate_params(args) -> dict:
-    def require(name):
-        value = getattr(args, name)
-        if value is None:
-            raise ValueError(f"procedure {args.procedure!r} needs --{name.replace('_', '-')}")
-        return value
+# The flags each procedure reads besides --k, --eps, --true-size and
+# --repetitions; any other is a usage error.  --n comes before the budget
+# whose default it enters.
+SIMULATE_FLAGS = {
+    "coupon": ("budget",),
+    "collision": ("samples",),
+    "overlap": ("n", "copies"),
+    "qcount": ("n", "oracle"),
+    "subset": ("n", "ell", "oracle"),
+    "sample-count": ("n",),
+    "bootstrap": ("n", "retries"),
+}
+_REQUIRED_FLAGS = ("k", "eps", "n", "ell")
+# Budget flag -> (keyword of the procedure, default from the parameters so far).
+_BUDGETS = {
+    "budget": ("sample_budget", lambda p: 5 * p["k"]),
+    "samples": ("sample_count", lambda p: math.ceil(8.0 * math.sqrt(p["k"]) / p["eps"])),
+    "copies": (
+        "copy_count",
+        lambda p: math.ceil(64.0 * p["n"] / (p["k"] * p["eps"] * p["eps"])),
+    ),
+}
 
+
+def _simulate_params(args) -> dict:
     proc = args.procedure
-    k = require("k")
-    eps = require("eps")
-    params: dict = {"k": k, "eps": eps}
-    if proc == "coupon":
-        params["sample_budget"] = args.budget if args.budget is not None else 5 * k
-    elif proc == "collision":
-        default = math.ceil(8.0 * math.sqrt(k) / eps)
-        params["sample_count"] = args.samples if args.samples is not None else default
-    elif proc == "overlap":
-        n = require("n")
-        default = math.ceil(64.0 * n / (k * eps * eps))
-        params.update(
-            n=n, copy_count=args.copies if args.copies is not None else default
-        )
-    else:
-        params["n"] = require("n")
-        if proc == "subset":
-            params["ell"] = require("ell")
-        if proc == "bootstrap" and args.retries is not None:
-            params["retries"] = args.retries
-        if args.oracle is not None and proc in ("qcount", "subset"):
-            params["oracle"] = args.oracle
+    reads = ("k", "eps") + SIMULATE_FLAGS[proc]
+    unread = [
+        f"--{name}"
+        for name in sorted({flag for flags in SIMULATE_FLAGS.values() for flag in flags})
+        if name not in reads and getattr(args, name) is not None
+    ]
+    if unread:
+        raise ValueError(f"procedure {proc!r} does not read {', '.join(unread)}")
+    params: dict = {}
+    for name in reads:
+        value = getattr(args, name)
+        if name in _BUDGETS:
+            key, default = _BUDGETS[name]
+            params[key] = value if value is not None else default(params)
+        elif value is not None:
+            params[name] = value
+        elif name in _REQUIRED_FLAGS:
+            raise ValueError(f"procedure {proc!r} needs --{name}")
     if args.repetitions != 1:
         params["repetitions"] = args.repetitions
     if args.true_size is not None:

@@ -7,6 +7,12 @@ phase-estimation subroutine is sampled from its exact closed-form
 outcome distribution, so desk-scale n up to 1e6 costs nothing while the
 query tallies stay exact.
 
+Every procedure validates its parameters and hands one run of itself,
+``single(rng, size) -> (decision, statistic, tally)``, to the shared
+driver `_trial`.  The driver draws the hidden-set size, repeats the run
+against that one set, takes the majority vote and sums the tallies; a
+run with decision ``None`` failed.
+
 Determinism contract: every procedure takes an ``rng_seed``; batches
 derive one child generator per trial from (seed, trial index), so equal
 seeds reproduce equal outcome streams bit for bit.
@@ -15,7 +21,7 @@ seeds reproduce equal outcome streams bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -43,19 +49,6 @@ class QueryTally:
     reflections: int = 0
     membership: int = 0
 
-    def charge(self, counter: str, amount: int) -> None:
-        if amount < 0:
-            raise ValueError("tallies only increase")
-        setattr(self, counter, getattr(self, counter) + amount)
-
-    def merged(self, other: "QueryTally") -> "QueryTally":
-        return QueryTally(
-            copies=self.copies + other.copies,
-            state_generation=self.state_generation + other.state_generation,
-            reflections=self.reflections + other.reflections,
-            membership=self.membership + other.membership,
-        )
-
 
 @dataclass
 class TrialOutcome:
@@ -65,11 +58,6 @@ class TrialOutcome:
     true_size: int
     statistic: float
     failed: bool = False
-    in_regime: bool = True
-
-
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
 
 
 def _k_prime(k: int, eps: float) -> int:
@@ -80,16 +68,37 @@ def _k_prime(k: int, eps: float) -> int:
     return int(rounded)
 
 
-def _choose_size(k: int, k_prime: int, rng: np.random.Generator, true_size) -> int:
+def _trial(k: int, k_prime: int, rng_seed, true_size, repetitions: int, single) -> TrialOutcome:
+    """One trial: draw the hidden set, run ``single`` against it, majority-vote.
+
+    All ``repetitions`` runs share one generator and one hidden set of
+    size k or k' (drawn fairly unless ``true_size`` pins it).  Ties go to
+    the small hypothesis and the tallies add up.  If every run failed,
+    the trial fails with the first run's statistic; otherwise the
+    statistic is the mean over all runs.
+    """
+    rng = np.random.default_rng(rng_seed)
     if true_size is None:
-        return k if rng.integers(2) == 0 else k_prime
-    if true_size not in (k, k_prime):
+        size = k if rng.integers(2) == 0 else k_prime
+    elif true_size in (k, k_prime):
+        size = int(true_size)
+    else:
         raise ValueError(f"true_size must be {k} or {k_prime}, got {true_size}")
-    return int(true_size)
-
-
-def _truth_label(size: int, k: int) -> str:
-    return DECIDE_SMALL if size == k else DECIDE_LARGE
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
+    runs = [single(rng, size) for _ in range(repetitions)]
+    _, statistic, tally = runs[0]
+    decided = [decision for decision, _, _ in runs if decision is not None]
+    if repetitions > 1:
+        tally = QueryTally(*map(sum, zip(*(astuple(t) for _, _, t in runs))))
+        if decided:
+            statistic = float(np.mean([stat for _, stat, _ in runs]))
+    if not decided:
+        return TrialOutcome(DECIDE_SMALL, False, tally, size, statistic, failed=True)
+    large_votes = decided.count(DECIDE_LARGE)
+    decision = DECIDE_LARGE if 2 * large_votes > len(decided) else DECIDE_SMALL
+    truth = DECIDE_SMALL if size == k else DECIDE_LARGE
+    return TrialOutcome(decision, decision == truth, tally, size, statistic)
 
 
 # ---------------------------------------------------------------------------
@@ -113,22 +122,16 @@ def coupon_test(
     """
     if sample_budget < 0:
         raise ValueError("sample budget must be nonnegative")
-    k_prime = _k_prime(k, eps)
-    rng = _rng(rng_seed)
-    size = _choose_size(k, k_prime, rng, true_size)
 
-    def single(rng: np.random.Generator) -> TrialOutcome:
+    def single(rng: np.random.Generator, size: int):
         if sample_budget:
             distinct = int(np.unique(rng.integers(0, size, sample_budget)).size)
         else:
             distinct = 0
         decision = DECIDE_SMALL if distinct <= k else DECIDE_LARGE
-        tally = QueryTally(copies=sample_budget)
-        return TrialOutcome(
-            decision, decision == _truth_label(size, k), tally, size, float(distinct)
-        )
+        return decision, float(distinct), QueryTally(copies=sample_budget)
 
-    return _repeat_majority(single, repetitions, rng, _truth_label(size, k))
+    return _trial(k, _k_prime(k, eps), rng_seed, true_size, repetitions, single)
 
 
 def collision_test(
@@ -148,21 +151,16 @@ def collision_test(
     if sample_count < 2:
         raise ValueError("need at least two samples")
     k_prime = _k_prime(k, eps)
-    rng = _rng(rng_seed)
-    size = _choose_size(k, k_prime, rng, true_size)
     total_pairs = sample_count * (sample_count - 1) / 2.0
     midpoint = total_pairs * (1.0 / k + 1.0 / k_prime) / 2.0
 
-    def single(rng: np.random.Generator) -> TrialOutcome:
+    def single(rng: np.random.Generator, size: int):
         counts = np.bincount(rng.integers(0, size, sample_count))
         pairs = float(np.sum(counts * (counts - 1)) / 2.0)
         decision = DECIDE_SMALL if pairs > midpoint else DECIDE_LARGE
-        tally = QueryTally(copies=sample_count)
-        return TrialOutcome(
-            decision, decision == _truth_label(size, k), tally, size, pairs
-        )
+        return decision, pairs, QueryTally(copies=sample_count)
 
-    return _repeat_majority(single, repetitions, rng, _truth_label(size, k))
+    return _trial(k, k_prime, rng_seed, true_size, repetitions, single)
 
 
 def overlap_test(
@@ -184,20 +182,14 @@ def overlap_test(
     k_prime = _k_prime(k, eps)
     if k_prime > n:
         raise ValueError("hidden set cannot exceed the ground set")
-    rng = _rng(rng_seed)
-    size = _choose_size(k, k_prime, rng, true_size)
     midpoint = (k + k_prime) / (2.0 * n)
 
-    def single(rng: np.random.Generator) -> TrialOutcome:
-        successes = int(rng.binomial(copy_count, size / n))
-        fraction = successes / copy_count
+    def single(rng: np.random.Generator, size: int):
+        fraction = int(rng.binomial(copy_count, size / n)) / copy_count
         decision = DECIDE_LARGE if fraction > midpoint else DECIDE_SMALL
-        tally = QueryTally(copies=copy_count)
-        return TrialOutcome(
-            decision, decision == _truth_label(size, k), tally, size, fraction
-        )
+        return decision, fraction, QueryTally(copies=copy_count)
 
-    return _repeat_majority(single, repetitions, rng, _truth_label(size, k))
+    return _trial(k, k_prime, rng_seed, true_size, repetitions, single)
 
 
 # ---------------------------------------------------------------------------
@@ -324,20 +316,14 @@ def quantum_counting(
     k_prime = _k_prime(k, eps)
     if k_prime >= n:
         raise ValueError("need k' < n")
-    rng = _rng(rng_seed)
-    size = _choose_size(k, k_prime, rng, true_size)  # one hidden set per trial
 
-    def single(rng: np.random.Generator) -> TrialOutcome:
+    def single(rng: np.random.Generator, size: int):
         decision, estimate, m_points = _estimate_and_decide(
             k / n, k_prime / n, size / n, rng
         )
-        tally = QueryTally()
-        tally.charge(oracle, m_points - 1)
-        return TrialOutcome(
-            decision, decision == _truth_label(size, k), tally, size, estimate
-        )
+        return decision, estimate, QueryTally(**{oracle: m_points - 1})
 
-    return _repeat_majority(single, repetitions, rng, _truth_label(size, k))
+    return _trial(k, k_prime, rng_seed, true_size, repetitions, single)
 
 
 def known_subset_counting(
@@ -354,7 +340,7 @@ def known_subset_counting(
 
     Consumes no copies; tallies the grid rotations on the selected oracle
     (two state-generation calls implement one reflection).  ell beyond
-    k/2 is flagged out of regime but still simulated.
+    k/2 lies outside the regime the analysis covers but is still simulated.
     """
     if not 1 <= ell <= k:
         raise ValueError(f"need 1 <= ell <= k, got ell={ell}")
@@ -363,29 +349,15 @@ def known_subset_counting(
     k_prime = _k_prime(k, eps)
     if k_prime >= n:
         raise ValueError("need k' < n")
-    rng = _rng(rng_seed)
-    in_regime = ell <= k / 2
-    size = _choose_size(k, k_prime, rng, true_size)
+    calls_per_rotation = 1 if oracle == "reflections" else 2
 
-    def single(rng: np.random.Generator) -> TrialOutcome:
+    def single(rng: np.random.Generator, size: int):
         decision, estimate, m_points = _estimate_and_decide(
             ell / k, ell / k_prime, ell / size, rng
         )
-        tally = QueryTally()
-        if oracle == "reflections":
-            tally.charge("reflections", m_points - 1)
-        else:
-            tally.charge("state_generation", 2 * (m_points - 1))
-        return TrialOutcome(
-            decision,
-            decision == _truth_label(size, k),
-            tally,
-            size,
-            estimate,
-            in_regime=in_regime,
-        )
+        return decision, estimate, QueryTally(**{oracle: calls_per_rotation * (m_points - 1)})
 
-    return _repeat_majority(single, repetitions, rng, _truth_label(size, k))
+    return _trial(k, k_prime, rng_seed, true_size, repetitions, single)
 
 
 def _collect_distinct(
@@ -423,25 +395,19 @@ def sample_then_count(
     ell = math.ceil(k ** (1.0 / 3.0) / (2.0 * eps ** (2.0 / 3.0)))
     if ell > k / 2:
         raise ValueError(f"sampling stage needs ell <= k/2, got ell={ell}, k={k}")
-    rng = _rng(rng_seed)
-    size = _choose_size(k, k_prime, rng, true_size)
 
-    def single(rng: np.random.Generator) -> TrialOutcome:
+    def single(rng: np.random.Generator, size: int):
         found, consumed = _collect_distinct(ell, size, 10 * ell, rng)
         tally = QueryTally(state_generation=consumed)
         if found < ell:
-            return TrialOutcome(
-                DECIDE_SMALL, False, tally, size, float(found), failed=True
-            )
+            return None, float(found), tally
         decision, estimate, m_points = _estimate_and_decide(
             ell / k, ell / k_prime, ell / size, rng
         )
-        tally.charge("state_generation", 2 * (m_points - 1))
-        return TrialOutcome(
-            decision, decision == _truth_label(size, k), tally, size, estimate
-        )
+        tally.state_generation += 2 * (m_points - 1)
+        return decision, estimate, tally
 
-    return _repeat_majority(single, repetitions, rng, _truth_label(size, k))
+    return _trial(k, k_prime, rng_seed, true_size, repetitions, single)
 
 
 def bootstrap_reflection_counting(
@@ -472,69 +438,24 @@ def bootstrap_reflection_counting(
     target = math.ceil(1.0 / eps)
     if target > k / 2:
         raise ValueError(f"growth target {target} exceeds k/2")
-    rng = _rng(rng_seed)
-    size = _choose_size(k, k_prime, rng, true_size)
 
-    def single(rng: np.random.Generator) -> TrialOutcome:
+    def single(rng: np.random.Generator, size: int):
         tally = QueryTally()
-        known = 1
-        while known < target:
+        for known in range(1, target):
             iterations, success_probability = growth_stage(known, size)
-            succeeded = False
             for _ in range(1 + retries):
-                tally.charge("reflections", iterations)
+                tally.reflections += iterations
                 if rng.random() < success_probability:
-                    succeeded = True
                     break
-            if not succeeded:
-                return TrialOutcome(
-                    DECIDE_SMALL, False, tally, size, float(known), failed=True
-                )
-            known += 1
+            else:
+                return None, float(known), tally
         decision, estimate, m_points = _estimate_and_decide(
             target / k, target / k_prime, target / size, rng
         )
-        tally.charge("reflections", m_points - 1)
-        return TrialOutcome(
-            decision, decision == _truth_label(size, k), tally, size, estimate
-        )
+        tally.reflections += m_points - 1
+        return decision, estimate, tally
 
-    return _repeat_majority(single, repetitions, rng, _truth_label(size, k))
-
-
-def _repeat_majority(
-    single, repetitions: int, rng: np.random.Generator, truth: str
-) -> TrialOutcome:
-    """Majority vote over independent repetitions; tallies accumulate.
-
-    All repetitions run against the same hidden set (drawn by the caller
-    before building ``single``), whose size has the label ``truth``; ties
-    and all-failed votes resolve to the small hypothesis and a failed
-    trial, respectively.
-    """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    first = single(rng)
-    if repetitions == 1:
-        return first
-    outcomes = [first] + [single(rng) for _ in range(repetitions - 1)]
-    tally = QueryTally()
-    for out in outcomes:
-        tally = tally.merged(out.tally)
-    decided = [out for out in outcomes if not out.failed]
-    if not decided:
-        return replace(first, tally=tally, failed=True, correct=False)
-    large_votes = sum(out.decision == DECIDE_LARGE for out in decided)
-    decision = DECIDE_LARGE if 2 * large_votes > len(decided) else DECIDE_SMALL
-    return TrialOutcome(
-        decision=decision,
-        correct=decision == truth,
-        tally=tally,
-        true_size=first.true_size,
-        statistic=float(np.mean([out.statistic for out in outcomes])),
-        failed=False,
-        in_regime=first.in_regime,
-    )
+    return _trial(k, k_prime, rng_seed, true_size, repetitions, single)
 
 
 # ---------------------------------------------------------------------------

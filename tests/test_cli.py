@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import os
 import re
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from countbench import cli
+from countbench import cli, simulate
 
 
 def run(argv):
@@ -206,6 +208,94 @@ class TestBoundsCommand:
         assert payload["tradeoff"]["t_choice"] == 24.0
 
 
+# sha256 of simulate_<proc>.csv and .json for 60 trials, recorded before the
+# seven procedures shared one trial driver.  The cases cover every procedure,
+# --repetitions 3, a pinned --true-size, each --oracle variant and a
+# bootstrap with --retries 0 whose growth stage often fails.
+PINNED_SIMULATE = {
+    "coupon --k 16 --eps 1 --seed 11": (
+        "1734efbff21e6f0b10834dd58afe5e2bd78465ded82cc796e0f4b52ffa55c06d",
+        "ea7ba5eb2cc96960545598ece34a5a4ef5afb4562e615698bb7c65a6bac9dd17",
+    ),
+    "coupon --k 16 --eps 1 --budget 40 --repetitions 3 --seed 12": (
+        "21d4021601acb468d1d98f028bc24f113e1afba8d88283eb932920f038518509",
+        "9597cff39867785a180afadd35a6efe14d94c271f43948d1286bf83208c0cf7b",
+    ),
+    "collision --k 64 --eps 0.5 --seed 13": (
+        "7db442d47a3c767d26bcf781a32f7ec61447e19ed65d58994252c0c844d4b9eb",
+        "2166b22a28d727db75a68f83d00eb2b989872a3aede0c05b4f0e3de8efe0ecc7",
+    ),
+    "collision --k 64 --eps 0.5 --samples 90 --true-size 96 --seed 14": (
+        "618d24bcf11e0f88dc2b9698a43a2c3627f5a11bd92568787eabf46cc08e117b",
+        "ecf0ef231d2af584b527e51b98bcb3a11819ed395a6ff340b9791ab71e885ad6",
+    ),
+    "overlap --n 4096 --k 64 --eps 0.5 --seed 15": (
+        "be5f76b9a36b8446d2b18f0ceccfa23d394850c47bf3b7ea5076b2b263162d61",
+        "eda8c08a5a9ebc9e4568507d2f37ee3795945f6800b059e2cb7174bf02587df4",
+    ),
+    "overlap --n 4096 --k 64 --eps 0.5 --copies 500 --repetitions 3 --seed 16": (
+        "e83e9d9092a926c38ee566681031ce66fde3ac2bc7baf78425e31b390a6bde67",
+        "6b8d62acfbb087b206a637f1a4e325c0ef794805f484ee7fd59bdda3ac127d74",
+    ),
+    "qcount --n 1024 --k 16 --eps 1 --seed 17": (
+        "77fa5007df8462a40c9073100b49d748a3742233ead96ece60992c049d117111",
+        "5c68fc7352e78c5bec6c10cf914485afe513296edd1b67acdaf2e56815cc3292",
+    ),
+    "qcount --n 1024 --k 16 --eps 1 --oracle reflections --true-size 32 --seed 18": (
+        "24ad549528f14b60fc84ea7d1101d607743083636113306efe50df72010fa502",
+        "9f6a89ee44413d9626d55cb0b0b1cbcc0d04c0ee253e1bb8a57a40f8af97814c",
+    ),
+    "qcount --n 1024 --k 16 --eps 0.25 --oracle membership --repetitions 3 --seed 19": (
+        "bd7e1365d6a1eb61c791b95b2b246fdcc8b584d2a18c251db0acfacb1f686473",
+        "19d5b47e1a9365e4da9f54b284c5166d091f69f5ab609996fadb42cf708b3eda",
+    ),
+    "subset --n 4096 --k 64 --eps 0.5 --ell 16 --seed 20": (
+        "524fbb9e52aca3754297ba687ef54d1139905152a5afce202dd179fe784467f1",
+        "310c5764b22f08178fc81909c2fce18d5050d35a48408e96ad164ec662f25082",
+    ),
+    "subset --n 4096 --k 64 --eps 0.5 --ell 16 --oracle reflections --true-size 64 --seed 21": (
+        "ad6ca4cfdca221bf2abafd3047d2efdfb5c86b80888172c4f3fc63ca254c7382",
+        "7e24905566e0c2f9cd2b302f2119b63b5be468cbc4085d84a2ea8153ea278818",
+    ),
+    "subset --n 4096 --k 64 --eps 0.5 --ell 32 --oracle state_generation --repetitions 3 --seed 22": (
+        "f979132a8f9de0e697125061368d3ecdd91e49895aec6e656384c7f52283fc14",
+        "e567cc58c5089504c11a41faf73d00bccb40ffecd9b795fc1297dcfe4c2a9844",
+    ),
+    "sample-count --n 4096 --k 64 --eps 0.25 --seed 23": (
+        "8bd2c6771b8a9347e89169f369fff68d3d060a83dd60e07de5239a46855db054",
+        "793436bd7e5d149d50e0d8f26af0e1d4aa037605526778022639b0a2836fd1e5",
+    ),
+    "sample-count --n 4096 --k 64 --eps 0.25 --true-size 80 --repetitions 3 --seed 24": (
+        "4420931873e242a3b9ce14899a587f3a36f2813b610d6e126f44c7e9a5f1593d",
+        "a784d25e8330ad9ed9b81742bdd6d6cf11223a5481642e2b990ea3a863170feb",
+    ),
+    "bootstrap --n 4096 --k 64 --eps 0.125 --seed 25": (
+        "26d8d615ef91fdb4cba85ba2e85e4974d9c782bbe34f2e468a7dc52dd36f41ba",
+        "a9a5decc97ecebb4a3d84b042d2f06b0fab592fef6fc52d2f9dfff86b5123be7",
+    ),
+    "bootstrap --n 4096 --k 64 --eps 0.0625 --retries 0 --seed 26": (
+        "180b4be25b0d73def939aab9e145f3bb3f6c54ffaafb0dd663d2aec3045e202d",
+        "bdbbee24f83cd103513057e9aa5cca3edf28381033a25ebe080bf6bffea2a9be",
+    ),
+    "bootstrap --n 4096 --k 64 --eps 0.0625 --retries 0 --repetitions 3 --seed 27": (
+        "106787c106ff5552fcb1bf412178ad4203b708ae55cfc9027c7e7dde130e9704",
+        "6de1dd061e8a645c0dc40f14f08713724e480a38032d1dc7b32f14188fc55513",
+    ),
+}
+# sample-count with every third sampling stage cut one element short,
+# keyed by --repetitions.
+PINNED_FAILING_SAMPLE_COUNT = {
+    "1": (
+        "175ca4c94ce8e9afb94141f373626d1917d5603ad4aac844e404482b681478f0",
+        "3a7fd569c0a91415edb68d30c7bfb994f9426acd091559b3e8f0b511edcb25b0",
+    ),
+    "3": (
+        "f4eaa61677b1f4b241e0215b215e6e44aa6fae125ceedf46414a0128f00c9101",
+        "aa39b3a2fec2dfaa5ccd3128e918cdb5312dcdf461225be95f289ea2114c1477",
+    ),
+}
+
+
 class TestSimulateCommand:
     def test_qcount_aggregate(self, tmp_path):
         out = tmp_path / "sim"
@@ -239,6 +329,38 @@ class TestSimulateCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, unread",
+        [
+            (["coupon", "--k", "8", "--eps", "1", "--oracle", "membership",
+              "--retries", "9", "--ell", "2", "--n", "100"],
+             ["--ell", "--n", "--oracle", "--retries"]),
+            (["bootstrap", "--n", "4096", "--k", "64", "--eps", "0.125",
+              "--oracle", "membership", "--budget", "5"],
+             ["--budget", "--oracle"]),
+            (["overlap", "--n", "4096", "--k", "64", "--eps", "0.5", "--samples", "9"],
+             ["--samples"]),
+        ],
+    )
+    def test_unread_flag_is_usage_error(self, tmp_path, capsys, argv, unread):
+        out = tmp_path / "s"
+        code = run(["simulate", *argv, "--trials", "3", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        message = capsys.readouterr().err
+        for flag in unread:
+            assert flag in message
+
+    def test_every_procedure_runs_with_the_flags_it_reads(self, tmp_path):
+        values = {"n": "4096", "budget": "300", "samples": "90", "copies": "500",
+                  "ell": "16", "oracle": "reflections", "retries": "2"}
+        for proc, flags in cli.SIMULATE_FLAGS.items():
+            argv = ["simulate", proc, "--k", "64", "--eps", "0.5", "--trials", "3",
+                    "--out", str(tmp_path)]
+            for flag in flags:
+                argv += [f"--{flag}", values[flag]]
+            assert run(argv) == 0, proc
+
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         argv = ["simulate", "coupon", "--k", "32", "--eps", "1", "--trials", "200",
@@ -269,6 +391,43 @@ class TestSimulateCommand:
         payload = json.loads((out / "simulate_coupon.json").read_text())
         assert payload["params"]["sample_budget"] == 160
         assert payload["mean_copies"] == 160.0
+
+
+def _simulate_digests(out_dir, procedure):
+    tag = procedure.replace("-", "_")
+    return tuple(
+        hashlib.sha256((out_dir / f"simulate_{tag}.{ext}").read_bytes()).hexdigest()
+        for ext in ("csv", "json")
+    )
+
+
+class TestPinnedSimulateOutputs:
+    """Seeded simulate outputs stay byte-identical across commits, not just runs."""
+
+    @pytest.mark.parametrize("flags", list(PINNED_SIMULATE))
+    def test_digests(self, tmp_path, flags):
+        argv = ["simulate", *flags.split(), "--trials", "60", "--out", str(tmp_path)]
+        assert run(argv) == 0
+        assert _simulate_digests(tmp_path, argv[1]) == PINNED_SIMULATE[flags]
+
+    @pytest.mark.parametrize("repetitions", list(PINNED_FAILING_SAMPLE_COUNT))
+    def test_failing_sample_count_digests(self, tmp_path, monkeypatch, repetitions):
+        real_collect = simulate._collect_distinct
+        calls = itertools.count()
+
+        def every_third_fails(target, size, budget, rng):
+            found, consumed = real_collect(target, size, budget, rng)
+            return (found - 1 if next(calls) % 3 == 0 else found), consumed
+
+        monkeypatch.setattr(simulate, "_collect_distinct", every_third_fails)
+        argv = ["simulate", "sample-count", "--n", "4096", "--k", "64", "--eps", "0.25",
+                "--repetitions", repetitions, "--trials", "60", "--seed", "28",
+                "--out", str(tmp_path)]
+        assert run(argv) == 0
+        assert (
+            _simulate_digests(tmp_path, "sample-count")
+            == PINNED_FAILING_SAMPLE_COUNT[repetitions]
+        )
 
 
 class TestVersionFlag:
