@@ -18,6 +18,11 @@ import numpy as np
 
 from . import johnson
 
+# Cutoff-selection constant c' in t = max(2 ell, c' ell', 1/(5 eps)).
+CPRIME = 8.0
+# The constant-norm requirement on the Gram power, read as D^ell/2 >= this.
+FEASIBILITY_THRESHOLD = 0.25
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
@@ -107,12 +112,6 @@ class PhiTable:
     instance: ProblemInstance
     phi: np.ndarray        # shape (k+1, 4)
     phi_prime: np.ndarray  # shape (k+1, 4)
-
-    def unit_norm_error(self) -> float:
-        norms = np.concatenate(
-            [np.linalg.norm(self.phi, axis=1), np.linalg.norm(self.phi_prime, axis=1)]
-        )
-        return float(np.max(np.abs(norms - 1.0)))
 
 
 @lru_cache(maxsize=16)
@@ -349,17 +348,12 @@ def _json_fields(report) -> dict:
     return out
 
 
-def dual_feasibility_report(
-    inst: ProblemInstance,
-    t: float,
-    ell: int,
-    feasibility_threshold: float = 0.25,
-) -> DualFeasibilityReport:
+def dual_feasibility_report(inst: ProblemInstance, t: float, ell: int) -> DualFeasibilityReport:
     """Assemble the closed-form certificate quantities and the feasibility flag.
 
     The constant-size requirement on the Gram-power norm is operationalised
-    as D^ell/2 >= feasibility_threshold (default 0.25); out-of-regime
-    instances are flagged, not rejected.
+    as D^ell/2 >= FEASIBILITY_THRESHOLD; out-of-regime instances are
+    flagged, not rejected.
     """
     sched = gamma_schedule(t, inst.k)
     bound = psi_power_lower_bound(inst, t, ell)
@@ -374,8 +368,8 @@ def dual_feasibility_report(
         state_gen_norm=max(gen_pair),
         state_gen_pair=gen_pair,
         reflection_norm=norm_delta_reflection(sched, inst),
-        feasibility_threshold=feasibility_threshold,
-        feasible=bound >= feasibility_threshold,
+        feasibility_threshold=FEASIBILITY_THRESHOLD,
+        feasible=bound >= FEASIBILITY_THRESHOLD,
         theorem_regime=inst.theorem_regime,
     )
 
@@ -414,7 +408,6 @@ def theorem_tradeoff(
     eps: float,
     ell: float = 0,
     ell_prime: float = 0,
-    cprime: float = 8.0,
 ) -> BoundReport:
     """Evaluate every branch of the headline trade-off at one parameter point.
 
@@ -422,14 +415,15 @@ def theorem_tradeoff(
     each branch reports the bare min of its closed expressions.  The
     regime conditions n >= 5k and 1/k <= eps <= 1 are recorded as flags.
     An ell of 0 drops the copy-assisted state-generation term; ell +
-    ell_prime = 0 likewise drops the assisted reflection term.
+    ell_prime = 0 likewise drops the assisted reflection term.  The cutoff
+    uses c' = CPRIME.
     """
+    if not all(map(math.isfinite, (n, k, eps, ell, ell_prime))):
+        raise ValueError("n, k, eps, ell and ell_prime must be finite")
     if n <= 0 or k <= 0 or eps <= 0:
         raise ValueError("n, k, eps must be positive")
     if ell < 0 or ell_prime < 0:
         raise ValueError("ell and ell_prime must be nonnegative")
-    if cprime <= 0:
-        raise ValueError("cprime must be positive")
 
     root_nk = math.sqrt(n / k)
     copies_terms = {
@@ -449,14 +443,14 @@ def theorem_tradeoff(
         ),
     }
     membership = root_nk / eps
-    t_choice = max(2.0 * ell, cprime * ell_prime, 1.0 / (5.0 * eps))
+    t_choice = max(2.0 * ell, CPRIME * ell_prime, 1.0 / (5.0 * eps))
     report = BoundReport(
         n=float(n),
         k=float(k),
         eps=float(eps),
         ell=float(ell),
         ell_prime=float(ell_prime),
-        cprime=float(cprime),
+        cprime=CPRIME,
         copies_terms=copies_terms,
         copies_bound=min(copies_terms.values()),
         state_generation_terms=state_terms,

@@ -1,10 +1,9 @@
 """Command-line front end: verification sweeps, bound reports, simulations.
 
 Exit-code contract: 0 all good, 1 at least one cross-check failed,
-2 usage or configuration error.  Output files are deterministic given
-(config, seed): the per-check millis column is zeroed unless --timing
-is passed (wall time is inherently nondeterministic), and all floats
-use a fixed format.
+2 usage error.  Output files are deterministic given (flags, seed): the
+per-check millis column is zeroed unless --timing is passed (wall time
+is inherently nondeterministic), and all floats use a fixed format.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -49,43 +47,12 @@ def _fmt_bool(x: bool) -> str:
     return "true" if x else "false"
 
 
-def parse_config(path: str) -> dict[str, list[str]]:
-    """Flat key=value file; repeated keys accumulate into lists."""
-    values: dict[str, list[str]] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        values.setdefault(key.strip(), []).append(value.strip())
-    return values
-
-
 def _parse_instance(text: str) -> ProblemInstance:
     parts = [p for p in text.replace(" ", "").split(",") if p]
     if len(parts) != 3:
         raise ValueError(f"instance must be n,k,k_prime, got {text!r}")
     n, k, k_prime = (int(p) for p in parts)
     return ProblemInstance(n=n, k=k, k_prime=k_prime)
-
-
-def _resolve_seed(args, config: dict[str, list[str]]) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    if "seed" in config:
-        return int(config["seed"][-1])
-    env = os.environ.get("WORKBENCH_SEED")
-    if env is not None:
-        return int(env)
-    return 0
-
-
-def _scalar(config: dict, key: str, cast, fallback):
-    if key in config:
-        return cast(config[key][-1])
-    return fallback
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,9 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value config file; flags override it")
-    common.add_argument("--out", help="output directory (default: out)")
-    common.add_argument("--seed", type=int, help="master seed (env WORKBENCH_SEED as fallback)")
+    common.add_argument("--out", default="out", help="output directory (default: out)")
 
     p_verify = sub.add_parser(
         "verify", parents=[common], help="run the cross-check sweep"
@@ -119,8 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=bruteforce.CHECK_IDS,
         help="restrict to these checks",
     )
-    p_verify.add_argument("--tol-norm", type=float, help="norm-comparison tolerance (default 1e-8)")
-    p_verify.add_argument("--tol-exact", type=float, help="algebraic-identity tolerance (default 1e-10)")
     p_verify.add_argument(
         "--timing",
         action="store_true",
@@ -136,18 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--eps", type=float, required=True)
     p_bounds.add_argument("--ell", type=float, default=0.0, help="copies available")
     p_bounds.add_argument("--ell-prime", type=float, default=0.0, help="state-generation calls")
-    p_bounds.add_argument("--cprime", type=float, help="cutoff-selection constant (default 8)")
-    p_bounds.add_argument(
-        "--feasibility-threshold",
-        type=float,
-        help="constant-norm proxy threshold (default 0.25)",
-    )
 
     p_sim = sub.add_parser(
         "simulate", parents=[common], help="run a simulation campaign"
     )
     p_sim.add_argument("procedure", choices=simulate.PROCEDURES)
     p_sim.add_argument("--trials", type=int, required=True)
+    p_sim.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p_sim.add_argument("--n", type=int)
     p_sim.add_argument("--k", type=int)
     p_sim.add_argument("--eps", type=float)
@@ -186,37 +144,17 @@ def _verify_items(instances, t_values, checks):
 
 
 def cmd_verify(args) -> int:
-    config = parse_config(args.config) if args.config else {}
     if args.instance is not None:
-        instance_texts = args.instance
+        instances = [_parse_instance(text) for text in args.instance]
     else:
-        instance_texts = config.get(
-            "instance", [f"{n},{k},{kp}" for n, k, kp in DEFAULT_INSTANCES]
-        )
-    instance_texts = [text for text in instance_texts if text.strip()]
-    if not instance_texts:
-        raise ValueError("empty instance list")
-    instances = [_parse_instance(text) for text in instance_texts]
-    t_values = (
-        args.t
-        if args.t is not None
-        else [float(v) for v in config.get("t", [str(t) for t in DEFAULT_T_VALUES])]
-    )
-    if not t_values:
-        raise ValueError("empty t list")
+        instances = [ProblemInstance(*triple) for triple in DEFAULT_INSTANCES]
+    t_values = args.t or DEFAULT_T_VALUES
     checks = tuple(args.checks) if args.checks else bruteforce.CHECK_IDS
-    tol_norm = args.tol_norm if args.tol_norm is not None else _scalar(
-        config, "tol_norm", float, bruteforce.TOL_NORM
-    )
-    tol_exact = args.tol_exact if args.tol_exact is not None else _scalar(
-        config, "tol_exact", float, bruteforce.TOL_EXACT
-    )
-    out_dir = Path(args.out if args.out is not None else _scalar(config, "out", str, "out"))
-    seed = _resolve_seed(args, config)
+    out_dir = Path(args.out)
 
     start = time.perf_counter()
     reports = [
-        bruteforce.verify(check, inst, t=t, ell=ell, tol_norm=tol_norm, tol_exact=tol_exact)
+        bruteforce.verify(check, inst, t=t, ell=ell)
         for check, inst, t, ell in _verify_items(instances, t_values, checks)
     ]
     sweep_s = time.perf_counter() - start
@@ -248,8 +186,7 @@ def cmd_verify(args) -> int:
     failures = [r for r in reports if not r.passed]
     summary = {
         "version": __version__,
-        "seed": seed,
-        "tolerances": {"norm": tol_norm, "exact": tol_exact},
+        "tolerances": {"norm": bruteforce.TOL_NORM, "exact": bruteforce.TOL_EXACT},
         "instances": [[i.n, i.k, i.k_prime] for i in instances],
         "t_values": list(t_values),
         "checks": {cid: bruteforce.CHECK_DESCRIPTIONS[cid] for cid in checks},
@@ -283,25 +220,24 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _whole(name: str, x: float) -> int:
+    if not x.is_integer():
+        raise ValueError(f"{name} = {x!r} is not a whole number")
+    return int(x)
+
+
 def cmd_bounds(args) -> int:
-    config = parse_config(args.config) if args.config else {}
-    cprime = args.cprime if args.cprime is not None else _scalar(config, "cprime", float, 8.0)
-    threshold = (
-        args.feasibility_threshold
-        if args.feasibility_threshold is not None
-        else _scalar(config, "feasibility_threshold", float, 0.25)
-    )
     report = adversary.theorem_tradeoff(
-        args.n, args.k, args.eps, ell=args.ell, ell_prime=args.ell_prime, cprime=cprime
+        args.n, args.k, args.eps, ell=args.ell, ell_prime=args.ell_prime
     )
     payload = {"version": __version__, "tradeoff": report.as_dict()}
     feasibility = None
     note = None
     try:
-        inst = ProblemInstance.from_eps(int(args.n), int(args.k), args.eps)
+        inst = ProblemInstance.from_eps(_whole("n", args.n), _whole("k", args.k), args.eps)
         t = max(1.0, report.t_choice)
         feasibility = adversary.dual_feasibility_report(
-            inst, t=t, ell=int(args.ell), feasibility_threshold=threshold
+            inst, t=t, ell=_whole("ell", args.ell)
         ).as_dict()
     except (ValueError, OverflowError) as exc:
         note = f"dual feasibility unavailable: {exc}"
@@ -369,14 +305,12 @@ def _simulate_params(args) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    config = parse_config(args.config) if args.config else {}
     if args.trials < 1:
         raise ValueError("need at least one trial")
-    seed = _resolve_seed(args, config)
-    out_dir = Path(args.out if args.out is not None else _scalar(config, "out", str, "out"))
+    out_dir = Path(args.out)
     params = _simulate_params(args)
 
-    outcomes = simulate.run_batch(args.procedure, params, args.trials, seed)
+    outcomes = simulate.run_batch(args.procedure, params, args.trials, args.seed)
     stats = simulate.aggregate(outcomes)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -404,7 +338,7 @@ def cmd_simulate(args) -> int:
     payload = {
         "version": __version__,
         "procedure": args.procedure,
-        "seed": seed,
+        "seed": args.seed,
         "params": {key: params[key] for key in sorted(params)},
         **stats,
     }

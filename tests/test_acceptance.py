@@ -13,6 +13,7 @@ import pytest
 
 from countbench import adversary, bruteforce, cli, johnson, simulate
 from countbench.adversary import ProblemInstance
+from dense_reference import unit_norm_error
 
 SWEEP = [
     (6, 1, 2),
@@ -41,15 +42,15 @@ def instances():
 
 
 def test_criterion_01_closed_form_cross_check_sweep():
+    # verify reads the package tolerances; pin them to the criterion's.
+    assert (bruteforce.TOL_NORM, bruteforce.TOL_EXACT) == (TOL_NORM, TOL_EXACT)
     start = time.perf_counter()
     failures = []
     for inst in instances():
         for t in T_VALUES:
             for check in bruteforce.CHECK_IDS:
                 ell = int(t) // 2 if check == "PSI_POWER" else 0
-                result = bruteforce.verify(
-                    check, inst, t=t, ell=ell, tol_norm=TOL_NORM, tol_exact=TOL_EXACT
-                )
+                result = bruteforce.verify(check, inst, t=t, ell=ell)
                 if not result.passed:
                     failures.append((check, inst.n, inst.k, inst.k_prime, t))
     elapsed = time.perf_counter() - start
@@ -62,7 +63,7 @@ def test_criterion_01_closed_form_cross_check_sweep():
 
 
 def test_criterion_02_unit_norm_claim():
-    worst = max(adversary.phi_table(inst).unit_norm_error() for inst in instances())
+    worst = max(unit_norm_error(adversary.phi_table(inst)) for inst in instances())
     report(2, "coefficient 4-vectors are unit within 1e-12", worst <= 1e-12, f"max {worst:.2e}")
 
 
@@ -273,7 +274,7 @@ def test_criterion_10_rotation_simulator_matches_statevector():
 
 def test_criterion_11_deterministic_outputs(tmp_path):
     verify_argv = ["verify", "--instance", "6,1,2", "--instance", "8,2,3", "--t", "1",
-                   "--t", "2", "--seed", "9"]
+                   "--t", "2"]
     sim_argv = ["simulate", "qcount", "--n", "1024", "--k", "16", "--eps", "1",
                 "--trials", "250", "--seed", "9"]
     pairs = []

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from countbench import adversary, johnson, linalg
 from countbench.adversary import ProblemInstance
+from dense_reference import unit_norm_error
 
 SWEEP = [(6, 1, 2), (7, 1, 2), (8, 2, 3), (9, 2, 3), (10, 2, 3), (10, 3, 4),
          (12, 2, 4), (12, 3, 4)]
@@ -55,7 +56,7 @@ class TestPhiTable:
     @pytest.mark.parametrize("n,k,kp", SWEEP)
     def test_unit_norm_claim_across_sweep(self, n, k, kp):
         table = adversary.phi_table(ProblemInstance(n, k, kp))
-        assert table.unit_norm_error() <= 1e-12
+        assert unit_norm_error(table) <= 1e-12
 
     def test_zero_entries_at_block_zero(self):
         table = adversary.phi_table(ProblemInstance(10, 3, 4))
@@ -376,6 +377,14 @@ class TestTheoremTradeoff:
         with pytest.raises(ValueError):
             adversary.theorem_tradeoff(100, 10, 0.1, ell=-1)
 
+    @pytest.mark.parametrize("position", range(5))
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, position, value):
+        args = [100.0, 10.0, 0.5, 1.0, 1.0]
+        args[position] = value
+        with pytest.raises(ValueError, match="finite"):
+            adversary.theorem_tradeoff(*args)
+
 
 # ---------------------------------------------------------------------------
 # Property tests: the vectorised engine against per-row loops over j.
@@ -540,7 +549,7 @@ class TestVectorisedAgainstRowLoops:
     @given(certificate_points(max_log_n=9), st.data())
     def test_identities_at_large_n(self, point, data):
         inst, _, _ = point
-        assert adversary.phi_table(inst).unit_norm_error() <= 1e-13
+        assert unit_norm_error(adversary.phi_table(inst)) <= 1e-13
         j = data.draw(st.integers(0, inst.k))
         t2, t4 = johnson.basis_change_tables(inst.n, inst.k, j)
         assert np.max(np.abs(t2 @ t2.T - np.eye(2))) <= 1e-13

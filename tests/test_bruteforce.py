@@ -7,6 +7,7 @@ from countbench import adversary, bruteforce, johnson, linalg
 from countbench.adversary import ProblemInstance
 from countbench.bruteforce import LiftKind, lift
 from countbench.cli import DEFAULT_INSTANCES
+from dense_reference import col_psi_psi_star, row_psi_psi_star
 
 INST = ProblemInstance(8, 2, 3)
 
@@ -60,7 +61,7 @@ class TestLift:
         basis_x = johnson.subset_basis(8, 2)
         basis_y = johnson.subset_basis(8, 3)
         m = rng.standard_normal((len(basis_x), len(basis_y)))
-        direct = lift(m, LiftKind.ROW_PSI_PSI_STAR, basis_x)
+        direct = row_psi_psi_star(m, basis_x)
         staged = lift(lift(m, LiftKind.ROW_PSI_STAR, basis_x), LiftKind.ROW_PSI, basis_x)
         # Equal up to multiplication-order rounding.
         assert np.max(np.abs(direct - staged)) < 1e-15
@@ -70,7 +71,7 @@ class TestLift:
         basis_x = johnson.subset_basis(8, 2)
         basis_y = johnson.subset_basis(8, 3)
         m = rng.standard_normal((len(basis_x), len(basis_y)))
-        direct = lift(m, LiftKind.COL_PSI_PSI_STAR, basis_y)
+        direct = col_psi_psi_star(m, basis_y)
         staged = lift(lift(m, LiftKind.COL_PSI, basis_y), LiftKind.COL_PSI_STAR, basis_y)
         assert np.max(np.abs(direct - staged)) < 1e-15
 
@@ -180,8 +181,7 @@ class TestReflectionLiftNorm:
     def dense_norm(inst, gamma):
         basis_x = johnson.subset_basis(inst.n, inst.k)
         basis_y = johnson.subset_basis(inst.n, inst.k_prime)
-        lifted = lift(gamma, LiftKind.ROW_PSI_PSI_STAR, basis_x)
-        lifted -= lift(gamma, LiftKind.COL_PSI_PSI_STAR, basis_y)
+        lifted = row_psi_psi_star(gamma, basis_x) - col_psi_psi_star(gamma, basis_y)
         return linalg.spectral_norm(lifted)
 
     @pytest.mark.parametrize(
@@ -320,8 +320,7 @@ class TestFeasibilityAgainstBruteForce:
         )
         assert feas.state_gen_norm == pytest.approx(max(fwd, rev), abs=1e-8)
         refl = linalg.spectral_norm(
-            lift(gamma, LiftKind.ROW_PSI_PSI_STAR, basis_x)
-            - lift(gamma, LiftKind.COL_PSI_PSI_STAR, basis_y)
+            row_psi_psi_star(gamma, basis_x) - col_psi_psi_star(gamma, basis_y)
         )
         assert feas.reflection_norm == pytest.approx(refl, abs=1e-8)
         brute_power = linalg.spectral_norm(gamma * bruteforce.psi_gram(INST))

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from countbench import cli, simulate
+from countbench import bruteforce, cli, simulate
 
 
 def run(argv):
@@ -59,51 +59,20 @@ class TestVerifyCommand:
         assert summary["all_passed"] and summary["failures"] == 0
         assert set(summary["checks"]) == set_of_checks()
 
-    def test_unmeetable_tolerance_fails(self, tmp_path):
-        code = run(
-            [
-                "verify",
-                "--instance",
-                "6,1,2",
-                "--t",
-                "2",
-                "--tol-norm",
-                "1e-30",
-                "--tol-exact",
-                "1e-30",
-                "--out",
-                str(tmp_path / "r"),
-            ]
-        )
+    def test_unmeetable_tolerance_fails(self, tmp_path, monkeypatch):
+        # The tolerances are read at call time, so patching them reaches the CLI.
+        monkeypatch.setattr(bruteforce, "TOL_NORM", 1e-30)
+        monkeypatch.setattr(bruteforce, "TOL_EXACT", 1e-30)
+        code = run(["verify", "--instance", "6,1,2", "--t", "2", "--out", str(tmp_path / "r")])
         assert code == 1
 
     def test_empty_instance_list_is_usage_error(self, tmp_path):
-        config = tmp_path / "sweep.cfg"
-        config.write_text("instance=\n")
-        code = run(["verify", "--config", str(config), "--out", str(tmp_path / "r")])
+        code = run(["verify", "--instance", "", "--out", str(tmp_path / "r")])
         assert code == 2
 
     def test_bad_instance_is_usage_error(self, tmp_path):
         code = run(["verify", "--instance", "6,1", "--out", str(tmp_path / "r")])
         assert code == 2
-
-    def test_config_file_with_flag_override(self, tmp_path):
-        config = tmp_path / "sweep.cfg"
-        config.write_text(
-            "# two tiny instances\n"
-            "instance=6,1,2\n"
-            "instance=7,1,2\n"
-            "t=1\n"
-            "seed=5\n"
-        )
-        out = tmp_path / "r"
-        code = run(
-            ["verify", "--config", str(config), "--instance", "6,1,2", "--out", str(out)]
-        )
-        assert code == 0
-        summary = json.loads((out / "verify.json").read_text())
-        assert summary["instances"] == [[6, 1, 2]]  # flag overrode the config list
-        assert summary["seed"] == 5
 
     def test_jobs_flag_is_gone(self, tmp_path):
         argv = ["verify", "--instance", "6,1,2", "--t", "1", "--jobs", "2"]
@@ -166,7 +135,7 @@ class TestVerifyCommand:
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        argv = ["verify", "--instance", "6,1,2", "--t", "1", "--seed", "3"]
+        argv = ["verify", "--instance", "6,1,2", "--t", "1"]
         assert run(argv + ["--out", str(a)]) == 0
         assert run(argv + ["--out", str(b)]) == 0
         assert (a / "verify.csv").read_bytes() == (b / "verify.csv").read_bytes()
@@ -197,6 +166,31 @@ class TestBoundsCommand:
 
     def test_zero_eps_is_usage_error(self):
         assert run(["bounds", "--n", "100", "--k", "10", "--eps", "0"]) == 2
+
+    @pytest.mark.parametrize(
+        "n, k, eps",
+        [("nan", "10", "1"), ("1e400", "10", "1"), ("100", "10", "inf")],
+    )
+    def test_non_finite_input_is_usage_error(self, capsys, n, k, eps):
+        assert run(["bounds", "--n", n, "--k", k, "--eps", eps]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--n", "100.5", "--k", "10"], "n"),
+            (["--n", "100", "--k", "10.5"], "k"),
+            (["--n", "100", "--k", "10", "--ell", "1.7"], "ell"),
+        ],
+    )
+    def test_non_whole_input_skips_dual_feasibility(self, capsys, flags, name):
+        assert run(["bounds", *flags, "--eps", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["dual_feasibility"] is None
+        assert payload["note"].startswith(f"dual feasibility unavailable: {name} = ")
+        assert payload["tradeoff"][name] == float(flags[flags.index(f"--{name}") + 1])
 
     def test_copies_enter_the_branches(self, capsys):
         code = run(
@@ -370,7 +364,7 @@ class TestSimulateCommand:
         assert (a / "simulate_coupon.csv").read_bytes() == (b / "simulate_coupon.csv").read_bytes()
         assert (a / "simulate_coupon.json").read_bytes() == (b / "simulate_coupon.json").read_bytes()
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
+    def test_environment_does_not_set_the_seed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WORKBENCH_SEED", "21")
         out = tmp_path / "env"
         code = run(
@@ -379,7 +373,7 @@ class TestSimulateCommand:
         )
         assert code == 0
         payload = json.loads((out / "simulate_collision.json").read_text())
-        assert payload["seed"] == 21
+        assert payload["seed"] == 0
 
     def test_coupon_default_budget(self, tmp_path):
         out = tmp_path / "c"
@@ -438,15 +432,44 @@ class TestVersionFlag:
         assert capsys.readouterr().out.strip() == __version__
 
 
-class TestConfigParsing:
-    def test_repeated_keys_and_comments(self, tmp_path):
-        cfg = tmp_path / "x.cfg"
-        cfg.write_text("# comment\nfoo=1\nfoo=2\nbar = a b \n\n")
-        parsed = cli.parse_config(str(cfg))
-        assert parsed == {"foo": ["1", "2"], "bar": ["a b"]}
+# Every option each subcommand accepts.  A new flag is a deliberate edit here.
+EXPECTED_OPTIONS = {
+    "verify": {"--out", "--instance", "--t", "--checks", "--timing"},
+    "bounds": {"--out", "--n", "--k", "--eps", "--ell", "--ell-prime"},
+    "simulate": {
+        "--out", "--seed", "--trials", "--n", "--k", "--eps", "--budget", "--samples",
+        "--copies", "--ell", "--true-size", "--oracle", "--repetitions", "--retries",
+    },
+}
 
-    def test_malformed_line_rejected(self, tmp_path):
-        cfg = tmp_path / "x.cfg"
-        cfg.write_text("not a pair\n")
-        with pytest.raises(ValueError):
-            cli.parse_config(str(cfg))
+
+class TestKnobInventory:
+    def test_each_subcommand_has_exactly_the_expected_options(self):
+        parser = cli.build_parser()
+        (subparsers,) = [
+            action for action in parser._actions if action.choices and action.dest == "command"
+        ]
+        found = {
+            name: {
+                opt
+                for action in sub._actions
+                for opt in action.option_strings
+                if opt not in ("-h", "--help")
+            }
+            for name, sub in subparsers.choices.items()
+        }
+        assert found == EXPECTED_OPTIONS
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--seed", "3"],
+            ["verify", "--config", "x"],
+            ["verify", "--tol-norm", "1"],
+            ["bounds", "--n", "100", "--k", "10", "--eps", "1", "--cprime", "4"],
+            ["bounds", "--n", "100", "--k", "10", "--eps", "1", "--seed", "1"],
+        ],
+    )
+    def test_removed_flags_are_usage_errors(self, tmp_path, argv):
+        assert run(argv + ["--out", str(tmp_path / "r")]) == 2
+        assert not (tmp_path / "r").exists()
