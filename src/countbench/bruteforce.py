@@ -3,8 +3,9 @@
 Everything the closed-form engine claims is rebuilt here the hard way:
 the overlap Gram matrix, the single-element difference masks, the four
 lift transformations that expand matrix entries by superposition
-vectors, the superposition isometries V and V-hat, the rank-one
-projector pair on the ground space, and the channel transporters Xi.
+vectors, the superposition isometries V and V-hat (applied entrywise),
+the rank-one projector pair on the ground space, and the channel
+transporters Xi, which V_DECOMP and PHI_COMMUTE read in block coordinates.
 ``verify`` runs one named check, building both sides explicitly and
 reporting the worst discrepancy.
 
@@ -195,6 +196,21 @@ def _kron_apply(
     return out.reshape(-1, cols)
 
 
+def _v_apply(psi: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """V @ m for the isometry V of the level whose ``psi_matrix`` is ``psi``.
+
+    Row (x, i) of V holds psi_x[i] in column x and zeros elsewhere, so row
+    (x, i) of V m is psi_x[i] m[x, :]; it is formed entrywise, without V.
+    """
+    return (psi[:, :, None] * m[:, None, :]).reshape(-1, m.shape[1])
+
+
+def _v_adjoint_apply(psi: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """V^T @ m: row x is the sum over i of psi_x[i] m[(x, i), :]."""
+    size, n = psi.shape
+    return np.matmul(psi[:, None, :], m.reshape(size, n, -1))[:, 0]
+
+
 class InstanceWorkspace:
     """Lazy cache of the explicit objects shared by the checks of one instance."""
 
@@ -250,20 +266,6 @@ class InstanceWorkspace:
         size = self.inst.k_prime if hatted else self.inst.k
         return self._cache(("psi_rows", size), lambda: psi_matrix(self.inst.n, size))
 
-    @property
-    def v_iso(self) -> np.ndarray:
-        return self._cache(
-            "v_iso",
-            lambda: lift(np.eye(len(self.basis_x)), LiftKind.ROW_PSI, self.basis_x),
-        )
-
-    @property
-    def v_iso_hat(self) -> np.ndarray:
-        return self._cache(
-            "v_iso_hat",
-            lambda: lift(np.eye(len(self.basis_y)), LiftKind.ROW_PSI, self.basis_y),
-        )
-
     def block_dims(self, hatted: bool = False):
         fam = self.proj_y if hatted else self.proj_x
         return [fam.dimension(j) for j in range(len(fam.projectors))]
@@ -287,13 +289,11 @@ def _xi_is_declared_zero(j: int, ell: int, m: int, level_max: int) -> bool:
 def _xi_raw(inst: ProblemInstance, j: int, ell: int, m: int, hatted: bool) -> np.ndarray:
     """The raw channel morphism (E_{j+m} tensor Pi_ell) V E_j of a non-border channel.
 
-    Row (x, i) of V holds psi_x[i] in column x and zeros elsewhere, so V E_j
-    is formed entrywise as psi_x[i] E_j[x, :].
+    V E_j is formed entrywise by ``_v_apply``.
     """
     ws = _workspace(inst)
     fam = ws.proj_y if hatted else ws.proj_x
-    e_j = fam.projectors[j]
-    v_e = (ws.psi_rows(hatted)[:, :, None] * e_j[:, None, :]).reshape(-1, e_j.shape[1])
+    v_e = _v_apply(ws.psi_rows(hatted), fam.projectors[j])
     pi = build_projection_pair(inst.n)[ell]
     return _kron_apply(fam.projectors[j + m], v_e, inst.n, pi)
 
@@ -390,14 +390,25 @@ def _reflection_lift_norm(ws: InstanceWorkspace, gamma: np.ndarray) -> float:
     row blocks (x, i) and column blocks (y, i) as in ``lift``.
 
     By the lift composition identities the difference is L R^T with
-    L = [V, -lift(gamma, COL_PSI)] and R = [lift(gamma, ROW_PSI_STAR)^T, V-hat].
-    With L = Q_L r_L and R = Q_R r_R, its norm is that of the small r_L r_R^T.
+    L = [V, B], B = -lift(gamma, COL_PSI), and R = [A^T, V-hat],
+    A = lift(gamma, ROW_PSI_STAR).  V and V-hat are isometries, so each
+    factor needs a QR of its other block's remainder only:
+    B - V V^T B = Q_B r_B and A^T - V-hat V-hat^T A^T = Q_A r_A give
+    L = [V, Q_B] [[I, V^T B], [0, r_B]] and R = [Q_A, V-hat] [[r_A, 0],
+    [V-hat^T A^T, I]], both with orthonormal left factors.  The norm is
+    that of the small product [[r_A^T, A V-hat + V^T B], [0, r_B]].
     """
-    left = np.hstack([ws.v_iso, -lift(gamma, LiftKind.COL_PSI, ws.basis_y)])
-    right = np.hstack([lift(gamma, LiftKind.ROW_PSI_STAR, ws.basis_x).T, ws.v_iso_hat])
-    r_left = np.linalg.qr(left, mode="r")
-    r_right = np.linalg.qr(right, mode="r")
-    return linalg.spectral_norm(r_left @ r_right.T)
+    psi, psi_hat = ws.psi_rows(), ws.psi_rows(hatted=True)
+    b = -lift(gamma, LiftKind.COL_PSI, ws.basis_y)
+    a_t = lift(gamma, LiftKind.ROW_PSI_STAR, ws.basis_x).T
+    v_b = _v_adjoint_apply(psi, b)
+    v_hat_a_t = _v_adjoint_apply(psi_hat, a_t)
+    r_b = np.linalg.qr(b - _v_apply(psi, v_b), mode="r")
+    r_a = np.linalg.qr(a_t - _v_apply(psi_hat, v_hat_a_t), mode="r")
+    core = np.block(
+        [[r_a.T, v_hat_a_t.T + v_b], [np.zeros((r_b.shape[0], r_a.shape[0])), r_b]]
+    )
+    return linalg.spectral_norm(core)
 
 
 def _check_delta_memb(ws: InstanceWorkspace, t: float, ell: int):
@@ -416,38 +427,91 @@ def _check_delta_memb(ws: InstanceWorkspace, t: float, ell: int):
     return closed, float(per_i[worst]), float(max(gaps)), details, "norm"
 
 
-def _check_channels(ws: InstanceWorkspace, t: float, ell: int):
-    """V_DECOMP and PHI_COMMUTE from one pass over the non-border channels.
+def _block_bases(fam: johnson.ProjectorFamily) -> list[np.ndarray]:
+    """Orthonormal basis Q_j of each block, read off the projector E_j itself.
 
-    Each Xi, plain and hatted, is built once and subtracted with its
-    coefficient from the residual of its level's isometry; for j <= k the
-    plain and hatted pair of a channel also gives its PHI_COMMUTE
-    difference.  Only one channel pair is alive at a time.
+    The eigenvalues of a projector are 0 and 1, so Q_j holds the
+    eigenvectors of E_j whose eigenvalue exceeds one half.
+    """
+    bases = []
+    for j, e_j in enumerate(fam.projectors):
+        values, vectors = np.linalg.eigh(e_j)
+        q_j = vectors[:, values > 0.5]
+        if q_j.shape[1] != fam.dimension(j):
+            raise ArithmeticError(
+                f"block {j} of level {fam.k} has a {q_j.shape[1]}-dimensional range, "
+                f"trace {fam.dimension(j)}"
+            )
+        bases.append(q_j)
+    return bases
+
+
+def _level_channels(ws: InstanceWorkspace, hatted: bool):
+    """Channel cores and the V_DECOMP residual norm of one level.
+
+    In the block bases Q_j, and with the ground axis split into its Pi_0
+    coordinate (sum over i, divided by sqrt(n)) and its Pi_1 part, the
+    isometry V becomes a grid of cores K_{j',ell,j} = (Q_{j'}^T tensor
+    Pi_ell) V Q_j.  This change of basis is an isometry, so the residual
+    V - sum c Xi keeps its spectral norm: each non-border channel core is
+    scaled by 1 - c/||K||, every other core is left as it is.  Returns the
+    block bases, the normalised channel cores K/||K|| keyed by (j, ell, m),
+    and the residual's spectral norm.
     """
     inst = ws.inst
-    coeffs = adversary.phi_components(inst.n, inst.k, np.arange(inst.k + 1))
-    coeffs_hat = adversary.phi_components(inst.n, inst.k_prime, np.arange(inst.k_prime + 1))
-    residual = ws.v_iso.copy()
-    residual_hat = ws.v_iso_hat.copy()
+    level = inst.k_prime if hatted else inst.k
+    coeffs = adversary.phi_components(inst.n, level, np.arange(level + 1))
+    bases = _block_bases(ws.proj_y if hatted else ws.proj_x)
+    q_all = np.hstack(bases)
+    edges = np.cumsum([0] + [q.shape[1] for q in bases])
+    psi = ws.psi_rows(hatted)
+    size, n = psi.shape
+    # Rows: the Pi_0 coordinate of every block row, then its Pi_1 part.
+    residual = np.empty((size * (n + 1), size))
+    channels = {}
+    for j, q_j in enumerate(bases):
+        d = q_j.shape[1]
+        v_q = _v_apply(psi, q_j).reshape(size, n * d)
+        cores = (q_all.T @ v_q).reshape(size, n, d)
+        parts = (cores.sum(axis=1) / math.sqrt(n), cores - cores.mean(axis=1, keepdims=True))
+        for comp, (el, m) in enumerate(XI_CHANNELS):
+            if _xi_is_declared_zero(j, el, m, level):
+                continue
+            core = parts[el][edges[j + m] : edges[j + m + 1]].reshape(-1, d)
+            scale = linalg.spectral_norm(core)
+            if scale < johnson.DEGENERATE_SCALE:
+                raise ArithmeticError(
+                    f"channel (j={j}, ell={el}, m={m}, hatted={hatted}) is unexpectedly "
+                    f"degenerate: normaliser {scale:.3e}"
+                )
+            channels[j, el, m] = core / scale
+            core *= 1.0 - coeffs[j, comp] / scale
+        residual[:size, edges[j] : edges[j + 1]] = parts[0]
+        residual[size:, edges[j] : edges[j + 1]] = parts[1].reshape(size * n, d)
+    return bases, channels, linalg.spectral_norm(residual)
+
+
+def _check_channels(ws: InstanceWorkspace, t: float, ell: int):
+    """V_DECOMP and PHI_COMMUTE from one pass in block coordinates.
+
+    V_DECOMP is the spectral norm of the residual V - sum c Xi, the worse
+    of the two levels.  For PHI_COMMUTE: ``johnson.transporter`` builds
+    Phi_j compressed to the two j-th blocks, so Phi_j = Q_j S_j Qhat_j^T
+    with S_j = Q_j^T Phi_j Qhat_j, and each channel's commutation difference
+    (Phi_{j+m} tensor I) Xihat - Xi Phi_j has the norm of the core
+    difference (S_{j+m} tensor I) Khat/||Khat|| - (K/||K||) S_j.
+    """
+    bases, channels, gap = _level_channels(ws, hatted=False)
+    bases_hat, channels_hat, gap_hat = _level_channels(ws, hatted=True)
+    s = [q.T @ phi.matrix @ q_hat for q, phi, q_hat in zip(bases, ws.transporters, bases_hat)]
     worst = 0.0
     worst_label = None
-    for j in range(inst.k_prime + 1):
-        for comp, (el, m) in enumerate(XI_CHANNELS):
-            if _xi_is_declared_zero(j, el, m, inst.k_prime):
-                continue
-            xi_hat = build_xi(inst, j, el, m, hatted=True)
-            residual_hat -= coeffs_hat[j, comp] * xi_hat
-            if j > inst.k or _xi_is_declared_zero(j, el, m, inst.k):
-                continue
-            xi = build_xi(inst, j, el, m)
-            residual -= coeffs[j, comp] * xi
-            diff = _kron_apply(ws.transporters[j + m].matrix, xi_hat, inst.n)
-            diff -= xi @ ws.transporters[j].matrix
-            gap = linalg.spectral_norm(diff)
-            if gap > worst:
-                worst, worst_label = gap, f"j={j},ell={el},m={m}"
-    gap = float(np.max(np.abs(residual)))
-    gap_hat = float(np.max(np.abs(residual_hat)))
+    for (j, el, m), xi in channels.items():
+        xi_hat = channels_hat[j, el, m]
+        moved = _kron_apply(s[j + m], xi_hat, ws.inst.n if el else 1)
+        gap_jm = linalg.spectral_norm(moved - xi @ s[j])
+        if gap_jm > worst:
+            worst, worst_label = gap_jm, f"j={j},ell={el},m={m}"
     details = {"residual": gap, "residual_hat": gap_hat}
     return {
         "V_DECOMP": (0.0, max(gap, gap_hat), max(gap, gap_hat), details, "norm"),

@@ -144,11 +144,15 @@ def _verify_items(instances, t_values, checks):
 
 
 def cmd_verify(args) -> int:
+    # Repeated --instance or --t values name the same rows once.
     if args.instance is not None:
-        instances = [_parse_instance(text) for text in args.instance]
+        instances = list(dict.fromkeys(_parse_instance(text) for text in args.instance))
     else:
         instances = [ProblemInstance(*triple) for triple in DEFAULT_INSTANCES]
-    t_values = args.t or DEFAULT_T_VALUES
+    t_values = tuple(dict.fromkeys(args.t)) if args.t else DEFAULT_T_VALUES
+    for t in t_values:
+        if not math.isfinite(t):
+            raise ValueError(f"--t must be finite, got {t!r}")
     checks = tuple(args.checks) if args.checks else bruteforce.CHECK_IDS
     out_dir = Path(args.out)
 

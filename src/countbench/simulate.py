@@ -125,7 +125,8 @@ def coupon_test(
 
     def single(rng: np.random.Generator, size: int):
         if sample_budget:
-            distinct = int(np.unique(rng.integers(0, size, sample_budget)).size)
+            draws = rng.integers(0, size, sample_budget)
+            distinct = int(np.count_nonzero(np.bincount(draws, minlength=size)))
         else:
             distinct = 0
         decision = DECIDE_SMALL if distinct <= k else DECIDE_LARGE

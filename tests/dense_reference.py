@@ -1,5 +1,7 @@
 """Dense references that only the tests use.
 
+The channel checks build every Xi channel at full size, the definition
+the block-coordinate channel pass of ``bruteforce`` is gated against.
 The rank-one lifts expand each entry of a matrix by the n-by-n block
 psi psi^T of one side's superposition vector.  The package never forms
 them: DELTA_REFL takes its norm from the factored product of the
@@ -10,7 +12,7 @@ form is gated against, with the same label-major block ordering as
 
 import numpy as np
 
-from countbench import bruteforce, johnson, linalg
+from countbench import adversary, bruteforce, johnson, linalg
 
 
 def _rank_one_lift(m, side_basis: johnson.SubsetBasis, rows_side: bool) -> np.ndarray:
@@ -40,3 +42,41 @@ def unit_norm_error(table) -> float:
         [np.linalg.norm(table.phi, axis=1), np.linalg.norm(table.phi_prime, axis=1)]
     )
     return float(np.max(np.abs(norms - 1.0)))
+
+
+def isometry(inst, hatted: bool = False) -> np.ndarray:
+    """The superposition isometry V (V-hat when hatted) as a dense matrix."""
+    basis = johnson.subset_basis(inst.n, inst.k_prime if hatted else inst.k)
+    return bruteforce.lift(np.eye(len(basis)), bruteforce.LiftKind.ROW_PSI, basis)
+
+
+def channel_checks(inst) -> dict:
+    """V_DECOMP and PHI_COMMUTE values from the explicit Xi channel matrices.
+
+    Each Xi, plain and hatted, is built at full size by ``build_xi`` and
+    subtracted with its coefficient from the residual of its level's
+    isometry; the V_DECOMP value is the residual's spectral norm, the worse
+    of the two levels.  For j <= k the plain and hatted pair of a channel
+    gives its PHI_COMMUTE difference (Phi_{j+m} tensor I) Xihat - Xi Phi_j.
+    """
+    ws = bruteforce._workspace(inst)
+    coeffs = adversary.phi_components(inst.n, inst.k, np.arange(inst.k + 1))
+    coeffs_hat = adversary.phi_components(inst.n, inst.k_prime, np.arange(inst.k_prime + 1))
+    residual = isometry(inst)
+    residual_hat = isometry(inst, hatted=True)
+    worst = 0.0
+    for j in range(inst.k_prime + 1):
+        for comp, (el, m) in enumerate(bruteforce.XI_CHANNELS):
+            if bruteforce._xi_is_declared_zero(j, el, m, inst.k_prime):
+                continue
+            xi_hat = bruteforce.build_xi(inst, j, el, m, hatted=True)
+            residual_hat -= coeffs_hat[j, comp] * xi_hat
+            if j > inst.k or bruteforce._xi_is_declared_zero(j, el, m, inst.k):
+                continue
+            xi = bruteforce.build_xi(inst, j, el, m)
+            residual -= coeffs[j, comp] * xi
+            diff = bruteforce._kron_apply(ws.transporters[j + m].matrix, xi_hat, inst.n)
+            diff -= xi @ ws.transporters[j].matrix
+            worst = max(worst, linalg.spectral_norm(diff))
+    v_decomp = max(linalg.spectral_norm(residual), linalg.spectral_norm(residual_hat))
+    return {"V_DECOMP": v_decomp, "PHI_COMMUTE": worst}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from countbench import adversary, bruteforce, johnson, linalg
 from countbench.adversary import ProblemInstance
 from countbench.bruteforce import LiftKind, lift
 from countbench.cli import DEFAULT_INSTANCES
+import dense_reference
 from dense_reference import col_psi_psi_star, row_psi_psi_star
 
 INST = ProblemInstance(8, 2, 3)
@@ -141,7 +143,7 @@ class TestXi:
         # _xi_raw forms V E_j entrywise; the GEMM against V gives the same matrix.
         ws = bruteforce._workspace(INST)
         fam = ws.proj_y if hatted else ws.proj_x
-        v_iso = ws.v_iso_hat if hatted else ws.v_iso
+        v_iso = dense_reference.isometry(INST, hatted)
         size = INST.k_prime if hatted else INST.k
         for j in range(size + 1):
             for el, m in bruteforce.XI_CHANNELS:
@@ -154,7 +156,7 @@ class TestXi:
                 got = bruteforce._xi_raw(INST, j, el, m, hatted)
                 assert np.max(np.abs(got - want)) <= 1e-15
 
-    def test_channel_pass_builds_each_channel_once(self, monkeypatch):
+    def test_channel_pass_builds_no_xi_and_memoises_the_second_check(self, monkeypatch):
         built = []
         original = bruteforce.build_xi
 
@@ -169,9 +171,87 @@ class TestXi:
         bruteforce._workspace.cache_clear()
         assert first.passed and second.passed
         assert not first.memoised and second.memoised
-        assert len(built) == len(set(built))
-        # 4 channels per block index, minus the three border cases per level.
-        assert len(built) == 4 * (INST.k + INST.k_prime + 2) - 6
+        # The channel pass works on block cores; no full-size Xi is built.
+        assert built == []
+
+
+DEFAULT = [ProblemInstance(*triple) for triple in DEFAULT_INSTANCES]
+
+
+def _instance_id(inst):
+    return f"{inst.n},{inst.k},{inst.k_prime}"
+
+
+def _plant_coefficient_error(monkeypatch, scaled: str) -> None:
+    """Scale the channel coefficients by 1.01: every one, or only that of
+    block j = 1, channel (ell, m) = (0, 0) on the k level."""
+    original = adversary.phi_components
+
+    def planted(n, k, j):
+        out = np.array(original(n, k, j), dtype=float)
+        if scaled == "all":
+            out *= 1.01
+        elif k == INST.k:
+            out[1, 1] *= 1.01
+        return out
+
+    monkeypatch.setattr(adversary, "phi_components", planted)
+
+
+class TestChannelPass:
+    """The block-coordinate V_DECOMP/PHI_COMMUTE pass against the dense Xi channels."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_workspaces(self):
+        bruteforce._workspace.cache_clear()
+        yield
+        bruteforce._workspace.cache_clear()
+
+    @pytest.mark.parametrize("inst", DEFAULT, ids=_instance_id)
+    def test_matches_dense_on_default_instances(self, inst):
+        got = bruteforce._check_channels(bruteforce._workspace(inst), 1.0, 0)
+        dense = dense_reference.channel_checks(inst)
+        for check in ("V_DECOMP", "PHI_COMMUTE"):
+            assert abs(got[check][1] - dense[check]) <= 1e-12, check
+
+    @pytest.mark.parametrize("scaled", ["one", "all"])
+    def test_residual_norm_matches_dense_under_a_planted_coefficient_error(
+        self, monkeypatch, scaled
+    ):
+        # A nonzero residual, so the agreement is not between two round-off
+        # values.  Scaling every coefficient leaves several channel blocks in
+        # each column block, where the residual norm exceeds the largest block.
+        _plant_coefficient_error(monkeypatch, scaled)
+        got = bruteforce._check_channels(bruteforce._workspace(INST), 1.0, 0)["V_DECOMP"][1]
+        dense = dense_reference.channel_checks(INST)["V_DECOMP"]
+        assert got > 1e-3
+        assert abs(got - dense) <= 1e-12
+
+    def test_planted_coefficient_error_fails_v_decomp(self, monkeypatch):
+        coefficient = adversary.phi_components(INST.n, INST.k, 1)[1]
+        _plant_coefficient_error(monkeypatch, "one")
+        report = bruteforce.verify("V_DECOMP", INST, t=1.0)
+        assert not report.passed
+        assert report.discrepancy == pytest.approx(0.01 * coefficient)
+
+    def test_planted_transporter_sign_fails_phi_commute(self, monkeypatch):
+        original = johnson.transporter
+
+        def planted(n, k, k_prime, j):
+            phi = original(n, k, k_prime, j)
+            return dataclasses.replace(phi, matrix=-phi.matrix) if j == 1 else phi
+
+        monkeypatch.setattr(johnson, "transporter", planted)
+        report = bruteforce.verify("PHI_COMMUTE", INST, t=1.0)
+        assert not report.passed
+        # Channels that meet Phi_1 once turn S into -S: the difference doubles.
+        assert report.discrepancy == pytest.approx(2.0)
+
+    def test_degenerate_channel_raises(self):
+        ws = bruteforce._workspace(INST)
+        ws._memo[("psi_rows", INST.k)] = np.zeros_like(ws.psi_rows())
+        with pytest.raises(ArithmeticError, match="degenerate"):
+            bruteforce.verify("V_DECOMP", INST, t=1.0)
 
 
 class TestReflectionLiftNorm:
@@ -184,10 +264,7 @@ class TestReflectionLiftNorm:
         lifted = row_psi_psi_star(gamma, basis_x) - col_psi_psi_star(gamma, basis_y)
         return linalg.spectral_norm(lifted)
 
-    @pytest.mark.parametrize(
-        "inst", [ProblemInstance(*triple) for triple in DEFAULT_INSTANCES],
-        ids=lambda i: f"{i.n},{i.k},{i.k_prime}",
-    )
+    @pytest.mark.parametrize("inst", DEFAULT, ids=_instance_id)
     def test_matches_dense_on_default_instances(self, inst):
         brute = bruteforce.verify("DELTA_REFL", inst, t=2.0).brute_force
         dense = self.dense_norm(inst, adversary.adversary_matrix(inst, 2.0))

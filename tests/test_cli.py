@@ -74,6 +74,31 @@ class TestVerifyCommand:
         code = run(["verify", "--instance", "6,1", "--out", str(tmp_path / "r")])
         assert code == 2
 
+    @pytest.mark.parametrize("t", ["inf", "-inf", "nan"])
+    def test_non_finite_cutoff_is_usage_error(self, tmp_path, capsys, t):
+        code = run(["verify", "--instance", "6,1,2", f"--t={t}", "--out", str(tmp_path / "r")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --t must be finite")
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--instance", "6,1,2", "--t", "1", "--t", "1"],
+            ["--instance", "6,1,2", "--instance", "6, 1, 2", "--t", "1"],
+            ["--instance", "6,1,2", "--instance", "6,1,2", "--t", "1", "--t", "1.0"],
+        ],
+        ids=["t", "instance", "both"],
+    )
+    def test_repeated_values_give_each_row_once(self, tmp_path, argv):
+        out = tmp_path / "r"
+        assert run(["verify", *argv, "--out", str(out)]) == 0
+        assert len((out / "verify.csv").read_text().splitlines()) == 11  # header + 10 checks
+        summary = json.loads((out / "verify.json").read_text())
+        assert summary["instances"] == [[6, 1, 2]] and summary["t_values"] == [1.0]
+        assert summary["rows"] == 10
+
     def test_jobs_flag_is_gone(self, tmp_path):
         argv = ["verify", "--instance", "6,1,2", "--t", "1", "--jobs", "2"]
         assert run(argv + ["--out", str(tmp_path / "r")]) == 2
