@@ -76,16 +76,11 @@ CHECK_DESCRIPTIONS = {
     "PSI_POWER": "the entrywise Gram power keeps the certificate norm above the overlap bound",
 }
 
-# Checks whose value does not depend on the schedule, each with the key of
-# the instance memo entry that serves it, so sweeps over t do not redo the
-# heavy algebra.  Their check functions return results keyed by check id:
-# one channel pass serves both V_DECOMP and PHI_COMMUTE.
-_SCHEDULE_FREE = {
-    "V_DECOMP": ("channels",),
-    "PHI_COMMUTE": ("channels",),
-    "TABLES": ("TABLES",),
-    "PROJECTORS": ("PROJECTORS",),
-}
+# Checks whose value does not depend on the schedule.  The instance memo
+# keeps each one's results under its check function, so sweeps over t do
+# not redo the heavy algebra.  Their check functions return results keyed
+# by check id: one channel pass serves both V_DECOMP and PHI_COMMUTE.
+_SCHEDULE_FREE = {"V_DECOMP", "PHI_COMMUTE", "TABLES", "PROJECTORS"}
 
 # Channel labels (ell, m): ground-space component ell tensor block shift m.
 XI_CHANNELS = ((1, -1), (0, 0), (1, 0), (1, 1))
@@ -111,24 +106,28 @@ class DiscrepancyReport:
     details: dict = field(default_factory=dict)
 
 
+@lru_cache(maxsize=None)
 def psi_matrix(n: int, k: int) -> np.ndarray:
-    """Rows are the uniform unit superpositions over each k-subset of {1..n}."""
-    basis = johnson.subset_basis(n, k)
-    out = np.zeros((len(basis), n))
-    if k == 0:
-        return out
-    for idx, subset in enumerate(basis):
-        for e in subset:
-            out[idx, e - 1] = 1.0
-    return out / math.sqrt(k)
+    """Rows are the uniform unit superpositions over each k-subset of {1..n}.
+
+    Read-only: row x holds the bits of subset x's mask, divided by sqrt(k).
+    """
+    masks = johnson.subset_basis(n, k).masks
+    out = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
+    if k:
+        out /= math.sqrt(k)
+    out.setflags(write=False)
+    return out
 
 
+@lru_cache(maxsize=8)
 def psi_gram(inst: ProblemInstance) -> np.ndarray:
-    """Overlap matrix: entry (x, y) is |x & y| / sqrt(k k')."""
+    """Overlap matrix, read-only: entry (x, y) is |x & y| / sqrt(k k')."""
     xm = johnson.subset_basis(inst.n, inst.k).masks
     ym = johnson.subset_basis(inst.n, inst.k_prime).masks
-    counts = np.bitwise_count(xm[:, None] & ym[None, :]).astype(float)
-    return counts / math.sqrt(inst.k * inst.k_prime)
+    out = np.bitwise_count(xm[:, None] & ym[None, :]) / math.sqrt(inst.k * inst.k_prime)
+    out.setflags(write=False)
+    return out
 
 
 def delta_membership_mask(inst: ProblemInstance, i: int) -> np.ndarray:
@@ -162,7 +161,7 @@ def lift(m, kind: LiftKind, side_basis: johnson.SubsetBasis) -> np.ndarray:
             f"column count {cols} does not match basis size {len(side_basis)}"
         )
     if kind is LiftKind.ROW_PSI:
-        return np.einsum("xy,xi->xiy", m, psi).reshape(rows * n, cols)
+        return _v_apply(psi, m)
     if kind is LiftKind.ROW_PSI_STAR:
         return np.einsum("xy,xi->xyi", m, psi).reshape(rows, cols * n)
     if kind is LiftKind.COL_PSI:
@@ -211,69 +210,21 @@ def _v_adjoint_apply(psi: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.matmul(psi[:, None, :], m.reshape(size, n, -1))[:, 0]
 
 
-class InstanceWorkspace:
-    """Lazy cache of the explicit objects shared by the checks of one instance."""
-
-    def __init__(self, inst: ProblemInstance):
-        if inst.k_prime <= inst.k:
-            raise ValueError("explicit checks need k < k'")
-        lifted_dim = math.comb(inst.n, inst.k_prime) * inst.n
-        if lifted_dim > SIZE_CAP:
-            raise ValueError(
-                f"lifted dimension C(n,k')*n = {lifted_dim} exceeds cap {SIZE_CAP}"
-            )
-        self.inst = inst
-        self._memo: dict = {}
-
-    def _cache(self, key, builder):
-        if key not in self._memo:
-            self._memo[key] = builder()
-        return self._memo[key]
-
-    @property
-    def basis_x(self) -> johnson.SubsetBasis:
-        return johnson.subset_basis(self.inst.n, self.inst.k)
-
-    @property
-    def basis_y(self) -> johnson.SubsetBasis:
-        return johnson.subset_basis(self.inst.n, self.inst.k_prime)
-
-    @property
-    def proj_x(self) -> johnson.ProjectorFamily:
-        return johnson.irrep_projectors(self.inst.n, self.inst.k)
-
-    @property
-    def proj_y(self) -> johnson.ProjectorFamily:
-        return johnson.irrep_projectors(self.inst.n, self.inst.k_prime)
-
-    @property
-    def transporters(self):
-        inst = self.inst
-        return self._cache(
-            "transporters",
-            lambda: tuple(
-                johnson.transporter(inst.n, inst.k, inst.k_prime, j)
-                for j in range(inst.k + 1)
-            ),
-        )
-
-    @property
-    def psi(self) -> np.ndarray:
-        return self._cache("psi", lambda: psi_gram(self.inst))
-
-    def psi_rows(self, hatted: bool = False) -> np.ndarray:
-        """``psi_matrix`` of the k level (or k' when hatted)."""
-        size = self.inst.k_prime if hatted else self.inst.k
-        return self._cache(("psi_rows", size), lambda: psi_matrix(self.inst.n, size))
-
-    def block_dims(self, hatted: bool = False):
-        fam = self.proj_y if hatted else self.proj_x
-        return [fam.dimension(j) for j in range(len(fam.projectors))]
-
-
 @lru_cache(maxsize=8)
-def _workspace(inst: ProblemInstance) -> InstanceWorkspace:
-    return InstanceWorkspace(inst)
+def _instance_memo(inst: ProblemInstance) -> dict:
+    """Schedule-free check results of one instance, keyed by check function.
+
+    Rejects an instance the explicit checks cannot take before anything
+    is allocated.
+    """
+    if inst.k_prime <= inst.k:
+        raise ValueError("explicit checks need k < k'")
+    lifted_dim = math.comb(inst.n, inst.k_prime) * inst.n
+    if lifted_dim > SIZE_CAP:
+        raise ValueError(
+            f"lifted dimension C(n,k')*n = {lifted_dim} exceeds cap {SIZE_CAP}"
+        )
+    return {}
 
 
 def _xi_is_declared_zero(j: int, ell: int, m: int, level_max: int) -> bool:
@@ -291,9 +242,9 @@ def _xi_raw(inst: ProblemInstance, j: int, ell: int, m: int, hatted: bool) -> np
 
     V E_j is formed entrywise by ``_v_apply``.
     """
-    ws = _workspace(inst)
-    fam = ws.proj_y if hatted else ws.proj_x
-    v_e = _v_apply(ws.psi_rows(hatted), fam.projectors[j])
+    level = inst.k_prime if hatted else inst.k
+    fam = johnson.irrep_projectors(inst.n, level)
+    v_e = _v_apply(psi_matrix(inst.n, level), fam.projectors[j])
     pi = build_projection_pair(inst.n)[ell]
     return _kron_apply(fam.projectors[j + m], v_e, inst.n, pi)
 
@@ -309,21 +260,25 @@ def build_xi(
     """
     if (ell, m) not in XI_CHANNELS:
         raise ValueError(f"invalid channel (ell, m) = ({ell}, {m})")
-    ws = _workspace(inst)
     level_max = inst.k_prime if hatted else inst.k
     if not (0 <= j <= level_max):
         raise ValueError(f"need 0 <= j <= {level_max}, got j={j}")
     if _xi_is_declared_zero(j, ell, m, level_max):
-        size = len(ws.basis_y if hatted else ws.basis_x)
+        size = math.comb(inst.n, level_max)
         return np.zeros((size * inst.n, size))
     raw = _xi_raw(inst, j, ell, m, hatted)
-    scale = linalg.spectral_norm(raw)
+    return raw / _channel_normaliser(raw, j, ell, m, hatted)
+
+
+def _channel_normaliser(channel: np.ndarray, j: int, ell: int, m: int, hatted: bool) -> float:
+    """Spectral norm of a non-border channel; a near-zero one raises instead of guessing."""
+    scale = linalg.spectral_norm(channel)
     if scale < johnson.DEGENERATE_SCALE:
         raise ArithmeticError(
             f"channel (j={j}, ell={ell}, m={m}, hatted={hatted}) is unexpectedly "
             f"degenerate: normaliser {scale:.3e}"
         )
-    return raw / scale
+    return scale
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +287,15 @@ def build_xi(
 # ---------------------------------------------------------------------------
 
 
-def _check_psi_coeffs(ws: InstanceWorkspace, t: float, ell: int):
-    inst = ws.inst
+def _check_psi_coeffs(inst: ProblemInstance, t: float, ell: int):
     sched = adversary.gamma_schedule(t, inst.k)
     closed = adversary.hadamard_psi_step(sched.gammas, inst)
-    had = adversary.adversary_matrix(inst, t) * ws.psi
-    dims = ws.block_dims()
+    had = adversary.adversary_matrix(inst, t) * psi_gram(inst)
+    fam = johnson.irrep_projectors(inst.n, inst.k)
     brute = np.array(
         [
-            float(np.sum(ws.transporters[j].matrix * had)) / dims[j]
+            float(np.sum(johnson.transporter(inst.n, inst.k, inst.k_prime, j).matrix * had))
+            / fam.dimension(j)
             for j in range(inst.k + 1)
         ]
     )
@@ -350,18 +305,18 @@ def _check_psi_coeffs(ws: InstanceWorkspace, t: float, ell: int):
     return float(closed[worst]), float(brute[worst]), float(gaps[worst]), details, "norm"
 
 
-def _check_delta_gen(ws: InstanceWorkspace, t: float, ell: int):
-    inst = ws.inst
+def _check_delta_gen(inst: ProblemInstance, t: float, ell: int):
     sched = adversary.gamma_schedule(t, inst.k)
     closed = adversary.norm_delta_state_gen(sched, inst)
     gamma = adversary.adversary_matrix(inst, t)
+    basis_x = johnson.subset_basis(inst.n, inst.k)
+    basis_y = johnson.subset_basis(inst.n, inst.k_prime)
     brute_fwd = linalg.spectral_norm(
-        lift(gamma, LiftKind.ROW_PSI, ws.basis_x)
-        - lift(gamma, LiftKind.COL_PSI, ws.basis_y)
+        lift(gamma, LiftKind.ROW_PSI, basis_x) - lift(gamma, LiftKind.COL_PSI, basis_y)
     )
     brute_rev = linalg.spectral_norm(
-        lift(gamma, LiftKind.ROW_PSI_STAR, ws.basis_x)
-        - lift(gamma, LiftKind.COL_PSI_STAR, ws.basis_y)
+        lift(gamma, LiftKind.ROW_PSI_STAR, basis_x)
+        - lift(gamma, LiftKind.COL_PSI_STAR, basis_y)
     )
     gaps = (abs(brute_fwd - closed[0]), abs(brute_rev - closed[1]))
     side = int(np.argmax(gaps))
@@ -375,15 +330,14 @@ def _check_delta_gen(ws: InstanceWorkspace, t: float, ell: int):
     )
 
 
-def _check_delta_refl(ws: InstanceWorkspace, t: float, ell: int):
-    inst = ws.inst
+def _check_delta_refl(inst: ProblemInstance, t: float, ell: int):
     sched = adversary.gamma_schedule(t, inst.k)
     closed = adversary.norm_delta_reflection(sched, inst)
-    brute = _reflection_lift_norm(ws, adversary.adversary_matrix(inst, t))
+    brute = _reflection_lift_norm(inst, adversary.adversary_matrix(inst, t))
     return closed, brute, abs(brute - closed), {}, "norm"
 
 
-def _reflection_lift_norm(ws: InstanceWorkspace, gamma: np.ndarray) -> float:
+def _reflection_lift_norm(inst: ProblemInstance, gamma: np.ndarray) -> float:
     """Spectral norm of the lifted reflection difference.
 
     Its (x, y) block is gamma[x, y] (psi_x psi_x^T - psi_y psi_y^T), with
@@ -398,9 +352,9 @@ def _reflection_lift_norm(ws: InstanceWorkspace, gamma: np.ndarray) -> float:
     [V-hat^T A^T, I]], both with orthonormal left factors.  The norm is
     that of the small product [[r_A^T, A V-hat + V^T B], [0, r_B]].
     """
-    psi, psi_hat = ws.psi_rows(), ws.psi_rows(hatted=True)
-    b = -lift(gamma, LiftKind.COL_PSI, ws.basis_y)
-    a_t = lift(gamma, LiftKind.ROW_PSI_STAR, ws.basis_x).T
+    psi, psi_hat = psi_matrix(inst.n, inst.k), psi_matrix(inst.n, inst.k_prime)
+    b = -lift(gamma, LiftKind.COL_PSI, johnson.subset_basis(inst.n, inst.k_prime))
+    a_t = lift(gamma, LiftKind.ROW_PSI_STAR, johnson.subset_basis(inst.n, inst.k)).T
     v_b = _v_adjoint_apply(psi, b)
     v_hat_a_t = _v_adjoint_apply(psi_hat, a_t)
     r_b = np.linalg.qr(b - _v_apply(psi, v_b), mode="r")
@@ -411,8 +365,7 @@ def _reflection_lift_norm(ws: InstanceWorkspace, gamma: np.ndarray) -> float:
     return linalg.spectral_norm(core)
 
 
-def _check_delta_memb(ws: InstanceWorkspace, t: float, ell: int):
-    inst = ws.inst
+def _check_delta_memb(inst: ProblemInstance, t: float, ell: int):
     sched = adversary.gamma_schedule(t, inst.k)
     closed = adversary.norm_delta_membership(sched, inst)
     gamma = adversary.adversary_matrix(inst, t)
@@ -446,7 +399,7 @@ def _block_bases(fam: johnson.ProjectorFamily) -> list[np.ndarray]:
     return bases
 
 
-def _level_channels(ws: InstanceWorkspace, hatted: bool):
+def _level_channels(inst: ProblemInstance, hatted: bool):
     """Channel cores and the V_DECOMP residual norm of one level.
 
     In the block bases Q_j, and with the ground axis split into its Pi_0
@@ -458,13 +411,12 @@ def _level_channels(ws: InstanceWorkspace, hatted: bool):
     block bases, the normalised channel cores K/||K|| keyed by (j, ell, m),
     and the residual's spectral norm.
     """
-    inst = ws.inst
     level = inst.k_prime if hatted else inst.k
     coeffs = adversary.phi_components(inst.n, level, np.arange(level + 1))
-    bases = _block_bases(ws.proj_y if hatted else ws.proj_x)
+    bases = _block_bases(johnson.irrep_projectors(inst.n, level))
     q_all = np.hstack(bases)
     edges = np.cumsum([0] + [q.shape[1] for q in bases])
-    psi = ws.psi_rows(hatted)
+    psi = psi_matrix(inst.n, level)
     size, n = psi.shape
     # Rows: the Pi_0 coordinate of every block row, then its Pi_1 part.
     residual = np.empty((size * (n + 1), size))
@@ -478,12 +430,7 @@ def _level_channels(ws: InstanceWorkspace, hatted: bool):
             if _xi_is_declared_zero(j, el, m, level):
                 continue
             core = parts[el][edges[j + m] : edges[j + m + 1]].reshape(-1, d)
-            scale = linalg.spectral_norm(core)
-            if scale < johnson.DEGENERATE_SCALE:
-                raise ArithmeticError(
-                    f"channel (j={j}, ell={el}, m={m}, hatted={hatted}) is unexpectedly "
-                    f"degenerate: normaliser {scale:.3e}"
-                )
+            scale = _channel_normaliser(core, j, el, m, hatted)
             channels[j, el, m] = core / scale
             core *= 1.0 - coeffs[j, comp] / scale
         residual[:size, edges[j] : edges[j + 1]] = parts[0]
@@ -491,7 +438,7 @@ def _level_channels(ws: InstanceWorkspace, hatted: bool):
     return bases, channels, linalg.spectral_norm(residual)
 
 
-def _check_channels(ws: InstanceWorkspace, t: float, ell: int):
+def _check_channels(inst: ProblemInstance, t: float, ell: int):
     """V_DECOMP and PHI_COMMUTE from one pass in block coordinates.
 
     V_DECOMP is the spectral norm of the residual V - sum c Xi, the worse
@@ -501,14 +448,17 @@ def _check_channels(ws: InstanceWorkspace, t: float, ell: int):
     (Phi_{j+m} tensor I) Xihat - Xi Phi_j has the norm of the core
     difference (S_{j+m} tensor I) Khat/||Khat|| - (K/||K||) S_j.
     """
-    bases, channels, gap = _level_channels(ws, hatted=False)
-    bases_hat, channels_hat, gap_hat = _level_channels(ws, hatted=True)
-    s = [q.T @ phi.matrix @ q_hat for q, phi, q_hat in zip(bases, ws.transporters, bases_hat)]
+    bases, channels, gap = _level_channels(inst, hatted=False)
+    bases_hat, channels_hat, gap_hat = _level_channels(inst, hatted=True)
+    s = [
+        q.T @ johnson.transporter(inst.n, inst.k, inst.k_prime, j).matrix @ q_hat
+        for j, (q, q_hat) in enumerate(zip(bases, bases_hat))
+    ]
     worst = 0.0
     worst_label = None
     for (j, el, m), xi in channels.items():
         xi_hat = channels_hat[j, el, m]
-        moved = _kron_apply(s[j + m], xi_hat, ws.inst.n if el else 1)
+        moved = _kron_apply(s[j + m], xi_hat, inst.n if el else 1)
         gap_jm = linalg.spectral_norm(moved - xi @ s[j])
         if gap_jm > worst:
             worst, worst_label = gap_jm, f"j={j},ell={el},m={m}"
@@ -549,8 +499,7 @@ def _table_vector_gaps(n: int, k: int, j: int) -> float:
     return gap
 
 
-def _check_tables(ws: InstanceWorkspace, t: float, ell: int):
-    inst = ws.inst
+def _check_tables(inst: ProblemInstance, t: float, ell: int):
     gap = 0.0
     for k_level in (inst.k, inst.k_prime):
         for j in range(k_level + 1):
@@ -573,28 +522,28 @@ def _projector_family_gap(fam: johnson.ProjectorFamily):
     return gap, rank_ok
 
 
-def _check_projectors(ws: InstanceWorkspace, t: float, ell: int):
-    gap_x, ok_x = _projector_family_gap(ws.proj_x)
-    gap_y, ok_y = _projector_family_gap(ws.proj_y)
+def _check_projectors(inst: ProblemInstance, t: float, ell: int):
+    gap_x, ok_x = _projector_family_gap(johnson.irrep_projectors(inst.n, inst.k))
+    gap_y, ok_y = _projector_family_gap(johnson.irrep_projectors(inst.n, inst.k_prime))
     gap = max(gap_x, gap_y)
     details = {"ranks_match": ok_x and ok_y}
-    # A rank mismatch is a hard failure regardless of the numeric gap.
+    # A rank mismatch is a hard failure regardless of the numeric gap: the
+    # gap of at least 1 lies above TOL_EXACT.
     if not (ok_x and ok_y):
         gap = max(gap, 1.0)
     return {"PROJECTORS": (0.0, gap, gap, details, "exact")}
 
 
-def _check_norm_gamma(ws: InstanceWorkspace, t: float, ell: int):
-    sched = adversary.gamma_schedule(t, ws.inst.k)
+def _check_norm_gamma(inst: ProblemInstance, t: float, ell: int):
+    sched = adversary.gamma_schedule(t, inst.k)
     closed = float(np.max(np.abs(sched.gammas)))
-    brute = linalg.spectral_norm(adversary.adversary_matrix(ws.inst, t))
+    brute = linalg.spectral_norm(adversary.adversary_matrix(inst, t))
     return closed, brute, abs(brute - closed), {}, "norm"
 
 
-def _check_psi_power(ws: InstanceWorkspace, t: float, ell: int):
-    inst = ws.inst
+def _check_psi_power(inst: ProblemInstance, t: float, ell: int):
     bound = adversary.psi_power_lower_bound(inst, t, ell)
-    brute = linalg.spectral_norm(adversary.adversary_matrix(inst, t) * ws.psi**ell)
+    brute = linalg.spectral_norm(adversary.adversary_matrix(inst, t) * psi_gram(inst) ** ell)
     shortfall = max(0.0, bound - brute)
     return bound, brute, shortfall, {"ell": ell}, "norm"
 
@@ -632,22 +581,22 @@ def verify(
     """
     if check_id not in _CHECK_FUNCS:
         raise ValueError(f"unknown check id {check_id!r}; known: {CHECK_IDS}")
-    ws = _workspace(inst)
-    memo_key = _SCHEDULE_FREE.get(check_id)
-    memoised = memo_key is not None and memo_key in ws._memo
+    memo = _instance_memo(inst)
+    check = _CHECK_FUNCS[check_id]
+    schedule_free = check_id in _SCHEDULE_FREE
+    memoised = schedule_free and check in memo
     start = time.perf_counter()
-    if memo_key is not None:
-        results = ws._cache(memo_key, lambda: _CHECK_FUNCS[check_id](ws, t, ell))
-        closed, brute, gap, details, kind = results[check_id]
+    if schedule_free:
+        if not memoised:
+            memo[check] = check(inst, t, ell)
+        closed, brute, gap, details, kind = memo[check][check_id]
     else:
-        closed, brute, gap, details, kind = _CHECK_FUNCS[check_id](ws, t, ell)
+        closed, brute, gap, details, kind = check(inst, t, ell)
     wall_ms = (time.perf_counter() - start) * 1000.0
     tolerance = TOL_NORM if kind == "norm" else TOL_EXACT
     passed = gap <= tolerance
     if check_id == "DELTA_MEMB":
         passed = passed and details.get("spread_over_i", 0.0) <= TOL_EXACT
-    if check_id == "PROJECTORS":
-        passed = passed and details.get("ranks_match", False)
     return DiscrepancyReport(
         check_id=check_id,
         n=inst.n,

@@ -151,8 +151,8 @@ def cmd_verify(args) -> int:
         instances = [ProblemInstance(*triple) for triple in DEFAULT_INSTANCES]
     t_values = tuple(dict.fromkeys(args.t)) if args.t else DEFAULT_T_VALUES
     for t in t_values:
-        if not math.isfinite(t):
-            raise ValueError(f"--t must be finite, got {t!r}")
+        if not (math.isfinite(t) and t >= 1):
+            raise ValueError(f"--t must be finite and >= 1, got {t!r}")
     checks = tuple(args.checks) if args.checks else bruteforce.CHECK_IDS
     out_dir = Path(args.out)
 

@@ -1,5 +1,9 @@
 """Dense references that only the tests use.
 
+``psi_matrix`` is the per-subset loop that defines the superposition
+rows; ``bruteforce.psi_matrix`` reads them off the subset bit masks and
+is gated against this loop bit for bit.
+
 The channel checks build every Xi channel at full size, the definition
 the block-coordinate channel pass of ``bruteforce`` is gated against.
 The rank-one lifts expand each entry of a matrix by the n-by-n block
@@ -10,15 +14,29 @@ form is gated against, with the same label-major block ordering as
 ``bruteforce.lift``.
 """
 
+import math
+
 import numpy as np
 
 from countbench import adversary, bruteforce, johnson, linalg
 
 
+def psi_matrix(n: int, k: int) -> np.ndarray:
+    """Rows are the uniform unit superpositions over each k-subset of {1..n}."""
+    basis = johnson.subset_basis(n, k)
+    out = np.zeros((len(basis), n))
+    if k == 0:
+        return out
+    for idx, subset in enumerate(basis):
+        for e in subset:
+            out[idx, e - 1] = 1.0
+    return out / math.sqrt(k)
+
+
 def _rank_one_lift(m, side_basis: johnson.SubsetBasis, rows_side: bool) -> np.ndarray:
     m = linalg.as_matrix(m)
     n = side_basis.n
-    psi = bruteforce.psi_matrix(side_basis.n, side_basis.k)
+    psi = psi_matrix(side_basis.n, side_basis.k)
     rows, cols = m.shape
     if (rows if rows_side else cols) != len(side_basis):
         raise ValueError(f"shape {m.shape} does not match basis size {len(side_basis)}")
@@ -59,7 +77,6 @@ def channel_checks(inst) -> dict:
     of the two levels.  For j <= k the plain and hatted pair of a channel
     gives its PHI_COMMUTE difference (Phi_{j+m} tensor I) Xihat - Xi Phi_j.
     """
-    ws = bruteforce._workspace(inst)
     coeffs = adversary.phi_components(inst.n, inst.k, np.arange(inst.k + 1))
     coeffs_hat = adversary.phi_components(inst.n, inst.k_prime, np.arange(inst.k_prime + 1))
     residual = isometry(inst)
@@ -75,8 +92,9 @@ def channel_checks(inst) -> dict:
                 continue
             xi = bruteforce.build_xi(inst, j, el, m)
             residual -= coeffs[j, comp] * xi
-            diff = bruteforce._kron_apply(ws.transporters[j + m].matrix, xi_hat, inst.n)
-            diff -= xi @ ws.transporters[j].matrix
+            phi_moved = johnson.transporter(inst.n, inst.k, inst.k_prime, j + m).matrix
+            diff = bruteforce._kron_apply(phi_moved, xi_hat, inst.n)
+            diff -= xi @ johnson.transporter(inst.n, inst.k, inst.k_prime, j).matrix
             worst = max(worst, linalg.spectral_norm(diff))
     v_decomp = max(linalg.spectral_norm(residual), linalg.spectral_norm(residual_hat))
     return {"V_DECOMP": v_decomp, "PHI_COMMUTE": worst}

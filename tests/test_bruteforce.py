@@ -141,10 +141,9 @@ class TestXi:
     @pytest.mark.parametrize("hatted", [False, True])
     def test_raw_matches_isometry_product(self, hatted):
         # _xi_raw forms V E_j entrywise; the GEMM against V gives the same matrix.
-        ws = bruteforce._workspace(INST)
-        fam = ws.proj_y if hatted else ws.proj_x
-        v_iso = dense_reference.isometry(INST, hatted)
         size = INST.k_prime if hatted else INST.k
+        fam = johnson.irrep_projectors(INST.n, size)
+        v_iso = dense_reference.isometry(INST, hatted)
         for j in range(size + 1):
             for el, m in bruteforce.XI_CHANNELS:
                 if bruteforce._xi_is_declared_zero(j, el, m, size):
@@ -165,10 +164,10 @@ class TestXi:
             return original(inst, j, ell, m, hatted)
 
         monkeypatch.setattr(bruteforce, "build_xi", counting)
-        bruteforce._workspace.cache_clear()
+        bruteforce._instance_memo.cache_clear()
         first = bruteforce.verify("V_DECOMP", INST, t=1.0)
         second = bruteforce.verify("PHI_COMMUTE", INST, t=1.0)
-        bruteforce._workspace.cache_clear()
+        bruteforce._instance_memo.cache_clear()
         assert first.passed and second.passed
         assert not first.memoised and second.memoised
         # The channel pass works on block cores; no full-size Xi is built.
@@ -180,6 +179,20 @@ DEFAULT = [ProblemInstance(*triple) for triple in DEFAULT_INSTANCES]
 
 def _instance_id(inst):
     return f"{inst.n},{inst.k},{inst.k_prime}"
+
+
+class TestPsiMatrix:
+    @pytest.mark.parametrize("inst", DEFAULT, ids=_instance_id)
+    def test_masks_match_the_per_subset_loop_bitwise(self, inst):
+        for level in (inst.k, inst.k_prime):
+            got = bruteforce.psi_matrix(inst.n, level)
+            want = dense_reference.psi_matrix(inst.n, level)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_cached_arrays_are_read_only(self):
+        for cached in (bruteforce.psi_matrix(INST.n, INST.k), bruteforce.psi_gram(INST)):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0, 0] = 1.0
 
 
 def _plant_coefficient_error(monkeypatch, scaled: str) -> None:
@@ -202,14 +215,14 @@ class TestChannelPass:
     """The block-coordinate V_DECOMP/PHI_COMMUTE pass against the dense Xi channels."""
 
     @pytest.fixture(autouse=True)
-    def fresh_workspaces(self):
-        bruteforce._workspace.cache_clear()
+    def fresh_memo(self):
+        bruteforce._instance_memo.cache_clear()
         yield
-        bruteforce._workspace.cache_clear()
+        bruteforce._instance_memo.cache_clear()
 
     @pytest.mark.parametrize("inst", DEFAULT, ids=_instance_id)
     def test_matches_dense_on_default_instances(self, inst):
-        got = bruteforce._check_channels(bruteforce._workspace(inst), 1.0, 0)
+        got = bruteforce._check_channels(inst, 1.0, 0)
         dense = dense_reference.channel_checks(inst)
         for check in ("V_DECOMP", "PHI_COMMUTE"):
             assert abs(got[check][1] - dense[check]) <= 1e-12, check
@@ -222,7 +235,7 @@ class TestChannelPass:
         # values.  Scaling every coefficient leaves several channel blocks in
         # each column block, where the residual norm exceeds the largest block.
         _plant_coefficient_error(monkeypatch, scaled)
-        got = bruteforce._check_channels(bruteforce._workspace(INST), 1.0, 0)["V_DECOMP"][1]
+        got = bruteforce._check_channels(INST, 1.0, 0)["V_DECOMP"][1]
         dense = dense_reference.channel_checks(INST)["V_DECOMP"]
         assert got > 1e-3
         assert abs(got - dense) <= 1e-12
@@ -247,9 +260,14 @@ class TestChannelPass:
         # Channels that meet Phi_1 once turn S into -S: the difference doubles.
         assert report.discrepancy == pytest.approx(2.0)
 
-    def test_degenerate_channel_raises(self):
-        ws = bruteforce._workspace(INST)
-        ws._memo[("psi_rows", INST.k)] = np.zeros_like(ws.psi_rows())
+    def test_degenerate_channel_raises(self, monkeypatch):
+        original = bruteforce.psi_matrix
+
+        def zeroed(n, k):
+            psi = original(n, k)
+            return np.zeros_like(psi) if k == INST.k else psi
+
+        monkeypatch.setattr(bruteforce, "psi_matrix", zeroed)
         with pytest.raises(ArithmeticError, match="degenerate"):
             bruteforce.verify("V_DECOMP", INST, t=1.0)
 
@@ -273,7 +291,7 @@ class TestReflectionLiftNorm:
     def test_matches_dense_on_a_generic_matrix(self):
         rng = np.random.default_rng(23)
         gamma = rng.standard_normal((math.comb(8, 2), math.comb(8, 3)))
-        got = bruteforce._reflection_lift_norm(bruteforce._workspace(INST), gamma)
+        got = bruteforce._reflection_lift_norm(INST, gamma)
         dense = self.dense_norm(INST, gamma)
         assert abs(got - dense) <= 1e-12 * dense
 
@@ -358,9 +376,27 @@ class TestVerify:
         with pytest.raises(ValueError):
             bruteforce.verify("NOPE", INST)
 
-    def test_size_cap(self):
-        with pytest.raises(ValueError, match="exceeds cap"):
-            bruteforce.verify("NORM_GAMMA", ProblemInstance(16, 2, 7))
+    def test_size_cap(self, monkeypatch):
+        # The cap is checked before any Johnson object of the instance is built.
+        def unreachable(*args):
+            raise AssertionError("built an object of an oversized instance")
+
+        for name in ("subset_basis", "irrep_projectors", "transporter"):
+            monkeypatch.setattr(johnson, name, unreachable)
+        for check in ("NORM_GAMMA", "DELTA_GEN", "V_DECOMP"):
+            with pytest.raises(ValueError, match="exceeds cap"):
+                bruteforce.verify(check, ProblemInstance(16, 2, 7), t=2.0)
+
+    def test_rank_mismatch_fails_projectors(self, monkeypatch):
+        # No separate rank re-check in verify: the forced gap of 1 fails it.
+        monkeypatch.setattr(johnson.ProjectorFamily, "expected_dimension", lambda self, j: -1)
+        bruteforce._instance_memo.cache_clear()
+        try:
+            report = bruteforce.verify("PROJECTORS", INST)
+        finally:
+            bruteforce._instance_memo.cache_clear()
+        assert report.details["ranks_match"] is False
+        assert report.discrepancy >= 1.0 and not report.passed
 
     def test_degenerate_instance_rejected(self):
         with pytest.raises(ValueError):

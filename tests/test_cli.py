@@ -85,6 +85,23 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["--t=-3", "--checks", "V_DECOMP"],
+            ["--t", "0", "--checks", "TABLES", "PROJECTORS"],
+            ["--t", "0.5"],
+            ["--t", "1", "--t", "0.999", "--checks", "NORM_GAMMA"],
+        ],
+        ids=["schedule-free", "zero", "all-checks", "after-a-valid-t"],
+    )
+    def test_cutoff_below_one_is_usage_error(self, tmp_path, capsys, argv):
+        # Rejected up front, before any row is computed, whichever checks run.
+        code = run(["verify", "--instance", "6,1,2", *argv, "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --t must be finite and >= 1")
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["--instance", "6,1,2", "--t", "1", "--t", "1"],
             ["--instance", "6,1,2", "--instance", "6, 1, 2", "--t", "1"],
             ["--instance", "6,1,2", "--instance", "6,1,2", "--t", "1", "--t", "1.0"],
@@ -124,11 +141,11 @@ class TestVerifyCommand:
     def test_timing_lists_memoised_rows(self, tmp_path):
         from countbench import bruteforce
 
-        bruteforce._workspace.cache_clear()
+        bruteforce._instance_memo.cache_clear()
         argv = ["verify", "--instance", "7,1,2", "--t", "1", "--t", "2", "--t", "3",
                 "--checks", "TABLES", "V_DECOMP", "NORM_GAMMA"]
         # Default mode: the first run computes, the second is served from the
-        # workspace memo, and both write the same bytes with no memo listing.
+        # instance memo, and both write the same bytes with no memo listing.
         a, b, timed = tmp_path / "a", tmp_path / "b", tmp_path / "timed"
         assert run(argv + ["--out", str(a)]) == 0
         assert run(argv + ["--out", str(b)]) == 0
@@ -136,7 +153,7 @@ class TestVerifyCommand:
         assert (a / "verify.json").read_bytes() == (b / "verify.json").read_bytes()
         assert "memoised" not in json.loads((a / "verify.json").read_text())
 
-        bruteforce._workspace.cache_clear()
+        bruteforce._instance_memo.cache_clear()
         assert run(argv + ["--timing", "--out", str(timed)]) == 0
         memoised = json.loads((timed / "verify.json").read_text())["memoised"]
         assert sorted(memoised) == [
@@ -148,7 +165,7 @@ class TestVerifyCommand:
 
         # V_DECOMP and PHI_COMMUTE share one channel pass: the check that runs
         # second is served from the memo already at the first cutoff.
-        bruteforce._workspace.cache_clear()
+        bruteforce._instance_memo.cache_clear()
         argv = ["verify", "--instance", "7,1,2", "--t", "1", "--t", "2", "--t", "3",
                 "--checks", "V_DECOMP", "PHI_COMMUTE", "--timing", "--out", str(tmp_path)]
         assert run(argv) == 0
