@@ -16,18 +16,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import johnson
+from . import johnson, linalg
 
 # Cutoff-selection constant c' in t = max(2 ell, c' ell', 1/(5 eps)).
 CPRIME = 8.0
 # The constant-norm requirement on the Gram power, read as D^ell/2 >= this.
 FEASIBILITY_THRESHOLD = 0.25
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -58,11 +52,7 @@ class ProblemInstance:
 
     @classmethod
     def from_eps(cls, n: int, k: int, eps: float) -> "ProblemInstance":
-        k_prime = (1.0 + eps) * k
-        rounded = round(k_prime)
-        if abs(k_prime - rounded) > 1e-9:
-            raise ValueError(f"(1+eps)k = {k_prime} is not an integer")
-        return cls(n=n, k=k, k_prime=int(rounded))
+        return cls(n=n, k=k, k_prime=whole_k_prime(k, eps))
 
     @property
     def eps(self) -> float:
@@ -72,6 +62,19 @@ class ProblemInstance:
     def theorem_regime(self) -> bool:
         """Whether (n, k, eps) sits in the headline-statement regime."""
         return self.n >= 5 * self.k and 1.0 / self.k <= self.eps <= 1.0
+
+
+def whole_k_prime(k: int, eps: float) -> int:
+    """k' = (1 + eps) k, which must be a whole number up to round-off.
+
+    The round-off allowed is 1e-9 relative to k' (absolute below k' = 1):
+    (1 + 0.1) * 10**8 evaluates to 110000000.00000001 and still names 110000000.
+    """
+    value = (1.0 + eps) * k
+    rounded = round(value)
+    if abs(value - rounded) > 1e-9 * max(1.0, abs(value)):
+        raise ValueError(f"(1+eps)k = {value} is not an integer")
+    return int(rounded)
 
 
 def phi_components(n: int, size: int, j) -> np.ndarray:
@@ -107,91 +110,68 @@ def phi_components(n: int, size: int, j) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhiTable:
-    """Rows j = 0..k of the coefficient 4-vectors for levels k and k'."""
+    """Rows j = 0..rows-1 of the coefficient 4-vectors for levels k and k'."""
 
     instance: ProblemInstance
-    phi: np.ndarray        # shape (k+1, 4)
-    phi_prime: np.ndarray  # shape (k+1, 4)
+    phi: np.ndarray        # shape (rows, 4)
+    phi_prime: np.ndarray  # shape (rows, 4)
 
 
 @lru_cache(maxsize=16)
-def phi_table(inst: ProblemInstance) -> PhiTable:
-    rows = np.arange(inst.k + 1)
-    phi = phi_components(inst.n, inst.k, rows)
-    phi_prime = phi_components(inst.n, inst.k_prime, rows)
-    return PhiTable(instance=inst, phi=_freeze(phi), phi_prime=_freeze(phi_prime))
+def phi_table(inst: ProblemInstance, rows: int) -> PhiTable:
+    """The first ``rows`` coefficient rows, j = 0..rows-1 (at most k + 1 rows)."""
+    j = np.arange(rows)
+    phi = phi_components(inst.n, inst.k, j)
+    phi_prime = phi_components(inst.n, inst.k_prime, j)
+    return PhiTable(instance=inst, phi=linalg.freeze(phi), phi_prime=linalg.freeze(phi_prime))
 
 
 @dataclass(frozen=True)
 class GammaSchedule:
-    """Weights gamma_j = max(1 - j/t, 0) for j = 0..k; gamma_{k+1} is 0."""
+    """The live weights gamma_j = max(1 - j/t, 0), j = 0..min(k, floor(t) + 1).
+
+    Every index outside the array, j = -1 and j > k included, reads as 0.
+    A later row j has g_{j-1} = g_j = g_{j+1} = 0, since j - 1 > t, so
+    it adds exact zeros to Gamma and to the three difference norms.
+    """
 
     t: float
-    k: int
     gammas: np.ndarray
-
-    def gamma(self, j: int) -> float:
-        # Out-of-range indices read as 0; j = -1 only ever multiplies a
-        # vanishing coefficient.
-        if j < 0 or j > self.k:
-            return 0.0
-        return float(self.gammas[j])
 
 
 def gamma_schedule(t: float, k: int) -> GammaSchedule:
-    if t < 1:
+    if not t >= 1:
         raise ValueError(f"cutoff parameter must satisfy t >= 1, got {t}")
-    gammas = np.maximum(1.0 - np.arange(k + 1) / t, 0.0)
-    return GammaSchedule(t=float(t), k=k, gammas=_freeze(gammas))
+    live = min(k, math.floor(min(t, k)) + 1) + 1
+    gammas = np.maximum(1.0 - np.arange(live) / t, 0.0)
+    return GammaSchedule(t=float(t), gammas=linalg.freeze(gammas))
 
 
-def tilde_tables(
-    sched: GammaSchedule, table: PhiTable, rows: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gamma-weighted coefficient vectors.
+def tilde_tables(sched: GammaSchedule, table: PhiTable) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma-weighted coefficient vectors, one row per stored weight.
 
     Row j of each output is (g_{j-1} c0, g_j c1, g_j c2, g_{j+1} c3) for
-    the corresponding row of the plain table; index overflow reads as 0.
-    ``rows`` keeps only rows j < rows (default: all k + 1).
+    the corresponding row of the plain table, which has as many rows as
+    the schedule has weights.
     """
-    k = table.instance.k
-    if sched.k != k:
-        raise ValueError(f"schedule built for k={sched.k}, table for k={k}")
-    rows = k + 1 if rows is None else rows
-    g = _padded_gammas(sched)[: rows + 2]
+    g = np.pad(sched.gammas, 1)
     weights = np.stack([g[:-2], g[1:-1], g[1:-1], g[2:]], axis=1)
-    return weights * table.phi[:rows], weights * table.phi_prime[:rows]
-
-
-def _live_rows(sched: GammaSchedule) -> int:
-    """Rows j = 0..min(k, floor(t) + 1) that can carry a nonzero gamma weight.
-
-    Every later row has g_{j-1} = g_j = g_{j+1} = 0, since j - 1 > t, so it
-    contributes exact zeros to the three difference norms.
-    """
-    return min(sched.k, math.floor(sched.t) + 1) + 1
-
-
-def _padded_gammas(sched: GammaSchedule) -> np.ndarray:
-    """gamma_j for j = -1..k+1, the two out-of-range ends reading 0."""
-    g = np.zeros(sched.k + 3)
-    g[1:-1] = sched.gammas
-    return g
+    return weights * table.phi, weights * table.phi_prime
 
 
 def assemble_adversary(sched: GammaSchedule, transporters) -> np.ndarray:
-    """Gamma = sum_j gamma_j Phi_j over the transporters for j = 0..k."""
+    """Gamma = sum_j gamma_j Phi_j over the stored weights; transporters[j] is Phi_j."""
     transporters = list(transporters)
-    if len(transporters) != sched.k + 1:
+    if len(transporters) != len(sched.gammas):
         raise ValueError(
-            f"need transporters for j = 0..{sched.k}, got {len(transporters)}"
+            f"need {len(sched.gammas)} transporters, one per weight, got {len(transporters)}"
         )
     shape = transporters[0].matrix.shape
     out = np.zeros(shape)
-    for j, tr in enumerate(transporters):
+    for j, (g, tr) in enumerate(zip(sched.gammas, transporters)):
         if tr.j != j or tr.matrix.shape != shape:
             raise ValueError("transporter list is inconsistent")
-        out += sched.gamma(j) * tr.matrix
+        out += g * tr.matrix
     return out
 
 
@@ -204,14 +184,16 @@ def hadamard_psi_step(coeffs, inst: ProblemInstance) -> np.ndarray:
                + c_{j+1} p_{j,3} q_{j,3},
 
     where p/q are the plain and primed coefficient rows and out-of-range
-    c read as 0.  Iterating ell times yields the coefficients of the
-    ell-fold entrywise power.
+    c read as 0, missing trailing ones included.  The result has all
+    k + 1 coefficients.  Iterating ell times yields the coefficients of
+    the ell-fold entrywise power.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    table = phi_table(inst)
     k = inst.k
-    if coeffs.shape != (k + 1,):
-        raise ValueError(f"need {k + 1} coefficients, got shape {coeffs.shape}")
+    if coeffs.ndim != 1 or len(coeffs) > k + 1:
+        raise ValueError(f"need at most {k + 1} coefficients, got shape {coeffs.shape}")
+    coeffs = np.pad(coeffs, (0, k + 1 - len(coeffs)))
+    table = phi_table(inst, k + 1)
     prod = table.phi * table.phi_prime  # entrywise p_{j,i} q_{j,i}
     out = coeffs * (prod[:, 1] + prod[:, 2])
     out[1:] += coeffs[:-1] * prod[1:, 0]
@@ -219,25 +201,18 @@ def hadamard_psi_step(coeffs, inst: ProblemInstance) -> np.ndarray:
     return out
 
 
-def overlap_D(inst: ProblemInstance, j: int) -> float:
-    """Inner product of the plain and primed coefficient vectors at block j."""
-    if not (0 <= j <= inst.k):
-        raise ValueError(f"need 0 <= j <= k, got j={j}")
-    table = phi_table(inst)
-    return float(table.phi[j] @ table.phi_prime[j])
-
-
 def psi_power_lower_bound(inst: ProblemInstance, t: float, ell: int) -> float:
     """Certified lower bound D^ell / 2 for the ell-fold entrywise Gram power.
 
     Valid for schedules with t >= 2 ell; D is the smallest block overlap
-    among j = 0..min(ell, k).
+    phi_j . phi'_j among j = 0..min(ell, k).
     """
     if ell < 0:
         raise ValueError("ell must be nonnegative")
     if t < 2 * ell:
         raise ValueError(f"bound needs t >= 2*ell, got t={t}, ell={ell}")
-    d = min(overlap_D(inst, j) for j in range(min(ell, inst.k) + 1))
+    table = phi_table(inst, min(ell, inst.k) + 1)
+    d = min(float(p @ q) for p, q in zip(table.phi, table.phi_prime))
     return d**ell / 2.0
 
 
@@ -246,13 +221,11 @@ def norm_delta_state_gen(sched: GammaSchedule, inst: ProblemInstance) -> tuple[f
 
     Returns (max_j ||tilde_prime_j - g_j phi_j||, max_j ||g_j phi_prime_j - tilde_j||).
     """
-    rows = _live_rows(sched)
-    table = phi_table(inst)
-    tilde, tilde_prime = tilde_tables(sched, table, rows)
-    g = sched.gammas[:rows, None]
-    phi, phi_prime = table.phi[:rows], table.phi_prime[:rows]
-    forward = float(np.max(np.linalg.norm(tilde_prime - g * phi, axis=1)))
-    reverse = float(np.max(np.linalg.norm(g * phi_prime - tilde, axis=1)))
+    table = phi_table(inst, len(sched.gammas))
+    tilde, tilde_prime = tilde_tables(sched, table)
+    g = sched.gammas[:, None]
+    forward = float(np.max(np.linalg.norm(tilde_prime - g * table.phi, axis=1)))
+    reverse = float(np.max(np.linalg.norm(g * table.phi_prime - tilde, axis=1)))
     return forward, reverse
 
 
@@ -262,12 +235,11 @@ def norm_delta_reflection(sched: GammaSchedule, inst: ProblemInstance) -> float:
     max over j of the spectral norm of the 4x4 matrix
     phi'_j tilde'_j^T - tilde_j phi_j^T.
     """
-    rows = _live_rows(sched)
-    table = phi_table(inst)
-    tilde, tilde_prime = tilde_tables(sched, table, rows)
+    table = phi_table(inst, len(sched.gammas))
+    tilde, tilde_prime = tilde_tables(sched, table)
     blocks = (
-        table.phi_prime[:rows, :, None] * tilde_prime[:, None, :]
-        - tilde[:, :, None] * table.phi[:rows, None, :]
+        table.phi_prime[:, :, None] * tilde_prime[:, None, :]
+        - tilde[:, :, None] * table.phi[:, None, :]
     )
     return float(np.max(np.linalg.svd(blocks, compute_uv=False)[:, 0]))
 
@@ -281,11 +253,11 @@ def norm_delta_membership(sched: GammaSchedule, inst: ProblemInstance) -> float:
     the value does not depend on which element is singled out.
     """
     n, k, kp = inst.n, inst.k, inst.k_prime
-    rows = _live_rows(sched)
-    j = np.arange(rows, dtype=float)
+    g0 = sched.gammas
+    g1 = np.append(g0[1:], 0.0)
+    j = np.arange(len(g0), dtype=float)
     small = np.sqrt((k - j) * (n - kp - j))
     large = np.sqrt((kp - j) * (n - k - j))
-    g0, g1 = sched.gammas[:rows], _padded_gammas(sched)[2 : rows + 2]
     value = np.maximum(np.abs(small * g0 - large * g1), np.abs(large * g0 - small * g1))
     return float(np.max(value / (n - 2 * j)))
 
@@ -478,6 +450,6 @@ def adversary_matrix(inst: ProblemInstance, t: float) -> np.ndarray:
         raise ValueError("explicit assembly needs k < k'")
     sched = gamma_schedule(t, inst.k)
     transporters = [
-        johnson.transporter(inst.n, inst.k, inst.k_prime, j) for j in range(inst.k + 1)
+        johnson.transporter(inst.n, inst.k, inst.k_prime, j) for j in range(len(sched.gammas))
     ]
     return assemble_adversary(sched, transporters)

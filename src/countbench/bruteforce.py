@@ -116,8 +116,7 @@ def psi_matrix(n: int, k: int) -> np.ndarray:
     out = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
     if k:
         out /= math.sqrt(k)
-    out.setflags(write=False)
-    return out
+    return linalg.freeze(out)
 
 
 @lru_cache(maxsize=8)
@@ -125,9 +124,8 @@ def psi_gram(inst: ProblemInstance) -> np.ndarray:
     """Overlap matrix, read-only: entry (x, y) is |x & y| / sqrt(k k')."""
     xm = johnson.subset_basis(inst.n, inst.k).masks
     ym = johnson.subset_basis(inst.n, inst.k_prime).masks
-    out = np.bitwise_count(xm[:, None] & ym[None, :]) / math.sqrt(inst.k * inst.k_prime)
-    out.setflags(write=False)
-    return out
+    overlap = np.bitwise_count(xm[:, None] & ym[None, :])
+    return linalg.freeze(overlap / math.sqrt(inst.k * inst.k_prime))
 
 
 def delta_membership_mask(inst: ProblemInstance, i: int) -> np.ndarray:

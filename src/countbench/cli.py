@@ -291,6 +291,9 @@ def _simulate_params(args) -> dict:
     ]
     if unread:
         raise ValueError(f"procedure {proc!r} does not read {', '.join(unread)}")
+    # Before the default budgets, which divide by eps.
+    if args.eps is not None and not (math.isfinite(args.eps) and args.eps > 0):
+        raise ValueError(f"--eps must be finite and positive, got {args.eps!r}")
     params: dict = {}
     for name in reads:
         value = getattr(args, name)

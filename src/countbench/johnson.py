@@ -37,12 +37,6 @@ MAX_GROUND_SET = 20
 DEGENERATE_SCALE = 1e-8
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
-
-
 class SubsetBasis:
     """All k-subsets of {1..n} in lexicographic order, with rank lookup."""
 
@@ -57,7 +51,7 @@ class SubsetBasis:
         self.k = k
         self.order = tuple(itertools.combinations(range(1, n + 1), k))
         self._index = {s: i for i, s in enumerate(self.order)}
-        self.masks = _freeze(
+        self.masks = linalg.freeze(
             np.array([_mask(s) for s in self.order], dtype=np.int64)
         )
 
@@ -98,7 +92,7 @@ def inclusion_matrix(n: int, k: int, j: int) -> np.ndarray:
     rows = subset_basis(n, k).masks
     cols = subset_basis(n, j).masks
     w = (rows[:, None] & cols[None, :]) == cols[None, :]
-    return _freeze(w.astype(float))
+    return linalg.freeze(w.astype(float))
 
 
 @dataclass(frozen=True)
@@ -133,7 +127,7 @@ def irrep_projectors(n: int, k: int) -> ProjectorFamily:
         q = linalg.orthonormal_column_basis(inclusion_matrix(n, k, j))
         p = q @ q.T
         p = (p + p.T) / 2.0
-        projectors.append(_freeze(p - prev))
+        projectors.append(linalg.freeze(p - prev))
         prev = p
     return ProjectorFamily(n=n, k=k, projectors=tuple(projectors))
 
@@ -178,7 +172,7 @@ def transporter(n: int, k: int, k_prime: int, j: int) -> Transporter:
     v_hat = reference_vectors(n, k_prime, j).v
     if float(v @ phi @ v_hat) < 0.0:
         phi = -phi
-    return Transporter(n=n, k=k, k_prime=k_prime, j=j, matrix=_freeze(phi), scale=scale)
+    return Transporter(n=n, k=k, k_prime=k_prime, j=j, matrix=linalg.freeze(phi), scale=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +235,7 @@ def _to_unit_vector(terms: dict, basis: SubsetBasis) -> np.ndarray:
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise ArithmeticError("reference sum collapsed to the zero vector")
-    return _freeze(vec / norm)
+    return linalg.freeze(vec / norm)
 
 
 @dataclass(frozen=True)
@@ -378,7 +372,7 @@ def basis_change_tables(n: int, k: int, j: int) -> tuple[np.ndarray, np.ndarray 
         ]
     )
     if j == 0:
-        return _freeze(t2), None
+        return linalg.freeze(t2), None
     q = n - 2 * k
     t4 = np.array(
         [
@@ -408,4 +402,4 @@ def basis_change_tables(n: int, k: int, j: int) -> tuple[np.ndarray, np.ndarray 
             ],
         ]
     )
-    return _freeze(t2), _freeze(t4)
+    return linalg.freeze(t2), linalg.freeze(t4)

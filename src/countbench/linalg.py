@@ -17,13 +17,20 @@ import numpy as np
 DEFAULT_RANK_TOL = 1e-10
 
 
-def as_matrix(values, name: str = "matrix") -> np.ndarray:
+def freeze(a: np.ndarray) -> np.ndarray:
+    """``a`` as a C-contiguous, read-only array, for values a cache hands out."""
+    a = np.ascontiguousarray(a)
+    a.setflags(write=False)
+    return a
+
+
+def as_matrix(values) -> np.ndarray:
     """Coerce ``values`` to a nonempty 2-D float64 array with finite entries."""
     m = np.asarray(values, dtype=float)
     if m.ndim != 2 or m.size == 0:
-        raise ValueError(f"{name} must be a nonempty 2-D array, got shape {m.shape}")
+        raise ValueError(f"matrix must be a nonempty 2-D array, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError("matrix contains non-finite entries")
     return m
 
 
@@ -43,18 +50,16 @@ def spectral_norm(values) -> float:
     return float(np.sqrt(max(top, 0.0)))
 
 
-def orthonormal_column_basis(values, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def orthonormal_column_basis(values) -> np.ndarray:
     """Orthonormal basis of the column space of a matrix.
 
     A singular value counts toward the rank iff it exceeds
-    ``rank_tol`` times the largest one.  A zero matrix yields a
+    ``DEFAULT_RANK_TOL`` times the largest one.  A zero matrix yields a
     0-column result rather than an error.
     """
     m = as_matrix(values)
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((m.shape[0], 0))
-    rank = int(np.count_nonzero(s > rank_tol * s[0]))
+    rank = int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0]))
     return np.ascontiguousarray(u[:, :rank])

@@ -26,6 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import adversary, linalg
+
 DECIDE_SMALL = "k"
 DECIDE_LARGE = "k_prime"
 
@@ -61,11 +63,10 @@ class TrialOutcome:
 
 
 def _k_prime(k: int, eps: float) -> int:
-    value = (1.0 + eps) * k
-    rounded = round(value)
-    if abs(value - rounded) > 1e-9 or rounded <= 0:
-        raise ValueError(f"(1+eps)k = {value} is not a positive integer")
-    return int(rounded)
+    k_prime = adversary.whole_k_prime(k, eps)
+    if k_prime <= 0:
+        raise ValueError(f"k' = (1+eps)k = {k_prime} is not positive")
+    return k_prime
 
 
 def _trial(k: int, k_prime: int, rng_seed, true_size, repetitions: int, single) -> TrialOutcome:
@@ -242,9 +243,7 @@ def phase_estimation_distribution(theta: float, m_points: int) -> np.ndarray:
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-9:
         raise ArithmeticError(f"outcome distribution sums to {total}")
-    out = probs / total
-    out.setflags(write=False)
-    return out
+    return linalg.freeze(probs / total)
 
 
 def _kernel(offsets: np.ndarray, m_points: int) -> np.ndarray:

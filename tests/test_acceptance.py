@@ -63,7 +63,7 @@ def test_criterion_01_closed_form_cross_check_sweep():
 
 
 def test_criterion_02_unit_norm_claim():
-    worst = max(unit_norm_error(adversary.phi_table(inst)) for inst in instances())
+    worst = max(unit_norm_error(adversary.phi_table(inst, inst.k + 1)) for inst in instances())
     report(2, "coefficient 4-vectors are unit within 1e-12", worst <= 1e-12, f"max {worst:.2e}")
 
 

@@ -22,8 +22,12 @@ class TestProblemInstance:
 
     def test_from_eps(self):
         assert ProblemInstance.from_eps(8, 2, 0.5) == ProblemInstance(8, 2, 3)
+        # (1 + 0.1) * 1e8 = 110000000.00000001: the round-off is relative to k'.
+        assert ProblemInstance.from_eps(10**9, 10**8, 0.1).k_prime == 110_000_000
         with pytest.raises(ValueError):
             ProblemInstance.from_eps(20, 3, 0.5)  # 4.5 not an integer
+        with pytest.raises(ValueError):
+            ProblemInstance.from_eps(10**9, 10**8, 0.1 + 5e-9)  # off by 0.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -40,38 +44,54 @@ class TestProblemInstance:
 
 class TestPhiTable:
     def test_block_zero_closed_form(self):
-        table = adversary.phi_table(ProblemInstance(8, 2, 3))
+        table = adversary.phi_table(ProblemInstance(8, 2, 3), 3)
         assert np.allclose(
             table.phi[0], [0.0, 0.5, 0.0, math.sqrt(6.0 / 8.0)], atol=1e-12
         )
 
     def test_component_one_is_sqrt_k_over_n(self):
-        table = adversary.phi_table(ProblemInstance(8, 2, 3))
+        table = adversary.phi_table(ProblemInstance(8, 2, 3), 3)
         assert table.phi[1, 1] == pytest.approx(0.5, abs=1e-15)
 
     def test_top_block_unit_norm(self):
-        table = adversary.phi_table(ProblemInstance(8, 2, 3))
+        table = adversary.phi_table(ProblemInstance(8, 2, 3), 3)
         assert np.linalg.norm(table.phi[2]) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n,k,kp", SWEEP)
     def test_unit_norm_claim_across_sweep(self, n, k, kp):
-        table = adversary.phi_table(ProblemInstance(n, k, kp))
+        table = adversary.phi_table(ProblemInstance(n, k, kp), k + 1)
         assert unit_norm_error(table) <= 1e-12
 
     def test_zero_entries_at_block_zero(self):
-        table = adversary.phi_table(ProblemInstance(10, 3, 4))
+        table = adversary.phi_table(ProblemInstance(10, 3, 4), 4)
         assert table.phi[0, 0] == 0.0 and table.phi_prime[0, 0] == 0.0
         assert table.phi[0, 2] == 0.0 and table.phi_prime[0, 2] == 0.0
+
+
+def all_weights(sched, k):
+    """gamma_0..gamma_k, the ones past the stored array reading 0."""
+    return np.pad(sched.gammas, (0, k + 1 - len(sched.gammas)))
 
 
 class TestGammaSchedule:
     def test_t_one_is_indicator(self):
         sched = adversary.gamma_schedule(1.0, 4)
-        assert np.allclose(sched.gammas, [1.0, 0.0, 0.0, 0.0, 0.0])
+        assert np.allclose(all_weights(sched, 4), [1.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_t_two(self):
         sched = adversary.gamma_schedule(2.0, 5)
-        assert np.allclose(sched.gammas, [1.0, 0.5, 0.0, 0.0, 0.0, 0.0])
+        assert np.allclose(all_weights(sched, 5), [1.0, 0.5, 0.0, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "t, k",
+        [(1.0, 4), (2.0, 5), (3.0, 3), (2.5, 9), (7.99, 10), (2.0, 10**12), (1e6, 3),
+         (1e300, 2)],
+    )
+    def test_holds_only_the_live_weights(self, t, k):
+        sched = adversary.gamma_schedule(t, k)
+        assert len(sched.gammas) == min(k, math.floor(t) + 1) + 1
+        if len(sched.gammas) < k + 1:
+            assert sched.gammas[-1] == 0.0  # gamma_{floor(t)+1}, the last live one
 
     def test_t_equals_k(self):
         k = 6
@@ -81,8 +101,12 @@ class TestGammaSchedule:
 
     def test_out_of_range_reads_zero(self):
         sched = adversary.gamma_schedule(10.0, 2)
-        assert sched.gamma(3) == 0.0  # by convention, even though 1 - 3/10 > 0
-        assert sched.gamma(-1) == 0.0
+        # gamma_3 is not stored and reads 0, even though 1 - 3/10 > 0.
+        assert len(sched.gammas) == 3
+        table = adversary.phi_table(ProblemInstance(8, 2, 3), 3)
+        tilde, tilde_prime = adversary.tilde_tables(sched, table)
+        assert table.phi_prime[2, 3] > 0.0 and tilde_prime[2, 3] == 0.0  # g_3 slot
+        assert tilde[0, 0] == 0.0 and tilde_prime[0, 0] == 0.0  # g_{-1} slot
 
     def test_rejects_small_t(self):
         with pytest.raises(ValueError):
@@ -90,7 +114,7 @@ class TestGammaSchedule:
 
     def test_tilde_boundary_conventions(self):
         inst = ProblemInstance(8, 2, 3)
-        table = adversary.phi_table(inst)
+        table = adversary.phi_table(inst, inst.k + 1)
         # Large t: every in-range weight is positive, yet the top row's last
         # entry must still read the forced zero weight past the block range.
         sched = adversary.gamma_schedule(100.0, inst.k)
@@ -141,7 +165,7 @@ class TestHadamardStep:
     def test_symmetric_forms_agree(self):
         inst = ProblemInstance(8, 2, 3)
         sched = adversary.gamma_schedule(2.0, 2)
-        table = adversary.phi_table(inst)
+        table = adversary.phi_table(inst, 3)
         tilde, tilde_prime = adversary.tilde_tables(sched, table)
         for j in range(3):
             left = float(table.phi[j] @ tilde_prime[j])
@@ -150,20 +174,31 @@ class TestHadamardStep:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            adversary.hadamard_psi_step([1.0, 0.0], ProblemInstance(8, 2, 3))
+            adversary.hadamard_psi_step([1.0, 0.0, 0.0, 0.0], ProblemInstance(8, 2, 3))
+
+    def test_missing_trailing_coefficients_read_zero(self):
+        inst = ProblemInstance(10, 3, 4)
+        full = adversary.hadamard_psi_step([1.0, 0.5, 0.0, 0.0], inst)
+        assert np.array_equal(adversary.hadamard_psi_step([1.0, 0.5], inst), full)
+
+
+def overlap(inst, j):
+    """D_j, the inner product of the plain and primed coefficient rows at block j."""
+    table = adversary.phi_table(inst, inst.k + 1)
+    return float(table.phi[j] @ table.phi_prime[j])
 
 
 class TestOverlap:
     def test_degenerate_instance_has_unit_overlap(self):
         inst = ProblemInstance(8, 3, 3)
         for j in range(4):
-            assert adversary.overlap_D(inst, j) == pytest.approx(1.0, abs=1e-12)
+            assert overlap(inst, j) == pytest.approx(1.0, abs=1e-12)
 
     def test_frozen_value_8_2_3(self):
         # By substitution: sqrt(2/8) sqrt(3/8) + sqrt(6/8) sqrt(5/8)
         # = (sqrt(6) + sqrt(30)) / 8.
         expected = (math.sqrt(6.0) + math.sqrt(30.0)) / 8.0
-        assert adversary.overlap_D(ProblemInstance(8, 2, 3), 0) == pytest.approx(
+        assert overlap(ProblemInstance(8, 2, 3), 0) == pytest.approx(
             expected, abs=1e-14
         )
 
@@ -171,7 +206,7 @@ class TestOverlap:
     def test_cauchy_schwarz(self, n, k, kp):
         inst = ProblemInstance(n, k, kp)
         for j in range(k + 1):
-            assert adversary.overlap_D(inst, j) <= 1.0 + 1e-12
+            assert overlap(inst, j) <= 1.0 + 1e-12
 
 
 class TestPsiPowerBound:
@@ -180,7 +215,7 @@ class TestPsiPowerBound:
 
     def test_two_step_value(self):
         inst = ProblemInstance(8, 2, 3)
-        d = min(adversary.overlap_D(inst, j) for j in range(3))
+        d = min(overlap(inst, j) for j in range(3))
         assert adversary.psi_power_lower_bound(inst, 4.0, 2) == pytest.approx(
             d**2 / 2.0
         )
@@ -213,10 +248,8 @@ class TestDeltaNorms:
         # beyond block 1 must not change the value.
         inst = ProblemInstance(10, 3, 4)
         sched = adversary.gamma_schedule(1.0, 3)
-        table = adversary.phi_table(inst)
-        tilde, tilde_prime = adversary.tilde_tables(sched, table)
-        g = np.array([sched.gamma(j) for j in range(4)])[:, None]
-        per_j = np.linalg.norm(tilde_prime - g * table.phi, axis=1)
+        phi, _, g, _, tilde_prime = full_rows(inst, 1.0)
+        per_j = np.linalg.norm(tilde_prime - g[:, None] * phi, axis=1)
         full, _ = adversary.norm_delta_state_gen(sched, inst)
         assert full == pytest.approx(float(np.max(per_j[:2])), abs=1e-14)
 
@@ -261,7 +294,7 @@ class TestDeltaNorms:
         n, k = 9, 4
         expected = max(
             math.sqrt((k - j) * (n - k - j))
-            * abs(sched.gamma(j) - sched.gamma(j + 1))
+            * abs(loop_gamma(2.0, k, j) - loop_gamma(2.0, k, j + 1))
             / (n - 2 * j)
             for j in range(k + 1)
         )
@@ -299,11 +332,10 @@ class TestDeltaNorms:
         # Blocks beyond t+1 contribute nothing to any of the four norms.
         inst = ProblemInstance(n, k, kp)
         for t in (1.0, 2.0):
-            sched = adversary.gamma_schedule(t, k)
-            table = adversary.phi_table(inst)
-            tilde, tilde_prime = adversary.tilde_tables(sched, table)
+            _, _, _, tilde, tilde_prime = full_rows(inst, t)
             cut = int(t) + 2
             assert np.all(tilde[cut:] == 0.0) and np.all(tilde_prime[cut:] == 0.0)
+            assert len(adversary.gamma_schedule(t, k).gammas) == min(cut, k + 1)
 
 
 class TestDualFeasibility:
@@ -486,27 +518,38 @@ def truncating_points(draw, max_k=2000, max_log_n=9):
     return ProblemInstance(2 * k_prime + 1 + spare, k, k_prime), t
 
 
-def full_row_values(sched, inst):
+def full_rows(inst, t):
+    """(phi, phi', gamma, tilde, tilde') over all rows j = 0..k, as arrays.
+
+    Same float formulas as `adversary`, evaluated on every row however
+    many of them the schedule can reach.
+    """
+    k = inst.k
+    j = np.arange(k + 1)
+    phi = adversary.phi_components(inst.n, k, j)
+    phi_prime = adversary.phi_components(inst.n, inst.k_prime, j)
+    g = np.maximum(1.0 - j / t, 0.0)
+    padded = np.pad(g, 1)
+    weights = np.stack([padded[:-2], g, g, padded[2:]], axis=1)
+    return phi, phi_prime, g, weights * phi, weights * phi_prime
+
+
+def full_row_values(inst, t):
     """Per-row terms of the three norms over all rows j = 0..k, shape (k+1, 4).
 
     Columns: state-generation forward and reverse, reflection, membership.
     """
     n, k, kp = inst.n, inst.k, inst.k_prime
-    table = adversary.phi_table(inst)
-    tilde, tilde_prime = adversary.tilde_tables(sched, table)
-    g = sched.gammas[:, None]
-    forward = np.linalg.norm(tilde_prime - g * table.phi, axis=1)
-    reverse = np.linalg.norm(g * table.phi_prime - tilde, axis=1)
-    blocks = (
-        table.phi_prime[:, :, None] * tilde_prime[:, None, :]
-        - tilde[:, :, None] * table.phi[:, None, :]
-    )
+    phi, phi_prime, g0, tilde, tilde_prime = full_rows(inst, t)
+    g = g0[:, None]
+    forward = np.linalg.norm(tilde_prime - g * phi, axis=1)
+    reverse = np.linalg.norm(g * phi_prime - tilde, axis=1)
+    blocks = phi_prime[:, :, None] * tilde_prime[:, None, :] - tilde[:, :, None] * phi[:, None, :]
     refl = np.linalg.svd(blocks, compute_uv=False)[:, 0]
     j = np.arange(k + 1, dtype=float)
     small = np.sqrt((k - j) * (n - kp - j))
     large = np.sqrt((kp - j) * (n - k - j))
-    g0 = sched.gammas
-    g1 = np.append(sched.gammas[1:], 0.0)
+    g1 = np.append(g0[1:], 0.0)
     memb = np.maximum(np.abs(small * g0 - large * g1), np.abs(large * g0 - small * g1))
     return np.stack([forward, reverse, refl, memb / (n - 2 * j)], axis=1)
 
@@ -516,14 +559,17 @@ class TestVectorisedAgainstRowLoops:
     @given(certificate_points())
     def test_tables_and_tilde_tables(self, point):
         inst, t, _ = point
-        table = adversary.phi_table(inst)
+        table = adversary.phi_table(inst, inst.k + 1)
         phi, phi_prime = loop_tables(inst)
         np.testing.assert_allclose(table.phi, phi, rtol=1e-13, atol=0)
         np.testing.assert_allclose(table.phi_prime, phi_prime, rtol=1e-13, atol=0)
-        tilde, tilde_prime = adversary.tilde_tables(adversary.gamma_schedule(t, inst.k), table)
+        sched = adversary.gamma_schedule(t, inst.k)
+        rows = len(sched.gammas)
+        tilde, tilde_prime = adversary.tilde_tables(sched, adversary.phi_table(inst, rows))
         want, want_prime = loop_tildes(inst, t)
-        np.testing.assert_allclose(tilde, want, rtol=1e-13, atol=0)
-        np.testing.assert_allclose(tilde_prime, want_prime, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(tilde, want[:rows], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(tilde_prime, want_prime[:rows], rtol=1e-13, atol=0)
+        assert np.all(want[rows:] == 0.0) and np.all(want_prime[rows:] == 0.0)
 
     @settings(max_examples=40, deadline=None)
     @given(certificate_points())
@@ -539,7 +585,8 @@ class TestVectorisedAgainstRowLoops:
     @given(certificate_points())
     def test_iterated_hadamard_step(self, point):
         inst, t, ell = point
-        got = want = adversary.gamma_schedule(t, inst.k).gammas
+        got = adversary.gamma_schedule(t, inst.k).gammas
+        want = np.array([loop_gamma(t, inst.k, j) for j in range(inst.k + 1)])
         for _ in range(max(ell, 1)):
             got = adversary.hadamard_psi_step(got, inst)
             want = loop_hadamard_step(want, inst)
@@ -549,7 +596,7 @@ class TestVectorisedAgainstRowLoops:
     @given(certificate_points(max_log_n=9), st.data())
     def test_identities_at_large_n(self, point, data):
         inst, _, _ = point
-        assert unit_norm_error(adversary.phi_table(inst)) <= 1e-13
+        assert unit_norm_error(adversary.phi_table(inst, inst.k + 1)) <= 1e-13
         j = data.draw(st.integers(0, inst.k))
         t2, t4 = johnson.basis_change_tables(inst.n, inst.k, j)
         assert np.max(np.abs(t2 @ t2.T - np.eye(2))) <= 1e-13
@@ -563,8 +610,8 @@ class TestVectorisedAgainstRowLoops:
         # equal the full-row maxima to the bit.
         inst, t = point
         sched = adversary.gamma_schedule(t, inst.k)
-        per_row = full_row_values(sched, inst)
-        assert np.all(per_row[adversary._live_rows(sched) :] == 0.0)
+        per_row = full_row_values(inst, t)
+        assert np.all(per_row[len(sched.gammas) :] == 0.0)
         want = [float(v) for v in per_row.max(axis=0)]
         got = [
             *adversary.norm_delta_state_gen(sched, inst),

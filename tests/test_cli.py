@@ -234,6 +234,18 @@ class TestBoundsCommand:
         assert payload["note"].startswith(f"dual feasibility unavailable: {name} = ")
         assert payload["tradeoff"][name] == float(flags[flags.index(f"--{name}") + 1])
 
+    @pytest.mark.parametrize(
+        "n, k, eps, k_prime",
+        [("1e13", "1e12", "0.5", 1_500_000_000_000), ("1e9", "1e8", "0.1", 110_000_000)],
+    )
+    def test_large_k_reports_dual_feasibility(self, capsys, n, k, eps, k_prime):
+        # Only the rows j <= floor(t) + 1 are built, however large k is; and
+        # (1 + 0.1) * 1e8 = 110000000.00000001 names a whole k'.
+        assert run(["bounds", "--n", n, "--k", k, "--eps", eps]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "note" not in payload
+        assert payload["dual_feasibility"]["k_prime"] == k_prime
+
     def test_copies_enter_the_branches(self, capsys):
         code = run(
             ["bounds", "--n", "320", "--k", "64", "--eps", "1", "--ell", "2",
@@ -386,6 +398,20 @@ class TestSimulateCommand:
         message = capsys.readouterr().err
         for flag in unread:
             assert flag in message
+
+    @pytest.mark.parametrize(
+        "proc, eps",
+        [("collision", "0"), ("coupon", "inf"), ("coupon", "0"), ("coupon", "-0.5"),
+         ("overlap", "nan")],
+    )
+    def test_bad_eps_is_usage_error(self, tmp_path, capsys, proc, eps):
+        out = tmp_path / "s"
+        argv = ["simulate", proc, "--k", "4", "--eps", eps, "--trials", "3", "--out", str(out)]
+        if proc == "overlap":
+            argv += ["--n", "64"]
+        assert run(argv) == 2
+        assert not out.exists()
+        assert "--eps" in capsys.readouterr().err
 
     def test_every_procedure_runs_with_the_flags_it_reads(self, tmp_path):
         values = {"n": "4096", "budget": "300", "samples": "90", "copies": "500",
