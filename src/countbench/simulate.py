@@ -7,15 +7,20 @@ phase-estimation subroutine is sampled from its exact closed-form
 outcome distribution, so desk-scale n up to 1e6 costs nothing while the
 query tallies stay exact.
 
-Every procedure validates its parameters and hands one run of itself,
-``single(rng, size) -> (decision, statistic, tally)``, to the shared
-driver `_trial`.  The driver draws the hidden-set size, repeats the run
-against that one set, takes the majority vote and sums the tallies; a
-run with decision ``None`` failed.
+Every procedure has a set-up that validates its parameters once and
+returns ``(k, k_prime, single)``, where ``single(rng, size) -> (decision,
+statistic, tally)`` is one run of it.  The shared driver `_trial` draws
+the hidden-set size, repeats the run against that one set, takes the
+majority vote and sums the tallies; a run with decision ``None`` failed.
+The public procedure functions run one trial; `run_batch` sets a
+procedure up once and runs many.
 
-Determinism contract: every procedure takes an ``rng_seed``; batches
-derive one child generator per trial from (seed, trial index), so equal
-seeds reproduce equal outcome streams bit for bit.
+Determinism contract: every procedure takes an ``rng_seed``.  In a batch
+of master seed ``seed``, trial i runs on a generator bit-identical to
+``np.random.default_rng((seed, i))``: `_child_states` derives all of
+those states in one vectorised pass, and the tests compare it with
+``default_rng`` on the installed numpy.  Equal seeds therefore reproduce
+equal outcome streams bit for bit.
 """
 
 from __future__ import annotations
@@ -63,21 +68,25 @@ class TrialOutcome:
 
 
 def _k_prime(k: int, eps: float) -> int:
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
     k_prime = adversary.whole_k_prime(k, eps)
     if k_prime <= 0:
         raise ValueError(f"k' = (1+eps)k = {k_prime} is not positive")
     return k_prime
 
 
-def _trial(k: int, k_prime: int, rng_seed, true_size, repetitions: int, single) -> TrialOutcome:
-    """One trial: draw the hidden set, run ``single`` against it, majority-vote.
+def _trial(setup, rng_seed, true_size, repetitions: int) -> TrialOutcome:
+    """One trial of ``setup = (k, k_prime, single)``: draw the hidden set, run, majority-vote.
 
     All ``repetitions`` runs share one generator and one hidden set of
     size k or k' (drawn fairly unless ``true_size`` pins it).  Ties go to
     the small hypothesis and the tallies add up.  If every run failed,
     the trial fails with the first run's statistic; otherwise the
-    statistic is the mean over all runs.
+    statistic is the mean over all runs.  ``rng_seed`` is anything
+    ``np.random.default_rng`` takes; a Generator is used as it is.
     """
+    k, k_prime, single = setup
     rng = np.random.default_rng(rng_seed)
     if true_size is None:
         size = k if rng.integers(2) == 0 else k_prime
@@ -121,6 +130,10 @@ def coupon_test(
     small size iff at most k distinct elements were seen.  Never errs on
     the small hypothesis (one-sided).
     """
+    return _trial(_coupon(k, eps, sample_budget), rng_seed, true_size, repetitions)
+
+
+def _coupon(k: int, eps: float, sample_budget: int):
     if sample_budget < 0:
         raise ValueError("sample budget must be nonnegative")
 
@@ -133,7 +146,7 @@ def coupon_test(
         decision = DECIDE_SMALL if distinct <= k else DECIDE_LARGE
         return decision, float(distinct), QueryTally(copies=sample_budget)
 
-    return _trial(k, _k_prime(k, eps), rng_seed, true_size, repetitions, single)
+    return k, _k_prime(k, eps), single
 
 
 def collision_test(
@@ -150,6 +163,10 @@ def collision_test(
     binom(count, 2)/|x|, so the decision threshold sits midway between
     the two hypothesis expectations: more collisions means the small set.
     """
+    return _trial(_collision(k, eps, sample_count), rng_seed, true_size, repetitions)
+
+
+def _collision(k: int, eps: float, sample_count: int):
     if sample_count < 2:
         raise ValueError("need at least two samples")
     k_prime = _k_prime(k, eps)
@@ -162,7 +179,7 @@ def collision_test(
         decision = DECIDE_SMALL if pairs > midpoint else DECIDE_LARGE
         return decision, pairs, QueryTally(copies=sample_count)
 
-    return _trial(k, k_prime, rng_seed, true_size, repetitions, single)
+    return k, k_prime, single
 
 
 def overlap_test(
@@ -179,6 +196,10 @@ def overlap_test(
     Each consumed copy succeeds independently with probability |x|/n;
     the success fraction is thresholded midway between k/n and k'/n.
     """
+    return _trial(_overlap(n, k, eps, copy_count), rng_seed, true_size, repetitions)
+
+
+def _overlap(n: int, k: int, eps: float, copy_count: int):
     if copy_count < 1:
         raise ValueError("need at least one copy")
     k_prime = _k_prime(k, eps)
@@ -191,7 +212,7 @@ def overlap_test(
         decision = DECIDE_LARGE if fraction > midpoint else DECIDE_SMALL
         return decision, fraction, QueryTally(copies=copy_count)
 
-    return _trial(k, k_prime, rng_seed, true_size, repetitions, single)
+    return k, k_prime, single
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +277,22 @@ def _kernel(offsets: np.ndarray, m_points: int) -> np.ndarray:
     return np.where(s == 0.0, 1.0, value)
 
 
+@lru_cache(maxsize=16)
+def _phase_cdf(theta: float, m_points: int) -> np.ndarray:
+    # A batch samples at most two (theta, m_points), one per hypothesis, so a
+    # few entries serve it; the distributions stay cached above.
+    cdf = phase_estimation_distribution(theta, m_points).cumsum()
+    cdf /= cdf[-1]
+    return linalg.freeze(cdf)
+
+
 def _sample_phase(theta: float, m_points: int, rng: np.random.Generator) -> int:
-    return int(rng.choice(m_points, p=phase_estimation_distribution(theta, m_points)))
+    """``rng.choice(m_points, p=phase_estimation_distribution(theta, m_points))``.
+
+    Inverts the normalised CDF at one ``rng.random()`` draw, as
+    `Generator.choice` does, without re-checking p and re-summing it per call.
+    """
+    return int(_phase_cdf(theta, m_points).searchsorted(rng.random(), side="right"))
 
 
 def _grid_points(theta_a: float, theta_b: float, margin: float = 2.0) -> int:
@@ -311,6 +346,10 @@ def quantum_counting(
     caller selects whether the rotation is implemented from the
     reflecting oracle or from membership queries.
     """
+    return _trial(_qcount(n, k, eps, oracle), rng_seed, true_size, repetitions)
+
+
+def _qcount(n: int, k: int, eps: float, oracle: str = "reflections"):
     if oracle not in ("reflections", "membership"):
         raise ValueError("oracle must be 'reflections' or 'membership'")
     k_prime = _k_prime(k, eps)
@@ -323,7 +362,7 @@ def quantum_counting(
         )
         return decision, estimate, QueryTally(**{oracle: m_points - 1})
 
-    return _trial(k, k_prime, rng_seed, true_size, repetitions, single)
+    return k, k_prime, single
 
 
 def known_subset_counting(
@@ -342,6 +381,10 @@ def known_subset_counting(
     (two state-generation calls implement one reflection).  ell beyond
     k/2 lies outside the regime the analysis covers but is still simulated.
     """
+    return _trial(_subset(n, k, eps, ell, oracle), rng_seed, true_size, repetitions)
+
+
+def _subset(n: int, k: int, eps: float, ell: int, oracle: str = "reflections"):
     if not 1 <= ell <= k:
         raise ValueError(f"need 1 <= ell <= k, got ell={ell}")
     if oracle not in ("reflections", "state_generation"):
@@ -357,7 +400,7 @@ def known_subset_counting(
         )
         return decision, estimate, QueryTally(**{oracle: calls_per_rotation * (m_points - 1)})
 
-    return _trial(k, k_prime, rng_seed, true_size, repetitions, single)
+    return k, k_prime, single
 
 
 def _collect_distinct(
@@ -365,14 +408,22 @@ def _collect_distinct(
 ) -> tuple[int, int]:
     """Sample uniformly until ``target`` distinct elements are seen or the budget ends.
 
-    Returns (distinct found, samples consumed).
+    Returns (distinct found, samples consumed) and leaves ``rng`` where
+    drawing one sample at a time would.  A block of draws yields the same
+    values as successive single draws, so the whole budget is drawn at
+    once; the generator is then rewound and draws only the consumed prefix.
     """
+    if target <= 0 or budget <= 0:
+        return 0, 0
+    saved = rng.bit_generator.state
     seen: set = set()
-    consumed = 0
-    while len(seen) < target and consumed < budget:
-        seen.add(int(rng.integers(0, size)))
-        consumed += 1
-    return len(seen), consumed
+    for consumed, value in enumerate(rng.integers(0, size, budget).tolist(), 1):
+        seen.add(value)
+        if len(seen) == target:
+            rng.bit_generator.state = saved
+            rng.integers(0, size, consumed)
+            return target, consumed
+    return len(seen), budget
 
 
 def sample_then_count(
@@ -389,6 +440,10 @@ def sample_then_count(
     discarded; the resampling budget is 10x the target, exhaustion fails
     the trial), and each estimation rotation costs two more.
     """
+    return _trial(_sample_count(n, k, eps), rng_seed, true_size, repetitions)
+
+
+def _sample_count(n: int, k: int, eps: float):
     k_prime = _k_prime(k, eps)
     if k_prime >= n:
         raise ValueError("need k' < n")
@@ -407,7 +462,7 @@ def sample_then_count(
         tally.state_generation += 2 * (m_points - 1)
         return decision, estimate, tally
 
-    return _trial(k, k_prime, rng_seed, true_size, repetitions, single)
+    return k, k_prime, single
 
 
 def bootstrap_reflection_counting(
@@ -430,6 +485,10 @@ def bootstrap_reflection_counting(
     Failed stages retry up to ``retries`` extra times.  The grown subset
     of size ceil(1/eps) then feeds the known-subset counter.
     """
+    return _trial(_bootstrap(n, k, eps, retries), rng_seed, true_size, repetitions)
+
+
+def _bootstrap(n: int, k: int, eps: float, retries: int = 3):
     if retries < 0:
         raise ValueError("retries must be nonnegative")
     k_prime = _k_prime(k, eps)
@@ -439,10 +498,13 @@ def bootstrap_reflection_counting(
     if target > k / 2:
         raise ValueError(f"growth target {target} exceeds k/2")
 
+    stages: dict = {}  # hidden-set size -> growth_stage(known, size) for known < target
+
     def single(rng: np.random.Generator, size: int):
+        if size not in stages:
+            stages[size] = [growth_stage(known, size) for known in range(1, target)]
         tally = QueryTally()
-        for known in range(1, target):
-            iterations, success_probability = growth_stage(known, size)
+        for known, (iterations, success_probability) in enumerate(stages[size], 1):
             for _ in range(1 + retries):
                 tally.reflections += iterations
                 if rng.random() < success_probability:
@@ -455,40 +517,134 @@ def bootstrap_reflection_counting(
         tally.reflections += m_points - 1
         return decision, estimate, tally
 
-    return _trial(k, k_prime, rng_seed, true_size, repetitions, single)
+    return k, k_prime, single
 
 
 # ---------------------------------------------------------------------------
 # Batch driver.
 # ---------------------------------------------------------------------------
 
-_PROCEDURE_FUNCS = {
-    "coupon": coupon_test,
-    "collision": collision_test,
-    "overlap": overlap_test,
-    "qcount": quantum_counting,
-    "subset": known_subset_counting,
-    "sample-count": sample_then_count,
-    "bootstrap": bootstrap_reflection_counting,
+_SETUPS = {
+    "coupon": _coupon,
+    "collision": _collision,
+    "overlap": _overlap,
+    "qcount": _qcount,
+    "subset": _subset,
+    "sample-count": _sample_count,
+    "bootstrap": _bootstrap,
 }
 
 
-def run_trial(procedure: str, params: dict, rng_seed) -> TrialOutcome:
-    """Dispatch one trial of a named procedure with keyword parameters."""
+# numpy.random.SeedSequence's hash constants and PCG64's LCG multiplier.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint32_words(value: int) -> list[int]:
+    """``value``'s 32-bit words, least significant first, as SeedSequence splits it."""
+    if value < 0:
+        raise ValueError(f"seed must be nonnegative, got {value}")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hashmix(value: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray, int]:
+    # The constant's sequence does not depend on the data, so it stays a
+    # Python int; the uint32 arrays wrap like SeedSequence's uint32_t.
+    value = value ^ hash_const
+    hash_const = hash_const * mult & _MASK32
+    value = value * hash_const
+    return value ^ (value >> 16), hash_const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> 16)
+
+
+def _child_states(seed: int, trials: int) -> list[dict]:
+    """``np.random.default_rng((seed, i)).bit_generator.state`` for i < trials.
+
+    SeedSequence hashes the entropy words [seed words..., i] into a pool
+    of four words and draws 4 uint64 from it; PCG64 seeds its 128-bit
+    state and increment from those.  This runs the hash on all indices at
+    once and the 128-bit seeding on Python ints.
+    """
+    if trials > 1 << 32:
+        raise ValueError(f"trial indices must fit one 32-bit word, got {trials} trials")
+    index = np.arange(trials, dtype=np.uint32)
+    entropy = [np.full(trials, word, dtype=np.uint32) for word in _uint32_words(seed)]
+    entropy.append(index)
+    hash_const = _INIT_A
+    pool = []
+    for word in range(_POOL_SIZE):
+        source = entropy[word] if word < len(entropy) else np.zeros_like(index)
+        value, hash_const = _hashmix(source, hash_const, _MULT_A)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    for source in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            value, hash_const = _hashmix(source, hash_const, _MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+    hash_const = _INIT_B
+    words = []
+    for word in range(8):
+        value, hash_const = _hashmix(pool[word % _POOL_SIZE], hash_const, _MULT_B)
+        words.append(value.astype(np.uint64))
+    # Little-endian pairs of words make the uint64 seed[0], seed[1], inc[0], inc[1].
+    uint64s = [(words[2 * j] | words[2 * j + 1] << np.uint64(32)).tolist() for j in range(4)]
+    states = []
+    for seed_hi, seed_lo, inc_hi, inc_lo in zip(*uint64s):
+        # pcg_setseq_128_srandom_r: inc = 2 initseq + 1, then two LCG steps
+        # with the initial state added after the first.
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append(
+            {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        )
+    return states
+
+
+def run_batch(procedure: str, params: dict, trials: int, seed: int) -> list[TrialOutcome]:
+    """Independent trials of a named procedure with keyword parameters.
+
+    The parameters are checked once.  Trial i runs on one reused
+    generator set to the state of ``np.random.default_rng((seed, i))``.
+    """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     try:
-        func = _PROCEDURE_FUNCS[procedure]
+        set_up = _SETUPS[procedure]
     except KeyError:
         raise ValueError(
             f"unknown procedure {procedure!r}; known: {PROCEDURES}"
         ) from None
-    return func(rng_seed=rng_seed, **params)
-
-
-def run_batch(procedure: str, params: dict, trials: int, seed: int) -> list[TrialOutcome]:
-    """Independent trials with per-trial child seeds (master seed, index)."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    return [run_trial(procedure, params, (seed, i)) for i in range(trials)]
+    params = dict(params)
+    true_size = params.pop("true_size", None)
+    repetitions = params.pop("repetitions", 1)
+    setup = set_up(**params)
+    rng = np.random.Generator(np.random.PCG64(0))
+    outcomes = []
+    for state in _child_states(seed, trials):
+        rng.bit_generator.state = state
+        outcomes.append(_trial(setup, rng, true_size, repetitions))
+    return outcomes
 
 
 def aggregate(outcomes) -> dict:

@@ -287,8 +287,13 @@ class TestSampleThenCount:
 
     def test_budget_exhaustion_flags_failure(self):
         class StuckRng:
-            def integers(self, low, high=None):
-                return 0
+            """Draws only zeros, so its generator state never moves."""
+
+            class bit_generator:
+                state = None
+
+            def integers(self, low, high=None, size=None):
+                return 0 if size is None else np.zeros(size, dtype=np.int64)
 
         found, consumed = simulate._collect_distinct(3, 10, 30, StuckRng())
         assert found == 1 and consumed == 30
@@ -396,7 +401,7 @@ class TestRepetitionsAndDispatch:
 
     def test_unknown_procedure(self):
         with pytest.raises(ValueError):
-            simulate.run_trial("nope", {}, 0)
+            simulate.run_batch("nope", {}, 1, 0)
 
     def test_majority_vote_reads_the_truth_label(self, monkeypatch):
         # Failed repetitions carry a placeholder decision; the vote among the
@@ -428,3 +433,99 @@ class TestRepetitionsAndDispatch:
         assert 0 < len(decided) < len(outs)
         assert all(out.correct == (out.decision == label(out, 64)) for out in decided)
         assert not any(out.correct for out in outs if out.failed)
+
+
+# One call per procedure at a valid point, with eps left free.
+PROCEDURE_AT = {
+    "coupon": lambda eps: simulate.coupon_test(4, eps, 20, 1),
+    "collision": lambda eps: simulate.collision_test(4, eps, 8, 1),
+    "overlap": lambda eps: simulate.overlap_test(64, 4, eps, 8, 1),
+    "qcount": lambda eps: simulate.quantum_counting(64, 4, eps, 1),
+    "subset": lambda eps: simulate.known_subset_counting(64, 4, eps, 1, 1),
+    "sample-count": lambda eps: simulate.sample_then_count(64, 8, eps, 1),
+    "bootstrap": lambda eps: simulate.bootstrap_reflection_counting(64, 8, eps, 1),
+}
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.5, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("procedure", list(PROCEDURE_AT))
+def test_eps_must_be_finite_and_positive(procedure, eps):
+    PROCEDURE_AT[procedure](1.0)
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
+        PROCEDURE_AT[procedure](eps)
+
+
+def collect_distinct_one_draw_at_a_time(target, size, budget, rng):
+    """Reference for `simulate._collect_distinct`: the loop its block draws replaced."""
+    seen = set()
+    consumed = 0
+    while len(seen) < target and consumed < budget:
+        seen.add(int(rng.integers(0, size)))
+        consumed += 1
+    return len(seen), consumed
+
+
+class TestStreamIdenticalFastPaths:
+    """Each batch fast path gives the outcomes and generator states of the plain numpy calls."""
+
+    @pytest.mark.parametrize("size", [3, 1000, 2**32 - 1, 2**32, 2**32 + 5])
+    @pytest.mark.parametrize(
+        "target, budget",
+        [(0, 10), (5, 0), (3, 50), (5, 30), (4, 4), (40, 30)],
+        ids=["target-0", "budget-0", "early-stop", "size-3-exhausts", "at-budget", "exhausts"],
+    )
+    @pytest.mark.parametrize("odd_draws_before", [0, 1])
+    def test_collect_distinct_matches_one_draw_at_a_time(
+        self, size, target, budget, odd_draws_before
+    ):
+        # One earlier 32-bit draw leaves half a 64-bit output cached in the
+        # state, which the rewind must restore as well.
+        for seed in range(5):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            if odd_draws_before:
+                fast.integers(0, 7)
+                slow.integers(0, 7)
+            got = simulate._collect_distinct(target, size, budget, fast)
+            want = collect_distinct_one_draw_at_a_time(target, size, budget, slow)
+            assert got == want
+            assert fast.bit_generator.state == slow.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 2**33 + 7])
+    def test_child_states_match_default_rng(self, seed):
+        want = [np.random.default_rng((seed, i)).bit_generator.state for i in range(2001)]
+        assert simulate._child_states(seed, 2001) == want
+
+    def test_child_states_match_default_rng_at_random_seeds(self):
+        seeds = np.random.default_rng(2026).integers(0, 2**63, 4).tolist() + [2**100 + 3]
+        for seed in seeds:
+            want = [np.random.default_rng((seed, i)).bit_generator.state for i in range(300)]
+            assert simulate._child_states(seed, 300) == want
+
+    def test_child_states_reject_what_seed_sequence_rejects(self):
+        for bad, error in ((-1, ValueError), (-(2**40), ValueError), (1.5, TypeError)):
+            with pytest.raises(error):
+                np.random.default_rng((bad, 0))
+            with pytest.raises(error):
+                simulate._child_states(bad, 3)
+        with pytest.raises(ValueError):
+            simulate.run_batch("coupon", dict(k=4, eps=1.0, sample_budget=20), 3, -1)
+
+    def test_batch_trials_equal_single_trials_seeded_by_index(self):
+        params = dict(n=4096, k=64, eps=0.125, retries=1)
+        batch = simulate.run_batch("bootstrap", params, 40, 5)
+        singles = [
+            simulate.bootstrap_reflection_counting(rng_seed=(5, i), **params) for i in range(40)
+        ]
+        assert repr(batch) == repr(singles)
+
+    @pytest.mark.parametrize(
+        "theta", [0.0, 0.1, math.asin(math.sqrt(1 / 3)), math.pi / 4, 1.3, math.pi / 2]
+    )
+    @pytest.mark.parametrize("m_points", [2, 3, 16, 37, 1000, 4278])
+    def test_sample_phase_matches_choice(self, theta, m_points):
+        fast, slow = np.random.default_rng(7), np.random.default_rng(7)
+        p = simulate.phase_estimation_distribution(theta, m_points)
+        got = [simulate._sample_phase(theta, m_points, fast) for _ in range(300)]
+        want = [int(slow.choice(m_points, p=p)) for _ in range(300)]
+        assert got == want
+        assert fast.bit_generator.state == slow.bit_generator.state
