@@ -3,11 +3,15 @@
 Everything the closed-form engine claims is rebuilt here the hard way:
 the overlap Gram matrix, the single-element difference masks, the four
 lift transformations that expand matrix entries by superposition
-vectors, the superposition isometries V and V-hat (applied entrywise),
-the rank-one projector pair on the ground space, and the channel
-transporters Xi, which V_DECOMP and PHI_COMMUTE read in block coordinates.
+vectors, and the superposition isometries V and V-hat, applied entrywise.
 ``verify`` runs one named check, building both sides explicitly and
 reporting the worst discrepancy.
+
+V_DECOMP and PHI_COMMUTE read the channel transporters Xi in block
+coordinates (``_level_channels``), splitting the ground axis into the
+uniform direction (Pi_0, the mean over i) and its complement (Pi_1).
+``build_xi`` forms one Xi at full size with the same split; the tests
+gate the block pass against it, and the benchmark tracer wraps it by name.
 
 Block ordering for lifted matrices is row-label-major: the lifted row
 index (x, i) enumerates i = 1..n inside each x.  This makes the lift
@@ -169,28 +173,13 @@ def lift(m, kind: LiftKind, side_basis: johnson.SubsetBasis) -> np.ndarray:
     raise ValueError(f"unknown lift kind {kind!r}")
 
 
-def build_projection_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Pi_0, Pi_1): the uniform-direction projector on R^n and its complement."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    pi0 = np.full((n, n), 1.0 / n)
-    return pi0, np.eye(n) - pi0
+def _kron_apply(block_op: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
+    """(block_op tensor I_n) @ m for a lifted matrix m with row blocks of length n.
 
-
-def _kron_apply(
-    block_op: np.ndarray, m: np.ndarray, n: int, ground_op: np.ndarray | None = None
-) -> np.ndarray:
-    """(block_op tensor ground_op) @ m for a lifted matrix m with row blocks of length n.
-
-    ``ground_op=None`` stands for I_n.  The block operator acts as one GEMM
-    on m viewed as (rows, n * cols), the ground operator as a batched matmul
-    on each length-n block; no Kronecker product is formed.
+    One GEMM on m viewed as (rows, n * cols); no Kronecker product is formed.
     """
     cols = m.shape[1]
-    out = block_op @ m.reshape(block_op.shape[1], n * cols)
-    if ground_op is not None:
-        out = np.matmul(ground_op, out.reshape(-1, n, cols))
-    return out.reshape(-1, cols)
+    return (block_op @ m.reshape(block_op.shape[1], n * cols)).reshape(-1, cols)
 
 
 def _v_apply(psi: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -238,13 +227,17 @@ def _xi_is_declared_zero(j: int, ell: int, m: int, level_max: int) -> bool:
 def _xi_raw(inst: ProblemInstance, j: int, ell: int, m: int, hatted: bool) -> np.ndarray:
     """The raw channel morphism (E_{j+m} tensor Pi_ell) V E_j of a non-border channel.
 
-    V E_j is formed entrywise by ``_v_apply``.
+    V E_j is formed entrywise by ``_v_apply``.  Pi_0 replaces each
+    length-n block by its mean, Pi_1 keeps the remainder.
     """
     level = inst.k_prime if hatted else inst.k
     fam = johnson.irrep_projectors(inst.n, level)
     v_e = _v_apply(psi_matrix(inst.n, level), fam.projectors[j])
-    pi = build_projection_pair(inst.n)[ell]
-    return _kron_apply(fam.projectors[j + m], v_e, inst.n, pi)
+    cols = v_e.shape[1]
+    blocks = _kron_apply(fam.projectors[j + m], v_e, inst.n).reshape(-1, inst.n, cols)
+    mean = blocks.mean(axis=1, keepdims=True)
+    part = blocks - mean if ell else np.broadcast_to(mean, blocks.shape)
+    return part.reshape(-1, cols)
 
 
 def build_xi(

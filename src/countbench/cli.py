@@ -9,6 +9,7 @@ is inherently nondeterministic), and all floats use a fixed format.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -55,7 +56,9 @@ def _parse_instance(text: str) -> ProblemInstance:
     return ProblemInstance(n=n, k=k, k_prime=k_prime)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and reused by `main`."""
     parser = argparse.ArgumentParser(
         prog="countbench",
         description="Verification workbench for set-size distinction query bounds.",
@@ -144,7 +147,7 @@ def _verify_items(instances, t_values, checks):
 
 
 def cmd_verify(args) -> int:
-    # Repeated --instance or --t values name the same rows once.
+    # Repeated --instance, --t or --checks values name the same rows once.
     if args.instance is not None:
         instances = list(dict.fromkeys(_parse_instance(text) for text in args.instance))
     else:
@@ -153,7 +156,7 @@ def cmd_verify(args) -> int:
     for t in t_values:
         if not (math.isfinite(t) and t >= 1):
             raise ValueError(f"--t must be finite and >= 1, got {t!r}")
-    checks = tuple(args.checks) if args.checks else bruteforce.CHECK_IDS
+    checks = tuple(dict.fromkeys(args.checks)) if args.checks else bruteforce.CHECK_IDS
     out_dir = Path(args.out)
 
     start = time.perf_counter()

@@ -7,20 +7,21 @@ phase-estimation subroutine is sampled from its exact closed-form
 outcome distribution, so desk-scale n up to 1e6 costs nothing while the
 query tallies stay exact.
 
-Every procedure has a set-up that validates its parameters once and
-returns ``(k, k_prime, single)``, where ``single(rng, size) -> (decision,
-statistic, tally)`` is one run of it.  The shared driver `_trial` draws
-the hidden-set size, repeats the run against that one set, takes the
-majority vote and sums the tallies; a run with decision ``None`` failed.
-The public procedure functions run one trial; `run_batch` sets a
-procedure up once and runs many.
+Each procedure is one function, named as on the command line
+(`PROCEDURES` maps the names to them).  It validates its parameters once
+and returns the set-up ``(k, k_prime, single)``, where
+``single(rng, size) -> (decision, statistic, tally)`` is one run of it.
+`trial` runs a set-up once: it draws the hidden-set size, repeats the
+run against that one set, takes the majority vote and sums the tallies;
+a run with decision ``None`` failed.  `run_batch` sets a named procedure
+up once and runs many trials, so one trial of coupon counting reads
+``trial(coupon(k, eps, budget), seed)``.
 
-Determinism contract: every procedure takes an ``rng_seed``.  In a batch
-of master seed ``seed``, trial i runs on a generator bit-identical to
-``np.random.default_rng((seed, i))``: `_child_states` derives all of
-those states in one vectorised pass, and the tests compare it with
-``default_rng`` on the installed numpy.  Equal seeds therefore reproduce
-equal outcome streams bit for bit.
+Determinism contract: trial i of a batch with master seed ``seed`` runs
+on a generator bit-identical to ``np.random.default_rng((seed, i))``:
+`_child_states` derives all of those states in one vectorised pass, and
+the tests compare it with ``default_rng`` on the installed numpy.  Equal
+seeds therefore reproduce equal outcome streams bit for bit.
 """
 
 from __future__ import annotations
@@ -35,16 +36,6 @@ from . import adversary, linalg
 
 DECIDE_SMALL = "k"
 DECIDE_LARGE = "k_prime"
-
-PROCEDURES = (
-    "coupon",
-    "collision",
-    "overlap",
-    "qcount",
-    "subset",
-    "sample-count",
-    "bootstrap",
-)
 
 
 @dataclass
@@ -76,7 +67,7 @@ def _k_prime(k: int, eps: float) -> int:
     return k_prime
 
 
-def _trial(setup, rng_seed, true_size, repetitions: int) -> TrialOutcome:
+def trial(setup, rng_seed, true_size: int | None = None, repetitions: int = 1) -> TrialOutcome:
     """One trial of ``setup = (k, k_prime, single)``: draw the hidden set, run, majority-vote.
 
     All ``repetitions`` runs share one generator and one hidden set of
@@ -116,24 +107,13 @@ def _trial(setup, rng_seed, true_size, repetitions: int) -> TrialOutcome:
 # ---------------------------------------------------------------------------
 
 
-def coupon_test(
-    k: int,
-    eps: float,
-    sample_budget: int,
-    rng_seed,
-    true_size: int | None = None,
-    repetitions: int = 1,
-) -> TrialOutcome:
+def coupon(k: int, eps: float, sample_budget: int):
     """Distinct-element counting from classical samples.
 
     Draws the whole budget uniformly from the hidden set and reports the
     small size iff at most k distinct elements were seen.  Never errs on
     the small hypothesis (one-sided).
     """
-    return _trial(_coupon(k, eps, sample_budget), rng_seed, true_size, repetitions)
-
-
-def _coupon(k: int, eps: float, sample_budget: int):
     if sample_budget < 0:
         raise ValueError("sample budget must be nonnegative")
 
@@ -149,24 +129,13 @@ def _coupon(k: int, eps: float, sample_budget: int):
     return k, _k_prime(k, eps), single
 
 
-def collision_test(
-    k: int,
-    eps: float,
-    sample_count: int,
-    rng_seed,
-    true_size: int | None = None,
-    repetitions: int = 1,
-) -> TrialOutcome:
+def collision(k: int, eps: float, sample_count: int):
     """Equal-pair counting from classical samples.
 
     Counts coinciding pairs among the samples; the expected count is
     binom(count, 2)/|x|, so the decision threshold sits midway between
     the two hypothesis expectations: more collisions means the small set.
     """
-    return _trial(_collision(k, eps, sample_count), rng_seed, true_size, repetitions)
-
-
-def _collision(k: int, eps: float, sample_count: int):
     if sample_count < 2:
         raise ValueError("need at least two samples")
     k_prime = _k_prime(k, eps)
@@ -182,24 +151,12 @@ def _collision(k: int, eps: float, sample_count: int):
     return k, k_prime, single
 
 
-def overlap_test(
-    n: int,
-    k: int,
-    eps: float,
-    copy_count: int,
-    rng_seed,
-    true_size: int | None = None,
-    repetitions: int = 1,
-) -> TrialOutcome:
+def overlap(n: int, k: int, eps: float, copy_count: int):
     """Measure copies against the uniform superposition over the ground set.
 
     Each consumed copy succeeds independently with probability |x|/n;
     the success fraction is thresholded midway between k/n and k'/n.
     """
-    return _trial(_overlap(n, k, eps, copy_count), rng_seed, true_size, repetitions)
-
-
-def _overlap(n: int, k: int, eps: float, copy_count: int):
     if copy_count < 1:
         raise ValueError("need at least one copy")
     k_prime = _k_prime(k, eps)
@@ -331,25 +288,13 @@ def _estimate_and_decide(
 # ---------------------------------------------------------------------------
 
 
-def quantum_counting(
-    n: int,
-    k: int,
-    eps: float,
-    rng_seed,
-    true_size: int | None = None,
-    oracle: str = "reflections",
-    repetitions: int = 1,
-) -> TrialOutcome:
+def qcount(n: int, k: int, eps: float, oracle: str = "reflections"):
     """Amplitude estimation of |x|/n on the smallest grid separating the hypotheses.
 
     The counted resource is one controlled rotation per grid step; the
     caller selects whether the rotation is implemented from the
     reflecting oracle or from membership queries.
     """
-    return _trial(_qcount(n, k, eps, oracle), rng_seed, true_size, repetitions)
-
-
-def _qcount(n: int, k: int, eps: float, oracle: str = "reflections"):
     if oracle not in ("reflections", "membership"):
         raise ValueError("oracle must be 'reflections' or 'membership'")
     k_prime = _k_prime(k, eps)
@@ -365,26 +310,13 @@ def _qcount(n: int, k: int, eps: float, oracle: str = "reflections"):
     return k, k_prime, single
 
 
-def known_subset_counting(
-    n: int,
-    k: int,
-    eps: float,
-    ell: int,
-    rng_seed,
-    true_size: int | None = None,
-    oracle: str = "reflections",
-    repetitions: int = 1,
-) -> TrialOutcome:
+def subset(n: int, k: int, eps: float, ell: int, oracle: str = "reflections"):
     """Amplitude estimation of ell/|x| when ell distinct elements are given.
 
     Consumes no copies; tallies the grid rotations on the selected oracle
     (two state-generation calls implement one reflection).  ell beyond
     k/2 lies outside the regime the analysis covers but is still simulated.
     """
-    return _trial(_subset(n, k, eps, ell, oracle), rng_seed, true_size, repetitions)
-
-
-def _subset(n: int, k: int, eps: float, ell: int, oracle: str = "reflections"):
     if not 1 <= ell <= k:
         raise ValueError(f"need 1 <= ell <= k, got ell={ell}")
     if oracle not in ("reflections", "state_generation"):
@@ -426,24 +358,13 @@ def _collect_distinct(
     return len(seen), budget
 
 
-def sample_then_count(
-    n: int,
-    k: int,
-    eps: float,
-    rng_seed,
-    true_size: int | None = None,
-    repetitions: int = 1,
-) -> TrialOutcome:
+def sample_count(n: int, k: int, eps: float):
     """Obtain ceil(k^(1/3) / (2 eps^(2/3))) samples, then count against them.
 
     Every sample costs one state-generation call (duplicates are
     discarded; the resampling budget is 10x the target, exhaustion fails
     the trial), and each estimation rotation costs two more.
     """
-    return _trial(_sample_count(n, k, eps), rng_seed, true_size, repetitions)
-
-
-def _sample_count(n: int, k: int, eps: float):
     k_prime = _k_prime(k, eps)
     if k_prime >= n:
         raise ValueError("need k' < n")
@@ -465,15 +386,7 @@ def _sample_count(n: int, k: int, eps: float):
     return k, k_prime, single
 
 
-def bootstrap_reflection_counting(
-    n: int,
-    k: int,
-    eps: float,
-    rng_seed,
-    true_size: int | None = None,
-    retries: int = 3,
-    repetitions: int = 1,
-) -> TrialOutcome:
+def bootstrap(n: int, k: int, eps: float, retries: int = 3):
     """Grow a known subset by reflection-driven search, then count against it.
 
     One element of the hidden set comes free.  Each growth stage rotates
@@ -485,10 +398,6 @@ def bootstrap_reflection_counting(
     Failed stages retry up to ``retries`` extra times.  The grown subset
     of size ceil(1/eps) then feeds the known-subset counter.
     """
-    return _trial(_bootstrap(n, k, eps, retries), rng_seed, true_size, repetitions)
-
-
-def _bootstrap(n: int, k: int, eps: float, retries: int = 3):
     if retries < 0:
         raise ValueError("retries must be nonnegative")
     k_prime = _k_prime(k, eps)
@@ -524,14 +433,14 @@ def _bootstrap(n: int, k: int, eps: float, retries: int = 3):
 # Batch driver.
 # ---------------------------------------------------------------------------
 
-_SETUPS = {
-    "coupon": _coupon,
-    "collision": _collision,
-    "overlap": _overlap,
-    "qcount": _qcount,
-    "subset": _subset,
-    "sample-count": _sample_count,
-    "bootstrap": _bootstrap,
+PROCEDURES = {
+    "coupon": coupon,
+    "collision": collision,
+    "overlap": overlap,
+    "qcount": qcount,
+    "subset": subset,
+    "sample-count": sample_count,
+    "bootstrap": bootstrap,
 }
 
 
@@ -630,10 +539,10 @@ def run_batch(procedure: str, params: dict, trials: int, seed: int) -> list[Tria
     if trials < 1:
         raise ValueError("need at least one trial")
     try:
-        set_up = _SETUPS[procedure]
+        set_up = PROCEDURES[procedure]
     except KeyError:
         raise ValueError(
-            f"unknown procedure {procedure!r}; known: {PROCEDURES}"
+            f"unknown procedure {procedure!r}; known: {tuple(PROCEDURES)}"
         ) from None
     params = dict(params)
     true_size = params.pop("true_size", None)
@@ -643,7 +552,7 @@ def run_batch(procedure: str, params: dict, trials: int, seed: int) -> list[Tria
     outcomes = []
     for state in _child_states(seed, trials):
         rng.bit_generator.state = state
-        outcomes.append(_trial(setup, rng, true_size, repetitions))
+        outcomes.append(trial(setup, rng, true_size, repetitions))
     return outcomes
 
 

@@ -6,6 +6,8 @@ is gated against this loop bit for bit.
 
 The channel checks build every Xi channel at full size, the definition
 the block-coordinate channel pass of ``bruteforce`` is gated against.
+``build_projection_pair`` gives the dense Pi_0 and Pi_1 that the Xi
+builder applies as a block mean and its remainder.
 The rank-one lifts expand each entry of a matrix by the n-by-n block
 psi psi^T of one side's superposition vector.  The package never forms
 them: DELTA_REFL takes its norm from the factored product of the
@@ -52,6 +54,14 @@ def row_psi_psi_star(m, basis_x: johnson.SubsetBasis) -> np.ndarray:
 def col_psi_psi_star(m, basis_y: johnson.SubsetBasis) -> np.ndarray:
     """Block (x, y) of the result is m[x, y] psi_y psi_y^T."""
     return _rank_one_lift(m, basis_y, rows_side=False)
+
+
+def build_projection_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Pi_0, Pi_1): the uniform-direction projector on R^n and its complement."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    pi0 = np.full((n, n), 1.0 / n)
+    return pi0, np.eye(n) - pi0
 
 
 def unit_norm_error(table) -> float:

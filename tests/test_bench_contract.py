@@ -4,8 +4,11 @@ The bench tracer wraps package functions by name, and the verify-sweep
 gate compares each row's closed form with ``bench/verify_expected.csv``.
 These tests read both from bench/ without changing them, so a package
 change that breaks either fails here and not only in a benchmark run.
+The traced names are also the only code in src/ that nothing else in
+src/ may leave unreferenced.
 """
 
+import ast
 import importlib
 import sys
 from pathlib import Path
@@ -16,6 +19,7 @@ from countbench import bruteforce, cli
 from countbench.adversary import ProblemInstance
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "countbench"
 sys.path.insert(0, str(BENCH))
 
 import tracing  # noqa: E402
@@ -25,6 +29,46 @@ import workloads  # noqa: E402
 @pytest.mark.parametrize("module, attr", [(m, a) for m, a, _ in tracing.TRACED])
 def test_tracer_targets_exist(module, attr):
     assert callable(getattr(importlib.import_module(f"countbench.{module}"), attr))
+
+
+def _definitions_and_uses():
+    """Top-level (module, name) definitions of src/, and the (module, owner, name) uses.
+
+    A use is a name, attribute or import in code (docstrings do not count);
+    its owner is the top-level definition it sits in, or None at module level.
+    """
+    defined, uses = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            owner = getattr(node, "name", None)
+            if owner is not None:
+                defined.add((path.stem, owner))
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    uses.add((path.stem, owner, sub.id))
+                elif isinstance(sub, ast.Attribute):
+                    uses.add((path.stem, owner, sub.attr))
+                elif isinstance(sub, ast.alias):
+                    uses.add((path.stem, owner, sub.name))
+    return defined, uses
+
+
+def test_src_holds_no_code_only_tests_call():
+    # The tracer wraps its targets by name, so a traced function stays in
+    # src/ even when only the tests call it: bruteforce.build_xi, the
+    # full-size channel the block-coordinate pass is gated against, waits
+    # for a benchmark change that drops it from tracing.TRACED.
+    traced = {(module, attr) for module, attr, _ in tracing.TRACED}
+    defined, uses = _definitions_and_uses()
+    unused = sorted(
+        f"{module}.{name}"
+        for module, name in defined - traced
+        if not any(
+            used == name and (use_module, owner) != (module, name)
+            for use_module, owner, used in uses
+        )
+    )
+    assert unused == []
 
 
 # DELTA_GEN reports the closed form of the side with the larger of two

@@ -102,7 +102,7 @@ class TestLift:
 
 class TestProjectionPair:
     def test_uniform_projector(self):
-        pi0, pi1 = bruteforce.build_projection_pair(4)
+        pi0, pi1 = dense_reference.build_projection_pair(4)
         assert np.all(pi0 == 0.25)
         assert np.max(np.abs(pi0 @ pi1)) < 1e-12
         assert np.trace(pi1) == pytest.approx(3.0)
@@ -140,7 +140,8 @@ class TestXi:
 
     @pytest.mark.parametrize("hatted", [False, True])
     def test_raw_matches_isometry_product(self, hatted):
-        # _xi_raw forms V E_j entrywise; the GEMM against V gives the same matrix.
+        # _xi_raw forms V E_j entrywise and Pi_ell as a block mean; the GEMM
+        # against V and the dense Pi_ell on each length-n block give the same matrix.
         size = INST.k_prime if hatted else INST.k
         fam = johnson.irrep_projectors(INST.n, size)
         v_iso = dense_reference.isometry(INST, hatted)
@@ -148,10 +149,12 @@ class TestXi:
             for el, m in bruteforce.XI_CHANNELS:
                 if bruteforce._xi_is_declared_zero(j, el, m, size):
                     continue
-                pi = bruteforce.build_projection_pair(INST.n)[el]
-                want = bruteforce._kron_apply(
-                    fam.projectors[j + m], v_iso @ fam.projectors[j], INST.n, pi
+                pi = dense_reference.build_projection_pair(INST.n)[el]
+                moved = bruteforce._kron_apply(
+                    fam.projectors[j + m], v_iso @ fam.projectors[j], INST.n
                 )
+                cols = moved.shape[1]
+                want = np.matmul(pi, moved.reshape(-1, INST.n, cols)).reshape(-1, cols)
                 got = bruteforce._xi_raw(INST, j, el, m, hatted)
                 assert np.max(np.abs(got - want)) <= 1e-15
 
@@ -305,13 +308,11 @@ class TestKronApply:
         n = 6
         rng = np.random.default_rng(seed)
         block_op = rng.standard_normal(shape)
-        ground_op = rng.standard_normal((n, n))
         m = rng.standard_normal((shape[1] * n, 7))
-        for ground, dense in ((ground_op, ground_op), (None, np.eye(n))):
-            got = bruteforce._kron_apply(block_op, m, n, ground)
-            want = np.kron(block_op, dense) @ m
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) < 1e-12
+        got = bruteforce._kron_apply(block_op, m, n)
+        want = np.kron(block_op, np.eye(n)) @ m
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 class TestVerify:

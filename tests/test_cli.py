@@ -105,8 +105,9 @@ class TestVerifyCommand:
             ["--instance", "6,1,2", "--t", "1", "--t", "1"],
             ["--instance", "6,1,2", "--instance", "6, 1, 2", "--t", "1"],
             ["--instance", "6,1,2", "--instance", "6,1,2", "--t", "1", "--t", "1.0"],
+            ["--instance", "6,1,2", "--t", "1", "--checks", *bruteforce.CHECK_IDS, "NORM_GAMMA"],
         ],
-        ids=["t", "instance", "both"],
+        ids=["t", "instance", "both", "checks"],
     )
     def test_repeated_values_give_each_row_once(self, tmp_path, argv):
         out = tmp_path / "r"
@@ -416,6 +417,7 @@ class TestSimulateCommand:
     def test_every_procedure_runs_with_the_flags_it_reads(self, tmp_path):
         values = {"n": "4096", "budget": "300", "samples": "90", "copies": "500",
                   "ell": "16", "oracle": "reflections", "retries": "2"}
+        assert list(cli.SIMULATE_FLAGS) == list(simulate.PROCEDURES)
         for proc, flags in cli.SIMULATE_FLAGS.items():
             argv = ["simulate", proc, "--k", "64", "--eps", "0.5", "--trials", "3",
                     "--out", str(tmp_path)]
@@ -527,6 +529,12 @@ class TestKnobInventory:
             for name, sub in subparsers.choices.items()
         }
         assert found == EXPECTED_OPTIONS
+
+    def test_cached_parser_keeps_no_values_between_calls(self):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        assert parser.parse_args(["verify", "--t", "2"]).t == [2.0]
+        assert parser.parse_args(["verify"]).t is None
 
     @pytest.mark.parametrize(
         "argv",

@@ -23,11 +23,11 @@ def loglog_slope(xs, ys):
 class TestCoupon:
     def test_one_sided_on_small_sets(self):
         for seed in range(200):
-            out = simulate.coupon_test(16, 1.0, 200, seed, true_size=16)
+            out = simulate.trial(simulate.coupon(16, 1.0, 200), seed, true_size=16)
             assert out.decision == DECIDE_SMALL and out.correct
 
     def test_zero_budget_decides_small(self):
-        out = simulate.coupon_test(8, 1.0, 0, 3, true_size=16)
+        out = simulate.trial(simulate.coupon(8, 1.0, 0), 3, true_size=16)
         assert out.decision == DECIDE_SMALL and not out.correct
         assert out.tally.copies == 0
 
@@ -36,29 +36,30 @@ class TestCoupon:
         k_prime = 64
         budget = math.ceil(k_prime * sum(1.0 / i for i in range(1, k_prime + 1)))
         outs = [
-            simulate.coupon_test(k, eps, budget, (101, i), true_size=k_prime)
+            simulate.trial(simulate.coupon(k, eps, budget), (101, i), true_size=k_prime)
             for i in range(10_000)
         ]
         rate = sum(o.correct for o in outs) / len(outs)
         assert rate >= 0.99
 
     def test_copies_tally(self):
-        out = simulate.coupon_test(8, 1.0, 37, 5)
+        out = simulate.trial(simulate.coupon(8, 1.0, 37), 5)
         assert out.tally.copies == 37 and out.tally.membership == 0
 
 
 class TestCollision:
     def test_degenerate_singleton_always_small(self):
-        out = simulate.collision_test(1, 1.0, 8, 2, true_size=1)
+        out = simulate.trial(simulate.collision(1, 1.0, 8), 2, true_size=1)
         assert out.statistic == 8 * 7 / 2.0
         assert out.decision == DECIDE_SMALL
 
     def test_success_both_hypotheses(self):
         k, eps = 256, 0.5
         samples = int(8 * math.sqrt(k) / eps)
+        setup = simulate.collision(k, eps, samples)
         for true_size in (256, 384):
             outs = [
-                simulate.collision_test(k, eps, samples, (7, true_size, i), true_size=true_size)
+                simulate.trial(setup, (7, true_size, i), true_size=true_size)
                 for i in range(10_000)
             ]
             assert success_floor(outs)
@@ -66,7 +67,7 @@ class TestCollision:
     def test_mean_pair_count_matches_expectation(self):
         k, eps, samples, size = 256, 0.5, 256, 256
         outs = [
-            simulate.collision_test(k, eps, samples, (13, i), true_size=size)
+            simulate.trial(simulate.collision(k, eps, samples), (13, i), true_size=size)
             for i in range(10_000)
         ]
         mean_pairs = float(np.mean([o.statistic for o in outs]))
@@ -75,35 +76,36 @@ class TestCollision:
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
-            simulate.collision_test(8, 1.0, 1, 0)
+            simulate.trial(simulate.collision(8, 1.0, 1), 0)
 
 
 class TestOverlap:
     def test_whole_ground_set_always_succeeds(self):
         # |x| = n makes every measurement land on the uniform direction.
         for seed in range(50):
-            out = simulate.overlap_test(64, 32, 1.0, 16, seed, true_size=64)
+            out = simulate.trial(simulate.overlap(64, 32, 1.0, 16), seed, true_size=64)
             assert out.statistic == 1.0 and out.decision == DECIDE_LARGE
 
     def test_success_at_reference_point(self):
         n, k, eps = 1024, 64, 1.0
         copies = int(64 * n / (k * eps * eps))
+        setup = simulate.overlap(n, k, eps, copies)
         for true_size in (64, 128):
             outs = [
-                simulate.overlap_test(n, k, eps, copies, (3, true_size, i), true_size=true_size)
+                simulate.trial(setup, (3, true_size, i), true_size=true_size)
                 for i in range(5_000)
             ]
             assert success_floor(outs)
 
     def test_single_copy_uninformative_floor(self):
         outs = [
-            simulate.overlap_test(1000, 500, 0.002, 1, (23, i)) for i in range(4_000)
+            simulate.trial(simulate.overlap(1000, 500, 0.002, 1), (23, i)) for i in range(4_000)
         ]
         rate = sum(o.correct for o in outs) / len(outs)
         assert 0.45 <= rate <= 0.56
 
     def test_tally(self):
-        out = simulate.overlap_test(64, 8, 1.0, 12, 4)
+        out = simulate.trial(simulate.overlap(64, 8, 1.0, 12), 4)
         assert out.tally.copies == 12
 
 
@@ -141,14 +143,12 @@ class TestGrowthStage:
         n, k, eps, target = 4096, 64, 0.125, 8
         grown = 0
         for seed in range(20):
-            out = simulate.bootstrap_reflection_counting(
-                n, k, eps, seed, true_size=k, retries=0
-            )
+            out = simulate.trial(simulate.bootstrap(n, k, eps, retries=0), seed, true_size=k)
             if out.failed:
                 continue
             grown += 1
             growth = sum(simulate.growth_stage(s, k)[0] for s in range(1, target))
-            peer = simulate.known_subset_counting(n, k, eps, target, 0, true_size=k)
+            peer = simulate.trial(simulate.subset(n, k, eps, target), 0, true_size=k)
             assert out.tally.reflections == growth + peer.tally.reflections
         assert grown > 0
 
@@ -209,24 +209,24 @@ class TestQuantumCounting:
             assert success_floor(outs)
 
     def test_reflection_budget(self):
-        out = simulate.quantum_counting(1024, 16, 1.0, 0)
+        out = simulate.trial(simulate.qcount(1024, 16, 1.0), 0)
         assert out.tally.reflections <= 20 * math.sqrt(1024 / 16)
         assert out.tally.membership == 0 and out.tally.copies == 0
 
     def test_membership_oracle_variant(self):
-        out = simulate.quantum_counting(1024, 16, 1.0, 0, oracle="membership")
+        out = simulate.trial(simulate.qcount(1024, 16, 1.0, oracle="membership"), 0)
         assert out.tally.membership > 0 and out.tally.reflections == 0
 
     def test_doubling_n_scales_by_sqrt2(self):
         tallies = [
-            simulate.quantum_counting(n, 16, 1.0, 1).tally.reflections
+            simulate.trial(simulate.qcount(n, 16, 1.0), 1).tally.reflections
             for n in (1024, 2048, 4096, 8192)
         ]
         for a, b in zip(tallies, tallies[1:]):
             assert math.sqrt(2.0) * 0.75 <= b / a <= math.sqrt(2.0) * 1.25
 
     def test_huge_gap_needs_minimal_grid(self):
-        out = simulate.quantum_counting(16, 1, 7.0, 2)
+        out = simulate.trial(simulate.qcount(16, 1, 7.0), 2)
         assert out.tally.reflections <= 15
 
 
@@ -242,34 +242,32 @@ class TestKnownSubsetCounting:
             assert success_floor(outs)
 
     def test_reflection_budget_and_free_elements(self):
-        out = simulate.known_subset_counting(4096, 64, 0.5, 16, 0)
+        out = simulate.trial(simulate.subset(4096, 64, 0.5, 16), 0)
         assert out.tally.reflections <= 20 * (1.0 / 0.5) * math.sqrt(64 / 16)
         assert out.tally.copies == 0
 
     def test_state_generation_variant_doubles(self):
-        refl = simulate.known_subset_counting(4096, 64, 0.5, 16, 0)
-        gen = simulate.known_subset_counting(
-            4096, 64, 0.5, 16, 0, oracle="state_generation"
-        )
+        refl = simulate.trial(simulate.subset(4096, 64, 0.5, 16), 0)
+        gen = simulate.trial(simulate.subset(4096, 64, 0.5, 16, oracle="state_generation"), 0)
         assert gen.tally.state_generation == 2 * refl.tally.reflections
 
     def test_full_subset_is_out_of_regime_but_runs(self):
         outs = [
-            simulate.known_subset_counting(32, 4, 0.5, 4, (1, i)) for i in range(800)
+            simulate.trial(simulate.subset(32, 4, 0.5, 4), (1, i)) for i in range(800)
         ]
         assert success_floor(outs)
 
     def test_ell_validation(self):
         with pytest.raises(ValueError):
-            simulate.known_subset_counting(4096, 64, 0.5, 0, 0)
+            simulate.trial(simulate.subset(4096, 64, 0.5, 0), 0)
         with pytest.raises(ValueError):
-            simulate.known_subset_counting(4096, 64, 0.5, 65, 0)
+            simulate.trial(simulate.subset(4096, 64, 0.5, 65), 0)
 
 
 class TestSampleThenCount:
     def test_minimal_sample_stage(self):
         # eps = 1, k = 8: a single sample suffices before estimating.
-        out = simulate.sample_then_count(64, 8, 1.0, 0)
+        out = simulate.trial(simulate.sample_count(64, 8, 1.0), 0)
         assert out.tally.membership == 0 and out.tally.copies == 0
         assert out.tally.state_generation >= 1
 
@@ -300,13 +298,13 @@ class TestSampleThenCount:
 
     def test_regime_validation(self):
         with pytest.raises(ValueError):
-            simulate.sample_then_count(64, 3, 0.5, 0)  # ell = 2 exceeds k/2
+            simulate.trial(simulate.sample_count(64, 3, 0.5), 0)  # ell = 2 exceeds k/2
 
 
 class TestBootstrapCounting:
     def test_eps_one_skips_growth(self):
-        out = simulate.bootstrap_reflection_counting(1024, 64, 1.0, 0, true_size=64)
-        peer = simulate.known_subset_counting(1024, 64, 1.0, 1, 0, true_size=64)
+        out = simulate.trial(simulate.bootstrap(1024, 64, 1.0), 0, true_size=64)
+        peer = simulate.trial(simulate.subset(1024, 64, 1.0, 1), 0, true_size=64)
         assert out.tally.reflections == peer.tally.reflections
 
     def test_success_at_reference_point(self):
@@ -324,7 +322,7 @@ class TestBootstrapCounting:
 
     def test_growth_target_validation(self):
         with pytest.raises(ValueError):
-            simulate.bootstrap_reflection_counting(4096, 4, 0.125, 0)  # 8 > k/2
+            simulate.trial(simulate.bootstrap(4096, 4, 0.125), 0)  # 8 > k/2
 
 
 class TestDeterminismAndScaling:
@@ -338,14 +336,14 @@ class TestDeterminismAndScaling:
     def test_qcount_slope(self):
         ns = [1024, 2048, 4096, 8192]
         tallies = [
-            simulate.quantum_counting(n, 16, 1.0, 1).tally.reflections for n in ns
+            simulate.trial(simulate.qcount(n, 16, 1.0), 1).tally.reflections for n in ns
         ]
         assert abs(loglog_slope(ns, tallies) - 0.5) <= 0.08
 
     def test_subset_slope(self):
         ells = [4, 8, 16, 32]
         tallies = [
-            simulate.known_subset_counting(8192, 1024, 0.5, ell, 1).tally.reflections
+            simulate.trial(simulate.subset(8192, 1024, 0.5, ell), 1).tally.reflections
             for ell in ells
         ]
         assert abs(loglog_slope(ells, tallies) + 0.5) <= 0.08
@@ -390,13 +388,13 @@ class TestRepetitionsAndDispatch:
         assert voted[0].tally.reflections == 5 * single[0].tally.reflections
 
     def test_classical_samplers_accept_repetitions(self):
-        out = simulate.overlap_test(
-            1024, 64, 1.0, 256, 41, true_size=128, repetitions=3
+        out = simulate.trial(
+            simulate.overlap(1024, 64, 1.0, 256), 41, true_size=128, repetitions=3
         )
         assert out.tally.copies == 3 * 256
-        out = simulate.collision_test(64, 1.0, 64, 41, repetitions=3)
+        out = simulate.trial(simulate.collision(64, 1.0, 64), 41, repetitions=3)
         assert out.tally.copies == 3 * 64
-        out = simulate.coupon_test(16, 1.0, 50, 41, repetitions=3)
+        out = simulate.trial(simulate.coupon(16, 1.0, 50), 41, repetitions=3)
         assert out.tally.copies == 3 * 50
 
     def test_unknown_procedure(self):
@@ -437,13 +435,13 @@ class TestRepetitionsAndDispatch:
 
 # One call per procedure at a valid point, with eps left free.
 PROCEDURE_AT = {
-    "coupon": lambda eps: simulate.coupon_test(4, eps, 20, 1),
-    "collision": lambda eps: simulate.collision_test(4, eps, 8, 1),
-    "overlap": lambda eps: simulate.overlap_test(64, 4, eps, 8, 1),
-    "qcount": lambda eps: simulate.quantum_counting(64, 4, eps, 1),
-    "subset": lambda eps: simulate.known_subset_counting(64, 4, eps, 1, 1),
-    "sample-count": lambda eps: simulate.sample_then_count(64, 8, eps, 1),
-    "bootstrap": lambda eps: simulate.bootstrap_reflection_counting(64, 8, eps, 1),
+    "coupon": lambda eps: simulate.trial(simulate.coupon(4, eps, 20), 1),
+    "collision": lambda eps: simulate.trial(simulate.collision(4, eps, 8), 1),
+    "overlap": lambda eps: simulate.trial(simulate.overlap(64, 4, eps, 8), 1),
+    "qcount": lambda eps: simulate.trial(simulate.qcount(64, 4, eps), 1),
+    "subset": lambda eps: simulate.trial(simulate.subset(64, 4, eps, 1), 1),
+    "sample-count": lambda eps: simulate.trial(simulate.sample_count(64, 8, eps), 1),
+    "bootstrap": lambda eps: simulate.trial(simulate.bootstrap(64, 8, eps), 1),
 }
 
 
@@ -514,7 +512,7 @@ class TestStreamIdenticalFastPaths:
         params = dict(n=4096, k=64, eps=0.125, retries=1)
         batch = simulate.run_batch("bootstrap", params, 40, 5)
         singles = [
-            simulate.bootstrap_reflection_counting(rng_seed=(5, i), **params) for i in range(40)
+            simulate.trial(simulate.bootstrap(**params), (5, i)) for i in range(40)
         ]
         assert repr(batch) == repr(singles)
 
