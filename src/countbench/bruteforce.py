@@ -116,7 +116,7 @@ def psi_matrix(n: int, k: int) -> np.ndarray:
 
     Read-only: row x holds the bits of subset x's mask, divided by sqrt(k).
     """
-    masks = johnson.subset_basis(n, k).masks
+    masks = johnson.subset_basis(n, k)
     out = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
     if k:
         out /= math.sqrt(k)
@@ -126,8 +126,8 @@ def psi_matrix(n: int, k: int) -> np.ndarray:
 @lru_cache(maxsize=8)
 def psi_gram(inst: ProblemInstance) -> np.ndarray:
     """Overlap matrix, read-only: entry (x, y) is |x & y| / sqrt(k k')."""
-    xm = johnson.subset_basis(inst.n, inst.k).masks
-    ym = johnson.subset_basis(inst.n, inst.k_prime).masks
+    xm = johnson.subset_basis(inst.n, inst.k)
+    ym = johnson.subset_basis(inst.n, inst.k_prime)
     overlap = np.bitwise_count(xm[:, None] & ym[None, :])
     return linalg.freeze(overlap / math.sqrt(inst.k * inst.k_prime))
 
@@ -137,31 +137,27 @@ def delta_membership_mask(inst: ProblemInstance, i: int) -> np.ndarray:
     if not (1 <= i <= inst.n):
         raise ValueError(f"element must lie in [{inst.n}], got {i}")
     bit = 1 << (i - 1)
-    in_x = (johnson.subset_basis(inst.n, inst.k).masks & bit) != 0
-    in_y = (johnson.subset_basis(inst.n, inst.k_prime).masks & bit) != 0
+    in_x = (johnson.subset_basis(inst.n, inst.k) & bit) != 0
+    in_y = (johnson.subset_basis(inst.n, inst.k_prime) & bit) != 0
     return (in_x[:, None] ^ in_y[None, :]).astype(float)
 
 
-def lift(m, kind: LiftKind, side_basis: johnson.SubsetBasis) -> np.ndarray:
+def lift(m, kind: LiftKind, psi: np.ndarray) -> np.ndarray:
     """Expand each entry of ``m`` by the superposition vector of one side.
 
-    ``side_basis`` indexes the side named by ``kind``: rows of ``m`` for
-    ROW kinds, columns for COL kinds.  Lifted indices are label-major,
-    i.e. row (x, i) and column (y, i) blocks of length n.
+    ``psi`` is the ``psi_matrix`` of the side named by ``kind``: rows of
+    ``m`` for ROW kinds, columns for COL kinds.  Its shape gives that
+    side's subset count and n.  Lifted indices are label-major, i.e. row
+    (x, i) and column (y, i) blocks of length n.
     """
     m = linalg.as_matrix(m)
-    n = side_basis.n
-    psi = psi_matrix(side_basis.n, side_basis.k)
+    size, n = psi.shape
     rows, cols = m.shape
     if kind in (LiftKind.ROW_PSI, LiftKind.ROW_PSI_STAR):
-        if rows != len(side_basis):
-            raise ValueError(
-                f"row count {rows} does not match basis size {len(side_basis)}"
-            )
-    elif cols != len(side_basis):
-        raise ValueError(
-            f"column count {cols} does not match basis size {len(side_basis)}"
-        )
+        if rows != size:
+            raise ValueError(f"row count {rows} does not match {size} subsets")
+    elif cols != size:
+        raise ValueError(f"column count {cols} does not match {size} subsets")
     if kind is LiftKind.ROW_PSI:
         return _v_apply(psi, m)
     if kind is LiftKind.ROW_PSI_STAR:
@@ -300,14 +296,13 @@ def _check_delta_gen(inst: ProblemInstance, t: float, ell: int):
     sched = adversary.gamma_schedule(t, inst.k)
     closed = adversary.norm_delta_state_gen(sched, inst)
     gamma = adversary.adversary_matrix(inst, t)
-    basis_x = johnson.subset_basis(inst.n, inst.k)
-    basis_y = johnson.subset_basis(inst.n, inst.k_prime)
+    psi, psi_hat = psi_matrix(inst.n, inst.k), psi_matrix(inst.n, inst.k_prime)
     brute_fwd = linalg.spectral_norm(
-        lift(gamma, LiftKind.ROW_PSI, basis_x) - lift(gamma, LiftKind.COL_PSI, basis_y)
+        lift(gamma, LiftKind.ROW_PSI, psi) - lift(gamma, LiftKind.COL_PSI, psi_hat)
     )
     brute_rev = linalg.spectral_norm(
-        lift(gamma, LiftKind.ROW_PSI_STAR, basis_x)
-        - lift(gamma, LiftKind.COL_PSI_STAR, basis_y)
+        lift(gamma, LiftKind.ROW_PSI_STAR, psi)
+        - lift(gamma, LiftKind.COL_PSI_STAR, psi_hat)
     )
     gaps = (abs(brute_fwd - closed[0]), abs(brute_rev - closed[1]))
     side = int(np.argmax(gaps))
@@ -344,8 +339,8 @@ def _reflection_lift_norm(inst: ProblemInstance, gamma: np.ndarray) -> float:
     that of the small product [[r_A^T, A V-hat + V^T B], [0, r_B]].
     """
     psi, psi_hat = psi_matrix(inst.n, inst.k), psi_matrix(inst.n, inst.k_prime)
-    b = -lift(gamma, LiftKind.COL_PSI, johnson.subset_basis(inst.n, inst.k_prime))
-    a_t = lift(gamma, LiftKind.ROW_PSI_STAR, johnson.subset_basis(inst.n, inst.k)).T
+    b = -lift(gamma, LiftKind.COL_PSI, psi_hat)
+    a_t = lift(gamma, LiftKind.ROW_PSI_STAR, psi).T
     v_b = _v_adjoint_apply(psi, b)
     v_hat_a_t = _v_adjoint_apply(psi_hat, a_t)
     r_b = np.linalg.qr(b - _v_apply(psi, v_b), mode="r")

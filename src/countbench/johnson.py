@@ -6,7 +6,7 @@ permutation action and, for n >= 2k, splits into k+1 irreducible blocks
 other level j <= k <= n-k.  This module builds that machinery
 explicitly:
 
-* ordered subset bases with O(1) rank lookup,
+* subset bit masks in lexicographic order,
 * set-inclusion operators between levels,
 * the orthogonal projectors E_0..E_k onto the irreducible blocks,
 * the norm-one transporters Phi_j between the j-th blocks of two
@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -37,51 +37,21 @@ MAX_GROUND_SET = 20
 DEGENERATE_SCALE = 1e-8
 
 
-class SubsetBasis:
-    """All k-subsets of {1..n} in lexicographic order, with rank lookup."""
-
-    __slots__ = ("n", "k", "order", "masks", "_index")
-
-    def __init__(self, n: int, k: int):
-        if not (0 <= k <= n):
-            raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-        if n > MAX_GROUND_SET:
-            raise ValueError(f"ground set size {n} exceeds cap {MAX_GROUND_SET}")
-        self.n = n
-        self.k = k
-        self.order = tuple(itertools.combinations(range(1, n + 1), k))
-        self._index = {s: i for i, s in enumerate(self.order)}
-        self.masks = linalg.freeze(
-            np.array([_mask(s) for s in self.order], dtype=np.int64)
-        )
-
-    def index_of(self, subset) -> int:
-        key = tuple(sorted(subset))
-        try:
-            return self._index[key]
-        except KeyError:
-            raise ValueError(f"{key} is not a {self.k}-subset of [{self.n}]") from None
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-    def __iter__(self):
-        return iter(self.order)
-
-    def __repr__(self) -> str:
-        return f"SubsetBasis(n={self.n}, k={self.k}, size={len(self.order)})"
-
-
-def _mask(subset) -> int:
-    m = 0
-    for e in subset:
-        m |= 1 << (e - 1)
-    return m
-
-
 @lru_cache(maxsize=None)
-def subset_basis(n: int, k: int) -> SubsetBasis:
-    return SubsetBasis(n, k)
+def subset_basis(n: int, k: int) -> np.ndarray:
+    """Bit masks of the k-subsets of {1..n} in lexicographic order, read-only.
+
+    Bit e-1 of a mask is set iff element e is in the subset.
+    """
+    if not (0 <= k <= n):
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    if n > MAX_GROUND_SET:
+        raise ValueError(f"ground set size {n} exceeds cap {MAX_GROUND_SET}")
+    masks = [
+        sum(1 << (e - 1) for e in subset)
+        for subset in itertools.combinations(range(1, n + 1), k)
+    ]
+    return linalg.freeze(np.array(masks, dtype=np.int64))
 
 
 @lru_cache(maxsize=None)
@@ -89,8 +59,8 @@ def inclusion_matrix(n: int, k: int, j: int) -> np.ndarray:
     """0/1 matrix W with W[x, s] = 1 iff the j-subset s is contained in x."""
     if not (0 <= j <= k <= n):
         raise ValueError(f"need 0 <= j <= k <= n, got n={n}, k={k}, j={j}")
-    rows = subset_basis(n, k).masks
-    cols = subset_basis(n, j).masks
+    rows = subset_basis(n, k)
+    cols = subset_basis(n, j)
     w = (rows[:, None] & cols[None, :]) == cols[None, :]
     return linalg.freeze(w.astype(float))
 
@@ -136,12 +106,8 @@ def irrep_projectors(n: int, k: int) -> ProjectorFamily:
 class Transporter:
     """Norm-one morphism from the j-th block of level k' onto that of level k."""
 
-    n: int
-    k: int
-    k_prime: int
     j: int
     matrix: np.ndarray
-    scale: float  # singular value of the raw inclusion morphism
 
 
 @lru_cache(maxsize=None)
@@ -172,66 +138,48 @@ def transporter(n: int, k: int, k_prime: int, j: int) -> Transporter:
     v_hat = reference_vectors(n, k_prime, j).v
     if float(v @ phi @ v_hat) < 0.0:
         phi = -phi
-    return Transporter(n=n, k=k, k_prime=k_prime, j=j, matrix=linalg.freeze(phi), scale=scale)
+    return Transporter(j=j, matrix=linalg.freeze(phi))
 
 
 # ---------------------------------------------------------------------------
 # Reference vectors.
 #
-# Formal sums of subsets are dicts {frozenset: coefficient}.  The alternating
-# top pairs ({n}-{n-1}) box ({n-2}-{n-3}) box ... expand to 2^j signed
-# j-subsets; disjoint unions multiply coefficients.  Each vector below is the
-# indicated combinatorial sum normalised to unit length (a positive multiple,
-# so signs match the defining sums).
+# Each vector is a signed sum of k-subsets built by ``_signed_sum``: the
+# alternating top pairs ({n}-{n-1}) box ({n-2}-{n-3}) box ..., then fixed
+# elements, then all subsets of a given size of a free set, as a disjoint
+# union.  Its integer coefficients are read off each subset's bit mask;
+# terms add as integers and ``_unit`` normalises once, a positive multiple,
+# so signs match the defining sums.
 # ---------------------------------------------------------------------------
 
 
-def _fixed(*elements) -> dict:
-    return {frozenset(elements): 1.0}
+def _signed_sum(masks, pairs, fixed, free, size: int) -> np.ndarray:
+    """Coefficients of ({a1}-{b1}) box ... box {fixed} box (size-subsets of free).
+
+    The coefficient of subset x is [x within the support] [fixed within x]
+    [|x & free| = size] times bit_a(x) - bit_b(x) per pair (a, b), which is
+    0 when x holds both elements of the pair or neither.
+    """
+    pair_bits = [(1 << (a - 1), 1 << (b - 1)) for a, b in pairs]
+    fixed_bits = sum(1 << (e - 1) for e in fixed)
+    free_bits = sum(1 << (e - 1) for e in free)
+    support = 0
+    for part in [bit for pair in pair_bits for bit in pair] + [fixed_bits, free_bits]:
+        if support & part:
+            raise RuntimeError("disjoint-union factors overlap")
+        support |= part
+    coeff = (
+        ((masks & ~support) == 0)
+        & ((masks & fixed_bits) == fixed_bits)
+        & (np.bitwise_count(masks & free_bits) == size)
+    ).astype(np.int64)
+    for a, b in pair_bits:
+        coeff *= ((masks & a) != 0).astype(np.int64) - ((masks & b) != 0)
+    return coeff
 
 
-def _minus(a: int, b: int) -> dict:
-    return {frozenset({a}): 1.0, frozenset({b}): -1.0}
-
-
-def _subset_sum(universe, size: int) -> dict:
-    if size < 0:
-        return {}
-    return {frozenset(c): 1.0 for c in itertools.combinations(sorted(universe), size)}
-
-
-def _box(*factors) -> dict:
-    out = {frozenset(): 1.0}
-    for factor in factors:
-        nxt: dict = {}
-        for sa, ca in out.items():
-            for sb, cb in factor.items():
-                union = sa | sb
-                if len(union) != len(sa) + len(sb):
-                    raise RuntimeError("disjoint-union factors overlap")
-                nxt[union] = nxt.get(union, 0.0) + ca * cb
-        out = nxt
-    return out
-
-
-def _add(terms_list) -> dict:
-    out: dict = {}
-    for terms in terms_list:
-        for s, c in terms.items():
-            out[s] = out.get(s, 0.0) + c
-    return out
-
-
-def _alternating_pairs(n: int, j: int) -> dict:
-    pairs = [_minus(n - 2 * i + 2, n - 2 * i + 1) for i in range(1, j + 1)]
-    return _box(*pairs) if pairs else {frozenset(): 1.0}
-
-
-def _to_unit_vector(terms: dict, basis: SubsetBasis) -> np.ndarray:
-    vec = np.zeros(len(basis))
-    for s, c in terms.items():
-        if c != 0.0:
-            vec[basis.index_of(tuple(sorted(s)))] += c
+def _unit(coeff) -> np.ndarray:
+    vec = coeff.astype(float)
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise ArithmeticError("reference sum collapsed to the zero vector")
@@ -251,12 +199,6 @@ class ReferenceVectors:
     lives in block j+1.
     """
 
-    n: int
-    k: int
-    j: int
-    b: int
-    c: int
-    d: int
     v: np.ndarray
     v_tilde: np.ndarray | None
     w_out: np.ndarray | None
@@ -280,74 +222,51 @@ def _validate_reference_params(n: int, k: int, j: int) -> None:
 @lru_cache(maxsize=None)
 def reference_vectors(n: int, k: int, j: int) -> ReferenceVectors:
     _validate_reference_params(n, k, j)
-    basis = subset_basis(n, k)
-    unit = lambda terms: _to_unit_vector(terms, basis)
+    term = partial(_signed_sum, subset_basis(n, k))
 
-    top = _alternating_pairs(n, j)
+    top = [(n - 2 * i + 2, n - 2 * i + 1) for i in range(1, j + 1)]
     a0 = n - 2 * j  # elements 1..a0 are the unfixed ground set
     b, c, d = a0, a0 + 2, a0 + 1
+    ground = set(range(1, a0 + 1))
 
-    v = unit(_box(top, _subset_sum(range(1, a0 + 1), k - j)))
+    v = _unit(term(top, (), ground, k - j))
 
     v_tilde = w_out = w_in = None
     if j <= k - 1:
-        w_out = unit(_box(top, _subset_sum(range(1, a0), k - j)))
-        w_in = unit(_box(top, _fixed(b), _subset_sum(range(1, a0), k - j - 1)))
-        v_tilde = unit(
-            _box(
-                top,
-                _add(
-                    _box(_minus(a, b), _subset_sum(set(range(1, a0)) - {a}, k - j - 1))
-                    for a in range(1, a0)
-                ),
-            )
+        w_out = _unit(term(top, (), ground - {b}, k - j))
+        w_in = _unit(term(top, (b,), ground - {b}, k - j - 1))
+        v_tilde = _unit(
+            sum(term(top + [(a, b)], (), ground - {a, b}, k - j - 1) for a in ground - {b})
         )
 
     v_minus = v_zero = v_plus = w_empty = w_c = w_d = w_cd = None
     if j >= 1:
-        sub = _alternating_pairs(n, j - 1)
-        wide = range(1, a0 + 3)  # 1..n-2j+2, includes c and d
-        w_empty = unit(_box(sub, _subset_sum(range(1, a0 + 1), k - j + 1)))
-        w_c = unit(_box(sub, _fixed(c), _subset_sum(range(1, a0 + 1), k - j)))
-        w_d = unit(_box(sub, _fixed(d), _subset_sum(range(1, a0 + 1), k - j)))
-        v_minus = unit(_box(sub, _subset_sum(wide, k - j + 1)))
-        v_zero = unit(
-            _box(
-                sub,
-                _add(
-                    itertools.chain.from_iterable(
-                        (
-                            _box(_minus(a, c), _subset_sum(set(wide) - {a, c}, k - j)),
-                            _box(_minus(a, d), _subset_sum(set(wide) - {a, d}, k - j)),
-                        )
-                        for a in range(1, a0 + 1)
-                    )
-                ),
+        sub = top[:-1]
+        wide = ground | {c, d}
+        w_empty = _unit(term(sub, (), ground, k - j + 1))
+        w_c = _unit(term(sub, (c,), ground, k - j))
+        w_d = _unit(term(sub, (d,), ground, k - j))
+        v_minus = _unit(term(sub, (), wide, k - j + 1))
+        v_zero = _unit(
+            sum(
+                term(sub + [(a, e)], (), wide - {a, e}, k - j)
+                for a in ground
+                for e in (c, d)
             )
         )
         if j <= k - 1:
-            w_cd = unit(
-                _box(sub, _fixed(c, d), _subset_sum(range(1, a0 + 1), k - j - 1))
-            )
-            v_plus = unit(
-                _box(
-                    sub,
-                    _add(
-                        _box(
-                            _minus(a, c),
-                            _minus(a2, d),
-                            _subset_sum(set(range(1, a0 + 1)) - {a, a2}, k - j - 1),
-                        )
-                        for a in range(1, a0 + 1)
-                        for a2 in range(1, a0 + 1)
-                        if a != a2
-                    ),
+            w_cd = _unit(term(sub, (c, d), ground, k - j - 1))
+            v_plus = _unit(
+                sum(
+                    term(sub + [(a, c), (a2, d)], (), ground - {a, a2}, k - j - 1)
+                    for a in ground
+                    for a2 in ground
+                    if a != a2
                 )
             )
 
     return ReferenceVectors(
-        n=n, k=k, j=j, b=b, c=c, d=d, v=v,
-        v_tilde=v_tilde, w_out=w_out, w_in=w_in,
+        v=v, v_tilde=v_tilde, w_out=w_out, w_in=w_in,
         v_minus=v_minus, v_zero=v_zero, v_plus=v_plus,
         w_empty=w_empty, w_c=w_c, w_d=w_d, w_cd=w_cd,
     )

@@ -1,6 +1,8 @@
 """Dense references that only the tests use.
 
-``psi_matrix`` is the per-subset loop that defines the superposition
+``subsets`` enumerates the k-subsets of {1..n} in lexicographic order with
+``itertools``, independently of the package's bit masks, and ``index_of``
+ranks one of them.  ``psi_matrix`` is the per-subset loop that defines the superposition
 rows; ``bruteforce.psi_matrix`` reads them off the subset bit masks and
 is gated against this loop bit for bit.
 
@@ -16,6 +18,7 @@ form is gated against, with the same label-major block ordering as
 ``bruteforce.lift``.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -23,37 +26,46 @@ import numpy as np
 from countbench import adversary, bruteforce, johnson, linalg
 
 
+def subsets(n: int, k: int) -> list:
+    """The k-subsets of {1..n} as sorted tuples, in lexicographic order."""
+    return list(itertools.combinations(range(1, n + 1), k))
+
+
+def index_of(n: int, k: int, subset) -> int:
+    """Position of ``subset`` in ``subsets(n, k)``."""
+    return subsets(n, k).index(tuple(sorted(subset)))
+
+
 def psi_matrix(n: int, k: int) -> np.ndarray:
     """Rows are the uniform unit superpositions over each k-subset of {1..n}."""
-    basis = johnson.subset_basis(n, k)
-    out = np.zeros((len(basis), n))
+    level = subsets(n, k)
+    out = np.zeros((len(level), n))
     if k == 0:
         return out
-    for idx, subset in enumerate(basis):
+    for idx, subset in enumerate(level):
         for e in subset:
             out[idx, e - 1] = 1.0
     return out / math.sqrt(k)
 
 
-def _rank_one_lift(m, side_basis: johnson.SubsetBasis, rows_side: bool) -> np.ndarray:
+def _rank_one_lift(m, n: int, k: int, rows_side: bool) -> np.ndarray:
     m = linalg.as_matrix(m)
-    n = side_basis.n
-    psi = psi_matrix(side_basis.n, side_basis.k)
+    psi = psi_matrix(n, k)
     rows, cols = m.shape
-    if (rows if rows_side else cols) != len(side_basis):
-        raise ValueError(f"shape {m.shape} does not match basis size {len(side_basis)}")
+    if (rows if rows_side else cols) != len(subsets(n, k)):
+        raise ValueError(f"shape {m.shape} does not match the {k}-subsets of [{n}]")
     spec = "xy,xi,xj->xiyj" if rows_side else "xy,yi,yj->xiyj"
     return np.einsum(spec, m, psi, psi, optimize=True).reshape(rows * n, cols * n)
 
 
-def row_psi_psi_star(m, basis_x: johnson.SubsetBasis) -> np.ndarray:
-    """Block (x, y) of the result is m[x, y] psi_x psi_x^T."""
-    return _rank_one_lift(m, basis_x, rows_side=True)
+def row_psi_psi_star(m, n: int, k: int) -> np.ndarray:
+    """Block (x, y) of the result is m[x, y] psi_x psi_x^T; rows are k-subsets."""
+    return _rank_one_lift(m, n, k, rows_side=True)
 
 
-def col_psi_psi_star(m, basis_y: johnson.SubsetBasis) -> np.ndarray:
-    """Block (x, y) of the result is m[x, y] psi_y psi_y^T."""
-    return _rank_one_lift(m, basis_y, rows_side=False)
+def col_psi_psi_star(m, n: int, k: int) -> np.ndarray:
+    """Block (x, y) of the result is m[x, y] psi_y psi_y^T; columns are k-subsets."""
+    return _rank_one_lift(m, n, k, rows_side=False)
 
 
 def build_projection_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -74,8 +86,8 @@ def unit_norm_error(table) -> float:
 
 def isometry(inst, hatted: bool = False) -> np.ndarray:
     """The superposition isometry V (V-hat when hatted) as a dense matrix."""
-    basis = johnson.subset_basis(inst.n, inst.k_prime if hatted else inst.k)
-    return bruteforce.lift(np.eye(len(basis)), bruteforce.LiftKind.ROW_PSI, basis)
+    psi = bruteforce.psi_matrix(inst.n, inst.k_prime if hatted else inst.k)
+    return bruteforce.lift(np.eye(len(psi)), bruteforce.LiftKind.ROW_PSI, psi)
 
 
 def channel_checks(inst) -> dict:

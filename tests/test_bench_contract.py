@@ -32,25 +32,37 @@ def test_tracer_targets_exist(module, attr):
 
 
 def _definitions_and_uses():
-    """Top-level (module, name) definitions of src/, and the (module, owner, name) uses.
+    """Definitions of src/, and the (module, owner, method, name) uses.
 
+    Definitions are the top-level (module, name) pairs and the
+    (module, class, method) triples of non-dunder methods and properties.
     A use is a name, attribute or import in code (docstrings do not count);
-    its owner is the top-level definition it sits in, or None at module level.
+    its owner is the top-level definition it sits in, or None at module
+    level, and its method the method of that class it sits in, or None.
     """
-    defined, uses = set(), set()
+    defined, methods, uses = set(), set(), set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             owner = getattr(node, "name", None)
             if owner is not None:
                 defined.add((path.stem, owner))
+            method_of = {}
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef):
+                    if not item.name.startswith("__"):
+                        methods.add((path.stem, owner, item.name))
+                    method_of.update((id(sub), item.name) for sub in ast.walk(item))
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name):
-                    uses.add((path.stem, owner, sub.id))
+                    used = sub.id
                 elif isinstance(sub, ast.Attribute):
-                    uses.add((path.stem, owner, sub.attr))
+                    used = sub.attr
                 elif isinstance(sub, ast.alias):
-                    uses.add((path.stem, owner, sub.name))
-    return defined, uses
+                    used = sub.name
+                else:
+                    continue
+                uses.add((path.stem, owner, method_of.get(id(sub)), used))
+    return defined, methods, uses
 
 
 def test_src_holds_no_code_only_tests_call():
@@ -59,13 +71,21 @@ def test_src_holds_no_code_only_tests_call():
     # full-size channel the block-coordinate pass is gated against, waits
     # for a benchmark change that drops it from tracing.TRACED.
     traced = {(module, attr) for module, attr, _ in tracing.TRACED}
-    defined, uses = _definitions_and_uses()
+    defined, methods, uses = _definitions_and_uses()
     unused = sorted(
         f"{module}.{name}"
         for module, name in defined - traced
         if not any(
             used == name and (use_module, owner) != (module, name)
-            for use_module, owner, used in uses
+            for use_module, owner, _, used in uses
+        )
+    )
+    unused += sorted(
+        f"{module}.{cls}.{name}"
+        for module, cls, name in methods
+        if not any(
+            used == name and (use_module, owner, method) != (module, cls, name)
+            for use_module, owner, method, used in uses
         )
     )
     assert unused == []

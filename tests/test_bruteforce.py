@@ -9,19 +9,17 @@ from countbench.adversary import ProblemInstance
 from countbench.bruteforce import LiftKind, lift
 from countbench.cli import DEFAULT_INSTANCES
 import dense_reference
-from dense_reference import col_psi_psi_star, row_psi_psi_star
+from dense_reference import col_psi_psi_star, index_of, row_psi_psi_star
 
 INST = ProblemInstance(8, 2, 3)
 
 
 class TestPsiGram:
     def test_known_overlap(self):
-        basis_x = johnson.subset_basis(8, 2)
-        basis_y = johnson.subset_basis(8, 3)
         psi = bruteforce.psi_gram(INST)
-        x = basis_x.index_of({1, 2})
-        assert psi[x, basis_y.index_of({1, 2, 3})] == pytest.approx(2.0 / math.sqrt(6.0))
-        assert psi[x, basis_y.index_of({4, 5, 6})] == 0.0
+        x = index_of(8, 2, {1, 2})
+        assert psi[x, index_of(8, 3, {1, 2, 3})] == pytest.approx(2.0 / math.sqrt(6.0))
+        assert psi[x, index_of(8, 3, {4, 5, 6})] == 0.0
 
     def test_row_sums_constant(self):
         psi = bruteforce.psi_gram(INST)
@@ -31,10 +29,8 @@ class TestPsiGram:
 
 class TestMembershipMask:
     def test_known_entries(self):
-        basis_x = johnson.subset_basis(8, 2)
-        basis_y = johnson.subset_basis(8, 3)
-        x = basis_x.index_of({1, 2})
-        y = basis_y.index_of({1, 2, 3})
+        x = index_of(8, 2, {1, 2})
+        y = index_of(8, 3, {1, 2, 3})
         assert bruteforce.delta_membership_mask(INST, 3)[x, y] == 1.0
         assert bruteforce.delta_membership_mask(INST, 1)[x, y] == 0.0
 
@@ -53,51 +49,44 @@ class TestMembershipMask:
 
 class TestLift:
     def test_identity_row_lift_is_isometry(self):
-        basis = johnson.subset_basis(8, 2)
-        v = lift(np.eye(len(basis)), LiftKind.ROW_PSI, basis)
-        assert v.shape == (len(basis) * 8, len(basis))
-        assert np.max(np.abs(v.T @ v - np.eye(len(basis)))) < 1e-12
+        psi = bruteforce.psi_matrix(8, 2)
+        v = lift(np.eye(len(psi)), LiftKind.ROW_PSI, psi)
+        assert v.shape == (len(psi) * 8, len(psi))
+        assert np.max(np.abs(v.T @ v - np.eye(len(psi)))) < 1e-12
 
     def test_row_composition_identity(self):
         rng = np.random.default_rng(2)
-        basis_x = johnson.subset_basis(8, 2)
-        basis_y = johnson.subset_basis(8, 3)
-        m = rng.standard_normal((len(basis_x), len(basis_y)))
-        direct = row_psi_psi_star(m, basis_x)
-        staged = lift(lift(m, LiftKind.ROW_PSI_STAR, basis_x), LiftKind.ROW_PSI, basis_x)
+        psi_x = bruteforce.psi_matrix(8, 2)
+        m = rng.standard_normal((math.comb(8, 2), math.comb(8, 3)))
+        direct = row_psi_psi_star(m, 8, 2)
+        staged = lift(lift(m, LiftKind.ROW_PSI_STAR, psi_x), LiftKind.ROW_PSI, psi_x)
         # Equal up to multiplication-order rounding.
         assert np.max(np.abs(direct - staged)) < 1e-15
 
     def test_col_composition_identity(self):
         rng = np.random.default_rng(3)
-        basis_x = johnson.subset_basis(8, 2)
-        basis_y = johnson.subset_basis(8, 3)
-        m = rng.standard_normal((len(basis_x), len(basis_y)))
-        direct = col_psi_psi_star(m, basis_y)
-        staged = lift(lift(m, LiftKind.COL_PSI, basis_y), LiftKind.COL_PSI_STAR, basis_y)
+        psi_y = bruteforce.psi_matrix(8, 3)
+        m = rng.standard_normal((math.comb(8, 2), math.comb(8, 3)))
+        direct = col_psi_psi_star(m, 8, 3)
+        staged = lift(lift(m, LiftKind.COL_PSI, psi_y), LiftKind.COL_PSI_STAR, psi_y)
         assert np.max(np.abs(direct - staged)) < 1e-15
 
     def test_state_gen_difference_matches_entry_definition(self):
         rng = np.random.default_rng(4)
-        basis_x = johnson.subset_basis(INST.n, INST.k)
-        basis_y = johnson.subset_basis(INST.n, INST.k_prime)
-        gamma = adversary.adversary_matrix(INST, 2.0)
-        lifted = lift(gamma, LiftKind.ROW_PSI, basis_x) - lift(
-            gamma, LiftKind.COL_PSI, basis_y
-        )
         psi_x = bruteforce.psi_matrix(INST.n, INST.k)
         psi_y = bruteforce.psi_matrix(INST.n, INST.k_prime)
+        gamma = adversary.adversary_matrix(INST, 2.0)
+        lifted = lift(gamma, LiftKind.ROW_PSI, psi_x) - lift(gamma, LiftKind.COL_PSI, psi_y)
         for _ in range(100):
-            x = int(rng.integers(len(basis_x)))
-            y = int(rng.integers(len(basis_y)))
+            x = int(rng.integers(len(psi_x)))
+            y = int(rng.integers(len(psi_y)))
             i = int(rng.integers(INST.n))
             expected = gamma[x, y] * (psi_x[x, i] - psi_y[y, i])
             assert lifted[x * INST.n + i, y] == pytest.approx(expected, abs=1e-14)
 
     def test_dimension_mismatch(self):
-        basis = johnson.subset_basis(8, 2)
         with pytest.raises(ValueError):
-            lift(np.zeros((3, 5)), LiftKind.ROW_PSI, basis)
+            lift(np.zeros((3, 5)), LiftKind.ROW_PSI, bruteforce.psi_matrix(8, 2))
 
 
 class TestProjectionPair:
@@ -280,9 +269,9 @@ class TestReflectionLiftNorm:
 
     @staticmethod
     def dense_norm(inst, gamma):
-        basis_x = johnson.subset_basis(inst.n, inst.k)
-        basis_y = johnson.subset_basis(inst.n, inst.k_prime)
-        lifted = row_psi_psi_star(gamma, basis_x) - col_psi_psi_star(gamma, basis_y)
+        lifted = row_psi_psi_star(gamma, inst.n, inst.k) - col_psi_psi_star(
+            gamma, inst.n, inst.k_prime
+        )
         return linalg.spectral_norm(lifted)
 
     @pytest.mark.parametrize("inst", DEFAULT, ids=_instance_id)
@@ -423,18 +412,19 @@ class TestFeasibilityAgainstBruteForce:
             for i in range(1, INST.n + 1)
         ]
         assert feas.membership_norm == pytest.approx(per_i[0], abs=1e-8)
-        basis_x = johnson.subset_basis(INST.n, INST.k)
-        basis_y = johnson.subset_basis(INST.n, INST.k_prime)
+        psi_x = bruteforce.psi_matrix(INST.n, INST.k)
+        psi_y = bruteforce.psi_matrix(INST.n, INST.k_prime)
         fwd = linalg.spectral_norm(
-            lift(gamma, LiftKind.ROW_PSI, basis_x) - lift(gamma, LiftKind.COL_PSI, basis_y)
+            lift(gamma, LiftKind.ROW_PSI, psi_x) - lift(gamma, LiftKind.COL_PSI, psi_y)
         )
         rev = linalg.spectral_norm(
-            lift(gamma, LiftKind.ROW_PSI_STAR, basis_x)
-            - lift(gamma, LiftKind.COL_PSI_STAR, basis_y)
+            lift(gamma, LiftKind.ROW_PSI_STAR, psi_x)
+            - lift(gamma, LiftKind.COL_PSI_STAR, psi_y)
         )
         assert feas.state_gen_norm == pytest.approx(max(fwd, rev), abs=1e-8)
         refl = linalg.spectral_norm(
-            row_psi_psi_star(gamma, basis_x) - col_psi_psi_star(gamma, basis_y)
+            row_psi_psi_star(gamma, INST.n, INST.k)
+            - col_psi_psi_star(gamma, INST.n, INST.k_prime)
         )
         assert feas.reflection_norm == pytest.approx(refl, abs=1e-8)
         brute_power = linalg.spectral_norm(gamma * bruteforce.psi_gram(INST))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -7,45 +8,54 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from countbench import johnson
+import dense_reference
 
 # Instances shared with the acceptance sweep, as (n, k, k') triples.
 SWEEP = [(6, 1, 2), (7, 1, 2), (8, 2, 3), (9, 2, 3), (10, 2, 3), (10, 3, 4)]
 
 
+def _decode(masks, n):
+    """The subsets, as sorted tuples, whose bit masks are ``masks``."""
+    return [tuple(e for e in range(1, n + 1) if int(m) >> (e - 1) & 1) for m in masks]
+
+
 class TestSubsetBasis:
     def test_small_order(self):
-        basis = johnson.subset_basis(3, 2)
-        assert basis.order == ((1, 2), (1, 3), (2, 3))
+        masks = johnson.subset_basis(3, 2)
+        assert masks.tolist() == [0b011, 0b101, 0b110]
+        assert _decode(masks, 3) == [(1, 2), (1, 3), (2, 3)]
 
     def test_empty_subsets(self):
-        basis = johnson.subset_basis(4, 0)
-        assert len(basis) == 1 and basis.order == ((),)
+        masks = johnson.subset_basis(4, 0)
+        assert len(masks) == 1 and _decode(masks, 4) == [()]
 
     def test_brute_recount(self):
-        basis = johnson.subset_basis(8, 3)
-        assert len(basis) == 56
+        masks = johnson.subset_basis(8, 3)
+        assert masks.dtype == np.int64 and len(masks) == 56
         enumerated = sorted(itertools.combinations(range(1, 9), 3))
-        assert list(basis.order) == enumerated
-        assert basis.index_of({2, 5, 8}) == enumerated.index((2, 5, 8))
-        for idx, subset in enumerate(basis):
-            assert basis.index_of(subset) == idx
+        assert _decode(masks, 8) == enumerated == dense_reference.subsets(8, 3)
+        assert masks[enumerated.index((2, 5, 8))] == 0b10010010
+
+    def test_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            johnson.subset_basis(5, 2)[0] = 0
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             johnson.subset_basis(3, 4)
         with pytest.raises(ValueError):
             johnson.subset_basis(21, 2)
-        with pytest.raises(ValueError):
-            johnson.subset_basis(5, 2).index_of({1, 9})
 
     @given(st.integers(min_value=0, max_value=10), st.data())
     @settings(max_examples=40, deadline=None)
     def test_rank_unrank_roundtrip(self, n, data):
         k = data.draw(st.integers(min_value=0, max_value=n))
-        basis = johnson.subset_basis(n, k)
-        assert len(basis) == math.comb(n, k)
-        position = data.draw(st.integers(min_value=0, max_value=len(basis) - 1))
-        assert basis.index_of(basis.order[position]) == position
+        masks = johnson.subset_basis(n, k)
+        assert len(masks) == math.comb(n, k)
+        position = data.draw(st.integers(min_value=0, max_value=len(masks) - 1))
+        subset = dense_reference.subsets(n, k)[position]
+        assert _decode(masks[position:position + 1], n) == [subset]
+        assert dense_reference.index_of(n, k, subset) == position
 
 
 class TestInclusionMatrix:
@@ -115,13 +125,17 @@ class TestTransporter:
 
     def test_equivariance_under_random_permutations(self):
         tr = johnson.transporter(8, 2, 3, 1)
-        basis_x = johnson.subset_basis(8, 2)
-        basis_y = johnson.subset_basis(8, 3)
         rng = np.random.default_rng(42)
         for _ in range(20):
             perm = rng.permutation(8) + 1
-            row_map = [basis_x.index_of(perm[np.array(s) - 1]) for s in basis_x]
-            col_map = [basis_y.index_of(perm[np.array(s) - 1]) for s in basis_y]
+            row_map = [
+                dense_reference.index_of(8, 2, perm[np.array(s) - 1])
+                for s in dense_reference.subsets(8, 2)
+            ]
+            col_map = [
+                dense_reference.index_of(8, 3, perm[np.array(s) - 1])
+                for s in dense_reference.subsets(8, 3)
+            ]
             permuted = tr.matrix[np.ix_(row_map, col_map)]
             assert np.max(np.abs(permuted - tr.matrix)) < 1e-10
 
@@ -132,7 +146,32 @@ class TestTransporter:
             johnson.transporter(6, 2, 4, 0)  # needs k' <= n - k'
 
 
+# sha256 over the subset masks and the reference vectors of every level
+# 1 <= k <= (n-1)//2 with n <= 12, recorded while the vectors were still
+# built from formal sums of frozensets.  The coefficients are integers, so
+# each norm is an exact sum and the unit vectors are correctly rounded:
+# the digest does not depend on the platform.
+REFERENCE_DIGEST = "7867a02122a758506ac60de42d4281a8e7ed70f72acd62e717c49f9c92cdd01b"
+REFERENCE_FIELDS = (
+    "v", "v_tilde", "w_out", "w_in", "v_minus", "v_zero", "v_plus",
+    "w_empty", "w_c", "w_d", "w_cd",
+)
+
+
 class TestReferenceVectors:
+    def test_bytes_are_pinned(self):
+        digest = hashlib.sha256()
+        for n in range(3, 13):
+            for k in range(1, (n - 1) // 2 + 1):
+                digest.update(johnson.subset_basis(n, k).tobytes())
+                for j in range(k + 1):
+                    refs = johnson.reference_vectors(n, k, j)
+                    for name in REFERENCE_FIELDS:
+                        vec = getattr(refs, name)
+                        if vec is not None:
+                            digest.update(vec.tobytes())
+        assert digest.hexdigest() == REFERENCE_DIGEST
+
     def test_uniform_at_block_zero(self):
         refs = johnson.reference_vectors(8, 2, 0)
         assert np.allclose(refs.v, 1.0 / math.sqrt(28.0), atol=1e-12)
