@@ -2,16 +2,18 @@
 
 The certificate matrix is Gamma = sum_j gamma_j Phi_j with the weight
 schedule gamma_j = max(1 - j/t, 0).  Its interplay with the oracle
-difference operators reduces to arithmetic on a table of 4-dimensional
-unit vectors phi_j (one per block index j, plus a primed copy with k'
-in place of k); this module owns all of that arithmetic, together with
-the feasibility report and the headline trade-off evaluator.
+difference operators reduces to arithmetic on plain read-only arrays:
+the weights `gamma_schedule` returns, and the tables of 4-dimensional
+unit vectors phi_j and phi'_j (one row per block index j, the primed
+one with k' in place of k) that `phi_table` returns.  This module owns
+all of that arithmetic, together with the feasibility report and the
+headline trade-off evaluator, whose JSON-ready dict `bounds` prints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -108,67 +110,51 @@ def phi_components(n: int, size: int, j) -> np.ndarray:
     return np.stack([c0, c1, c2, c3], axis=-1)
 
 
-@dataclass(frozen=True)
-class PhiTable:
-    """Rows j = 0..rows-1 of the coefficient 4-vectors for levels k and k'."""
-
-    instance: ProblemInstance
-    phi: np.ndarray        # shape (rows, 4)
-    phi_prime: np.ndarray  # shape (rows, 4)
-
-
 @lru_cache(maxsize=16)
-def phi_table(inst: ProblemInstance, rows: int) -> PhiTable:
-    """The first ``rows`` coefficient rows, j = 0..rows-1 (at most k + 1 rows)."""
+def phi_table(inst: ProblemInstance, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (phi, phi_prime): rows j = 0..rows-1 (at most k + 1) for levels k and k'."""
     j = np.arange(rows)
-    phi = phi_components(inst.n, inst.k, j)
-    phi_prime = phi_components(inst.n, inst.k_prime, j)
-    return PhiTable(instance=inst, phi=linalg.freeze(phi), phi_prime=linalg.freeze(phi_prime))
+    return (
+        linalg.freeze(phi_components(inst.n, inst.k, j)),
+        linalg.freeze(phi_components(inst.n, inst.k_prime, j)),
+    )
 
 
-@dataclass(frozen=True)
-class GammaSchedule:
-    """The live weights gamma_j = max(1 - j/t, 0), j = 0..min(k, floor(t) + 1).
+def gamma_schedule(t: float, k: int) -> np.ndarray:
+    """The live weights gamma_j = max(1 - j/t, 0), j = 0..min(k, floor(t) + 1), read-only.
 
     Every index outside the array, j = -1 and j > k included, reads as 0.
     A later row j has g_{j-1} = g_j = g_{j+1} = 0, since j - 1 > t, so
     it adds exact zeros to Gamma and to the three difference norms.
     """
-
-    t: float
-    gammas: np.ndarray
-
-
-def gamma_schedule(t: float, k: int) -> GammaSchedule:
     if not t >= 1:
         raise ValueError(f"cutoff parameter must satisfy t >= 1, got {t}")
     live = min(k, math.floor(min(t, k)) + 1) + 1
-    gammas = np.maximum(1.0 - np.arange(live) / t, 0.0)
-    return GammaSchedule(t=float(t), gammas=linalg.freeze(gammas))
+    return linalg.freeze(np.maximum(1.0 - np.arange(live) / t, 0.0))
 
 
-def tilde_tables(sched: GammaSchedule, table: PhiTable) -> tuple[np.ndarray, np.ndarray]:
-    """Gamma-weighted coefficient vectors, one row per stored weight.
+def tilde_tables(gammas, phi, phi_prime) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma-weighted coefficient vectors, one row per weight.
 
     Row j of each output is (g_{j-1} c0, g_j c1, g_j c2, g_{j+1} c3) for
-    the corresponding row of the plain table, which has as many rows as
-    the schedule has weights.
+    the corresponding row of phi or phi_prime, which have as many rows as
+    there are weights.
     """
-    g = np.pad(sched.gammas, 1)
+    g = np.pad(gammas, 1)
     weights = np.stack([g[:-2], g[1:-1], g[1:-1], g[2:]], axis=1)
-    return weights * table.phi, weights * table.phi_prime
+    return weights * phi, weights * phi_prime
 
 
-def assemble_adversary(sched: GammaSchedule, transporters) -> np.ndarray:
-    """Gamma = sum_j gamma_j Phi_j over the stored weights; transporters[j] is Phi_j."""
+def assemble_adversary(gammas, transporters) -> np.ndarray:
+    """Gamma = sum_j gamma_j Phi_j over the given weights; transporters[j] is Phi_j."""
     transporters = list(transporters)
-    if len(transporters) != len(sched.gammas):
+    if len(transporters) != len(gammas):
         raise ValueError(
-            f"need {len(sched.gammas)} transporters, one per weight, got {len(transporters)}"
+            f"need {len(gammas)} transporters, one per weight, got {len(transporters)}"
         )
     shape = transporters[0].matrix.shape
     out = np.zeros(shape)
-    for j, (g, tr) in enumerate(zip(sched.gammas, transporters)):
+    for j, (g, tr) in enumerate(zip(gammas, transporters)):
         if tr.j != j or tr.matrix.shape != shape:
             raise ValueError("transporter list is inconsistent")
         out += g * tr.matrix
@@ -193,8 +179,8 @@ def hadamard_psi_step(coeffs, inst: ProblemInstance) -> np.ndarray:
     if coeffs.ndim != 1 or len(coeffs) > k + 1:
         raise ValueError(f"need at most {k + 1} coefficients, got shape {coeffs.shape}")
     coeffs = np.pad(coeffs, (0, k + 1 - len(coeffs)))
-    table = phi_table(inst, k + 1)
-    prod = table.phi * table.phi_prime  # entrywise p_{j,i} q_{j,i}
+    phi, phi_prime = phi_table(inst, k + 1)
+    prod = phi * phi_prime  # entrywise p_{j,i} q_{j,i}
     out = coeffs * (prod[:, 1] + prod[:, 2])
     out[1:] += coeffs[:-1] * prod[1:, 0]
     out[:-1] += coeffs[1:] * prod[:-1, 3]
@@ -211,40 +197,40 @@ def psi_power_lower_bound(inst: ProblemInstance, t: float, ell: int) -> float:
         raise ValueError("ell must be nonnegative")
     if t < 2 * ell:
         raise ValueError(f"bound needs t >= 2*ell, got t={t}, ell={ell}")
-    table = phi_table(inst, min(ell, inst.k) + 1)
-    d = min(float(p @ q) for p, q in zip(table.phi, table.phi_prime))
+    phi, phi_prime = phi_table(inst, min(ell, inst.k) + 1)
+    d = min(float(p @ q) for p, q in zip(phi, phi_prime))
     return d**ell / 2.0
 
 
-def norm_delta_state_gen(sched: GammaSchedule, inst: ProblemInstance) -> tuple[float, float]:
+def norm_delta_state_gen(gammas, inst: ProblemInstance) -> tuple[float, float]:
     """Norms of Gamma against the state-generation difference pair.
 
     Returns (max_j ||tilde_prime_j - g_j phi_j||, max_j ||g_j phi_prime_j - tilde_j||).
     """
-    table = phi_table(inst, len(sched.gammas))
-    tilde, tilde_prime = tilde_tables(sched, table)
-    g = sched.gammas[:, None]
-    forward = float(np.max(np.linalg.norm(tilde_prime - g * table.phi, axis=1)))
-    reverse = float(np.max(np.linalg.norm(g * table.phi_prime - tilde, axis=1)))
+    phi, phi_prime = phi_table(inst, len(gammas))
+    tilde, tilde_prime = tilde_tables(gammas, phi, phi_prime)
+    g = gammas[:, None]
+    forward = float(np.max(np.linalg.norm(tilde_prime - g * phi, axis=1)))
+    reverse = float(np.max(np.linalg.norm(g * phi_prime - tilde, axis=1)))
     return forward, reverse
 
 
-def norm_delta_reflection(sched: GammaSchedule, inst: ProblemInstance) -> float:
+def norm_delta_reflection(gammas, inst: ProblemInstance) -> float:
     """Norm of Gamma against the reflection difference operator.
 
     max over j of the spectral norm of the 4x4 matrix
     phi'_j tilde'_j^T - tilde_j phi_j^T.
     """
-    table = phi_table(inst, len(sched.gammas))
-    tilde, tilde_prime = tilde_tables(sched, table)
+    phi, phi_prime = phi_table(inst, len(gammas))
+    tilde, tilde_prime = tilde_tables(gammas, phi, phi_prime)
     blocks = (
-        table.phi_prime[:, :, None] * tilde_prime[:, None, :]
-        - tilde[:, :, None] * table.phi[:, None, :]
+        phi_prime[:, :, None] * tilde_prime[:, None, :]
+        - tilde[:, :, None] * phi[:, None, :]
     )
     return float(np.max(np.linalg.svd(blocks, compute_uv=False)[:, 0]))
 
 
-def norm_delta_membership(sched: GammaSchedule, inst: ProblemInstance) -> float:
+def norm_delta_membership(gammas, inst: ProblemInstance) -> float:
     """Norm of Gamma against any single-element membership difference.
 
     max over j of the larger of
@@ -253,7 +239,7 @@ def norm_delta_membership(sched: GammaSchedule, inst: ProblemInstance) -> float:
     the value does not depend on which element is singled out.
     """
     n, k, kp = inst.n, inst.k, inst.k_prime
-    g0 = sched.gammas
+    g0 = gammas
     g1 = np.append(g0[1:], 0.0)
     j = np.arange(len(g0), dtype=float)
     small = np.sqrt((k - j) * (n - kp - j))
@@ -292,32 +278,24 @@ class DualFeasibilityReport:
         return _safe_inverse(self.reflection_norm)
 
     def as_dict(self) -> dict:
-        out = _json_fields(self)
-        out.update(
-            out.pop("instance"),
-            eps=self.instance.eps,
-            T1=_json_number(self.t1),
-            T2=_json_number(self.t2),
-            T3=_json_number(self.t3),
-        )
-        return out
+        out = asdict(self)
+        out.update(out.pop("instance"), eps=self.instance.eps, T1=self.t1, T2=self.t2, T3=self.t3)
+        return _finite_or_none(out)
 
 
 def _safe_inverse(x: float) -> float:
     return math.inf if x == 0.0 else 1.0 / x
 
 
-def _json_number(x: float):
-    return x if math.isfinite(x) else None
-
-
-def _json_fields(report) -> dict:
-    """A report's fields by name; non-finite values inside dict fields become None."""
-    out = asdict(report)
-    for name, value in out.items():
-        if isinstance(value, dict):
-            out[name] = {key: _json_number(val) for key, val in value.items()}
-    return out
+def _finite_or_none(value):
+    """``value`` for JSON: every non-finite float, at any depth, becomes None."""
+    if isinstance(value, dict):
+        return {key: _finite_or_none(val) for key, val in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(val) for val in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def dual_feasibility_report(inst: ProblemInstance, t: float, ell: int) -> DualFeasibilityReport:
@@ -327,51 +305,23 @@ def dual_feasibility_report(inst: ProblemInstance, t: float, ell: int) -> DualFe
     as D^ell/2 >= FEASIBILITY_THRESHOLD; out-of-regime instances are
     flagged, not rejected.
     """
-    sched = gamma_schedule(t, inst.k)
+    gammas = gamma_schedule(t, inst.k)
     bound = psi_power_lower_bound(inst, t, ell)
-    gen_pair = norm_delta_state_gen(sched, inst)
+    gen_pair = norm_delta_state_gen(gammas, inst)
     return DualFeasibilityReport(
         instance=inst,
         t=float(t),
         ell=ell,
-        gamma_norm=float(np.max(np.abs(sched.gammas))),
+        gamma_norm=float(np.max(np.abs(gammas))),
         psi_power_bound=bound,
-        membership_norm=norm_delta_membership(sched, inst),
+        membership_norm=norm_delta_membership(gammas, inst),
         state_gen_norm=max(gen_pair),
         state_gen_pair=gen_pair,
-        reflection_norm=norm_delta_reflection(sched, inst),
+        reflection_norm=norm_delta_reflection(gammas, inst),
         feasibility_threshold=FEASIBILITY_THRESHOLD,
         feasible=bound >= FEASIBILITY_THRESHOLD,
         theorem_regime=inst.theorem_regime,
     )
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Branch values of the resource trade-off for one parameter point."""
-
-    n: float
-    k: float
-    eps: float
-    ell: float
-    ell_prime: float
-    cprime: float
-    copies_terms: dict
-    copies_bound: float
-    state_generation_terms: dict
-    state_generation_bound: float
-    reflection_terms: dict
-    reflection_bound: float
-    membership_bound: float
-    fifth_case_threshold: float
-    fifth_case_reflection: float
-    t_choice: float
-    regime_n: bool
-    regime_eps: bool
-    weights: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return _json_fields(self)
 
 
 def theorem_tradeoff(
@@ -380,7 +330,7 @@ def theorem_tradeoff(
     eps: float,
     ell: float = 0,
     ell_prime: float = 0,
-) -> BoundReport:
+) -> dict:
     """Evaluate every branch of the headline trade-off at one parameter point.
 
     Scale factors hidden in the asymptotic statement are not modelled:
@@ -388,7 +338,8 @@ def theorem_tradeoff(
     regime conditions n >= 5k and 1/k <= eps <= 1 are recorded as flags.
     An ell of 0 drops the copy-assisted state-generation term; ell +
     ell_prime = 0 likewise drops the assisted reflection term.  The cutoff
-    uses c' = CPRIME.
+    uses c' = CPRIME.  The result is ready for JSON: a term that overflows,
+    or divides by a k eps^2 that underflows to 0, reads None.
     """
     if not all(map(math.isfinite, (n, k, eps, ell, ell_prime))):
         raise ValueError("n, k, eps, ell and ell_prime must be finite")
@@ -398,10 +349,11 @@ def theorem_tradeoff(
         raise ValueError("ell and ell_prime must be nonnegative")
 
     root_nk = math.sqrt(n / k)
+    k_eps2 = k * eps * eps
     copies_terms = {
         "k": float(k),
         "sqrt_k_over_eps": math.sqrt(k) / eps,
-        "n_over_k_eps2": n / (k * eps * eps),
+        "n_over_k_eps2": n / k_eps2 if k_eps2 > 0 else math.inf,
     }
     state_terms = {
         "sqrt_n_over_k_over_eps": root_nk / eps,
@@ -415,41 +367,43 @@ def theorem_tradeoff(
         ),
     }
     membership = root_nk / eps
-    t_choice = max(2.0 * ell, CPRIME * ell_prime, 1.0 / (5.0 * eps))
-    report = BoundReport(
-        n=float(n),
-        k=float(k),
-        eps=float(eps),
-        ell=float(ell),
-        ell_prime=float(ell_prime),
-        cprime=CPRIME,
-        copies_terms=copies_terms,
-        copies_bound=min(copies_terms.values()),
-        state_generation_terms=state_terms,
-        state_generation_bound=min(state_terms.values()),
-        reflection_terms=refl_terms,
-        reflection_bound=min(refl_terms.values()),
-        membership_bound=membership,
-        fifth_case_threshold=root_nk,
-        fifth_case_reflection=math.sqrt(k / eps),
-        t_choice=t_choice,
-        regime_n=n >= 5 * k,
-        regime_eps=(1.0 / k) <= eps <= 1.0,
-        weights={
-            "membership": 1.0 / membership,
-            "state_generation": 1.0 / min(state_terms.values()),
-            "reflection": 1.0 / min(refl_terms.values()),
-        },
+    state_bound = min(state_terms.values())
+    refl_bound = min(refl_terms.values())
+    return _finite_or_none(
+        {
+            "n": float(n),
+            "k": float(k),
+            "eps": float(eps),
+            "ell": float(ell),
+            "ell_prime": float(ell_prime),
+            "cprime": CPRIME,
+            "copies_terms": copies_terms,
+            "copies_bound": min(copies_terms.values()),
+            "state_generation_terms": state_terms,
+            "state_generation_bound": state_bound,
+            "reflection_terms": refl_terms,
+            "reflection_bound": refl_bound,
+            "membership_bound": membership,
+            "fifth_case_threshold": root_nk,
+            "fifth_case_reflection": math.sqrt(k / eps),
+            "t_choice": max(2.0 * ell, CPRIME * ell_prime, 1.0 / (5.0 * eps)),
+            "regime_n": n >= 5 * k,
+            "regime_eps": (1.0 / k) <= eps <= 1.0,
+            "weights": {
+                "membership": _safe_inverse(membership),
+                "state_generation": _safe_inverse(state_bound),
+                "reflection": _safe_inverse(refl_bound),
+            },
+        }
     )
-    return report
 
 
 def adversary_matrix(inst: ProblemInstance, t: float) -> np.ndarray:
     """Explicit Gamma for one instance and cutoff, via the cached transporters."""
     if inst.k_prime <= inst.k:
         raise ValueError("explicit assembly needs k < k'")
-    sched = gamma_schedule(t, inst.k)
+    gammas = gamma_schedule(t, inst.k)
     transporters = [
-        johnson.transporter(inst.n, inst.k, inst.k_prime, j) for j in range(len(sched.gammas))
+        johnson.transporter(inst.n, inst.k, inst.k_prime, j) for j in range(len(gammas))
     ]
-    return assemble_adversary(sched, transporters)
+    return assemble_adversary(gammas, transporters)

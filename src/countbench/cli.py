@@ -237,12 +237,13 @@ def cmd_bounds(args) -> int:
     report = adversary.theorem_tradeoff(
         args.n, args.k, args.eps, ell=args.ell, ell_prime=args.ell_prime
     )
-    payload = {"version": __version__, "tradeoff": report.as_dict()}
+    payload = {"version": __version__, "tradeoff": report}
     feasibility = None
     note = None
     try:
         inst = ProblemInstance.from_eps(_whole("n", args.n), _whole("k", args.k), args.eps)
-        t = max(1.0, report.t_choice)
+        # A t_choice of None is 1/(5 eps) overflowing to +inf.
+        t = max(1.0, math.inf if report["t_choice"] is None else report["t_choice"])
         feasibility = adversary.dual_feasibility_report(
             inst, t=t, ell=_whole("ell", args.ell)
         ).as_dict()
@@ -295,8 +296,11 @@ def _simulate_params(args) -> dict:
     if unread:
         raise ValueError(f"procedure {proc!r} does not read {', '.join(unread)}")
     # Before the default budgets, which divide by eps.
-    if args.eps is not None and not (math.isfinite(args.eps) and args.eps > 0):
-        raise ValueError(f"--eps must be finite and positive, got {args.eps!r}")
+    if args.eps is not None and args.k is not None:
+        try:
+            simulate._k_prime(args.k, args.eps)
+        except ValueError as exc:
+            raise ValueError(f"--eps {args.eps!r} with --k {args.k}: {exc}") from None
     params: dict = {}
     for name in reads:
         value = getattr(args, name)

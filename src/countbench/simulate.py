@@ -36,6 +36,8 @@ from . import adversary, linalg
 
 DECIDE_SMALL = "k"
 DECIDE_LARGE = "k_prime"
+# The phase grid resolves the two hypotheses' eigenphases this many times over.
+GRID_MARGIN = 2.0
 
 
 @dataclass
@@ -59,11 +61,17 @@ class TrialOutcome:
 
 
 def _k_prime(k: int, eps: float) -> int:
+    """k' = (1+eps)k for finite, positive eps; it must be whole and above k."""
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, got {eps!r}")
-    k_prime = adversary.whole_k_prime(k, eps)
+    try:
+        k_prime = adversary.whole_k_prime(k, eps)
+    except OverflowError:
+        raise ValueError(f"k' = (1+eps)k overflows, with k = {k}, eps = {eps!r}") from None
     if k_prime <= 0:
         raise ValueError(f"k' = (1+eps)k = {k_prime} is not positive")
+    if k_prime <= k:
+        raise ValueError(f"k' = (1+eps)k = {k_prime} is not above k = {k}")
     return k_prime
 
 
@@ -252,12 +260,12 @@ def _sample_phase(theta: float, m_points: int, rng: np.random.Generator) -> int:
     return int(_phase_cdf(theta, m_points).searchsorted(rng.random(), side="right"))
 
 
-def _grid_points(theta_a: float, theta_b: float, margin: float = 2.0) -> int:
-    """Smallest grid size resolving the two eigenphases with the given margin."""
+def _grid_points(theta_a: float, theta_b: float) -> int:
+    """Smallest grid size resolving the two eigenphases with GRID_MARGIN to spare."""
     gap = 2.0 * abs(theta_b - theta_a)
     if gap <= 0.0:
         raise ValueError("hypotheses have identical phases")
-    return max(2, int(math.floor(margin * 2.0 * math.pi / gap)) + 1)
+    return max(2, int(math.floor(GRID_MARGIN * 2.0 * math.pi / gap)) + 1)
 
 
 def _estimate_and_decide(
@@ -265,7 +273,6 @@ def _estimate_and_decide(
     a_large_hyp: float,
     a_truth: float,
     rng: np.random.Generator,
-    margin: float = 2.0,
 ) -> tuple[str, float, int]:
     """Pick the smallest separating grid, sample once, decide the nearest hypothesis.
 
@@ -275,7 +282,7 @@ def _estimate_and_decide(
     """
     theta_small = math.asin(math.sqrt(a_small_hyp))
     theta_large = math.asin(math.sqrt(a_large_hyp))
-    m_points = _grid_points(theta_small, theta_large, margin)
+    m_points = _grid_points(theta_small, theta_large)
     outcome = _sample_phase(math.asin(math.sqrt(a_truth)), m_points, rng)
     estimate = math.sin(math.pi * outcome / m_points) ** 2
     if abs(estimate - a_large_hyp) < abs(estimate - a_small_hyp):

@@ -76,11 +76,9 @@ def build_projection_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pi0, np.eye(n) - pi0
 
 
-def unit_norm_error(table) -> float:
-    """Largest deviation from 1 of the norms of a PhiTable's coefficient rows."""
-    norms = np.concatenate(
-        [np.linalg.norm(table.phi, axis=1), np.linalg.norm(table.phi_prime, axis=1)]
-    )
+def unit_norm_error(tables) -> float:
+    """Largest deviation from 1 of the row norms of a (phi, phi_prime) pair."""
+    norms = np.concatenate([np.linalg.norm(rows, axis=1) for rows in tables])
     return float(np.max(np.abs(norms - 1.0)))
 
 

@@ -145,25 +145,25 @@ def test_criterion_06_membership_index_independence():
 def test_criterion_07_tradeoff_arithmetic():
     a = adversary.theorem_tradeoff(1e6, 1e4, 0.1, 0, 0)
     checks = [
-        math.isclose(a.membership_bound, 100.0, rel_tol=1e-12),
-        math.isclose(a.copies_bound, min(1e4, math.sqrt(1e4) / 0.1, 1e6 / (1e4 * 0.01)), rel_tol=1e-12),
-        math.isclose(a.copies_bound, 1000.0, rel_tol=1e-12),
-        math.isclose(a.state_generation_bound, 100.0, rel_tol=1e-12),
-        math.isclose(a.reflection_bound, 100.0, rel_tol=1e-12),
+        math.isclose(a["membership_bound"], 100.0, rel_tol=1e-12),
+        math.isclose(a["copies_bound"], min(1e4, math.sqrt(1e4) / 0.1, 1e6 / (1e4 * 0.01)), rel_tol=1e-12),
+        math.isclose(a["copies_bound"], 1000.0, rel_tol=1e-12),
+        math.isclose(a["state_generation_bound"], 100.0, rel_tol=1e-12),
+        math.isclose(a["reflection_bound"], 100.0, rel_tol=1e-12),
     ]
     b = adversary.theorem_tradeoff(1e6, 1e4, 0.01, 0, 0)
     checks += [
-        math.isclose(b.copies_bound, 1e4, rel_tol=1e-12),
-        math.isclose(b.state_generation_bound, 10 ** (8.0 / 3.0), rel_tol=1e-12),
-        math.isclose(b.membership_bound, 1000.0, rel_tol=1e-12),
+        math.isclose(b["copies_bound"], 1e4, rel_tol=1e-12),
+        math.isclose(b["state_generation_bound"], 10 ** (8.0 / 3.0), rel_tol=1e-12),
+        math.isclose(b["membership_bound"], 1000.0, rel_tol=1e-12),
     ]
     c = adversary.theorem_tradeoff(320, 64, 1.0, ell=2, ell_prime=3)
     checks += [
-        math.isclose(c.copies_bound, 5.0, rel_tol=1e-12),
-        math.isclose(c.state_generation_bound, math.sqrt(5.0), rel_tol=1e-12),
-        math.isclose(c.reflection_bound, math.sqrt(5.0), rel_tol=1e-12),
-        math.isclose(c.fifth_case_reflection, 8.0, rel_tol=1e-12),
-        math.isclose(c.t_choice, 24.0, rel_tol=1e-12),
+        math.isclose(c["copies_bound"], 5.0, rel_tol=1e-12),
+        math.isclose(c["state_generation_bound"], math.sqrt(5.0), rel_tol=1e-12),
+        math.isclose(c["reflection_bound"], math.sqrt(5.0), rel_tol=1e-12),
+        math.isclose(c["fifth_case_reflection"], 8.0, rel_tol=1e-12),
+        math.isclose(c["t_choice"], 24.0, rel_tol=1e-12),
     ]
     report(7, "trade-off evaluator matches three hand-computed cases", all(checks))
 

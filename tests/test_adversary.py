@@ -44,43 +44,42 @@ class TestProblemInstance:
 
 class TestPhiTable:
     def test_block_zero_closed_form(self):
-        table = adversary.phi_table(ProblemInstance(8, 2, 3), 3)
+        phi, _ = adversary.phi_table(ProblemInstance(8, 2, 3), 3)
         assert np.allclose(
-            table.phi[0], [0.0, 0.5, 0.0, math.sqrt(6.0 / 8.0)], atol=1e-12
+            phi[0], [0.0, 0.5, 0.0, math.sqrt(6.0 / 8.0)], atol=1e-12
         )
 
     def test_component_one_is_sqrt_k_over_n(self):
-        table = adversary.phi_table(ProblemInstance(8, 2, 3), 3)
-        assert table.phi[1, 1] == pytest.approx(0.5, abs=1e-15)
+        phi, _ = adversary.phi_table(ProblemInstance(8, 2, 3), 3)
+        assert phi[1, 1] == pytest.approx(0.5, abs=1e-15)
 
     def test_top_block_unit_norm(self):
-        table = adversary.phi_table(ProblemInstance(8, 2, 3), 3)
-        assert np.linalg.norm(table.phi[2]) == pytest.approx(1.0, abs=1e-12)
+        phi, _ = adversary.phi_table(ProblemInstance(8, 2, 3), 3)
+        assert np.linalg.norm(phi[2]) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n,k,kp", SWEEP)
     def test_unit_norm_claim_across_sweep(self, n, k, kp):
-        table = adversary.phi_table(ProblemInstance(n, k, kp), k + 1)
-        assert unit_norm_error(table) <= 1e-12
+        assert unit_norm_error(adversary.phi_table(ProblemInstance(n, k, kp), k + 1)) <= 1e-12
 
     def test_zero_entries_at_block_zero(self):
-        table = adversary.phi_table(ProblemInstance(10, 3, 4), 4)
-        assert table.phi[0, 0] == 0.0 and table.phi_prime[0, 0] == 0.0
-        assert table.phi[0, 2] == 0.0 and table.phi_prime[0, 2] == 0.0
+        phi, phi_prime = adversary.phi_table(ProblemInstance(10, 3, 4), 4)
+        assert phi[0, 0] == 0.0 and phi_prime[0, 0] == 0.0
+        assert phi[0, 2] == 0.0 and phi_prime[0, 2] == 0.0
 
 
-def all_weights(sched, k):
+def all_weights(gammas, k):
     """gamma_0..gamma_k, the ones past the stored array reading 0."""
-    return np.pad(sched.gammas, (0, k + 1 - len(sched.gammas)))
+    return np.pad(gammas, (0, k + 1 - len(gammas)))
 
 
 class TestGammaSchedule:
     def test_t_one_is_indicator(self):
-        sched = adversary.gamma_schedule(1.0, 4)
-        assert np.allclose(all_weights(sched, 4), [1.0, 0.0, 0.0, 0.0, 0.0])
+        gammas = adversary.gamma_schedule(1.0, 4)
+        assert np.allclose(all_weights(gammas, 4), [1.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_t_two(self):
-        sched = adversary.gamma_schedule(2.0, 5)
-        assert np.allclose(all_weights(sched, 5), [1.0, 0.5, 0.0, 0.0, 0.0, 0.0])
+        gammas = adversary.gamma_schedule(2.0, 5)
+        assert np.allclose(all_weights(gammas, 5), [1.0, 0.5, 0.0, 0.0, 0.0, 0.0])
 
     @pytest.mark.parametrize(
         "t, k",
@@ -88,24 +87,24 @@ class TestGammaSchedule:
          (1e300, 2)],
     )
     def test_holds_only_the_live_weights(self, t, k):
-        sched = adversary.gamma_schedule(t, k)
-        assert len(sched.gammas) == min(k, math.floor(t) + 1) + 1
-        if len(sched.gammas) < k + 1:
-            assert sched.gammas[-1] == 0.0  # gamma_{floor(t)+1}, the last live one
+        gammas = adversary.gamma_schedule(t, k)
+        assert len(gammas) == min(k, math.floor(t) + 1) + 1
+        if len(gammas) < k + 1:
+            assert gammas[-1] == 0.0  # gamma_{floor(t)+1}, the last live one
 
     def test_t_equals_k(self):
         k = 6
-        sched = adversary.gamma_schedule(float(k), k)
-        assert np.allclose(sched.gammas, 1.0 - np.arange(k + 1) / k)
-        assert np.all(np.diff(sched.gammas) < 0)
+        gammas = adversary.gamma_schedule(float(k), k)
+        assert np.allclose(gammas, 1.0 - np.arange(k + 1) / k)
+        assert np.all(np.diff(gammas) < 0)
 
     def test_out_of_range_reads_zero(self):
-        sched = adversary.gamma_schedule(10.0, 2)
+        gammas = adversary.gamma_schedule(10.0, 2)
         # gamma_3 is not stored and reads 0, even though 1 - 3/10 > 0.
-        assert len(sched.gammas) == 3
-        table = adversary.phi_table(ProblemInstance(8, 2, 3), 3)
-        tilde, tilde_prime = adversary.tilde_tables(sched, table)
-        assert table.phi_prime[2, 3] > 0.0 and tilde_prime[2, 3] == 0.0  # g_3 slot
+        assert len(gammas) == 3
+        phi, phi_prime = adversary.phi_table(ProblemInstance(8, 2, 3), 3)
+        tilde, tilde_prime = adversary.tilde_tables(gammas, phi, phi_prime)
+        assert phi_prime[2, 3] > 0.0 and tilde_prime[2, 3] == 0.0  # g_3 slot
         assert tilde[0, 0] == 0.0 and tilde_prime[0, 0] == 0.0  # g_{-1} slot
 
     def test_rejects_small_t(self):
@@ -114,11 +113,11 @@ class TestGammaSchedule:
 
     def test_tilde_boundary_conventions(self):
         inst = ProblemInstance(8, 2, 3)
-        table = adversary.phi_table(inst, inst.k + 1)
+        phi, phi_prime = adversary.phi_table(inst, inst.k + 1)
         # Large t: every in-range weight is positive, yet the top row's last
         # entry must still read the forced zero weight past the block range.
-        sched = adversary.gamma_schedule(100.0, inst.k)
-        tilde, tilde_prime = adversary.tilde_tables(sched, table)
+        gammas = adversary.gamma_schedule(100.0, inst.k)
+        tilde, tilde_prime = adversary.tilde_tables(gammas, phi, phi_prime)
         assert tilde[0, 0] == 0.0 and tilde_prime[0, 0] == 0.0
         assert tilde[inst.k, 3] == 0.0 and tilde_prime[inst.k, 3] == 0.0
         assert np.all(tilde[1 : inst.k + 1, :3] > 0.0)
@@ -146,10 +145,10 @@ class TestAssembly:
         assert float(np.sum(phi_1.matrix * gamma)) / d_1 == pytest.approx(0.5, abs=1e-9)
 
     def test_dimension_mismatch_rejected(self):
-        sched = adversary.gamma_schedule(2.0, 2)
+        gammas = adversary.gamma_schedule(2.0, 2)
         transporters = [johnson.transporter(8, 2, 3, j) for j in range(2)]
         with pytest.raises(ValueError):
-            adversary.assemble_adversary(sched, transporters)
+            adversary.assemble_adversary(gammas, transporters)
 
 
 class TestHadamardStep:
@@ -164,12 +163,12 @@ class TestHadamardStep:
 
     def test_symmetric_forms_agree(self):
         inst = ProblemInstance(8, 2, 3)
-        sched = adversary.gamma_schedule(2.0, 2)
-        table = adversary.phi_table(inst, 3)
-        tilde, tilde_prime = adversary.tilde_tables(sched, table)
+        gammas = adversary.gamma_schedule(2.0, 2)
+        phi, phi_prime = adversary.phi_table(inst, 3)
+        tilde, tilde_prime = adversary.tilde_tables(gammas, phi, phi_prime)
         for j in range(3):
-            left = float(table.phi[j] @ tilde_prime[j])
-            right = float(table.phi_prime[j] @ tilde[j])
+            left = float(phi[j] @ tilde_prime[j])
+            right = float(phi_prime[j] @ tilde[j])
             assert left == pytest.approx(right, abs=1e-12)
 
     def test_length_mismatch_rejected(self):
@@ -184,8 +183,8 @@ class TestHadamardStep:
 
 def overlap(inst, j):
     """D_j, the inner product of the plain and primed coefficient rows at block j."""
-    table = adversary.phi_table(inst, inst.k + 1)
-    return float(table.phi[j] @ table.phi_prime[j])
+    phi, phi_prime = adversary.phi_table(inst, inst.k + 1)
+    return float(phi[j] @ phi_prime[j])
 
 
 class TestOverlap:
@@ -224,7 +223,7 @@ class TestPsiPowerBound:
     def test_recurrence_iterate_dominates_bound(self, ell):
         inst = ProblemInstance(8, 2, 3)
         t = 2.0 * ell
-        coeffs = adversary.gamma_schedule(t, inst.k).gammas
+        coeffs = adversary.gamma_schedule(t, inst.k)
         for _ in range(ell):
             coeffs = adversary.hadamard_psi_step(coeffs, inst)
         bound = adversary.psi_power_lower_bound(inst, t, ell)
@@ -238,8 +237,8 @@ class TestPsiPowerBound:
 class TestDeltaNorms:
     def test_state_gen_symmetric_at_eps_zero(self):
         inst = ProblemInstance(8, 3, 3)
-        sched = adversary.gamma_schedule(2.0, 3)
-        forward, reverse = adversary.norm_delta_state_gen(sched, inst)
+        gammas = adversary.gamma_schedule(2.0, 3)
+        forward, reverse = adversary.norm_delta_state_gen(gammas, inst)
         assert forward == pytest.approx(reverse, abs=1e-14)
         assert forward > 0.0  # the 1/t weight offsets survive
 
@@ -247,20 +246,20 @@ class TestDeltaNorms:
         # With t = 1 only blocks 0 and 1 carry weight; truncating the table
         # beyond block 1 must not change the value.
         inst = ProblemInstance(10, 3, 4)
-        sched = adversary.gamma_schedule(1.0, 3)
+        gammas = adversary.gamma_schedule(1.0, 3)
         phi, _, g, _, tilde_prime = full_rows(inst, 1.0)
         per_j = np.linalg.norm(tilde_prime - g[:, None] * phi, axis=1)
-        full, _ = adversary.norm_delta_state_gen(sched, inst)
+        full, _ = adversary.norm_delta_state_gen(gammas, inst)
         assert full == pytest.approx(float(np.max(per_j[:2])), abs=1e-14)
 
     def test_reflection_vanishes_at_eps_zero_large_t(self):
         inst = ProblemInstance(8, 3, 3)
-        sched = adversary.gamma_schedule(1e6, 3)
-        assert adversary.norm_delta_reflection(sched, inst) < 1e-5
+        gammas = adversary.gamma_schedule(1e6, 3)
+        assert adversary.norm_delta_reflection(gammas, inst) < 1e-5
 
     def test_reflection_t_one_explicit_blocks(self):
         inst = ProblemInstance(8, 2, 3)
-        sched = adversary.gamma_schedule(1.0, 2)
+        gammas = adversary.gamma_schedule(1.0, 2)
         p = adversary.phi_components(8, 2, 0)
         q = adversary.phi_components(8, 3, 0)
         block0 = np.zeros((4, 4))
@@ -277,20 +276,20 @@ class TestDeltaNorms:
             np.linalg.svd(block0, compute_uv=False)[0],
             np.linalg.svd(block1, compute_uv=False)[0],
         )
-        assert adversary.norm_delta_reflection(sched, inst) == pytest.approx(
+        assert adversary.norm_delta_reflection(gammas, inst) == pytest.approx(
             expected, abs=1e-14
         )
 
     def test_membership_t_one_frozen_value(self):
         inst = ProblemInstance(8, 2, 3)
-        sched = adversary.gamma_schedule(1.0, 2)
-        assert adversary.norm_delta_membership(sched, inst) == pytest.approx(
+        gammas = adversary.gamma_schedule(1.0, 2)
+        assert adversary.norm_delta_membership(gammas, inst) == pytest.approx(
             math.sqrt(18.0) / 8.0, abs=1e-14
         )
 
     def test_membership_eps_zero_offsets(self):
         inst = ProblemInstance(9, 4, 4)
-        sched = adversary.gamma_schedule(2.0, 4)
+        gammas = adversary.gamma_schedule(2.0, 4)
         n, k = 9, 4
         expected = max(
             math.sqrt((k - j) * (n - k - j))
@@ -298,7 +297,7 @@ class TestDeltaNorms:
             / (n - 2 * j)
             for j in range(k + 1)
         )
-        assert adversary.norm_delta_membership(sched, inst) == pytest.approx(
+        assert adversary.norm_delta_membership(gammas, inst) == pytest.approx(
             expected, abs=1e-14
         )
 
@@ -335,7 +334,7 @@ class TestDeltaNorms:
             _, _, _, tilde, tilde_prime = full_rows(inst, t)
             cut = int(t) + 2
             assert np.all(tilde[cut:] == 0.0) and np.all(tilde_prime[cut:] == 0.0)
-            assert len(adversary.gamma_schedule(t, k).gammas) == min(cut, k + 1)
+            assert len(adversary.gamma_schedule(t, k)) == min(cut, k + 1)
 
 
 class TestDualFeasibility:
@@ -360,46 +359,50 @@ class TestDualFeasibility:
 class TestTheoremTradeoff:
     def test_hand_case_base(self):
         report = adversary.theorem_tradeoff(1e6, 1e4, 0.1, 0, 0)
-        assert report.membership_bound == pytest.approx(100.0, rel=1e-12)
-        assert report.copies_bound == pytest.approx(1000.0, rel=1e-12)
-        assert report.state_generation_bound == pytest.approx(100.0, rel=1e-12)
-        assert report.reflection_bound == pytest.approx(100.0, rel=1e-12)
-        assert report.fifth_case_threshold == pytest.approx(10.0, rel=1e-12)
-        assert report.fifth_case_reflection == pytest.approx(
+        assert report["membership_bound"] == pytest.approx(100.0, rel=1e-12)
+        assert report["copies_bound"] == pytest.approx(1000.0, rel=1e-12)
+        assert report["state_generation_bound"] == pytest.approx(100.0, rel=1e-12)
+        assert report["reflection_bound"] == pytest.approx(100.0, rel=1e-12)
+        assert report["fifth_case_threshold"] == pytest.approx(10.0, rel=1e-12)
+        assert report["fifth_case_reflection"] == pytest.approx(
             math.sqrt(1e5), rel=1e-12
         )
-        assert report.t_choice == pytest.approx(2.0, rel=1e-12)
-        assert report.regime_n and report.regime_eps
+        assert report["t_choice"] == pytest.approx(2.0, rel=1e-12)
+        assert report["regime_n"] and report["regime_eps"]
 
     def test_hand_case_small_eps(self):
         report = adversary.theorem_tradeoff(1e6, 1e4, 0.01, 0, 0)
-        assert report.copies_bound == pytest.approx(1e4, rel=1e-12)
-        assert report.state_generation_bound == pytest.approx(
+        assert report["copies_bound"] == pytest.approx(1e4, rel=1e-12)
+        assert report["state_generation_bound"] == pytest.approx(
             10 ** (8.0 / 3.0), rel=1e-12
         )
-        assert report.membership_bound == pytest.approx(1000.0, rel=1e-12)
-        assert report.t_choice == pytest.approx(20.0, rel=1e-12)
+        assert report["membership_bound"] == pytest.approx(1000.0, rel=1e-12)
+        assert report["t_choice"] == pytest.approx(20.0, rel=1e-12)
 
     def test_hand_case_with_copies(self):
         report = adversary.theorem_tradeoff(320, 64, 1.0, ell=2, ell_prime=3)
-        assert report.copies_bound == pytest.approx(5.0, rel=1e-12)
-        assert report.state_generation_bound == pytest.approx(
+        assert report["copies_bound"] == pytest.approx(5.0, rel=1e-12)
+        assert report["state_generation_bound"] == pytest.approx(
             math.sqrt(5.0), rel=1e-12
         )
-        assert report.reflection_bound == pytest.approx(math.sqrt(5.0), rel=1e-12)
-        assert report.fifth_case_reflection == pytest.approx(8.0, rel=1e-12)
-        assert report.t_choice == pytest.approx(24.0, rel=1e-12)  # cprime * ell_prime
+        assert report["reflection_bound"] == pytest.approx(math.sqrt(5.0), rel=1e-12)
+        assert report["fifth_case_reflection"] == pytest.approx(8.0, rel=1e-12)
+        assert report["t_choice"] == pytest.approx(24.0, rel=1e-12)  # cprime * ell_prime
 
     def test_eps_one_copies_branch(self):
         report = adversary.theorem_tradeoff(100, 16, 1.0, 0, 0)
-        assert report.copies_bound == pytest.approx(min(16.0, 4.0, 100.0 / 16.0))
+        assert report["copies_bound"] == pytest.approx(min(16.0, 4.0, 100.0 / 16.0))
 
     def test_dropped_terms_read_infinite(self):
+        # The report is ready for JSON, where None stands for +inf.
         report = adversary.theorem_tradeoff(1e6, 1e4, 0.1, 0, 0)
-        assert report.state_generation_terms["sqrt_k_over_ell_over_eps"] == math.inf
-        assert report.reflection_terms["sqrt_k_over_copies_over_eps"] == math.inf
-        payload = report.as_dict()
-        assert payload["state_generation_terms"]["sqrt_k_over_ell_over_eps"] is None
+        assert report["state_generation_terms"]["sqrt_k_over_ell_over_eps"] is None
+        assert report["reflection_terms"]["sqrt_k_over_copies_over_eps"] is None
+
+    def test_underflowing_k_eps2_reads_none(self):
+        report = adversary.theorem_tradeoff(100, 10, 1e-170)
+        assert report["copies_terms"]["n_over_k_eps2"] is None
+        assert report["copies_bound"] == 10.0
 
     def test_usage_errors(self):
         with pytest.raises(ValueError):
@@ -559,13 +562,13 @@ class TestVectorisedAgainstRowLoops:
     @given(certificate_points())
     def test_tables_and_tilde_tables(self, point):
         inst, t, _ = point
-        table = adversary.phi_table(inst, inst.k + 1)
-        phi, phi_prime = loop_tables(inst)
-        np.testing.assert_allclose(table.phi, phi, rtol=1e-13, atol=0)
-        np.testing.assert_allclose(table.phi_prime, phi_prime, rtol=1e-13, atol=0)
-        sched = adversary.gamma_schedule(t, inst.k)
-        rows = len(sched.gammas)
-        tilde, tilde_prime = adversary.tilde_tables(sched, adversary.phi_table(inst, rows))
+        phi, phi_prime = adversary.phi_table(inst, inst.k + 1)
+        want_phi, want_phi_prime = loop_tables(inst)
+        np.testing.assert_allclose(phi, want_phi, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(phi_prime, want_phi_prime, rtol=1e-13, atol=0)
+        gammas = adversary.gamma_schedule(t, inst.k)
+        rows = len(gammas)
+        tilde, tilde_prime = adversary.tilde_tables(gammas, *adversary.phi_table(inst, rows))
         want, want_prime = loop_tildes(inst, t)
         np.testing.assert_allclose(tilde, want[:rows], rtol=1e-13, atol=0)
         np.testing.assert_allclose(tilde_prime, want_prime[:rows], rtol=1e-13, atol=0)
@@ -575,17 +578,17 @@ class TestVectorisedAgainstRowLoops:
     @given(certificate_points())
     def test_three_norms(self, point):
         inst, t, _ = point
-        sched = adversary.gamma_schedule(t, inst.k)
+        gammas = adversary.gamma_schedule(t, inst.k)
         pair, refl, memb = loop_norms(inst, t)
-        assert_rel(adversary.norm_delta_state_gen(sched, inst), pair)
-        assert_rel(adversary.norm_delta_reflection(sched, inst), refl)
-        assert_rel(adversary.norm_delta_membership(sched, inst), memb)
+        assert_rel(adversary.norm_delta_state_gen(gammas, inst), pair)
+        assert_rel(adversary.norm_delta_reflection(gammas, inst), refl)
+        assert_rel(adversary.norm_delta_membership(gammas, inst), memb)
 
     @settings(max_examples=40, deadline=None)
     @given(certificate_points())
     def test_iterated_hadamard_step(self, point):
         inst, t, ell = point
-        got = adversary.gamma_schedule(t, inst.k).gammas
+        got = adversary.gamma_schedule(t, inst.k)
         want = np.array([loop_gamma(t, inst.k, j) for j in range(inst.k + 1)])
         for _ in range(max(ell, 1)):
             got = adversary.hadamard_psi_step(got, inst)
@@ -609,14 +612,14 @@ class TestVectorisedAgainstRowLoops:
         # Every row the norms drop must be exactly zero, and the norms must
         # equal the full-row maxima to the bit.
         inst, t = point
-        sched = adversary.gamma_schedule(t, inst.k)
+        gammas = adversary.gamma_schedule(t, inst.k)
         per_row = full_row_values(inst, t)
-        assert np.all(per_row[len(sched.gammas) :] == 0.0)
+        assert np.all(per_row[len(gammas) :] == 0.0)
         want = [float(v) for v in per_row.max(axis=0)]
         got = [
-            *adversary.norm_delta_state_gen(sched, inst),
-            adversary.norm_delta_reflection(sched, inst),
-            adversary.norm_delta_membership(sched, inst),
+            *adversary.norm_delta_state_gen(gammas, inst),
+            adversary.norm_delta_reflection(gammas, inst),
+            adversary.norm_delta_membership(gammas, inst),
         ]
         assert got == want
 
@@ -625,6 +628,6 @@ class TestVectorisedAgainstRowLoops:
         # rank-two blocks nearly cancel; the batched SVD must still match
         # one SVD per row.
         inst = ProblemInstance(482983, 27110, 27112)
-        sched = adversary.gamma_schedule(2711.0, inst.k)
+        gammas = adversary.gamma_schedule(2711.0, inst.k)
         _, want, _ = loop_norms(inst, 2711.0)
-        assert_rel(adversary.norm_delta_reflection(sched, inst), want)
+        assert_rel(adversary.norm_delta_reflection(gammas, inst), want)

@@ -335,8 +335,7 @@ class TestVerify:
         assert len(report.details["per_i"]) == INST.n
 
     def test_hadamard_step_against_projection(self):
-        sched = adversary.gamma_schedule(2.0, INST.k)
-        stepped = adversary.hadamard_psi_step(sched.gammas, INST)
+        stepped = adversary.hadamard_psi_step(adversary.gamma_schedule(2.0, INST.k), INST)
         gamma = adversary.adversary_matrix(INST, 2.0)
         had = gamma * bruteforce.psi_gram(INST)
         fam = johnson.irrep_projectors(INST.n, INST.k)
@@ -348,7 +347,7 @@ class TestVerify:
     @pytest.mark.parametrize("ell", [1, 2, 3])
     def test_gram_power_coefficients_match_iterated_step(self, ell):
         t = 2.0 * ell
-        coeffs = adversary.gamma_schedule(t, INST.k).gammas
+        coeffs = adversary.gamma_schedule(t, INST.k)
         for _ in range(ell):
             coeffs = adversary.hadamard_psi_step(coeffs, INST)
         had = adversary.adversary_matrix(INST, t) * bruteforce.psi_gram(INST) ** ell

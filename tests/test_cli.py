@@ -256,6 +256,58 @@ class TestBoundsCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["tradeoff"]["t_choice"] == 24.0
 
+    @pytest.mark.parametrize(
+        "n, k, eps",
+        [
+            ("1e300", "1e-300", "0.5"),  # sqrt(n/k) overflows
+            ("100", "10", "1e-170"),  # k eps^2 underflows to 0
+            ("100", "5e-324", "0.5"),  # k eps^2 underflows to 0
+            ("100", "10", "5e-324"),  # and 1/(5 eps) overflows
+            ("1e-300", "1e300", "0.5"),  # sqrt(n/k) underflows to 0
+        ],
+    )
+    def test_stdout_is_strict_json_at_extreme_points(self, capsys, n, k, eps):
+        def reject(constant):
+            raise ValueError(f"non-finite number {constant} in the output")
+
+        assert run(["bounds", "--n", n, "--k", k, "--eps", eps]) == 0
+        json.loads(capsys.readouterr().out, parse_constant=reject)
+
+
+# sha256 of the concatenated `bounds` stdout over these points, recorded
+# before the closed-form engine passed plain arrays.  The points cover
+# bench-style (n, k, eps) with ell and ell' in 0..3, out-of-regime points,
+# every non-whole note path and k = 1e8 and 1e12.
+PINNED_BOUNDS_POINTS = (
+    "--n 2000 --k 100 --eps 0.05",
+    "--n 15000 --k 1000 --eps 0.01 --ell 1 --ell-prime 1",
+    "--n 6000 --k 300 --eps 0.1 --ell 2",
+    "--n 50000 --k 2000 --eps 0.5 --ell 3 --ell-prime 2",
+    "--n 1200 --k 150 --eps 1.0 --ell-prime 3",
+    "--n 40000 --k 5000 --eps 0.002 --ell 1",
+    "--n 900 --k 100 --eps 0.25 --ell 2 --ell-prime 1",
+    "--n 3000 --k 200 --eps 0.035 --ell 3 --ell-prime 3",
+    "--n 250000 --k 25000 --eps 0.0004 --ell-prime 2",
+    "--n 320 --k 64 --eps 1 --ell 2 --ell-prime 3",
+    "--n 30 --k 10 --eps 0.5",
+    "--n 1000 --k 10 --eps 2.0 --ell 1",
+    "--n 100.5 --k 10 --eps 1",
+    "--n 100 --k 10.5 --eps 1",
+    "--n 100 --k 10 --eps 1 --ell 1.7",
+    "--n 1000 --k 100 --eps 0.123",
+    "--n 1e9 --k 1e8 --eps 0.1",
+    "--n 1e13 --k 1e12 --eps 0.5",
+)
+PINNED_BOUNDS_SHA256 = "8cdcdbac3b3a3c9ce61fe7cb9f66b4e4ce3ff16fb8808aae3e4900d286075d31"
+
+
+def test_bounds_stdout_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for point in PINNED_BOUNDS_POINTS:
+        assert run(["bounds", *point.split()]) == 0, point
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == PINNED_BOUNDS_SHA256
+
 
 # sha256 of simulate_<proc>.csv and .json for 60 trials, recorded before the
 # seven procedures shared one trial driver.  The cases cover every procedure,
@@ -403,7 +455,10 @@ class TestSimulateCommand:
     @pytest.mark.parametrize(
         "proc, eps",
         [("collision", "0"), ("coupon", "inf"), ("coupon", "0"), ("coupon", "-0.5"),
-         ("overlap", "nan")],
+         ("overlap", "nan"),
+         # (1+eps)k rounds to k, or overflows: no k' above k.
+         ("overlap", "1e-200"), ("collision", "1e-200"), ("coupon", "1e-10"),
+         ("coupon", "1e308")],
     )
     def test_bad_eps_is_usage_error(self, tmp_path, capsys, proc, eps):
         out = tmp_path / "s"

@@ -453,6 +453,12 @@ def test_eps_must_be_finite_and_positive(procedure, eps):
         PROCEDURE_AT[procedure](eps)
 
 
+def test_k_prime_must_be_above_k():
+    # (1 + 1e-10) * 10 rounds to k' = k: both hypotheses would have one size.
+    with pytest.raises(ValueError, match="not above k"):
+        simulate.coupon(10, 1e-10, 50)
+
+
 def collect_distinct_one_draw_at_a_time(target, size, budget, rng):
     """Reference for `simulate._collect_distinct`: the loop its block draws replaced."""
     seen = set()
