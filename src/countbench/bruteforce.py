@@ -187,12 +187,6 @@ def _v_apply(psi: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (psi[:, :, None] * m[:, None, :]).reshape(-1, m.shape[1])
 
 
-def _v_adjoint_apply(psi: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """V^T @ m: row x is the sum over i of psi_x[i] m[(x, i), :]."""
-    size, n = psi.shape
-    return np.matmul(psi[:, None, :], m.reshape(size, n, -1))[:, 0]
-
-
 @lru_cache(maxsize=8)
 def _instance_memo(inst: ProblemInstance) -> dict:
     """Schedule-free check results of one instance, keyed by check function.
@@ -324,26 +318,28 @@ def _reflection_lift_norm(inst: ProblemInstance, gamma: np.ndarray) -> float:
     Its (x, y) block is gamma[x, y] (psi_x psi_x^T - psi_y psi_y^T), with
     row blocks (x, i) and column blocks (y, i) as in ``lift``.
 
-    By the lift composition identities the difference is L R^T with
-    L = [V, B], B = -lift(gamma, COL_PSI), and R = [A^T, V-hat],
-    A = lift(gamma, ROW_PSI_STAR).  V and V-hat are isometries, so each
-    factor needs a QR of its other block's remainder only:
-    B - V V^T B = Q_B r_B and A^T - V-hat V-hat^T A^T = Q_A r_A give
-    L = [V, Q_B] [[I, V^T B], [0, r_B]] and R = [Q_A, V-hat] [[r_A, 0],
-    [V-hat^T A^T, I]], both with orthonormal left factors.  The norm is
-    that of the small product [[r_A^T, A V-hat + V^T B], [0, r_B]].
+    By the lift composition identities the difference is D = V A + B V-hat^T
+    with A = lift(gamma, ROW_PSI_STAR) and B = -lift(gamma, COL_PSI), and
+    for any gamma both A V-hat and -V^T B equal gamma o P, P = ``psi_gram``.
+    So D = V A (I - V-hat V-hat^T) + (I - V V^T) B V-hat^T: two pieces with
+    orthogonal ranges and orthogonal row spaces, and ||D||^2 is the larger
+    of their squared norms, the top eigenvalues of the level-sized Grams
+
+        C = (gamma gamma^T) o (Psi Psi^T) - (gamma o P)(gamma o P)^T,
+        E = (gamma^T gamma) o (Psi-hat Psi-hat^T) - (gamma o P)^T (gamma o P).
+
+    The subtraction cancels at most k/k' of each diagonal entry, since
+    <psi_x, psi-hat_y>^2 <= k/k'.  gamma is rescaled by ``linalg.gram_safe``,
+    as ``linalg.spectral_norm`` rescales its input.
     """
+    gamma, scale = linalg.gram_safe(gamma)
     psi, psi_hat = psi_matrix(inst.n, inst.k), psi_matrix(inst.n, inst.k_prime)
-    b = -lift(gamma, LiftKind.COL_PSI, psi_hat)
-    a_t = lift(gamma, LiftKind.ROW_PSI_STAR, psi).T
-    v_b = _v_adjoint_apply(psi, b)
-    v_hat_a_t = _v_adjoint_apply(psi_hat, a_t)
-    r_b = np.linalg.qr(b - _v_apply(psi, v_b), mode="r")
-    r_a = np.linalg.qr(a_t - _v_apply(psi_hat, v_hat_a_t), mode="r")
-    core = np.block(
-        [[r_a.T, v_hat_a_t.T + v_b], [np.zeros((r_b.shape[0], r_a.shape[0])), r_b]]
-    )
-    return linalg.spectral_norm(core)
+    overlap = gamma * psi_gram(inst)
+    c = (gamma @ gamma.T) * (psi @ psi.T)
+    c -= overlap @ overlap.T
+    e = (gamma.T @ gamma) * (psi_hat @ psi_hat.T)
+    e -= overlap.T @ overlap
+    return scale * max(linalg.gram_norm(c), linalg.gram_norm(e))
 
 
 def _check_delta_memb(inst: ProblemInstance, t: float, ell: int):

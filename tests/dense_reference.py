@@ -12,10 +12,11 @@ the block-coordinate channel pass of ``bruteforce`` is gated against.
 builder applies as a block mean and its remainder.
 The rank-one lifts expand each entry of a matrix by the n-by-n block
 psi psi^T of one side's superposition vector.  The package never forms
-them: DELTA_REFL takes its norm from the factored product of the
-single-vector lifts.  They stay here as the definition the factored
-form is gated against, with the same label-major block ordering as
-``bruteforce.lift``.
+them, nor any other lifted array for DELTA_REFL: it takes the norm of
+their difference from two level-sized remainder Grams built from gamma,
+the superposition rows and the overlap matrix.  They stay here as the
+definition that split is gated against, with the same label-major block
+ordering as ``bruteforce.lift``.
 """
 
 import itertools

@@ -264,8 +264,28 @@ class TestChannelPass:
             bruteforce.verify("V_DECOMP", INST, t=1.0)
 
 
+GENERIC = [ProblemInstance(7, 1, 2), INST, ProblemInstance(9, 2, 3)]
+
+
+def _generic_gamma(inst, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((math.comb(inst.n, inst.k), math.comb(inst.n, inst.k_prime)))
+
+
+def _inclusion_gamma(inst, seed):
+    """Generic weights on the pairs x subset of y, zero elsewhere.
+
+    On those pairs <psi_x, psi-hat_y>^2 = k/k', the largest overlap, so the
+    split's remainder Grams keep only 1 - k/k' of their diagonals.
+    """
+    xm = johnson.subset_basis(inst.n, inst.k)
+    ym = johnson.subset_basis(inst.n, inst.k_prime)
+    inside = (xm[:, None] & ym[None, :]) == xm[:, None]
+    return np.where(inside, _generic_gamma(inst, seed), 0.0)
+
+
 class TestReflectionLiftNorm:
-    """The factored DELTA_REFL norm against the dense lifted difference."""
+    """The split DELTA_REFL norm against the dense lifted difference."""
 
     @staticmethod
     def dense_norm(inst, gamma):
@@ -274,18 +294,51 @@ class TestReflectionLiftNorm:
         )
         return linalg.spectral_norm(lifted)
 
+    @pytest.mark.parametrize("t", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("inst", DEFAULT, ids=_instance_id)
-    def test_matches_dense_on_default_instances(self, inst):
-        brute = bruteforce.verify("DELTA_REFL", inst, t=2.0).brute_force
-        dense = self.dense_norm(inst, adversary.adversary_matrix(inst, 2.0))
+    def test_matches_dense_on_default_instances(self, inst, t):
+        brute = bruteforce.verify("DELTA_REFL", inst, t=t).brute_force
+        dense = self.dense_norm(inst, adversary.adversary_matrix(inst, t))
         assert abs(brute - dense) <= 1e-12 * dense
 
-    def test_matches_dense_on_a_generic_matrix(self):
-        rng = np.random.default_rng(23)
-        gamma = rng.standard_normal((math.comb(8, 2), math.comb(8, 3)))
-        got = bruteforce._reflection_lift_norm(INST, gamma)
-        dense = self.dense_norm(INST, gamma)
+    @pytest.mark.parametrize("inst", GENERIC, ids=_instance_id)
+    @pytest.mark.parametrize(
+        "planted", [_generic_gamma, _inclusion_gamma], ids=["generic", "inclusion"]
+    )
+    def test_matches_dense_on_a_generic_matrix(self, inst, planted):
+        gamma = planted(inst, 23)
+        got = bruteforce._reflection_lift_norm(inst, gamma)
+        dense = self.dense_norm(inst, gamma)
         assert abs(got - dense) <= 1e-12 * dense
+
+    @pytest.mark.parametrize("inst", DEFAULT, ids=_instance_id)
+    def test_the_split_cancels_the_off_diagonal_block(self, inst):
+        # A V-hat + V^T B = 0 for any gamma, with A = lift(gamma, ROW_PSI_STAR)
+        # and B = -lift(gamma, COL_PSI); both sides equal gamma o psi_gram.
+        gamma = _generic_gamma(inst, 29)
+        psi = bruteforce.psi_matrix(inst.n, inst.k)
+        psi_hat = bruteforce.psi_matrix(inst.n, inst.k_prime)
+        v, v_hat = dense_reference.isometry(inst), dense_reference.isometry(inst, hatted=True)
+        a_v_hat = lift(gamma, LiftKind.ROW_PSI_STAR, psi) @ v_hat
+        v_b = -v.T @ lift(gamma, LiftKind.COL_PSI, psi_hat)
+        bound = 1e-14 * np.max(np.abs(gamma))
+        assert np.max(np.abs(a_v_hat + v_b)) <= bound
+        assert np.max(np.abs(a_v_hat - gamma * bruteforce.psi_gram(inst))) <= bound
+
+    @pytest.mark.parametrize("power", [600, -600])
+    def test_extreme_scales(self, power):
+        gamma = adversary.adversary_matrix(INST, 2.0)
+        want = bruteforce._reflection_lift_norm(INST, gamma)
+        got = bruteforce._reflection_lift_norm(INST, gamma * 2.0**power) / 2.0**power
+        assert abs(got - want) <= 1e-15 * want
+
+    def test_builds_no_lifted_array(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("DELTA_REFL built a lifted array or ran a QR")
+
+        monkeypatch.setattr(bruteforce, "lift", unreachable)
+        monkeypatch.setattr(np.linalg, "qr", unreachable)
+        assert bruteforce.verify("DELTA_REFL", ProblemInstance(12, 3, 4), t=2.0).passed
 
 
 class TestKronApply:

@@ -81,6 +81,20 @@ class TestSpectralNorm:
         expected = max(linalg.spectral_norm(a), linalg.spectral_norm(b))
         assert linalg.spectral_norm(block) == pytest.approx(expected, abs=1e-10)
 
+    @pytest.mark.parametrize("power", [600, -600])
+    def test_extreme_scales(self, power):
+        # The Gram of m * 2^600 overflows and that of m * 2^-600 underflows.
+        m = random_matrix(np.random.default_rng(5), 9, 14)
+        want = linalg.spectral_norm(m)
+        got = linalg.spectral_norm(m * 2.0**power) / 2.0**power
+        assert abs(got - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("power", [0, 390, -390])
+    def test_in_range_scales_take_the_unscaled_path(self, power):
+        m = random_matrix(np.random.default_rng(5), 9, 14) * 2.0**power
+        top = np.linalg.eigvalsh(m @ m.T)[-1]
+        assert linalg.spectral_norm(m) == float(np.sqrt(top))
+
     def test_orthonormal_columns_have_norm_one(self):
         rng = np.random.default_rng(3)
         q, _ = np.linalg.qr(rng.standard_normal((12, 5)))
