@@ -202,24 +202,42 @@ def psi_power_lower_bound(inst: ProblemInstance, t: float, ell: int) -> float:
     return d**ell / 2.0
 
 
+def _row_past_k(gammas, inst: ProblemInstance) -> float:
+    """The row of block k+1, which only the k' level has: g_k c0'_{k+1}.
+
+    There tilde'_{k+1} = (g_k c0'_{k+1}, 0, 0, 0) and the level-k terms
+    vanish, so the row reads g_k c0'_{k+1} in the forward state-generation
+    norm and, phi'_{k+1} being a unit vector, in the reflection norm too;
+    c0'_{k+1}^2 = (k+1)(k'-k)(n-k'-k) / ((n-2k)(n-2k-1) k').  It is 0 unless
+    t > k, the only case in which g_k > 0.
+    """
+    if len(gammas) <= inst.k or gammas[inst.k] == 0.0 or inst.k_prime == inst.k:
+        return 0.0
+    c0 = phi_components(inst.n, inst.k_prime, inst.k + 1)[0]
+    return float(gammas[inst.k] * c0)
+
+
 def norm_delta_state_gen(gammas, inst: ProblemInstance) -> tuple[float, float]:
     """Norms of Gamma against the state-generation difference pair.
 
     Returns (max_j ||tilde_prime_j - g_j phi_j||, max_j ||g_j phi_prime_j - tilde_j||).
+    The forward maximum also runs over the k' level's block k+1, where
+    phi_{k+1} = 0 (``_row_past_k``); the reverse row there is 0.
     """
     phi, phi_prime = phi_table(inst, len(gammas))
     tilde, tilde_prime = tilde_tables(gammas, phi, phi_prime)
     g = gammas[:, None]
     forward = float(np.max(np.linalg.norm(tilde_prime - g * phi, axis=1)))
     reverse = float(np.max(np.linalg.norm(g * phi_prime - tilde, axis=1)))
-    return forward, reverse
+    return max(forward, _row_past_k(gammas, inst)), reverse
 
 
 def norm_delta_reflection(gammas, inst: ProblemInstance) -> float:
     """Norm of Gamma against the reflection difference operator.
 
     max over j of the spectral norm of the 4x4 matrix
-    phi'_j tilde'_j^T - tilde_j phi_j^T.
+    phi'_j tilde'_j^T - tilde_j phi_j^T, with j running to k+1 on the k'
+    level, where tilde_{k+1} = 0 (``_row_past_k``).
     """
     phi, phi_prime = phi_table(inst, len(gammas))
     tilde, tilde_prime = tilde_tables(gammas, phi, phi_prime)
@@ -227,7 +245,8 @@ def norm_delta_reflection(gammas, inst: ProblemInstance) -> float:
         phi_prime[:, :, None] * tilde_prime[:, None, :]
         - tilde[:, :, None] * phi[:, None, :]
     )
-    return float(np.max(np.linalg.svd(blocks, compute_uv=False)[:, 0]))
+    top = float(np.max(np.linalg.svd(blocks, compute_uv=False)[:, 0]))
+    return max(top, _row_past_k(gammas, inst))
 
 
 def norm_delta_membership(gammas, inst: ProblemInstance) -> float:

@@ -8,8 +8,9 @@ vectors, and the superposition isometries V and V-hat, applied entrywise.
 reporting the worst discrepancy.
 
 V_DECOMP and PHI_COMMUTE read the channel transporters Xi in block
-coordinates (``_level_channels``), splitting the ground axis into the
-uniform direction (Pi_0, the mean over i) and its complement (Pi_1).
+coordinates (``_level_channels``), one row block at a time, splitting the
+ground axis into the uniform direction (Pi_0, the mean over i) and its
+complement (Pi_1).
 ``build_xi`` forms one Xi at full size with the same split; the tests
 gate the block pass against it, and the benchmark tracer wraps it by name.
 
@@ -163,7 +164,8 @@ def lift(m, kind: LiftKind, psi: np.ndarray) -> np.ndarray:
     if kind is LiftKind.ROW_PSI_STAR:
         return np.einsum("xy,xi->xyi", m, psi).reshape(rows, cols * n)
     if kind is LiftKind.COL_PSI:
-        return np.einsum("xy,yi->xiy", m, psi).reshape(rows * n, cols)
+        # C order, so that the reshape is a view rather than a copy.
+        return np.einsum("xy,yi->xiy", m, psi, order="C").reshape(rows * n, cols)
     if kind is LiftKind.COL_PSI_STAR:
         return np.einsum("xy,yi->xyi", m, psi).reshape(rows, cols * n)
     raise ValueError(f"unknown lift kind {kind!r}")
@@ -288,13 +290,14 @@ def _check_delta_gen(inst: ProblemInstance, t: float, ell: int):
     closed = adversary.norm_delta_state_gen(adversary.gamma_schedule(t, inst.k), inst)
     gamma = adversary.adversary_matrix(inst, t)
     psi, psi_hat = psi_matrix(inst.n, inst.k), psi_matrix(inst.n, inst.k_prime)
-    brute_fwd = linalg.spectral_norm(
-        lift(gamma, LiftKind.ROW_PSI, psi) - lift(gamma, LiftKind.COL_PSI, psi_hat)
-    )
-    brute_rev = linalg.spectral_norm(
-        lift(gamma, LiftKind.ROW_PSI_STAR, psi)
-        - lift(gamma, LiftKind.COL_PSI_STAR, psi_hat)
-    )
+    # Each lifted difference is formed in place, one at a time.
+    diff = lift(gamma, LiftKind.ROW_PSI, psi)
+    diff -= lift(gamma, LiftKind.COL_PSI, psi_hat)
+    brute_fwd = linalg.spectral_norm(diff)
+    del diff
+    diff = lift(gamma, LiftKind.ROW_PSI_STAR, psi)
+    diff -= lift(gamma, LiftKind.COL_PSI_STAR, psi_hat)
+    brute_rev = linalg.spectral_norm(diff)
     gaps = (abs(brute_fwd - closed[0]), abs(brute_rev - closed[1]))
     side = int(np.argmax(gaps))
     return (
@@ -356,23 +359,28 @@ def _check_delta_memb(inst: ProblemInstance, t: float, ell: int):
     return closed, float(per_i[worst]), float(max(gaps)), details, "norm"
 
 
-def _block_bases(fam: johnson.ProjectorFamily) -> list[np.ndarray]:
-    """Orthonormal basis Q_j of each block, read off the projector E_j itself.
+def _block_bases(fam: johnson.ProjectorFamily) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases Q_j of all blocks from one eigendecomposition.
 
-    The eigenvalues of a projector are 0 and 1, so Q_j holds the
-    eigenvectors of E_j whose eigenvalue exceeds one half.
+    L = sum_j j E_j has the eigenvalues 0..k exactly, since the E_j are
+    orthogonal projectors that sum to I, and eigh lists them in ascending
+    order.  So Q_j holds the eigenvectors whose eigenvalue rounds to j,
+    and the blocks stand side by side.  Returns the eigenvectors and the
+    column offsets: Q_j is ``q_all[:, edges[j]:edges[j + 1]]``.
     """
-    bases = []
-    for j, e_j in enumerate(fam.projectors):
-        values, vectors = np.linalg.eigh(e_j)
-        q_j = vectors[:, values > 0.5]
-        if q_j.shape[1] != fam.dimension(j):
+    values, q_all = np.linalg.eigh(sum(j * e_j for j, e_j in enumerate(fam.projectors)))
+    # edges[j] is the first eigenvalue that rounds to j or above; one that
+    # rounds below 0 or above k falls into block 0 or k and fails its count.
+    edges = np.searchsorted(np.rint(values), np.arange(fam.k + 2) - 0.5)
+    edges[0], edges[-1] = 0, len(values)
+    for j in range(fam.k + 1):
+        count = edges[j + 1] - edges[j]
+        if count != fam.dimension(j):
             raise ArithmeticError(
-                f"block {j} of level {fam.k} has a {q_j.shape[1]}-dimensional range, "
+                f"block {j} of level {fam.k} has a {count}-dimensional range, "
                 f"trace {fam.dimension(j)}"
             )
-        bases.append(q_j)
-    return bases
+    return q_all, edges
 
 
 def _level_channels(inst: ProblemInstance, hatted: bool):
@@ -380,38 +388,57 @@ def _level_channels(inst: ProblemInstance, hatted: bool):
 
     In the block bases Q_j, and with the ground axis split into its Pi_0
     coordinate (sum over i, divided by sqrt(n)) and its Pi_1 part, the
-    isometry V becomes a grid of cores K_{j',ell,j} = (Q_{j'}^T tensor
-    Pi_ell) V Q_j.  This change of basis is an isometry, so the residual
+    isometry V becomes a grid of cores K_{r,ell,j} = (Q_r^T tensor Pi_ell)
+    V Q_j.  This change of basis is an isometry, so the residual
     V - sum c Xi keeps its spectral norm: each non-border channel core is
-    scaled by 1 - c/||K||, every other core is left as it is.  Returns the
-    block bases, the normalised channel cores K/||K|| keyed by (j, ell, m),
-    and the residual's spectral norm.
+    scaled by 1 - c/||K||, every other core is left as it is.
+
+    The pass runs one row block r at a time.  Row (x, i) of V holds
+    psi_x[i] in column x, so ground coordinate i of row block r is
+    (psi[S_i, i] o Q_r[S_i])^T Q_all[S_i], with S_i the subsets that hold
+    i; the others have psi_x[i] = 0.  The residual is never stored: the
+    Gram of each row block's entries, formed explicitly, adds into an
+    N x N Gram whose top eigenvalue gives the norm.  Returns the block
+    bases, the normalised channel cores K/||K|| that ``_check_channels``
+    reads, keyed by (j, ell, m) with rows (a, i) as in ``_kron_apply``
+    (every core of level k; on level k' those with j, j + m <= k), and the
+    residual's spectral norm.
     """
     level = inst.k_prime if hatted else inst.k
     coeffs = adversary.phi_components(inst.n, level, np.arange(level + 1))
-    bases = _block_bases(johnson.irrep_projectors(inst.n, level))
-    q_all = np.hstack(bases)
-    edges = np.cumsum([0] + [q.shape[1] for q in bases])
+    q_all, edges = _block_bases(johnson.irrep_projectors(inst.n, level))
     psi = psi_matrix(inst.n, level)
     size, n = psi.shape
-    # Rows: the Pi_0 coordinate of every block row, then its Pi_1 part.
-    residual = np.empty((size * (n + 1), size))
+    members = [np.flatnonzero(psi[:, i]) for i in range(n)]
+    blocks = [slice(edges[j], edges[j + 1]) for j in range(level + 1)]
+    gram = np.zeros((size, size))
     channels = {}
-    for j, q_j in enumerate(bases):
-        d = q_j.shape[1]
-        v_q = _v_apply(psi, q_j).reshape(size, n * d)
-        cores = (q_all.T @ v_q).reshape(size, n, d)
-        parts = (cores.sum(axis=1) / math.sqrt(n), cores - cores.mean(axis=1, keepdims=True))
+    for r, rows in enumerate(blocks):
+        q_r = q_all[:, rows]
+        # Slot 0: the Pi_0 coordinate; slot 1 + i: ground coordinate i, then its Pi_1 part.
+        part = np.empty((n + 1, q_r.shape[1], size))
+        for i, s_i in enumerate(members):
+            np.matmul((psi[s_i, i, None] * q_r[s_i]).T, q_all[s_i], out=part[1 + i])
+        np.sum(part[1:], axis=0, out=part[0])
+        part[1:] -= part[0] / n
+        part[0] /= math.sqrt(n)
         for comp, (el, m) in enumerate(XI_CHANNELS):
+            j = r - m
             if _xi_is_declared_zero(j, el, m, level):
                 continue
-            core = parts[el][edges[j + m] : edges[j + m + 1]].reshape(-1, d)
-            scale = _channel_normaliser(core, j, el, m, hatted)
-            channels[j, el, m] = core / scale
+            core = part[0, :, blocks[j]] if el == 0 else part[1:, :, blocks[j]]
+            scale = _channel_normaliser(core.reshape(-1, core.shape[-1]), j, el, m, hatted)
+            if not hatted or max(j, r) <= inst.k:
+                kept = (core.swapaxes(0, 1) if el else core).copy()
+                kept /= scale
+                channels[j, el, m] = kept.reshape(-1, kept.shape[-1])
             core *= 1.0 - coeffs[j, comp] / scale
-        residual[:size, edges[j] : edges[j + 1]] = parts[0]
-        residual[size:, edges[j] : edges[j + 1]] = parts[1].reshape(size * n, d)
-    return bases, channels, linalg.spectral_norm(residual)
+        flat = part.reshape(-1, size)
+        gram += flat.T @ flat
+        # Drop every view of this row block before the next one is allocated.
+        del part, flat, core
+    bases = [q_all[:, rows] for rows in blocks]
+    return bases, channels, linalg.gram_norm(gram)
 
 
 def _check_channels(inst: ProblemInstance, t: float, ell: int):

@@ -84,8 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--checks",
         nargs="+",
+        action="extend",
         choices=bruteforce.CHECK_IDS,
-        help="restrict to these checks",
+        help="restrict to these checks (repeatable)",
     )
     p_verify.add_argument(
         "--timing",

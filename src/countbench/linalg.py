@@ -36,7 +36,9 @@ def as_matrix(values) -> np.ndarray:
     m = np.asarray(values, dtype=float)
     if m.ndim != 2 or m.size == 0:
         raise ValueError(f"matrix must be a nonempty 2-D array, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    # Two reductions rather than np.isfinite(m), which would allocate an
+    # input-sized bool array: max and min propagate NaN and reach +-inf.
+    if not (math.isfinite(m.max()) and math.isfinite(m.min())):
         raise ValueError("matrix contains non-finite entries")
     return m
 

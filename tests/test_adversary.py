@@ -252,6 +252,25 @@ class TestDeltaNorms:
         full, _ = adversary.norm_delta_state_gen(gammas, inst)
         assert full == pytest.approx(float(np.max(per_j[:2])), abs=1e-14)
 
+    @pytest.mark.parametrize(
+        "n, k, kp, t", [(8, 2, 3, 5.0), (8, 2, 3, 100.0), (9, 3, 4, 7.0), (20, 3, 6, 4.5)]
+    )
+    def test_row_past_k_closed_form(self, n, k, kp, t):
+        # g_k c0'_{k+1}, with c0'_{k+1}^2 = (k+1)(k'-k)(n-k'-k) / ((n-2k)(n-2k-1)k').
+        inst = ProblemInstance(n, k, kp)
+        gammas = adversary.gamma_schedule(t, k)
+        c0_sq = (k + 1) * (kp - k) * (n - kp - k) / ((n - 2 * k) * (n - 2 * k - 1) * kp)
+        want = (1.0 - k / t) * math.sqrt(c0_sq)
+        assert adversary._row_past_k(gammas, inst) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "n, k, kp, t", [(10, 3, 4, 1.0), (10, 3, 4, 2.5), (10, 3, 4, 3.0), (9, 3, 3, 5.0)]
+    )
+    def test_row_past_k_vanishes_unless_t_exceeds_k_below_k_prime(self, n, k, kp, t):
+        # t <= k gives g_k = 0; k' = k leaves the k' level without a block k+1.
+        inst = ProblemInstance(n, k, kp)
+        assert adversary._row_past_k(adversary.gamma_schedule(t, k), inst) == 0.0
+
     def test_reflection_vanishes_at_eps_zero_large_t(self):
         inst = ProblemInstance(8, 3, 3)
         gammas = adversary.gamma_schedule(1e6, 3)
@@ -475,6 +494,14 @@ def loop_norms(inst, t):
         large = math.sqrt((kp - j) * (n - k - j))
         value = max(abs(small * g0 - large * g1), abs(large * g0 - small * g1))
         memb = max(memb, value / (n - 2 * j))
+    if kp > k:
+        # Block k+1 lies on the k' level only: tilde'_{k+1} = (g_k c0'_{k+1}, 0, 0, 0)
+        # and the level-k terms vanish.
+        phi_next = loop_phi_row(n, kp, k + 1)
+        tilde_next = [loop_gamma(t, k, k) * phi_next[0], 0.0, 0.0, 0.0]
+        forward = max(forward, float(np.linalg.norm(tilde_next)))
+        m = np.outer(phi_next, tilde_next)
+        refl = max(refl, float(np.linalg.svd(m, compute_uv=False)[0]))
     return (forward, reverse), refl, memb
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,6 +263,105 @@ class TestChannelPass:
         monkeypatch.setattr(bruteforce, "psi_matrix", zeroed)
         with pytest.raises(ArithmeticError, match="degenerate"):
             bruteforce.verify("V_DECOMP", INST, t=1.0)
+
+
+DEFAULT_LEVELS = sorted({(i.n, level) for i in DEFAULT for level in (i.k, i.k_prime)})
+
+
+class TestBlockBases:
+    @pytest.mark.parametrize("n, level", DEFAULT_LEVELS, ids=lambda v: str(v))
+    def test_orthonormal_block_bases_from_one_eigh(self, monkeypatch, n, level):
+        fam = johnson.irrep_projectors(n, level)
+        calls = []
+        original = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(None)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        q_all, edges = bruteforce._block_bases(fam)
+        assert len(calls) == 1
+        assert np.max(np.abs(q_all.T @ q_all - np.eye(len(q_all)))) <= 1e-12
+        for j, e_j in enumerate(fam.projectors):
+            q_j = q_all[:, edges[j] : edges[j + 1]]
+            assert q_j.shape[1] == fam.expected_dimension(j)
+            assert np.max(np.abs(e_j @ q_j - q_j)) <= 1e-12
+
+    def test_a_non_orthogonal_family_fails_the_block_dimension(self):
+        # E_1 + E_2 in place of E_1: L = E_1 + 3 E_2 has no eigenvalue 2, and
+        # block 1 finds d_1 eigenvectors against a trace of d_1 + d_2.
+        fam = johnson.irrep_projectors(INST.n, INST.k)
+        e0, e1, e2 = fam.projectors
+        broken = dataclasses.replace(fam, projectors=(e0, e1 + e2, e2))
+        with pytest.raises(ArithmeticError, match="block 1 of level 2"):
+            bruteforce._block_bases(broken)
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """tracemalloc peaks at (12,3,4), with the cached Johnson objects built first.
+
+    Measured 29.5 MB for the channel pass and 21.8 MB for DELTA_GEN; the
+    caps leave about 25% headroom.  Storing the whole residual took 98 MB,
+    and DELTA_GEN with a third lifted array 32 MB.
+    """
+
+    INST = ProblemInstance(12, 3, 4)
+
+    @pytest.fixture(autouse=True)
+    def warm_caches(self):
+        inst = self.INST
+        for j in range(inst.k + 1):
+            johnson.transporter(inst.n, inst.k, inst.k_prime, j)
+        for level in (inst.k, inst.k_prime):
+            bruteforce.psi_matrix(inst.n, level)
+
+    def test_channel_pass(self):
+        assert _traced_peak(lambda: bruteforce._check_channels(self.INST, 1.0, 0)) <= 37e6
+
+    def test_delta_gen(self):
+        assert _traced_peak(lambda: bruteforce._check_delta_gen(self.INST, 2.0, 0)) <= 27e6
+
+
+# Instances of the t > k gates: the n <= 10 default ones and two with k' = k + 1.
+ABOVE_K = [i for i in DEFAULT if i.n <= 10] + [ProblemInstance(7, 2, 3), ProblemInstance(9, 3, 4)]
+
+
+class TestCutoffAboveK:
+    """At t > k the k' level's block k+1 carries g_k c0'_{k+1} (``adversary._row_past_k``)."""
+
+    @pytest.mark.parametrize("check", ["DELTA_GEN", "DELTA_REFL"])
+    @pytest.mark.parametrize("offset", ["k+0.5", "2k+1", "100"])
+    @pytest.mark.parametrize("inst", ABOVE_K, ids=_instance_id)
+    def test_closed_forms_pass(self, inst, offset, check):
+        t = {"k+0.5": inst.k + 0.5, "2k+1": 2.0 * inst.k + 1.0, "100": 100.0}[offset]
+        report = bruteforce.verify(check, inst, t=t)
+        assert report.passed, (report.closed_form, report.brute_force)
+
+    @pytest.mark.parametrize("inst, t", [(INST, 5.0), (INST, 100.0), (ProblemInstance(9, 3, 4), 7.0)])
+    def test_block_k_plus_one_of_the_brute_force_grams(self, inst, t):
+        # On block k+1 of level k', the forward state-generation Gram D^T D
+        # and the reflection remainder Gram E both read row^2 times identity.
+        row = adversary._row_past_k(adversary.gamma_schedule(t, inst.k), inst)
+        gamma = adversary.adversary_matrix(inst, t)
+        psi = bruteforce.psi_matrix(inst.n, inst.k)
+        psi_hat = bruteforce.psi_matrix(inst.n, inst.k_prime)
+        diff = lift(gamma, LiftKind.ROW_PSI, psi) - lift(gamma, LiftKind.COL_PSI, psi_hat)
+        overlap = gamma * bruteforce.psi_gram(inst)
+        remainder = (gamma.T @ gamma) * (psi_hat @ psi_hat.T) - overlap.T @ overlap
+        q_all, edges = bruteforce._block_bases(johnson.irrep_projectors(inst.n, inst.k_prime))
+        q = q_all[:, edges[inst.k + 1] : edges[inst.k + 2]]
+        for gram in (diff.T @ diff, remainder):
+            assert np.max(np.abs(q.T @ gram @ q - row**2 * np.eye(q.shape[1]))) <= 1e-13
 
 
 GENERIC = [ProblemInstance(7, 1, 2), INST, ProblemInstance(9, 2, 3)]

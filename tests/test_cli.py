@@ -117,6 +117,22 @@ class TestVerifyCommand:
         assert summary["instances"] == [[6, 1, 2]] and summary["t_values"] == [1.0]
         assert summary["rows"] == 10
 
+    def test_repeated_checks_flags_add_up(self, tmp_path):
+        out = tmp_path / "r"
+        argv = ["verify", "--instance", "6,1,2", "--t", "2",
+                "--checks", "DELTA_GEN", "--checks", "DELTA_REFL", "NORM_GAMMA"]
+        assert run(argv + ["--out", str(out)]) == 0
+        rows = (out / "verify.csv").read_text().splitlines()[1:]
+        assert sorted(row.split(",")[0] for row in rows) == ["DELTA_GEN", "DELTA_REFL", "NORM_GAMMA"]
+
+    def test_cutoff_above_k_passes_delta_gen(self, tmp_path):
+        # At t > k the k' level's block k+1 carries g_k c0'_{k+1}; brute force
+        # reads 0.3 at (8,2,3), t = 5, and the closed form must include it.
+        out = tmp_path / "r"
+        argv = ["verify", "--instance", "8,2,3", "--t", "5", "--checks", "DELTA_GEN"]
+        assert run(argv + ["--out", str(out)]) == 0
+        assert (out / "verify.csv").read_text().splitlines()[1].split(",")[9] == "true"
+
     def test_jobs_flag_is_gone(self, tmp_path):
         argv = ["verify", "--instance", "6,1,2", "--t", "1", "--jobs", "2"]
         assert run(argv + ["--out", str(tmp_path / "r")]) == 2

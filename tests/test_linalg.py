@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,28 @@ class TestSpectralNorm:
         rng = np.random.default_rng(3)
         q, _ = np.linalg.qr(rng.standard_normal((12, 5)))
         assert linalg.spectral_norm(q) == pytest.approx(1.0, abs=1e-10)
+
+
+class TestAsMatrix:
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_entry_rejected_anywhere(self, value, position):
+        m = np.ones((31, 17))
+        index = {"first": 0, "middle": m.size // 2, "last": m.size - 1}[position]
+        m.flat[index] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.as_matrix(m)
+
+    def test_allocates_nothing_of_the_input_size(self):
+        m = np.random.default_rng(5).standard_normal((1000, 500))
+        tracemalloc.start()
+        try:
+            assert linalg.as_matrix(m) is m
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # An np.isfinite(m) test would allocate m.size bytes (500 kB).
+        assert peak < m.size // 10
 
 
 class TestOrthonormalColumnBasis:
