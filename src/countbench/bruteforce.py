@@ -1,7 +1,7 @@
 """Explicit matrices and the cross-check suite for every closed form.
 
 Everything the closed-form engine claims is rebuilt here the hard way:
-the overlap Gram matrix, the single-element difference masks, the four
+the overlap Gram matrix, the single-element membership differences, the four
 lift transformations that expand matrix entries by superposition
 vectors, and the superposition isometries V and V-hat, applied entrywise.
 ``verify`` runs one named check, building both sides explicitly and
@@ -133,16 +133,6 @@ def psi_gram(inst: ProblemInstance) -> np.ndarray:
     return linalg.freeze(overlap / math.sqrt(inst.k * inst.k_prime))
 
 
-def delta_membership_mask(inst: ProblemInstance, i: int) -> np.ndarray:
-    """0/1 matrix marking pairs (x, y) that disagree on membership of i."""
-    if not (1 <= i <= inst.n):
-        raise ValueError(f"element must lie in [{inst.n}], got {i}")
-    bit = 1 << (i - 1)
-    in_x = (johnson.subset_basis(inst.n, inst.k) & bit) != 0
-    in_y = (johnson.subset_basis(inst.n, inst.k_prime) & bit) != 0
-    return (in_x[:, None] ^ in_y[None, :]).astype(float)
-
-
 def lift(m, kind: LiftKind, psi: np.ndarray) -> np.ndarray:
     """Expand each entry of ``m`` by the superposition vector of one side.
 
@@ -250,12 +240,11 @@ def build_xi(
         size = math.comb(inst.n, level_max)
         return np.zeros((size * inst.n, size))
     raw = _xi_raw(inst, j, ell, m, hatted)
-    return raw / _channel_normaliser(raw, j, ell, m, hatted)
+    return raw / _channel_normaliser(linalg.spectral_norm(raw), j, ell, m, hatted)
 
 
-def _channel_normaliser(channel: np.ndarray, j: int, ell: int, m: int, hatted: bool) -> float:
-    """Spectral norm of a non-border channel; a near-zero one raises instead of guessing."""
-    scale = linalg.spectral_norm(channel)
+def _channel_normaliser(scale: float, j: int, ell: int, m: int, hatted: bool) -> float:
+    """``scale``, the spectral norm of a non-border channel; a near-zero one raises."""
     if scale < johnson.DEGENERATE_SCALE:
         raise ArithmeticError(
             f"channel (j={j}, ell={ell}, m={m}, hatted={hatted}) is unexpectedly "
@@ -347,16 +336,38 @@ def _reflection_lift_norm(inst: ProblemInstance, gamma: np.ndarray) -> float:
 
 def _check_delta_memb(inst: ProblemInstance, t: float, ell: int):
     closed = adversary.norm_delta_membership(adversary.gamma_schedule(t, inst.k), inst)
-    gamma = adversary.adversary_matrix(inst, t)
-    per_i = [
-        linalg.spectral_norm(gamma * delta_membership_mask(inst, i))
-        for i in range(1, inst.n + 1)
-    ]
-    spread = max(per_i) - min(per_i)
-    gaps = [abs(v - closed) for v in per_i]
+    per_i = _membership_norms(inst, adversary.adversary_matrix(inst, t))
+    gaps = np.abs(per_i - closed)
     worst = int(np.argmax(gaps))
-    details = {"spread_over_i": spread, "per_i": per_i}
-    return closed, float(per_i[worst]), float(max(gaps)), details, "norm"
+    details = {"spread_over_i": float(per_i.max() - per_i.min()), "per_i": per_i.tolist()}
+    return closed, float(per_i[worst]), float(gaps[worst]), details, "norm"
+
+
+def _membership_norms(inst: ProblemInstance, gamma: np.ndarray) -> np.ndarray:
+    """Spectral norms of gamma o Delta_i for the elements i = 1..n.
+
+    Delta_i marks the pairs (x, y) that disagree on membership of i, so
+    gamma o Delta_i is zero outside two blocks: rows x that hold i against
+    columns y that do not, and the reverse.  The blocks share no row and no
+    column, so the norm is the larger of the two blocks' norms.  Each kind
+    of block is stacked over i and solved with one batched Gram and one
+    batched eigvalsh.  gamma is rescaled by ``linalg.gram_safe``, as
+    ``linalg.spectral_norm`` rescales its input.
+    """
+    gamma, scale = linalg.gram_safe(gamma)
+    bits = 1 << np.arange(inst.n)[:, None]
+    in_x = (johnson.subset_basis(inst.n, inst.k) & bits) != 0
+    in_y = (johnson.subset_basis(inst.n, inst.k_prime) & bits) != 0
+    top = np.zeros(inst.n)
+    for rows, cols in ((in_x, ~in_y), (~in_x, in_y)):
+        # Row i of each index array lists the subsets on that side of element i + 1.
+        r = np.nonzero(rows)[1].reshape(inst.n, -1)
+        c = np.nonzero(cols)[1].reshape(inst.n, -1)
+        block = gamma[r[:, :, None], c[:, None, :]]
+        if r.shape[1] > c.shape[1]:
+            block = block.swapaxes(1, 2)
+        top = np.maximum(top, np.linalg.eigvalsh(block @ block.swapaxes(1, 2))[:, -1])
+    return scale * np.sqrt(top)
 
 
 def _block_bases(fam: johnson.ProjectorFamily) -> tuple[np.ndarray, np.ndarray]:
@@ -383,7 +394,7 @@ def _block_bases(fam: johnson.ProjectorFamily) -> tuple[np.ndarray, np.ndarray]:
     return q_all, edges
 
 
-def _level_channels(inst: ProblemInstance, hatted: bool):
+def _level_channels(n: int, level: int, hatted: bool):
     """Channel cores and the V_DECOMP residual norm of one level.
 
     In the block bases Q_j, and with the ground axis split into its Pi_0
@@ -396,22 +407,27 @@ def _level_channels(inst: ProblemInstance, hatted: bool):
     The pass runs one row block r at a time.  Row (x, i) of V holds
     psi_x[i] in column x, so ground coordinate i of row block r is
     (psi[S_i, i] o Q_r[S_i])^T Q_all[S_i], with S_i the subsets that hold
-    i; the others have psi_x[i] = 0.  The residual is never stored: the
-    Gram of each row block's entries, formed explicitly, adds into an
-    N x N Gram whose top eigenvalue gives the norm.  Returns the block
-    bases, the normalised channel cores K/||K|| that ``_check_channels``
-    reads, keyed by (j, ell, m) with rows (a, i) as in ``_kron_apply``
-    (every core of level k; on level k' those with j, j + m <= k), and the
-    residual's spectral norm.
+    i; the others have psi_x[i] = 0.  For each slot group (Pi_0, then the
+    n Pi_1 slots) one N x N Gram of the row block's entries is formed.
+    Its diagonal block j is K^T K for the channel core in column block j,
+    so it gives that core's normaliser ||K||.  Scaled by the column
+    factors 1 - c/||K|| on both sides, it is the Gram of the residual's
+    entries there, and it adds into an N x N residual Gram whose top
+    eigenvalue gives the norm; the residual is never stored.  Returns the
+    block bases, the normalised channel cores K/||K|| that
+    ``_check_channels`` reads, read-only and keyed by (j, ell, m) with
+    rows (a, i) as in ``_kron_apply`` (every core of level k; on level k'
+    those with j, j + m < k', which any k < k' reads), and the residual's
+    spectral norm.
     """
-    level = inst.k_prime if hatted else inst.k
-    coeffs = adversary.phi_components(inst.n, level, np.arange(level + 1))
-    q_all, edges = _block_bases(johnson.irrep_projectors(inst.n, level))
-    psi = psi_matrix(inst.n, level)
-    size, n = psi.shape
+    coeffs = adversary.phi_components(n, level, np.arange(level + 1))
+    q_all, edges = _block_bases(johnson.irrep_projectors(n, level))
+    psi = psi_matrix(n, level)
+    size = len(psi)
     members = [np.flatnonzero(psi[:, i]) for i in range(n)]
     blocks = [slice(edges[j], edges[j + 1]) for j in range(level + 1)]
     gram = np.zeros((size, size))
+    slot_gram = np.empty((size, size))
     channels = {}
     for r, rows in enumerate(blocks):
         q_r = q_all[:, rows]
@@ -422,27 +438,43 @@ def _level_channels(inst: ProblemInstance, hatted: bool):
         np.sum(part[1:], axis=0, out=part[0])
         part[1:] -= part[0] / n
         part[0] /= math.sqrt(n)
-        for comp, (el, m) in enumerate(XI_CHANNELS):
-            j = r - m
-            if _xi_is_declared_zero(j, el, m, level):
-                continue
-            core = part[0, :, blocks[j]] if el == 0 else part[1:, :, blocks[j]]
-            scale = _channel_normaliser(core.reshape(-1, core.shape[-1]), j, el, m, hatted)
-            if not hatted or max(j, r) <= inst.k:
-                kept = (core.swapaxes(0, 1) if el else core).copy()
-                kept /= scale
-                channels[j, el, m] = kept.reshape(-1, kept.shape[-1])
-            core *= 1.0 - coeffs[j, comp] / scale
-        flat = part.reshape(-1, size)
-        gram += flat.T @ flat
+        for group, slots in enumerate((part[0], part[1:].reshape(-1, size))):
+            np.matmul(slots.T, slots, out=slot_gram)
+            factor = np.ones(size)
+            for comp, (el, m) in enumerate(XI_CHANNELS):
+                j = r - m
+                if el != group or _xi_is_declared_zero(j, el, m, level):
+                    continue
+                cols = blocks[j]
+                scale = _channel_normaliser(
+                    linalg.gram_norm(slot_gram[cols, cols]), j, el, m, hatted
+                )
+                if not hatted or max(j, r) < level:
+                    kept = (part[1:, :, cols].swapaxes(0, 1) if el else part[0, :, cols]).copy()
+                    kept /= scale
+                    channels[j, el, m] = linalg.freeze(kept.reshape(-1, kept.shape[-1]))
+                factor[cols] = 1.0 - coeffs[j, comp] / scale
+            slot_gram *= factor
+            slot_gram *= factor[:, None]
+            gram += slot_gram
         # Drop every view of this row block before the next one is allocated.
-        del part, flat, core
+        del part, slots
     bases = [q_all[:, rows] for rows in blocks]
     return bases, channels, linalg.gram_norm(gram)
 
 
+@lru_cache(maxsize=1)
+def _hatted_level_channels(n: int, level: int):
+    """``_level_channels`` of a k' level, memoised: it depends only on (n, k').
+
+    Every instance on that level reads the same cores, and the sweep runs
+    level-major, so one entry serves them all.
+    """
+    return _level_channels(n, level, hatted=True)
+
+
 def _check_channels(inst: ProblemInstance, t: float, ell: int):
-    """V_DECOMP and PHI_COMMUTE from one pass in block coordinates.
+    """V_DECOMP and PHI_COMMUTE from one pass in block coordinates per level.
 
     V_DECOMP is the spectral norm of the residual V - sum c Xi, the worse
     of the two levels.  For PHI_COMMUTE: ``johnson.transporter`` builds
@@ -451,8 +483,8 @@ def _check_channels(inst: ProblemInstance, t: float, ell: int):
     (Phi_{j+m} tensor I) Xihat - Xi Phi_j has the norm of the core
     difference (S_{j+m} tensor I) Khat/||Khat|| - (K/||K||) S_j.
     """
-    bases, channels, gap = _level_channels(inst, hatted=False)
-    bases_hat, channels_hat, gap_hat = _level_channels(inst, hatted=True)
+    bases, channels, gap = _level_channels(inst.n, inst.k, hatted=False)
+    bases_hat, channels_hat, gap_hat = _hatted_level_channels(inst.n, inst.k_prime)
     s = [
         q.T @ johnson.transporter(inst.n, inst.k, inst.k_prime, j).matrix @ q_hat
         for j, (q, q_hat) in enumerate(zip(bases, bases_hat))
@@ -497,15 +529,21 @@ def _table_vector_gaps(n: int, k: int, j: int) -> float:
     return gap
 
 
+@lru_cache(maxsize=8)
+def _level_table_gap(n: int, level: int) -> float:
+    """The worst TABLES gap over the blocks of one level, memoised per level."""
+    return max(_table_vector_gaps(n, level, j) for j in range(level + 1))
+
+
 def _check_tables(inst: ProblemInstance, t: float, ell: int):
-    gap = 0.0
-    for k_level in (inst.k, inst.k_prime):
-        for j in range(k_level + 1):
-            gap = max(gap, _table_vector_gaps(inst.n, k_level, j))
+    gap = max(_level_table_gap(inst.n, level) for level in (inst.k, inst.k_prime))
     return {"TABLES": (0.0, gap, gap, {}, "exact")}
 
 
-def _projector_family_gap(fam: johnson.ProjectorFamily):
+@lru_cache(maxsize=8)
+def _projector_family_gap(n: int, level: int) -> tuple[float, bool]:
+    """The PROJECTORS gap and rank test of one level's family, memoised per level."""
+    fam = johnson.irrep_projectors(n, level)
     projs = fam.projectors
     size = projs[0].shape[0]
     gap = float(np.max(np.abs(sum(projs) - np.eye(size))))
@@ -521,8 +559,8 @@ def _projector_family_gap(fam: johnson.ProjectorFamily):
 
 
 def _check_projectors(inst: ProblemInstance, t: float, ell: int):
-    gap_x, ok_x = _projector_family_gap(johnson.irrep_projectors(inst.n, inst.k))
-    gap_y, ok_y = _projector_family_gap(johnson.irrep_projectors(inst.n, inst.k_prime))
+    gap_x, ok_x = _projector_family_gap(inst.n, inst.k)
+    gap_y, ok_y = _projector_family_gap(inst.n, inst.k_prime)
     gap = max(gap_x, gap_y)
     details = {"ranks_match": ok_x and ok_y}
     # A rank mismatch is a hard failure regardless of the numeric gap: the
@@ -572,9 +610,13 @@ def verify(
     from that memo has ``memoised`` set, and its ``wall_ms`` covers only
     the lookup; the first report for the instance paid the cost.  V_DECOMP
     and PHI_COMMUTE share one channel pass, so whichever runs first pays
-    for both.  The report's ``discrepancy`` is the worst gap found; for
-    DELTA_MEMB the spread of the per-element values must additionally stay
-    below TOL_EXACT.  Both tolerances are read at call time.
+    for both.  Below the instance memo, the work that depends on one level
+    only is memoised per level: the k' channel pass (one entry), and the
+    TABLES and PROJECTORS gaps, so instances that share a level and run
+    back to back do it once.  The report's ``discrepancy`` is the worst
+    gap found; for DELTA_MEMB the spread of the per-element values must
+    additionally stay below TOL_EXACT.  Both tolerances are read at call
+    time.
     """
     if check_id not in _CHECK_FUNCS:
         raise ValueError(f"unknown check id {check_id!r}; known: {CHECK_IDS}")

@@ -88,17 +88,20 @@ def irrep_projectors(n: int, k: int) -> ProjectorFamily:
     E_j = P_j - P_{j-1}, where P_j projects onto the column space of
     inclusion_matrix(n, k, j).  Requires n >= 2k, the regime in which the
     level decomposes multiplicity-free into blocks j = 0..k.
+    inclusion_matrix(n, k, k) is the identity, so P_k = I takes no SVD.
     """
     if n < 2 * k:
         raise ValueError(f"projector decomposition needs n >= 2k, got n={n}, k={k}")
     projectors = []
-    prev = np.zeros((math.comb(n, k), math.comb(n, k)))
-    for j in range(k + 1):
+    size = math.comb(n, k)
+    prev = np.zeros((size, size))
+    for j in range(k):
         q = linalg.orthonormal_column_basis(inclusion_matrix(n, k, j))
         p = q @ q.T
         p = (p + p.T) / 2.0
         projectors.append(linalg.freeze(p - prev))
         prev = p
+    projectors.append(linalg.freeze(np.eye(size) - prev))
     return ProjectorFamily(n=n, k=k, projectors=tuple(projectors))
 
 

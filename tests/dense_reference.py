@@ -17,6 +17,11 @@ their difference from two level-sized remainder Grams built from gamma,
 the superposition rows and the overlap matrix.  They stay here as the
 definition that split is gated against, with the same label-major block
 ordering as ``bruteforce.lift``.
+``delta_membership_mask`` is the 0/1 matrix Delta_i whose entrywise product
+with gamma defines the membership difference; the package takes that norm
+from two blocks of gamma instead.
+``clear_memos`` empties every memo of ``bruteforce``, for tests that plant
+a defect or count work.
 """
 
 import itertools
@@ -67,6 +72,27 @@ def row_psi_psi_star(m, n: int, k: int) -> np.ndarray:
 def col_psi_psi_star(m, n: int, k: int) -> np.ndarray:
     """Block (x, y) of the result is m[x, y] psi_y psi_y^T; columns are k-subsets."""
     return _rank_one_lift(m, n, k, rows_side=False)
+
+
+def delta_membership_mask(inst, i: int) -> np.ndarray:
+    """0/1 matrix marking pairs (x, y) that disagree on membership of i."""
+    if not (1 <= i <= inst.n):
+        raise ValueError(f"element must lie in [{inst.n}], got {i}")
+    bit = 1 << (i - 1)
+    in_x = (johnson.subset_basis(inst.n, inst.k) & bit) != 0
+    in_y = (johnson.subset_basis(inst.n, inst.k_prime) & bit) != 0
+    return (in_x[:, None] ^ in_y[None, :]).astype(float)
+
+
+def clear_memos() -> None:
+    """Empty the instance memo and the per-level memos under it.
+
+    Clears every lru-cached function of ``bruteforce``, so a memo added
+    there is cleared as well; the ``johnson`` caches stay warm.
+    """
+    for value in vars(bruteforce).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
 
 
 def build_projection_pair(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -32,20 +32,20 @@ class TestMembershipMask:
     def test_known_entries(self):
         x = index_of(8, 2, {1, 2})
         y = index_of(8, 3, {1, 2, 3})
-        assert bruteforce.delta_membership_mask(INST, 3)[x, y] == 1.0
-        assert bruteforce.delta_membership_mask(INST, 1)[x, y] == 0.0
+        assert dense_reference.delta_membership_mask(INST, 3)[x, y] == 1.0
+        assert dense_reference.delta_membership_mask(INST, 1)[x, y] == 0.0
 
     def test_entry_count_oracle(self):
         n, k, kp = INST.n, INST.k, INST.k_prime
         expected = math.comb(n - 1, k) * math.comb(n - 1, kp - 1) + math.comb(
             n - 1, k - 1
         ) * math.comb(n - 1, kp)
-        mask = bruteforce.delta_membership_mask(INST, 5)
+        mask = dense_reference.delta_membership_mask(INST, 5)
         assert int(mask.sum()) == expected
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            bruteforce.delta_membership_mask(INST, 9)
+            dense_reference.delta_membership_mask(INST, 9)
 
 
 class TestLift:
@@ -157,10 +157,10 @@ class TestXi:
             return original(inst, j, ell, m, hatted)
 
         monkeypatch.setattr(bruteforce, "build_xi", counting)
-        bruteforce._instance_memo.cache_clear()
+        dense_reference.clear_memos()
         first = bruteforce.verify("V_DECOMP", INST, t=1.0)
         second = bruteforce.verify("PHI_COMMUTE", INST, t=1.0)
-        bruteforce._instance_memo.cache_clear()
+        dense_reference.clear_memos()
         assert first.passed and second.passed
         assert not first.memoised and second.memoised
         # The channel pass works on block cores; no full-size Xi is built.
@@ -209,9 +209,9 @@ class TestChannelPass:
 
     @pytest.fixture(autouse=True)
     def fresh_memo(self):
-        bruteforce._instance_memo.cache_clear()
+        dense_reference.clear_memos()
         yield
-        bruteforce._instance_memo.cache_clear()
+        dense_reference.clear_memos()
 
     @pytest.mark.parametrize("inst", DEFAULT, ids=_instance_id)
     def test_matches_dense_on_default_instances(self, inst):
@@ -265,6 +265,90 @@ class TestChannelPass:
             bruteforce.verify("V_DECOMP", INST, t=1.0)
 
 
+class TestMembershipNorms:
+    """DELTA_MEMB's two-block norms against the norm of gamma times the dense mask."""
+
+    @staticmethod
+    def _masked(inst, gamma):
+        return np.array(
+            [
+                linalg.spectral_norm(gamma * dense_reference.delta_membership_mask(inst, i))
+                for i in range(1, inst.n + 1)
+            ]
+        )
+
+    @pytest.mark.parametrize("inst", DEFAULT, ids=_instance_id)
+    def test_matches_the_masked_norm_on_default_instances(self, inst):
+        for t in (1.0, 2.0, 3.0):
+            gamma = adversary.adversary_matrix(inst, t)
+            got = bruteforce._membership_norms(inst, gamma)
+            assert np.max(np.abs(got - self._masked(inst, gamma))) <= 1e-13
+
+    @pytest.mark.parametrize("inst", [INST, ProblemInstance(10, 3, 4)], ids=_instance_id)
+    def test_matches_the_masked_norm_on_a_random_gamma(self, inst):
+        # Not S_n-equivariant, so the per-element values differ.
+        gamma = np.random.default_rng(11).standard_normal(bruteforce.psi_gram(inst).shape)
+        got = bruteforce._membership_norms(inst, gamma)
+        want = self._masked(inst, gamma)
+        assert np.ptp(want) > 0.1
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_rescales_an_extreme_gamma_exactly(self):
+        gamma = np.random.default_rng(12).standard_normal(bruteforce.psi_gram(INST).shape)
+        plain = bruteforce._membership_norms(INST, gamma)
+        for power in (-600, 600):
+            got = bruteforce._membership_norms(INST, gamma * 2.0**power)
+            assert np.array_equal(got, plain * 2.0**power)
+
+
+class TestLevelMemos:
+    """A defect planted after a clean run on the same level still fails.
+
+    ``dense_reference.clear_memos``, which every test that plants a defect
+    calls, empties the per-level memos as well as the instance memo.
+    """
+
+    @pytest.fixture(autouse=True)
+    def fresh_memos(self):
+        dense_reference.clear_memos()
+        yield
+        dense_reference.clear_memos()
+
+    def test_rank_mismatch_planted_after_a_clean_run_fails(self, monkeypatch):
+        # (10,2,3) and (10,3,4) share the (10,3) family; only that one is broken.
+        siblings = (ProblemInstance(10, 2, 3), ProblemInstance(10, 3, 4))
+        for inst in siblings:
+            assert bruteforce.verify("PROJECTORS", inst).passed
+        original = johnson.ProjectorFamily.expected_dimension
+
+        def planted(fam, j):
+            return -1 if (fam.n, fam.k) == (10, 3) else original(fam, j)
+
+        monkeypatch.setattr(johnson.ProjectorFamily, "expected_dimension", planted)
+        dense_reference.clear_memos()
+        for inst in siblings:
+            report = bruteforce.verify("PROJECTORS", inst)
+            assert report.details["ranks_match"] is False and not report.passed
+
+    def test_coefficient_error_planted_after_a_clean_run_fails(self, monkeypatch):
+        # (8,1,3) and (8,2,3) share the k' = 3 channel pass; only that level's
+        # coefficients are planted, so only that pass can fail.
+        siblings = (ProblemInstance(8, 1, 3), INST)
+        for inst in siblings:
+            assert bruteforce.verify("V_DECOMP", inst).passed
+        original = adversary.phi_components
+
+        def planted(n, k, j):
+            out = np.array(original(n, k, j), dtype=float)
+            return out * 1.01 if k == 3 else out
+
+        monkeypatch.setattr(adversary, "phi_components", planted)
+        dense_reference.clear_memos()
+        for inst in siblings:
+            report = bruteforce.verify("V_DECOMP", inst)
+            assert not report.passed and report.discrepancy > 1e-3
+
+
 DEFAULT_LEVELS = sorted({(i.n, level) for i in DEFAULT for level in (i.k, i.k_prime)})
 
 
@@ -310,7 +394,7 @@ def _traced_peak(call) -> int:
 class TestPeakMemory:
     """tracemalloc peaks at (12,3,4), with the cached Johnson objects built first.
 
-    Measured 29.5 MB for the channel pass and 21.8 MB for DELTA_GEN; the
+    Measured 30.5 MB for the channel pass and 21.8 MB for DELTA_GEN; the
     caps leave about 25% headroom.  Storing the whole residual took 98 MB,
     and DELTA_GEN with a third lifted array 32 MB.
     """
@@ -319,6 +403,8 @@ class TestPeakMemory:
 
     @pytest.fixture(autouse=True)
     def warm_caches(self):
+        # The Johnson objects warm, the channel pass memos empty.
+        dense_reference.clear_memos()
         inst = self.INST
         for j in range(inst.k + 1):
             johnson.transporter(inst.n, inst.k, inst.k_prime, j)
@@ -532,11 +618,11 @@ class TestVerify:
     def test_rank_mismatch_fails_projectors(self, monkeypatch):
         # No separate rank re-check in verify: the forced gap of 1 fails it.
         monkeypatch.setattr(johnson.ProjectorFamily, "expected_dimension", lambda self, j: -1)
-        bruteforce._instance_memo.cache_clear()
+        dense_reference.clear_memos()
         try:
             report = bruteforce.verify("PROJECTORS", INST)
         finally:
-            bruteforce._instance_memo.cache_clear()
+            dense_reference.clear_memos()
         assert report.details["ranks_match"] is False
         assert report.discrepancy >= 1.0 and not report.passed
 
@@ -560,7 +646,7 @@ class TestFeasibilityAgainstBruteForce:
         gamma = adversary.adversary_matrix(INST, 2.0)
         assert feas.gamma_norm == pytest.approx(linalg.spectral_norm(gamma), abs=1e-9)
         per_i = [
-            linalg.spectral_norm(gamma * bruteforce.delta_membership_mask(INST, i))
+            linalg.spectral_norm(gamma * dense_reference.delta_membership_mask(INST, i))
             for i in range(1, INST.n + 1)
         ]
         assert feas.membership_norm == pytest.approx(per_i[0], abs=1e-8)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -7,10 +8,12 @@ import shutil
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import dense_reference
 from countbench import bruteforce, cli, simulate
 
 
@@ -156,9 +159,7 @@ class TestVerifyCommand:
         assert all(row.split(",")[-1].isdigit() for row in rows)
 
     def test_timing_lists_memoised_rows(self, tmp_path):
-        from countbench import bruteforce
-
-        bruteforce._instance_memo.cache_clear()
+        dense_reference.clear_memos()
         argv = ["verify", "--instance", "7,1,2", "--t", "1", "--t", "2", "--t", "3",
                 "--checks", "TABLES", "V_DECOMP", "NORM_GAMMA"]
         # Default mode: the first run computes, the second is served from the
@@ -170,7 +171,7 @@ class TestVerifyCommand:
         assert (a / "verify.json").read_bytes() == (b / "verify.json").read_bytes()
         assert "memoised" not in json.loads((a / "verify.json").read_text())
 
-        bruteforce._instance_memo.cache_clear()
+        dense_reference.clear_memos()
         assert run(argv + ["--timing", "--out", str(timed)]) == 0
         memoised = json.loads((timed / "verify.json").read_text())["memoised"]
         assert sorted(memoised) == [
@@ -178,11 +179,9 @@ class TestVerifyCommand:
         ]
 
     def test_timing_lists_rows_served_by_the_shared_channel_pass(self, tmp_path):
-        from countbench import bruteforce
-
         # V_DECOMP and PHI_COMMUTE share one channel pass: the check that runs
         # second is served from the memo already at the first cutoff.
-        bruteforce._instance_memo.cache_clear()
+        dense_reference.clear_memos()
         argv = ["verify", "--instance", "7,1,2", "--t", "1", "--t", "2", "--t", "3",
                 "--checks", "V_DECOMP", "PHI_COMMUTE", "--timing", "--out", str(tmp_path)]
         assert run(argv) == 0
@@ -199,6 +198,73 @@ class TestVerifyCommand:
         assert run(argv + ["--out", str(b)]) == 0
         assert (a / "verify.csv").read_bytes() == (b / "verify.csv").read_bytes()
         assert (a / "verify.json").read_bytes() == (b / "verify.json").read_bytes()
+
+
+# The default instances in an order that is not level-major: (12,2,4) and
+# (12,3,4), which share the k' = 4 level, are apart, and so are (10,2,3) and
+# (10,3,4), which share the (10,3) family.
+SCRAMBLED = ((12, 2, 4), (10, 3, 4), (6, 1, 2), (12, 3, 4), (9, 2, 3), (10, 2, 3),
+             (7, 1, 2), (8, 2, 3))
+
+
+def _instance_flags(instances):
+    return [flag for triple in instances for flag in ("--instance", ",".join(map(str, triple)))]
+
+
+class TestLevelMajorSweep:
+    @pytest.fixture(autouse=True)
+    def fresh_memos(self):
+        dense_reference.clear_memos()
+        yield
+        dense_reference.clear_memos()
+
+    def test_instance_order_moves_no_byte(self, tmp_path):
+        assert sorted(SCRAMBLED) == sorted(cli.DEFAULT_INSTANCES)
+        written = []
+        for name, order in (("default", cli.DEFAULT_INSTANCES), ("scrambled", SCRAMBLED)):
+            dense_reference.clear_memos()
+            out = tmp_path / name
+            assert run(["verify", *_instance_flags(order), "--out", str(out)]) == 0
+            written.append((out / "verify.csv").read_bytes())
+        assert written[0] == written[1]
+
+    def test_each_level_is_done_once(self, tmp_path, monkeypatch):
+        passes = Counter()
+        level_channels = bruteforce._level_channels
+
+        def counting_pass(n, level, hatted):
+            passes[n, level, hatted] += 1
+            return level_channels(n, level, hatted)
+
+        monkeypatch.setattr(bruteforce, "_level_channels", counting_pass)
+        family_gaps = _count_memo_misses(monkeypatch, "_projector_family_gap")
+        table_gaps = _count_memo_misses(monkeypatch, "_level_table_gap")
+        assert run(["verify", *_instance_flags(SCRAMBLED), "--out", str(tmp_path)]) == 0
+        assert passes[12, 4, True] == 1
+        assert family_gaps[12, 4] == 1 and family_gaps[10, 3] == 1
+        # Every level's pass and gaps ran once, and no other did.
+        levels = {(n, level) for n, k, k_prime in SCRAMBLED for level in (k, k_prime)}
+        for gaps in (family_gaps, table_gaps):
+            assert set(gaps) == levels and set(gaps.values()) == {1}
+        assert set(passes) == {(n, k, False) for n, k, _ in SCRAMBLED} | {
+            (n, k_prime, True) for n, _, k_prime in SCRAMBLED
+        }
+        assert set(passes.values()) == {1}
+
+
+def _count_memo_misses(monkeypatch, name) -> Counter:
+    """Swap a per-level memo of bruteforce for an empty one of the same size
+    whose misses are counted by (n, level)."""
+    memo = getattr(bruteforce, name)
+    misses = Counter()
+
+    def counting(n, level):
+        misses[n, level] += 1
+        return memo.__wrapped__(n, level)
+
+    size = memo.cache_info().maxsize
+    monkeypatch.setattr(bruteforce, name, functools.lru_cache(maxsize=size)(counting))
+    return misses
 
 
 def set_of_checks():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from countbench import johnson
+from countbench.cli import DEFAULT_INSTANCES
 import dense_reference
 
 # Instances shared with the acceptance sweep, as (n, k, k') triples.
@@ -156,6 +157,28 @@ REFERENCE_FIELDS = (
     "v", "v_tilde", "w_out", "w_in", "v_minus", "v_zero", "v_plus",
     "w_empty", "w_c", "w_d", "w_cd",
 )
+
+
+# sha256 over the projectors E_0..E_k of the 14 levels of the default verify
+# instances, recorded while P_k was still taken from an SVD of the identity.
+# Gamma and the transporters are built from these bits, and the round-off
+# picks of DELTA_GEN and PSI_COEFFS in bench/verify_expected.csv rest on them.
+# They come from LAPACK's SVD, so unlike the digest above this one holds for
+# the numpy and OpenBLAS builds it was recorded with (numpy 2.4.6, OpenBLAS
+# 0.3.31, x86-64).
+PROJECTOR_DIGEST = "b80227917fcae9ea6c972973da47d7866e2ac78addba44452659ce73681500ae"
+DEFAULT_LEVELS = sorted(
+    {(n, level) for n, k, k_prime in DEFAULT_INSTANCES for level in (k, k_prime)}
+)
+
+
+def test_projector_bytes_are_pinned():
+    assert len(DEFAULT_LEVELS) == 14
+    digest = hashlib.sha256()
+    for n, level in DEFAULT_LEVELS:
+        for e in johnson.irrep_projectors(n, level).projectors:
+            digest.update(e.tobytes())
+    assert digest.hexdigest() == PROJECTOR_DIGEST
 
 
 class TestReferenceVectors:
