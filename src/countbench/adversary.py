@@ -146,18 +146,20 @@ def tilde_tables(gammas, phi, phi_prime) -> tuple[np.ndarray, np.ndarray]:
 
 
 def assemble_adversary(gammas, transporters) -> np.ndarray:
-    """Gamma = sum_j gamma_j Phi_j over the given weights; transporters[j] is Phi_j."""
+    """Gamma = sum_j gamma_j Phi_j over the given weights; transporters[j] is Phi_j.
+
+    The matrices must agree in shape; they add into zeros in order of j.
+    """
     transporters = list(transporters)
     if len(transporters) != len(gammas):
         raise ValueError(
             f"need {len(gammas)} transporters, one per weight, got {len(transporters)}"
         )
-    shape = transporters[0].matrix.shape
-    out = np.zeros(shape)
-    for j, (g, tr) in enumerate(zip(gammas, transporters)):
-        if tr.j != j or tr.matrix.shape != shape:
-            raise ValueError("transporter list is inconsistent")
-        out += g * tr.matrix
+    out = np.zeros(transporters[0].shape)
+    for g, phi in zip(gammas, transporters):
+        if phi.shape != out.shape:
+            raise ValueError("transporters differ in shape")
+        out += g * phi
     return out
 
 

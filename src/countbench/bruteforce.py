@@ -179,6 +179,22 @@ def _v_apply(psi: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (psi[:, :, None] * m[:, None, :]).reshape(-1, m.shape[1])
 
 
+def check_instance(inst: ProblemInstance) -> None:
+    """Reject, naming it, an instance the explicit checks cannot take."""
+    name = f"instance {inst.n},{inst.k},{inst.k_prime}"
+    if inst.k_prime <= inst.k:
+        raise ValueError(f"{name}: explicit checks need k < k'")
+    if inst.n > johnson.MAX_GROUND_SET:
+        raise ValueError(
+            f"{name}: ground set size {inst.n} exceeds cap {johnson.MAX_GROUND_SET}"
+        )
+    lifted_dim = math.comb(inst.n, inst.k_prime) * inst.n
+    if lifted_dim > SIZE_CAP:
+        raise ValueError(
+            f"{name}: lifted dimension C(n,k')*n = {lifted_dim} exceeds cap {SIZE_CAP}"
+        )
+
+
 @lru_cache(maxsize=8)
 def _instance_memo(inst: ProblemInstance) -> dict:
     """Schedule-free check results of one instance, keyed by check function.
@@ -186,13 +202,7 @@ def _instance_memo(inst: ProblemInstance) -> dict:
     Rejects an instance the explicit checks cannot take before anything
     is allocated.
     """
-    if inst.k_prime <= inst.k:
-        raise ValueError("explicit checks need k < k'")
-    lifted_dim = math.comb(inst.n, inst.k_prime) * inst.n
-    if lifted_dim > SIZE_CAP:
-        raise ValueError(
-            f"lifted dimension C(n,k')*n = {lifted_dim} exceeds cap {SIZE_CAP}"
-        )
+    check_instance(inst)
     return {}
 
 
@@ -213,10 +223,10 @@ def _xi_raw(inst: ProblemInstance, j: int, ell: int, m: int, hatted: bool) -> np
     length-n block by its mean, Pi_1 keeps the remainder.
     """
     level = inst.k_prime if hatted else inst.k
-    fam = johnson.irrep_projectors(inst.n, level)
-    v_e = _v_apply(psi_matrix(inst.n, level), fam.projectors[j])
+    projectors = johnson.irrep_projectors(inst.n, level)
+    v_e = _v_apply(psi_matrix(inst.n, level), projectors[j])
     cols = v_e.shape[1]
-    blocks = _kron_apply(fam.projectors[j + m], v_e, inst.n).reshape(-1, inst.n, cols)
+    blocks = _kron_apply(projectors[j + m], v_e, inst.n).reshape(-1, inst.n, cols)
     mean = blocks.mean(axis=1, keepdims=True)
     part = blocks - mean if ell else np.broadcast_to(mean, blocks.shape)
     return part.reshape(-1, cols)
@@ -262,12 +272,11 @@ def _channel_normaliser(scale: float, j: int, ell: int, m: int, hatted: bool) ->
 def _check_psi_coeffs(inst: ProblemInstance, t: float, ell: int):
     closed = adversary.hadamard_psi_step(adversary.gamma_schedule(t, inst.k), inst)
     had = adversary.adversary_matrix(inst, t) * psi_gram(inst)
-    fam = johnson.irrep_projectors(inst.n, inst.k)
     brute = np.array(
         [
-            float(np.sum(johnson.transporter(inst.n, inst.k, inst.k_prime, j).matrix * had))
-            / fam.dimension(j)
-            for j in range(inst.k + 1)
+            float(np.sum(johnson.transporter(inst.n, inst.k, inst.k_prime, j) * had))
+            / int(round(float(np.trace(e_j))))
+            for j, e_j in enumerate(johnson.irrep_projectors(inst.n, inst.k))
         ]
     )
     gaps = np.abs(brute - closed)
@@ -370,7 +379,7 @@ def _membership_norms(inst: ProblemInstance, gamma: np.ndarray) -> np.ndarray:
     return scale * np.sqrt(top)
 
 
-def _block_bases(fam: johnson.ProjectorFamily) -> tuple[np.ndarray, np.ndarray]:
+def _block_bases(projectors: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases Q_j of all blocks from one eigendecomposition.
 
     L = sum_j j E_j has the eigenvalues 0..k exactly, since the E_j are
@@ -379,17 +388,19 @@ def _block_bases(fam: johnson.ProjectorFamily) -> tuple[np.ndarray, np.ndarray]:
     and the blocks stand side by side.  Returns the eigenvectors and the
     column offsets: Q_j is ``q_all[:, edges[j]:edges[j + 1]]``.
     """
-    values, q_all = np.linalg.eigh(sum(j * e_j for j, e_j in enumerate(fam.projectors)))
+    level = len(projectors) - 1
+    values, q_all = np.linalg.eigh(sum(j * e_j for j, e_j in enumerate(projectors)))
     # edges[j] is the first eigenvalue that rounds to j or above; one that
     # rounds below 0 or above k falls into block 0 or k and fails its count.
-    edges = np.searchsorted(np.rint(values), np.arange(fam.k + 2) - 0.5)
+    edges = np.searchsorted(np.rint(values), np.arange(level + 2) - 0.5)
     edges[0], edges[-1] = 0, len(values)
-    for j in range(fam.k + 1):
+    for j, e_j in enumerate(projectors):
         count = edges[j + 1] - edges[j]
-        if count != fam.dimension(j):
+        rank = int(round(float(np.trace(e_j))))
+        if count != rank:
             raise ArithmeticError(
-                f"block {j} of level {fam.k} has a {count}-dimensional range, "
-                f"trace {fam.dimension(j)}"
+                f"block {j} of level {level} has a {count}-dimensional range, "
+                f"trace {rank}"
             )
     return q_all, edges
 
@@ -486,7 +497,7 @@ def _check_channels(inst: ProblemInstance, t: float, ell: int):
     bases, channels, gap = _level_channels(inst.n, inst.k, hatted=False)
     bases_hat, channels_hat, gap_hat = _hatted_level_channels(inst.n, inst.k_prime)
     s = [
-        q.T @ johnson.transporter(inst.n, inst.k, inst.k_prime, j).matrix @ q_hat
+        q.T @ johnson.transporter(inst.n, inst.k, inst.k_prime, j) @ q_hat
         for j, (q, q_hat) in enumerate(zip(bases, bases_hat))
     ]
     worst = 0.0
@@ -543,15 +554,14 @@ def _check_tables(inst: ProblemInstance, t: float, ell: int):
 @lru_cache(maxsize=8)
 def _projector_family_gap(n: int, level: int) -> tuple[float, bool]:
     """The PROJECTORS gap and rank test of one level's family, memoised per level."""
-    fam = johnson.irrep_projectors(n, level)
-    projs = fam.projectors
+    projs = johnson.irrep_projectors(n, level)
     size = projs[0].shape[0]
     gap = float(np.max(np.abs(sum(projs) - np.eye(size))))
     rank_ok = True
     for j, e in enumerate(projs):
         gap = max(gap, float(np.max(np.abs(e @ e - e))))
         gap = max(gap, float(np.max(np.abs(e - e.T))))
-        if fam.dimension(j) != fam.expected_dimension(j):
+        if int(round(float(np.trace(e)))) != johnson.block_dimension(n, j):
             rank_ok = False
         for other in projs[j + 1 :]:
             gap = max(gap, float(np.max(np.abs(e @ other))))

@@ -153,6 +153,9 @@ def cmd_verify(args) -> int:
         instances = list(dict.fromkeys(_parse_instance(text) for text in args.instance))
     else:
         instances = [ProblemInstance(*triple) for triple in DEFAULT_INSTANCES]
+    # Every instance is admitted before any row runs.
+    for inst in instances:
+        bruteforce.check_instance(inst)
     t_values = tuple(dict.fromkeys(args.t)) if args.t else DEFAULT_T_VALUES
     for t in t_values:
         if not (math.isfinite(t) and t >= 1):

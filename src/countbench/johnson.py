@@ -8,7 +8,8 @@ explicitly:
 
 * subset bit masks in lexicographic order,
 * set-inclusion operators between levels,
-* the orthogonal projectors E_0..E_k onto the irreducible blocks,
+* the orthogonal projectors E_0..E_k onto the irreducible blocks, as a
+  tuple of matrices, and their predicted ranks,
 * the norm-one transporters Phi_j between the j-th blocks of two
   levels, sign-fixed so that the large-level reference vector maps onto
   the small-level one,
@@ -65,25 +66,14 @@ def inclusion_matrix(n: int, k: int, j: int) -> np.ndarray:
     return linalg.freeze(w.astype(float))
 
 
-@dataclass(frozen=True)
-class ProjectorFamily:
-    """Orthogonal projectors E_0..E_k onto the irreducible blocks of one level."""
-
-    n: int
-    k: int
-    projectors: tuple
-
-    def dimension(self, j: int) -> int:
-        """Rank of E_j, read off as the trace rounded to nearest integer."""
-        return int(round(float(np.trace(self.projectors[j]))))
-
-    def expected_dimension(self, j: int) -> int:
-        return math.comb(self.n, j) - (math.comb(self.n, j - 1) if j >= 1 else 0)
+def block_dimension(n: int, j: int) -> int:
+    """Predicted rank C(n, j) - C(n, j-1) of E_j; the measured one is its rounded trace."""
+    return math.comb(n, j) - (math.comb(n, j - 1) if j >= 1 else 0)
 
 
 @lru_cache(maxsize=None)
-def irrep_projectors(n: int, k: int) -> ProjectorFamily:
-    """Projector family built from nested column spaces of inclusion operators.
+def irrep_projectors(n: int, k: int) -> tuple[np.ndarray, ...]:
+    """Read-only (E_0, ..., E_k) from nested column spaces of inclusion operators.
 
     E_j = P_j - P_{j-1}, where P_j projects onto the column space of
     inclusion_matrix(n, k, j).  Requires n >= 2k, the regime in which the
@@ -102,32 +92,25 @@ def irrep_projectors(n: int, k: int) -> ProjectorFamily:
         projectors.append(linalg.freeze(p - prev))
         prev = p
     projectors.append(linalg.freeze(np.eye(size) - prev))
-    return ProjectorFamily(n=n, k=k, projectors=tuple(projectors))
-
-
-@dataclass(frozen=True)
-class Transporter:
-    """Norm-one morphism from the j-th block of level k' onto that of level k."""
-
-    j: int
-    matrix: np.ndarray
+    return tuple(projectors)
 
 
 @lru_cache(maxsize=None)
-def transporter(n: int, k: int, k_prime: int, j: int) -> Transporter:
-    """Build Phi_j by compressing the set-inclusion morphism to one block.
+def transporter(n: int, k: int, k_prime: int, j: int) -> np.ndarray:
+    """Read-only Phi_j from block j of level k' onto block j of level k.
 
-    E_j W Ehat_j is equivariant, hence a scalar multiple of the unique
-    transporter; dividing by its only nonzero singular value makes it a
-    partial isometry, and the sign is fixed by <v, Phi vhat> > 0 for the
+    It compresses the set-inclusion morphism W to one block.  E_j W Ehat_j
+    is equivariant, hence a scalar multiple of the unique transporter;
+    dividing by its only nonzero singular value makes it a partial
+    isometry, and the sign is fixed by <v, Phi vhat> > 0 for the
     reference vectors of the two levels, which forces Phi vhat = v.
     """
     if not (0 <= j <= k < k_prime <= n - k_prime):
         raise ValueError(
             f"need 0 <= j <= k < k' <= n - k', got n={n}, k={k}, k'={k_prime}, j={j}"
         )
-    e = irrep_projectors(n, k).projectors[j]
-    e_hat = irrep_projectors(n, k_prime).projectors[j]
+    e = irrep_projectors(n, k)[j]
+    e_hat = irrep_projectors(n, k_prime)[j]
     contains = inclusion_matrix(n, k_prime, k).T  # [x, y] = 1 iff x subset of y
     raw = e @ contains @ e_hat
     scale = linalg.spectral_norm(raw)
@@ -141,7 +124,7 @@ def transporter(n: int, k: int, k_prime: int, j: int) -> Transporter:
     v_hat = reference_vectors(n, k_prime, j).v
     if float(v @ phi @ v_hat) < 0.0:
         phi = -phi
-    return Transporter(j=j, matrix=linalg.freeze(phi))
+    return linalg.freeze(phi)
 
 
 # ---------------------------------------------------------------------------

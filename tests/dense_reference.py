@@ -139,9 +139,9 @@ def channel_checks(inst) -> dict:
                 continue
             xi = bruteforce.build_xi(inst, j, el, m)
             residual -= coeffs[j, comp] * xi
-            phi_moved = johnson.transporter(inst.n, inst.k, inst.k_prime, j + m).matrix
+            phi_moved = johnson.transporter(inst.n, inst.k, inst.k_prime, j + m)
             diff = bruteforce._kron_apply(phi_moved, xi_hat, inst.n)
-            diff -= xi @ johnson.transporter(inst.n, inst.k, inst.k_prime, j).matrix
+            diff -= xi @ johnson.transporter(inst.n, inst.k, inst.k_prime, j)
             worst = max(worst, linalg.spectral_norm(diff))
     v_decomp = max(linalg.spectral_norm(residual), linalg.spectral_norm(residual_hat))
     return {"V_DECOMP": v_decomp, "PHI_COMMUTE": worst}

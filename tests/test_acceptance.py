@@ -105,9 +105,8 @@ def test_criterion_04_projector_ranks():
     ok = True
     for inst in instances():
         for level in (inst.k, inst.k_prime):
-            family = johnson.irrep_projectors(inst.n, level)
-            for j in range(level + 1):
-                if family.dimension(j) != family.expected_dimension(j):
+            for j, e_j in enumerate(johnson.irrep_projectors(inst.n, level)):
+                if int(round(float(np.trace(e_j)))) != johnson.block_dimension(inst.n, j):
                     ok = False
     report(4, "projector ranks equal the block dimensions exactly", ok)
 

@@ -141,13 +141,20 @@ class TestAssembly:
         inst = ProblemInstance(8, 2, 3)
         gamma = adversary.adversary_matrix(inst, 2.0)
         phi_1 = johnson.transporter(8, 2, 3, 1)
-        d_1 = johnson.irrep_projectors(8, 2).dimension(1)
-        assert float(np.sum(phi_1.matrix * gamma)) / d_1 == pytest.approx(0.5, abs=1e-9)
+        d_1 = int(round(float(np.trace(johnson.irrep_projectors(8, 2)[1]))))
+        assert float(np.sum(phi_1 * gamma)) / d_1 == pytest.approx(0.5, abs=1e-9)
 
     def test_dimension_mismatch_rejected(self):
         gammas = adversary.gamma_schedule(2.0, 2)
         transporters = [johnson.transporter(8, 2, 3, j) for j in range(2)]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="one per weight"):
+            adversary.assemble_adversary(gammas, transporters)
+
+    def test_shape_mismatch_rejected(self):
+        gammas = adversary.gamma_schedule(2.0, 2)
+        transporters = [johnson.transporter(8, 2, 3, j) for j in range(2)]
+        transporters.append(johnson.transporter(9, 2, 3, 2))
+        with pytest.raises(ValueError, match="shape"):
             adversary.assemble_adversary(gammas, transporters)
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -108,7 +107,7 @@ class TestXi:
 
     def test_partial_isometry(self):
         xi = bruteforce.build_xi(INST, 1, 0, 0)
-        e1 = johnson.irrep_projectors(8, 2).projectors[1]
+        e1 = johnson.irrep_projectors(8, 2)[1]
         assert np.max(np.abs(xi.T @ xi - e1)) < 1e-9
 
     def test_invalid_channel(self):
@@ -133,7 +132,7 @@ class TestXi:
         # _xi_raw forms V E_j entrywise and Pi_ell as a block mean; the GEMM
         # against V and the dense Pi_ell on each length-n block give the same matrix.
         size = INST.k_prime if hatted else INST.k
-        fam = johnson.irrep_projectors(INST.n, size)
+        projectors = johnson.irrep_projectors(INST.n, size)
         v_iso = dense_reference.isometry(INST, hatted)
         for j in range(size + 1):
             for el, m in bruteforce.XI_CHANNELS:
@@ -141,7 +140,7 @@ class TestXi:
                     continue
                 pi = dense_reference.build_projection_pair(INST.n)[el]
                 moved = bruteforce._kron_apply(
-                    fam.projectors[j + m], v_iso @ fam.projectors[j], INST.n
+                    projectors[j + m], v_iso @ projectors[j], INST.n
                 )
                 cols = moved.shape[1]
                 want = np.matmul(pi, moved.reshape(-1, INST.n, cols)).reshape(-1, cols)
@@ -245,7 +244,7 @@ class TestChannelPass:
 
         def planted(n, k, k_prime, j):
             phi = original(n, k, k_prime, j)
-            return dataclasses.replace(phi, matrix=-phi.matrix) if j == 1 else phi
+            return -phi if j == 1 else phi
 
         monkeypatch.setattr(johnson, "transporter", planted)
         report = bruteforce.verify("PHI_COMMUTE", INST, t=1.0)
@@ -315,16 +314,17 @@ class TestLevelMemos:
         dense_reference.clear_memos()
 
     def test_rank_mismatch_planted_after_a_clean_run_fails(self, monkeypatch):
-        # (10,2,3) and (10,3,4) share the (10,3) family; only that one is broken.
+        # (10,2,3) and (10,3,4) share the (10,3) family; the planted rank of
+        # block 3 breaks it (and the (10,4) one), not the (10,2) one.
         siblings = (ProblemInstance(10, 2, 3), ProblemInstance(10, 3, 4))
         for inst in siblings:
             assert bruteforce.verify("PROJECTORS", inst).passed
-        original = johnson.ProjectorFamily.expected_dimension
+        original = johnson.block_dimension
 
-        def planted(fam, j):
-            return -1 if (fam.n, fam.k) == (10, 3) else original(fam, j)
+        def planted(n, j):
+            return -1 if (n, j) == (10, 3) else original(n, j)
 
-        monkeypatch.setattr(johnson.ProjectorFamily, "expected_dimension", planted)
+        monkeypatch.setattr(johnson, "block_dimension", planted)
         dense_reference.clear_memos()
         for inst in siblings:
             report = bruteforce.verify("PROJECTORS", inst)
@@ -355,7 +355,7 @@ DEFAULT_LEVELS = sorted({(i.n, level) for i in DEFAULT for level in (i.k, i.k_pr
 class TestBlockBases:
     @pytest.mark.parametrize("n, level", DEFAULT_LEVELS, ids=lambda v: str(v))
     def test_orthonormal_block_bases_from_one_eigh(self, monkeypatch, n, level):
-        fam = johnson.irrep_projectors(n, level)
+        projectors = johnson.irrep_projectors(n, level)
         calls = []
         original = np.linalg.eigh
 
@@ -364,22 +364,20 @@ class TestBlockBases:
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        q_all, edges = bruteforce._block_bases(fam)
+        q_all, edges = bruteforce._block_bases(projectors)
         assert len(calls) == 1
         assert np.max(np.abs(q_all.T @ q_all - np.eye(len(q_all)))) <= 1e-12
-        for j, e_j in enumerate(fam.projectors):
+        for j, e_j in enumerate(projectors):
             q_j = q_all[:, edges[j] : edges[j + 1]]
-            assert q_j.shape[1] == fam.expected_dimension(j)
+            assert q_j.shape[1] == johnson.block_dimension(n, j)
             assert np.max(np.abs(e_j @ q_j - q_j)) <= 1e-12
 
     def test_a_non_orthogonal_family_fails_the_block_dimension(self):
         # E_1 + E_2 in place of E_1: L = E_1 + 3 E_2 has no eigenvalue 2, and
         # block 1 finds d_1 eigenvectors against a trace of d_1 + d_2.
-        fam = johnson.irrep_projectors(INST.n, INST.k)
-        e0, e1, e2 = fam.projectors
-        broken = dataclasses.replace(fam, projectors=(e0, e1 + e2, e2))
+        e0, e1, e2 = johnson.irrep_projectors(INST.n, INST.k)
         with pytest.raises(ArithmeticError, match="block 1 of level 2"):
-            bruteforce._block_bases(broken)
+            bruteforce._block_bases((e0, e1 + e2, e2))
 
 
 def _traced_peak(call) -> int:
@@ -577,10 +575,9 @@ class TestVerify:
         stepped = adversary.hadamard_psi_step(adversary.gamma_schedule(2.0, INST.k), INST)
         gamma = adversary.adversary_matrix(INST, 2.0)
         had = gamma * bruteforce.psi_gram(INST)
-        fam = johnson.irrep_projectors(INST.n, INST.k)
-        for j in range(INST.k + 1):
-            phi = johnson.transporter(INST.n, INST.k, INST.k_prime, j).matrix
-            projected = float(np.sum(phi * had)) / fam.dimension(j)
+        for j, e_j in enumerate(johnson.irrep_projectors(INST.n, INST.k)):
+            phi = johnson.transporter(INST.n, INST.k, INST.k_prime, j)
+            projected = float(np.sum(phi * had)) / int(round(float(np.trace(e_j))))
             assert projected == pytest.approx(stepped[j], abs=1e-9)
 
     @pytest.mark.parametrize("ell", [1, 2, 3])
@@ -590,10 +587,9 @@ class TestVerify:
         for _ in range(ell):
             coeffs = adversary.hadamard_psi_step(coeffs, INST)
         had = adversary.adversary_matrix(INST, t) * bruteforce.psi_gram(INST) ** ell
-        fam = johnson.irrep_projectors(INST.n, INST.k)
-        for j in range(INST.k + 1):
-            phi = johnson.transporter(INST.n, INST.k, INST.k_prime, j).matrix
-            projected = float(np.sum(phi * had)) / fam.dimension(j)
+        for j, e_j in enumerate(johnson.irrep_projectors(INST.n, INST.k)):
+            phi = johnson.transporter(INST.n, INST.k, INST.k_prime, j)
+            projected = float(np.sum(phi * had)) / int(round(float(np.trace(e_j))))
             assert projected == pytest.approx(coeffs[j], abs=1e-8)
 
     def test_psi_power_requires_schedule_room(self):
@@ -617,7 +613,7 @@ class TestVerify:
 
     def test_rank_mismatch_fails_projectors(self, monkeypatch):
         # No separate rank re-check in verify: the forced gap of 1 fails it.
-        monkeypatch.setattr(johnson.ProjectorFamily, "expected_dimension", lambda self, j: -1)
+        monkeypatch.setattr(johnson, "block_dimension", lambda n, j: -1)
         dense_reference.clear_memos()
         try:
             report = bruteforce.verify("PROJECTORS", INST)

@@ -103,6 +103,35 @@ class TestVerifyCommand:
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("15,3,4", "lifted dimension C(n,k')*n = 20475 exceeds cap"),
+            ("8,3,3", "need k < k'"),
+            ("21,1,2", "ground set size 21 exceeds cap 20"),
+        ],
+        ids=["over-cap", "k-equals-k-prime", "ground-set-over-cap"],
+    )
+    def test_inadmissible_instance_fails_before_any_row(
+        self, tmp_path, capsys, monkeypatch, bad, message
+    ):
+        # Placed after a valid instance, it is still rejected before any check runs.
+        calls = []
+        original = bruteforce.verify
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bruteforce, "verify", counting)
+        argv = ["--instance", "6,1,2", "--instance", bad, "--t", "1", "--t", "2"]
+        code = run(["verify", *argv, "--out", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: instance {bad}: ") and message in err
+        assert calls == []
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["--instance", "6,1,2", "--t", "1", "--t", "1"],

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from countbench import johnson
+from countbench import adversary, johnson
 from countbench.cli import DEFAULT_INSTANCES
 import dense_reference
 
@@ -80,26 +80,25 @@ class TestInclusionMatrix:
 
 class TestProjectors:
     def test_traces_8_2(self):
-        fam = johnson.irrep_projectors(8, 2)
-        assert [fam.dimension(j) for j in range(3)] == [1, 7, 20]
+        traces = [float(np.trace(e)) for e in johnson.irrep_projectors(8, 2)]
+        assert [int(round(t)) for t in traces] == [1, 7, 20]
 
     def test_uniform_block_is_all_ones(self):
-        fam = johnson.irrep_projectors(6, 2)
-        assert np.allclose(fam.projectors[0], 1.0 / 15.0, atol=1e-12)
+        e0 = johnson.irrep_projectors(6, 2)[0]
+        assert np.allclose(e0, 1.0 / 15.0, atol=1e-12)
 
     def test_completeness_6_3(self):
-        fam = johnson.irrep_projectors(6, 3)
-        total = sum(fam.projectors)
+        total = sum(johnson.irrep_projectors(6, 3))
         assert np.max(np.abs(total - np.eye(20))) < 1e-10
 
     @pytest.mark.parametrize("n,k", [(6, 2), (8, 3), (9, 4), (10, 2)])
     def test_family_identities(self, n, k):
-        fam = johnson.irrep_projectors(n, k)
-        for j, e in enumerate(fam.projectors):
+        projectors = johnson.irrep_projectors(n, k)
+        for j, e in enumerate(projectors):
             assert np.max(np.abs(e @ e - e)) < 1e-10
             assert np.max(np.abs(e - e.T)) < 1e-12
-            assert fam.dimension(j) == fam.expected_dimension(j)
-            for other in fam.projectors[j + 1:]:
+            assert int(round(float(np.trace(e)))) == johnson.block_dimension(n, j)
+            for other in projectors[j + 1:]:
                 assert np.max(np.abs(e @ other)) < 1e-10
 
     def test_rejects_n_below_2k(self):
@@ -109,23 +108,23 @@ class TestProjectors:
 
 class TestTransporter:
     def test_uniform_block_is_constant(self):
-        tr = johnson.transporter(8, 2, 3, 0)
+        phi = johnson.transporter(8, 2, 3, 0)
         expected = 1.0 / math.sqrt(math.comb(8, 2) * math.comb(8, 3))
-        assert np.allclose(tr.matrix, expected, atol=1e-12)
+        assert np.allclose(phi, expected, atol=1e-12)
 
     @pytest.mark.parametrize("j", [0, 1, 2])
     def test_partial_isometry_and_reference_action(self, j):
-        tr = johnson.transporter(8, 2, 3, j)
-        e = johnson.irrep_projectors(8, 2).projectors[j]
-        e_hat = johnson.irrep_projectors(8, 3).projectors[j]
-        assert np.max(np.abs(tr.matrix.T @ tr.matrix - e_hat)) < 1e-10
-        assert np.max(np.abs(tr.matrix @ tr.matrix.T - e)) < 1e-10
+        phi = johnson.transporter(8, 2, 3, j)
+        e = johnson.irrep_projectors(8, 2)[j]
+        e_hat = johnson.irrep_projectors(8, 3)[j]
+        assert np.max(np.abs(phi.T @ phi - e_hat)) < 1e-10
+        assert np.max(np.abs(phi @ phi.T - e)) < 1e-10
         v = johnson.reference_vectors(8, 2, j).v
         v_hat = johnson.reference_vectors(8, 3, j).v
-        assert np.linalg.norm(tr.matrix @ v_hat - v) < 1e-9
+        assert np.linalg.norm(phi @ v_hat - v) < 1e-9
 
     def test_equivariance_under_random_permutations(self):
-        tr = johnson.transporter(8, 2, 3, 1)
+        phi = johnson.transporter(8, 2, 3, 1)
         rng = np.random.default_rng(42)
         for _ in range(20):
             perm = rng.permutation(8) + 1
@@ -137,8 +136,8 @@ class TestTransporter:
                 dense_reference.index_of(8, 3, perm[np.array(s) - 1])
                 for s in dense_reference.subsets(8, 3)
             ]
-            permuted = tr.matrix[np.ix_(row_map, col_map)]
-            assert np.max(np.abs(permuted - tr.matrix)) < 1e-10
+            permuted = phi[np.ix_(row_map, col_map)]
+            assert np.max(np.abs(permuted - phi)) < 1e-10
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -176,9 +175,31 @@ def test_projector_bytes_are_pinned():
     assert len(DEFAULT_LEVELS) == 14
     digest = hashlib.sha256()
     for n, level in DEFAULT_LEVELS:
-        for e in johnson.irrep_projectors(n, level).projectors:
+        for e in johnson.irrep_projectors(n, level):
             digest.update(e.tobytes())
     assert digest.hexdigest() == PROJECTOR_DIGEST
+
+
+# sha256 over Gamma = adversary_matrix(inst, t) for the default verify
+# instances at t = 1, 2, 3, each followed by the instance's transporters
+# Phi_0..Phi_k.  Recorded while ``transporter`` still returned a wrapper
+# around Phi_j, so Phi_j is read through ``assemble_adversary`` with the
+# one-hot weights e_j: that sum is Phi_j whatever type carries it.  Built
+# from the projectors above, it holds for the same numpy and OpenBLAS
+# builds (numpy 2.4.6, OpenBLAS 0.3.31, x86-64).
+ADVERSARY_DIGEST = "93842959d3b3bdb6931aecf4639bbb0bedecbf88238fadfcbc98a45495417286"
+
+
+def test_adversary_and_transporter_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for triple in DEFAULT_INSTANCES:
+        inst = adversary.ProblemInstance(*triple)
+        for t in (1.0, 2.0, 3.0):
+            digest.update(adversary.adversary_matrix(inst, t).tobytes())
+        phis = [johnson.transporter(*triple, j) for j in range(inst.k + 1)]
+        for one_hot in np.eye(inst.k + 1):
+            digest.update(adversary.assemble_adversary(one_hot, phis).tobytes())
+    assert digest.hexdigest() == ADVERSARY_DIGEST
 
 
 class TestReferenceVectors:
@@ -214,27 +235,27 @@ class TestReferenceVectors:
 
     @pytest.mark.parametrize("n,k,kp", SWEEP)
     def test_block_membership(self, n, k, kp):
-        fam = johnson.irrep_projectors(n, k)
+        projectors = johnson.irrep_projectors(n, k)
         for j in range(k + 1):
             refs = johnson.reference_vectors(n, k, j)
-            assert np.linalg.norm(fam.projectors[j] @ refs.v - refs.v) < 1e-10
+            assert np.linalg.norm(projectors[j] @ refs.v - refs.v) < 1e-10
             if refs.v_tilde is not None:
                 assert (
-                    np.linalg.norm(fam.projectors[j + 1] @ refs.v_tilde - refs.v_tilde)
+                    np.linalg.norm(projectors[j + 1] @ refs.v_tilde - refs.v_tilde)
                     < 1e-10
                 )
             if j >= 1:
                 assert (
-                    np.linalg.norm(fam.projectors[j - 1] @ refs.v_minus - refs.v_minus)
+                    np.linalg.norm(projectors[j - 1] @ refs.v_minus - refs.v_minus)
                     < 1e-10
                 )
                 assert (
-                    np.linalg.norm(fam.projectors[j] @ refs.v_zero - refs.v_zero)
+                    np.linalg.norm(projectors[j] @ refs.v_zero - refs.v_zero)
                     < 1e-10
                 )
                 if refs.v_plus is not None:
                     assert (
-                        np.linalg.norm(fam.projectors[j + 1] @ refs.v_plus - refs.v_plus)
+                        np.linalg.norm(projectors[j + 1] @ refs.v_plus - refs.v_plus)
                         < 1e-10
                     )
 
@@ -279,7 +300,7 @@ class TestTransporterActionTable:
     def test_fixed_element_vectors_transport(self, n, k, kp, j):
         refs = johnson.reference_vectors(n, k, j)
         hats = johnson.reference_vectors(n, kp, j)
-        phi = lambda i: johnson.transporter(n, k, kp, i).matrix
+        phi = lambda i: johnson.transporter(n, k, kp, i)
         assert np.linalg.norm(phi(j - 1) @ hats.v_minus - refs.v_minus) < 1e-9
         assert np.linalg.norm(phi(j) @ hats.v - refs.v) < 1e-9
         assert np.linalg.norm(phi(j) @ hats.v_zero - refs.v_zero) < 1e-9
