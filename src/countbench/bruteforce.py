@@ -8,9 +8,9 @@ vectors, and the superposition isometries V and V-hat, applied entrywise.
 reporting the worst discrepancy.
 
 V_DECOMP and PHI_COMMUTE read the channel transporters Xi in block
-coordinates (``_level_channels``), one row block at a time, splitting the
-ground axis into the uniform direction (Pi_0, the mean over i) and its
-complement (Pi_1).
+coordinates (``_level_channels``), one row block at a time in chunks
+of columns, splitting the ground axis into the uniform direction (Pi_0,
+the mean over i) and its complement (Pi_1).
 ``build_xi`` forms one Xi at full size with the same split; the tests
 gate the block pass against it, and the benchmark tracer wraps it by name.
 
@@ -287,15 +287,8 @@ def _check_psi_coeffs(inst: ProblemInstance, t: float, ell: int):
 def _check_delta_gen(inst: ProblemInstance, t: float, ell: int):
     closed = adversary.norm_delta_state_gen(adversary.gamma_schedule(t, inst.k), inst)
     gamma = adversary.adversary_matrix(inst, t)
-    psi, psi_hat = psi_matrix(inst.n, inst.k), psi_matrix(inst.n, inst.k_prime)
-    # Each lifted difference is formed in place, one at a time.
-    diff = lift(gamma, LiftKind.ROW_PSI, psi)
-    diff -= lift(gamma, LiftKind.COL_PSI, psi_hat)
-    brute_fwd = linalg.spectral_norm(diff)
-    del diff
-    diff = lift(gamma, LiftKind.ROW_PSI_STAR, psi)
-    diff -= lift(gamma, LiftKind.COL_PSI_STAR, psi_hat)
-    brute_rev = linalg.spectral_norm(diff)
+    brute_fwd = _lift_difference_norm(gamma, LiftKind.ROW_PSI, LiftKind.COL_PSI, inst)
+    brute_rev = _lift_difference_norm(gamma, LiftKind.ROW_PSI_STAR, LiftKind.COL_PSI_STAR, inst)
     gaps = (abs(brute_fwd - closed[0]), abs(brute_rev - closed[1]))
     side = int(np.argmax(gaps))
     return (
@@ -305,6 +298,29 @@ def _check_delta_gen(inst: ProblemInstance, t: float, ell: int):
         {},
         "norm",
     )
+
+
+def _lift_difference_norm(
+    gamma: np.ndarray, row_kind: LiftKind, col_kind: LiftKind, inst: ProblemInstance
+) -> float:
+    """Spectral norm of lift(gamma, row_kind) - lift(gamma, col_kind).
+
+    Only the ROW lift is held whole.  The COL lift is subtracted into it
+    one row block of gamma at a time: row x of gamma lifts to rows
+    x n .. x n + n - 1 of a PSI lift and to row x of a PSI_STAR lift.
+    Each block has ceil(rows / n) rows of gamma, so its lift is about
+    the size of gamma.  The subtraction is entrywise, so the difference
+    is bit for bit the one of the two whole lifts.
+    """
+    n = inst.n
+    diff = lift(gamma, row_kind, psi_matrix(n, inst.k))
+    psi_hat = psi_matrix(n, inst.k_prime)
+    per_row = n if col_kind is LiftKind.COL_PSI else 1
+    step = -(-len(gamma) // n)
+    for start in range(0, len(gamma), step):
+        block = gamma[start : start + step]
+        diff[start * per_row : (start + len(block)) * per_row] -= lift(block, col_kind, psi_hat)
+    return linalg.spectral_norm(diff)
 
 
 def _check_delta_refl(inst: ProblemInstance, t: float, ell: int):
@@ -415,21 +431,24 @@ def _level_channels(n: int, level: int, hatted: bool):
     V - sum c Xi keeps its spectral norm: each non-border channel core is
     scaled by 1 - c/||K||, every other core is left as it is.
 
-    The pass runs one row block r at a time.  Row (x, i) of V holds
-    psi_x[i] in column x, so ground coordinate i of row block r is
-    (psi[S_i, i] o Q_r[S_i])^T Q_all[S_i], with S_i the subsets that hold
-    i; the others have psi_x[i] = 0.  For each slot group (Pi_0, then the
-    n Pi_1 slots) one N x N Gram of the row block's entries is formed.
-    Its diagonal block j is K^T K for the channel core in column block j,
-    so it gives that core's normaliser ||K||.  Scaled by the column
-    factors 1 - c/||K|| on both sides, it is the Gram of the residual's
-    entries there, and it adds into an N x N residual Gram whose top
-    eigenvalue gives the norm; the residual is never stored.  Returns the
-    block bases, the normalised channel cores K/||K|| that
-    ``_check_channels`` reads, read-only and keyed by (j, ell, m) with
-    rows (a, i) as in ``_kron_apply`` (every core of level k; on level k'
-    those with j, j + m < k', which any k < k' reads), and the residual's
-    spectral norm.
+    The pass runs one row block r at a time, and each row block in
+    chunks of w columns of Q_r, with w = N // n for N subsets, so a
+    chunk's n x w x N buffer is no larger than an N x N Gram.  Row (x, i)
+    of V holds psi_x[i] in column x, so ground coordinate i of a chunk
+    Q_c of Q_r is (psi[S_i, i] o Q_c[S_i])^T Q_all[S_i], with S_i the
+    subsets that hold i; the others have psi_x[i] = 0.  The Pi_0
+    coordinate is kept for the whole row block, d_r x N, and its N x N
+    Gram is one product; the N x N Grams of the chunks' n Pi_1 slots add
+    up to that of the row block.  Diagonal block j of a slot group's Gram
+    is K^T K for the channel core in column block j, so it gives that
+    core's normaliser ||K||.  Scaled by the column factors 1 - c/||K||
+    on both sides, it is the Gram of the residual's entries there, and it
+    adds into an N x N residual Gram whose top eigenvalue gives the norm;
+    the residual is never stored.  Returns the block bases, the normalised
+    channel cores K/||K|| that ``_check_channels`` reads, read-only and
+    keyed by (j, ell, m) with rows (a, i) as in ``_kron_apply`` (every
+    core of level k; on level k' those with j, j + m < k', which any
+    k < k' reads), and the residual's spectral norm.
     """
     coeffs = adversary.phi_components(n, level, np.arange(level + 1))
     q_all, edges = _block_bases(johnson.irrep_projectors(n, level))
@@ -437,20 +456,44 @@ def _level_channels(n: int, level: int, hatted: bool):
     size = len(psi)
     members = [np.flatnonzero(psi[:, i]) for i in range(n)]
     blocks = [slice(edges[j], edges[j + 1]) for j in range(level + 1)]
+    width = max(1, size // n)
+    # Level k' keeps the cores with j, j + m < k', the ones any k < k' reads.
+    top = level if hatted else level + 1
     gram = np.zeros((size, size))
-    slot_gram = np.empty((size, size))
+    # The row block's Gram per slot group.  Until the Pi_0 one is formed,
+    # its buffer holds each chunk's Pi_1 Gram on the way into the sum.
+    pi0_gram, pi1_gram = np.empty((size, size)), np.empty((size, size))
     channels = {}
     for r, rows in enumerate(blocks):
-        q_r = q_all[:, rows]
-        # Slot 0: the Pi_0 coordinate; slot 1 + i: ground coordinate i, then its Pi_1 part.
-        part = np.empty((n + 1, q_r.shape[1], size))
-        for i, s_i in enumerate(members):
-            np.matmul((psi[s_i, i, None] * q_r[s_i]).T, q_all[s_i], out=part[1 + i])
-        np.sum(part[1:], axis=0, out=part[0])
-        part[1:] -= part[0] / n
-        part[0] /= math.sqrt(n)
-        for group, slots in enumerate((part[0], part[1:].reshape(-1, size))):
-            np.matmul(slots.T, slots, out=slot_gram)
+        d_r = rows.stop - rows.start
+        # The Pi_0 coordinate of the whole row block, no larger than a Gram.
+        pi0 = np.empty((d_r, size))
+        # The Pi_1 cores this row block keeps, filled chunk by chunk.
+        cores = {
+            (r - m, 1, m): np.empty((d_r, n, edges[r - m + 1] - edges[r - m]))
+            for el, m in XI_CHANNELS
+            if el and not _xi_is_declared_zero(r - m, el, m, level) and max(r - m, r) < top
+        }
+        pi1_gram.fill(0.0)
+        for lo in range(0, d_r, width):
+            at = slice(lo, min(lo + width, d_r))
+            q_c = q_all[:, rows][:, at]
+            # Ground coordinate i, then its Pi_1 part.
+            part = np.empty((n, q_c.shape[1], size))
+            for i, s_i in enumerate(members):
+                np.matmul((psi[s_i, i, None] * q_c[s_i]).T, q_all[s_i], out=part[i])
+            np.sum(part, axis=0, out=pi0[at])
+            part -= pi0[at] / n
+            slots = part.reshape(-1, size)
+            np.matmul(slots.T, slots, out=pi0_gram)
+            pi1_gram += pi0_gram
+            for (j, el, m), core in cores.items():
+                core[at] = part[:, :, blocks[j]].swapaxes(0, 1)
+            # Drop every view of this chunk before the next one is allocated.
+            del part, slots
+        pi0 /= math.sqrt(n)
+        np.matmul(pi0.T, pi0, out=pi0_gram)
+        for group, slot_gram in enumerate((pi0_gram, pi1_gram)):
             factor = np.ones(size)
             for comp, (el, m) in enumerate(XI_CHANNELS):
                 j = r - m
@@ -460,16 +503,14 @@ def _level_channels(n: int, level: int, hatted: bool):
                 scale = _channel_normaliser(
                     linalg.gram_norm(slot_gram[cols, cols]), j, el, m, hatted
                 )
-                if not hatted or max(j, r) < level:
-                    kept = (part[1:, :, cols].swapaxes(0, 1) if el else part[0, :, cols]).copy()
-                    kept /= scale
-                    channels[j, el, m] = linalg.freeze(kept.reshape(-1, kept.shape[-1]))
+                if max(j, r) < top:
+                    core = cores[j, el, m] if el else pi0[:, cols].copy()
+                    core /= scale
+                    channels[j, el, m] = linalg.freeze(core.reshape(-1, core.shape[-1]))
                 factor[cols] = 1.0 - coeffs[j, comp] / scale
             slot_gram *= factor
             slot_gram *= factor[:, None]
             gram += slot_gram
-        # Drop every view of this row block before the next one is allocated.
-        del part, slots
     bases = [q_all[:, rows] for rows in blocks]
     return bases, channels, linalg.gram_norm(gram)
 
@@ -479,9 +520,32 @@ def _hatted_level_channels(n: int, level: int):
     """``_level_channels`` of a k' level, memoised: it depends only on (n, k').
 
     Every instance on that level reads the same cores, and the sweep runs
-    level-major, so one entry serves them all.
+    level-major, so one entry serves them all until
+    ``release_channel_pass`` drops it.
     """
     return _level_channels(n, level, hatted=True)
+
+
+def release_channel_pass(inst: ProblemInstance) -> None:
+    """Drop the memoised k' channel pass once ``inst`` holds its channel result.
+
+    For the last instance on a k' level: once its instance memo holds
+    the V_DECOMP and PHI_COMMUTE results, nothing reads that pass again.
+    """
+    if _check_channels in _instance_memo(inst):
+        _hatted_level_channels.cache_clear()
+
+
+def clear_memos() -> None:
+    """Empty every memo of this module.
+
+    That is the instance memos, the per-level memos under them, and the
+    superposition rows and overlap matrices: every lru-cached function,
+    so a memo added here is cleared as well.
+    """
+    for value in list(globals().values()):
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
 
 
 def _check_channels(inst: ProblemInstance, t: float, ell: int):
@@ -494,8 +558,9 @@ def _check_channels(inst: ProblemInstance, t: float, ell: int):
     (Phi_{j+m} tensor I) Xihat - Xi Phi_j has the norm of the core
     difference (S_{j+m} tensor I) Khat/||Khat|| - (K/||K||) S_j.
     """
-    bases, channels, gap = _level_channels(inst.n, inst.k, hatted=False)
+    # The larger k' pass first, so that the k pass's result does not sit under its peak.
     bases_hat, channels_hat, gap_hat = _hatted_level_channels(inst.n, inst.k_prime)
+    bases, channels, gap = _level_channels(inst.n, inst.k, hatted=False)
     s = [
         q.T @ johnson.transporter(inst.n, inst.k, inst.k_prime, j) @ q_hat
         for j, (q, q_hat) in enumerate(zip(bases, bases_hat))
@@ -623,7 +688,8 @@ def verify(
     for both.  Below the instance memo, the work that depends on one level
     only is memoised per level: the k' channel pass (one entry), and the
     TABLES and PROJECTORS gaps, so instances that share a level and run
-    back to back do it once.  The report's ``discrepancy`` is the worst
+    back to back do it once.  ``release_channel_pass`` and ``clear_memos``
+    end these memos once a sweep is past their level.  The report's ``discrepancy`` is the worst
     gap found; for DELTA_MEMB the spread of the per-element values must
     additionally stay below TOL_EXACT.  Both tolerances are read at call
     time.

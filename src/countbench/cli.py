@@ -16,7 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__, adversary, bruteforce, simulate
+from . import __version__, adversary, bruteforce, johnson, simulate
 from .adversary import ProblemInstance
 
 DEFAULT_INSTANCES = (
@@ -137,14 +137,13 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _verify_items(instances, t_values, checks):
-    items = []
-    for inst in instances:
-        for t in t_values:
-            for check in checks:
-                ell = int(t) // 2 if check == "PSI_POWER" else 0
-                items.append((check, inst, float(t), ell))
-    return items
+def _verify_items(t_values, checks):
+    """(check, t, ell) of each row of one instance, in run order."""
+    return [
+        (check, float(t), int(t) // 2 if check == "PSI_POWER" else 0)
+        for t in t_values
+        for check in checks
+    ]
 
 
 def cmd_verify(args) -> int:
@@ -164,14 +163,24 @@ def cmd_verify(args) -> int:
     out_dir = Path(args.out)
 
     # Level-major: instances that share a level run back to back, so each
-    # level's memoised work in bruteforce is done once.  The reports are
-    # sorted below, so the run order moves no output byte.
+    # level's memoised work in bruteforce is done once, and a memo is
+    # dropped once no later instance reads it.  The reports are sorted
+    # below, so the run order moves no output byte.
     level_major = sorted(instances, key=lambda i: (i.n, i.k_prime, i.k))
+    rows = _verify_items(t_values, checks)
     start = time.perf_counter()
-    reports = [
-        bruteforce.verify(check, inst, t=t, ell=ell)
-        for check, inst, t, ell in _verify_items(level_major, t_values, checks)
-    ]
+    reports = []
+    for inst, following in zip(level_major, level_major[1:] + [None]):
+        last_on_level = (
+            following is None or following.n != inst.n or following.k_prime != inst.k_prime
+        )
+        for check, t, ell in rows:
+            reports.append(bruteforce.verify(check, inst, t=t, ell=ell))
+            if last_on_level:
+                bruteforce.release_channel_pass(inst)
+        if following is not None and following.n > inst.n:
+            bruteforce.clear_memos()
+            johnson.clear_caches()
     sweep_s = time.perf_counter() - start
     reports.sort(key=lambda r: (r.check_id, r.n, r.k, r.k_prime, r.t, r.ell))
 

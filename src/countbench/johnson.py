@@ -38,6 +38,13 @@ MAX_GROUND_SET = 20
 DEGENERATE_SCALE = 1e-8
 
 
+def clear_caches() -> None:
+    """Empty every lru-cached function of this module."""
+    for value in list(globals().values()):
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
 @lru_cache(maxsize=None)
 def subset_basis(n: int, k: int) -> np.ndarray:
     """Bit masks of the k-subsets of {1..n} in lexicographic order, read-only.

@@ -86,6 +86,9 @@ def trial(setup, rng_seed, true_size: int | None = None, repetitions: int = 1) -
     ``np.random.default_rng`` takes; a Generator is used as it is.
     """
     k, k_prime, single = setup
+    # Before the first draw, so that a rejected call leaves a Generator as it was.
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
     rng = np.random.default_rng(rng_seed)
     if true_size is None:
         size = k if rng.integers(2) == 0 else k_prime
@@ -93,8 +96,6 @@ def trial(setup, rng_seed, true_size: int | None = None, repetitions: int = 1) -
         size = int(true_size)
     else:
         raise ValueError(f"true_size must be {k} or {k_prime}, got {true_size}")
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
     runs = [single(rng, size) for _ in range(repetitions)]
     _, statistic, tally = runs[0]
     decided = [decision for decision, _, _ in runs if decision is not None]

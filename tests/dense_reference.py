@@ -87,12 +87,10 @@ def delta_membership_mask(inst, i: int) -> np.ndarray:
 def clear_memos() -> None:
     """Empty the instance memo and the per-level memos under it.
 
-    Clears every lru-cached function of ``bruteforce``, so a memo added
-    there is cleared as well; the ``johnson`` caches stay warm.
+    The same ``bruteforce.clear_memos`` that ``countbench verify`` calls
+    when it moves to a larger n; the ``johnson`` caches stay warm.
     """
-    for value in vars(bruteforce).values():
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
+    bruteforce.clear_memos()
 
 
 def build_projection_pair(n: int) -> tuple[np.ndarray, np.ndarray]:

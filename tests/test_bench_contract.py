@@ -9,6 +9,8 @@ src/ may leave unreferenced.
 """
 
 import ast
+import csv
+import hashlib
 import importlib
 import sys
 from pathlib import Path
@@ -112,3 +114,22 @@ def test_round_off_picked_closed_forms_match_the_recorded_sweep(key):
     assert report.passed
     got = cli._fmt_float(report.closed_form)
     assert workloads._closed_form_matches(got, PICKED_ROWS[key]), (got, PICKED_ROWS[key])
+
+
+# sha256 over the brute_force and discrepancy cells of every DELTA_GEN and
+# PSI_COEFFS row of the default sweep, as the CLI prints them, one line
+# "check_id,n,k,k_prime,t,ell,brute_force,discrepancy" per row in CSV order.
+# The round-off picks above rest on these bits; recorded before the
+# bounded-memory DELTA_GEN (one lifted array, the COL lift subtracted one
+# row block of gamma at a time) and unedited since.
+PICKED_CELLS_DIGEST = "850eb688a8eee2d677b8578dfab6eb5b6b3c08b4be24529c72909305a98d4aee"
+
+
+def test_round_off_picked_cells_are_pinned(tmp_path):
+    assert cli.main(["verify", "--checks", *ROUND_OFF_PICKED, "--out", str(tmp_path)]) == 0
+    with (tmp_path / "verify.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    fields = ("check_id", "n", "k", "k_prime", "t", "ell", "brute_force", "discrepancy")
+    text = "".join(",".join(r[f] for f in fields) + "\n" for r in rows)
+    assert len(rows) == len(PICKED_ROWS)
+    assert hashlib.sha256(text.encode()).hexdigest() == PICKED_CELLS_DIGEST

@@ -84,6 +84,24 @@ class TestLift:
             expected = gamma[x, y] * (psi_x[x, i] - psi_y[y, i])
             assert lifted[x * INST.n + i, y] == pytest.approx(expected, abs=1e-14)
 
+    # C(n,k) rows of gamma: 7 < n, 28 and 45 not a multiple of ceil(rows/n), 120 one.
+    @pytest.mark.parametrize("triple", [(7, 1, 2), (8, 2, 3), (10, 2, 3), (10, 3, 4)])
+    @pytest.mark.parametrize(
+        "kinds",
+        [(LiftKind.ROW_PSI, LiftKind.COL_PSI), (LiftKind.ROW_PSI_STAR, LiftKind.COL_PSI_STAR)],
+        ids=["forward", "reverse"],
+    )
+    def test_row_blocked_difference_is_the_whole_lift_difference(self, triple, kinds):
+        inst = ProblemInstance(*triple)
+        gamma = np.random.default_rng(5).standard_normal(
+            (math.comb(inst.n, inst.k), math.comb(inst.n, inst.k_prime))
+        )
+        psi_x = bruteforce.psi_matrix(inst.n, inst.k)
+        psi_y = bruteforce.psi_matrix(inst.n, inst.k_prime)
+        whole = lift(gamma, kinds[0], psi_x) - lift(gamma, kinds[1], psi_y)
+        got = bruteforce._lift_difference_norm(gamma, *kinds, inst)
+        assert got == linalg.spectral_norm(whole)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             lift(np.zeros((3, 5)), LiftKind.ROW_PSI, bruteforce.psi_matrix(8, 2))
@@ -392,9 +410,11 @@ def _traced_peak(call) -> int:
 class TestPeakMemory:
     """tracemalloc peaks at (12,3,4), with the cached Johnson objects built first.
 
-    Measured 30.5 MB for the channel pass and 21.8 MB for DELTA_GEN; the
-    caps leave about 25% headroom.  Storing the whole residual took 98 MB,
-    and DELTA_GEN with a third lifted array 32 MB.
+    The first two caps leave about 25% headroom over 30.5 MB for the
+    channel pass, with a buffer for each whole row block, and 21.8 MB for
+    DELTA_GEN with two whole lifted arrays.  Storing the whole residual
+    took 98 MB, and DELTA_GEN with a third lifted array 32 MB.  In chunks
+    and with one lifted array they measure 18.4 and 13.3 MB.
     """
 
     INST = ProblemInstance(12, 3, 4)
@@ -414,6 +434,17 @@ class TestPeakMemory:
 
     def test_delta_gen(self):
         assert _traced_peak(lambda: bruteforce._check_delta_gen(self.INST, 2.0, 0)) <= 27e6
+
+    def test_delta_gen_holds_one_lifted_array(self):
+        # 13.3 MB: one 10.5 MB lift, the COL lift subtracted by row blocks of gamma.
+        assert _traced_peak(lambda: bruteforce._check_delta_gen(self.INST, 2.0, 0)) <= 16e6
+
+    def test_channel_pass_in_chunks(self):
+        # The k' = 4 level alone: 16.1 MB in chunks of Q_r columns, 25.7 MB
+        # with a 14.2 MB buffer for the whole row block r = 4.
+        inst = self.INST
+        peak = _traced_peak(lambda: bruteforce._level_channels(inst.n, inst.k_prime, True))
+        assert peak <= 20e6
 
 
 # Instances of the t > k gates: the n <= 10 default ones and two with k' = k + 1.

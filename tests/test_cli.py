@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import dense_reference
-from countbench import bruteforce, cli, simulate
+from countbench import bruteforce, cli, johnson, simulate
 
 
 def run(argv):
@@ -279,6 +279,29 @@ class TestLevelMajorSweep:
             (n, k_prime, True) for n, _, k_prime in SCRAMBLED
         }
         assert set(passes.values()) == {1}
+
+    def test_memos_end_with_their_level(self, tmp_path, monkeypatch):
+        # (12,2,4) and (12,3,4) share the k' = 4 pass; (13,1,2) moves to a larger n.
+        held = []
+        delta_gen = bruteforce._check_delta_gen
+
+        def recording(inst, t, ell):
+            held.append((inst.k, t, bruteforce._hatted_level_channels.cache_info().currsize))
+            return delta_gen(inst, t, ell)
+
+        monkeypatch.setitem(bruteforce._CHECK_FUNCS, "DELTA_GEN", recording)
+        triples = ((12, 2, 4), (12, 3, 4), (13, 1, 2))
+        argv = ["verify", *_instance_flags(triples), "--t", "1", "--t", "2"]
+        assert run(argv + ["--out", str(tmp_path)]) == 0
+        # The k' = 4 pass outlives (12,2,4), whose level (12,3,4) shares, and
+        # ends once (12,3,4) holds its channel result, before its t = 2 rows.
+        assert held == [
+            (2, 1.0, 0), (2, 2.0, 1), (3, 1.0, 1), (3, 2.0, 0), (1, 1.0, 0), (1, 2.0, 0)
+        ]
+        assert bruteforce._hatted_level_channels.cache_info().currsize == 0
+        # Only the n = 13 Johnson objects are left: (13,1), (13,2) and Phi_0, Phi_1.
+        assert johnson.irrep_projectors.cache_info().currsize == 2
+        assert johnson.transporter.cache_info().currsize == 2
 
 
 def _count_memo_misses(monkeypatch, name) -> Counter:

@@ -397,6 +397,14 @@ class TestRepetitionsAndDispatch:
         out = simulate.trial(simulate.coupon(16, 1.0, 50), 41, repetitions=3)
         assert out.tally.copies == 3 * 50
 
+    @pytest.mark.parametrize("repetitions", [0, -1])
+    def test_rejected_repetitions_leave_the_generator_unchanged(self, repetitions):
+        rng = np.random.default_rng(41)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="repetitions must be >= 1"):
+            simulate.trial(simulate.coupon(16, 1.0, 50), rng, repetitions=repetitions)
+        assert rng.bit_generator.state == before
+
     def test_unknown_procedure(self):
         with pytest.raises(ValueError):
             simulate.run_batch("nope", {}, 1, 0)
