@@ -254,7 +254,13 @@ def build_xi(
 
 
 def _channel_normaliser(scale: float, j: int, ell: int, m: int, hatted: bool) -> float:
-    """``scale``, the spectral norm of a non-border channel; a near-zero one raises."""
+    """``scale``, the norm ||K|| of a non-border channel K; a near-zero one raises.
+
+    ``build_xi`` passes the spectral norm of the full-size channel.  The
+    channel pass passes ||K||_F / sqrt(d_j) of its core: K maps block j,
+    of dimension d_j, equivariantly, so K^T K is a scalar on it and that
+    is the same norm, read with no eigensolve.
+    """
     if scale < johnson.DEGENERATE_SCALE:
         raise ArithmeticError(
             f"channel (j={j}, ell={ell}, m={m}, hatted={hatted}) is unexpectedly "
@@ -325,29 +331,31 @@ def _lift_difference_norm(
 
 def _check_delta_refl(inst: ProblemInstance, t: float, ell: int):
     closed = adversary.norm_delta_reflection(adversary.gamma_schedule(t, inst.k), inst)
-    brute = _reflection_lift_norm(inst, adversary.adversary_matrix(inst, t))
-    return closed, brute, abs(brute - closed), {}, "norm"
+    brute, residual = _reflection_lift_norm(inst, adversary.adversary_matrix(inst, t))
+    return closed, brute, abs(brute - closed), {"structure_residual": residual}, "norm"
 
 
-def _reflection_lift_norm(inst: ProblemInstance, gamma: np.ndarray) -> float:
-    """Spectral norm of the lifted reflection difference.
+def _reflection_remainder_grams(
+    inst: ProblemInstance, gamma: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The two remainder Grams of the lifted reflection difference, and a scale.
 
-    Its (x, y) block is gamma[x, y] (psi_x psi_x^T - psi_y psi_y^T), with
-    row blocks (x, i) and column blocks (y, i) as in ``lift``.
-
-    By the lift composition identities the difference is D = V A + B V-hat^T
-    with A = lift(gamma, ROW_PSI_STAR) and B = -lift(gamma, COL_PSI), and
-    for any gamma both A V-hat and -V^T B equal gamma o P, P = ``psi_gram``.
-    So D = V A (I - V-hat V-hat^T) + (I - V V^T) B V-hat^T: two pieces with
+    The difference's (x, y) block is gamma[x, y] (psi_x psi_x^T - psi_y
+    psi_y^T), with row blocks (x, i) and column blocks (y, i) as in
+    ``lift``.  By the lift composition identities it is
+    D = V A + B V-hat^T with A = lift(gamma, ROW_PSI_STAR) and
+    B = -lift(gamma, COL_PSI), and for any gamma both A V-hat and -V^T B
+    equal gamma o P, P = ``psi_gram``.  So
+    D = V A (I - V-hat V-hat^T) + (I - V V^T) B V-hat^T: two pieces with
     orthogonal ranges and orthogonal row spaces, and ||D||^2 is the larger
-    of their squared norms, the top eigenvalues of the level-sized Grams
+    of the top eigenvalues of their level-sized Grams
 
         C = (gamma gamma^T) o (Psi Psi^T) - (gamma o P)(gamma o P)^T,
         E = (gamma^T gamma) o (Psi-hat Psi-hat^T) - (gamma o P)^T (gamma o P).
 
     The subtraction cancels at most k/k' of each diagonal entry, since
-    <psi_x, psi-hat_y>^2 <= k/k'.  gamma is rescaled by ``linalg.gram_safe``,
-    as ``linalg.spectral_norm`` rescales its input.
+    <psi_x, psi-hat_y>^2 <= k/k'.  gamma is rescaled by ``linalg.gram_safe``
+    first; returns (C, E, scale) with ||D|| = scale * sqrt(lambda_max).
     """
     gamma, scale = linalg.gram_safe(gamma)
     psi, psi_hat = psi_matrix(inst.n, inst.k), psi_matrix(inst.n, inst.k_prime)
@@ -356,7 +364,27 @@ def _reflection_lift_norm(inst: ProblemInstance, gamma: np.ndarray) -> float:
     c -= overlap @ overlap.T
     e = (gamma.T @ gamma) * (psi_hat @ psi_hat.T)
     e -= overlap.T @ overlap
-    return scale * max(linalg.gram_norm(c), linalg.gram_norm(e))
+    return c, e, scale
+
+
+def _reflection_lift_norm(inst: ProblemInstance, gamma: np.ndarray) -> tuple[float, float]:
+    """Norm of the lifted reflection difference, and its structure residual.
+
+    For an S_n-equivariant gamma, C is a scalar on each block of level k
+    and E on each block of level k', so ``linalg.block_scalars`` reads
+    them with no eigensolve: the norm is scale * sqrt(max_j m_j) over the
+    blocks of both levels.  The structure residual is the larger of the
+    two Grams' residuals ||M - sum_j m_j E_j||_F, relative to max_j m_j;
+    by Weyl's inequality it bounds the relative error of max_j m_j as the
+    top eigenvalue, and ``verify`` fails the row when it exceeds TOL_EXACT.
+    A gamma that is not equivariant leaves a large residual.
+    """
+    c, e, scale = _reflection_remainder_grams(inst, gamma)
+    top = residual = 0.0
+    for gram, level in ((c, inst.k), (e, inst.k_prime)):
+        m, off = linalg.block_scalars(gram, johnson.irrep_projectors(inst.n, level))
+        top, residual = max(top, float(m.max())), max(residual, off)
+    return scale * math.sqrt(top), residual / top if top > 0.0 else residual
 
 
 def _check_delta_memb(inst: ProblemInstance, t: float, ell: int):
@@ -422,36 +450,40 @@ def _block_bases(projectors: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.nda
 
 
 def _level_channels(n: int, level: int, hatted: bool):
-    """Channel cores and the V_DECOMP residual norm of one level.
+    """Channel cores and the V_DECOMP residual norms of one level.
 
     In the block bases Q_j, and with the ground axis split into its Pi_0
     coordinate (sum over i, divided by sqrt(n)) and its Pi_1 part, the
     isometry V becomes a grid of cores K_{r,ell,j} = (Q_r^T tensor Pi_ell)
     V Q_j.  This change of basis is an isometry, so the residual
-    V - sum c Xi keeps its spectral norm: each non-border channel core is
-    scaled by 1 - c/||K||, every other core is left as it is.
+    R = V - sum c Xi keeps its norms: each non-border channel core is
+    scaled by f = 1 - c/||K||, every other core is left as it is (f = 1).
+
+    By Schur's lemma, K^T K is a scalar on column block j, so the
+    normaliser is ||K|| = ||K||_F / sqrt(d_j) (``_channel_normaliser``),
+    and R^T R is a scalar on each column block, so
+    ||R||^2 = max_j sum_{r,ell} f^2 ||K_{r,ell,j}||_F^2 / d_j.  Both read
+    squared Frobenius norms of the cores, summed per column of Q_all as
+    the pass forms them; no Gram and no eigensolve.  ||R||_F, the square
+    root of the sum over all j, bounds ||R|| with no structure assumption,
+    and V_DECOMP holds it to TOL_NORM too.
 
     The pass runs one row block r at a time, and each row block in
     chunks of w columns of Q_r, with w = N // n for N subsets, so a
-    chunk's n x w x N buffer is no larger than an N x N Gram.  Row (x, i)
+    chunk's n x w x N buffer is no larger than an N x N matrix.  Row (x, i)
     of V holds psi_x[i] in column x, so ground coordinate i of a chunk
     Q_c of Q_r is (psi[S_i, i] o Q_c[S_i])^T Q_all[S_i], with S_i the
     subsets that hold i; the others have psi_x[i] = 0.  The Pi_0
-    coordinate is kept for the whole row block, d_r x N, and its N x N
-    Gram is one product; the N x N Grams of the chunks' n Pi_1 slots add
-    up to that of the row block.  Diagonal block j of a slot group's Gram
-    is K^T K for the channel core in column block j, so it gives that
-    core's normaliser ||K||.  Scaled by the column factors 1 - c/||K||
-    on both sides, it is the Gram of the residual's entries there, and it
-    adds into an N x N residual Gram whose top eigenvalue gives the norm;
-    the residual is never stored.  Returns the block bases, the normalised
-    channel cores K/||K|| that ``_check_channels`` reads, read-only and
-    keyed by (j, ell, m) with rows (a, i) as in ``_kron_apply`` (every
-    core of level k; on level k' those with j, j + m < k', which any
-    k < k' reads), and the residual's spectral norm.
+    coordinate is kept for the whole row block, d_r x N.  Returns the
+    block bases, the normalised channel cores K/||K|| that
+    ``_check_channels`` reads, read-only and keyed by (j, ell, m) with
+    rows (a, i) as in ``_kron_apply`` (every core of level k; on level k'
+    those with j, j + m < k', which any k < k' reads), the spectral-norm
+    readout of the residual and its Frobenius norm.
     """
     coeffs = adversary.phi_components(n, level, np.arange(level + 1))
     q_all, edges = _block_bases(johnson.irrep_projectors(n, level))
+    dims = np.diff(edges)
     psi = psi_matrix(n, level)
     size = len(psi)
     members = [np.flatnonzero(psi[:, i]) for i in range(n)]
@@ -459,14 +491,12 @@ def _level_channels(n: int, level: int, hatted: bool):
     width = max(1, size // n)
     # Level k' keeps the cores with j, j + m < k', the ones any k < k' reads.
     top = level if hatted else level + 1
-    gram = np.zeros((size, size))
-    # The row block's Gram per slot group.  Until the Pi_0 one is formed,
-    # its buffer holds each chunk's Pi_1 Gram on the way into the sum.
-    pi0_gram, pi1_gram = np.empty((size, size)), np.empty((size, size))
+    # The residual's squared Frobenius norm on each column block.
+    residual = np.zeros(level + 1)
     channels = {}
     for r, rows in enumerate(blocks):
         d_r = rows.stop - rows.start
-        # The Pi_0 coordinate of the whole row block, no larger than a Gram.
+        # The Pi_0 coordinate of the whole row block, no larger than N x N.
         pi0 = np.empty((d_r, size))
         # The Pi_1 cores this row block keeps, filled chunk by chunk.
         cores = {
@@ -474,7 +504,8 @@ def _level_channels(n: int, level: int, hatted: bool):
             for el, m in XI_CHANNELS
             if el and not _xi_is_declared_zero(r - m, el, m, level) and max(r - m, r) < top
         }
-        pi1_gram.fill(0.0)
+        # The Pi_1 slots' squared entries, summed per column of Q_all.
+        pi1_squares = np.zeros(size)
         for lo in range(0, d_r, width):
             at = slice(lo, min(lo + width, d_r))
             q_c = q_all[:, rows][:, at]
@@ -484,35 +515,31 @@ def _level_channels(n: int, level: int, hatted: bool):
                 np.matmul((psi[s_i, i, None] * q_c[s_i]).T, q_all[s_i], out=part[i])
             np.sum(part, axis=0, out=pi0[at])
             part -= pi0[at] / n
-            slots = part.reshape(-1, size)
-            np.matmul(slots.T, slots, out=pi0_gram)
-            pi1_gram += pi0_gram
             for (j, el, m), core in cores.items():
                 core[at] = part[:, :, blocks[j]].swapaxes(0, 1)
-            # Drop every view of this chunk before the next one is allocated.
-            del part, slots
+            np.square(part, out=part)
+            pi1_squares += part.sum(axis=(0, 1))
+            # Drop this chunk's buffer before the next one is allocated.
+            del part
         pi0 /= math.sqrt(n)
-        np.matmul(pi0.T, pi0, out=pi0_gram)
-        for group, slot_gram in enumerate((pi0_gram, pi1_gram)):
-            factor = np.ones(size)
+        pi0_squares = np.einsum("ac,ac->c", pi0, pi0)
+        for group, squares in enumerate((pi0_squares, pi1_squares)):
+            block_squares = np.add.reduceat(squares, edges[:-1])
+            factor = np.ones(level + 1)
             for comp, (el, m) in enumerate(XI_CHANNELS):
                 j = r - m
                 if el != group or _xi_is_declared_zero(j, el, m, level):
                     continue
-                cols = blocks[j]
-                scale = _channel_normaliser(
-                    linalg.gram_norm(slot_gram[cols, cols]), j, el, m, hatted
-                )
+                norm = math.sqrt(block_squares[j] / dims[j])
+                scale = _channel_normaliser(norm, j, el, m, hatted)
                 if max(j, r) < top:
-                    core = cores[j, el, m] if el else pi0[:, cols].copy()
+                    core = cores[j, el, m] if el else pi0[:, blocks[j]].copy()
                     core /= scale
                     channels[j, el, m] = linalg.freeze(core.reshape(-1, core.shape[-1]))
-                factor[cols] = 1.0 - coeffs[j, comp] / scale
-            slot_gram *= factor
-            slot_gram *= factor[:, None]
-            gram += slot_gram
+                factor[j] = 1.0 - coeffs[j, comp] / scale
+            residual += factor**2 * block_squares
     bases = [q_all[:, rows] for rows in blocks]
-    return bases, channels, linalg.gram_norm(gram)
+    return bases, channels, math.sqrt(max(residual / dims)), math.sqrt(residual.sum())
 
 
 @lru_cache(maxsize=1)
@@ -551,16 +578,18 @@ def clear_memos() -> None:
 def _check_channels(inst: ProblemInstance, t: float, ell: int):
     """V_DECOMP and PHI_COMMUTE from one pass in block coordinates per level.
 
-    V_DECOMP is the spectral norm of the residual V - sum c Xi, the worse
-    of the two levels.  For PHI_COMMUTE: ``johnson.transporter`` builds
+    V_DECOMP is the spectral norm of the residual V - sum c Xi, read off
+    the block cores, the worse of the two levels; its Frobenius norm, the
+    worse of the two, goes into the details as ``residual_frobenius``.
+    For PHI_COMMUTE: ``johnson.transporter`` builds
     Phi_j compressed to the two j-th blocks, so Phi_j = Q_j S_j Qhat_j^T
     with S_j = Q_j^T Phi_j Qhat_j, and each channel's commutation difference
     (Phi_{j+m} tensor I) Xihat - Xi Phi_j has the norm of the core
     difference (S_{j+m} tensor I) Khat/||Khat|| - (K/||K||) S_j.
     """
     # The larger k' pass first, so that the k pass's result does not sit under its peak.
-    bases_hat, channels_hat, gap_hat = _hatted_level_channels(inst.n, inst.k_prime)
-    bases, channels, gap = _level_channels(inst.n, inst.k, hatted=False)
+    bases_hat, channels_hat, gap_hat, frob_hat = _hatted_level_channels(inst.n, inst.k_prime)
+    bases, channels, gap, frob = _level_channels(inst.n, inst.k, hatted=False)
     s = [
         q.T @ johnson.transporter(inst.n, inst.k, inst.k_prime, j) @ q_hat
         for j, (q, q_hat) in enumerate(zip(bases, bases_hat))
@@ -570,7 +599,13 @@ def _check_channels(inst: ProblemInstance, t: float, ell: int):
         moved = _kron_apply(s[j + m], channels_hat[j, el, m], inst.n if el else 1)
         worst = max(worst, linalg.spectral_norm(moved - xi @ s[j]))
     return {
-        "V_DECOMP": (0.0, max(gap, gap_hat), max(gap, gap_hat), {}, "norm"),
+        "V_DECOMP": (
+            0.0,
+            max(gap, gap_hat),
+            max(gap, gap_hat),
+            {"residual_frobenius": max(frob, frob_hat)},
+            "norm",
+        ),
         "PHI_COMMUTE": (0.0, worst, worst, {}, "norm"),
     }
 
@@ -658,6 +693,16 @@ def _check_psi_power(inst: ProblemInstance, t: float, ell: int):
     return bound, brute, shortfall, {}, "norm"
 
 
+# A detail each of these checks reports, held to a tolerance of its own
+# kind on top of the discrepancy: DELTA_MEMB's spread over the singled-out
+# element, DELTA_REFL's structure residual relative to its Gram scalars,
+# and V_DECOMP's residual Frobenius norm, which bounds its spectral norm.
+_DETAIL_BOUNDS = {
+    "DELTA_MEMB": ("spread_over_i", "exact"),
+    "DELTA_REFL": ("structure_residual", "exact"),
+    "V_DECOMP": ("residual_frobenius", "norm"),
+}
+
 _CHECK_FUNCS = {
     "PSI_COEFFS": _check_psi_coeffs,
     "DELTA_GEN": _check_delta_gen,
@@ -689,10 +734,12 @@ def verify(
     only is memoised per level: the k' channel pass (one entry), and the
     TABLES and PROJECTORS gaps, so instances that share a level and run
     back to back do it once.  ``release_channel_pass`` and ``clear_memos``
-    end these memos once a sweep is past their level.  The report's ``discrepancy`` is the worst
-    gap found; for DELTA_MEMB the spread of the per-element values must
-    additionally stay below TOL_EXACT.  Both tolerances are read at call
-    time.
+    end these memos once a sweep is past their level.  The report's
+    ``discrepancy`` is the worst gap found.  A row also needs one detail
+    within a tolerance (``_DETAIL_BOUNDS``): the spread of DELTA_MEMB's
+    per-element values and DELTA_REFL's relative structure residual within
+    TOL_EXACT, and V_DECOMP's residual Frobenius norm within TOL_NORM.
+    Both tolerances are read at call time.
     """
     if check_id not in _CHECK_FUNCS:
         raise ValueError(f"unknown check id {check_id!r}; known: {CHECK_IDS}")
@@ -708,10 +755,12 @@ def verify(
     else:
         closed, brute, gap, details, kind = check(inst, t, ell)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    tolerance = TOL_NORM if kind == "norm" else TOL_EXACT
+    tolerances = {"norm": TOL_NORM, "exact": TOL_EXACT}
+    tolerance = tolerances[kind]
     passed = gap <= tolerance
-    if check_id == "DELTA_MEMB":
-        passed = passed and details.get("spread_over_i", 0.0) <= TOL_EXACT
+    if check_id in _DETAIL_BOUNDS:
+        key, bound = _DETAIL_BOUNDS[check_id]
+        passed = passed and details[key] <= tolerances[bound]
     return DiscrepancyReport(
         check_id=check_id,
         n=inst.n,

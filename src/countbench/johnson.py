@@ -38,13 +38,6 @@ MAX_GROUND_SET = 20
 DEGENERATE_SCALE = 1e-8
 
 
-def clear_caches() -> None:
-    """Empty every lru-cached function of this module."""
-    for value in list(globals().values()):
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
-
-
 @lru_cache(maxsize=None)
 def subset_basis(n: int, k: int) -> np.ndarray:
     """Bit masks of the k-subsets of {1..n} in lexicographic order, read-only.
@@ -263,6 +256,18 @@ def reference_vectors(n: int, k: int, j: int) -> ReferenceVectors:
         v_minus=v_minus, v_zero=v_zero, v_plus=v_plus,
         w_empty=w_empty, w_c=w_c, w_d=w_d, w_cd=w_cd,
     )
+
+
+# The lru-cached functions as defined here.  ``clear_caches`` clears these
+# objects, not whatever the module attributes hold: a caller may have
+# replaced an attribute with a wrapper that has no cache of its own.
+_CACHED = (subset_basis, inclusion_matrix, irrep_projectors, transporter, reference_vectors)
+
+
+def clear_caches() -> None:
+    """Empty every lru-cached function of this module."""
+    for cached in _CACHED:
+        cached.cache_clear()
 
 
 def basis_change_tables(n: int, k: int, j: int) -> tuple[np.ndarray, np.ndarray | None]:

@@ -3,8 +3,9 @@
 Matrices are plain 2-D float64 numpy arrays in row-major order.  The
 routines are thin wrappers around LAPACK (via numpy) that pin down the
 conventions everything downstream relies on: spectral norms computed
-through the smaller Gram matrix and a relative singular-value cutoff for
-rank decisions.
+through the smaller Gram matrix, a relative singular-value cutoff for
+rank decisions, and the readout of a Gram that is a scalar on each block
+of a projector family, which takes no eigensolve.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ DEFAULT_RANK_TOL = 1e-10
 # sums cannot overflow for any matrix that fits in memory.
 _GRAM_SAFE_LOW = 2.0**-400
 _GRAM_SAFE_HIGH = 2.0**400
+
+# Entries per band of rows in ``block_scalars``: the band's scaled
+# projector rows are its only temporary.
+_BAND_ENTRIES = 1 << 16
 
 
 def freeze(a: np.ndarray) -> np.ndarray:
@@ -52,11 +57,11 @@ def spectral_norm(values) -> float:
     rescaled first (``gram_safe``).
     """
     m, scale = gram_safe(as_matrix(values))
-    if m.shape[0] <= m.shape[1]:
-        gram = m @ m.T
-    else:
-        gram = m.T @ m
-    return scale * gram_norm(gram)
+    gram = m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
+    # eigvalsh reads the lower triangle only; round-off can take a zero
+    # top eigenvalue below zero, which reads 0.
+    top = float(np.linalg.eigvalsh(gram)[-1])
+    return scale * float(np.sqrt(max(top, 0.0)))
 
 
 def gram_safe(m: np.ndarray) -> tuple[np.ndarray, float]:
@@ -76,14 +81,25 @@ def gram_safe(m: np.ndarray) -> tuple[np.ndarray, float]:
     return m / scale, scale
 
 
-def gram_norm(gram: np.ndarray) -> float:
-    """Square root of the top eigenvalue of a symmetric positive semidefinite matrix.
+def block_scalars(gram: np.ndarray, projectors) -> tuple[np.ndarray, float]:
+    """The scalars of a Gram on the blocks of a projector family, and the residual.
 
-    Reads the lower triangle only.  A top eigenvalue that round-off takes
-    below zero reads 0.
+    For orthogonal projectors E_j of ranks d_j that sum to I, returns
+    m_j = <M, E_j> / d_j for each j and ||M - sum_j m_j E_j||_F.  An
+    S_n-equivariant Gram on a Johnson level is sum_j m_j E_j by Schur's
+    lemma, and for any symmetric M, Weyl's inequality bounds
+    |lambda_max(M) - max_j m_j| by that residual: the pair is a certified
+    top eigenvalue, read in O((k+1) N^2) with no eigensolve.  ``gram``
+    is overwritten by the residual, one band of rows at a time, so no
+    second N x N array is formed.
     """
-    top = float(np.linalg.eigvalsh(gram)[-1])
-    return float(np.sqrt(max(top, 0.0)))
+    m = np.array([np.vdot(gram, e) / round(float(np.trace(e))) for e in projectors])
+    step = max(1, _BAND_ENTRIES // len(gram))
+    for lo in range(0, len(gram), step):
+        band = gram[lo : lo + step]
+        for m_j, e in zip(m, projectors):
+            band -= m_j * e[lo : lo + step]
+    return m, float(np.linalg.norm(gram))
 
 
 def orthonormal_column_basis(values) -> np.ndarray:

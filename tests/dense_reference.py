@@ -10,13 +10,18 @@ The channel checks build every Xi channel at full size, the definition
 the block-coordinate channel pass of ``bruteforce`` is gated against.
 ``build_projection_pair`` gives the dense Pi_0 and Pi_1 that the Xi
 builder applies as a block mean and its remainder.
+``channel_checks`` takes every norm with an eigensolve, with no
+structure assumed, so it also gates the package's readout of the
+channel norms off the Johnson blocks.
 The rank-one lifts expand each entry of a matrix by the n-by-n block
 psi psi^T of one side's superposition vector.  The package never forms
-them, nor any other lifted array for DELTA_REFL: it takes the norm of
-their difference from two level-sized remainder Grams built from gamma,
-the superposition rows and the overlap matrix.  They stay here as the
-definition that split is gated against, with the same label-major block
-ordering as ``bruteforce.lift``.
+them, nor any other lifted array for DELTA_REFL: it reads the norm of
+their difference off the Johnson blocks of two level-sized remainder
+Grams built from gamma, the superposition rows and the overlap matrix.
+They stay here as the definition that split and readout are gated
+against, with the same label-major block ordering as ``bruteforce.lift``.
+``remainder_gram_norm`` is the exact-eigenvalue norm of the split, for a
+gamma that is not equivariant, where the block readout does not apply.
 ``delta_membership_mask`` is the 0/1 matrix Delta_i whose entrywise product
 with gamma defines the membership difference; the package takes that norm
 from two blocks of gamma instead.
@@ -91,6 +96,13 @@ def clear_memos() -> None:
     when it moves to a larger n; the ``johnson`` caches stay warm.
     """
     bruteforce.clear_memos()
+
+
+def remainder_gram_norm(inst, gamma) -> float:
+    """The lifted reflection difference's norm from the top eigenvalues of its remainder Grams."""
+    c, e, scale = bruteforce._reflection_remainder_grams(inst, gamma)
+    top = max(np.linalg.eigvalsh(c)[-1], np.linalg.eigvalsh(e)[-1], 0.0)
+    return scale * math.sqrt(top)
 
 
 def build_projection_pair(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -282,6 +282,54 @@ class TestChannelPass:
             bruteforce.verify("V_DECOMP", INST, t=1.0)
 
 
+class TestBlockReadouts:
+    """V_DECOMP and DELTA_REFL read their norms off the Johnson blocks."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self):
+        dense_reference.clear_memos()
+        yield
+        dense_reference.clear_memos()
+
+    def test_a_non_equivariant_defect_fails_v_decomp_on_the_frobenius_bound(self, monkeypatch):
+        # One perturbed superposition entry on the k' level of (10,3,4).  The
+        # block readout spreads it over all C(10,4) columns and stays below
+        # TOL_NORM; ||R||_F, which needs no structure, catches it.
+        inst = ProblemInstance(10, 3, 4)
+        original = bruteforce.psi_matrix
+
+        def planted(n, k):
+            psi = original(n, k)
+            if k != inst.k_prime:
+                return psi
+            psi = psi.copy()
+            psi[0, 0] += 4e-8
+            return psi
+
+        monkeypatch.setattr(bruteforce, "psi_matrix", planted)
+        report = bruteforce.verify("V_DECOMP", inst)
+        assert report.discrepancy <= 0.5 * bruteforce.TOL_NORM
+        assert report.details["residual_frobenius"] > 1.5 * bruteforce.TOL_NORM
+        assert not report.passed
+
+    def test_runs_no_eigensolve(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("eigvalsh ran")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
+        # PHI_COMMUTE's core differences keep linalg.spectral_norm, an
+        # eigvalsh of their Gram; here they take an SVD instead.
+        monkeypatch.setattr(linalg, "spectral_norm", lambda m: float(np.linalg.norm(m, 2)))
+        inst = ProblemInstance(12, 3, 4)
+        result = bruteforce._check_channels(inst, 1.0, 0)
+        assert result["V_DECOMP"][1] <= bruteforce.TOL_NORM
+        assert result["V_DECOMP"][3]["residual_frobenius"] <= bruteforce.TOL_NORM
+        assert result["PHI_COMMUTE"][1] <= bruteforce.TOL_NORM
+        _, _, gap, details, _ = bruteforce._check_delta_refl(inst, 2.0, 0)
+        assert gap <= bruteforce.TOL_NORM
+        assert details["structure_residual"] <= bruteforce.TOL_EXACT
+
+
 class TestMembershipNorms:
     """DELTA_MEMB's two-block norms against the norm of gamma times the dense mask."""
 
@@ -440,11 +488,12 @@ class TestPeakMemory:
         assert _traced_peak(lambda: bruteforce._check_delta_gen(self.INST, 2.0, 0)) <= 16e6
 
     def test_channel_pass_in_chunks(self):
-        # The k' = 4 level alone: 16.1 MB in chunks of Q_r columns, 25.7 MB
-        # with a 14.2 MB buffer for the whole row block r = 4.
+        # The k' = 4 level alone: 10.2 MB in chunks of Q_r columns with no
+        # Gram; 16.1 MB with the three N x N slot-group and residual Grams,
+        # 25.7 MB with a 14.2 MB buffer for the whole row block r = 4.
         inst = self.INST
         peak = _traced_peak(lambda: bruteforce._level_channels(inst.n, inst.k_prime, True))
-        assert peak <= 20e6
+        assert peak <= 12.8e6
 
 
 # Instances of the t > k gates: the n <= 10 default ones and two with k' = k + 1.
@@ -521,10 +570,27 @@ class TestReflectionLiftNorm:
         "planted", [_generic_gamma, _inclusion_gamma], ids=["generic", "inclusion"]
     )
     def test_matches_dense_on_a_generic_matrix(self, inst, planted):
+        # This gamma is not equivariant, so the block readout does not apply;
+        # the remainder Grams' exact top eigenvalues still give the norm.
         gamma = planted(inst, 23)
-        got = bruteforce._reflection_lift_norm(inst, gamma)
+        got = dense_reference.remainder_gram_norm(inst, gamma)
         dense = self.dense_norm(inst, gamma)
         assert abs(got - dense) <= 1e-12 * dense
+
+    def test_a_non_equivariant_gamma_fails_on_the_structure_residual(self, monkeypatch):
+        # A 1e-9 perturbation moves the norm by far less than TOL_NORM, but the
+        # remainder Grams are no longer scalar on the blocks.
+        original = adversary.adversary_matrix
+
+        def planted(inst, t):
+            gamma = original(inst, t)
+            return gamma + 1e-9 * np.random.default_rng(31).standard_normal(gamma.shape)
+
+        monkeypatch.setattr(adversary, "adversary_matrix", planted)
+        report = bruteforce.verify("DELTA_REFL", INST, t=2.0)
+        assert report.discrepancy <= bruteforce.TOL_NORM
+        assert report.details["structure_residual"] > bruteforce.TOL_EXACT
+        assert not report.passed
 
     @pytest.mark.parametrize("inst", DEFAULT, ids=_instance_id)
     def test_the_split_cancels_the_off_diagonal_block(self, inst):
@@ -543,9 +609,10 @@ class TestReflectionLiftNorm:
     @pytest.mark.parametrize("power", [600, -600])
     def test_extreme_scales(self, power):
         gamma = adversary.adversary_matrix(INST, 2.0)
-        want = bruteforce._reflection_lift_norm(INST, gamma)
-        got = bruteforce._reflection_lift_norm(INST, gamma * 2.0**power) / 2.0**power
-        assert abs(got - want) <= 1e-15 * want
+        want, want_residual = bruteforce._reflection_lift_norm(INST, gamma)
+        got, residual = bruteforce._reflection_lift_norm(INST, gamma * 2.0**power)
+        assert abs(got / 2.0**power - want) <= 1e-15 * want
+        assert residual == want_residual
 
     def test_builds_no_lifted_array(self, monkeypatch):
         def unreachable(*args, **kwargs):

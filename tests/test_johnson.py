@@ -20,6 +20,22 @@ def _decode(masks, n):
     return [tuple(e for e in range(1, n + 1) if int(m) >> (e - 1) & 1) for m in masks]
 
 
+class TestClearCaches:
+    def test_every_cached_function_is_listed(self):
+        cached = {v for v in vars(johnson).values() if hasattr(v, "cache_clear")}
+        assert cached == set(johnson._CACHED)
+
+    def test_clears_the_originals_behind_a_wrapper(self, monkeypatch):
+        # A tracer replaces the module attribute with a plain wrapper, which
+        # has no cache_clear; the cache behind it must still be emptied.
+        original = johnson.irrep_projectors
+        original(6, 2)
+        assert original.cache_info().currsize > 0
+        monkeypatch.setattr(johnson, "irrep_projectors", lambda n, k: original(n, k))
+        johnson.clear_caches()
+        assert original.cache_info().currsize == 0
+
+
 class TestSubsetBasis:
     def test_small_order(self):
         masks = johnson.subset_basis(3, 2)
