@@ -92,7 +92,8 @@ def phi_components(n: int, size: int, j) -> np.ndarray:
 
     The vector (c0, c1, c2, c3) has unit norm whenever 0 <= j <= size
     and n > 2 size.  A scalar j gives shape (4,); an array of block
-    indices gives one row per index, shape (len(j), 4).
+    indices gives one row per index, shape (len(j), 4).  No product
+    exceeds (n+2)^2 size, so a level where that overflows is rejected.
     """
     j = np.asarray(j)
     if np.any(j < 0) or np.any(j > size):
@@ -101,6 +102,8 @@ def phi_components(n: int, size: int, j) -> np.ndarray:
         raise ValueError(f"need n > 2*size, got n={n}, size={size}")
     j = j.astype(float)
     n, s = float(n), float(size)
+    if not math.isfinite((n + 2.0) * (n + 2.0) * s):
+        raise ValueError(f"(n+2)^2 * size overflows float64 at n={n:.6g}, size={s:.6g}")
     c0 = np.sqrt(j * (s - j + 1) * (n - s - j + 1) / ((n - 2 * j + 2) * (n - 2 * j + 1) * s))
     c1 = np.full_like(j, math.sqrt(s / n))
     c2 = (n - 2 * s) / math.sqrt(n * s) * np.sqrt(

@@ -2,10 +2,10 @@
 
 Matrices are plain 2-D float64 numpy arrays in row-major order.  The
 routines are thin wrappers around LAPACK (via numpy) that pin down the
-conventions everything downstream relies on: spectral norms computed
-through the smaller Gram matrix, a relative singular-value cutoff for
-rank decisions, and the readout of a Gram that is a scalar on each block
-of a projector family, which takes no eigensolve.
+conventions everything downstream relies on: spectral norms, also of a
+stack, through the smaller Gram (the package's only ``eigvalsh``), a
+relative singular-value cutoff for rank decisions, and the readout of a
+Gram that is a scalar on each block of a projector family.
 """
 
 from __future__ import annotations
@@ -48,20 +48,25 @@ def as_matrix(values) -> np.ndarray:
     return m
 
 
-def spectral_norm(values) -> float:
-    """Largest singular value of a matrix.
+def spectral_norm(values) -> float | np.ndarray:
+    """Largest singular value of a matrix, or of each matrix in a stack.
 
+    A 2-D input gives a float, a stack (..., r, c) an array of shape (...).
     Computed from the symmetric eigendecomposition of m m^T or m^T m,
-    whichever is smaller; accurate to about 1e-10 relative for the top
-    singular value.  A matrix whose Gram would underflow or overflow is
-    rescaled first (``gram_safe``).
+    whichever is smaller; accurate to about 1e-10 relative.  An input whose
+    Grams would underflow or overflow is rescaled first, a stack by one
+    power of two (``gram_safe``).
     """
-    m, scale = gram_safe(as_matrix(values))
-    gram = m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
+    m = np.asarray(values, dtype=float)
+    # A stack is checked as one row of all its entries.
+    as_matrix(m.reshape(1, -1) if m.ndim > 2 else m)
+    m, scale = gram_safe(m)
+    m_t = m.swapaxes(-1, -2)
+    gram = m @ m_t if m.shape[-2] <= m.shape[-1] else m_t @ m
     # eigvalsh reads the lower triangle only; round-off can take a zero
     # top eigenvalue below zero, which reads 0.
-    top = float(np.linalg.eigvalsh(gram)[-1])
-    return scale * float(np.sqrt(max(top, 0.0)))
+    norms = scale * np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+    return float(norms) if m.ndim == 2 else norms
 
 
 def gram_safe(m: np.ndarray) -> tuple[np.ndarray, float]:

@@ -10,9 +10,9 @@ The channel checks build every Xi channel at full size, the definition
 the block-coordinate channel pass of ``bruteforce`` is gated against.
 ``build_projection_pair`` gives the dense Pi_0 and Pi_1 that the Xi
 builder applies as a block mean and its remainder.
-``channel_checks`` takes every norm with an eigensolve, with no
-structure assumed, so it also gates the package's readout of the
-channel norms off the Johnson blocks.
+``channel_checks`` takes the Frobenius norms of the full-size residual
+and commutation differences, with no structure assumed, so it gates the
+package's sums of squares over the block cores.
 The rank-one lifts expand each entry of a matrix by the n-by-n block
 psi psi^T of one side's superposition vector.  The package never forms
 them, nor any other lifted array for DELTA_REFL: it reads the norm of
@@ -130,9 +130,11 @@ def channel_checks(inst) -> dict:
 
     Each Xi, plain and hatted, is built at full size by ``build_xi`` and
     subtracted with its coefficient from the residual of its level's
-    isometry; the V_DECOMP value is the residual's spectral norm, the worse
-    of the two levels.  For j <= k the plain and hatted pair of a channel
-    gives its PHI_COMMUTE difference (Phi_{j+m} tensor I) Xihat - Xi Phi_j.
+    isometry; the V_DECOMP value is the residual's Frobenius norm, the
+    worse of the two levels.  For j <= k the plain and hatted pair of a
+    channel gives its PHI_COMMUTE difference
+    (Phi_{j+m} tensor I) Xihat - Xi Phi_j, and the PHI_COMMUTE value is the
+    largest Frobenius norm of these.
     """
     coeffs = adversary.phi_components(inst.n, inst.k, np.arange(inst.k + 1))
     coeffs_hat = adversary.phi_components(inst.n, inst.k_prime, np.arange(inst.k_prime + 1))
@@ -152,6 +154,6 @@ def channel_checks(inst) -> dict:
             phi_moved = johnson.transporter(inst.n, inst.k, inst.k_prime, j + m)
             diff = bruteforce._kron_apply(phi_moved, xi_hat, inst.n)
             diff -= xi @ johnson.transporter(inst.n, inst.k, inst.k_prime, j)
-            worst = max(worst, linalg.spectral_norm(diff))
-    v_decomp = max(linalg.spectral_norm(residual), linalg.spectral_norm(residual_hat))
+            worst = max(worst, float(np.linalg.norm(diff)))
+    v_decomp = float(max(np.linalg.norm(residual), np.linalg.norm(residual_hat)))
     return {"V_DECOMP": v_decomp, "PHI_COMMUTE": worst}

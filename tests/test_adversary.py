@@ -61,6 +61,11 @@ class TestPhiTable:
     def test_unit_norm_claim_across_sweep(self, n, k, kp):
         assert unit_norm_error(adversary.phi_table(ProblemInstance(n, k, kp), k + 1)) <= 1e-12
 
+    def test_rejects_a_level_whose_products_leave_float64(self):
+        # (n+2)^2 size = 2e311; the old products read c0 = 0 and c3 = NaN.
+        with pytest.raises(ValueError, match=r"at n=1e\+104, size=2e\+103"):
+            adversary.phi_components(10**104, 2 * 10**103, np.arange(3))
+
     def test_zero_entries_at_block_zero(self):
         phi, phi_prime = adversary.phi_table(ProblemInstance(10, 3, 4), 4)
         assert phi[0, 0] == 0.0 and phi_prime[0, 0] == 0.0

@@ -14,7 +14,9 @@ import hashlib
 import importlib
 import sys
 from pathlib import Path
+from time import perf_counter
 
+import numpy as np
 import pytest
 
 from countbench import bruteforce, cli
@@ -31,6 +33,34 @@ import workloads  # noqa: E402
 @pytest.mark.parametrize("module, attr", [(m, a) for m, a, _ in tracing.TRACED])
 def test_tracer_targets_exist(module, attr):
     assert callable(getattr(importlib.import_module(f"countbench.{module}"), attr))
+
+
+def test_every_eigvalsh_runs_inside_a_traced_spectral_norm(monkeypatch):
+    # The per-layer trace charges solve time to linalg.spectral_norm; an
+    # eigvalsh called anywhere else would land in its caller's self time.
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def timed(*args, **kwargs):
+        calls.append(perf_counter())
+        return eigvalsh(*args, **kwargs)
+
+    for module_name, attr, _ in tracing.TRACED:
+        module = importlib.import_module(f"countbench.{module_name}")
+        # Set to itself, so that monkeypatch undoes the tracer's wrapper.
+        monkeypatch.setattr(module, attr, getattr(module, attr))
+    monkeypatch.setattr(np.linalg, "eigvalsh", timed)
+    bruteforce.clear_memos()
+    tracer = tracing.Tracer()
+    tracer.install()
+    inst = ProblemInstance(10, 3, 4)
+    for check in ("DELTA_MEMB", "V_DECOMP", "PHI_COMMUTE"):
+        for t in (1.0, 2.0, 3.0):
+            assert bruteforce.verify(check, inst, t=t).passed
+    norms = [(start, end) for name, start, end, *_ in tracer.spans if name == "linalg.spectral_norm"]
+    # DELTA_MEMB takes two stacked solves per row.
+    assert len(calls) >= 6
+    assert all(any(start <= at <= end for start, end in norms) for at in calls)
 
 
 def _definitions_and_uses():

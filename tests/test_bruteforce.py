@@ -242,12 +242,20 @@ class TestChannelPass:
         self, monkeypatch, scaled
     ):
         # A nonzero residual, so the agreement is not between two round-off
-        # values.  Scaling every coefficient leaves several channel blocks in
-        # each column block, where the residual norm exceeds the largest block.
+        # values.  V = sum c Xi with Frobenius-orthogonal channels, and a
+        # normalised Xi on block j has ||Xi||_F^2 = d_j, so the residual is
+        # -0.01 c Xi for one scaled coefficient.  Scaling all of them on a
+        # level leaves ||R||_F^2 = 1e-4 sum_j d_j sum c^2 = 1e-4 N, since
+        # each (c0, c1, c2, c3) has unit norm; the larger level, C(8, 3), wins.
+        coefficient = adversary.phi_components(INST.n, INST.k, 1)[1]
+        want = {
+            "one": 0.01 * coefficient * math.sqrt(johnson.block_dimension(INST.n, 1)),
+            "all": 0.01 * math.sqrt(math.comb(INST.n, INST.k_prime)),
+        }[scaled]
         _plant_coefficient_error(monkeypatch, scaled)
         got = bruteforce._check_channels(INST, 1.0, 0)["V_DECOMP"][1]
         dense = dense_reference.channel_checks(INST)["V_DECOMP"]
-        assert got > 1e-3
+        assert got == pytest.approx(want)
         assert abs(got - dense) <= 1e-12
 
     def test_planted_coefficient_error_fails_v_decomp(self, monkeypatch):
@@ -255,7 +263,10 @@ class TestChannelPass:
         _plant_coefficient_error(monkeypatch, "one")
         report = bruteforce.verify("V_DECOMP", INST, t=1.0)
         assert not report.passed
-        assert report.discrepancy == pytest.approx(0.01 * coefficient)
+        # ||0.01 c Xi||_F, with ||Xi||_F^2 = d_1 = 7.
+        assert report.discrepancy == pytest.approx(
+            0.01 * coefficient * math.sqrt(johnson.block_dimension(INST.n, 1))
+        )
 
     def test_planted_transporter_sign_fails_phi_commute(self, monkeypatch):
         original = johnson.transporter
@@ -267,8 +278,13 @@ class TestChannelPass:
         monkeypatch.setattr(johnson, "transporter", planted)
         report = bruteforce.verify("PHI_COMMUTE", INST, t=1.0)
         assert not report.passed
-        # Channels that meet Phi_1 once turn S into -S: the difference doubles.
-        assert report.discrepancy == pytest.approx(2.0)
+        # Channels that meet Phi_1 once turn S into -S: the difference
+        # doubles, to 2 ||K||_F = 2 sqrt(d_j) for a normalised core K on
+        # column block j.  The largest such block is j = 2, through the
+        # channel (j, ell, m) = (2, 1, -1) into block 1.
+        assert report.discrepancy == pytest.approx(
+            2.0 * math.sqrt(johnson.block_dimension(INST.n, 2))
+        )
 
     def test_degenerate_channel_raises(self, monkeypatch):
         original = bruteforce.psi_matrix
@@ -283,7 +299,7 @@ class TestChannelPass:
 
 
 class TestBlockReadouts:
-    """V_DECOMP and DELTA_REFL read their norms off the Johnson blocks."""
+    """V_DECOMP, PHI_COMMUTE and DELTA_REFL read their norms off the Johnson blocks."""
 
     @pytest.fixture(autouse=True)
     def fresh_memo(self):
@@ -292,9 +308,9 @@ class TestBlockReadouts:
         dense_reference.clear_memos()
 
     def test_a_non_equivariant_defect_fails_v_decomp_on_the_frobenius_bound(self, monkeypatch):
-        # One perturbed superposition entry on the k' level of (10,3,4).  The
-        # block readout spreads it over all C(10,4) columns and stays below
-        # TOL_NORM; ||R||_F, which needs no structure, catches it.
+        # One perturbed superposition entry on the k' level of (10,3,4): the
+        # residual is not scalar on the Johnson blocks, and ||R||_F, which
+        # needs no structure, catches it.
         inst = ProblemInstance(10, 3, 4)
         original = bruteforce.psi_matrix
 
@@ -308,8 +324,7 @@ class TestBlockReadouts:
 
         monkeypatch.setattr(bruteforce, "psi_matrix", planted)
         report = bruteforce.verify("V_DECOMP", inst)
-        assert report.discrepancy <= 0.5 * bruteforce.TOL_NORM
-        assert report.details["residual_frobenius"] > 1.5 * bruteforce.TOL_NORM
+        assert report.discrepancy > 1.5 * bruteforce.TOL_NORM
         assert not report.passed
 
     def test_runs_no_eigensolve(self, monkeypatch):
@@ -317,13 +332,9 @@ class TestBlockReadouts:
             raise AssertionError("eigvalsh ran")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
-        # PHI_COMMUTE's core differences keep linalg.spectral_norm, an
-        # eigvalsh of their Gram; here they take an SVD instead.
-        monkeypatch.setattr(linalg, "spectral_norm", lambda m: float(np.linalg.norm(m, 2)))
         inst = ProblemInstance(12, 3, 4)
         result = bruteforce._check_channels(inst, 1.0, 0)
         assert result["V_DECOMP"][1] <= bruteforce.TOL_NORM
-        assert result["V_DECOMP"][3]["residual_frobenius"] <= bruteforce.TOL_NORM
         assert result["PHI_COMMUTE"][1] <= bruteforce.TOL_NORM
         _, _, gap, details, _ = bruteforce._check_delta_refl(inst, 2.0, 0)
         assert gap <= bruteforce.TOL_NORM

@@ -381,6 +381,25 @@ class TestBoundsCommand:
         assert "note" not in payload
         assert payload["dual_feasibility"]["k_prime"] == k_prime
 
+    def test_a_level_past_float64_is_named_in_the_note(self, capsys):
+        # (n+2)^2 k = 2e311: the coefficient products would overflow.
+        assert run(["bounds", "--n", "1e104", "--k", "2e103", "--eps", "0.1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["dual_feasibility"] is None
+        assert payload["note"] == (
+            "dual feasibility unavailable: (n+2)^2 * size overflows float64 "
+            "at n=1e+104, size=2e+103"
+        )
+
+    def test_a_level_inside_float64_keeps_its_output(self, capsys):
+        # sha256 of the stdout, recorded before phi_components checked its
+        # products; (n+2)^2 k' = 1.5e305 stays finite.
+        assert run(["bounds", "--n", "1e102", "--k", "1e101", "--eps", "0.5"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0e44117158b185b2305ff7a1a46227f4798ddf244b52c36db9ecedef3baf0730"
+        )
+
     def test_copies_enter_the_branches(self, capsys):
         code = run(
             ["bounds", "--n", "320", "--k", "64", "--eps", "1", "--ell", "2",

@@ -103,6 +103,33 @@ class TestSpectralNorm:
         assert linalg.spectral_norm(q) == pytest.approx(1.0, abs=1e-10)
 
 
+class TestSpectralNormOfAStack:
+    @pytest.mark.parametrize("shape", [(5, 9, 14), (5, 14, 9), (2, 3, 4, 6)])
+    def test_one_norm_per_matrix(self, shape):
+        stack = np.random.default_rng(8).standard_normal(shape)
+        got = linalg.spectral_norm(stack)
+        want = np.array([linalg.spectral_norm(m) for m in stack.reshape(-1, *shape[-2:])])
+        assert got.shape == shape[:-2]
+        assert np.max(np.abs(got.ravel() - want) / want) <= 1e-15
+
+    @pytest.mark.parametrize("power", [600, -600])
+    def test_extreme_scales(self, power):
+        # The whole stack is rescaled by one power of two, which is exact.
+        stack = np.random.default_rng(9).standard_normal((4, 6, 7))
+        got = linalg.spectral_norm(stack * 2.0**power)
+        assert np.array_equal(got, linalg.spectral_norm(stack) * 2.0**power)
+
+    def test_empty_stack_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            linalg.spectral_norm(np.zeros((3, 0, 4)))
+
+    def test_non_finite_rejected(self):
+        stack = np.ones((3, 4, 4))
+        stack[2, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.spectral_norm(stack)
+
+
 class TestAsMatrix:
     @pytest.mark.parametrize("position", ["first", "middle", "last"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
