@@ -15,6 +15,13 @@ must vanish, with no eigensolve, decides each.
 ``build_xi`` forms one Xi at full size with the same split; the tests
 gate the block pass against it, and the benchmark tracer wraps it by name.
 
+Work the symmetry makes identical is done once.  Gamma is assembled once
+per (instance, t) for the six checks that read it.  DELTA_MEMB takes the
+norm at element n alone and certifies every other element i by how far
+Gamma moves under the transposition (i n).  One eigh of sum_j j E_j per
+level gives the block bases that both the channel pass and PROJECTORS
+read.
+
 Block ordering for lifted matrices is row-label-major: the lifted row
 index (x, i) enumerates i = 1..n inside each x.  This makes the lift
 composition identities hold entry for entry.
@@ -132,6 +139,16 @@ def psi_gram(inst: ProblemInstance) -> np.ndarray:
     ym = johnson.subset_basis(inst.n, inst.k_prime)
     overlap = np.bitwise_count(xm[:, None] & ym[None, :])
     return linalg.freeze(overlap / math.sqrt(inst.k * inst.k_prime))
+
+
+@lru_cache(maxsize=1)
+def _adversary_matrix(inst: ProblemInstance, t: float) -> np.ndarray:
+    """Gamma of one instance and cutoff, read-only, memoised.
+
+    A sweep runs the checks of one (instance, t) back to back, so one
+    entry serves the six checks that read Gamma.
+    """
+    return linalg.freeze(adversary.adversary_matrix(inst, t))
 
 
 def lift(m, kind: LiftKind, psi: np.ndarray) -> np.ndarray:
@@ -277,15 +294,22 @@ def _channel_normaliser(scale: float, j: int, ell: int, m: int, hatted: bool) ->
 
 
 def _check_psi_coeffs(inst: ProblemInstance, t: float, ell: int):
+    """<Phi_j, Gamma o P> / d_j against the Gram-Hadamard step, for each block j.
+
+    Every Phi_j is built before Gamma is assembled, and Gamma o P is formed
+    afresh for each j in one buffer and multiplied by Phi_j in place, so
+    that the memoised Gamma adds no array of its size to this check's peak.
+    """
     closed = adversary.hadamard_psi_step(adversary.gamma_schedule(t, inst.k), inst)
-    had = adversary.adversary_matrix(inst, t) * psi_gram(inst)
-    brute = np.array(
-        [
-            float(np.sum(johnson.transporter(inst.n, inst.k, inst.k_prime, j) * had))
-            / int(round(float(np.trace(e_j))))
-            for j, e_j in enumerate(johnson.irrep_projectors(inst.n, inst.k))
-        ]
-    )
+    phis = [johnson.transporter(inst.n, inst.k, inst.k_prime, j) for j in range(inst.k + 1)]
+    gamma, overlap = _adversary_matrix(inst, t), psi_gram(inst)
+    had = np.empty_like(gamma)
+    brute = []
+    for phi, e_j in zip(phis, johnson.irrep_projectors(inst.n, inst.k)):
+        np.multiply(gamma, overlap, out=had)
+        had *= phi
+        brute.append(float(np.sum(had)) / int(round(float(np.trace(e_j)))))
+    brute = np.array(brute)
     gaps = np.abs(brute - closed)
     worst = int(np.argmax(gaps))
     return float(closed[worst]), float(brute[worst]), float(gaps[worst]), {}, "norm"
@@ -293,7 +317,7 @@ def _check_psi_coeffs(inst: ProblemInstance, t: float, ell: int):
 
 def _check_delta_gen(inst: ProblemInstance, t: float, ell: int):
     closed = adversary.norm_delta_state_gen(adversary.gamma_schedule(t, inst.k), inst)
-    gamma = adversary.adversary_matrix(inst, t)
+    gamma = _adversary_matrix(inst, t)
     brute_fwd = _lift_difference_norm(gamma, LiftKind.ROW_PSI, LiftKind.COL_PSI, inst)
     brute_rev = _lift_difference_norm(gamma, LiftKind.ROW_PSI_STAR, LiftKind.COL_PSI_STAR, inst)
     gaps = (abs(brute_fwd - closed[0]), abs(brute_rev - closed[1]))
@@ -332,7 +356,7 @@ def _lift_difference_norm(
 
 def _check_delta_refl(inst: ProblemInstance, t: float, ell: int):
     closed = adversary.norm_delta_reflection(adversary.gamma_schedule(t, inst.k), inst)
-    brute, residual = _reflection_lift_norm(inst, adversary.adversary_matrix(inst, t))
+    brute, residual = _reflection_lift_norm(inst, _adversary_matrix(inst, t))
     return closed, brute, abs(brute - closed), {"structure_residual": residual}, "norm"
 
 
@@ -389,34 +413,80 @@ def _reflection_lift_norm(inst: ProblemInstance, gamma: np.ndarray) -> tuple[flo
 
 
 def _check_delta_memb(inst: ProblemInstance, t: float, ell: int):
+    """DELTA_MEMB from element n, and a certificate for every other element.
+
+    The norm of gamma o Delta_i differs from that of gamma o Delta_n by at
+    most the transposition gap f_i (``_membership_norm``), so
+    |per_n - closed| + max_i f_i bounds the worst gap over all i, and
+    2 max_i f_i the spread of the per-element norms.
+    """
     closed = adversary.norm_delta_membership(adversary.gamma_schedule(t, inst.k), inst)
-    per_i = _membership_norms(inst, adversary.adversary_matrix(inst, t))
-    gaps = np.abs(per_i - closed)
-    worst = int(np.argmax(gaps))
-    details = {"spread_over_i": float(per_i.max() - per_i.min()), "per_i": per_i.tolist()}
-    return closed, float(per_i[worst]), float(gaps[worst]), details, "norm"
+    per_n, gaps = _membership_norm(inst, _adversary_matrix(inst, t))
+    moved = float(gaps.max())
+    details = {"spread_over_i": 2.0 * moved}
+    return closed, per_n, abs(per_n - closed) + moved, details, "norm"
 
 
-def _membership_norms(inst: ProblemInstance, gamma: np.ndarray) -> np.ndarray:
-    """Spectral norms of gamma o Delta_i for the elements i = 1..n.
+def _element_sides(masks: np.ndarray, n: int) -> list:
+    """The subsets that hold element n, then those that do not, and where (i n) moves them.
+
+    Each side is (index, moved): the side's indices into ``masks``, and
+    row i - 1 of ``moved`` the index of each one's image under the
+    transposition (i n), i = 1..n-1, read off the masks by swapping two bits.
+    """
+    top = 1 << (n - 1)
+    bits = np.arange(n - 1)[:, None]
+    order = np.argsort(masks)
+    held = (masks & top) != 0
+    sides = []
+    for index in (np.flatnonzero(held), np.flatnonzero(~held)):
+        m = masks[index]
+        # Bits i and n - 1 differ iff the transposition moves the subset.
+        differ = ((m >> bits) ^ (m >> (n - 1))) & 1
+        images = m ^ differ * ((1 << bits) | top)
+        sides.append((index, order[np.searchsorted(masks, images, sorter=order)]))
+    return sides
+
+
+@lru_cache(maxsize=1)
+def _membership_maps(inst: ProblemInstance) -> tuple:
+    """Index maps of DELTA_MEMB's two blocks at element n, memoised per instance.
+
+    One entry per block: the rows x that hold n against the columns y that
+    do not, and the reverse, each as (rows, moved rows, columns, moved
+    columns) in the form of ``_element_sides``.
+    """
+    x_in, x_out = _element_sides(johnson.subset_basis(inst.n, inst.k), inst.n)
+    y_in, y_out = _element_sides(johnson.subset_basis(inst.n, inst.k_prime), inst.n)
+    return (*x_in, *y_out), (*x_out, *y_in)
+
+
+def _membership_norm(inst: ProblemInstance, gamma: np.ndarray) -> tuple[float, np.ndarray]:
+    """The spectral norm of gamma o Delta_n, and the gaps f_i for i = 1..n-1.
 
     Delta_i marks the pairs (x, y) that disagree on membership of i, so
     gamma o Delta_i is zero outside two blocks: rows x that hold i against
     columns y that do not, and the reverse.  The blocks share no row and no
-    column, so the norm is the larger of the two blocks' norms.  Each kind
-    of block is stacked over i and goes to ``linalg.spectral_norm`` as one
-    stack.
+    column, so the norm is the larger of the two blocks' norms.  The
+    transposition tau = (i n) maps the blocks of n onto those of i, so
+    gamma[tau R, tau C] is block (R, C) of element i up to an order of its
+    rows and columns, and
+    f_i = max over the two blocks of ||gamma[tau R, tau C] - gamma[R, C]||_F
+    bounds | ||gamma o Delta_i|| - ||gamma o Delta_n|| |.  For an S_n-
+    equivariant gamma every f_i is 0 up to round-off.  gamma is rescaled
+    by ``linalg.gram_safe`` first, so that the sums of squares neither
+    underflow nor overflow.
     """
-    bits = 1 << np.arange(inst.n)[:, None]
-    in_x = (johnson.subset_basis(inst.n, inst.k) & bits) != 0
-    in_y = (johnson.subset_basis(inst.n, inst.k_prime) & bits) != 0
-    norms = np.zeros(inst.n)
-    for rows, cols in ((in_x, ~in_y), (~in_x, in_y)):
-        # Row i of each index array lists the subsets on that side of element i + 1.
-        r = np.nonzero(rows)[1].reshape(inst.n, -1)
-        c = np.nonzero(cols)[1].reshape(inst.n, -1)
-        norms = np.maximum(norms, linalg.spectral_norm(gamma[r[:, :, None], c[:, None, :]]))
-    return norms
+    gamma, scale = linalg.gram_safe(gamma)
+    norm = 0.0
+    gaps = np.zeros(inst.n - 1)
+    for r, r_moved, c, c_moved in _membership_maps(inst):
+        block = gamma[r[:, None], c]
+        norm = max(norm, linalg.spectral_norm(block))
+        moved = gamma[r_moved[:, :, None], c_moved[:, None, :]]
+        moved -= block
+        gaps = np.maximum(gaps, np.linalg.norm(moved, axis=(1, 2)))
+    return scale * norm, scale * gaps
 
 
 def _block_bases(projectors: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -443,6 +513,17 @@ def _block_bases(projectors: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.nda
                 f"trace {rank}"
             )
     return q_all, edges
+
+
+@lru_cache(maxsize=2)
+def _level_bases(n: int, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_block_bases`` of one level's family, read-only and memoised per level.
+
+    V_DECOMP's channel pass and PROJECTORS read the same bases; an
+    instance reads its two levels, so two entries serve it.
+    """
+    q_all, edges = _block_bases(johnson.irrep_projectors(n, level))
+    return linalg.freeze(q_all), linalg.freeze(edges)
 
 
 def _level_channels(n: int, level: int, hatted: bool):
@@ -476,7 +557,7 @@ def _level_channels(n: int, level: int, hatted: bool):
     those with j, j + m < k', which any k < k' reads) and ||R||_F.
     """
     coeffs = adversary.phi_components(n, level, np.arange(level + 1))
-    q_all, edges = _block_bases(johnson.irrep_projectors(n, level))
+    q_all, edges = _level_bases(n, level)
     dims = np.diff(edges)
     psi = psi_matrix(n, level)
     size = len(psi)
@@ -542,19 +623,30 @@ def _hatted_level_channels(n: int, level: int):
 
     Every instance on that level reads the same cores, and the sweep runs
     level-major, so one entry serves them all until
-    ``release_channel_pass`` drops it.
+    ``release_level_memos`` drops it.
     """
     return _level_channels(n, level, hatted=True)
 
 
-def release_channel_pass(inst: ProblemInstance) -> None:
-    """Drop the memoised k' channel pass once ``inst`` holds its channel result.
+def release_level_memos(inst: ProblemInstance, following: ProblemInstance | None) -> None:
+    """Drop the level memos of ``inst`` that ``following`` does not read.
 
-    For the last instance on a k' level: once its instance memo holds
-    the V_DECOMP and PHI_COMMUTE results, nothing reads that pass again.
+    ``following`` is the instance a level-major sweep runs next, None
+    after the last.  The k' channel pass ends once ``inst`` holds its
+    V_DECOMP and PHI_COMMUTE results, unless ``following`` is on the same
+    k' level.  The block bases end once ``inst`` also holds its PROJECTORS
+    result, unless ``following`` reads one of its levels; so neither sits
+    under the peaks of the rows that follow.
     """
-    if _check_channels in _instance_memo(inst):
+    memo = _instance_memo(inst)
+    if _check_channels not in memo:
+        return
+    same_n = following is not None and following.n == inst.n
+    if not (same_n and following.k_prime == inst.k_prime):
         _hatted_level_channels.cache_clear()
+    shared = same_n and {following.k, following.k_prime} & {inst.k, inst.k_prime}
+    if _check_projectors in memo and not shared:
+        _level_bases.cache_clear()
 
 
 def clear_memos() -> None:
@@ -642,18 +734,29 @@ def _check_tables(inst: ProblemInstance, t: float, ell: int):
 
 @lru_cache(maxsize=8)
 def _projector_family_gap(n: int, level: int) -> tuple[float, bool]:
-    """The PROJECTORS gap and rank test of one level's family, memoised per level."""
+    """The PROJECTORS gap and rank test of one level's family, memoised per level.
+
+    The block bases Q_j come from one eigh of L = sum_j j E_j
+    (``_level_bases``, shared with the channel pass).  If Q is orthogonal
+    and each E_j is Q_j Q_j^T, the family is symmetric, idempotent,
+    mutually orthogonal and sums to Q Q^T = I; so the gap is the largest
+    of ||Q^T Q - I||_F and ||E_j - Q_j Q_j^T||_F, two N^3 products in all.
+    The rank test compares each E_j's rounded trace with
+    ``johnson.block_dimension``.
+    """
     projs = johnson.irrep_projectors(n, level)
-    size = projs[0].shape[0]
-    gap = float(np.max(np.abs(sum(projs) - np.eye(size))))
+    q_all, edges = _level_bases(n, level)
+    diff = q_all.T @ q_all
+    diff[np.diag_indices_from(diff)] -= 1.0
+    gap = float(np.linalg.norm(diff))
     rank_ok = True
     for j, e in enumerate(projs):
-        gap = max(gap, float(np.max(np.abs(e @ e - e))))
-        gap = max(gap, float(np.max(np.abs(e - e.T))))
+        q_j = q_all[:, edges[j] : edges[j + 1]]
+        diff = q_j @ q_j.T
+        diff -= e
+        gap = max(gap, float(np.linalg.norm(diff)))
         if int(round(float(np.trace(e)))) != johnson.block_dimension(n, j):
             rank_ok = False
-        for other in projs[j + 1 :]:
-            gap = max(gap, float(np.max(np.abs(e @ other))))
     return gap, rank_ok
 
 
@@ -671,20 +774,20 @@ def _check_projectors(inst: ProblemInstance, t: float, ell: int):
 
 def _check_norm_gamma(inst: ProblemInstance, t: float, ell: int):
     closed = float(np.max(np.abs(adversary.gamma_schedule(t, inst.k))))
-    brute = linalg.spectral_norm(adversary.adversary_matrix(inst, t))
+    brute = linalg.spectral_norm(_adversary_matrix(inst, t))
     return closed, brute, abs(brute - closed), {}, "norm"
 
 
 def _check_psi_power(inst: ProblemInstance, t: float, ell: int):
     bound = adversary.psi_power_lower_bound(inst, t, ell)
-    brute = linalg.spectral_norm(adversary.adversary_matrix(inst, t) * psi_gram(inst) ** ell)
+    brute = linalg.spectral_norm(_adversary_matrix(inst, t) * psi_gram(inst) ** ell)
     shortfall = max(0.0, bound - brute)
     return bound, brute, shortfall, {}, "norm"
 
 
 # A detail each of these checks reports, held to TOL_EXACT on top of the
-# discrepancy: DELTA_MEMB's spread over the singled-out element and
-# DELTA_REFL's structure residual relative to its Gram scalars.
+# discrepancy: DELTA_MEMB's bound on the spread over the singled-out
+# element and DELTA_REFL's structure residual relative to its Gram scalars.
 _DETAIL_BOUNDS = {
     "DELTA_MEMB": "spread_over_i",
     "DELTA_REFL": "structure_residual",
@@ -720,10 +823,13 @@ def verify(
     for both.  Below the instance memo, the work that depends on one level
     only is memoised per level: the k' channel pass (one entry), and the
     TABLES and PROJECTORS gaps, so instances that share a level and run
-    back to back do it once.  ``release_channel_pass`` and ``clear_memos``
-    end these memos once a sweep is past their level.  The report's
-    ``discrepancy`` is the worst gap found.  A row also needs one detail
-    within TOL_EXACT (``_DETAIL_BOUNDS``): the spread of DELTA_MEMB's
+    back to back do it once, and so are the block bases of a level, which
+    the channel pass and PROJECTORS share.  Gamma is memoised for the last
+    (instance, t).  ``release_level_memos`` and ``clear_memos`` end these
+    memos once a sweep is past their level.  The report's
+    ``discrepancy`` is the worst gap found, or for DELTA_MEMB a bound on
+    it.  A row also needs one detail within TOL_EXACT
+    (``_DETAIL_BOUNDS``): a bound on the spread of DELTA_MEMB's
     per-element values and DELTA_REFL's relative structure residual.
     Both tolerances are read at call time.
     """

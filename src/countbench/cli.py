@@ -171,13 +171,9 @@ def cmd_verify(args) -> int:
     start = time.perf_counter()
     reports = []
     for inst, following in zip(level_major, level_major[1:] + [None]):
-        last_on_level = (
-            following is None or following.n != inst.n or following.k_prime != inst.k_prime
-        )
         for check, t, ell in rows:
             reports.append(bruteforce.verify(check, inst, t=t, ell=ell))
-            if last_on_level:
-                bruteforce.release_channel_pass(inst)
+            bruteforce.release_level_memos(inst, following)
         if following is not None and following.n > inst.n:
             bruteforce.clear_memos()
             johnson.clear_caches()

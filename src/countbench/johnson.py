@@ -130,38 +130,48 @@ def transporter(n: int, k: int, k_prime: int, j: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Reference vectors.
 #
-# Each vector is a signed sum of k-subsets built by ``_signed_sum``: the
+# Each vector is a sum of signed terms built by ``_signed_sum``: the
 # alternating top pairs ({n}-{n-1}) box ({n-2}-{n-3}) box ..., then fixed
 # elements, then all subsets of a given size of a free set, as a disjoint
-# union.  Its integer coefficients are read off each subset's bit mask;
-# terms add as integers and ``_unit`` normalises once, a positive multiple,
-# so signs match the defining sums.
+# union.  Its integer coefficients are read off each subset's bit mask,
+# for all terms of a sum in one pass; terms add as integers and ``_unit``
+# normalises once, a positive multiple, so signs match the defining sums.
 # ---------------------------------------------------------------------------
 
 
-def _signed_sum(masks, pairs, fixed, free, size: int) -> np.ndarray:
-    """Coefficients of ({a1}-{b1}) box ... box {fixed} box (size-subsets of free).
+def _bits(elements) -> int:
+    return sum(1 << (e - 1) for e in elements)
 
-    The coefficient of subset x is [x within the support] [fixed within x]
-    [|x & free| = size] times bit_a(x) - bit_b(x) per pair (a, b), which is
-    0 when x holds both elements of the pair or neither.
+
+def _signed_sum(masks, terms, fixed, size: int) -> np.ndarray:
+    """Coefficients of a sum of terms ({a1}-{b1}) box ... box {fixed} box (size-subsets of free).
+
+    Each of ``terms`` is a pair (pairs, free), every one with as many pairs.
+    The coefficient of subset x in one term is [x within the support]
+    [fixed within x] [|x & free| = size] times bit_a(x) - bit_b(x) per
+    pair (a, b), which is 0 when x holds both elements of the pair or
+    neither.  The terms are rows of one integer array, summed at the end.
     """
-    pair_bits = [(1 << (a - 1), 1 << (b - 1)) for a, b in pairs]
-    fixed_bits = sum(1 << (e - 1) for e in fixed)
-    free_bits = sum(1 << (e - 1) for e in free)
-    support = 0
-    for part in [bit for pair in pair_bits for bit in pair] + [fixed_bits, free_bits]:
-        if support & part:
-            raise RuntimeError("disjoint-union factors overlap")
-        support |= part
+    pair_bits = np.array(
+        [[[1 << (a - 1), 1 << (b - 1)] for a, b in pairs] for pairs, _ in terms],
+        dtype=np.int64,
+    ).reshape(len(terms), -1, 2)
+    fixed_bits = _bits(fixed)
+    free_bits = np.array([_bits(free) for _, free in terms], dtype=np.int64)[:, None]
+    support = np.bitwise_or.reduce(pair_bits.reshape(len(terms), -1), axis=1)[:, None]
+    support |= fixed_bits | free_bits
+    # The factors are disjoint iff their bit counts add up to the support's.
+    parts = 2 * pair_bits.shape[1] + fixed_bits.bit_count() + np.bitwise_count(free_bits)
+    if np.any(np.bitwise_count(support) != parts):
+        raise RuntimeError("disjoint-union factors overlap")
     coeff = (
         ((masks & ~support) == 0)
         & ((masks & fixed_bits) == fixed_bits)
         & (np.bitwise_count(masks & free_bits) == size)
     ).astype(np.int64)
-    for a, b in pair_bits:
+    for a, b in pair_bits.transpose(1, 2, 0)[:, :, :, None]:
         coeff *= ((masks & a) != 0).astype(np.int64) - ((masks & b) != 0)
-    return coeff
+    return coeff.sum(axis=0)
 
 
 def _unit(coeff) -> np.ndarray:
@@ -215,39 +225,43 @@ def reference_vectors(n: int, k: int, j: int) -> ReferenceVectors:
     b, c, d = a0, a0 + 2, a0 + 1
     ground = set(range(1, a0 + 1))
 
-    v = _unit(term(top, (), ground, k - j))
+    v = _unit(term([(top, ground)], (), k - j))
 
     v_tilde = w_out = w_in = None
     if j <= k - 1:
-        w_out = _unit(term(top, (), ground - {b}, k - j))
-        w_in = _unit(term(top, (b,), ground - {b}, k - j - 1))
+        w_out = _unit(term([(top, ground - {b})], (), k - j))
+        w_in = _unit(term([(top, ground - {b})], (b,), k - j - 1))
         v_tilde = _unit(
-            sum(term(top + [(a, b)], (), ground - {a, b}, k - j - 1) for a in ground - {b})
+            term([(top + [(a, b)], ground - {a, b}) for a in ground - {b}], (), k - j - 1)
         )
 
     v_minus = v_zero = v_plus = w_empty = w_c = w_d = w_cd = None
     if j >= 1:
         sub = top[:-1]
         wide = ground | {c, d}
-        w_empty = _unit(term(sub, (), ground, k - j + 1))
-        w_c = _unit(term(sub, (c,), ground, k - j))
-        w_d = _unit(term(sub, (d,), ground, k - j))
-        v_minus = _unit(term(sub, (), wide, k - j + 1))
+        w_empty = _unit(term([(sub, ground)], (), k - j + 1))
+        w_c = _unit(term([(sub, ground)], (c,), k - j))
+        w_d = _unit(term([(sub, ground)], (d,), k - j))
+        v_minus = _unit(term([(sub, wide)], (), k - j + 1))
         v_zero = _unit(
-            sum(
-                term(sub + [(a, e)], (), wide - {a, e}, k - j)
-                for a in ground
-                for e in (c, d)
+            term(
+                [(sub + [(a, e)], wide - {a, e}) for a in ground for e in (c, d)],
+                (),
+                k - j,
             )
         )
         if j <= k - 1:
-            w_cd = _unit(term(sub, (c, d), ground, k - j - 1))
+            w_cd = _unit(term([(sub, ground)], (c, d), k - j - 1))
             v_plus = _unit(
-                sum(
-                    term(sub + [(a, c), (a2, d)], (), ground - {a, a2}, k - j - 1)
-                    for a in ground
-                    for a2 in ground
-                    if a != a2
+                term(
+                    [
+                        (sub + [(a, c), (a2, d)], ground - {a, a2})
+                        for a in ground
+                        for a2 in ground
+                        if a != a2
+                    ],
+                    (),
+                    k - j - 1,
                 )
             )
 

@@ -2,8 +2,8 @@
 
 Matrices are plain 2-D float64 numpy arrays in row-major order.  The
 routines are thin wrappers around LAPACK (via numpy) that pin down the
-conventions everything downstream relies on: spectral norms, also of a
-stack, through the smaller Gram (the package's only ``eigvalsh``), a
+conventions everything downstream relies on: spectral norms through
+the smaller Gram (the package's only ``eigvalsh``), a
 relative singular-value cutoff for rank decisions, and the readout of a
 Gram that is a scalar on each block of a projector family.
 """
@@ -38,35 +38,37 @@ def freeze(a: np.ndarray) -> np.ndarray:
 
 def as_matrix(values) -> np.ndarray:
     """Coerce ``values`` to a nonempty 2-D float64 array with finite entries."""
+    return _checked(values)[0]
+
+
+def _checked(values) -> tuple[np.ndarray, float]:
+    """``as_matrix(values)`` and its largest entry magnitude, from one max/min pair."""
     m = np.asarray(values, dtype=float)
     if m.ndim != 2 or m.size == 0:
         raise ValueError(f"matrix must be a nonempty 2-D array, got shape {m.shape}")
-    # Two reductions rather than np.isfinite(m), which would allocate an
-    # input-sized bool array: max and min propagate NaN and reach +-inf.
-    if not (math.isfinite(m.max()) and math.isfinite(m.min())):
+    # Two reductions rather than np.isfinite(m) or np.abs(m), which would
+    # allocate an input-sized array: max and min propagate NaN and reach +-inf.
+    high, low = float(m.max()), float(m.min())
+    if not (math.isfinite(high) and math.isfinite(low)):
         raise ValueError("matrix contains non-finite entries")
-    return m
+    return m, max(high, -low)
 
 
-def spectral_norm(values) -> float | np.ndarray:
-    """Largest singular value of a matrix, or of each matrix in a stack.
+def spectral_norm(values) -> float:
+    """Largest singular value of a matrix.
 
-    A 2-D input gives a float, a stack (..., r, c) an array of shape (...).
     Computed from the symmetric eigendecomposition of m m^T or m^T m,
     whichever is smaller; accurate to about 1e-10 relative.  An input whose
-    Grams would underflow or overflow is rescaled first, a stack by one
-    power of two (``gram_safe``).
+    Gram would underflow or overflow is rescaled first (``gram_safe``).
     """
-    m = np.asarray(values, dtype=float)
-    # A stack is checked as one row of all its entries.
-    as_matrix(m.reshape(1, -1) if m.ndim > 2 else m)
-    m, scale = gram_safe(m)
-    m_t = m.swapaxes(-1, -2)
-    gram = m @ m_t if m.shape[-2] <= m.shape[-1] else m_t @ m
+    m, top = _checked(values)
+    scale = _gram_scale(top)
+    if scale != 1.0:
+        m = m / scale
+    gram = m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
     # eigvalsh reads the lower triangle only; round-off can take a zero
-    # top eigenvalue below zero, which reads 0.
-    norms = scale * np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
-    return float(norms) if m.ndim == 2 else norms
+    # top eigenvalue below zero, which reads +0.
+    return scale * math.sqrt(max(0.0, float(np.linalg.eigvalsh(gram)[-1])))
 
 
 def gram_safe(m: np.ndarray) -> tuple[np.ndarray, float]:
@@ -79,11 +81,15 @@ def gram_safe(m: np.ndarray) -> tuple[np.ndarray, float]:
     by it and multiplying a norm back are exact.
     """
     # Two reductions rather than np.abs(m), which would copy m.
-    top = max(float(m.max()), -float(m.min()))
+    scale = _gram_scale(max(float(m.max()), -float(m.min())))
+    return (m, scale) if scale == 1.0 else (m / scale, scale)
+
+
+def _gram_scale(top: float) -> float:
+    """The ``gram_safe`` power of two for a largest entry magnitude ``top``."""
     if top == 0.0 or _GRAM_SAFE_LOW <= top <= _GRAM_SAFE_HIGH:
-        return m, 1.0
-    scale = math.ldexp(1.0, math.frexp(top)[1] - 1)
-    return m / scale, scale
+        return 1.0
+    return math.ldexp(1.0, math.frexp(top)[1] - 1)
 
 
 def block_scalars(gram: np.ndarray, projectors) -> tuple[np.ndarray, float]:

@@ -25,6 +25,9 @@ gamma that is not equivariant, where the block readout does not apply.
 ``delta_membership_mask`` is the 0/1 matrix Delta_i whose entrywise product
 with gamma defines the membership difference; the package takes that norm
 from two blocks of gamma instead.
+``projector_family_gap`` tests each defining property of a projector
+family pairwise, the definition that PROJECTORS' two products over the
+shared block eigenbasis are gated against.
 ``clear_memos`` empties every memo of ``bruteforce``, for tests that plant
 a defect or count work.
 """
@@ -96,6 +99,20 @@ def clear_memos() -> None:
     when it moves to a larger n; the ``johnson`` caches stay warm.
     """
     bruteforce.clear_memos()
+
+
+def projector_family_gap(n: int, projectors) -> tuple[float, bool]:
+    """The largest entry of sum E_j - I, E_j^2 - E_j, E_j - E_j^T and E_i E_j (i < j),
+    and whether each E_j's rounded trace is ``johnson.block_dimension(n, j)``."""
+    gap = float(np.max(np.abs(sum(projectors) - np.eye(len(projectors[0])))))
+    rank_ok = True
+    for j, e in enumerate(projectors):
+        gap = max(gap, float(np.max(np.abs(e @ e - e))), float(np.max(np.abs(e - e.T))))
+        if int(round(float(np.trace(e)))) != johnson.block_dimension(n, j):
+            rank_ok = False
+        for other in projectors[j + 1 :]:
+            gap = max(gap, float(np.max(np.abs(e @ other))))
+    return gap, rank_ok
 
 
 def remainder_gram_norm(inst, gamma) -> float:

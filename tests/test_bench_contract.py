@@ -58,7 +58,7 @@ def test_every_eigvalsh_runs_inside_a_traced_spectral_norm(monkeypatch):
         for t in (1.0, 2.0, 3.0):
             assert bruteforce.verify(check, inst, t=t).passed
     norms = [(start, end) for name, start, end, *_ in tracer.spans if name == "linalg.spectral_norm"]
-    # DELTA_MEMB takes two stacked solves per row.
+    # DELTA_MEMB takes two solves per row, one per block at element n.
     assert len(calls) >= 6
     assert all(any(start <= at <= end for start, end in norms) for at in calls)
 

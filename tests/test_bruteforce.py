@@ -342,7 +342,7 @@ class TestBlockReadouts:
 
 
 class TestMembershipNorms:
-    """DELTA_MEMB's two-block norms against the norm of gamma times the dense mask."""
+    """DELTA_MEMB's norm at element n and its transposition gaps against gamma o Delta_i."""
 
     @staticmethod
     def _masked(inst, gamma):
@@ -357,24 +357,54 @@ class TestMembershipNorms:
     def test_matches_the_masked_norm_on_default_instances(self, inst):
         for t in (1.0, 2.0, 3.0):
             gamma = adversary.adversary_matrix(inst, t)
-            got = bruteforce._membership_norms(inst, gamma)
-            assert np.max(np.abs(got - self._masked(inst, gamma))) <= 1e-13
+            per_n, gaps = bruteforce._membership_norm(inst, gamma)
+            want = self._masked(inst, gamma)
+            assert abs(per_n - want[-1]) <= 1e-13
+            # Gamma is S_n-equivariant: every transposition gap is round-off.
+            assert gaps.shape == (inst.n - 1,) and gaps.max() <= 1e-13
+            assert np.all(np.abs(want[:-1] - per_n) <= gaps + 1e-13)
 
     @pytest.mark.parametrize("inst", [INST, ProblemInstance(10, 3, 4)], ids=_instance_id)
     def test_matches_the_masked_norm_on_a_random_gamma(self, inst):
-        # Not S_n-equivariant, so the per-element values differ.
+        # Not S_n-equivariant, so the per-element values differ, and every
+        # one of them lies within per_n +- f_i.
         gamma = np.random.default_rng(11).standard_normal(bruteforce.psi_gram(inst).shape)
-        got = bruteforce._membership_norms(inst, gamma)
+        per_n, gaps = bruteforce._membership_norm(inst, gamma)
         want = self._masked(inst, gamma)
         assert np.ptp(want) > 0.1
-        assert np.max(np.abs(got - want)) <= 1e-13
+        assert abs(per_n - want[-1]) <= 1e-13
+        assert np.all(np.abs(want[:-1] - per_n) <= gaps)
 
     def test_rescales_an_extreme_gamma_exactly(self):
         gamma = np.random.default_rng(12).standard_normal(bruteforce.psi_gram(INST).shape)
-        plain = bruteforce._membership_norms(INST, gamma)
+        plain_n, plain_gaps = bruteforce._membership_norm(INST, gamma)
         for power in (-600, 600):
-            got = bruteforce._membership_norms(INST, gamma * 2.0**power)
-            assert np.array_equal(got, plain * 2.0**power)
+            per_n, gaps = bruteforce._membership_norm(INST, gamma * 2.0**power)
+            assert per_n == plain_n * 2.0**power
+            assert np.array_equal(gaps, plain_gaps * 2.0**power)
+
+    def test_a_defect_in_another_elements_block_fails(self, monkeypatch):
+        # x = {1,2} within y = {1,2,3} disagree on element 3 alone, so entry
+        # (x, y) lies in the block of element 3 and of no other, not n's.
+        x, y = index_of(INST.n, INST.k, (1, 2)), index_of(INST.n, INST.k_prime, (1, 2, 3))
+        original = adversary.adversary_matrix
+
+        def planted(inst, t):
+            gamma = original(inst, t)
+            gamma[x, y] += 1e-6
+            return gamma
+
+        monkeypatch.setattr(adversary, "adversary_matrix", planted)
+        dense_reference.clear_memos()
+        try:
+            report = bruteforce.verify("DELTA_MEMB", INST, t=2.0)
+        finally:
+            dense_reference.clear_memos()
+        per_n = bruteforce._membership_norm(INST, planted(INST, 2.0))[0]
+        assert per_n == bruteforce._membership_norm(INST, original(INST, 2.0))[0]
+        # The norm at n is untouched; the gap f_3 carries the whole defect.
+        assert report.discrepancy > 0.9e-6 and report.details["spread_over_i"] > 1.8e-6
+        assert not report.passed
 
 
 class TestLevelMemos:
@@ -455,6 +485,66 @@ class TestBlockBases:
         e0, e1, e2 = johnson.irrep_projectors(INST.n, INST.k)
         with pytest.raises(ArithmeticError, match="block 1 of level 2"):
             bruteforce._block_bases((e0, e1 + e2, e2))
+
+
+def _scaled_block_one(family):
+    e = list(family)
+    e[1] = e[1] * (1 + 1e-6)
+    return tuple(e)
+
+
+def _asymmetric_entry(family):
+    e = list(family)
+    e[1] = e[1].copy()
+    e[1][0, 1] += 1e-6
+    return tuple(e)
+
+
+def _moved_rank(family):
+    # A unit vector of block 2 moves into block 1: still a complete
+    # orthogonal family of projectors, but with ranks d_1 + 1 and d_2 - 1.
+    e = list(family)
+    v = e[2][:, 0] / np.linalg.norm(e[2][:, 0])
+    e[1], e[2] = e[1] + np.outer(v, v), e[2] - np.outer(v, v)
+    return tuple(e)
+
+
+class TestProjectorFamilyGap:
+    """PROJECTORS' two products over the block eigenbasis against the pairwise family gap."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memos(self):
+        dense_reference.clear_memos()
+        yield
+        dense_reference.clear_memos()
+
+    def test_both_gaps_vanish_on_every_default_level(self):
+        assert len(DEFAULT_LEVELS) == 14
+        for n, level in DEFAULT_LEVELS:
+            gap, rank_ok = bruteforce._projector_family_gap(n, level)
+            dense_gap, dense_rank_ok = dense_reference.projector_family_gap(
+                n, johnson.irrep_projectors(n, level)
+            )
+            assert rank_ok and dense_rank_ok
+            assert gap <= bruteforce.TOL_EXACT and dense_gap <= bruteforce.TOL_EXACT
+
+    @pytest.mark.parametrize("plant", [_scaled_block_one, _asymmetric_entry, _moved_rank])
+    def test_a_planted_defect_fails_both(self, monkeypatch, plant):
+        n, level = 8, 2
+        family = plant(johnson.irrep_projectors(n, level))
+        original = johnson.irrep_projectors
+        monkeypatch.setattr(
+            johnson, "irrep_projectors",
+            lambda m, k: family if (m, k) == (n, level) else original(m, k),
+        )
+        for gap, rank_ok in (
+            bruteforce._projector_family_gap(n, level),
+            dense_reference.projector_family_gap(n, family),
+        ):
+            assert gap > bruteforce.TOL_EXACT or not rank_ok
+            # The two defects of size 1e-6 leave the ranks, the moved vector the gaps.
+            assert rank_ok is (plant is not _moved_rank)
+        assert not bruteforce.verify("PROJECTORS", INST).passed
 
 
 def _traced_peak(call) -> int:
@@ -598,7 +688,11 @@ class TestReflectionLiftNorm:
             return gamma + 1e-9 * np.random.default_rng(31).standard_normal(gamma.shape)
 
         monkeypatch.setattr(adversary, "adversary_matrix", planted)
-        report = bruteforce.verify("DELTA_REFL", INST, t=2.0)
+        dense_reference.clear_memos()
+        try:
+            report = bruteforce.verify("DELTA_REFL", INST, t=2.0)
+        finally:
+            dense_reference.clear_memos()
         assert report.discrepancy <= bruteforce.TOL_NORM
         assert report.details["structure_residual"] > bruteforce.TOL_EXACT
         assert not report.passed
@@ -675,10 +769,18 @@ class TestVerify:
         assert report.closed_form == 1.0
         assert report.brute_force == pytest.approx(1.0, abs=1e-10)
 
+    def test_gamma_is_one_read_only_array_per_cutoff(self):
+        dense_reference.clear_memos()
+        gamma = bruteforce._adversary_matrix(INST, 2.0)
+        assert bruteforce._adversary_matrix(INST, 2.0) is gamma
+        assert not gamma.flags.writeable
+        assert gamma.tobytes() == adversary.adversary_matrix(INST, 2.0).tobytes()
+        assert bruteforce._adversary_matrix(INST, 3.0) is not gamma
+        dense_reference.clear_memos()
+
     def test_delta_memb_uniform_over_elements(self):
         report = bruteforce.verify("DELTA_MEMB", INST, t=2.0)
         assert report.details["spread_over_i"] <= 1e-10
-        assert len(report.details["per_i"]) == INST.n
 
     def test_hadamard_step_against_projection(self):
         stepped = adversary.hadamard_psi_step(adversary.gamma_schedule(2.0, INST.k), INST)

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import re
 import shutil
@@ -11,10 +12,12 @@ import time
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dense_reference
-from countbench import bruteforce, cli, johnson, simulate
+from countbench import adversary, bruteforce, cli, johnson, simulate
+from countbench.adversary import ProblemInstance
 
 
 def run(argv):
@@ -268,13 +271,33 @@ class TestLevelMajorSweep:
         monkeypatch.setattr(bruteforce, "_level_channels", counting_pass)
         family_gaps = _count_memo_misses(monkeypatch, "_projector_family_gap")
         table_gaps = _count_memo_misses(monkeypatch, "_level_table_gap")
+        bases = _count_memo_misses(monkeypatch, "_level_bases")
+        eighs, gammas = Counter(), Counter()
+        eigh, adversary_matrix = np.linalg.eigh, adversary.adversary_matrix
+
+        def counting_eigh(a, *args, **kwargs):
+            eighs[len(a)] += 1
+            return eigh(a, *args, **kwargs)
+
+        def counting_gamma(inst, t):
+            gammas[inst, t] += 1
+            return adversary_matrix(inst, t)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(adversary, "adversary_matrix", counting_gamma)
         assert run(["verify", *_instance_flags(SCRAMBLED), "--out", str(tmp_path)]) == 0
         assert passes[12, 4, True] == 1
         assert family_gaps[12, 4] == 1 and family_gaps[10, 3] == 1
-        # Every level's pass and gaps ran once, and no other did.
+        # Every level's pass, gaps and block bases ran once, and no other did:
+        # one eigh of L per level, which the channel pass and PROJECTORS share.
         levels = {(n, level) for n, k, k_prime in SCRAMBLED for level in (k, k_prime)}
-        for gaps in (family_gaps, table_gaps):
+        for gaps in (family_gaps, table_gaps, bases):
             assert set(gaps) == levels and set(gaps.values()) == {1}
+        assert eighs == Counter(math.comb(n, level) for n, level in levels)
+        # Gamma is assembled once per (instance, t), not once per check.
+        assert set(gammas.values()) == {1} and set(gammas) == {
+            (ProblemInstance(*triple), t) for triple in SCRAMBLED for t in cli.DEFAULT_T_VALUES
+        }
         assert set(passes) == {(n, k, False) for n, k, _ in SCRAMBLED} | {
             (n, k_prime, True) for n, _, k_prime in SCRAMBLED
         }
@@ -286,19 +309,27 @@ class TestLevelMajorSweep:
         delta_gen = bruteforce._check_delta_gen
 
         def recording(inst, t, ell):
-            held.append((inst.k, t, bruteforce._hatted_level_channels.cache_info().currsize))
+            held.append((
+                inst.k, t,
+                bruteforce._hatted_level_channels.cache_info().currsize,
+                bruteforce._level_bases.cache_info().currsize,
+            ))
             return delta_gen(inst, t, ell)
 
         monkeypatch.setitem(bruteforce._CHECK_FUNCS, "DELTA_GEN", recording)
         triples = ((12, 2, 4), (12, 3, 4), (13, 1, 2))
         argv = ["verify", *_instance_flags(triples), "--t", "1", "--t", "2"]
         assert run(argv + ["--out", str(tmp_path)]) == 0
-        # The k' = 4 pass outlives (12,2,4), whose level (12,3,4) shares, and
-        # ends once (12,3,4) holds its channel result, before its t = 2 rows.
+        # The k' = 4 pass and the block bases of (12,2) and (12,4) outlive
+        # (12,2,4), whose level (12,3,4) shares; the pass ends once (12,3,4)
+        # holds its channel result and the bases once it also holds its
+        # PROJECTORS result, both before its t = 2 rows.
         assert held == [
-            (2, 1.0, 0), (2, 2.0, 1), (3, 1.0, 1), (3, 2.0, 0), (1, 1.0, 0), (1, 2.0, 0)
+            (2, 1.0, 0, 0), (2, 2.0, 1, 2), (3, 1.0, 1, 2), (3, 2.0, 0, 0),
+            (1, 1.0, 0, 0), (1, 2.0, 0, 0),
         ]
         assert bruteforce._hatted_level_channels.cache_info().currsize == 0
+        assert bruteforce._level_bases.cache_info().currsize == 0
         # Only the n = 13 Johnson objects are left: (13,1), (13,2) and Phi_0, Phi_1.
         assert johnson.irrep_projectors.cache_info().currsize == 2
         assert johnson.transporter.cache_info().currsize == 2

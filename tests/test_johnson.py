@@ -232,6 +232,37 @@ class TestReferenceVectors:
                             digest.update(vec.tobytes())
         assert digest.hexdigest() == REFERENCE_DIGEST
 
+    @pytest.mark.parametrize("n, k, j", [(8, 3, 1), (11, 4, 2), (12, 5, 1)])
+    def test_one_pass_sums_equal_the_sums_of_single_terms(self, n, k, j):
+        # The v_plus sum of block j: one integer pass against term by term.
+        masks = johnson.subset_basis(n, k)
+        a0 = n - 2 * j
+        sub = [(n - 2 * i + 2, n - 2 * i + 1) for i in range(1, j)]
+        ground = set(range(1, a0 + 1))
+        terms = [
+            (sub + [(a, a0 + 2), (a2, a0 + 1)], ground - {a, a2})
+            for a in ground
+            for a2 in ground
+            if a != a2
+        ]
+        whole = johnson._signed_sum(masks, terms, (), k - j - 1)
+        single = sum(johnson._signed_sum(masks, [term], (), k - j - 1) for term in terms)
+        assert whole.dtype == np.int64 and np.array_equal(whole, single)
+        assert np.any(whole)
+
+    @pytest.mark.parametrize(
+        "terms, fixed",
+        [
+            ([([(3, 3)], {1})], ()),
+            ([([(3, 2)], {1})], (2,)),
+            ([([(3, 2)], {1}), ([(3, 4)], {4})], ()),
+        ],
+        ids=["pair", "fixed", "one-term-of-two"],
+    )
+    def test_overlapping_factors_raise(self, terms, fixed):
+        with pytest.raises(RuntimeError, match="overlap"):
+            johnson._signed_sum(johnson.subset_basis(6, 2), terms, fixed, 1)
+
     def test_uniform_at_block_zero(self):
         refs = johnson.reference_vectors(8, 2, 0)
         assert np.allclose(refs.v, 1.0 / math.sqrt(28.0), atol=1e-12)
