@@ -5,7 +5,9 @@ the overlap Gram matrix, the single-element membership differences, the four
 lift transformations that expand matrix entries by superposition
 vectors, and the superposition isometries V and V-hat, applied entrywise.
 ``verify`` runs one named check, building both sides explicitly and
-reporting the worst discrepancy.
+reporting the worst discrepancy.  ``sweep`` runs many instances' rows
+and alone decides when each memo ends: per n, every cutoff row, then
+every schedule-free row, with the memos emptied after each phase.
 
 V_DECOMP and PHI_COMMUTE read the channel transporters Xi in block
 coordinates (``_level_channels``), one row block at a time in chunks
@@ -621,32 +623,10 @@ def _level_channels(n: int, level: int, hatted: bool):
 def _hatted_level_channels(n: int, level: int):
     """``_level_channels`` of a k' level, memoised: it depends only on (n, k').
 
-    Every instance on that level reads the same cores, and the sweep runs
-    level-major, so one entry serves them all until
-    ``release_level_memos`` drops it.
+    Every instance on that level reads the same cores, and ``sweep`` runs
+    them back to back, so one entry serves them all.
     """
     return _level_channels(n, level, hatted=True)
-
-
-def release_level_memos(inst: ProblemInstance, following: ProblemInstance | None) -> None:
-    """Drop the level memos of ``inst`` that ``following`` does not read.
-
-    ``following`` is the instance a level-major sweep runs next, None
-    after the last.  The k' channel pass ends once ``inst`` holds its
-    V_DECOMP and PHI_COMMUTE results, unless ``following`` is on the same
-    k' level.  The block bases end once ``inst`` also holds its PROJECTORS
-    result, unless ``following`` reads one of its levels; so neither sits
-    under the peaks of the rows that follow.
-    """
-    memo = _instance_memo(inst)
-    if _check_channels not in memo:
-        return
-    same_n = following is not None and following.n == inst.n
-    if not (same_n and following.k_prime == inst.k_prime):
-        _hatted_level_channels.cache_clear()
-    shared = same_n and {following.k, following.k_prime} & {inst.k, inst.k_prime}
-    if _check_projectors in memo and not shared:
-        _level_bases.cache_clear()
 
 
 def clear_memos() -> None:
@@ -821,17 +801,12 @@ def verify(
     the lookup; the first report for the instance paid the cost.  V_DECOMP
     and PHI_COMMUTE share one channel pass, so whichever runs first pays
     for both.  Below the instance memo, the work that depends on one level
-    only is memoised per level: the k' channel pass (one entry), and the
-    TABLES and PROJECTORS gaps, so instances that share a level and run
-    back to back do it once, and so are the block bases of a level, which
-    the channel pass and PROJECTORS share.  Gamma is memoised for the last
-    (instance, t).  ``release_level_memos`` and ``clear_memos`` end these
-    memos once a sweep is past their level.  The report's
-    ``discrepancy`` is the worst gap found, or for DELTA_MEMB a bound on
-    it.  A row also needs one detail within TOL_EXACT
-    (``_DETAIL_BOUNDS``): a bound on the spread of DELTA_MEMB's
-    per-element values and DELTA_REFL's relative structure residual.
-    Both tolerances are read at call time.
+    only is memoised per level, and Gamma per (instance, t); ``sweep``
+    decides when each memo ends.  The report's ``discrepancy`` is the
+    worst gap found, or for DELTA_MEMB a bound on it.  A row also needs
+    one detail within TOL_EXACT (``_DETAIL_BOUNDS``): a bound on the
+    spread of DELTA_MEMB's per-element values and DELTA_REFL's relative
+    structure residual.  Both tolerances are read at call time.
     """
     if check_id not in _CHECK_FUNCS:
         raise ValueError(f"unknown check id {check_id!r}; known: {CHECK_IDS}")
@@ -867,3 +842,44 @@ def verify(
         memoised=memoised,
         details=details,
     )
+
+
+def sweep(instances, t_values, checks) -> list[DiscrepancyReport]:
+    """Every (check, instance, t) row, in run order; each memo ends here.
+
+    Every instance is admitted before any row runs.  Instances run
+    level-major, by (n, k', k), so those that share a level run back to
+    back and its memoised work is done once.  Each n runs all its cutoff
+    rows, then all its schedule-free rows, and ``clear_memos`` ends each
+    phase: no level memo lies under a cutoff row's peak and no Gamma under
+    a schedule-free row's.  Inside a phase each instance runs t-major, so
+    the instance memo serves t >= 2.  PSI_POWER runs at ell = floor(t / 2).
+    """
+    for inst in instances:
+        check_instance(inst)
+    rows = [
+        (check, float(t), int(t) // 2 if check == "PSI_POWER" else 0)
+        for t in t_values
+        for check in checks
+    ]
+    phases = (
+        [row for row in rows if row[0] not in _SCHEDULE_FREE],
+        [row for row in rows if row[0] in _SCHEDULE_FREE],
+    )
+    groups: dict[int, list] = {}
+    for inst in sorted(instances, key=lambda i: (i.n, i.k_prime, i.k)):
+        groups.setdefault(inst.n, []).append(inst)
+    reports = []
+    for index, group in enumerate(groups.values()):
+        # The johnson caches end before a larger n, not after the last one:
+        # cache_clear also resets the lru statistics, and the benchmark's
+        # warm-cache gate reads johnson.irrep_projectors' misses after a
+        # traced sweep has returned.
+        if index:
+            johnson.clear_caches()
+        for phase in phases:
+            for inst in group:
+                # ``verify`` as a module global, so a wrapper set on the module sees each row.
+                reports += [verify(check, inst, t, ell) for check, t, ell in phase]
+            clear_memos()
+    return reports

@@ -16,7 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__, adversary, bruteforce, johnson, simulate
+from . import __version__, adversary, bruteforce, simulate
 from .adversary import ProblemInstance
 
 DEFAULT_INSTANCES = (
@@ -137,24 +137,12 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _verify_items(t_values, checks):
-    """(check, t, ell) of each row of one instance, in run order."""
-    return [
-        (check, float(t), int(t) // 2 if check == "PSI_POWER" else 0)
-        for t in t_values
-        for check in checks
-    ]
-
-
 def cmd_verify(args) -> int:
     # Repeated --instance, --t or --checks values name the same rows once.
     if args.instance is not None:
         instances = list(dict.fromkeys(_parse_instance(text) for text in args.instance))
     else:
         instances = [ProblemInstance(*triple) for triple in DEFAULT_INSTANCES]
-    # Every instance is admitted before any row runs.
-    for inst in instances:
-        bruteforce.check_instance(inst)
     t_values = tuple(dict.fromkeys(args.t)) if args.t else DEFAULT_T_VALUES
     for t in t_values:
         if not (math.isfinite(t) and t >= 1):
@@ -162,21 +150,10 @@ def cmd_verify(args) -> int:
     checks = tuple(dict.fromkeys(args.checks)) if args.checks else bruteforce.CHECK_IDS
     out_dir = Path(args.out)
 
-    # Level-major: instances that share a level run back to back, so each
-    # level's memoised work in bruteforce is done once, and a memo is
-    # dropped once no later instance reads it.  The reports are sorted
-    # below, so the run order moves no output byte.
-    level_major = sorted(instances, key=lambda i: (i.n, i.k_prime, i.k))
-    rows = _verify_items(t_values, checks)
+    # bruteforce.sweep picks the run order and ends each memo; the reports
+    # are sorted below, so the run order moves no output byte.
     start = time.perf_counter()
-    reports = []
-    for inst, following in zip(level_major, level_major[1:] + [None]):
-        for check, t, ell in rows:
-            reports.append(bruteforce.verify(check, inst, t=t, ell=ell))
-            bruteforce.release_level_memos(inst, following)
-        if following is not None and following.n > inst.n:
-            bruteforce.clear_memos()
-            johnson.clear_caches()
+    reports = bruteforce.sweep(instances, t_values, checks)
     sweep_s = time.perf_counter() - start
     reports.sort(key=lambda r: (r.check_id, r.n, r.k, r.k_prime, r.t, r.ell))
 

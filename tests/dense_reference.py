@@ -28,8 +28,6 @@ from two blocks of gamma instead.
 ``projector_family_gap`` tests each defining property of a projector
 family pairwise, the definition that PROJECTORS' two products over the
 shared block eigenbasis are gated against.
-``clear_memos`` empties every memo of ``bruteforce``, for tests that plant
-a defect or count work.
 """
 
 import itertools
@@ -90,15 +88,6 @@ def delta_membership_mask(inst, i: int) -> np.ndarray:
     in_x = (johnson.subset_basis(inst.n, inst.k) & bit) != 0
     in_y = (johnson.subset_basis(inst.n, inst.k_prime) & bit) != 0
     return (in_x[:, None] ^ in_y[None, :]).astype(float)
-
-
-def clear_memos() -> None:
-    """Empty the instance memo and the per-level memos under it.
-
-    The same ``bruteforce.clear_memos`` that ``countbench verify`` calls
-    when it moves to a larger n; the ``johnson`` caches stay warm.
-    """
-    bruteforce.clear_memos()
 
 
 def projector_family_gap(n: int, projectors) -> tuple[float, bool]:

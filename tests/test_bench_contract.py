@@ -13,6 +13,7 @@ import csv
 import hashlib
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
 from time import perf_counter
 
@@ -35,7 +36,19 @@ def test_tracer_targets_exist(module, attr):
     assert callable(getattr(importlib.import_module(f"countbench.{module}"), attr))
 
 
-def test_every_eigvalsh_runs_inside_a_traced_spectral_norm(monkeypatch):
+@pytest.fixture
+def tracer(monkeypatch):
+    """A Tracer installed for one test; monkeypatch undoes its wrappers."""
+    for module_name, attr, _ in tracing.TRACED:
+        module = importlib.import_module(f"countbench.{module_name}")
+        # Set to itself, so that monkeypatch undoes the tracer's wrapper.
+        monkeypatch.setattr(module, attr, getattr(module, attr))
+    installed = tracing.Tracer()
+    installed.install()
+    return installed
+
+
+def test_every_eigvalsh_runs_inside_a_traced_spectral_norm(monkeypatch, tracer):
     # The per-layer trace charges solve time to linalg.spectral_norm; an
     # eigvalsh called anywhere else would land in its caller's self time.
     calls = []
@@ -45,14 +58,8 @@ def test_every_eigvalsh_runs_inside_a_traced_spectral_norm(monkeypatch):
         calls.append(perf_counter())
         return eigvalsh(*args, **kwargs)
 
-    for module_name, attr, _ in tracing.TRACED:
-        module = importlib.import_module(f"countbench.{module_name}")
-        # Set to itself, so that monkeypatch undoes the tracer's wrapper.
-        monkeypatch.setattr(module, attr, getattr(module, attr))
     monkeypatch.setattr(np.linalg, "eigvalsh", timed)
     bruteforce.clear_memos()
-    tracer = tracing.Tracer()
-    tracer.install()
     inst = ProblemInstance(10, 3, 4)
     for check in ("DELTA_MEMB", "V_DECOMP", "PHI_COMMUTE"):
         for t in (1.0, 2.0, 3.0):
@@ -61,6 +68,19 @@ def test_every_eigvalsh_runs_inside_a_traced_spectral_norm(monkeypatch):
     # DELTA_MEMB takes two solves per row, one per block at element n.
     assert len(calls) >= 6
     assert all(any(start <= at <= end for start, end in norms) for at in calls)
+
+
+def test_a_traced_sweep_spans_every_row_and_ends_with_cache_misses(tmp_path, tracer):
+    # The worker's warm-cache gate reads johnson.irrep_projectors' misses
+    # after a traced sweep.  cache_clear resets lru statistics, so a sweep
+    # that cleared the johnson caches after its last n would read 0 here.
+    argv = ["verify", "--instance", "7,1,2", "--instance", "6,1,2", "--t", "1", "--t", "2"]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    with (tmp_path / "verify.csv").open(newline="") as fh:
+        rows = Counter(r["check_id"] for r in csv.DictReader(fh))
+    spans = Counter(tag for name, *_, tag in tracer.spans if name == "bruteforce.verify")
+    assert spans == rows and sum(rows.values()) == 2 * 2 * len(bruteforce.CHECK_IDS)
+    assert tracer.cache_misses()["johnson.irrep_projectors"] > 0
 
 
 def _definitions_and_uses():

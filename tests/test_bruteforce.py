@@ -174,10 +174,10 @@ class TestXi:
             return original(inst, j, ell, m, hatted)
 
         monkeypatch.setattr(bruteforce, "build_xi", counting)
-        dense_reference.clear_memos()
+        bruteforce.clear_memos()
         first = bruteforce.verify("V_DECOMP", INST, t=1.0)
         second = bruteforce.verify("PHI_COMMUTE", INST, t=1.0)
-        dense_reference.clear_memos()
+        bruteforce.clear_memos()
         assert first.passed and second.passed
         assert not first.memoised and second.memoised
         # The channel pass works on block cores; no full-size Xi is built.
@@ -226,9 +226,9 @@ class TestChannelPass:
 
     @pytest.fixture(autouse=True)
     def fresh_memo(self):
-        dense_reference.clear_memos()
+        bruteforce.clear_memos()
         yield
-        dense_reference.clear_memos()
+        bruteforce.clear_memos()
 
     @pytest.mark.parametrize("inst", DEFAULT, ids=_instance_id)
     def test_matches_dense_on_default_instances(self, inst):
@@ -303,9 +303,9 @@ class TestBlockReadouts:
 
     @pytest.fixture(autouse=True)
     def fresh_memo(self):
-        dense_reference.clear_memos()
+        bruteforce.clear_memos()
         yield
-        dense_reference.clear_memos()
+        bruteforce.clear_memos()
 
     def test_a_non_equivariant_defect_fails_v_decomp_on_the_frobenius_bound(self, monkeypatch):
         # One perturbed superposition entry on the k' level of (10,3,4): the
@@ -395,11 +395,11 @@ class TestMembershipNorms:
             return gamma
 
         monkeypatch.setattr(adversary, "adversary_matrix", planted)
-        dense_reference.clear_memos()
+        bruteforce.clear_memos()
         try:
             report = bruteforce.verify("DELTA_MEMB", INST, t=2.0)
         finally:
-            dense_reference.clear_memos()
+            bruteforce.clear_memos()
         per_n = bruteforce._membership_norm(INST, planted(INST, 2.0))[0]
         assert per_n == bruteforce._membership_norm(INST, original(INST, 2.0))[0]
         # The norm at n is untouched; the gap f_3 carries the whole defect.
@@ -410,15 +410,15 @@ class TestMembershipNorms:
 class TestLevelMemos:
     """A defect planted after a clean run on the same level still fails.
 
-    ``dense_reference.clear_memos``, which every test that plants a defect
+    ``bruteforce.clear_memos``, which every test that plants a defect
     calls, empties the per-level memos as well as the instance memo.
     """
 
     @pytest.fixture(autouse=True)
     def fresh_memos(self):
-        dense_reference.clear_memos()
+        bruteforce.clear_memos()
         yield
-        dense_reference.clear_memos()
+        bruteforce.clear_memos()
 
     def test_rank_mismatch_planted_after_a_clean_run_fails(self, monkeypatch):
         # (10,2,3) and (10,3,4) share the (10,3) family; the planted rank of
@@ -432,7 +432,7 @@ class TestLevelMemos:
             return -1 if (n, j) == (10, 3) else original(n, j)
 
         monkeypatch.setattr(johnson, "block_dimension", planted)
-        dense_reference.clear_memos()
+        bruteforce.clear_memos()
         for inst in siblings:
             report = bruteforce.verify("PROJECTORS", inst)
             assert report.details["ranks_match"] is False and not report.passed
@@ -450,7 +450,7 @@ class TestLevelMemos:
             return out * 1.01 if k == 3 else out
 
         monkeypatch.setattr(adversary, "phi_components", planted)
-        dense_reference.clear_memos()
+        bruteforce.clear_memos()
         for inst in siblings:
             report = bruteforce.verify("V_DECOMP", inst)
             assert not report.passed and report.discrepancy > 1e-3
@@ -514,9 +514,9 @@ class TestProjectorFamilyGap:
 
     @pytest.fixture(autouse=True)
     def fresh_memos(self):
-        dense_reference.clear_memos()
+        bruteforce.clear_memos()
         yield
-        dense_reference.clear_memos()
+        bruteforce.clear_memos()
 
     def test_both_gaps_vanish_on_every_default_level(self):
         assert len(DEFAULT_LEVELS) == 14
@@ -571,7 +571,7 @@ class TestPeakMemory:
     @pytest.fixture(autouse=True)
     def warm_caches(self):
         # The Johnson objects warm, the channel pass memos empty.
-        dense_reference.clear_memos()
+        bruteforce.clear_memos()
         inst = self.INST
         for j in range(inst.k + 1):
             johnson.transporter(inst.n, inst.k, inst.k_prime, j)
@@ -688,11 +688,11 @@ class TestReflectionLiftNorm:
             return gamma + 1e-9 * np.random.default_rng(31).standard_normal(gamma.shape)
 
         monkeypatch.setattr(adversary, "adversary_matrix", planted)
-        dense_reference.clear_memos()
+        bruteforce.clear_memos()
         try:
             report = bruteforce.verify("DELTA_REFL", INST, t=2.0)
         finally:
-            dense_reference.clear_memos()
+            bruteforce.clear_memos()
         assert report.discrepancy <= bruteforce.TOL_NORM
         assert report.details["structure_residual"] > bruteforce.TOL_EXACT
         assert not report.passed
@@ -770,13 +770,13 @@ class TestVerify:
         assert report.brute_force == pytest.approx(1.0, abs=1e-10)
 
     def test_gamma_is_one_read_only_array_per_cutoff(self):
-        dense_reference.clear_memos()
+        bruteforce.clear_memos()
         gamma = bruteforce._adversary_matrix(INST, 2.0)
         assert bruteforce._adversary_matrix(INST, 2.0) is gamma
         assert not gamma.flags.writeable
         assert gamma.tobytes() == adversary.adversary_matrix(INST, 2.0).tobytes()
         assert bruteforce._adversary_matrix(INST, 3.0) is not gamma
-        dense_reference.clear_memos()
+        bruteforce.clear_memos()
 
     def test_delta_memb_uniform_over_elements(self):
         report = bruteforce.verify("DELTA_MEMB", INST, t=2.0)
@@ -825,11 +825,11 @@ class TestVerify:
     def test_rank_mismatch_fails_projectors(self, monkeypatch):
         # No separate rank re-check in verify: the forced gap of 1 fails it.
         monkeypatch.setattr(johnson, "block_dimension", lambda n, j: -1)
-        dense_reference.clear_memos()
+        bruteforce.clear_memos()
         try:
             report = bruteforce.verify("PROJECTORS", INST)
         finally:
-            dense_reference.clear_memos()
+            bruteforce.clear_memos()
         assert report.details["ranks_match"] is False
         assert report.discrepancy >= 1.0 and not report.passed
 

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import dense_reference
 from countbench import adversary, bruteforce, cli, johnson, simulate
 from countbench.adversary import ProblemInstance
 
@@ -191,11 +190,10 @@ class TestVerifyCommand:
         assert all(row.split(",")[-1].isdigit() for row in rows)
 
     def test_timing_lists_memoised_rows(self, tmp_path):
-        dense_reference.clear_memos()
+        bruteforce.clear_memos()
         argv = ["verify", "--instance", "7,1,2", "--t", "1", "--t", "2", "--t", "3",
                 "--checks", "TABLES", "V_DECOMP", "NORM_GAMMA"]
-        # Default mode: the first run computes, the second is served from the
-        # instance memo, and both write the same bytes with no memo listing.
+        # Default mode: two runs write the same bytes with no memo listing.
         a, b, timed = tmp_path / "a", tmp_path / "b", tmp_path / "timed"
         assert run(argv + ["--out", str(a)]) == 0
         assert run(argv + ["--out", str(b)]) == 0
@@ -203,7 +201,7 @@ class TestVerifyCommand:
         assert (a / "verify.json").read_bytes() == (b / "verify.json").read_bytes()
         assert "memoised" not in json.loads((a / "verify.json").read_text())
 
-        dense_reference.clear_memos()
+        bruteforce.clear_memos()
         assert run(argv + ["--timing", "--out", str(timed)]) == 0
         memoised = json.loads((timed / "verify.json").read_text())["memoised"]
         assert sorted(memoised) == [
@@ -213,7 +211,7 @@ class TestVerifyCommand:
     def test_timing_lists_rows_served_by_the_shared_channel_pass(self, tmp_path):
         # V_DECOMP and PHI_COMMUTE share one channel pass: the check that runs
         # second is served from the memo already at the first cutoff.
-        dense_reference.clear_memos()
+        bruteforce.clear_memos()
         argv = ["verify", "--instance", "7,1,2", "--t", "1", "--t", "2", "--t", "3",
                 "--checks", "V_DECOMP", "PHI_COMMUTE", "--timing", "--out", str(tmp_path)]
         assert run(argv) == 0
@@ -246,15 +244,15 @@ def _instance_flags(instances):
 class TestLevelMajorSweep:
     @pytest.fixture(autouse=True)
     def fresh_memos(self):
-        dense_reference.clear_memos()
+        bruteforce.clear_memos()
         yield
-        dense_reference.clear_memos()
+        bruteforce.clear_memos()
 
     def test_instance_order_moves_no_byte(self, tmp_path):
         assert sorted(SCRAMBLED) == sorted(cli.DEFAULT_INSTANCES)
         written = []
         for name, order in (("default", cli.DEFAULT_INSTANCES), ("scrambled", SCRAMBLED)):
-            dense_reference.clear_memos()
+            bruteforce.clear_memos()
             out = tmp_path / name
             assert run(["verify", *_instance_flags(order), "--out", str(out)]) == 0
             written.append((out / "verify.csv").read_bytes())
@@ -303,33 +301,46 @@ class TestLevelMajorSweep:
         }
         assert set(passes.values()) == {1}
 
-    def test_memos_end_with_their_level(self, tmp_path, monkeypatch):
-        # (12,2,4) and (12,3,4) share the k' = 4 pass; (13,1,2) moves to a larger n.
+    @pytest.mark.parametrize(
+        "checks", [None, ("V_DECOMP", "DELTA_GEN")], ids=["default", "no-PROJECTORS"]
+    )
+    def test_memos_end_with_their_level(self, tmp_path, monkeypatch, checks):
+        # (12,2,4) and (12,3,4) share the k' = 4 pass; (13,1,2) moves to a
+        # larger n.  Each n runs its cutoff rows, then its schedule-free rows,
+        # and every memo ends with its phase, so no level memo is held under a
+        # cutoff row and no Gamma under a schedule-free row.  With V_DECOMP
+        # run before DELTA_GEN and no PROJECTORS, memos that ended per
+        # instance would keep the block bases under the DELTA_GEN rows.
         held = []
-        delta_gen = bruteforce._check_delta_gen
+        verify = bruteforce.verify
 
-        def recording(inst, t, ell):
-            held.append((
-                inst.k, t,
-                bruteforce._hatted_level_channels.cache_info().currsize,
-                bruteforce._level_bases.cache_info().currsize,
-            ))
-            return delta_gen(inst, t, ell)
+        def sizes(*memos):
+            return sum(memo.cache_info().currsize for memo in memos)
 
-        monkeypatch.setitem(bruteforce._CHECK_FUNCS, "DELTA_GEN", recording)
+        def recording(check_id, inst, t, ell):
+            level = (bruteforce._hatted_level_channels, bruteforce._level_bases)
+            before = sizes(*level), sizes(bruteforce._adversary_matrix)
+            report = verify(check_id, inst, t, ell)
+            after = sizes(*level), sizes(bruteforce._adversary_matrix)
+            held.append((check_id, before, after))
+            return report
+
+        monkeypatch.setattr(bruteforce, "verify", recording)
         triples = ((12, 2, 4), (12, 3, 4), (13, 1, 2))
         argv = ["verify", *_instance_flags(triples), "--t", "1", "--t", "2"]
+        argv += ["--checks", *checks] if checks else []
         assert run(argv + ["--out", str(tmp_path)]) == 0
-        # The k' = 4 pass and the block bases of (12,2) and (12,4) outlive
-        # (12,2,4), whose level (12,3,4) shares; the pass ends once (12,3,4)
-        # holds its channel result and the bases once it also holds its
-        # PROJECTORS result, both before its t = 2 rows.
-        assert held == [
-            (2, 1.0, 0, 0), (2, 2.0, 1, 2), (3, 1.0, 1, 2), (3, 2.0, 0, 0),
-            (1, 1.0, 0, 0), (1, 2.0, 0, 0),
+        assert len(held) == 3 * 2 * len(checks or bruteforce.CHECK_IDS)
+        for check_id, before, after in held:
+            if check_id in bruteforce._SCHEDULE_FREE:
+                assert before[1] == after[1] == 0, check_id
+            else:
+                assert before[0] == after[0] == 0, check_id
+        # After the sweep every bruteforce memo is empty.
+        assert not [
+            name for name, value in vars(bruteforce).items()
+            if hasattr(value, "cache_info") and value.cache_info().currsize
         ]
-        assert bruteforce._hatted_level_channels.cache_info().currsize == 0
-        assert bruteforce._level_bases.cache_info().currsize == 0
         # Only the n = 13 Johnson objects are left: (13,1), (13,2) and Phi_0, Phi_1.
         assert johnson.irrep_projectors.cache_info().currsize == 2
         assert johnson.transporter.cache_info().currsize == 2
