@@ -5,9 +5,14 @@ the overlap Gram matrix, the single-element membership differences, the four
 lift transformations that expand matrix entries by superposition
 vectors, and the superposition isometries V and V-hat, applied entrywise.
 ``verify`` runs one named check, building both sides explicitly and
-reporting the worst discrepancy.  ``sweep`` runs many instances' rows
-and alone decides when each memo ends: per n, every cutoff row, then
-every schedule-free row, with the memos emptied after each phase.
+reporting the worst discrepancy; ``_CHECKS`` is the one table of what
+each check is.  ``sweep`` runs many instances' rows.
+
+Memos: work that depends on one level only is memoised per level, the
+channel norms per instance and Gamma per (instance, t).  ``sweep`` alone
+ends them: per n, every cutoff row, then every schedule-free row, with
+the memos emptied after each phase.  A schedule-free row that missed no
+memo is reported ``memoised``.
 
 V_DECOMP and PHI_COMMUTE read the channel transporters Xi in block
 coordinates (``_level_channels``), one row block at a time in chunks
@@ -17,8 +22,7 @@ must vanish, with no eigensolve, decides each.
 ``build_xi`` forms one Xi at full size with the same split; the tests
 gate the block pass against it, and the benchmark tracer wraps it by name.
 
-Work the symmetry makes identical is done once.  Gamma is assembled once
-per (instance, t) for the six checks that read it.  DELTA_MEMB takes the
+Work the symmetry makes identical is done once.  DELTA_MEMB takes the
 norm at element n alone and certifies every other element i by how far
 Gamma moves under the transposition (i n).  One eigh of sum_j j E_j per
 level gives the block bases that both the channel pass and PROJECTORS
@@ -36,6 +40,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -65,38 +70,6 @@ class LiftKind(enum.Enum):
     COL_PSI_STAR = "col-psi-star"
 
 
-CHECK_IDS = (
-    "PSI_COEFFS",
-    "DELTA_GEN",
-    "DELTA_REFL",
-    "DELTA_MEMB",
-    "V_DECOMP",
-    "PHI_COMMUTE",
-    "TABLES",
-    "PROJECTORS",
-    "NORM_GAMMA",
-    "PSI_POWER",
-)
-
-CHECK_DESCRIPTIONS = {
-    "PSI_COEFFS": "transporter coefficients of the Gram-Hadamard product match the four-term recurrence",
-    "DELTA_GEN": "state-generation difference norms match the max vector-norm formulas",
-    "DELTA_REFL": "reflection difference norm matches the max 4x4 rank-two norm formula",
-    "DELTA_MEMB": "membership difference norm matches the two-branch formula, identically in the singled-out element",
-    "V_DECOMP": "the superposition isometry decomposes over the four transporter channels",
-    "PHI_COMMUTE": "level transporters commute with the channel transporters, signs included",
-    "TABLES": "closed-form basis-change tables are orthogonal and match the constructed reference vectors",
-    "PROJECTORS": "block projectors form a complete orthogonal idempotent family with the predicted ranks",
-    "NORM_GAMMA": "the assembled certificate matrix has spectral norm equal to its top weight",
-    "PSI_POWER": "the entrywise Gram power keeps the certificate norm above the overlap bound",
-}
-
-# Checks whose value does not depend on the schedule.  The instance memo
-# keeps each one's results under its check function, so sweeps over t do
-# not redo the heavy algebra.  Their check functions return results keyed
-# by check id: one channel pass serves both V_DECOMP and PHI_COMMUTE.
-_SCHEDULE_FREE = {"V_DECOMP", "PHI_COMMUTE", "TABLES", "PROJECTORS"}
-
 # Channel labels (ell, m): ground-space component ell tensor block shift m.
 XI_CHANNELS = ((1, -1), (0, 0), (1, 0), (1, 1))
 
@@ -117,7 +90,7 @@ class DiscrepancyReport:
     tolerance: float
     passed: bool
     wall_ms: float
-    memoised: bool  # served from the instance memo; wall_ms is only the lookup
+    memoised: bool  # schedule-free and missed no memo: wall_ms was only lookups
     details: dict = field(default_factory=dict)
 
 
@@ -215,17 +188,6 @@ def check_instance(inst: ProblemInstance) -> None:
         )
 
 
-@lru_cache(maxsize=8)
-def _instance_memo(inst: ProblemInstance) -> dict:
-    """Schedule-free check results of one instance, keyed by check function.
-
-    Rejects an instance the explicit checks cannot take before anything
-    is allocated.
-    """
-    check_instance(inst)
-    return {}
-
-
 def _xi_is_declared_zero(j: int, ell: int, m: int, level_max: int) -> bool:
     if j < 0 or j > level_max or j + m < 0 or j + m > level_max:
         return True
@@ -290,8 +252,8 @@ def _channel_normaliser(scale: float, j: int, ell: int, m: int, hatted: bool) ->
 
 
 # ---------------------------------------------------------------------------
-# Individual checks.  Each returns (closed, brute, discrepancy, details,
-# tolerance_kind) where tolerance_kind is "norm" or "exact".
+# Individual checks.  Each returns one row (closed, brute, discrepancy,
+# details); its ``_CHECKS`` entry says which tolerance holds it.
 # ---------------------------------------------------------------------------
 
 
@@ -314,7 +276,7 @@ def _check_psi_coeffs(inst: ProblemInstance, t: float, ell: int):
     brute = np.array(brute)
     gaps = np.abs(brute - closed)
     worst = int(np.argmax(gaps))
-    return float(closed[worst]), float(brute[worst]), float(gaps[worst]), {}, "norm"
+    return float(closed[worst]), float(brute[worst]), float(gaps[worst]), {}
 
 
 def _check_delta_gen(inst: ProblemInstance, t: float, ell: int):
@@ -324,13 +286,7 @@ def _check_delta_gen(inst: ProblemInstance, t: float, ell: int):
     brute_rev = _lift_difference_norm(gamma, LiftKind.ROW_PSI_STAR, LiftKind.COL_PSI_STAR, inst)
     gaps = (abs(brute_fwd - closed[0]), abs(brute_rev - closed[1]))
     side = int(np.argmax(gaps))
-    return (
-        float(closed[side]),
-        float((brute_fwd, brute_rev)[side]),
-        float(max(gaps)),
-        {},
-        "norm",
-    )
+    return float(closed[side]), float((brute_fwd, brute_rev)[side]), float(max(gaps)), {}
 
 
 def _lift_difference_norm(
@@ -359,7 +315,7 @@ def _lift_difference_norm(
 def _check_delta_refl(inst: ProblemInstance, t: float, ell: int):
     closed = adversary.norm_delta_reflection(adversary.gamma_schedule(t, inst.k), inst)
     brute, residual = _reflection_lift_norm(inst, _adversary_matrix(inst, t))
-    return closed, brute, abs(brute - closed), {"structure_residual": residual}, "norm"
+    return closed, brute, abs(brute - closed), {"structure_residual": residual}
 
 
 def _reflection_remainder_grams(
@@ -426,7 +382,7 @@ def _check_delta_memb(inst: ProblemInstance, t: float, ell: int):
     per_n, gaps = _membership_norm(inst, _adversary_matrix(inst, t))
     moved = float(gaps.max())
     details = {"spread_over_i": 2.0 * moved}
-    return closed, per_n, abs(per_n - closed) + moved, details, "norm"
+    return closed, per_n, abs(per_n - closed) + moved, details
 
 
 def _element_sides(masks: np.ndarray, n: int) -> list:
@@ -554,7 +510,7 @@ def _level_channels(n: int, level: int, hatted: bool):
     subsets that hold i; the others have psi_x[i] = 0.  The Pi_0
     coordinate is kept for the whole row block, d_r x N.  Returns the
     block bases, the normalised channel cores K/||K|| that
-    ``_check_channels`` reads, read-only and keyed by (j, ell, m) with
+    ``_channel_norms`` reads, read-only and keyed by (j, ell, m) with
     rows (a, i) as in ``_kron_apply`` (every core of level k; on level k'
     those with j, j + m < k', which any k < k' reads) and ||R||_F.
     """
@@ -629,20 +585,25 @@ def _hatted_level_channels(n: int, level: int):
     return _level_channels(n, level, hatted=True)
 
 
+def _memos() -> list:
+    """Every lru-cached function of this module, so a memo added here is found as well."""
+    return [value for value in list(globals().values()) if hasattr(value, "cache_info")]
+
+
 def clear_memos() -> None:
-    """Empty every memo of this module.
-
-    That is the instance memos, the per-level memos under them, and the
-    superposition rows and overlap matrices: every lru-cached function,
-    so a memo added here is cleared as well.
-    """
-    for value in list(globals().values()):
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
+    """Empty every memo of this module; ``sweep`` calls it after each phase."""
+    for memo in _memos():
+        memo.cache_clear()
 
 
-def _check_channels(inst: ProblemInstance, t: float, ell: int):
-    """V_DECOMP and PHI_COMMUTE from one pass in block coordinates per level.
+def _memo_misses() -> int:
+    """The misses of every memo of this module so far, summed."""
+    return sum(memo.cache_info().misses for memo in _memos())
+
+
+@lru_cache(maxsize=1)
+def _channel_norms(inst: ProblemInstance) -> tuple[float, float]:
+    """V_DECOMP's and PHI_COMMUTE's values from one pass in block coordinates per level.
 
     Each value is a Frobenius norm of something that must vanish, and
     bounds its spectral norm; no eigensolve runs.  V_DECOMP is
@@ -656,7 +617,6 @@ def _check_channels(inst: ProblemInstance, t: float, ell: int):
     # The larger k' pass first, so that the k pass's result does not sit under its peak.
     bases_hat, channels_hat, residual_hat = _hatted_level_channels(inst.n, inst.k_prime)
     bases, channels, residual = _level_channels(inst.n, inst.k, hatted=False)
-    residual = max(residual, residual_hat)
     s = [
         q.T @ johnson.transporter(inst.n, inst.k, inst.k_prime, j) @ q_hat
         for j, (q, q_hat) in enumerate(zip(bases, bases_hat))
@@ -665,10 +625,17 @@ def _check_channels(inst: ProblemInstance, t: float, ell: int):
     for (j, el, m), xi in channels.items():
         moved = _kron_apply(s[j + m], channels_hat[j, el, m], inst.n if el else 1)
         worst = max(worst, float(np.linalg.norm(moved - xi @ s[j])))
-    return {
-        "V_DECOMP": (0.0, residual, residual, {}, "norm"),
-        "PHI_COMMUTE": (0.0, worst, worst, {}, "norm"),
-    }
+    return max(residual, residual_hat), worst
+
+
+def _check_v_decomp(inst: ProblemInstance, t: float, ell: int):
+    residual = _channel_norms(inst)[0]
+    return 0.0, residual, residual, {}
+
+
+def _check_phi_commute(inst: ProblemInstance, t: float, ell: int):
+    worst = _channel_norms(inst)[1]
+    return 0.0, worst, worst, {}
 
 
 def _table_vector_gaps(n: int, k: int, j: int) -> float:
@@ -709,7 +676,7 @@ def _level_table_gap(n: int, level: int) -> float:
 
 def _check_tables(inst: ProblemInstance, t: float, ell: int):
     gap = max(_level_table_gap(inst.n, level) for level in (inst.k, inst.k_prime))
-    return {"TABLES": (0.0, gap, gap, {}, "exact")}
+    return 0.0, gap, gap, {}
 
 
 @lru_cache(maxsize=8)
@@ -749,42 +716,60 @@ def _check_projectors(inst: ProblemInstance, t: float, ell: int):
     # gap of at least 1 lies above TOL_EXACT.
     if not (ok_x and ok_y):
         gap = max(gap, 1.0)
-    return {"PROJECTORS": (0.0, gap, gap, details, "exact")}
+    return 0.0, gap, gap, details
 
 
 def _check_norm_gamma(inst: ProblemInstance, t: float, ell: int):
     closed = float(np.max(np.abs(adversary.gamma_schedule(t, inst.k))))
     brute = linalg.spectral_norm(_adversary_matrix(inst, t))
-    return closed, brute, abs(brute - closed), {}, "norm"
+    return closed, brute, abs(brute - closed), {}
 
 
 def _check_psi_power(inst: ProblemInstance, t: float, ell: int):
     bound = adversary.psi_power_lower_bound(inst, t, ell)
     brute = linalg.spectral_norm(_adversary_matrix(inst, t) * psi_gram(inst) ** ell)
     shortfall = max(0.0, bound - brute)
-    return bound, brute, shortfall, {}, "norm"
+    return bound, brute, shortfall, {}
 
 
-# A detail each of these checks reports, held to TOL_EXACT on top of the
-# discrepancy: DELTA_MEMB's bound on the spread over the singled-out
-# element and DELTA_REFL's structure residual relative to its Gram scalars.
-_DETAIL_BOUNDS = {
-    "DELTA_MEMB": "spread_over_i",
-    "DELTA_REFL": "structure_residual",
+class _Check(NamedTuple):
+    """What one check is: ``verify`` and ``sweep`` read nothing else about it."""
+
+    run: Callable  # (inst, t, ell) -> (closed, brute, discrepancy, details)
+    tolerance: str  # "norm" (TOL_NORM, eigensolver-limited) or "exact" (TOL_EXACT)
+    reads_schedule: bool  # False: the row is the same at every t
+    bounded_detail: str | None  # a detail also held to TOL_EXACT
+    description: str
+
+
+# DELTA_MEMB bounds the spread over the singled-out element and DELTA_REFL
+# its structure residual relative to its Gram scalars, on top of the gap.
+_CHECKS = {
+    "PSI_COEFFS": _Check(_check_psi_coeffs, "norm", True, None,
+        "transporter coefficients of the Gram-Hadamard product match the four-term recurrence"),
+    "DELTA_GEN": _Check(_check_delta_gen, "norm", True, None,
+        "state-generation difference norms match the max vector-norm formulas"),
+    "DELTA_REFL": _Check(_check_delta_refl, "norm", True, "structure_residual",
+        "reflection difference norm matches the max 4x4 rank-two norm formula"),
+    "DELTA_MEMB": _Check(_check_delta_memb, "norm", True, "spread_over_i",
+        "membership difference norm matches the two-branch formula, "
+        "identically in the singled-out element"),
+    "V_DECOMP": _Check(_check_v_decomp, "norm", False, None,
+        "the superposition isometry decomposes over the four transporter channels"),
+    "PHI_COMMUTE": _Check(_check_phi_commute, "norm", False, None,
+        "level transporters commute with the channel transporters, signs included"),
+    "TABLES": _Check(_check_tables, "exact", False, None,
+        "closed-form basis-change tables are orthogonal and match the constructed reference vectors"),
+    "PROJECTORS": _Check(_check_projectors, "exact", False, None,
+        "block projectors form a complete orthogonal idempotent family with the predicted ranks"),
+    "NORM_GAMMA": _Check(_check_norm_gamma, "norm", True, None,
+        "the assembled certificate matrix has spectral norm equal to its top weight"),
+    "PSI_POWER": _Check(_check_psi_power, "norm", True, None,
+        "the entrywise Gram power keeps the certificate norm above the overlap bound"),
 }
-
-_CHECK_FUNCS = {
-    "PSI_COEFFS": _check_psi_coeffs,
-    "DELTA_GEN": _check_delta_gen,
-    "DELTA_REFL": _check_delta_refl,
-    "DELTA_MEMB": _check_delta_memb,
-    "V_DECOMP": _check_channels,
-    "PHI_COMMUTE": _check_channels,
-    "TABLES": _check_tables,
-    "PROJECTORS": _check_projectors,
-    "NORM_GAMMA": _check_norm_gamma,
-    "PSI_POWER": _check_psi_power,
-}
+CHECK_IDS = tuple(_CHECKS)
+CHECK_DESCRIPTIONS = {check_id: check.description for check_id, check in _CHECKS.items()}
+_SCHEDULE_FREE = frozenset(cid for cid, check in _CHECKS.items() if not check.reads_schedule)
 
 
 def verify(
@@ -796,36 +781,26 @@ def verify(
     """Run one cross-check, building both sides explicitly.
 
     PSI_POWER reads ``ell`` (and requires t >= 2 ell); the schedule-free
-    checks ignore ``t`` and are memoised per instance.  A report served
-    from that memo has ``memoised`` set, and its ``wall_ms`` covers only
-    the lookup; the first report for the instance paid the cost.  V_DECOMP
-    and PHI_COMMUTE share one channel pass, so whichever runs first pays
-    for both.  Below the instance memo, the work that depends on one level
-    only is memoised per level, and Gamma per (instance, t); ``sweep``
-    decides when each memo ends.  The report's ``discrepancy`` is the
-    worst gap found, or for DELTA_MEMB a bound on it.  A row also needs
-    one detail within TOL_EXACT (``_DETAIL_BOUNDS``): a bound on the
-    spread of DELTA_MEMB's per-element values and DELTA_REFL's relative
-    structure residual.  Both tolerances are read at call time.
+    checks ignore ``t``.  The report's ``discrepancy`` is the worst gap
+    found, or for DELTA_MEMB a bound on it.  DELTA_MEMB and DELTA_REFL
+    also need their ``bounded_detail`` within TOL_EXACT.  Both tolerances
+    are read at call time.  A schedule-free row that missed no memo (see
+    the module docstring) is ``memoised``: its ``wall_ms`` was only
+    lookups, and an earlier row paid the cost.
     """
-    if check_id not in _CHECK_FUNCS:
+    if check_id not in _CHECKS:
         raise ValueError(f"unknown check id {check_id!r}; known: {CHECK_IDS}")
-    memo = _instance_memo(inst)
-    check = _CHECK_FUNCS[check_id]
-    schedule_free = check_id in _SCHEDULE_FREE
-    memoised = schedule_free and check in memo
+    check_instance(inst)
+    check = _CHECKS[check_id]
+    misses = None if check.reads_schedule else _memo_misses()
     start = time.perf_counter()
-    if schedule_free:
-        if not memoised:
-            memo[check] = check(inst, t, ell)
-        closed, brute, gap, details, kind = memo[check][check_id]
-    else:
-        closed, brute, gap, details, kind = check(inst, t, ell)
+    closed, brute, gap, details = check.run(inst, t, ell)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    tolerance = TOL_NORM if kind == "norm" else TOL_EXACT
+    memoised = misses is not None and _memo_misses() == misses
+    tolerance = TOL_NORM if check.tolerance == "norm" else TOL_EXACT
     passed = gap <= tolerance
-    if check_id in _DETAIL_BOUNDS:
-        passed = passed and details[_DETAIL_BOUNDS[check_id]] <= TOL_EXACT
+    if check.bounded_detail is not None:
+        passed = passed and details[check.bounded_detail] <= TOL_EXACT
     return DiscrepancyReport(
         check_id=check_id,
         n=inst.n,
@@ -853,7 +828,7 @@ def sweep(instances, t_values, checks) -> list[DiscrepancyReport]:
     rows, then all its schedule-free rows, and ``clear_memos`` ends each
     phase: no level memo lies under a cutoff row's peak and no Gamma under
     a schedule-free row's.  Inside a phase each instance runs t-major, so
-    the instance memo serves t >= 2.  PSI_POWER runs at ell = floor(t / 2).
+    its memos serve t >= 2.  PSI_POWER runs at ell = floor(t / 2).
     """
     for inst in instances:
         check_instance(inst)

@@ -1,9 +1,10 @@
 """Command-line front end: verification sweeps, bound reports, simulations.
 
 Exit-code contract: 0 all good, 1 at least one cross-check failed,
-2 usage error.  Output files are deterministic given (flags, seed): the
-per-check millis column is zeroed unless --timing is passed (wall time
-is inherently nondeterministic), and all floats use a fixed format.
+2 usage error.  Output files are deterministic for given flags, seed and
+BLAS configuration: the per-check millis column is zeroed unless --timing
+is passed (wall time is inherently nondeterministic), and all floats use
+a fixed format.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ def _fmt_bool(x: bool) -> str:
 
 
 def _parse_instance(text: str) -> ProblemInstance:
-    parts = [p for p in text.replace(" ", "").split(",") if p]
-    if len(parts) != 3:
+    parts = text.replace(" ", "").split(",")
+    if len(parts) != 3 or not all(parts):
         raise ValueError(f"instance must be n,k,k_prime, got {text!r}")
     n, k, k_prime = (int(p) for p in parts)
     return ProblemInstance(n=n, k=k, k_prime=k_prime)

@@ -232,10 +232,10 @@ class TestChannelPass:
 
     @pytest.mark.parametrize("inst", DEFAULT, ids=_instance_id)
     def test_matches_dense_on_default_instances(self, inst):
-        got = bruteforce._check_channels(inst, 1.0, 0)
+        got = dict(zip(("V_DECOMP", "PHI_COMMUTE"), bruteforce._channel_norms(inst)))
         dense = dense_reference.channel_checks(inst)
         for check in ("V_DECOMP", "PHI_COMMUTE"):
-            assert abs(got[check][1] - dense[check]) <= 1e-12, check
+            assert abs(got[check] - dense[check]) <= 1e-12, check
 
     @pytest.mark.parametrize("scaled", ["one", "all"])
     def test_residual_norm_matches_dense_under_a_planted_coefficient_error(
@@ -253,7 +253,7 @@ class TestChannelPass:
             "all": 0.01 * math.sqrt(math.comb(INST.n, INST.k_prime)),
         }[scaled]
         _plant_coefficient_error(monkeypatch, scaled)
-        got = bruteforce._check_channels(INST, 1.0, 0)["V_DECOMP"][1]
+        got = bruteforce._check_v_decomp(INST, 1.0, 0)[1]
         dense = dense_reference.channel_checks(INST)["V_DECOMP"]
         assert got == pytest.approx(want)
         assert abs(got - dense) <= 1e-12
@@ -333,10 +333,9 @@ class TestBlockReadouts:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
         inst = ProblemInstance(12, 3, 4)
-        result = bruteforce._check_channels(inst, 1.0, 0)
-        assert result["V_DECOMP"][1] <= bruteforce.TOL_NORM
-        assert result["PHI_COMMUTE"][1] <= bruteforce.TOL_NORM
-        _, _, gap, details, _ = bruteforce._check_delta_refl(inst, 2.0, 0)
+        assert bruteforce._check_v_decomp(inst, 1.0, 0)[1] <= bruteforce.TOL_NORM
+        assert bruteforce._check_phi_commute(inst, 1.0, 0)[1] <= bruteforce.TOL_NORM
+        _, _, gap, details = bruteforce._check_delta_refl(inst, 2.0, 0)
         assert gap <= bruteforce.TOL_NORM
         assert details["structure_residual"] <= bruteforce.TOL_EXACT
 
@@ -411,7 +410,7 @@ class TestLevelMemos:
     """A defect planted after a clean run on the same level still fails.
 
     ``bruteforce.clear_memos``, which every test that plants a defect
-    calls, empties the per-level memos as well as the instance memo.
+    calls, empties the per-level and per-instance memos.
     """
 
     @pytest.fixture(autouse=True)
@@ -579,7 +578,7 @@ class TestPeakMemory:
             bruteforce.psi_matrix(inst.n, level)
 
     def test_channel_pass(self):
-        assert _traced_peak(lambda: bruteforce._check_channels(self.INST, 1.0, 0)) <= 37e6
+        assert _traced_peak(lambda: bruteforce._channel_norms(self.INST)) <= 37e6
 
     def test_delta_gen(self):
         assert _traced_peak(lambda: bruteforce._check_delta_gen(self.INST, 2.0, 0)) <= 27e6

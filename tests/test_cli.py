@@ -51,6 +51,43 @@ def test_python_m_entry_point(tmp_path):
         assert (tmp_path / module / "simulate_coupon.json").exists()
 
 
+# OpenBLAS reads the first of these that is set.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def test_blas_threads_move_no_pass_or_closed_form(tmp_path):
+    # One BLAS thread and the default write the same pass and closed_form
+    # columns; only brute_force and discrepancy may move, at round-off level.
+    # DELTA_GEN and PSI_COEFFS pick their closed form by the larger of two
+    # round-off gaps, so their closed_form cells are left out.
+    src = Path(__file__).resolve().parents[1] / "src"
+    header = cli.VERIFY_CSV_HEADER.split(",")
+    written = []
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+        env["PYTHONPATH"] = str(src)
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"threads-{threads or 'default'}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "countbench", "verify", "--instance", "8,2,3",
+             "--instance", "12,3,4", "--t", "1", "--t", "2", "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = [dict(zip(header, line.split(",")))
+                for line in (out / "verify.csv").read_text().splitlines()[1:]]
+        written.append([
+            (row["check_id"], row["n"], row["k"], row["k_prime"], row["t"], row["pass"],
+             None if row["check_id"] in ("DELTA_GEN", "PSI_COEFFS") else row["closed_form"])
+            for row in rows
+        ])
+    assert len(written[0]) == 2 * 2 * len(bruteforce.CHECK_IDS)
+    assert written[0] == written[1]
+
+
 class TestVerifyCommand:
     def test_single_instance_passes(self, tmp_path):
         out = tmp_path / "reports"
@@ -75,9 +112,12 @@ class TestVerifyCommand:
         code = run(["verify", "--instance", "", "--out", str(tmp_path / "r")])
         assert code == 2
 
-    def test_bad_instance_is_usage_error(self, tmp_path):
-        code = run(["verify", "--instance", "6,1", "--out", str(tmp_path / "r")])
+    @pytest.mark.parametrize("bad", ["6,1", "8,,2,3", ",8,2,3", "8,2,3,"])
+    def test_bad_instance_is_usage_error(self, tmp_path, bad):
+        # An empty field is rejected, not dropped, before --out is created.
+        code = run(["verify", "--instance", bad, "--out", str(tmp_path / "r")])
         assert code == 2
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("t", ["inf", "-inf", "nan"])
     def test_non_finite_cutoff_is_usage_error(self, tmp_path, capsys, t):
@@ -283,7 +323,8 @@ class TestLevelMajorSweep:
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(adversary, "adversary_matrix", counting_gamma)
-        assert run(["verify", *_instance_flags(SCRAMBLED), "--out", str(tmp_path)]) == 0
+        argv = ["verify", *_instance_flags(SCRAMBLED), "--timing", "--out", str(tmp_path)]
+        assert run(argv) == 0
         assert passes[12, 4, True] == 1
         assert family_gaps[12, 4] == 1 and family_gaps[10, 3] == 1
         # Every level's pass, gaps and block bases ran once, and no other did:
@@ -300,6 +341,28 @@ class TestLevelMajorSweep:
             (n, k_prime, True) for n, _, k_prime in SCRAMBLED
         }
         assert set(passes.values()) == {1}
+        # The schedule-free rows that missed no memo: all four at t = 2 and 3,
+        # and PHI_COMMUTE, which reads V_DECOMP's channel norms, at t = 1.
+        memoised = json.loads((tmp_path / "verify.json").read_text())["memoised"]
+        served = [("PHI_COMMUTE", 1.0)] + [
+            (check, t)
+            for check in ("V_DECOMP", "PHI_COMMUTE", "TABLES", "PROJECTORS")
+            for t in (2.0, 3.0)
+        ]
+        assert len(memoised) == 72 and sorted(memoised) == sorted(
+            [check, *triple, t, 0] for triple in SCRAMBLED for check, t in served
+        )
+
+    def test_a_row_whose_levels_are_both_done_is_memoised(self, tmp_path):
+        # (12,3,4) shares the (12,3) level with (12,2,3) and the (12,4) level
+        # with (12,2,4), so its TABLES and PROJECTORS rows miss no memo, even
+        # at the first cutoff.
+        triples = ((12, 2, 3), (12, 2, 4), (12, 3, 4))
+        argv = ["verify", *_instance_flags(triples), "--checks", "TABLES", "PROJECTORS",
+                "--t", "1", "--timing", "--out", str(tmp_path)]
+        assert run(argv) == 0
+        memoised = json.loads((tmp_path / "verify.json").read_text())["memoised"]
+        assert sorted(memoised) == [[check, 12, 3, 4, 1.0, 0] for check in ("PROJECTORS", "TABLES")]
 
     @pytest.mark.parametrize(
         "checks", [None, ("V_DECOMP", "DELTA_GEN")], ids=["default", "no-PROJECTORS"]
