@@ -15,10 +15,10 @@ the memos emptied after each phase.  A schedule-free row that missed no
 memo is reported ``memoised``.
 
 V_DECOMP and PHI_COMMUTE read the channel transporters Xi in block
-coordinates (``_level_channels``), one row block at a time in chunks
-of columns, splitting the ground axis into the uniform direction (Pi_0,
-the mean over i) and its complement (Pi_1); a Frobenius norm of what
-must vanish, with no eigensolve, decides each.
+coordinates (``_level_channels``), one ground element i at a time,
+splitting the ground axis into the uniform direction (Pi_0, the mean
+slot, formed once) and its complement (Pi_1, each slot less the mean);
+a Frobenius norm of what must vanish, with no eigensolve, decides each.
 ``build_xi`` forms one Xi at full size with the same split; the tests
 gate the block pass against it, and the benchmark tracer wraps it by name.
 
@@ -493,86 +493,81 @@ def _level_channels(n: int, level: int, hatted: bool):
     V Q_j.  This change of basis is an isometry, so the residual
     R = V - sum c Xi keeps its norms: each non-border channel core is
     scaled by f = 1 - c/||K||, every other core is left as it is (f = 1).
-
     By Schur's lemma, K^T K is a scalar on column block j, so the
     normaliser is ||K|| = ||K||_F / sqrt(d_j) (``_channel_normaliser``),
-    read off squared Frobenius norms of the cores, summed per column of
-    Q_all as the pass forms them; no Gram and no eigensolve.  The
-    residual's norm is ||R||_F, the square root of the sum of
-    f^2 ||K_{r,ell,j}||_F^2 over all cores; it bounds ||R|| with no
+    with no K^T K and no eigensolve.  ||R||_F, the square root of the sum
+    of f^2 ||K_{r,ell,j}||_F^2 over all cores, bounds ||R|| with no
     structure assumption, and R must vanish.
 
-    The pass runs one row block r at a time, and each row block in
-    chunks of w columns of Q_r, with w = N // n for N subsets, so a
-    chunk's n x w x N buffer is no larger than an N x N matrix.  Row (x, i)
-    of V holds psi_x[i] in column x, so ground coordinate i of a chunk
-    Q_c of Q_r is (psi[S_i, i] o Q_c[S_i])^T Q_all[S_i], with S_i the
-    subsets that hold i; the others have psi_x[i] = 0.  The Pi_0
-    coordinate is kept for the whole row block, d_r x N.  Returns the
-    block bases, the normalised channel cores K/||K|| that
-    ``_channel_norms`` reads, read-only and keyed by (j, ell, m) with
-    rows (a, i) as in ``_kron_apply`` (every core of level k; on level k'
-    those with j, j + m < k', which any k < k' reads) and ||R||_F.
+    Row (x, i) of V holds psi_x[i] in column x, so ground coordinate i of
+    V in the block bases is the N x N slot A_i = X_i^T X_i, with X_i the
+    rows Q_all[S_i] of the subsets S_i that hold i, each scaled by
+    sqrt(psi_x[i]).  The mean slot M = Q_all^T diag(sum_i psi[:, i] / n)
+    Q_all is formed once: sqrt(n) M is the Pi_0 coordinate and A_i - M the
+    Pi_1 part of slot i.  Each slot is one symmetric product (BLAS syrk)
+    in one reused N x N buffer, which yields slot i of every kept Pi_1
+    core and the slot's squared (r, j) block sums.  Returns the block
+    bases, the normalised cores K/||K|| that ``_channel_norms`` reads,
+    read-only and keyed by (j, ell, m) with rows (a, i) as in
+    ``_kron_apply`` (every core of level k; on level k' those with
+    j, j + m < k', which any k < k' reads) and ||R||_F.
     """
     coeffs = adversary.phi_components(n, level, np.arange(level + 1))
     q_all, edges = _level_bases(n, level)
     dims = np.diff(edges)
     psi = psi_matrix(n, level)
-    size = len(psi)
-    members = [np.flatnonzero(psi[:, i]) for i in range(n)]
     blocks = [slice(edges[j], edges[j + 1]) for j in range(level + 1)]
-    width = max(1, size // n)
+
+    def block_sums(a):
+        return np.add.reduceat(np.add.reduceat(a, edges[:-1], axis=0), edges[:-1], axis=1)
+
     # Level k' keeps the cores with j, j + m < k', the ones any k < k' reads.
     top = level if hatted else level + 1
-    # The residual's squared Frobenius norm.
-    residual = 0.0
+    # The kept cores, rows (a, i) (one Pi_0 row per a), allocated before the
+    # N x N buffers, so that those are freed at the top of the heap.
+    cores = {
+        (j, el, m): np.empty((dims[j + m], n if el else 1, dims[j]))
+        for el, m in XI_CHANNELS
+        for j in range(level + 1)
+        if not _xi_is_declared_zero(j, el, m, level) and max(j, j + m) < top
+    }
+    # One N x N buffer: the rows of the mean slot M, then M squared, then each slot.
+    slot = q_all * np.sqrt(psi.sum(axis=1) / n)[:, None]
+    mean = slot.T @ slot
+    # squares[ell, r, j] is ||K_{r,ell,j}||_F^2; the Pi_0 coordinate is sqrt(n) M.
+    squares = np.zeros((2, level + 1, level + 1))
+    squares[0] = n * block_sums(np.square(mean, out=slot))
+    for (j, el, m), core in cores.items():
+        if not el:
+            np.multiply(mean[blocks[j], blocks[j]], math.sqrt(n), out=core[:, 0])
+    for i in range(n):
+        s_i = np.flatnonzero(psi[:, i])
+        rows = q_all[s_i]
+        rows *= np.sqrt(psi[s_i, i, None])
+        np.matmul(rows.T, rows, out=slot)
+        # Dropped before the next element's gather is allocated.
+        del rows
+        slot -= mean
+        for (j, el, m), core in cores.items():
+            if el:
+                core[:, i] = slot[blocks[j + m], blocks[j]]
+        squares[1] += block_sums(np.square(slot, out=slot))
+    factor = np.ones_like(squares)
     channels = {}
-    for r, rows in enumerate(blocks):
-        d_r = rows.stop - rows.start
-        # The Pi_0 coordinate of the whole row block, no larger than N x N.
-        pi0 = np.empty((d_r, size))
-        # The Pi_1 cores this row block keeps, filled chunk by chunk.
-        cores = {
-            (r - m, 1, m): np.empty((d_r, n, edges[r - m + 1] - edges[r - m]))
-            for el, m in XI_CHANNELS
-            if el and not _xi_is_declared_zero(r - m, el, m, level) and max(r - m, r) < top
-        }
-        # The Pi_1 slots' squared entries, summed per column of Q_all.
-        pi1_squares = np.zeros(size)
-        for lo in range(0, d_r, width):
-            at = slice(lo, min(lo + width, d_r))
-            q_c = q_all[:, rows][:, at]
-            # Ground coordinate i, then its Pi_1 part.
-            part = np.empty((n, q_c.shape[1], size))
-            for i, s_i in enumerate(members):
-                np.matmul((psi[s_i, i, None] * q_c[s_i]).T, q_all[s_i], out=part[i])
-            np.sum(part, axis=0, out=pi0[at])
-            part -= pi0[at] / n
-            for (j, el, m), core in cores.items():
-                core[at] = part[:, :, blocks[j]].swapaxes(0, 1)
-            np.square(part, out=part)
-            pi1_squares += part.sum(axis=(0, 1))
-            # Drop this chunk's buffer before the next one is allocated.
-            del part
-        pi0 /= math.sqrt(n)
-        pi0_squares = np.einsum("ac,ac->c", pi0, pi0)
-        for group, squares in enumerate((pi0_squares, pi1_squares)):
-            block_squares = np.add.reduceat(squares, edges[:-1])
-            factor = np.ones(level + 1)
-            for comp, (el, m) in enumerate(XI_CHANNELS):
-                j = r - m
-                if el != group or _xi_is_declared_zero(j, el, m, level):
-                    continue
-                norm = math.sqrt(block_squares[j] / dims[j])
-                scale = _channel_normaliser(norm, j, el, m, hatted)
-                if max(j, r) < top:
-                    core = cores[j, el, m] if el else pi0[:, blocks[j]].copy()
-                    core /= scale
-                    channels[j, el, m] = linalg.freeze(core.reshape(-1, core.shape[-1]))
-                factor[j] = 1.0 - coeffs[j, comp] / scale
-            residual += float(factor**2 @ block_squares)
-    bases = [q_all[:, rows] for rows in blocks]
-    return bases, channels, math.sqrt(residual)
+    for comp, (el, m) in enumerate(XI_CHANNELS):
+        for j in range(level + 1):
+            if _xi_is_declared_zero(j, el, m, level):
+                continue
+            r = j + m
+            norm = math.sqrt(squares[el, r, j] / dims[j])
+            scale = _channel_normaliser(norm, j, el, m, hatted)
+            if max(j, r) < top:
+                core = cores[j, el, m]
+                core /= scale
+                channels[j, el, m] = linalg.freeze(core.reshape(-1, dims[j]))
+            factor[el, r, j] = 1.0 - coeffs[j, comp] / scale
+    bases = [q_all[:, block] for block in blocks]
+    return bases, channels, math.sqrt(float(np.sum(factor**2 * squares)))
 
 
 @lru_cache(maxsize=1)
@@ -624,7 +619,8 @@ def _channel_norms(inst: ProblemInstance) -> tuple[float, float]:
     worst = 0.0
     for (j, el, m), xi in channels.items():
         moved = _kron_apply(s[j + m], channels_hat[j, el, m], inst.n if el else 1)
-        worst = max(worst, float(np.linalg.norm(moved - xi @ s[j])))
+        moved -= xi @ s[j]
+        worst = max(worst, float(np.linalg.norm(moved)))
     return max(residual, residual_hat), worst
 
 

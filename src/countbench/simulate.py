@@ -38,6 +38,9 @@ DECIDE_SMALL = "k"
 DECIDE_LARGE = "k_prime"
 # The phase grid resolves the two hypotheses' eigenphases this many times over.
 GRID_MARGIN = 2.0
+# Largest phase grid a run may ask for: its outcome distribution alone is
+# 128 MiB, and a larger one would fail inside numpy instead of by name.
+MAX_GRID_POINTS = 1 << 24
 
 
 @dataclass
@@ -262,11 +265,19 @@ def _sample_phase(theta: float, m_points: int, rng: np.random.Generator) -> int:
 
 
 def _grid_points(theta_a: float, theta_b: float) -> int:
-    """Smallest grid size resolving the two eigenphases with GRID_MARGIN to spare."""
+    """Smallest grid size resolving the two eigenphases with GRID_MARGIN to spare.
+
+    A grid above MAX_GRID_POINTS raises before anything of its size is allocated.
+    """
     gap = 2.0 * abs(theta_b - theta_a)
     if gap <= 0.0:
         raise ValueError("hypotheses have identical phases")
-    return max(2, int(math.floor(GRID_MARGIN * 2.0 * math.pi / gap)) + 1)
+    points = math.floor(GRID_MARGIN * 2.0 * math.pi / gap) + 1
+    if points > MAX_GRID_POINTS:
+        raise ValueError(
+            f"phase grid of {points} points exceeds cap MAX_GRID_POINTS = {MAX_GRID_POINTS}"
+        )
+    return max(2, points)
 
 
 def _estimate_and_decide(

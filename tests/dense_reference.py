@@ -12,7 +12,9 @@ the block-coordinate channel pass of ``bruteforce`` is gated against.
 builder applies as a block mean and its remainder.
 ``channel_checks`` takes the Frobenius norms of the full-size residual
 and commutation differences, with no structure assumed, so it gates the
-package's sums of squares over the block cores.
+package's sums of squares over the block cores.  ``frobenius_residual``
+takes the residual of one level with the block pass's normalisers, which
+a non-equivariant superposition tells apart from the spectral ones.
 The rank-one lifts expand each entry of a matrix by the n-by-n block
 psi psi^T of one side's superposition vector.  The package never forms
 them, nor any other lifted array for DELTA_REFL: it reads the norm of
@@ -129,6 +131,28 @@ def isometry(inst, hatted: bool = False) -> np.ndarray:
     """The superposition isometry V (V-hat when hatted) as a dense matrix."""
     psi = bruteforce.psi_matrix(inst.n, inst.k_prime if hatted else inst.k)
     return bruteforce.lift(np.eye(len(psi)), bruteforce.LiftKind.ROW_PSI, psi)
+
+
+def frobenius_residual(inst, hatted: bool = False) -> float:
+    """||V - sum c Xi||_F on one level, each Xi normalised by ||raw||_F / sqrt(d_j).
+
+    That is the channel pass's normaliser, here applied to the full-size
+    raw channels of ``bruteforce._xi_raw``.  For an equivariant V it is
+    the spectral norm that ``build_xi`` divides by; for a planted,
+    non-equivariant superposition it is not, and this is the value the
+    block pass must still reproduce.
+    """
+    level = inst.k_prime if hatted else inst.k
+    coeffs = adversary.phi_components(inst.n, level, np.arange(level + 1))
+    residual = isometry(inst, hatted)
+    for j in range(level + 1):
+        for comp, (el, m) in enumerate(bruteforce.XI_CHANNELS):
+            if bruteforce._xi_is_declared_zero(j, el, m, level):
+                continue
+            raw = bruteforce._xi_raw(inst, j, el, m, hatted)
+            scale = np.linalg.norm(raw) / math.sqrt(johnson.block_dimension(inst.n, j))
+            residual -= coeffs[j, comp] / scale * raw
+    return float(np.linalg.norm(residual))
 
 
 def channel_checks(inst) -> dict:

@@ -307,25 +307,34 @@ class TestBlockReadouts:
         yield
         bruteforce.clear_memos()
 
-    def test_a_non_equivariant_defect_fails_v_decomp_on_the_frobenius_bound(self, monkeypatch):
-        # One perturbed superposition entry on the k' level of (10,3,4): the
-        # residual is not scalar on the Johnson blocks, and ||R||_F, which
-        # needs no structure, catches it.
+    @pytest.mark.parametrize("element", [0, 5, 9], ids=["first", "middle", "last"])
+    def test_a_non_equivariant_defect_fails_v_decomp_on_the_frobenius_bound(
+        self, monkeypatch, element
+    ):
+        # One perturbed superposition entry on the k' level of (10,3,4), in
+        # the first row that holds ``element``: the residual is not scalar
+        # on the Johnson blocks, and ||R||_F, which needs no structure,
+        # catches it.  The value must be the full-size residual under the
+        # same normalisers, so a pass that skips or reuses the slot of the
+        # planted element fails.
         inst = ProblemInstance(10, 3, 4)
         original = bruteforce.psi_matrix
+        row = int(np.flatnonzero(original(inst.n, inst.k_prime)[:, element])[0])
 
         def planted(n, k):
             psi = original(n, k)
             if k != inst.k_prime:
                 return psi
             psi = psi.copy()
-            psi[0, 0] += 4e-8
+            psi[row, element] += 4e-8
             return psi
 
         monkeypatch.setattr(bruteforce, "psi_matrix", planted)
         report = bruteforce.verify("V_DECOMP", inst)
         assert report.discrepancy > 1.5 * bruteforce.TOL_NORM
         assert not report.passed
+        dense = dense_reference.frobenius_residual(inst, hatted=True)
+        assert abs(report.discrepancy - dense) <= 1e-12
 
     def test_runs_no_eigensolve(self, monkeypatch):
         def unreachable(*args, **kwargs):
@@ -561,8 +570,11 @@ class TestPeakMemory:
     The first two caps leave about 25% headroom over 30.5 MB for the
     channel pass, with a buffer for each whole row block, and 21.8 MB for
     DELTA_GEN with two whole lifted arrays.  Storing the whole residual
-    took 98 MB, and DELTA_GEN with a third lifted array 32 MB.  In chunks
-    and with one lifted array they measure 18.4 and 13.3 MB.
+    took 98 MB, and DELTA_GEN with a third lifted array 32 MB.  One ground
+    element's slot at a time, and with one lifted array, they measure 16.1
+    and 13.3 MB.  The channel pass read 18.4 MB both in chunks of columns
+    and one slot at a time while PHI_COMMUTE held each core difference
+    beside its two terms; it now subtracts in place.
     """
 
     INST = ProblemInstance(12, 3, 4)
@@ -588,9 +600,12 @@ class TestPeakMemory:
         assert _traced_peak(lambda: bruteforce._check_delta_gen(self.INST, 2.0, 0)) <= 16e6
 
     def test_channel_pass_in_chunks(self):
-        # The k' = 4 level alone: 10.2 MB in chunks of Q_r columns with no
-        # Gram; 16.1 MB with the three N x N slot-group and residual Grams,
-        # 25.7 MB with a 14.2 MB buffer for the whole row block r = 4.
+        # The k' = 4 level alone: 11.1 MB one ground element at a time, with
+        # the mean slot and one reused N x N slot buffer, and the gather of
+        # each element dropped before the next (11.7 MB kept).  10.2 MB in
+        # chunks of Q_r columns; 16.1 MB with the three N x N slot-group and
+        # residual Grams, 25.7 MB with a 14.2 MB buffer for the whole row
+        # block r = 4.
         inst = self.INST
         peak = _traced_peak(lambda: bruteforce._level_channels(inst.n, inst.k_prime, True))
         assert peak <= 12.8e6

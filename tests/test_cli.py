@@ -727,6 +727,20 @@ class TestSimulateCommand:
         assert not out.exists()
         assert "--eps" in capsys.readouterr().err
 
+    def test_oversized_phase_grid_is_usage_error(self, tmp_path, capsys):
+        # k/n = 1e-18 needs a grid of ~1.5e10 points, 113 GiB of outcome
+        # distribution: rejected by name before any of it is allocated.
+        out = tmp_path / "s"
+        code = run(
+            ["simulate", "qcount", "--n", "1000000000000000000", "--k", "1", "--eps", "1",
+             "--trials", "1", "--out", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+        message = capsys.readouterr().err
+        assert "15168951184 points" in message
+        assert str(simulate.MAX_GRID_POINTS) in message
+
     def test_every_procedure_runs_with_the_flags_it_reads(self, tmp_path):
         values = {"n": "4096", "budget": "300", "samples": "90", "copies": "500",
                   "ell": "16", "oracle": "reflections", "retries": "2"}

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from countbench import simulate
+from countbench import adversary, simulate
 from countbench.simulate import DECIDE_LARGE, DECIDE_SMALL
 
 
@@ -191,6 +191,14 @@ class TestPhaseEstimation:
         dist = simulate.phase_estimation_distribution(0.18652775043497855, 4278)
         assert float(dist.sum()) == pytest.approx(1.0, abs=1e-12)
 
+    def test_grid_cap_admits_its_own_size_and_rejects_one_more(self, monkeypatch):
+        points = simulate._grid_points(0.1, 0.1001)
+        monkeypatch.setattr(simulate, "MAX_GRID_POINTS", points)
+        assert simulate._grid_points(0.1, 0.1001) == points
+        monkeypatch.setattr(simulate, "MAX_GRID_POINTS", points - 1)
+        with pytest.raises(ValueError, match=f"{points} points exceeds cap"):
+            simulate._grid_points(0.1, 0.1001)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             simulate.phase_estimation_distribution(0.3, 1)
@@ -372,6 +380,70 @@ class TestDeterminismAndScaling:
             )
             actual.append(simulate.aggregate(outs)["mean_reflections"])
         assert abs(loglog_slope(predicted, actual) - 1.0) <= 0.15
+
+
+# The matching-algorithm table: each term of ``adversary.theorem_tradeoff``
+# that a quantum procedure is meant to meet, and every variable it names.
+# A row, keyed by the procedure, gives the term's path in the trade-off
+# dict, the ``aggregate`` tally that counts the procedure's calls, its
+# constant (the geometric mean of tally / term over every point of one run
+# with these grids, 200 trials and seed 1) and its sweeps: the variable,
+# its exponent in the term, the fixed parameters and the grid, each over
+# >= 2 decades and, for eps, at eps <= 1/8, past the pre-asymptotic asin
+# regime.
+MATCHING_TABLE = {
+    "qcount": (  # sqrt(n/k)/eps
+        "reflection_terms.sqrt_n_over_k_over_eps", "mean_reflections", 12.76,
+        [("n", 1 / 2, dict(k=64, eps=1 / 8), [2**10, 2**12, 2**14, 2**16, 2**18]),
+         ("k", -1 / 2, dict(n=2**20, eps=1 / 8), [8, 64, 512, 4096]),
+         ("eps", -1, dict(n=2**16, k=1024), [1 / 8, 1 / 32, 1 / 128, 1 / 512, 1 / 1024])],
+    ),
+    "subset": (  # sqrt(k/ell)/eps
+        "reflection_terms.sqrt_k_over_copies_over_eps", "mean_reflections", 13.17,
+        [("ell", -1 / 2, dict(n=2**16, k=2048, eps=1 / 8), [4, 16, 64, 256, 512]),
+         ("k", 1 / 2, dict(n=2**20, eps=1 / 8, ell=4), [64, 512, 4096, 16384]),
+         ("eps", -1, dict(n=2**20, k=4096, ell=16), [1 / 8, 1 / 32, 1 / 128, 1 / 512, 1 / 1024])],
+    ),
+    "sample-count": (  # k^(1/3)/eps^(2/3)
+        "state_generation_terms.k_third_over_eps_two_thirds", "mean_state_generation", 36.98,
+        [("k", 1 / 3, dict(n=2**22, eps=1 / 8), [64, 512, 4096, 32768, 2**18]),
+         ("eps", -2 / 3, dict(n=2**20, k=4096), [1 / 8, 1 / 32, 1 / 128, 1 / 512, 1 / 1024])],
+    ),
+    "bootstrap": (  # sqrt(k/eps)
+        "fifth_case_reflection", "mean_reflections", 14.26,
+        [("k", 1 / 2, dict(n=2**22, eps=1 / 8), [64, 512, 4096, 32768]),
+         ("eps", -1 / 2, dict(n=2**22, k=8192), [1 / 8, 1 / 32, 1 / 128, 1 / 512, 1 / 1024])],
+    ),
+}
+
+
+def tradeoff_term(path, params):
+    value = adversary.theorem_tradeoff(
+        params["n"], params["k"], params["eps"], params.get("ell", 0)
+    )
+    for key in path.split("."):
+        value = value[key]
+    return value
+
+
+class TestMatchingAlgorithmTable:
+    """Every trade-off term is met by a simulated procedure, exponent and constant."""
+
+    @pytest.mark.parametrize("procedure", list(MATCHING_TABLE))
+    def test_procedure_meets_its_term(self, procedure):
+        path, tally, constant, sweeps = MATCHING_TABLE[procedure]
+        for variable, exponent, fixed, grid in sweeps:
+            assert math.log10(max(grid) / min(grid)) >= 2.0
+            tallies = []
+            for value in grid:
+                params = dict(fixed, **{variable: value})
+                outs = simulate.run_batch(procedure, params, 200, 1)
+                assert success_floor(outs), (variable, value)
+                tallies.append(simulate.aggregate(outs)[tally])
+                # A band of max / min = 1.5 around the recorded constant.
+                ratio = tallies[-1] / tradeoff_term(path, params)
+                assert constant / 1.5**0.5 <= ratio <= constant * 1.5**0.5, (variable, value)
+            assert abs(loglog_slope(grid, tallies) - exponent) <= 0.08, variable
 
 
 class TestRepetitionsAndDispatch:
