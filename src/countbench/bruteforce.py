@@ -385,40 +385,6 @@ def _check_delta_memb(inst: ProblemInstance, t: float, ell: int):
     return closed, per_n, abs(per_n - closed) + moved, details
 
 
-def _element_sides(masks: np.ndarray, n: int) -> list:
-    """The subsets that hold element n, then those that do not, and where (i n) moves them.
-
-    Each side is (index, moved): the side's indices into ``masks``, and
-    row i - 1 of ``moved`` the index of each one's image under the
-    transposition (i n), i = 1..n-1, read off the masks by swapping two bits.
-    """
-    top = 1 << (n - 1)
-    bits = np.arange(n - 1)[:, None]
-    order = np.argsort(masks)
-    held = (masks & top) != 0
-    sides = []
-    for index in (np.flatnonzero(held), np.flatnonzero(~held)):
-        m = masks[index]
-        # Bits i and n - 1 differ iff the transposition moves the subset.
-        differ = ((m >> bits) ^ (m >> (n - 1))) & 1
-        images = m ^ differ * ((1 << bits) | top)
-        sides.append((index, order[np.searchsorted(masks, images, sorter=order)]))
-    return sides
-
-
-@lru_cache(maxsize=1)
-def _membership_maps(inst: ProblemInstance) -> tuple:
-    """Index maps of DELTA_MEMB's two blocks at element n, memoised per instance.
-
-    One entry per block: the rows x that hold n against the columns y that
-    do not, and the reverse, each as (rows, moved rows, columns, moved
-    columns) in the form of ``_element_sides``.
-    """
-    x_in, x_out = _element_sides(johnson.subset_basis(inst.n, inst.k), inst.n)
-    y_in, y_out = _element_sides(johnson.subset_basis(inst.n, inst.k_prime), inst.n)
-    return (*x_in, *y_out), (*x_out, *y_in)
-
-
 def _membership_norm(inst: ProblemInstance, gamma: np.ndarray) -> tuple[float, np.ndarray]:
     """The spectral norm of gamma o Delta_n, and the gaps f_i for i = 1..n-1.
 
@@ -431,19 +397,36 @@ def _membership_norm(inst: ProblemInstance, gamma: np.ndarray) -> tuple[float, n
     rows and columns, and
     f_i = max over the two blocks of ||gamma[tau R, tau C] - gamma[R, C]||_F
     bounds | ||gamma o Delta_i|| - ||gamma o Delta_n|| |.  For an S_n-
-    equivariant gamma every f_i is 0 up to round-off.  gamma is rescaled
-    by ``linalg.gram_safe`` first, so that the sums of squares neither
+    equivariant gamma every f_i is 0 up to round-off.
+
+    Row i - 1 of a level's ``moved`` is the index of each subset's image
+    under (i n), read off the masks by swapping bits i - 1 and n - 1.  The
+    loop over i gathers one image block at a time.  gamma is rescaled by
+    ``linalg.gram_safe`` first, so that the sums of squares neither
     underflow nor overflow.
     """
     gamma, scale = linalg.gram_safe(gamma)
-    norm = 0.0
+    top = 1 << (inst.n - 1)
+    bits = np.arange(inst.n - 1)[:, None]
+    held, moved = [], []
+    for level in (inst.k, inst.k_prime):
+        masks = johnson.subset_basis(inst.n, level)
+        # Bits i - 1 and n - 1 differ iff (i n) moves the subset.
+        differ = ((masks >> bits) ^ (masks >> (inst.n - 1))) & 1
+        images = masks ^ differ * ((1 << bits) | top)
+        order = np.argsort(masks)
+        moved.append(order[np.searchsorted(masks, images, sorter=order)])
+        held.append((masks & top) != 0)
+    (x_in, y_in), (x_moved, y_moved) = held, moved
+    sides = ((x_in, ~y_in), (~x_in, y_in))
+    blocks = [gamma[np.ix_(r, c)] for r, c in sides]
+    norm = max(linalg.spectral_norm(block) for block in blocks)
     gaps = np.zeros(inst.n - 1)
-    for r, r_moved, c, c_moved in _membership_maps(inst):
-        block = gamma[r[:, None], c]
-        norm = max(norm, linalg.spectral_norm(block))
-        moved = gamma[r_moved[:, :, None], c_moved[:, None, :]]
-        moved -= block
-        gaps = np.maximum(gaps, np.linalg.norm(moved, axis=(1, 2)))
+    for i in range(inst.n - 1):
+        for (r, c), block in zip(sides, blocks):
+            image = gamma[np.ix_(x_moved[i, r], y_moved[i, c])]
+            image -= block
+            gaps[i] = max(gaps[i], np.linalg.norm(image))
     return scale * norm, scale * gaps
 
 

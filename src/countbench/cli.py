@@ -310,8 +310,6 @@ def _simulate_params(args) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    if args.trials < 1:
-        raise ValueError("need at least one trial")
     out_dir = Path(args.out)
     params = _simulate_params(args)
 

@@ -41,6 +41,10 @@ GRID_MARGIN = 2.0
 # Largest phase grid a run may ask for: its outcome distribution alone is
 # 128 MiB, and a larger one would fail inside numpy instead of by name.
 MAX_GRID_POINTS = 1 << 24
+# Most trials one batch may run: a run holds about 790 B per trial, so
+# 2^20 trials reach about 0.9 GB, and a larger batch would fail for
+# memory rather than by name.
+MAX_TRIALS = 1 << 20
 
 
 @dataclass
@@ -554,9 +558,12 @@ def run_batch(procedure: str, params: dict, trials: int, seed: int) -> list[Tria
 
     The parameters are checked once.  Trial i runs on one reused
     generator set to the state of ``np.random.default_rng((seed, i))``.
+    More than MAX_TRIALS trials raise before anything is allocated.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"{trials} trials exceed cap MAX_TRIALS = {MAX_TRIALS}")
     try:
         set_up = PROCEDURES[procedure]
     except KeyError:

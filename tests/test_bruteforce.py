@@ -391,10 +391,13 @@ class TestMembershipNorms:
             assert per_n == plain_n * 2.0**power
             assert np.array_equal(gaps, plain_gaps * 2.0**power)
 
-    def test_a_defect_in_another_elements_block_fails(self, monkeypatch):
-        # x = {1,2} within y = {1,2,3} disagree on element 3 alone, so entry
-        # (x, y) lies in the block of element 3 and of no other, not n's.
-        x, y = index_of(INST.n, INST.k, (1, 2)), index_of(INST.n, INST.k_prime, (1, 2, 3))
+    @pytest.mark.parametrize("i", [1, 4, 7])
+    def test_a_defect_in_another_elements_block_fails(self, monkeypatch, i):
+        # x = {a,b} within y = {a,b,i}, with a, b outside {i, n}, disagree on
+        # element i alone, so entry (x, y) lies in the block of element i and
+        # of no other, not n's.  i = n - 1 is the last gap f_i.
+        a, b = [e for e in range(1, INST.n) if e != i][:2]
+        x, y = index_of(INST.n, INST.k, (a, b)), index_of(INST.n, INST.k_prime, (a, b, i))
         original = adversary.adversary_matrix
 
         def planted(inst, t):
@@ -408,9 +411,10 @@ class TestMembershipNorms:
             report = bruteforce.verify("DELTA_MEMB", INST, t=2.0)
         finally:
             bruteforce.clear_memos()
-        per_n = bruteforce._membership_norm(INST, planted(INST, 2.0))[0]
+        per_n, gaps = bruteforce._membership_norm(INST, planted(INST, 2.0))
         assert per_n == bruteforce._membership_norm(INST, original(INST, 2.0))[0]
-        # The norm at n is untouched; the gap f_3 carries the whole defect.
+        # The norm at n is untouched; the gap f_i carries the whole defect.
+        assert np.argmax(gaps) == i - 1 and gaps[i - 1] > 0.9e-6
         assert report.discrepancy > 0.9e-6 and report.details["spread_over_i"] > 1.8e-6
         assert not report.passed
 
@@ -574,7 +578,9 @@ class TestPeakMemory:
     element's slot at a time, and with one lifted array, they measure 16.1
     and 13.3 MB.  The channel pass read 18.4 MB both in chunks of columns
     and one slot at a time while PHI_COMMUTE held each core difference
-    beside its two terms; it now subtracts in place.
+    beside its two terms; it now subtracts in place.  DELTA_MEMB's
+    transposition gaps took 5.1 MB with every element's image blocks
+    gathered at once, and 1.0 MB one element at a time.
     """
 
     INST = ProblemInstance(12, 3, 4)
@@ -599,7 +605,7 @@ class TestPeakMemory:
         # 13.3 MB: one 10.5 MB lift, the COL lift subtracted by row blocks of gamma.
         assert _traced_peak(lambda: bruteforce._check_delta_gen(self.INST, 2.0, 0)) <= 16e6
 
-    def test_channel_pass_in_chunks(self):
+    def test_channel_pass_one_slot_at_a_time(self):
         # The k' = 4 level alone: 11.1 MB one ground element at a time, with
         # the mean slot and one reused N x N slot buffer, and the gather of
         # each element dropped before the next (11.7 MB kept).  10.2 MB in
@@ -609,6 +615,11 @@ class TestPeakMemory:
         inst = self.INST
         peak = _traced_peak(lambda: bruteforce._level_channels(inst.n, inst.k_prime, True))
         assert peak <= 12.8e6
+
+    def test_delta_memb(self):
+        # 1.0 MB: element n's two blocks (0.36 MB) and one image block at a time.
+        gamma = adversary.adversary_matrix(self.INST, 2.0)
+        assert _traced_peak(lambda: bruteforce._membership_norm(self.INST, gamma)) <= 2e6
 
 
 # Instances of the t > k gates: the n <= 10 default ones and two with k' = k + 1.

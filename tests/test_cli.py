@@ -677,6 +677,19 @@ class TestSimulateCommand:
         )
         assert code == 2
 
+    def test_too_many_trials_is_usage_error(self, tmp_path, capsys):
+        # One trial past the cap is rejected by name before any trial runs.
+        out = tmp_path / "s"
+        trials = simulate.MAX_TRIALS + 1
+        code = run(
+            ["simulate", "overlap", "--n", "1000", "--k", "10", "--eps", "1",
+             "--trials", str(trials), "--out", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+        message = capsys.readouterr().err
+        assert str(trials) in message and str(simulate.MAX_TRIALS) in message
+
     def test_unknown_procedure_is_usage_error(self, tmp_path):
         code = run(["simulate", "warp", "--trials", "10", "--out", str(tmp_path / "s")])
         assert code == 2
