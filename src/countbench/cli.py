@@ -13,9 +13,12 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, adversary, bruteforce, simulate
 from .adversary import ProblemInstance
@@ -92,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--timing",
         action="store_true",
-        help="write measured wall times into the CSV and list the memoised rows in "
-        "verify.json (breaks byte-for-byte determinism)",
+        help="write measured wall times into the CSV, and the memoised rows and the "
+        "BLAS configuration into verify.json (breaks byte-for-byte determinism)",
     )
 
     p_bounds = sub.add_parser(
@@ -136,6 +139,27 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
+
+
+# The thread-count variables that OpenBLAS, OpenMP, MKL, BLIS and Accelerate read.
+BLAS_THREAD_VARIABLES = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
+
+
+def _blas_config() -> dict:
+    """The BLAS build and thread settings that timed rows ran under."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "name": blas.get("name"),
+        "version": blas.get("version"),
+        "thread_variables": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
+        "cpu_count": os.cpu_count(),
+    }
 
 
 def cmd_verify(args) -> int:
@@ -197,6 +221,7 @@ def cmd_verify(args) -> int:
         summary["memoised"] = [
             [r.check_id, r.n, r.k, r.k_prime, r.t, r.ell] for r in reports if r.memoised
         ]
+        summary["blas"] = _blas_config()
     (out_dir / "verify.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n"
     )

@@ -16,7 +16,10 @@ explicitly:
 * the fixed-element reference vectors (one and two fixed elements) and
   the closed-form orthogonal tables expressing one family in the other.
 
-Everything is cached and returned read-only; construction is pure.
+Construction is pure.  The subset masks, projectors, transporters and
+reference vectors are cached and returned read-only; the inclusion matrices,
+read once by each projector family and transporter built from them, are
+rebuilt on each call, so that none outlives its reader.
 """
 
 from __future__ import annotations
@@ -55,15 +58,18 @@ def subset_basis(n: int, k: int) -> np.ndarray:
     return linalg.freeze(np.array(masks, dtype=np.int64))
 
 
-@lru_cache(maxsize=None)
 def inclusion_matrix(n: int, k: int, j: int) -> np.ndarray:
-    """0/1 matrix W with W[x, s] = 1 iff the j-subset s is contained in x."""
+    """0/1 matrix W with W[x, s] = 1 iff the j-subset s is contained in x.
+
+    Not cached: its readers, ``irrep_projectors`` and ``transporter``, are,
+    and a cached W would stay live under every later peak.
+    """
     if not (0 <= j <= k <= n):
         raise ValueError(f"need 0 <= j <= k <= n, got n={n}, k={k}, j={j}")
     rows = subset_basis(n, k)
     cols = subset_basis(n, j)
     w = (rows[:, None] & cols[None, :]) == cols[None, :]
-    return linalg.freeze(w.astype(float))
+    return w.astype(float)
 
 
 def block_dimension(n: int, j: int) -> int:
@@ -275,7 +281,7 @@ def reference_vectors(n: int, k: int, j: int) -> ReferenceVectors:
 # The lru-cached functions as defined here.  ``clear_caches`` clears these
 # objects, not whatever the module attributes hold: a caller may have
 # replaced an attribute with a wrapper that has no cache of its own.
-_CACHED = (subset_basis, inclusion_matrix, irrep_projectors, transporter, reference_vectors)
+_CACHED = (subset_basis, irrep_projectors, transporter, reference_vectors)
 
 
 def clear_caches() -> None:

@@ -60,12 +60,16 @@ def spectral_norm(values) -> float:
     Computed from the symmetric eigendecomposition of m m^T or m^T m,
     whichever is smaller; accurate to about 1e-10 relative.  An input whose
     Gram would underflow or overflow is rescaled first (``gram_safe``).
+    The input is dropped once its Gram exists: on CPython 3.11 and later a
+    temporary passed straight in has no other reference, so it is freed
+    before the eigensolve.
     """
     m, top = _checked(values)
     scale = _gram_scale(top)
     if scale != 1.0:
         m = m / scale
     gram = m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
+    del values, m
     # eigvalsh reads the lower triangle only; round-off can take a zero
     # top eigenvalue below zero, which reads +0.
     return scale * math.sqrt(max(0.0, float(np.linalg.eigvalsh(gram)[-1])))

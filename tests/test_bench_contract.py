@@ -61,12 +61,14 @@ def test_every_eigvalsh_runs_inside_a_traced_spectral_norm(monkeypatch, tracer):
     monkeypatch.setattr(np.linalg, "eigvalsh", timed)
     bruteforce.clear_memos()
     inst = ProblemInstance(10, 3, 4)
-    for check in ("DELTA_MEMB", "V_DECOMP", "PHI_COMMUTE"):
+    checks = ("DELTA_MEMB", "V_DECOMP", "PHI_COMMUTE", "DELTA_GEN", "NORM_GAMMA", "PSI_POWER")
+    for check in checks:
         for t in (1.0, 2.0, 3.0):
             assert bruteforce.verify(check, inst, t=t).passed
     norms = [(start, end) for name, start, end, *_ in tracer.spans if name == "linalg.spectral_norm"]
-    # DELTA_MEMB takes two solves per row, one per block at element n.
-    assert len(calls) >= 6
+    # Per row, DELTA_MEMB takes two solves (one per block at element n),
+    # DELTA_GEN two (one per lifted difference), NORM_GAMMA and PSI_POWER one.
+    assert len(calls) >= 3 * (2 + 2 + 1 + 1)
     assert all(any(start <= at <= end for start, end in norms) for at in calls)
 
 

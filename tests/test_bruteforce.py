@@ -1,10 +1,11 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from countbench import adversary, bruteforce, johnson, linalg
+from countbench import adversary, bruteforce, cli, johnson, linalg
 from countbench.adversary import ProblemInstance
 from countbench.bruteforce import LiftKind, lift
 from countbench.cli import DEFAULT_INSTANCES
@@ -99,8 +100,7 @@ class TestLift:
         psi_x = bruteforce.psi_matrix(inst.n, inst.k)
         psi_y = bruteforce.psi_matrix(inst.n, inst.k_prime)
         whole = lift(gamma, kinds[0], psi_x) - lift(gamma, kinds[1], psi_y)
-        got = bruteforce._lift_difference_norm(gamma, *kinds, inst)
-        assert got == linalg.spectral_norm(whole)
+        assert np.array_equal(bruteforce._lift_difference(gamma, *kinds, inst), whole)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -575,12 +575,17 @@ class TestPeakMemory:
     channel pass, with a buffer for each whole row block, and 21.8 MB for
     DELTA_GEN with two whole lifted arrays.  Storing the whole residual
     took 98 MB, and DELTA_GEN with a third lifted array 32 MB.  One ground
-    element's slot at a time, and with one lifted array, they measure 16.1
-    and 13.3 MB.  The channel pass read 18.4 MB both in chunks of columns
-    and one slot at a time while PHI_COMMUTE held each core difference
-    beside its two terms; it now subtracts in place.  DELTA_MEMB's
-    transposition gaps took 5.1 MB with every element's image blocks
-    gathered at once, and 1.0 MB one element at a time.
+    element's slot at a time, and with one lifted array, they measure 12.3
+    and 13.3 MB.  The channel pass read 18.4 MB while PHI_COMMUTE held each
+    core difference beside its two terms, 16.1 MB with the difference
+    subtracted in place, and 12.3 MB one ground slice of it at a time (9.3
+    against 5.4 MB with the k' pass memoised).  DELTA_GEN's eigensolves
+    ran beside their lifted difference, 13.3 and 11.7 MB live; the
+    difference is now freed once its Gram exists, 2.8 and 1.3 MB live.
+    DELTA_MEMB's transposition gaps took 5.1 MB with every element's image
+    blocks gathered at once, and 1.0 MB one element at a time.  A whole
+    n = 12 sweep peaked at 33.7 MB under V_DECOMP with the inclusion
+    matrices cached, and at 30.7 MB under DELTA_GEN's Gram without them.
     """
 
     INST = ProblemInstance(12, 3, 4)
@@ -620,6 +625,44 @@ class TestPeakMemory:
         # 1.0 MB: element n's two blocks (0.36 MB) and one image block at a time.
         gamma = adversary.adversary_matrix(self.INST, 2.0)
         assert _traced_peak(lambda: bruteforce._membership_norm(self.INST, gamma)) <= 2e6
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="the lifted difference is freed before the solve only where a callee "
+        "holds the only reference to a temporary passed to it (CPython 3.11+)",
+    )
+    def test_delta_gen_solves_without_its_lifted_difference(self, monkeypatch):
+        # Live memory at each eigensolve: 2.8 and 1.3 MB; the 10.5 MB forward
+        # lifted difference is gone once its Gram exists.
+        live = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(*args, **kwargs):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        _traced_peak(lambda: bruteforce._check_delta_gen(self.INST, 2.0, 0))
+        assert len(live) == 2 and max(live) <= 4e6
+
+    def test_phi_commute_one_ground_slice_at_a_time(self):
+        # The k' pass and both levels' bases memoised: 5.4 MB, the k pass
+        # and one ground slice of a core difference at a time.
+        inst = self.INST
+        bruteforce._hatted_level_channels(inst.n, inst.k_prime)
+        for level in (inst.k, inst.k_prime):
+            bruteforce._level_bases(inst.n, level)
+        assert _traced_peak(lambda: bruteforce._channel_norms(inst)) <= 7e6
+
+    def test_sweep_at_n_12(self, tmp_path):
+        # Every default check and t at (12,2,4) and (12,3,4), from empty
+        # caches: 30.7 MB, set by DELTA_GEN's forward Gram formation.
+        bruteforce.clear_memos()
+        johnson.clear_caches()
+        argv = ["verify", "--instance", "12,2,4", "--instance", "12,3,4", "--out", str(tmp_path)]
+        codes = []
+        assert _traced_peak(lambda: codes.append(cli.main(argv))) <= 31e6
+        assert codes == [0]
 
 
 # Instances of the t > k gates: the n <= 10 default ones and two with k' = k + 1.

@@ -261,6 +261,31 @@ class TestVerifyCommand:
             + [["V_DECOMP", 7, 1, 2, t, 0] for t in (2.0, 3.0)]
         )
 
+    def test_timing_records_the_blas_configuration(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        argv = ["verify", "--instance", "6,1,2", "--t", "1", "--checks", "TABLES"]
+        timed = tmp_path / "timed"
+        assert run(argv + ["--timing", "--out", str(timed)]) == 0
+        blas = json.loads((timed / "verify.json").read_text())["blas"]
+        built = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert (blas["name"], blas["version"]) == (built["name"], built["version"])
+        assert blas["cpu_count"] == os.cpu_count()
+        variables = blas["thread_variables"]
+        assert sorted(variables) == sorted(cli.BLAS_THREAD_VARIABLES) and len(variables) == 5
+        assert variables["OPENBLAS_NUM_THREADS"] == "1" and variables["MKL_NUM_THREADS"] is None
+
+    def test_default_run_records_no_blas_configuration(self, tmp_path, monkeypatch):
+        # The thread settings differ between the two runs; neither shows in the bytes.
+        argv = ["verify", "--instance", "6,1,2", "--t", "1", "--checks", "TABLES"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert run(argv + ["--out", str(a)]) == 0
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert run(argv + ["--out", str(b)]) == 0
+        assert (a / "verify.json").read_bytes() == (b / "verify.json").read_bytes()
+        assert "blas" not in json.loads((a / "verify.json").read_text())
+
     def test_repeat_runs_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         argv = ["verify", "--instance", "6,1,2", "--t", "1"]
