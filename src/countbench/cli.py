@@ -345,21 +345,11 @@ def cmd_simulate(args) -> int:
     tag = args.procedure.replace("-", "_")
     lines = [SIMULATE_CSV_HEADER]
     for idx, out in enumerate(outcomes):
+        tally = out.tally
         lines.append(
-            ",".join(
-                [
-                    str(idx),
-                    str(out.true_size),
-                    out.decision,
-                    _fmt_bool(out.correct),
-                    _fmt_bool(out.failed),
-                    _fmt_float(out.statistic),
-                    str(out.tally.copies),
-                    str(out.tally.state_generation),
-                    str(out.tally.reflections),
-                    str(out.tally.membership),
-                ]
-            )
+            f"{idx},{out.true_size},{out.decision},{_fmt_bool(out.correct)},"
+            f"{_fmt_bool(out.failed)},{_fmt_float(out.statistic)},{tally.copies},"
+            f"{tally.state_generation},{tally.reflections},{tally.membership}"
         )
     (out_dir / f"simulate_{tag}.csv").write_text("\n".join(lines) + "\n")
 

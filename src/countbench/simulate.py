@@ -21,7 +21,14 @@ Determinism contract: trial i of a batch with master seed ``seed`` runs
 on a generator bit-identical to ``np.random.default_rng((seed, i))``:
 `_child_states` derives all of those states in one vectorised pass, and
 the tests compare it with ``default_rng`` on the installed numpy.  Equal
-seeds therefore reproduce equal outcome streams bit for bit.
+seeds therefore reproduce equal outcome streams bit for bit.  A run that
+draws until a stopping point draws in blocks of exactly the count it still
+needs (`_collect_distinct`: the distinct elements missing, capped by the
+budget left; `bootstrap`: one draw per remaining growth stage).  A block of
+draws yields the values of successive single draws, and no block holds a
+draw past the stopping point, so the generator ends where drawing one at a
+time would; only a terminal bootstrap failure, which can stop inside a
+block, rewinds to the state saved before the block and redraws what it read.
 """
 
 from __future__ import annotations
@@ -103,17 +110,21 @@ def trial(setup, rng_seed, true_size: int | None = None, repetitions: int = 1) -
         size = int(true_size)
     else:
         raise ValueError(f"true_size must be {k} or {k_prime}, got {true_size}")
-    runs = [single(rng, size) for _ in range(repetitions)]
-    _, statistic, tally = runs[0]
-    decided = [decision for decision, _, _ in runs if decision is not None]
-    if repetitions > 1:
+    if repetitions == 1:
+        decision, statistic, tally = single(rng, size)
+    else:
+        runs = [single(rng, size) for _ in range(repetitions)]
+        statistic = runs[0][1]
         tally = QueryTally(*map(sum, zip(*(astuple(t) for _, _, t in runs))))
+        decided = [decision for decision, _, _ in runs if decision is not None]
         if decided:
             statistic = float(np.mean([stat for _, stat, _ in runs]))
-    if not decided:
+            large_votes = decided.count(DECIDE_LARGE)
+            decision = DECIDE_LARGE if 2 * large_votes > len(decided) else DECIDE_SMALL
+        else:
+            decision = None
+    if decision is None:
         return TrialOutcome(DECIDE_SMALL, False, tally, size, statistic, failed=True)
-    large_votes = decided.count(DECIDE_LARGE)
-    decision = DECIDE_LARGE if 2 * large_votes > len(decided) else DECIDE_SMALL
     truth = DECIDE_SMALL if size == k else DECIDE_LARGE
     return TrialOutcome(decision, decision == truth, tally, size, statistic)
 
@@ -160,7 +171,7 @@ def collision(k: int, eps: float, sample_count: int):
 
     def single(rng: np.random.Generator, size: int):
         counts = np.bincount(rng.integers(0, size, sample_count))
-        pairs = float(np.sum(counts * (counts - 1)) / 2.0)
+        pairs = int(counts @ (counts - 1)) / 2.0
         decision = DECIDE_SMALL if pairs > midpoint else DECIDE_LARGE
         return decision, pairs, QueryTally(copies=sample_count)
 
@@ -250,24 +261,6 @@ def _kernel(offsets: np.ndarray, m_points: int) -> np.ndarray:
     return np.where(s == 0.0, 1.0, value)
 
 
-@lru_cache(maxsize=16)
-def _phase_cdf(theta: float, m_points: int) -> np.ndarray:
-    # A batch samples at most two (theta, m_points), one per hypothesis, so a
-    # few entries serve it; the distributions stay cached above.
-    cdf = phase_estimation_distribution(theta, m_points).cumsum()
-    cdf /= cdf[-1]
-    return linalg.freeze(cdf)
-
-
-def _sample_phase(theta: float, m_points: int, rng: np.random.Generator) -> int:
-    """``rng.choice(m_points, p=phase_estimation_distribution(theta, m_points))``.
-
-    Inverts the normalised CDF at one ``rng.random()`` draw, as
-    `Generator.choice` does, without re-checking p and re-summing it per call.
-    """
-    return int(_phase_cdf(theta, m_points).searchsorted(rng.random(), side="right"))
-
-
 def _grid_points(theta_a: float, theta_b: float) -> int:
     """Smallest grid size resolving the two eigenphases with GRID_MARGIN to spare.
 
@@ -284,26 +277,38 @@ def _grid_points(theta_a: float, theta_b: float) -> int:
     return max(2, points)
 
 
-def _estimate_and_decide(
-    a_small_hyp: float,
-    a_large_hyp: float,
-    a_truth: float,
-    rng: np.random.Generator,
-) -> tuple[str, float, int]:
-    """Pick the smallest separating grid, sample once, decide the nearest hypothesis.
+def _phase_estimation(a_small_hyp: float, a_large_hyp: float, a_truth_of):
+    """One set-up's phase estimation: ``estimate(rng, size) -> (decision, estimate, m_points)``.
 
     ``a_small_hyp``/``a_large_hyp`` are the success probabilities under
     the small/large size hypotheses (either may be the numerically
-    larger one); ties go to the small hypothesis.
+    larger one) and ``a_truth_of(size)`` the true one.  The grid is the
+    smallest that separates the hypotheses; it and the normalised
+    outcome CDF depend on these three numbers only, so each hidden-set
+    size builds them on its first trial.  A trial inverts the CDF at one
+    ``rng.random()`` draw, as ``rng.choice(m_points, p=...)`` does, and
+    decides the nearest hypothesis; ties go to the small one.
     """
-    theta_small = math.asin(math.sqrt(a_small_hyp))
-    theta_large = math.asin(math.sqrt(a_large_hyp))
-    m_points = _grid_points(theta_small, theta_large)
-    outcome = _sample_phase(math.asin(math.sqrt(a_truth)), m_points, rng)
-    estimate = math.sin(math.pi * outcome / m_points) ** 2
-    if abs(estimate - a_large_hyp) < abs(estimate - a_small_hyp):
-        return DECIDE_LARGE, float(estimate), m_points
-    return DECIDE_SMALL, float(estimate), m_points
+    memo: dict = {}  # hidden-set size -> (m_points, normalised outcome CDF)
+
+    def estimate(rng: np.random.Generator, size: int) -> tuple[str, float, int]:
+        try:
+            m_points, cdf = memo[size]
+        except KeyError:
+            m_points = _grid_points(
+                math.asin(math.sqrt(a_small_hyp)), math.asin(math.sqrt(a_large_hyp))
+            )
+            theta = math.asin(math.sqrt(a_truth_of(size)))
+            cdf = phase_estimation_distribution(theta, m_points).cumsum()
+            cdf /= cdf[-1]
+            memo[size] = m_points, cdf
+        outcome = int(cdf.searchsorted(rng.random(), side="right"))
+        value = math.sin(math.pi * outcome / m_points) ** 2
+        if abs(value - a_large_hyp) < abs(value - a_small_hyp):
+            return DECIDE_LARGE, value, m_points
+        return DECIDE_SMALL, value, m_points
+
+    return estimate
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +329,11 @@ def qcount(n: int, k: int, eps: float, oracle: str = "reflections"):
     if k_prime >= n:
         raise ValueError("need k' < n")
 
+    estimate = _phase_estimation(k / n, k_prime / n, lambda size: size / n)
+
     def single(rng: np.random.Generator, size: int):
-        decision, estimate, m_points = _estimate_and_decide(
-            k / n, k_prime / n, size / n, rng
-        )
-        return decision, estimate, QueryTally(**{oracle: m_points - 1})
+        decision, value, m_points = estimate(rng, size)
+        return decision, value, QueryTally(**{oracle: m_points - 1})
 
     return k, k_prime, single
 
@@ -349,11 +354,11 @@ def subset(n: int, k: int, eps: float, ell: int, oracle: str = "reflections"):
         raise ValueError("need k' < n")
     calls_per_rotation = 1 if oracle == "reflections" else 2
 
+    estimate = _phase_estimation(ell / k, ell / k_prime, lambda size: ell / size)
+
     def single(rng: np.random.Generator, size: int):
-        decision, estimate, m_points = _estimate_and_decide(
-            ell / k, ell / k_prime, ell / size, rng
-        )
-        return decision, estimate, QueryTally(**{oracle: calls_per_rotation * (m_points - 1)})
+        decision, value, m_points = estimate(rng, size)
+        return decision, value, QueryTally(**{oracle: calls_per_rotation * (m_points - 1)})
 
     return k, k_prime, single
 
@@ -365,20 +370,17 @@ def _collect_distinct(
 
     Returns (distinct found, samples consumed) and leaves ``rng`` where
     drawing one sample at a time would.  A block of draws yields the same
-    values as successive single draws, so the whole budget is drawn at
-    once; the generator is then rewound and draws only the consumed prefix.
+    values as successive single draws, and each block holds exactly the
+    count still missing, capped by the budget left: a draw adds at most
+    one distinct element, so no block holds a draw past the stopping point.
     """
-    if target <= 0 or budget <= 0:
-        return 0, 0
-    saved = rng.bit_generator.state
     seen: set = set()
-    for consumed, value in enumerate(rng.integers(0, size, budget).tolist(), 1):
-        seen.add(value)
-        if len(seen) == target:
-            rng.bit_generator.state = saved
-            rng.integers(0, size, consumed)
-            return target, consumed
-    return len(seen), budget
+    consumed = 0
+    while len(seen) < target and consumed < budget:
+        block = min(target - len(seen), budget - consumed)
+        seen.update(rng.integers(0, size, block).tolist())
+        consumed += block
+    return len(seen), consumed
 
 
 def sample_count(n: int, k: int, eps: float):
@@ -395,16 +397,14 @@ def sample_count(n: int, k: int, eps: float):
     if ell > k / 2:
         raise ValueError(f"sampling stage needs ell <= k/2, got ell={ell}, k={k}")
 
+    estimate = _phase_estimation(ell / k, ell / k_prime, lambda size: ell / size)
+
     def single(rng: np.random.Generator, size: int):
         found, consumed = _collect_distinct(ell, size, 10 * ell, rng)
-        tally = QueryTally(state_generation=consumed)
         if found < ell:
-            return None, float(found), tally
-        decision, estimate, m_points = _estimate_and_decide(
-            ell / k, ell / k_prime, ell / size, rng
-        )
-        tally.state_generation += 2 * (m_points - 1)
-        return decision, estimate, tally
+            return None, float(found), QueryTally(state_generation=consumed)
+        decision, value, m_points = estimate(rng, size)
+        return decision, value, QueryTally(state_generation=consumed + 2 * (m_points - 1))
 
     return k, k_prime, single
 
@@ -431,23 +431,33 @@ def bootstrap(n: int, k: int, eps: float, retries: int = 3):
         raise ValueError(f"growth target {target} exceeds k/2")
 
     stages: dict = {}  # hidden-set size -> growth_stage(known, size) for known < target
+    estimate = _phase_estimation(target / k, target / k_prime, lambda size: target / size)
 
     def single(rng: np.random.Generator, size: int):
         if size not in stages:
             stages[size] = [growth_stage(known, size) for known in range(1, target)]
-        tally = QueryTally()
-        for known, (iterations, success_probability) in enumerate(stages[size], 1):
-            for _ in range(1 + retries):
-                tally.reflections += iterations
-                if rng.random() < success_probability:
-                    break
-            else:
-                return None, float(known), tally
-        decision, estimate, m_points = _estimate_and_decide(
-            target / k, target / k_prime, target / size, rng
-        )
-        tally.reflections += m_points - 1
-        return decision, estimate, tally
+        schedule = stages[size]
+        reflections = stage = failures = 0  # failures: failed attempts at this stage
+        # Each pass reads one draw per remaining stage; a stage's retries read
+        # on in the same block, so only a terminal failure can stop inside it.
+        while stage < len(schedule):
+            saved = rng.bit_generator.state
+            block = rng.random(len(schedule) - stage).tolist()
+            for read, draw in enumerate(block, 1):
+                iterations, success_probability = schedule[stage]
+                reflections += iterations
+                if draw < success_probability:
+                    stage += 1
+                    failures = 0
+                elif failures < retries:
+                    failures += 1
+                else:
+                    if read < len(block):
+                        rng.bit_generator.state = saved
+                        rng.random(read)
+                    return None, float(stage + 1), QueryTally(reflections=reflections)
+        decision, value, m_points = estimate(rng, size)
+        return decision, value, QueryTally(reflections=reflections + m_points - 1)
 
     return k, k_prime, single
 

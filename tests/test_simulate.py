@@ -162,21 +162,22 @@ class TestPhaseEstimation:
         assert float(dist.sum()) == pytest.approx(1.0, abs=1e-12)
 
     def test_error_mass_bound(self):
-        a, m_points = 0.25, 16
-        theta = math.asin(math.sqrt(a))
+        # a = 1/4 against a hypothesis at 0.6 takes an 18-point grid.
+        a = 0.25
+        estimate = simulate._phase_estimation(a, 0.6, lambda size: a)
+        rng = np.random.default_rng(5)
+        samples = [estimate(rng, 0) for _ in range(10_000)]
+        m_points = samples[0][2]
+        assert m_points == 18
         bound = math.pi / m_points + (math.pi / m_points) ** 2
-        dist = simulate.phase_estimation_distribution(theta, m_points)
+        dist = simulate.phase_estimation_distribution(math.asin(math.sqrt(a)), m_points)
         exact_mass = sum(
             p
             for m, p in enumerate(dist)
             if abs(math.sin(math.pi * m / m_points) ** 2 - a) <= bound
         )
         assert exact_mass >= 0.81
-        rng = np.random.default_rng(5)
-        outcomes = [simulate._sample_phase(theta, m_points, rng) for _ in range(10_000)]
-        hits = sum(
-            abs(math.sin(math.pi * m / m_points) ** 2 - a) <= bound for m in outcomes
-        )
+        hits = sum(abs(value - a) <= bound for _, value, _ in samples)
         se = math.sqrt(exact_mass * (1.0 - exact_mass) / 10_000)
         assert abs(hits / 10_000 - exact_mass) <= 4 * se
 
@@ -293,10 +294,7 @@ class TestSampleThenCount:
 
     def test_budget_exhaustion_flags_failure(self):
         class StuckRng:
-            """Draws only zeros, so its generator state never moves."""
-
-            class bit_generator:
-                state = None
+            """Draws only zeros."""
 
             def integers(self, low, high=None, size=None):
                 return 0 if size is None else np.zeros(size, dtype=np.int64)
@@ -549,6 +547,94 @@ def collect_distinct_one_draw_at_a_time(target, size, budget, rng):
     return len(seen), consumed
 
 
+def estimate_with_choice(a_small_hyp, a_large_hyp, a_truth, rng):
+    """Reference for a run of `simulate._phase_estimation`: one `rng.choice` on the grid."""
+    m_points = simulate._grid_points(
+        math.asin(math.sqrt(a_small_hyp)), math.asin(math.sqrt(a_large_hyp))
+    )
+    p = simulate.phase_estimation_distribution(math.asin(math.sqrt(a_truth)), m_points)
+    estimate = math.sin(math.pi * int(rng.choice(m_points, p=p)) / m_points) ** 2
+    if abs(estimate - a_large_hyp) < abs(estimate - a_small_hyp):
+        return DECIDE_LARGE, estimate, m_points
+    return DECIDE_SMALL, estimate, m_points
+
+
+def qcount_with_choice(n, k, eps):
+    k_prime = simulate._k_prime(k, eps)
+
+    def single(rng, size):
+        decision, estimate, m_points = estimate_with_choice(k / n, k_prime / n, size / n, rng)
+        return decision, estimate, simulate.QueryTally(reflections=m_points - 1)
+
+    return k, k_prime, single
+
+
+def subset_with_choice(n, k, eps, ell):
+    k_prime = simulate._k_prime(k, eps)
+
+    def single(rng, size):
+        decision, estimate, m_points = estimate_with_choice(ell / k, ell / k_prime, ell / size, rng)
+        return decision, estimate, simulate.QueryTally(reflections=m_points - 1)
+
+    return k, k_prime, single
+
+
+def sample_count_one_draw_at_a_time(n, k, eps):
+    k_prime = simulate._k_prime(k, eps)
+    ell = math.ceil(k ** (1.0 / 3.0) / (2.0 * eps ** (2.0 / 3.0)))
+
+    def single(rng, size):
+        found, consumed = collect_distinct_one_draw_at_a_time(ell, size, 10 * ell, rng)
+        if found < ell:
+            return None, float(found), simulate.QueryTally(state_generation=consumed)
+        decision, estimate, m_points = estimate_with_choice(ell / k, ell / k_prime, ell / size, rng)
+        tally = simulate.QueryTally(state_generation=consumed + 2 * (m_points - 1))
+        return decision, estimate, tally
+
+    return k, k_prime, single
+
+
+def bootstrap_one_draw_per_attempt(n, k, eps, retries=3):
+    """Reference for `simulate.bootstrap`: the stage loop its block reads replaced."""
+    k_prime = simulate._k_prime(k, eps)
+    target = math.ceil(1.0 / eps)
+
+    def single(rng, size):
+        tally = simulate.QueryTally()
+        for known in range(1, target):
+            iterations, success_probability = simulate.growth_stage(known, size)
+            for _ in range(1 + retries):
+                tally.reflections += iterations
+                if rng.random() < success_probability:
+                    break
+            else:
+                return None, float(known), tally
+        decision, estimate, m_points = estimate_with_choice(
+            target / k, target / k_prime, target / size, rng
+        )
+        tally.reflections += m_points - 1
+        return decision, estimate, tally
+
+    return k, k_prime, single
+
+
+REFERENCE_PROCEDURES = {
+    "qcount": qcount_with_choice,
+    "subset": subset_with_choice,
+    "sample-count": sample_count_one_draw_at_a_time,
+    "bootstrap": bootstrap_one_draw_per_attempt,
+}
+# Points of each quantum procedure; the full subset's true fraction is 1.
+QUANTUM_POINTS = [
+    ("qcount", dict(n=1024, k=16, eps=1.0)),
+    ("qcount", dict(n=2**16, k=1024, eps=1 / 64)),
+    ("subset", dict(n=4096, k=64, eps=0.5, ell=16)),
+    ("subset", dict(n=32, k=4, eps=0.5, ell=4)),
+    ("sample-count", dict(n=4096, k=64, eps=0.25)),
+    ("bootstrap", dict(n=4096, k=64, eps=0.125)),
+]
+
+
 class TestStreamIdenticalFastPaths:
     """Each batch fast path gives the outcomes and generator states of the plain numpy calls."""
 
@@ -603,13 +689,79 @@ class TestStreamIdenticalFastPaths:
         assert repr(batch) == repr(singles)
 
     @pytest.mark.parametrize(
-        "theta", [0.0, 0.1, math.asin(math.sqrt(1 / 3)), math.pi / 4, 1.3, math.pi / 2]
+        "a_small, a_large",
+        [(0.25, 0.5), (1 / 3, 0.34), (0.001, 0.0011), (0.0, 1.0)],
+        ids=["grid-24", "grid-891", "grid-4069", "grid-5"],
     )
-    @pytest.mark.parametrize("m_points", [2, 3, 16, 37, 1000, 4278])
-    def test_sample_phase_matches_choice(self, theta, m_points):
+    @pytest.mark.parametrize("a_truth", [0.0, 0.001, 1 / 3, 0.5, math.sin(1.3) ** 2, 1.0])
+    def test_phase_estimation_matches_grid_points_and_choice(self, a_small, a_large, a_truth):
+        estimate = simulate._phase_estimation(a_small, a_large, lambda size: a_truth)
         fast, slow = np.random.default_rng(7), np.random.default_rng(7)
-        p = simulate.phase_estimation_distribution(theta, m_points)
-        got = [simulate._sample_phase(theta, m_points, fast) for _ in range(300)]
-        want = [int(slow.choice(m_points, p=p)) for _ in range(300)]
+        got = [estimate(fast, 0) for _ in range(300)]
+        want = [estimate_with_choice(a_small, a_large, a_truth, slow) for _ in range(300)]
         assert got == want
         assert fast.bit_generator.state == slow.bit_generator.state
+
+    @pytest.mark.parametrize("procedure, params", QUANTUM_POINTS)
+    def test_quantum_runs_match_grid_points_and_choice(self, procedure, params):
+        # Each hidden size builds its grid and CDF on its first run; later
+        # runs read them from the set-up's memo.
+        k, k_prime, single = simulate.PROCEDURES[procedure](**params)
+        _, _, reference = REFERENCE_PROCEDURES[procedure](**params)
+        for size in (k, k_prime):
+            for i in range(100):
+                fast, slow = np.random.default_rng((3, i)), np.random.default_rng((3, i))
+                assert single(fast, size) == reference(slow, size)
+                assert fast.bit_generator.state == slow.bit_generator.state
+
+    @pytest.mark.parametrize("procedure, params", QUANTUM_POINTS)
+    def test_batch_misses_phase_distribution_at_most_twice(self, procedure, params, monkeypatch):
+        real = simulate.phase_estimation_distribution
+        real.cache_clear()
+        calls = []
+
+        def counted(theta, m_points):
+            calls.append((theta, m_points))
+            return real(theta, m_points)
+
+        monkeypatch.setattr(simulate, "phase_estimation_distribution", counted)
+        outs = simulate.run_batch(procedure, params, 300, 8)
+        k, k_prime, _ = simulate.PROCEDURES[procedure](**params)
+        assert {out.true_size for out in outs} == {k, k_prime}
+        assert len(calls) <= 2 and real.cache_info().misses <= 2
+
+    @pytest.mark.parametrize("retries", [0, 3])
+    @pytest.mark.parametrize(
+        "n, k, eps",
+        [(4096, 64, 0.0625), (4096, 16, 0.125), (1024, 64, 1.0)],
+        ids=["target-16", "stages-often-fail", "eps-1-no-stage"],
+    )
+    @pytest.mark.parametrize("repetitions", [1, 3])
+    @pytest.mark.parametrize("odd_draws_before", [0, 1])
+    def test_bootstrap_matches_one_draw_per_attempt(
+        self, n, k, eps, retries, repetitions, odd_draws_before
+    ):
+        # A terminal failure rewinds the draws of its block it left unread;
+        # one that leaked them would shift the next repetition's stream.
+        setup = simulate.bootstrap(n, k, eps, retries)
+        k, k_prime, reference = bootstrap_one_draw_per_attempt(n, k, eps, retries)
+        runs = []
+
+        def recorded(rng, size):
+            runs.append(reference(rng, size))
+            return runs[-1]
+
+        for i in range(60):
+            fast, slow = np.random.default_rng((11, i)), np.random.default_rng((11, i))
+            if odd_draws_before:
+                fast.integers(0, 7)
+                slow.integers(0, 7)
+            got = simulate.trial(setup, fast, repetitions=repetitions)
+            want = simulate.trial((k, k_prime, recorded), slow, repetitions=repetitions)
+            assert got == want
+            assert fast.bit_generator.state == slow.bit_generator.state
+        failed = sum(decision is None for decision, _, _ in runs)
+        if retries == 0 and eps < 1:
+            assert 0 < failed < len(runs)
+        elif eps == 1:
+            assert failed == 0
