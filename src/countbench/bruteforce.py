@@ -1,9 +1,10 @@
 """Explicit matrices and the cross-check suite for every closed form.
 
 Everything the closed-form engine claims is rebuilt here the hard way:
-the overlap Gram matrix, the single-element membership differences, the four
-lift transformations that expand matrix entries by superposition
-vectors, and the superposition isometries V and V-hat, applied entrywise.
+the overlap Gram matrix, the single-element membership differences, the
+lifted state-generation differences that expand each entry of Gamma by
+the superposition vectors of its row and column labels, and the
+superposition isometries V and V-hat, applied entrywise.
 ``verify`` runs one named check, building both sides explicitly and
 reporting the worst discrepancy; ``_CHECKS`` is the one table of what
 each check is.  ``sweep`` runs many instances' rows.
@@ -28,14 +29,14 @@ Gamma moves under the transposition (i n).  One eigh of sum_j j E_j per
 level gives the block bases that both the channel pass and PROJECTORS
 read.
 
-Block ordering for lifted matrices is row-label-major: the lifted row
-index (x, i) enumerates i = 1..n inside each x.  This makes the lift
-composition identities hold entry for entry.
+Block ordering for lifted matrices is label-major: the lifted row index
+(x, i) enumerates i = 1..n inside each x, and the lifted column index
+(y, i) inside each y.  This makes the lift composition identities hold
+entry for entry.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import time
 from dataclasses import dataclass, field
@@ -54,20 +55,6 @@ SIZE_CAP = 20000
 # identities are exact in real arithmetic.
 TOL_NORM = 1e-8
 TOL_EXACT = 1e-10
-
-
-class LiftKind(enum.Enum):
-    """The four entry-expanding transformations.
-
-    ROW kinds attach the superposition vector of the row label, COL kinds
-    that of the column label; PSI appends a column vector, PSI_STAR a row
-    covector.
-    """
-
-    ROW_PSI = "row-psi"
-    ROW_PSI_STAR = "row-psi-star"
-    COL_PSI = "col-psi"
-    COL_PSI_STAR = "col-psi-star"
 
 
 # Channel labels (ell, m): ground-space component ell tensor block shift m.
@@ -126,50 +113,34 @@ def _adversary_matrix(inst: ProblemInstance, t: float) -> np.ndarray:
     return linalg.freeze(adversary.adversary_matrix(inst, t))
 
 
-def lift(m, kind: LiftKind, psi: np.ndarray) -> np.ndarray:
-    """Expand each entry of ``m`` by the superposition vector of one side.
+def lift(gamma: np.ndarray, inst: ProblemInstance, reverse: bool) -> np.ndarray:
+    """The lifted state-generation difference of ``gamma``, one C-order array.
 
-    ``psi`` is the ``psi_matrix`` of the side named by ``kind``: rows of
-    ``m`` for ROW kinds, columns for COL kinds.  Its shape gives that
-    side's subset count and n.  Lifted indices are label-major, i.e. row
-    (x, i) and column (y, i) blocks of length n.
+    Entry (x, y, i) is gamma[x, y] psi_x[i] - gamma[x, y] psi-hat_y[i],
+    the difference of two rounded products, with psi_x a row of the
+    k level's ``psi_matrix`` and psi-hat_y one of the k' level's.  Forward,
+    the rows are (x, i) and the columns y; reverse, the rows are x and the
+    columns (y, i).  The array is filled one block of ceil(rows / n) rows
+    of gamma at a time, so the product it subtracts is about the size of
+    gamma.  A zero product keeps the sign it has in the one-sided lifts
+    that ``tests/dense_reference.py`` defines: einsum writes it as +0, a
+    plain product with the sign of the gamma entry.
     """
-    m = linalg.as_matrix(m)
-    size, n = psi.shape
-    rows, cols = m.shape
-    if kind in (LiftKind.ROW_PSI, LiftKind.ROW_PSI_STAR):
-        if rows != size:
-            raise ValueError(f"row count {rows} does not match {size} subsets")
-    elif cols != size:
-        raise ValueError(f"column count {cols} does not match {size} subsets")
-    if kind is LiftKind.ROW_PSI:
-        return _v_apply(psi, m)
-    if kind is LiftKind.ROW_PSI_STAR:
-        return np.einsum("xy,xi->xyi", m, psi).reshape(rows, cols * n)
-    if kind is LiftKind.COL_PSI:
-        # C order, so that the reshape is a view rather than a copy.
-        return np.einsum("xy,yi->xiy", m, psi, order="C").reshape(rows * n, cols)
-    if kind is LiftKind.COL_PSI_STAR:
-        return np.einsum("xy,yi->xyi", m, psi).reshape(rows, cols * n)
-    raise ValueError(f"unknown lift kind {kind!r}")
-
-
-def _kron_apply(block_op: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
-    """(block_op tensor I_n) @ m for a lifted matrix m with row blocks of length n.
-
-    One GEMM on m viewed as (rows, n * cols); no Kronecker product is formed.
-    """
-    cols = m.shape[1]
-    return (block_op @ m.reshape(block_op.shape[1], n * cols)).reshape(-1, cols)
-
-
-def _v_apply(psi: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """V @ m for the isometry V of the level whose ``psi_matrix`` is ``psi``.
-
-    Row (x, i) of V holds psi_x[i] in column x and zeros elsewhere, so row
-    (x, i) of V m is psi_x[i] m[x, :]; it is formed entrywise, without V.
-    """
-    return (psi[:, :, None] * m[:, None, :]).reshape(-1, m.shape[1])
+    n = inst.n
+    psi, psi_hat = psi_matrix(n, inst.k), psi_matrix(n, inst.k_prime)
+    rows, cols = gamma.shape
+    out = np.empty((rows, cols, n) if reverse else (rows, n, cols))
+    step = -(-rows // n)
+    for start in range(0, rows, step):
+        part = slice(start, start + step)
+        g, block = gamma[part], out[part]
+        if reverse:
+            np.einsum("xy,xi->xyi", g, psi[part], out=block)
+            block -= np.einsum("xy,yi->xyi", g, psi_hat)
+        else:
+            np.multiply(psi[part, :, None], g[:, None, :], out=block)
+            block -= np.einsum("xy,yi->xiy", g, psi_hat, order="C")
+    return out.reshape(rows, cols * n) if reverse else out.reshape(rows * n, cols)
 
 
 def check_instance(inst: ProblemInstance) -> None:
@@ -201,14 +172,17 @@ def _xi_is_declared_zero(j: int, ell: int, m: int, level_max: int) -> bool:
 def _xi_raw(inst: ProblemInstance, j: int, ell: int, m: int, hatted: bool) -> np.ndarray:
     """The raw channel morphism (E_{j+m} tensor Pi_ell) V E_j of a non-border channel.
 
-    V E_j is formed entrywise by ``_v_apply``.  Pi_0 replaces each
-    length-n block by its mean, Pi_1 keeps the remainder.
+    Row (x, i) of V holds psi_x[i] in column x, so V E_j is formed
+    entrywise, without V, and E_{j+m} tensor I_n as one GEMM on V E_j
+    viewed as (subsets, n * cols), without a Kronecker product.  Pi_0
+    replaces each length-n block by its mean, Pi_1 keeps the remainder.
     """
     level = inst.k_prime if hatted else inst.k
     projectors = johnson.irrep_projectors(inst.n, level)
-    v_e = _v_apply(psi_matrix(inst.n, level), projectors[j])
-    cols = v_e.shape[1]
-    blocks = _kron_apply(projectors[j + m], v_e, inst.n).reshape(-1, inst.n, cols)
+    psi = psi_matrix(inst.n, level)
+    cols = projectors[j].shape[1]
+    v_e = (psi[:, :, None] * projectors[j][:, None, :]).reshape(len(psi), -1)
+    blocks = (projectors[j + m] @ v_e).reshape(-1, inst.n, cols)
     mean = blocks.mean(axis=1, keepdims=True)
     part = blocks - mean if ell else np.broadcast_to(mean, blocks.shape)
     return part.reshape(-1, cols)
@@ -284,35 +258,11 @@ def _check_delta_gen(inst: ProblemInstance, t: float, ell: int):
     gamma = _adversary_matrix(inst, t)
     # Each difference goes straight into spectral_norm, which drops it once
     # its Gram exists, so no lifted array lies under the eigensolve.
-    fwd, rev = (LiftKind.ROW_PSI, LiftKind.COL_PSI), (LiftKind.ROW_PSI_STAR, LiftKind.COL_PSI_STAR)
-    brute_fwd = linalg.spectral_norm(_lift_difference(gamma, *fwd, inst))
-    brute_rev = linalg.spectral_norm(_lift_difference(gamma, *rev, inst))
+    brute_fwd = linalg.spectral_norm(lift(gamma, inst, reverse=False))
+    brute_rev = linalg.spectral_norm(lift(gamma, inst, reverse=True))
     gaps = (abs(brute_fwd - closed[0]), abs(brute_rev - closed[1]))
     side = int(np.argmax(gaps))
     return float(closed[side]), float((brute_fwd, brute_rev)[side]), float(max(gaps)), {}
-
-
-def _lift_difference(
-    gamma: np.ndarray, row_kind: LiftKind, col_kind: LiftKind, inst: ProblemInstance
-) -> np.ndarray:
-    """lift(gamma, row_kind) - lift(gamma, col_kind), with one lifted array held.
-
-    Only the ROW lift is held whole.  The COL lift is subtracted into it
-    one row block of gamma at a time: row x of gamma lifts to rows
-    x n .. x n + n - 1 of a PSI lift and to row x of a PSI_STAR lift.
-    Each block has ceil(rows / n) rows of gamma, so its lift is about
-    the size of gamma.  The subtraction is entrywise, so the difference
-    is bit for bit the one of the two whole lifts.
-    """
-    n = inst.n
-    diff = lift(gamma, row_kind, psi_matrix(n, inst.k))
-    psi_hat = psi_matrix(n, inst.k_prime)
-    per_row = n if col_kind is LiftKind.COL_PSI else 1
-    step = -(-len(gamma) // n)
-    for start in range(0, len(gamma), step):
-        block = gamma[start : start + step]
-        diff[start * per_row : (start + len(block)) * per_row] -= lift(block, col_kind, psi_hat)
-    return diff
 
 
 def _check_delta_refl(inst: ProblemInstance, t: float, ell: int):
@@ -327,10 +277,10 @@ def _reflection_remainder_grams(
     """The two remainder Grams of the lifted reflection difference, and a scale.
 
     The difference's (x, y) block is gamma[x, y] (psi_x psi_x^T - psi_y
-    psi_y^T), with row blocks (x, i) and column blocks (y, i) as in
-    ``lift``.  By the lift composition identities it is
-    D = V A + B V-hat^T with A = lift(gamma, ROW_PSI_STAR) and
-    B = -lift(gamma, COL_PSI), and for any gamma both A V-hat and -V^T B
+    psi_y^T), with row blocks (x, i) and column blocks (y, i), label-major.
+    By the lift composition identities it is D = V A + B V-hat^T with
+    A[x, (y, i)] = gamma[x, y] psi_x[i] and B[(x, i), y] = -gamma[x, y]
+    psi-hat_y[i], and for any gamma both A V-hat and -V^T B
     equal gamma o P, P = ``psi_gram``.  So
     D = V A (I - V-hat V-hat^T) + (I - V V^T) B V-hat^T: two pieces with
     orthogonal ranges and orthogonal row spaces, and ||D||^2 is the larger
@@ -494,9 +444,9 @@ def _level_channels(n: int, level: int, hatted: bool):
     in one reused N x N buffer, which yields slot i of every kept Pi_1
     core and the slot's squared (r, j) block sums.  Returns the block
     bases, the normalised cores K/||K|| that ``_channel_norms`` reads,
-    read-only and keyed by (j, ell, m) with rows (a, i) as in
-    ``_kron_apply`` (every core of level k; on level k' those with
-    j, j + m < k', which any k < k' reads) and ||R||_F.
+    read-only and keyed by (j, ell, m) with rows (a, i), label-major (every
+    core of level k; on level k' those with j, j + m < k', which any
+    k < k' reads) and ||R||_F.
     """
     coeffs = adversary.phi_components(n, level, np.arange(level + 1))
     q_all, edges = _level_bases(n, level)

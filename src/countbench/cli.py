@@ -187,21 +187,9 @@ def cmd_verify(args) -> int:
     for r in reports:
         millis = int(round(r.wall_ms)) if args.timing else 0
         lines.append(
-            ",".join(
-                [
-                    r.check_id,
-                    str(r.n),
-                    str(r.k),
-                    str(r.k_prime),
-                    _fmt_float(r.t),
-                    str(r.ell),
-                    _fmt_float(r.closed_form),
-                    _fmt_float(r.brute_force),
-                    _fmt_float(r.discrepancy),
-                    _fmt_bool(r.passed),
-                    str(millis),
-                ]
-            )
+            f"{r.check_id},{r.n},{r.k},{r.k_prime},{_fmt_float(r.t)},{r.ell},"
+            f"{_fmt_float(r.closed_form)},{_fmt_float(r.brute_force)},"
+            f"{_fmt_float(r.discrepancy)},{_fmt_bool(r.passed)},{millis}"
         )
     (out_dir / "verify.csv").write_text("\n".join(lines) + "\n")
 

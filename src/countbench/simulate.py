@@ -184,11 +184,11 @@ def overlap(n: int, k: int, eps: float, copy_count: int):
     Each consumed copy succeeds independently with probability |x|/n;
     the success fraction is thresholded midway between k/n and k'/n.
     """
-    if copy_count < 1:
-        raise ValueError("need at least one copy")
     k_prime = _k_prime(k, eps)
     if k_prime > n:
-        raise ValueError("hidden set cannot exceed the ground set")
+        raise ValueError(f"hidden set size k' = {k_prime} exceeds the ground set size n = {n}")
+    if copy_count < 1:
+        raise ValueError("need at least one copy")
     midpoint = (k + k_prime) / (2.0 * n)
 
     def single(rng: np.random.Generator, size: int):

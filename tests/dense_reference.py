@@ -15,13 +15,21 @@ and commutation differences, with no structure assumed, so it gates the
 package's sums of squares over the block cores.  ``frobenius_residual``
 takes the residual of one level with the block pass's normalisers, which
 a non-equivariant superposition tells apart from the spectral ones.
+The one-sided lifts expand each entry of a matrix by the superposition
+vector of its row label (``row_psi``, ``row_psi_star``) or its column
+label (``col_psi``, ``col_psi_star``), as a column vector (PSI) or a row
+covector (PSI_STAR); lifted indices are label-major, row (x, i) and
+column (y, i).  ``bruteforce.lift`` forms DELTA_GEN's two differences,
+row_psi - col_psi and row_psi_star - col_psi_star, in one array each, and
+is gated against these bit for bit; ``isometry`` is row_psi of an
+identity, and ``kron_apply`` applies a block operator tensor I_n.
 The rank-one lifts expand each entry of a matrix by the n-by-n block
 psi psi^T of one side's superposition vector.  The package never forms
 them, nor any other lifted array for DELTA_REFL: it reads the norm of
 their difference off the Johnson blocks of two level-sized remainder
 Grams built from gamma, the superposition rows and the overlap matrix.
 They stay here as the definition that split and readout are gated
-against, with the same label-major block ordering as ``bruteforce.lift``.
+against, with the same label-major block ordering.
 ``remainder_gram_norm`` is the exact-eigenvalue norm of the split, for a
 gamma that is not equivariant, where the block readout does not apply.
 ``delta_membership_mask`` is the 0/1 matrix Delta_i whose entrywise product
@@ -60,6 +68,32 @@ def psi_matrix(n: int, k: int) -> np.ndarray:
         for e in subset:
             out[idx, e - 1] = 1.0
     return out / math.sqrt(k)
+
+
+def row_psi(m, psi) -> np.ndarray:
+    """Row (x, i) is psi[x, i] m[x, :]; ``psi`` is the ``psi_matrix`` of m's row level."""
+    return (psi[:, :, None] * m[:, None, :]).reshape(-1, m.shape[1])
+
+
+def row_psi_star(m, psi) -> np.ndarray:
+    """Column (y, i) of row x is m[x, y] psi[x, i]; ``psi`` as in ``row_psi``."""
+    return np.einsum("xy,xi->xyi", m, psi).reshape(len(m), -1)
+
+
+def col_psi(m, psi) -> np.ndarray:
+    """Row (x, i) of column y is m[x, y] psi[y, i]; ``psi`` is that of m's column level."""
+    return np.einsum("xy,yi->xiy", m, psi, order="C").reshape(-1, m.shape[1])
+
+
+def col_psi_star(m, psi) -> np.ndarray:
+    """Column (y, i) of row x is m[x, y] psi[y, i]; ``psi`` as in ``col_psi``."""
+    return np.einsum("xy,yi->xyi", m, psi).reshape(len(m), -1)
+
+
+def kron_apply(block_op: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
+    """(block_op tensor I_n) @ m for a lifted m with row blocks of length n, as one GEMM."""
+    cols = m.shape[1]
+    return (block_op @ m.reshape(block_op.shape[1], n * cols)).reshape(-1, cols)
 
 
 def _rank_one_lift(m, n: int, k: int, rows_side: bool) -> np.ndarray:
@@ -130,7 +164,7 @@ def unit_norm_error(tables) -> float:
 def isometry(inst, hatted: bool = False) -> np.ndarray:
     """The superposition isometry V (V-hat when hatted) as a dense matrix."""
     psi = bruteforce.psi_matrix(inst.n, inst.k_prime if hatted else inst.k)
-    return bruteforce.lift(np.eye(len(psi)), bruteforce.LiftKind.ROW_PSI, psi)
+    return row_psi(np.eye(len(psi)), psi)
 
 
 def frobenius_residual(inst, hatted: bool = False) -> float:
@@ -182,7 +216,7 @@ def channel_checks(inst) -> dict:
             xi = bruteforce.build_xi(inst, j, el, m)
             residual -= coeffs[j, comp] * xi
             phi_moved = johnson.transporter(inst.n, inst.k, inst.k_prime, j + m)
-            diff = bruteforce._kron_apply(phi_moved, xi_hat, inst.n)
+            diff = kron_apply(phi_moved, xi_hat, inst.n)
             diff -= xi @ johnson.transporter(inst.n, inst.k, inst.k_prime, j)
             worst = max(worst, float(np.linalg.norm(diff)))
     v_decomp = float(max(np.linalg.norm(residual), np.linalg.norm(residual_hat)))

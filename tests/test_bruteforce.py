@@ -7,10 +7,17 @@ import pytest
 
 from countbench import adversary, bruteforce, cli, johnson, linalg
 from countbench.adversary import ProblemInstance
-from countbench.bruteforce import LiftKind, lift
 from countbench.cli import DEFAULT_INSTANCES
 import dense_reference
-from dense_reference import col_psi_psi_star, index_of, row_psi_psi_star
+from dense_reference import (
+    col_psi,
+    col_psi_psi_star,
+    col_psi_star,
+    index_of,
+    row_psi,
+    row_psi_psi_star,
+    row_psi_star,
+)
 
 INST = ProblemInstance(8, 2, 3)
 
@@ -50,17 +57,17 @@ class TestMembershipMask:
 
 class TestLift:
     def test_identity_row_lift_is_isometry(self):
-        psi = bruteforce.psi_matrix(8, 2)
-        v = lift(np.eye(len(psi)), LiftKind.ROW_PSI, psi)
-        assert v.shape == (len(psi) * 8, len(psi))
-        assert np.max(np.abs(v.T @ v - np.eye(len(psi)))) < 1e-12
+        v = dense_reference.isometry(INST)
+        size = math.comb(8, 2)
+        assert v.shape == (size * 8, size)
+        assert np.max(np.abs(v.T @ v - np.eye(size))) < 1e-12
 
     def test_row_composition_identity(self):
         rng = np.random.default_rng(2)
         psi_x = bruteforce.psi_matrix(8, 2)
         m = rng.standard_normal((math.comb(8, 2), math.comb(8, 3)))
         direct = row_psi_psi_star(m, 8, 2)
-        staged = lift(lift(m, LiftKind.ROW_PSI_STAR, psi_x), LiftKind.ROW_PSI, psi_x)
+        staged = row_psi(row_psi_star(m, psi_x), psi_x)
         # Equal up to multiplication-order rounding.
         assert np.max(np.abs(direct - staged)) < 1e-15
 
@@ -69,7 +76,7 @@ class TestLift:
         psi_y = bruteforce.psi_matrix(8, 3)
         m = rng.standard_normal((math.comb(8, 2), math.comb(8, 3)))
         direct = col_psi_psi_star(m, 8, 3)
-        staged = lift(lift(m, LiftKind.COL_PSI, psi_y), LiftKind.COL_PSI_STAR, psi_y)
+        staged = col_psi_star(col_psi(m, psi_y), psi_y)
         assert np.max(np.abs(direct - staged)) < 1e-15
 
     def test_state_gen_difference_matches_entry_definition(self):
@@ -77,34 +84,42 @@ class TestLift:
         psi_x = bruteforce.psi_matrix(INST.n, INST.k)
         psi_y = bruteforce.psi_matrix(INST.n, INST.k_prime)
         gamma = adversary.adversary_matrix(INST, 2.0)
-        lifted = lift(gamma, LiftKind.ROW_PSI, psi_x) - lift(gamma, LiftKind.COL_PSI, psi_y)
+        forward = bruteforce.lift(gamma, INST, reverse=False)
+        reverse = bruteforce.lift(gamma, INST, reverse=True)
         for _ in range(100):
             x = int(rng.integers(len(psi_x)))
             y = int(rng.integers(len(psi_y)))
             i = int(rng.integers(INST.n))
             expected = gamma[x, y] * (psi_x[x, i] - psi_y[y, i])
-            assert lifted[x * INST.n + i, y] == pytest.approx(expected, abs=1e-14)
+            assert forward[x * INST.n + i, y] == pytest.approx(expected, abs=1e-14)
+            assert reverse[x, y * INST.n + i] == pytest.approx(expected, abs=1e-14)
 
-    # C(n,k) rows of gamma: 7 < n, 28 and 45 not a multiple of ceil(rows/n), 120 one.
-    @pytest.mark.parametrize("triple", [(7, 1, 2), (8, 2, 3), (10, 2, 3), (10, 3, 4)])
-    @pytest.mark.parametrize(
-        "kinds",
-        [(LiftKind.ROW_PSI, LiftKind.COL_PSI), (LiftKind.ROW_PSI_STAR, LiftKind.COL_PSI_STAR)],
-        ids=["forward", "reverse"],
-    )
-    def test_row_blocked_difference_is_the_whole_lift_difference(self, triple, kinds):
+    # C(n,k) rows of gamma: 6 = n, 28 and 220 not multiples of n, filled in
+    # blocks of ceil(rows / n) = 1, 4 and 19 rows.
+    @pytest.mark.parametrize("triple", [(6, 1, 2), (8, 2, 3), (12, 3, 4)])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    @pytest.mark.parametrize("planted", ["signed-zeros", "adversary"])
+    def test_kernel_is_the_one_sided_lift_difference_bit_for_bit(
+        self, triple, reverse, planted
+    ):
         inst = ProblemInstance(*triple)
-        gamma = np.random.default_rng(5).standard_normal(
-            (math.comb(inst.n, inst.k), math.comb(inst.n, inst.k_prime))
-        )
+        if planted == "adversary":
+            gamma = adversary.adversary_matrix(inst, 2.0)
+        else:
+            gamma = _generic_gamma(inst, 5)
+            draw = np.random.default_rng(6).random(gamma.shape)
+            gamma[draw < 0.1], gamma[draw > 0.9] = 0.0, -0.0
         psi_x = bruteforce.psi_matrix(inst.n, inst.k)
         psi_y = bruteforce.psi_matrix(inst.n, inst.k_prime)
-        whole = lift(gamma, kinds[0], psi_x) - lift(gamma, kinds[1], psi_y)
-        assert np.array_equal(bruteforce._lift_difference(gamma, *kinds, inst), whole)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            lift(np.zeros((3, 5)), LiftKind.ROW_PSI, bruteforce.psi_matrix(8, 2))
+        if reverse:
+            whole = row_psi_star(gamma, psi_x) - col_psi_star(gamma, psi_y)
+        else:
+            whole = row_psi(gamma, psi_x) - col_psi(gamma, psi_y)
+        got = bruteforce.lift(gamma, inst, reverse)
+        assert np.array_equal(got, whole)
+        # The same bits, the signs of zero entries included, in the same layout.
+        assert got.flags.c_contiguous and got.shape == whole.shape
+        assert got.tobytes() == whole.tobytes()
 
 
 class TestProjectionPair:
@@ -157,7 +172,7 @@ class TestXi:
                 if bruteforce._xi_is_declared_zero(j, el, m, size):
                     continue
                 pi = dense_reference.build_projection_pair(INST.n)[el]
-                moved = bruteforce._kron_apply(
+                moved = dense_reference.kron_apply(
                     projectors[j + m], v_iso @ projectors[j], INST.n
                 )
                 cols = moved.shape[1]
@@ -607,7 +622,7 @@ class TestPeakMemory:
         assert _traced_peak(lambda: bruteforce._check_delta_gen(self.INST, 2.0, 0)) <= 27e6
 
     def test_delta_gen_holds_one_lifted_array(self):
-        # 13.3 MB: one 10.5 MB lift, the COL lift subtracted by row blocks of gamma.
+        # 13.3 MB: one 10.5 MB lifted difference, filled by row blocks of gamma.
         assert _traced_peak(lambda: bruteforce._check_delta_gen(self.INST, 2.0, 0)) <= 16e6
 
     def test_channel_pass_one_slot_at_a_time(self):
@@ -686,9 +701,8 @@ class TestCutoffAboveK:
         # and the reflection remainder Gram E both read row^2 times identity.
         row = adversary._row_past_k(adversary.gamma_schedule(t, inst.k), inst)
         gamma = adversary.adversary_matrix(inst, t)
-        psi = bruteforce.psi_matrix(inst.n, inst.k)
         psi_hat = bruteforce.psi_matrix(inst.n, inst.k_prime)
-        diff = lift(gamma, LiftKind.ROW_PSI, psi) - lift(gamma, LiftKind.COL_PSI, psi_hat)
+        diff = bruteforce.lift(gamma, inst, reverse=False)
         overlap = gamma * bruteforce.psi_gram(inst)
         remainder = (gamma.T @ gamma) * (psi_hat @ psi_hat.T) - overlap.T @ overlap
         q_all, edges = bruteforce._block_bases(johnson.irrep_projectors(inst.n, inst.k_prime))
@@ -767,14 +781,12 @@ class TestReflectionLiftNorm:
 
     @pytest.mark.parametrize("inst", DEFAULT, ids=_instance_id)
     def test_the_split_cancels_the_off_diagonal_block(self, inst):
-        # A V-hat + V^T B = 0 for any gamma, with A = lift(gamma, ROW_PSI_STAR)
-        # and B = -lift(gamma, COL_PSI); both sides equal gamma o psi_gram.
+        # A V-hat + V^T B = 0 for any gamma, with A = row_psi_star(gamma)
+        # and B = -col_psi(gamma); both sides equal gamma o psi_gram.
         gamma = _generic_gamma(inst, 29)
-        psi = bruteforce.psi_matrix(inst.n, inst.k)
-        psi_hat = bruteforce.psi_matrix(inst.n, inst.k_prime)
         v, v_hat = dense_reference.isometry(inst), dense_reference.isometry(inst, hatted=True)
-        a_v_hat = lift(gamma, LiftKind.ROW_PSI_STAR, psi) @ v_hat
-        v_b = -v.T @ lift(gamma, LiftKind.COL_PSI, psi_hat)
+        a_v_hat = row_psi_star(gamma, bruteforce.psi_matrix(inst.n, inst.k)) @ v_hat
+        v_b = -v.T @ col_psi(gamma, bruteforce.psi_matrix(inst.n, inst.k_prime))
         bound = 1e-14 * np.max(np.abs(gamma))
         assert np.max(np.abs(a_v_hat + v_b)) <= bound
         assert np.max(np.abs(a_v_hat - gamma * bruteforce.psi_gram(inst))) <= bound
@@ -806,7 +818,7 @@ class TestKronApply:
         rng = np.random.default_rng(seed)
         block_op = rng.standard_normal(shape)
         m = rng.standard_normal((shape[1] * n, 7))
-        got = bruteforce._kron_apply(block_op, m, n)
+        got = dense_reference.kron_apply(block_op, m, n)
         want = np.kron(block_op, np.eye(n)) @ m
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-12
@@ -927,13 +939,8 @@ class TestFeasibilityAgainstBruteForce:
         assert feas.membership_norm == pytest.approx(per_i[0], abs=1e-8)
         psi_x = bruteforce.psi_matrix(INST.n, INST.k)
         psi_y = bruteforce.psi_matrix(INST.n, INST.k_prime)
-        fwd = linalg.spectral_norm(
-            lift(gamma, LiftKind.ROW_PSI, psi_x) - lift(gamma, LiftKind.COL_PSI, psi_y)
-        )
-        rev = linalg.spectral_norm(
-            lift(gamma, LiftKind.ROW_PSI_STAR, psi_x)
-            - lift(gamma, LiftKind.COL_PSI_STAR, psi_y)
-        )
+        fwd = linalg.spectral_norm(row_psi(gamma, psi_x) - col_psi(gamma, psi_y))
+        rev = linalg.spectral_norm(row_psi_star(gamma, psi_x) - col_psi_star(gamma, psi_y))
         assert feas.state_gen_norm == pytest.approx(max(fwd, rev), abs=1e-8)
         refl = linalg.spectral_norm(
             row_psi_psi_star(gamma, INST.n, INST.k)

@@ -715,6 +715,20 @@ class TestSimulateCommand:
         message = capsys.readouterr().err
         assert str(trials) in message and str(simulate.MAX_TRIALS) in message
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_empty_ground_set_is_named_before_the_copy_count(self, tmp_path, capsys, n):
+        # The default copy count 64n/(k eps^2) is not positive here; the
+        # ground set is what is wrong, and it is checked first.
+        out = tmp_path / "s"
+        code = run(
+            ["simulate", "overlap", "--n", n, "--k", "4", "--eps", "1",
+             "--trials", "3", "--out", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+        message = capsys.readouterr().err
+        assert "ground set size n = " + n in message and "copy" not in message
+
     def test_unknown_procedure_is_usage_error(self, tmp_path):
         code = run(["simulate", "warp", "--trials", "10", "--out", str(tmp_path / "s")])
         assert code == 2
