@@ -38,9 +38,8 @@ DEFAULT_T_VALUES = (1.0, 2.0, 3.0)
 VERIFY_CSV_HEADER = (
     "check_id,n,k,k_prime,t,ell,closed_form,brute_force,discrepancy,pass,millis"
 )
-SIMULATE_CSV_HEADER = (
-    "trial,true_size,decision,correct,failed,statistic,"
-    "copies,state_generation,reflections,membership"
+SIMULATE_CSV_HEADER = "trial,true_size,decision,correct,failed,statistic," + ",".join(
+    simulate.RESOURCES
 )
 
 
@@ -331,15 +330,18 @@ def cmd_simulate(args) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     tag = args.procedure.replace("-", "_")
-    lines = [SIMULATE_CSV_HEADER]
-    for idx, out in enumerate(outcomes):
-        tally = out.tally
-        lines.append(
-            f"{idx},{out.true_size},{out.decision},{_fmt_bool(out.correct)},"
-            f"{_fmt_bool(out.failed)},{_fmt_float(out.statistic)},{tally.copies},"
-            f"{tally.state_generation},{tally.reflections},{tally.membership}"
-        )
-    (out_dir / f"simulate_{tag}.csv").write_text("\n".join(lines) + "\n")
+    # Every trial spends the set-up's one resource; the other tally columns read 0.
+    spent = outcomes[0].resource
+    tally = ",".join("{}" if name == spent else "0" for name in simulate.RESOURCES) + "\n"
+    # Row by row, so that no copy of the whole report is held beside the outcomes.
+    with (out_dir / f"simulate_{tag}.csv").open("w") as report:
+        report.write(SIMULATE_CSV_HEADER + "\n")
+        for idx, out in enumerate(outcomes):
+            report.write(
+                f"{idx},{out.true_size},{out.decision},{_fmt_bool(out.correct)},"
+                f"{_fmt_bool(out.failed)},{_fmt_float(out.statistic)},"
+                + tally.format(out.cost)
+            )
 
     payload = {
         "version": __version__,

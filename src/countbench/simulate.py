@@ -9,13 +9,15 @@ query tallies stay exact.
 
 Each procedure is one function, named as on the command line
 (`PROCEDURES` maps the names to them).  It validates its parameters once
-and returns the set-up ``(k, k_prime, single)``, where
-``single(rng, size) -> (decision, statistic, tally)`` is one run of it.
-`trial` runs a set-up once: it draws the hidden-set size, repeats the
-run against that one set, takes the majority vote and sums the tallies;
-a run with decision ``None`` failed.  `run_batch` sets a named procedure
-up once and runs many trials, so one trial of coupon counting reads
-``trial(coupon(k, eps, budget), seed)``.
+and returns the set-up ``(k, k_prime, resource, single)``: one run
+``single(rng, size) -> (decision, statistic, cost)`` spends ``cost`` units
+of ``resource`` (one of `RESOURCES`) and nothing else.  `trial` runs a
+set-up once: it draws the hidden-set size, repeats the run against that
+one set, takes the majority vote and sums the costs; a run with decision
+``None`` failed.  `run_batch` sets a named procedure up once and runs
+many trials through `trial`, so one trial of coupon counting reads
+``trial(coupon(k, eps, budget), seed)``.  A batch holds one `TrialOutcome`
+and 32 bytes of packed generator seed per trial, and nothing more.
 
 Determinism contract: trial i of a batch with master seed ``seed`` runs
 on a generator bit-identical to ``np.random.default_rng((seed, i))``:
@@ -34,12 +36,12 @@ block, rewinds to the state saved before the block and redraws what it read.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
-from functools import lru_cache
+from collections.abc import Iterator
+from typing import NamedTuple
 
 import numpy as np
 
-from . import adversary, linalg
+from . import adversary
 
 DECIDE_SMALL = "k"
 DECIDE_LARGE = "k_prime"
@@ -48,34 +50,38 @@ GRID_MARGIN = 2.0
 # Largest phase grid a run may ask for: its outcome distribution alone is
 # 128 MiB, and a larger one would fail inside numpy instead of by name.
 MAX_GRID_POINTS = 1 << 24
-# Most trials one batch may run: a run holds about 790 B per trial, so
-# 2^20 trials reach about 0.9 GB, and a larger batch would fail for
-# memory rather than by name.
+# Most draws one run may ask for, and most entries of the array it counts
+# them in: either array is 128 MiB at the cap, and a larger one would fail
+# inside numpy instead of by name.
+MAX_DRAWS = 1 << 24
+# Most trials one batch may run: a CLI run holds about 190 B per trial,
+# so 2^20 trials reach about 0.25 GB, and a much larger batch would
+# fail for memory rather than by name.
 MAX_TRIALS = 1 << 20
+# What a procedure spends (state copies, oracle calls), in report column order.
+RESOURCES = ("copies", "state_generation", "reflections", "membership")
 
 
-@dataclass
-class QueryTally:
-    """Oracle-call counters; fractional weighting happens at report time."""
+class TrialOutcome(NamedTuple):
+    """One trial's result: it spent ``cost`` units of ``resource`` and nothing else."""
 
-    copies: int = 0
-    state_generation: int = 0
-    reflections: int = 0
-    membership: int = 0
-
-
-@dataclass
-class TrialOutcome:
     decision: str
     correct: bool
-    tally: QueryTally
     true_size: int
     statistic: float
+    resource: str
+    cost: int
     failed: bool = False
 
 
-def _k_prime(k: int, eps: float) -> int:
-    """k' = (1+eps)k for finite, positive eps; it must be whole and above k."""
+def _cap_draws(what: str, count: int) -> None:
+    """Reject a run that would allocate ``count`` > MAX_DRAWS entries, before it does."""
+    if count > MAX_DRAWS:
+        raise ValueError(f"{what} = {count} exceeds cap MAX_DRAWS = {MAX_DRAWS}")
+
+
+def _k_prime(k: int, eps: float, n: int | None = None) -> int:
+    """k' = (1+eps)k for finite, positive eps; it must be whole, above k and below any n."""
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, got {eps!r}")
     try:
@@ -86,20 +92,22 @@ def _k_prime(k: int, eps: float) -> int:
         raise ValueError(f"k' = (1+eps)k = {k_prime} is not positive")
     if k_prime <= k:
         raise ValueError(f"k' = (1+eps)k = {k_prime} is not above k = {k}")
+    if n is not None and k_prime >= n:
+        raise ValueError("need k' < n")
     return k_prime
 
 
 def trial(setup, rng_seed, true_size: int | None = None, repetitions: int = 1) -> TrialOutcome:
-    """One trial of ``setup = (k, k_prime, single)``: draw the hidden set, run, majority-vote.
+    """One trial of ``setup = (k, k_prime, resource, single)``: draw the hidden set, run, vote.
 
     All ``repetitions`` runs share one generator and one hidden set of
     size k or k' (drawn fairly unless ``true_size`` pins it).  Ties go to
-    the small hypothesis and the tallies add up.  If every run failed,
+    the small hypothesis and the costs add up.  If every run failed,
     the trial fails with the first run's statistic; otherwise the
     statistic is the mean over all runs.  ``rng_seed`` is anything
     ``np.random.default_rng`` takes; a Generator is used as it is.
     """
-    k, k_prime, single = setup
+    k, k_prime, resource, single = setup
     # Before the first draw, so that a rejected call leaves a Generator as it was.
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -111,11 +119,11 @@ def trial(setup, rng_seed, true_size: int | None = None, repetitions: int = 1) -
     else:
         raise ValueError(f"true_size must be {k} or {k_prime}, got {true_size}")
     if repetitions == 1:
-        decision, statistic, tally = single(rng, size)
+        decision, statistic, cost = single(rng, size)
     else:
         runs = [single(rng, size) for _ in range(repetitions)]
         statistic = runs[0][1]
-        tally = QueryTally(*map(sum, zip(*(astuple(t) for _, _, t in runs))))
+        cost = sum(spent for _, _, spent in runs)
         decided = [decision for decision, _, _ in runs if decision is not None]
         if decided:
             statistic = float(np.mean([stat for _, stat, _ in runs]))
@@ -124,9 +132,9 @@ def trial(setup, rng_seed, true_size: int | None = None, repetitions: int = 1) -
         else:
             decision = None
     if decision is None:
-        return TrialOutcome(DECIDE_SMALL, False, tally, size, statistic, failed=True)
+        return TrialOutcome(DECIDE_SMALL, False, size, statistic, resource, cost, True)
     truth = DECIDE_SMALL if size == k else DECIDE_LARGE
-    return TrialOutcome(decision, decision == truth, tally, size, statistic)
+    return TrialOutcome(decision, decision == truth, size, statistic, resource, cost)
 
 
 # ---------------------------------------------------------------------------
@@ -143,17 +151,17 @@ def coupon(k: int, eps: float, sample_budget: int):
     """
     if sample_budget < 0:
         raise ValueError("sample budget must be nonnegative")
+    k_prime = _k_prime(k, eps)
+    _cap_draws("sample budget", sample_budget)
+    _cap_draws("hidden-set size k'", k_prime)  # a run counts every element's draws
 
     def single(rng: np.random.Generator, size: int):
-        if sample_budget:
-            draws = rng.integers(0, size, sample_budget)
-            distinct = int(np.count_nonzero(np.bincount(draws, minlength=size)))
-        else:
-            distinct = 0
+        draws = rng.integers(0, size, sample_budget)  # no draw at all for a zero budget
+        distinct = int(np.count_nonzero(np.bincount(draws, minlength=size)))
         decision = DECIDE_SMALL if distinct <= k else DECIDE_LARGE
-        return decision, float(distinct), QueryTally(copies=sample_budget)
+        return decision, float(distinct), sample_budget
 
-    return k, _k_prime(k, eps), single
+    return k, k_prime, "copies", single
 
 
 def collision(k: int, eps: float, sample_count: int):
@@ -166,6 +174,8 @@ def collision(k: int, eps: float, sample_count: int):
     if sample_count < 2:
         raise ValueError("need at least two samples")
     k_prime = _k_prime(k, eps)
+    _cap_draws("sample count", sample_count)
+    _cap_draws("hidden-set size k'", k_prime)  # a run counts every element's draws
     total_pairs = sample_count * (sample_count - 1) / 2.0
     midpoint = total_pairs * (1.0 / k + 1.0 / k_prime) / 2.0
 
@@ -173,9 +183,9 @@ def collision(k: int, eps: float, sample_count: int):
         counts = np.bincount(rng.integers(0, size, sample_count))
         pairs = int(counts @ (counts - 1)) / 2.0
         decision = DECIDE_SMALL if pairs > midpoint else DECIDE_LARGE
-        return decision, pairs, QueryTally(copies=sample_count)
+        return decision, pairs, sample_count
 
-    return k, k_prime, single
+    return k, k_prime, "copies", single
 
 
 def overlap(n: int, k: int, eps: float, copy_count: int):
@@ -194,9 +204,9 @@ def overlap(n: int, k: int, eps: float, copy_count: int):
     def single(rng: np.random.Generator, size: int):
         fraction = int(rng.binomial(copy_count, size / n)) / copy_count
         decision = DECIDE_LARGE if fraction > midpoint else DECIDE_SMALL
-        return decision, fraction, QueryTally(copies=copy_count)
+        return decision, fraction, copy_count
 
-    return k, k_prime, single
+    return k, k_prime, "copies", single
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +237,6 @@ def growth_stage(known: int, size: int) -> tuple[int, float]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
 def phase_estimation_distribution(theta: float, m_points: int) -> np.ndarray:
     """Outcome distribution of M-point phase estimation on the rotation by 2 theta.
 
@@ -248,7 +257,7 @@ def phase_estimation_distribution(theta: float, m_points: int) -> np.ndarray:
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-9:
         raise ArithmeticError(f"outcome distribution sums to {total}")
-    return linalg.freeze(probs / total)
+    return probs / total
 
 
 def _kernel(offsets: np.ndarray, m_points: int) -> np.ndarray:
@@ -325,17 +334,15 @@ def qcount(n: int, k: int, eps: float, oracle: str = "reflections"):
     """
     if oracle not in ("reflections", "membership"):
         raise ValueError("oracle must be 'reflections' or 'membership'")
-    k_prime = _k_prime(k, eps)
-    if k_prime >= n:
-        raise ValueError("need k' < n")
+    k_prime = _k_prime(k, eps, n)
 
     estimate = _phase_estimation(k / n, k_prime / n, lambda size: size / n)
 
     def single(rng: np.random.Generator, size: int):
         decision, value, m_points = estimate(rng, size)
-        return decision, value, QueryTally(**{oracle: m_points - 1})
+        return decision, value, m_points - 1
 
-    return k, k_prime, single
+    return k, k_prime, oracle, single
 
 
 def subset(n: int, k: int, eps: float, ell: int, oracle: str = "reflections"):
@@ -349,18 +356,16 @@ def subset(n: int, k: int, eps: float, ell: int, oracle: str = "reflections"):
         raise ValueError(f"need 1 <= ell <= k, got ell={ell}")
     if oracle not in ("reflections", "state_generation"):
         raise ValueError("oracle must be 'reflections' or 'state_generation'")
-    k_prime = _k_prime(k, eps)
-    if k_prime >= n:
-        raise ValueError("need k' < n")
+    k_prime = _k_prime(k, eps, n)
     calls_per_rotation = 1 if oracle == "reflections" else 2
 
     estimate = _phase_estimation(ell / k, ell / k_prime, lambda size: ell / size)
 
     def single(rng: np.random.Generator, size: int):
         decision, value, m_points = estimate(rng, size)
-        return decision, value, QueryTally(**{oracle: calls_per_rotation * (m_points - 1)})
+        return decision, value, calls_per_rotation * (m_points - 1)
 
-    return k, k_prime, single
+    return k, k_prime, oracle, single
 
 
 def _collect_distinct(
@@ -390,23 +395,22 @@ def sample_count(n: int, k: int, eps: float):
     discarded; the resampling budget is 10x the target, exhaustion fails
     the trial), and each estimation rotation costs two more.
     """
-    k_prime = _k_prime(k, eps)
-    if k_prime >= n:
-        raise ValueError("need k' < n")
+    k_prime = _k_prime(k, eps, n)
     ell = math.ceil(k ** (1.0 / 3.0) / (2.0 * eps ** (2.0 / 3.0)))
     if ell > k / 2:
         raise ValueError(f"sampling stage needs ell <= k/2, got ell={ell}, k={k}")
+    _cap_draws("resampling budget 10 ell", 10 * ell)
 
     estimate = _phase_estimation(ell / k, ell / k_prime, lambda size: ell / size)
 
     def single(rng: np.random.Generator, size: int):
         found, consumed = _collect_distinct(ell, size, 10 * ell, rng)
         if found < ell:
-            return None, float(found), QueryTally(state_generation=consumed)
+            return None, float(found), consumed
         decision, value, m_points = estimate(rng, size)
-        return decision, value, QueryTally(state_generation=consumed + 2 * (m_points - 1))
+        return decision, value, consumed + 2 * (m_points - 1)
 
-    return k, k_prime, single
+    return k, k_prime, "state_generation", single
 
 
 def bootstrap(n: int, k: int, eps: float, retries: int = 3):
@@ -423,12 +427,11 @@ def bootstrap(n: int, k: int, eps: float, retries: int = 3):
     """
     if retries < 0:
         raise ValueError("retries must be nonnegative")
-    k_prime = _k_prime(k, eps)
-    if k_prime >= n:
-        raise ValueError("need k' < n")
+    k_prime = _k_prime(k, eps, n)
     target = math.ceil(1.0 / eps)
     if target > k / 2:
         raise ValueError(f"growth target {target} exceeds k/2")
+    _cap_draws("growth target ceil(1/eps)", target)
 
     stages: dict = {}  # hidden-set size -> growth_stage(known, size) for known < target
     estimate = _phase_estimation(target / k, target / k_prime, lambda size: target / size)
@@ -455,11 +458,11 @@ def bootstrap(n: int, k: int, eps: float, retries: int = 3):
                     if read < len(block):
                         rng.bit_generator.state = saved
                         rng.random(read)
-                    return None, float(stage + 1), QueryTally(reflections=reflections)
+                    return None, float(stage + 1), reflections
         decision, value, m_points = estimate(rng, size)
-        return decision, value, QueryTally(reflections=reflections + m_points - 1)
+        return decision, value, reflections + m_points - 1
 
-    return k, k_prime, single
+    return k, k_prime, "reflections", single
 
 
 # ---------------------------------------------------------------------------
@@ -511,23 +514,23 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> 16)
 
 
-def _child_states(seed: int, trials: int) -> list[dict]:
-    """``np.random.default_rng((seed, i)).bit_generator.state`` for i < trials.
+def _child_states(seed: int, trials: int) -> Iterator[tuple[int, int]]:
+    """``(state, inc)`` of ``np.random.default_rng((seed, i)).bit_generator`` for i < trials.
 
     SeedSequence hashes the entropy words [seed words..., i] into a pool
     of four words and draws 4 uint64 from it; PCG64 seeds its 128-bit
     state and increment from those.  This runs the hash on all indices at
-    once and the 128-bit seeding on Python ints.
+    once and returns an iterator that seeds each trial on Python ints.
+    Such a generator also has ``has_uint32 = uinteger = 0``.
     """
     if trials > 1 << 32:
         raise ValueError(f"trial indices must fit one 32-bit word, got {trials} trials")
-    index = np.arange(trials, dtype=np.uint32)
     entropy = [np.full(trials, word, dtype=np.uint32) for word in _uint32_words(seed)]
-    entropy.append(index)
+    entropy.append(np.arange(trials, dtype=np.uint32))
     hash_const = _INIT_A
     pool = []
     for word in range(_POOL_SIZE):
-        source = entropy[word] if word < len(entropy) else np.zeros_like(index)
+        source = entropy[word] if word < len(entropy) else np.zeros(trials, np.uint32)
         value, hash_const = _hashmix(source, hash_const, _MULT_A)
         pool.append(value)
     for src in range(_POOL_SIZE):
@@ -540,27 +543,24 @@ def _child_states(seed: int, trials: int) -> list[dict]:
             value, hash_const = _hashmix(source, hash_const, _MULT_A)
             pool[dst] = _mix(pool[dst], value)
     hash_const = _INIT_B
-    words = []
+    # Little-endian pairs of words make the uint64 seed[0], seed[1], inc[0],
+    # inc[1]; as big-endian words in the order 1, 0, 3, 2, ..., each two of
+    # those read as one 128-bit integer.
+    packed = np.empty((trials, 8), dtype=">u4")
     for word in range(8):
         value, hash_const = _hashmix(pool[word % _POOL_SIZE], hash_const, _MULT_B)
-        words.append(value.astype(np.uint64))
-    # Little-endian pairs of words make the uint64 seed[0], seed[1], inc[0], inc[1].
-    uint64s = [(words[2 * j] | words[2 * j + 1] << np.uint64(32)).tolist() for j in range(4)]
-    states = []
-    for seed_hi, seed_lo, inc_hi, inc_lo in zip(*uint64s):
+        packed[:, word ^ 1] = value
+    return _pcg64_seeding(packed.tobytes())
+
+
+def _pcg64_seeding(packed: bytes) -> Iterator[tuple[int, int]]:
+    """Each trial's PCG64 ``(state, inc)`` from its 32 packed big-endian seed bytes."""
+    for row in range(0, len(packed), 32):
         # pcg_setseq_128_srandom_r: inc = 2 initseq + 1, then two LCG steps
         # with the initial state added after the first.
-        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
-        states.append(
-            {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-        )
-    return states
+        inc = (int.from_bytes(packed[row + 16 : row + 32], "big") << 1 | 1) & _MASK128
+        initial = int.from_bytes(packed[row : row + 16], "big")
+        yield ((inc + initial) * _PCG64_MULT + inc) & _MASK128, inc
 
 
 def run_batch(procedure: str, params: dict, trials: int, seed: int) -> list[TrialOutcome]:
@@ -574,40 +574,38 @@ def run_batch(procedure: str, params: dict, trials: int, seed: int) -> list[Tria
         raise ValueError("need at least one trial")
     if trials > MAX_TRIALS:
         raise ValueError(f"{trials} trials exceed cap MAX_TRIALS = {MAX_TRIALS}")
-    try:
-        set_up = PROCEDURES[procedure]
-    except KeyError:
-        raise ValueError(
-            f"unknown procedure {procedure!r}; known: {tuple(PROCEDURES)}"
-        ) from None
+    if procedure not in PROCEDURES:
+        raise ValueError(f"unknown procedure {procedure!r}; known: {tuple(PROCEDURES)}")
     params = dict(params)
     true_size = params.pop("true_size", None)
     repetitions = params.pop("repetitions", 1)
-    setup = set_up(**params)
+    setup = PROCEDURES[procedure](**params)
     rng = np.random.Generator(np.random.PCG64(0))
+    # One state dict for every trial; only its two integers change.
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     outcomes = []
-    for state in _child_states(seed, trials):
+    for pcg["state"], pcg["inc"] in _child_states(seed, trials):
         rng.bit_generator.state = state
         outcomes.append(trial(setup, rng, true_size, repetitions))
     return outcomes
 
 
 def aggregate(outcomes) -> dict:
-    """Success rate with binomial standard error, plus mean tallies."""
-    outcomes = list(outcomes)
-    trials = len(outcomes)
+    """Success rate with binomial standard error, plus the mean cost of each resource."""
+    trials = correct = failed = 0
+    spent = dict.fromkeys(RESOURCES, 0)
+    for trials, out in enumerate(outcomes, 1):
+        correct += out.correct
+        failed += out.failed
+        spent[out.resource] += out.cost
     if trials == 0:
         raise ValueError("nothing to aggregate")
-    rate = sum(out.correct for out in outcomes) / trials
+    rate = correct / trials
     return {
         "trials": trials,
         "success_rate": rate,
         "standard_error": math.sqrt(rate * (1.0 - rate) / trials),
-        "failure_rate": sum(out.failed for out in outcomes) / trials,
-        "mean_copies": float(np.mean([out.tally.copies for out in outcomes])),
-        "mean_state_generation": float(
-            np.mean([out.tally.state_generation for out in outcomes])
-        ),
-        "mean_reflections": float(np.mean([out.tally.reflections for out in outcomes])),
-        "mean_membership": float(np.mean([out.tally.membership for out in outcomes])),
+        "failure_rate": failed / trials,
+        **{f"mean_{resource}": total / trials for resource, total in spent.items()},
     }

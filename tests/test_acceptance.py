@@ -195,7 +195,7 @@ def test_criterion_08_simulator_success_rates():
 def test_criterion_09_query_scaling_slopes():
     ns = [1024, 2048, 4096, 8192]
     qcount_tallies = [
-        simulate.trial(simulate.qcount(n, 16, 1.0), 1).tally.reflections for n in ns
+        simulate.trial(simulate.qcount(n, 16, 1.0), 1).cost for n in ns
     ]
     lx = np.log(ns) - np.mean(np.log(ns))
     ly = np.log(qcount_tallies) - np.mean(np.log(qcount_tallies))
@@ -203,7 +203,7 @@ def test_criterion_09_query_scaling_slopes():
 
     ells = [4, 8, 16, 32]
     subset_tallies = [
-        simulate.trial(simulate.subset(8192, 1024, 0.5, ell), 1).tally.reflections
+        simulate.trial(simulate.subset(8192, 1024, 0.5, ell), 1).cost
         for ell in ells
     ]
     lx = np.log(ells) - np.mean(np.log(ells))

@@ -793,6 +793,34 @@ class TestSimulateCommand:
         assert "15168951184 points" in message
         assert str(simulate.MAX_GRID_POINTS) in message
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            # The default budget 5k asks for 37.3 GiB of draws.
+            (["coupon", "--k", "1000000000", "--eps", "1"], "sample budget = 5000000000"),
+            (["collision", "--k", "1000", "--eps", "1", "--samples", "2000000000"],
+             "sample count = 2000000000"),
+            # Each run counts the draws of every element in one array of k' entries.
+            (["coupon", "--k", "10000000", "--eps", "1", "--budget", "10"],
+             "k' = 20000000"),
+            (["collision", "--k", "10000000", "--eps", "1"], "k' = 20000000"),
+            (["sample-count", "--n", str(2**37), "--k", str(2**36), "--eps", str(2**-15)],
+             "10 ell = 20971520"),
+            (["bootstrap", "--n", str(2**27), "--k", str(2**26), "--eps", str(2**-25)],
+             "ceil(1/eps) = 33554432"),
+        ],
+        ids=["coupon-budget", "collision-samples", "coupon-k-prime", "collision-k-prime",
+             "sample-count-budget", "bootstrap-target"],
+    )
+    def test_oversized_draws_are_usage_errors(self, tmp_path, capsys, argv, named):
+        # Rejected by name at set-up, before any draw array or --out exists.
+        out = tmp_path / "s"
+        code = run(["simulate", *argv, "--trials", "1", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        message = capsys.readouterr().err
+        assert named in message and f"MAX_DRAWS = {simulate.MAX_DRAWS}" in message
+
     def test_every_procedure_runs_with_the_flags_it_reads(self, tmp_path):
         values = {"n": "4096", "budget": "300", "samples": "90", "copies": "500",
                   "ell": "16", "oracle": "reflections", "retries": "2"}
