@@ -24,6 +24,10 @@ from . import johnson, linalg
 CPRIME = 8.0
 # The constant-norm requirement on the Gram power, read as D^ell/2 >= this.
 FEASIBILITY_THRESHOLD = 0.25
+# Most rows a schedule or coefficient table may have.  The closed forms
+# hold about 420 B per row at their peak, so the cap is about 0.44 GB,
+# and a longer schedule would fail inside numpy instead of by name.
+MAX_ROWS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -113,9 +117,16 @@ def phi_components(n: int, size: int, j) -> np.ndarray:
     return np.stack([c0, c1, c2, c3], axis=-1)
 
 
+def _cap_rows(rows: int) -> None:
+    """Reject a schedule or table of ``rows`` > MAX_ROWS rows, before it is allocated."""
+    if rows > MAX_ROWS:
+        raise ValueError(f"{rows} rows exceed cap MAX_ROWS = {MAX_ROWS}")
+
+
 @lru_cache(maxsize=16)
 def phi_table(inst: ProblemInstance, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (phi, phi_prime): rows j = 0..rows-1 (at most k + 1) for levels k and k'."""
+    _cap_rows(rows)
     j = np.arange(rows)
     return (
         linalg.freeze(phi_components(inst.n, inst.k, j)),
@@ -133,6 +144,7 @@ def gamma_schedule(t: float, k: int) -> np.ndarray:
     if not t >= 1:
         raise ValueError(f"cutoff parameter must satisfy t >= 1, got {t}")
     live = min(k, math.floor(min(t, k)) + 1) + 1
+    _cap_rows(live)
     return linalg.freeze(np.maximum(1.0 - np.arange(live) / t, 0.0))
 
 

@@ -22,6 +22,8 @@ slot, formed once) and its complement (Pi_1, each slot less the mean);
 a Frobenius norm of what must vanish, with no eigensolve, decides each.
 ``build_xi`` forms one Xi at full size with the same split; the tests
 gate the block pass against it, and the benchmark tracer wraps it by name.
+``_live_channels`` is the one table of the channels not declared zero,
+which ``build_xi``, the block pass and the tests read.
 
 Work the symmetry makes identical is done once.  DELTA_MEMB takes the
 norm at element n alone and certifies every other element i by how far
@@ -159,14 +161,18 @@ def check_instance(inst: ProblemInstance) -> None:
         )
 
 
-def _xi_is_declared_zero(j: int, ell: int, m: int, level_max: int) -> bool:
-    if j < 0 or j > level_max or j + m < 0 or j + m > level_max:
-        return True
-    if j == 0 and (ell, m) in ((1, -1), (1, 0)):
-        return True
-    if j == level_max and (ell, m) == (1, 1):
-        return True
-    return False
+def _live_channels(level: int) -> list[tuple[int, int, int, int]]:
+    """``(comp, j, ell, m)``, comp indexing ``XI_CHANNELS``, of each channel not declared zero.
+
+    Blocks j and j + m must lie in 0..level, and (1, 0) at j = 0 is zero:
+    block 0 is the uniform vector, which Pi_1 removes.
+    """
+    return [
+        (comp, j, ell, m)
+        for comp, (ell, m) in enumerate(XI_CHANNELS)
+        for j in range(level + 1)
+        if 0 <= j + m <= level and (j, ell, m) != (0, 1, 0)
+    ]
 
 
 def _xi_raw(inst: ProblemInstance, j: int, ell: int, m: int, hatted: bool) -> np.ndarray:
@@ -202,7 +208,7 @@ def build_xi(
     level_max = inst.k_prime if hatted else inst.k
     if not (0 <= j <= level_max):
         raise ValueError(f"need 0 <= j <= {level_max}, got j={j}")
-    if _xi_is_declared_zero(j, ell, m, level_max):
+    if (j, ell, m) not in {live[1:] for live in _live_channels(level_max)}:
         size = math.comb(inst.n, level_max)
         return np.zeros((size * inst.n, size))
     raw = _xi_raw(inst, j, ell, m, hatted)
@@ -442,11 +448,10 @@ def _level_channels(n: int, level: int, hatted: bool):
     Q_all is formed once: sqrt(n) M is the Pi_0 coordinate and A_i - M the
     Pi_1 part of slot i.  Each slot is one symmetric product (BLAS syrk)
     in one reused N x N buffer, which yields slot i of every kept Pi_1
-    core and the slot's squared (r, j) block sums.  Returns the block
-    bases, the normalised cores K/||K|| that ``_channel_norms`` reads,
-    read-only and keyed by (j, ell, m) with rows (a, i), label-major (every
-    core of level k; on level k' those with j, j + m < k', which any
-    k < k' reads) and ||R||_F.
+    core and the slot's squared (r, j) block sums.  Returns the
+    normalised cores K/||K|| that ``_channel_norms`` reads, read-only,
+    keyed by (j, ell, m) and shaped (a, i, b) (every core of level k; on
+    level k' those with j, j + m < k', which any k < k' reads), and ||R||_F.
     """
     coeffs = adversary.phi_components(n, level, np.arange(level + 1))
     q_all, edges = _level_bases(n, level)
@@ -459,13 +464,13 @@ def _level_channels(n: int, level: int, hatted: bool):
 
     # Level k' keeps the cores with j, j + m < k', the ones any k < k' reads.
     top = level if hatted else level + 1
-    # The kept cores, rows (a, i) (one Pi_0 row per a), allocated before the
+    live = _live_channels(level)
+    # The kept cores, (a, i, b) (one Pi_0 row per a), allocated before the
     # N x N buffers, so that those are freed at the top of the heap.
     cores = {
         (j, el, m): np.empty((dims[j + m], n if el else 1, dims[j]))
-        for el, m in XI_CHANNELS
-        for j in range(level + 1)
-        if not _xi_is_declared_zero(j, el, m, level) and max(j, j + m) < top
+        for _, j, el, m in live
+        if max(j, j + m) < top
     }
     # One N x N buffer: the rows of the mean slot M, then M squared, then each slot.
     slot = q_all * np.sqrt(psi.sum(axis=1) / n)[:, None]
@@ -489,21 +494,14 @@ def _level_channels(n: int, level: int, hatted: bool):
                 core[:, i] = slot[blocks[j + m], blocks[j]]
         squares[1] += block_sums(np.square(slot, out=slot))
     factor = np.ones_like(squares)
-    channels = {}
-    for comp, (el, m) in enumerate(XI_CHANNELS):
-        for j in range(level + 1):
-            if _xi_is_declared_zero(j, el, m, level):
-                continue
-            r = j + m
-            norm = math.sqrt(squares[el, r, j] / dims[j])
-            scale = _channel_normaliser(norm, j, el, m, hatted)
-            if max(j, r) < top:
-                core = cores[j, el, m]
-                core /= scale
-                channels[j, el, m] = linalg.freeze(core.reshape(-1, dims[j]))
-            factor[el, r, j] = 1.0 - coeffs[j, comp] / scale
-    bases = [q_all[:, block] for block in blocks]
-    return bases, channels, math.sqrt(float(np.sum(factor**2 * squares)))
+    for comp, j, el, m in live:
+        r = j + m
+        scale = _channel_normaliser(math.sqrt(squares[el, r, j] / dims[j]), j, el, m, hatted)
+        if (j, el, m) in cores:
+            cores[j, el, m] /= scale
+        factor[el, r, j] = 1.0 - coeffs[j, comp] / scale
+    residual = math.sqrt(float(np.sum(factor**2 * squares)))
+    return {key: linalg.freeze(core) for key, core in cores.items()}, residual
 
 
 @lru_cache(maxsize=1)
@@ -548,17 +546,21 @@ def _channel_norms(inst: ProblemInstance) -> tuple[float, float]:
     Frobenius norms of its slices add up, so no core-sized temporary is held.
     """
     # The larger k' pass first, so that the k pass's result does not sit under its peak.
-    bases_hat, channels_hat, residual_hat = _hatted_level_channels(inst.n, inst.k_prime)
-    bases, channels, residual = _level_channels(inst.n, inst.k, hatted=False)
+    channels_hat, residual_hat = _hatted_level_channels(inst.n, inst.k_prime)
+    channels, residual = _level_channels(inst.n, inst.k, hatted=False)
+    # The two passes left both levels' bases in the ``_level_bases`` memo.
+    q_all, edges = _level_bases(inst.n, inst.k)
+    q_hat, edges_hat = _level_bases(inst.n, inst.k_prime)
     s = [
-        q.T @ johnson.transporter(inst.n, inst.k, inst.k_prime, j) @ q_hat
-        for j, (q, q_hat) in enumerate(zip(bases, bases_hat))
+        q_all[:, edges[j] : edges[j + 1]].T
+        @ johnson.transporter(inst.n, inst.k, inst.k_prime, j)
+        @ q_hat[:, edges_hat[j] : edges_hat[j + 1]]
+        for j in range(inst.k + 1)
     ]
     worst = 0.0
-    for (j, el, m), xi in channels.items():
-        # Rows (a, i): one ground slice i of both cores at a time.
-        core = xi.reshape(len(s[j + m]), -1, len(s[j]))
-        core_hat = channels_hat[j, el, m].reshape(s[j + m].shape[1], -1, s[j].shape[1])
+    for (j, el, m), core in channels.items():
+        # Cores are (a, i, b): one ground slice i of both at a time.
+        core_hat = channels_hat[j, el, m]
         square = 0.0
         for i in range(core.shape[1]):
             moved = s[j + m] @ core_hat[:, i]
@@ -581,30 +583,20 @@ def _check_phi_commute(inst: ProblemInstance, t: float, ell: int):
 def _table_vector_gaps(n: int, k: int, j: int) -> float:
     refs = johnson.reference_vectors(n, k, j)
     t2, t4 = johnson.basis_change_tables(n, k, j)
-    gap = float(np.max(np.abs(t2 @ t2.T - np.eye(2))))
-    if refs.w_out is not None:
-        built = np.array(
-            [
-                [refs.w_out @ refs.v, refs.w_out @ refs.v_tilde],
-                [refs.w_in @ refs.v, refs.w_in @ refs.v_tilde],
-            ]
-        )
-        gap = max(gap, float(np.max(np.abs(built - t2))))
-    else:
-        # j = k: the one-fixed partners degenerate and w_out coincides with v,
-        # so only the top-left table entry remains comparable.
-        gap = max(gap, abs(1.0 - t2[0, 0]))
+    # Entry (a, b) is <w_a, v_b>, if both exist.  At j = k the one-fixed
+    # partners degenerate and w_out coincides with v.
+    w_out = refs.v if refs.w_out is None else refs.w_out
+    tables = [(t2, (w_out, refs.w_in), (refs.v, refs.v_tilde))]
     if t4 is not None:
-        gap = max(gap, float(np.max(np.abs(t4 @ t4.T - np.eye(4)))))
-        w_rows = [refs.w_empty, refs.w_c, refs.w_d, refs.w_cd]
-        v_cols = [refs.v_minus, refs.v, refs.v_zero, refs.v_plus]
-        for a, w in enumerate(w_rows):
-            if w is None:
-                continue
-            for b, v in enumerate(v_cols):
-                if v is None:
-                    continue
-                gap = max(gap, abs(float(w @ v) - t4[a, b]))
+        rows = (refs.w_empty, refs.w_c, refs.w_d, refs.w_cd)
+        tables.append((t4, rows, (refs.v_minus, refs.v, refs.v_zero, refs.v_plus)))
+    gap = 0.0
+    for table, rows, cols in tables:
+        gap = max(gap, float(np.max(np.abs(table @ table.T - np.eye(len(table))))))
+        for a, w in enumerate(rows):
+            for b, v in enumerate(cols):
+                if w is not None and v is not None:
+                    gap = max(gap, abs(float(w @ v) - table[a, b]))
     return gap
 
 

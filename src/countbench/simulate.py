@@ -47,7 +47,7 @@ DECIDE_SMALL = "k"
 DECIDE_LARGE = "k_prime"
 # The phase grid resolves the two hypotheses' eigenphases this many times over.
 GRID_MARGIN = 2.0
-# Largest phase grid a run may ask for: its outcome distribution alone is
+# Largest phase grid a set-up may ask for: its outcome distribution alone is
 # 128 MiB, and a larger one would fail inside numpy instead of by name.
 MAX_GRID_POINTS = 1 << 24
 # Most draws one run may ask for, and most entries of the array it counts
@@ -287,37 +287,36 @@ def _grid_points(theta_a: float, theta_b: float) -> int:
 
 
 def _phase_estimation(a_small_hyp: float, a_large_hyp: float, a_truth_of):
-    """One set-up's phase estimation: ``estimate(rng, size) -> (decision, estimate, m_points)``.
+    """One set-up's phase estimation: ``(m_points, estimate)``.
 
     ``a_small_hyp``/``a_large_hyp`` are the success probabilities under
     the small/large size hypotheses (either may be the numerically
     larger one) and ``a_truth_of(size)`` the true one.  The grid is the
-    smallest that separates the hypotheses; it and the normalised
-    outcome CDF depend on these three numbers only, so each hidden-set
-    size builds them on its first trial.  A trial inverts the CDF at one
-    ``rng.random()`` draw, as ``rng.choice(m_points, p=...)`` does, and
-    decides the nearest hypothesis; ties go to the small one.
+    smallest that separates the hypotheses, so it is sized here and an
+    oversized one is refused before any trial.  The normalised outcome
+    CDF depends on the true probability alone, so each hidden-set size
+    builds it on its first trial.  ``estimate(rng, size) -> (decision,
+    value)`` inverts the CDF at one ``rng.random()`` draw, as
+    ``rng.choice(m_points, p=...)`` does, and decides the nearest
+    hypothesis; ties go to the small one.
     """
-    memo: dict = {}  # hidden-set size -> (m_points, normalised outcome CDF)
+    m_points = _grid_points(math.asin(math.sqrt(a_small_hyp)), math.asin(math.sqrt(a_large_hyp)))
+    cdfs: dict = {}  # hidden-set size -> normalised outcome CDF
 
-    def estimate(rng: np.random.Generator, size: int) -> tuple[str, float, int]:
+    def estimate(rng: np.random.Generator, size: int) -> tuple[str, float]:
         try:
-            m_points, cdf = memo[size]
+            cdf = cdfs[size]
         except KeyError:
-            m_points = _grid_points(
-                math.asin(math.sqrt(a_small_hyp)), math.asin(math.sqrt(a_large_hyp))
-            )
             theta = math.asin(math.sqrt(a_truth_of(size)))
-            cdf = phase_estimation_distribution(theta, m_points).cumsum()
+            cdf = cdfs[size] = phase_estimation_distribution(theta, m_points).cumsum()
             cdf /= cdf[-1]
-            memo[size] = m_points, cdf
         outcome = int(cdf.searchsorted(rng.random(), side="right"))
         value = math.sin(math.pi * outcome / m_points) ** 2
         if abs(value - a_large_hyp) < abs(value - a_small_hyp):
-            return DECIDE_LARGE, value, m_points
-        return DECIDE_SMALL, value, m_points
+            return DECIDE_LARGE, value
+        return DECIDE_SMALL, value
 
-    return estimate
+    return m_points, estimate
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +335,10 @@ def qcount(n: int, k: int, eps: float, oracle: str = "reflections"):
         raise ValueError("oracle must be 'reflections' or 'membership'")
     k_prime = _k_prime(k, eps, n)
 
-    estimate = _phase_estimation(k / n, k_prime / n, lambda size: size / n)
+    m_points, estimate = _phase_estimation(k / n, k_prime / n, lambda size: size / n)
 
     def single(rng: np.random.Generator, size: int):
-        decision, value, m_points = estimate(rng, size)
-        return decision, value, m_points - 1
+        return *estimate(rng, size), m_points - 1
 
     return k, k_prime, oracle, single
 
@@ -359,11 +357,10 @@ def subset(n: int, k: int, eps: float, ell: int, oracle: str = "reflections"):
     k_prime = _k_prime(k, eps, n)
     calls_per_rotation = 1 if oracle == "reflections" else 2
 
-    estimate = _phase_estimation(ell / k, ell / k_prime, lambda size: ell / size)
+    m_points, estimate = _phase_estimation(ell / k, ell / k_prime, lambda size: ell / size)
 
     def single(rng: np.random.Generator, size: int):
-        decision, value, m_points = estimate(rng, size)
-        return decision, value, calls_per_rotation * (m_points - 1)
+        return *estimate(rng, size), calls_per_rotation * (m_points - 1)
 
     return k, k_prime, oracle, single
 
@@ -401,14 +398,13 @@ def sample_count(n: int, k: int, eps: float):
         raise ValueError(f"sampling stage needs ell <= k/2, got ell={ell}, k={k}")
     _cap_draws("resampling budget 10 ell", 10 * ell)
 
-    estimate = _phase_estimation(ell / k, ell / k_prime, lambda size: ell / size)
+    m_points, estimate = _phase_estimation(ell / k, ell / k_prime, lambda size: ell / size)
 
     def single(rng: np.random.Generator, size: int):
         found, consumed = _collect_distinct(ell, size, 10 * ell, rng)
         if found < ell:
             return None, float(found), consumed
-        decision, value, m_points = estimate(rng, size)
-        return decision, value, consumed + 2 * (m_points - 1)
+        return *estimate(rng, size), consumed + 2 * (m_points - 1)
 
     return k, k_prime, "state_generation", single
 
@@ -434,7 +430,9 @@ def bootstrap(n: int, k: int, eps: float, retries: int = 3):
     _cap_draws("growth target ceil(1/eps)", target)
 
     stages: dict = {}  # hidden-set size -> growth_stage(known, size) for known < target
-    estimate = _phase_estimation(target / k, target / k_prime, lambda size: target / size)
+    m_points, estimate = _phase_estimation(
+        target / k, target / k_prime, lambda size: target / size
+    )
 
     def single(rng: np.random.Generator, size: int):
         if size not in stages:
@@ -459,8 +457,7 @@ def bootstrap(n: int, k: int, eps: float, retries: int = 3):
                         rng.bit_generator.state = saved
                         rng.random(read)
                     return None, float(stage + 1), reflections
-        decision, value, m_points = estimate(rng, size)
-        return decision, value, reflections + m_points - 1
+        return *estimate(rng, size), reflections + m_points - 1
 
     return k, k_prime, "reflections", single
 

@@ -179,13 +179,10 @@ def frobenius_residual(inst, hatted: bool = False) -> float:
     level = inst.k_prime if hatted else inst.k
     coeffs = adversary.phi_components(inst.n, level, np.arange(level + 1))
     residual = isometry(inst, hatted)
-    for j in range(level + 1):
-        for comp, (el, m) in enumerate(bruteforce.XI_CHANNELS):
-            if bruteforce._xi_is_declared_zero(j, el, m, level):
-                continue
-            raw = bruteforce._xi_raw(inst, j, el, m, hatted)
-            scale = np.linalg.norm(raw) / math.sqrt(johnson.block_dimension(inst.n, j))
-            residual -= coeffs[j, comp] / scale * raw
+    for comp, j, el, m in bruteforce._live_channels(level):
+        raw = bruteforce._xi_raw(inst, j, el, m, hatted)
+        scale = np.linalg.norm(raw) / math.sqrt(johnson.block_dimension(inst.n, j))
+        residual -= coeffs[j, comp] / scale * raw
     return float(np.linalg.norm(residual))
 
 
@@ -204,20 +201,18 @@ def channel_checks(inst) -> dict:
     coeffs_hat = adversary.phi_components(inst.n, inst.k_prime, np.arange(inst.k_prime + 1))
     residual = isometry(inst)
     residual_hat = isometry(inst, hatted=True)
+    live = bruteforce._live_channels(inst.k)
     worst = 0.0
-    for j in range(inst.k_prime + 1):
-        for comp, (el, m) in enumerate(bruteforce.XI_CHANNELS):
-            if bruteforce._xi_is_declared_zero(j, el, m, inst.k_prime):
-                continue
-            xi_hat = bruteforce.build_xi(inst, j, el, m, hatted=True)
-            residual_hat -= coeffs_hat[j, comp] * xi_hat
-            if j > inst.k or bruteforce._xi_is_declared_zero(j, el, m, inst.k):
-                continue
-            xi = bruteforce.build_xi(inst, j, el, m)
-            residual -= coeffs[j, comp] * xi
-            phi_moved = johnson.transporter(inst.n, inst.k, inst.k_prime, j + m)
-            diff = kron_apply(phi_moved, xi_hat, inst.n)
-            diff -= xi @ johnson.transporter(inst.n, inst.k, inst.k_prime, j)
-            worst = max(worst, float(np.linalg.norm(diff)))
+    for comp, j, el, m in bruteforce._live_channels(inst.k_prime):
+        xi_hat = bruteforce.build_xi(inst, j, el, m, hatted=True)
+        residual_hat -= coeffs_hat[j, comp] * xi_hat
+        if (comp, j, el, m) not in live:
+            continue
+        xi = bruteforce.build_xi(inst, j, el, m)
+        residual -= coeffs[j, comp] * xi
+        phi_moved = johnson.transporter(inst.n, inst.k, inst.k_prime, j + m)
+        diff = kron_apply(phi_moved, xi_hat, inst.n)
+        diff -= xi @ johnson.transporter(inst.n, inst.k, inst.k_prime, j)
+        worst = max(worst, float(np.linalg.norm(diff)))
     v_decomp = float(max(np.linalg.norm(residual), np.linalg.norm(residual_hat)))
     return {"V_DECOMP": v_decomp, "PHI_COMMUTE": worst}

@@ -116,6 +116,15 @@ class TestGammaSchedule:
         with pytest.raises(ValueError):
             adversary.gamma_schedule(0.5, 3)
 
+    def test_row_cap_admits_its_own_count(self, monkeypatch):
+        monkeypatch.setattr(adversary, "MAX_ROWS", 5)
+        assert len(adversary.gamma_schedule(3.0, 10)) == 5
+        with pytest.raises(ValueError, match="6 rows exceed cap MAX_ROWS = 5"):
+            adversary.gamma_schedule(4.0, 10)
+        # An instance no other test tabulates, so no cached table answers.
+        with pytest.raises(ValueError, match="6 rows exceed cap MAX_ROWS = 5"):
+            adversary.phi_table(ProblemInstance(41, 10, 13), 6)
+
     def test_tilde_boundary_conventions(self):
         inst = ProblemInstance(8, 2, 3)
         phi, phi_prime = adversary.phi_table(inst, inst.k + 1)

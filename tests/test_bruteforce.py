@@ -150,14 +150,11 @@ class TestXi:
     @pytest.mark.parametrize("hatted", [False, True])
     def test_normalisers_match_coefficients(self, hatted):
         size = INST.k_prime if hatted else INST.k
-        for j in range(size + 1):
-            coeffs = adversary.phi_components(INST.n, size, j)
-            for comp, (el, m) in enumerate(bruteforce.XI_CHANNELS):
-                if bruteforce._xi_is_declared_zero(j, el, m, size):
-                    continue
-                raw = bruteforce._xi_raw(INST, j, el, m, hatted)
-                norm = linalg.spectral_norm(raw)
-                assert norm == pytest.approx(coeffs[comp], abs=1e-9)
+        coeffs = adversary.phi_components(INST.n, size, np.arange(size + 1))
+        for comp, j, el, m in bruteforce._live_channels(size):
+            raw = bruteforce._xi_raw(INST, j, el, m, hatted)
+            norm = linalg.spectral_norm(raw)
+            assert norm == pytest.approx(coeffs[j, comp], abs=1e-9)
 
 
     @pytest.mark.parametrize("hatted", [False, True])
@@ -167,18 +164,13 @@ class TestXi:
         size = INST.k_prime if hatted else INST.k
         projectors = johnson.irrep_projectors(INST.n, size)
         v_iso = dense_reference.isometry(INST, hatted)
-        for j in range(size + 1):
-            for el, m in bruteforce.XI_CHANNELS:
-                if bruteforce._xi_is_declared_zero(j, el, m, size):
-                    continue
-                pi = dense_reference.build_projection_pair(INST.n)[el]
-                moved = dense_reference.kron_apply(
-                    projectors[j + m], v_iso @ projectors[j], INST.n
-                )
-                cols = moved.shape[1]
-                want = np.matmul(pi, moved.reshape(-1, INST.n, cols)).reshape(-1, cols)
-                got = bruteforce._xi_raw(INST, j, el, m, hatted)
-                assert np.max(np.abs(got - want)) <= 1e-15
+        for _, j, el, m in bruteforce._live_channels(size):
+            pi = dense_reference.build_projection_pair(INST.n)[el]
+            moved = dense_reference.kron_apply(projectors[j + m], v_iso @ projectors[j], INST.n)
+            cols = moved.shape[1]
+            want = np.matmul(pi, moved.reshape(-1, INST.n, cols)).reshape(-1, cols)
+            got = bruteforce._xi_raw(INST, j, el, m, hatted)
+            assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_channel_pass_builds_no_xi_and_memoises_the_second_check(self, monkeypatch):
         built = []
@@ -484,6 +476,29 @@ class TestLevelMemos:
 
 
 DEFAULT_LEVELS = sorted({(i.n, level) for i in DEFAULT for level in (i.k, i.k_prime)})
+
+
+class TestLiveChannels:
+    @pytest.mark.parametrize("n, level", DEFAULT_LEVELS, ids=lambda v: str(v))
+    def test_live_channels_are_the_raw_channels_that_do_not_vanish(self, n, level):
+        # Every channel whose blocks j and j + m exist, formed from its
+        # definition: the live ones, and only those, have a raw norm above 1e-3.
+        inst = next(i for i in DEFAULT if i.n == n and level in (i.k, i.k_prime))
+        hatted = level == inst.k_prime
+        norms = {
+            (j, el, m): np.linalg.norm(bruteforce._xi_raw(inst, j, el, m, hatted))
+            for j in range(level + 1)
+            for el, m in bruteforce.XI_CHANNELS
+            if 0 <= j + m <= level
+        }
+        live = bruteforce._live_channels(level)
+        assert len(set(live)) == len(live)
+        assert all(bruteforce.XI_CHANNELS[comp] == (el, m) for comp, _, el, m in live)
+        assert {(j, el, m) for _, j, el, m in live} == {
+            channel for channel, norm in norms.items() if norm > 1e-3
+        }
+        # Pi_1 of block 0, the uniform vector, is zero.
+        assert norms[0, 1, 0] <= 1e-12
 
 
 class TestBlockBases:

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -501,15 +502,47 @@ class TestBoundsCommand:
 
     @pytest.mark.parametrize(
         "n, k, eps, k_prime",
-        [("1e13", "1e12", "0.5", 1_500_000_000_000), ("1e9", "1e8", "0.1", 110_000_000)],
+        [
+            ("1e13", "1e12", "0.5", 1_500_000_000_000),
+            ("1e9", "1e8", "0.1", 110_000_000),
+            ("1e8", "1e7", "1e-6", 10_000_010),
+        ],
     )
     def test_large_k_reports_dual_feasibility(self, capsys, n, k, eps, k_prime):
         # Only the rows j <= floor(t) + 1 are built, however large k is; and
-        # (1 + 0.1) * 1e8 = 110000000.00000001 names a whole k'.
+        # (1 + 0.1) * 1e8 = 110000000.00000001 names a whole k'.  At the
+        # regime edge eps = 1/k, k = 1e7 builds t = 2e5 rows, under MAX_ROWS.
         assert run(["bounds", "--n", n, "--k", k, "--eps", eps]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "note" not in payload
         assert payload["dual_feasibility"]["k_prime"] == k_prime
+
+    @pytest.mark.parametrize(
+        "flags, rows",
+        [
+            ("--n 1e9 --k 1e8 --eps 1e-8", 20_000_002),  # t = 1/(5 eps) = 2e7
+            ("--n 1e9 --k 1e8 --eps 0.5 --ell 1e9", 100_000_001),  # t = 2 ell > k
+        ],
+    )
+    def test_a_schedule_past_the_row_cap_is_refused_before_it_is_allocated(
+        self, capsys, flags, rows
+    ):
+        # The first refused array alone would be 8 bytes per row (153 MiB
+        # and 763 MiB); the whole command stays under 1 MB.
+        tracemalloc.start()
+        try:
+            code = run(["bounds", *flags.split()])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["dual_feasibility"] is None
+        assert payload["note"] == (
+            f"dual feasibility unavailable: {rows} rows exceed cap "
+            f"MAX_ROWS = {adversary.MAX_ROWS}"
+        )
+        assert peak <= 1e6
 
     def test_a_level_past_float64_is_named_in_the_note(self, capsys):
         # (n+2)^2 k = 2e311: the coefficient products would overflow.

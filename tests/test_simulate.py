@@ -171,11 +171,10 @@ class TestPhaseEstimation:
     def test_error_mass_bound(self):
         # a = 1/4 against a hypothesis at 0.6 takes an 18-point grid.
         a = 0.25
-        estimate = simulate._phase_estimation(a, 0.6, lambda size: a)
+        m_points, estimate = simulate._phase_estimation(a, 0.6, lambda size: a)
+        assert m_points == 18
         rng = np.random.default_rng(5)
         samples = [estimate(rng, 0) for _ in range(10_000)]
-        m_points = samples[0][2]
-        assert m_points == 18
         bound = math.pi / m_points + (math.pi / m_points) ** 2
         dist = simulate.phase_estimation_distribution(math.asin(math.sqrt(a)), m_points)
         exact_mass = sum(
@@ -184,7 +183,7 @@ class TestPhaseEstimation:
             if abs(math.sin(math.pi * m / m_points) ** 2 - a) <= bound
         )
         assert exact_mass >= 0.81
-        hits = sum(abs(value - a) <= bound for _, value, _ in samples)
+        hits = sum(abs(value - a) <= bound for _, value in samples)
         se = math.sqrt(exact_mass * (1.0 - exact_mass) / 10_000)
         assert abs(hits / 10_000 - exact_mass) <= 4 * se
 
@@ -737,17 +736,17 @@ class TestStreamIdenticalFastPaths:
     )
     @pytest.mark.parametrize("a_truth", [0.0, 0.001, 1 / 3, 0.5, math.sin(1.3) ** 2, 1.0])
     def test_phase_estimation_matches_grid_points_and_choice(self, a_small, a_large, a_truth):
-        estimate = simulate._phase_estimation(a_small, a_large, lambda size: a_truth)
+        m_points, estimate = simulate._phase_estimation(a_small, a_large, lambda size: a_truth)
         fast, slow = np.random.default_rng(7), np.random.default_rng(7)
-        got = [estimate(fast, 0) for _ in range(300)]
+        got = [(*estimate(fast, 0), m_points) for _ in range(300)]
         want = [estimate_with_choice(a_small, a_large, a_truth, slow) for _ in range(300)]
         assert got == want
         assert fast.bit_generator.state == slow.bit_generator.state
 
     @pytest.mark.parametrize("procedure, params", QUANTUM_POINTS)
     def test_quantum_runs_match_grid_points_and_choice(self, procedure, params):
-        # Each hidden size builds its grid and CDF on its first run; later
-        # runs read them from the set-up's memo.
+        # The set-up sizes the grid; each hidden size builds its CDF on its
+        # first run, and later runs read it from the set-up's memo.
         k, k_prime, resource, single = simulate.PROCEDURES[procedure](**params)
         _, _, reference_resource, reference = REFERENCE_PROCEDURES[procedure](**params)
         assert resource == reference_resource
