@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -123,7 +122,6 @@ def _cap_rows(rows: int) -> None:
         raise ValueError(f"{rows} rows exceed cap MAX_ROWS = {MAX_ROWS}")
 
 
-@lru_cache(maxsize=16)
 def phi_table(inst: ProblemInstance, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (phi, phi_prime): rows j = 0..rows-1 (at most k + 1) for levels k and k'."""
     _cap_rows(rows)

@@ -5,6 +5,9 @@ Exit-code contract: 0 all good, 1 at least one cross-check failed,
 BLAS configuration: the per-check millis column is zeroed unless --timing
 is passed (wall time is inherently nondeterministic), and all floats use
 a fixed format.
+
+Each `simulate` procedure is a sub-command built from `SIMULATE_FLAGS`,
+so argparse rejects any option it does not read; options follow its name.
 """
 
 from __future__ import annotations
@@ -107,31 +110,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--ell", type=float, default=0.0, help="copies available")
     p_bounds.add_argument("--ell-prime", type=float, default=0.0, help="state-generation calls")
 
-    p_sim = sub.add_parser(
-        "simulate", parents=[common], help="run a simulation campaign"
-    )
-    p_sim.add_argument("procedure", choices=simulate.PROCEDURES)
-    p_sim.add_argument("--trials", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p_sim.add_argument("--n", type=int)
-    p_sim.add_argument("--k", type=int)
-    p_sim.add_argument("--eps", type=float)
-    p_sim.add_argument("--budget", type=int, help="coupon: samples to draw (default 5k)")
-    p_sim.add_argument(
-        "--samples", type=int, help="collision: samples to draw (default 8 sqrt(k)/eps)"
-    )
-    p_sim.add_argument(
-        "--copies", type=int, help="overlap: copies to consume (default 64 n/(k eps^2))"
-    )
-    p_sim.add_argument("--ell", type=int, help="subset: known elements")
-    p_sim.add_argument("--true-size", type=int, help="pin the hidden-set size")
-    p_sim.add_argument(
-        "--oracle",
-        choices=("reflections", "membership", "state_generation"),
-        help="which oracle implements the rotations",
-    )
-    p_sim.add_argument("--repetitions", type=int, default=1, help="majority-vote rounds")
-    p_sim.add_argument("--retries", type=int, help="bootstrap: growth-stage retries")
+    p_sim = sub.add_parser("simulate", help="run a simulation campaign")
+    procedures = p_sim.add_subparsers(dest="procedure", required=True)
+    shared = argparse.ArgumentParser(add_help=False, parents=[common])
+    shared.add_argument("--trials", type=int, required=True)
+    shared.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    shared.add_argument("--k", type=int, required=True)
+    shared.add_argument("--eps", type=float, required=True)
+    shared.add_argument("--true-size", type=int, help="pin the hidden-set size")
+    shared.add_argument("--repetitions", type=int, default=1, help="majority-vote rounds")
+    for proc, flags in SIMULATE_FLAGS.items():
+        p_proc = procedures.add_parser(proc, parents=[shared])
+        for flag, spec in flags.items():
+            p_proc.add_argument(f"--{flag}", **spec)
     return parser
 
 
@@ -217,9 +208,14 @@ def cmd_verify(args) -> int:
         f"({sweep_s:.1f}s); reports in {out_dir}"
     )
     for r in failures:
+        # A row can fail on a detail alone, with its discrepancy in tolerance.
+        details = "".join(
+            f" {name}={_fmt_bool(value) if isinstance(value, bool) else f'{value:.3e}'}"
+            for name, value in r.details.items()
+        )
         print(
             f"FAIL {r.check_id} n={r.n} k={r.k} k'={r.k_prime} t={r.t:g} "
-            f"discrepancy={r.discrepancy:.3e} tol={r.tolerance:.0e}",
+            f"discrepancy={r.discrepancy:.3e} tol={r.tolerance:.0e}{details}",
             file=sys.stderr,
         )
     return 1 if failures else 0
@@ -264,19 +260,24 @@ def cmd_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# The flags each procedure reads besides --k, --eps, --true-size and
-# --repetitions; any other is a usage error.  --n comes before the budget
-# whose default it enters.
+# The options each procedure reads besides the shared ones, with their
+# add_argument keywords.  --n comes before the budget whose default it enters.
+_NEEDED = {"type": int, "required": True}
 SIMULATE_FLAGS = {
-    "coupon": ("budget",),
-    "collision": ("samples",),
-    "overlap": ("n", "copies"),
-    "qcount": ("n", "oracle"),
-    "subset": ("n", "ell", "oracle"),
-    "sample-count": ("n",),
-    "bootstrap": ("n", "retries"),
+    "coupon": {"budget": {"type": int, "help": "samples to draw (default 5k)"}},
+    "collision": {"samples": {"type": int, "help": "samples to draw (default 8 sqrt(k)/eps)"}},
+    "overlap": {
+        "n": _NEEDED, "copies": {"type": int, "help": "copies to use (default 64 n/(k eps^2))"}
+    },
+    "qcount": {"n": _NEEDED, "oracle": {"choices": ("reflections", "membership")}},
+    "subset": {
+        "n": _NEEDED, "ell": _NEEDED, "oracle": {"choices": ("reflections", "state_generation")}
+    },
+    "sample-count": {"n": _NEEDED},
+    "bootstrap": {
+        "n": _NEEDED, "retries": {"type": int, "help": "growth-stage retries (default 3)"}
+    },
 }
-_REQUIRED_FLAGS = ("k", "eps", "n", "ell")
 # Budget flag -> (keyword of the procedure, default from the parameters so far).
 _BUDGETS = {
     "budget": ("sample_budget", lambda p: 5 * p["k"]),
@@ -289,35 +290,21 @@ _BUDGETS = {
 
 
 def _simulate_params(args) -> dict:
-    proc = args.procedure
-    reads = ("k", "eps") + SIMULATE_FLAGS[proc]
-    unread = [
-        f"--{name}"
-        for name in sorted({flag for flags in SIMULATE_FLAGS.values() for flag in flags})
-        if name not in reads and getattr(args, name) is not None
-    ]
-    if unread:
-        raise ValueError(f"procedure {proc!r} does not read {', '.join(unread)}")
     # Before the default budgets, which divide by eps.
-    if args.eps is not None and args.k is not None:
-        try:
-            simulate._k_prime(args.k, args.eps)
-        except ValueError as exc:
-            raise ValueError(f"--eps {args.eps!r} with --k {args.k}: {exc}") from None
+    try:
+        simulate._k_prime(args.k, args.eps)
+    except ValueError as exc:
+        raise ValueError(f"--eps {args.eps!r} with --k {args.k}: {exc}") from None
     params: dict = {}
-    for name in reads:
+    for name in ("k", "eps", *SIMULATE_FLAGS[args.procedure], "true_size"):
         value = getattr(args, name)
         if name in _BUDGETS:
             key, default = _BUDGETS[name]
             params[key] = value if value is not None else default(params)
         elif value is not None:
             params[name] = value
-        elif name in _REQUIRED_FLAGS:
-            raise ValueError(f"procedure {proc!r} needs --{name}")
     if args.repetitions != 1:
         params["repetitions"] = args.repetitions
-    if args.true_size is not None:
-        params["true_size"] = args.true_size
     return params
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -394,6 +395,17 @@ class TestDualFeasibility:
         report = adversary.dual_feasibility_report(ProblemInstance(6, 1, 2), 6.0, 3)
         assert report.psi_power_bound < 0.25
         assert not report.feasible
+
+    def test_nothing_is_held_after_a_point_returns(self):
+        # 1e5 rows: one cached coefficient table pair alone would hold 6.4 MB.
+        tracemalloc.start()
+        try:
+            for n in (10**8, 10**8 + 1):
+                inst = ProblemInstance.from_eps(n, 10**7, 2e-6)
+                adversary.dual_feasibility_report(inst, t=1e5, ell=0)
+                assert tracemalloc.get_traced_memory()[0] <= 1e6
+        finally:
+            tracemalloc.stop()
 
 
 class TestTheoremTradeoff:

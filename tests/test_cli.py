@@ -1,3 +1,4 @@
+import argparse
 import functools
 import hashlib
 import itertools
@@ -5,6 +6,7 @@ import json
 import math
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -108,6 +110,30 @@ class TestVerifyCommand:
         monkeypatch.setattr(bruteforce, "TOL_EXACT", 1e-30)
         code = run(["verify", "--instance", "6,1,2", "--t", "2", "--out", str(tmp_path / "r")])
         assert code == 1
+
+    def test_fail_line_names_the_details(self, tmp_path, capsys, monkeypatch):
+        # An entry off by 1e-7 breaks Gamma's symmetry: DELTA_REFL's gap stays
+        # under TOL_NORM, and only its structure residual fails the row.
+        original = adversary.adversary_matrix
+
+        def planted(inst, t):
+            gamma = np.array(original(inst, t))
+            gamma[0, 0] += 1e-7
+            return gamma
+
+        monkeypatch.setattr(adversary, "adversary_matrix", planted)
+        bruteforce.clear_memos()
+        argv = ["verify", "--instance", "8,2,3", "--t", "2", "--checks", "DELTA_REFL"]
+        assert run(argv + ["--out", str(tmp_path)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        match = re.fullmatch(
+            r"FAIL DELTA_REFL n=8 k=2 k'=3 t=2 discrepancy=(\S+) tol=1e-08 "
+            r"structure_residual=(\S+)",
+            line,
+        )
+        assert match, line
+        assert float(match[1]) <= bruteforce.TOL_NORM
+        assert float(match[2]) > bruteforce.TOL_EXACT
 
     def test_empty_instance_list_is_usage_error(self, tmp_path):
         code = run(["verify", "--instance", "", "--out", str(tmp_path / "r")])
@@ -943,32 +969,91 @@ class TestVersionFlag:
 
 
 # Every option each subcommand accepts.  A new flag is a deliberate edit here.
+SIMULATE_SHARED = {"--out", "--trials", "--seed", "--k", "--eps", "--true-size", "--repetitions"}
 EXPECTED_OPTIONS = {
     "verify": {"--out", "--instance", "--t", "--checks", "--timing"},
     "bounds": {"--out", "--n", "--k", "--eps", "--ell", "--ell-prime"},
-    "simulate": {
-        "--out", "--seed", "--trials", "--n", "--k", "--eps", "--budget", "--samples",
-        "--copies", "--ell", "--true-size", "--oracle", "--repetitions", "--retries",
-    },
+    "simulate": set(),
+    "simulate coupon": SIMULATE_SHARED | {"--budget"},
+    "simulate collision": SIMULATE_SHARED | {"--samples"},
+    "simulate overlap": SIMULATE_SHARED | {"--n", "--copies"},
+    "simulate qcount": SIMULATE_SHARED | {"--n", "--oracle"},
+    "simulate subset": SIMULATE_SHARED | {"--n", "--ell", "--oracle"},
+    "simulate sample-count": SIMULATE_SHARED | {"--n"},
+    "simulate bootstrap": SIMULATE_SHARED | {"--n", "--retries"},
 }
+SIMULATE_OPTIONS = {
+    name.split()[1]: options
+    for name, options in EXPECTED_OPTIONS.items()
+    if name.startswith("simulate ")
+}
+# A valid value of each option some procedure reads and another does not.
+SIMULATE_VALUES = {"--n": "4096", "--ell": "16", "--budget": "300", "--samples": "90",
+                   "--copies": "500", "--oracle": "reflections", "--retries": "2"}
+# Each procedure with each simulate option that it does not read.
+UNREAD_PAIRS = [
+    (proc, flag)
+    for proc, options in SIMULATE_OPTIONS.items()
+    for flag in sorted(set().union(*SIMULATE_OPTIONS.values()) - options)
+]
+
+
+def _options_by_subcommand(parser, prefix=""):
+    """{"simulate coupon": its options, ...} for every subcommand under ``parser``."""
+    found = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                path = f"{prefix} {name}".strip()
+                found[path] = {
+                    opt
+                    for sub_action in sub._actions
+                    for opt in sub_action.option_strings
+                    if opt not in ("-h", "--help")
+                }
+                found.update(_options_by_subcommand(sub, path))
+    return found
+
+
+def _readme_commands():
+    """The argument lists of the countbench lines in README's Command line block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("countbench ")]
 
 
 class TestKnobInventory:
     def test_each_subcommand_has_exactly_the_expected_options(self):
-        parser = cli.build_parser()
-        (subparsers,) = [
-            action for action in parser._actions if action.choices and action.dest == "command"
-        ]
-        found = {
-            name: {
-                opt
-                for action in sub._actions
-                for opt in action.option_strings
-                if opt not in ("-h", "--help")
-            }
-            for name, sub in subparsers.choices.items()
-        }
-        assert found == EXPECTED_OPTIONS
+        assert _options_by_subcommand(cli.build_parser()) == EXPECTED_OPTIONS
+        # Down from the 7 x 14 pairs that one flat simulate parser accepted.
+        assert sum(len(options) for options in SIMULATE_OPTIONS.values()) == 61
+        assert len(UNREAD_PAIRS) == 98 - 61
+
+    @pytest.mark.parametrize("proc, flag", UNREAD_PAIRS)
+    def test_an_unread_option_is_a_usage_error(self, tmp_path, capsys, proc, flag):
+        out = tmp_path / "s"
+        argv = ["simulate", proc, "--k", "64", "--eps", "0.5", "--trials", "3"]
+        for required in ("--n", "--ell"):
+            if required in SIMULATE_OPTIONS[proc]:
+                argv += [required, SIMULATE_VALUES[required]]
+        value = SIMULATE_VALUES[flag]
+        assert run(argv + [flag, value, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    def test_an_option_before_the_procedure_is_a_usage_error(self, tmp_path):
+        out = str(tmp_path / "s")
+        coupon = ["coupon", "--k", "8", "--eps", "1"]
+        for argv in (["--trials", "3", *coupon, "--out", out],
+                     ["--out", out, *coupon, "--trials", "3"]):
+            assert run(["simulate", *argv]) == 2
+        assert not (tmp_path / "s").exists()
+
+    def test_readme_commands_parse(self):
+        commands = _readme_commands()
+        assert commands
+        for argv in commands:
+            assert cli.build_parser().parse_args(argv).command == argv[0]
 
     def test_cached_parser_keeps_no_values_between_calls(self):
         parser = cli.build_parser()

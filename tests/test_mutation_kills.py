@@ -149,10 +149,8 @@ MUTANTS = [
 @pytest.fixture(autouse=True)
 def fresh_memos():
     bruteforce.clear_memos()
-    adversary.phi_table.cache_clear()
     yield
     bruteforce.clear_memos()
-    adversary.phi_table.cache_clear()
 
 
 def _failing_checks(rows) -> set:
