@@ -24,8 +24,9 @@ CPRIME = 8.0
 # The constant-norm requirement on the Gram power, read as D^ell/2 >= this.
 FEASIBILITY_THRESHOLD = 0.25
 # Most rows a schedule or coefficient table may have.  The closed forms
-# hold about 420 B per row at their peak, so the cap is about 0.44 GB,
-# and a longer schedule would fail inside numpy instead of by name.
+# hold about 360 B per row at their peak (the reflection norm's tables,
+# bases and products), so the cap is about 0.38 GB, and a longer schedule
+# would fail inside numpy instead of by name.
 MAX_ROWS = 1 << 20
 
 
@@ -247,20 +248,49 @@ def norm_delta_state_gen(gammas, inst: ProblemInstance) -> tuple[float, float]:
     return max(forward, _row_past_k(gammas, inst)), reverse
 
 
+def _rowwise_dot(a, b) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)
+
+
+def reflection_row_norms(phi, phi_prime, tilde, tilde_prime) -> np.ndarray:
+    """Spectral norm of B_j = phi'_j tilde'_j^T - tilde_j phi_j^T for each row j.
+
+    The rows of B_j lie in span{phi_j, tilde'_j}, so with an orthonormal
+    basis Q_j = [q1, q2] of that span ||B_j|| = ||B_j Q_j||.  q1 is
+    phi_j / ||phi_j|| and q2 the residual of tilde'_j against q1 after two
+    Gram-Schmidt passes, normalised (0 where that residual is 0).  B_j Q_j
+    is summed one column of B_j at a time, each entry the same difference
+    of products as in B_j, and ||B_j||^2 is the larger eigenvalue of the
+    2x2 Gram matrix G of B_j Q_j:
+    (g11 + g22)/2 + sqrt(((g11 - g22)/2)^2 + g12^2).
+    """
+    q1 = phi / np.sqrt(_rowwise_dot(phi, phi))[:, None]
+    q2 = tilde_prime
+    for _ in range(2):
+        q2 = q2 - _rowwise_dot(q1, q2)[:, None] * q1
+    size = np.sqrt(_rowwise_dot(q2, q2))[:, None]
+    q2 = np.divide(q2, size, out=np.zeros_like(q2), where=size > 0.0)
+    bq1 = np.zeros_like(phi)
+    bq2 = np.zeros_like(phi)
+    for m in range(phi.shape[1]):
+        column = phi_prime * tilde_prime[:, m, None] - tilde * phi[:, m, None]
+        bq1 += column * q1[:, m, None]
+        bq2 += column * q2[:, m, None]
+    g11, g22, g12 = _rowwise_dot(bq1, bq1), _rowwise_dot(bq2, bq2), _rowwise_dot(bq1, bq2)
+    return np.sqrt((g11 + g22) / 2.0 + np.hypot((g11 - g22) / 2.0, g12))
+
+
 def norm_delta_reflection(gammas, inst: ProblemInstance) -> float:
     """Norm of Gamma against the reflection difference operator.
 
-    max over j of the spectral norm of the 4x4 matrix
-    phi'_j tilde'_j^T - tilde_j phi_j^T, with j running to k+1 on the k'
-    level, where tilde_{k+1} = 0 (``_row_past_k``).
+    max over j of the spectral norm of the rank-two 4x4 matrix
+    phi'_j tilde'_j^T - tilde_j phi_j^T, in closed form from its 2x2 Gram
+    on the span of its rows (``reflection_row_norms``), with j running to
+    k+1 on the k' level, where tilde_{k+1} = 0 (``_row_past_k``).
     """
     phi, phi_prime = phi_table(inst, len(gammas))
     tilde, tilde_prime = tilde_tables(gammas, phi, phi_prime)
-    blocks = (
-        phi_prime[:, :, None] * tilde_prime[:, None, :]
-        - tilde[:, :, None] * phi[:, None, :]
-    )
-    top = float(np.max(np.linalg.svd(blocks, compute_uv=False)[:, 0]))
+    top = float(np.max(reflection_row_norms(phi, phi_prime, tilde, tilde_prime)))
     return max(top, _row_past_k(gammas, inst))
 
 

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -601,14 +602,16 @@ def full_row_values(inst, t):
     """Per-row terms of the three norms over all rows j = 0..k, shape (k+1, 4).
 
     Columns: state-generation forward and reverse, reflection, membership.
+    The reflection column comes from the package's own per-row kernel, so
+    the comparison is to the bit; the loop references check it against an
+    SVD.
     """
     n, k, kp = inst.n, inst.k, inst.k_prime
     phi, phi_prime, g0, tilde, tilde_prime = full_rows(inst, t)
     g = g0[:, None]
     forward = np.linalg.norm(tilde_prime - g * phi, axis=1)
     reverse = np.linalg.norm(g * phi_prime - tilde, axis=1)
-    blocks = phi_prime[:, :, None] * tilde_prime[:, None, :] - tilde[:, :, None] * phi[:, None, :]
-    refl = np.linalg.svd(blocks, compute_uv=False)[:, 0]
+    refl = adversary.reflection_row_norms(phi, phi_prime, tilde, tilde_prime)
     j = np.arange(k + 1, dtype=float)
     small = np.sqrt((k - j) * (n - kp - j))
     large = np.sqrt((kp - j) * (n - k - j))
@@ -685,9 +688,92 @@ class TestVectorisedAgainstRowLoops:
 
     def test_reflection_at_a_small_eps_bench_point(self):
         # eps = 2/27110: the two coefficient levels nearly coincide, so the
-        # rank-two blocks nearly cancel; the batched SVD must still match
+        # rank-two blocks nearly cancel; the closed form must still match
         # one SVD per row.
         inst = ProblemInstance(482983, 27110, 27112)
         gammas = adversary.gamma_schedule(2711.0, inst.k)
         _, want, _ = loop_norms(inst, 2711.0)
         assert_rel(adversary.norm_delta_reflection(gammas, inst), want)
+
+
+def referee_reflection_row(inst, gammas, j):
+    """Top singular value of block j, phi'_j tilde'_j^T - tilde_j phi_j^T, at 50 digits.
+
+    The coefficients follow `phi_components`' formulas in mpmath; the
+    weights are the schedule's float values, taken as exact.
+    """
+    with mpmath.workdps(50):
+        def phi(size):
+            n, s, i = mpmath.mpf(inst.n), mpmath.mpf(size), mpmath.mpf(j)
+            sqrt = mpmath.sqrt
+            return [
+                sqrt(i * (s - i + 1) * (n - s - i + 1) / ((n - 2 * i + 2) * (n - 2 * i + 1) * s)),
+                sqrt(s / n),
+                (n - 2 * s) / sqrt(n * s) * sqrt(i * (n - i + 1) / ((n - 2 * i + 2) * (n - 2 * i))),
+                sqrt((n - i + 1) * (s - i) * (n - s - i) / ((n - 2 * i + 1) * (n - 2 * i) * s)),
+            ]
+
+        def g(i):
+            return mpmath.mpf(float(gammas[i])) if 0 <= i < len(gammas) else mpmath.mpf(0)
+
+        p, q = phi(inst.k), phi(inst.k_prime)
+        weights = [g(j - 1), g(j), g(j), g(j + 1)]
+        block = mpmath.matrix(4, 4)
+        for r in range(4):
+            for c in range(4):
+                block[r, c] = q[r] * weights[c] * q[c] - weights[r] * p[r] * p[c]
+        return mpmath.svd_r(block, compute_uv=False)[0]
+
+
+class TestReflectionAgainstFiftyDigits:
+    """The closed-form row norms against a 50-digit referee and the batched SVD.
+
+    Both float evaluations share the rounded coefficients, whose error the
+    near-cancelling blocks amplify, so the kernel is held to the SVD's own
+    distance from the referee plus 1e-15 relative, and to 1e-12 outright.
+    """
+
+    @staticmethod
+    def check_rows(inst, t, rows=None):
+        gammas = adversary.gamma_schedule(t, inst.k)
+        phi, phi_prime = adversary.phi_table(inst, len(gammas))
+        tilde, tilde_prime = adversary.tilde_tables(gammas, phi, phi_prime)
+        kernel = adversary.reflection_row_norms(phi, phi_prime, tilde, tilde_prime)
+        blocks = (
+            phi_prime[:, :, None] * tilde_prime[:, None, :] - tilde[:, :, None] * phi[:, None, :]
+        )
+        svd = np.linalg.svd(blocks, compute_uv=False)[:, 0]
+        if rows is None:
+            spread = np.linspace(0, len(gammas) - 1, 6).astype(int).tolist()
+            rows = {0, len(gammas) - 1, int(np.argmax(kernel)), *spread}
+        for j in sorted(rows):
+            want = referee_reflection_row(inst, gammas, j)
+            if want == 0:
+                assert kernel[j] == 0.0, (j, kernel[j])
+                continue
+            kernel_gap = float(abs(mpmath.mpf(kernel[j]) - want) / want)
+            svd_gap = float(abs(mpmath.mpf(svd[j]) - want) / want)
+            assert kernel_gap <= 1e-12, (j, kernel_gap)
+            assert kernel_gap <= svd_gap + 1e-15, (j, kernel_gap, svd_gap)
+
+    @pytest.mark.parametrize(
+        "n, k, kp, t",
+        [
+            (4961, 102, 190, 1.0),
+            (8101, 324, 379, 1.1781818181818182),
+            (6604, 555, 564, 12.333333333333332),
+            (70455, 1780, 1782, 177.99999999999997),
+            (384563, 9833, 9834, 1966.6),
+            (764967, 17496, 17567, 49.28450704225352),
+            # eps = 1/k: row 0 nearly cancels, and both evaluations sit 5e-13 off.
+            (644104, 26471, 26472, 5294.2),
+        ],
+    )
+    def test_bench_points(self, n, k, kp, t):
+        self.check_rows(ProblemInstance(n, k, kp), t)
+
+    def test_planted_near_cancelling_blocks(self):
+        # k' = k + 1 with n >> k and t >> k: phi'_j ~ phi_j and the weights
+        # are all near 1, so every block is a difference of near-equal terms.
+        inst = ProblemInstance(10**9, 100, 101)
+        self.check_rows(inst, 1e6, rows=range(inst.k + 1))

@@ -482,6 +482,14 @@ def set_of_checks():
     return set(bruteforce.CHECK_IDS)
 
 
+# Every numpy.linalg routine that calls LAPACK.
+LAPACK_ROUTINES = (
+    "cholesky", "cond", "det", "eig", "eigh", "eigvals", "eigvalsh", "inv", "lstsq",
+    "matrix_rank", "pinv", "qr", "slogdet", "solve", "svd", "svdvals", "tensorinv",
+    "tensorsolve",
+)
+
+
 class TestBoundsCommand:
     def test_reference_point(self, capsys):
         code = run(["bounds", "--n", "1e6", "--k", "1e4", "--eps", "0.1"])
@@ -491,6 +499,33 @@ class TestBoundsCommand:
         assert tradeoff["membership_bound"] == 100.0
         assert tradeoff["copies_bound"] == 1000.0
         assert payload["dual_feasibility"]["feasible"] is True
+
+    @pytest.fixture
+    def no_lapack(self, monkeypatch):
+        # Each LAPACK-backed numpy.linalg routine raises.
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK routine called")
+
+        for name in LAPACK_ROUTINES:
+            monkeypatch.setattr(np.linalg, name, refuse)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            "--n 2000 --k 100 --eps 0.05",  # t = 4 < k
+            "--n 1000 --k 10 --eps 1 --ell 8",  # t = 16 > k: the row past k is live
+            "--n 250000 --k 25000 --eps 0.0004 --ell-prime 2",
+        ],
+    )
+    def test_bounds_calls_no_lapack(self, no_lapack, capsys, flags):
+        assert run(["bounds", *flags.split()]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "note" not in payload and payload["dual_feasibility"]["reflection_norm"] > 0
+
+    def test_reflection_at_k_prime_equal_k_calls_no_lapack(self, no_lapack):
+        # k' = k has no CLI form (eps > 0), so the norm is called directly.
+        inst = ProblemInstance(8, 3, 3)
+        assert adversary.norm_delta_reflection(adversary.gamma_schedule(2.5, 3), inst) > 0
 
     def test_out_of_regime_is_flagged_not_rejected(self, capsys):
         code = run(["bounds", "--n", "30", "--k", "10", "--eps", "0.5"])
@@ -581,12 +616,12 @@ class TestBoundsCommand:
         )
 
     def test_a_level_inside_float64_keeps_its_output(self, capsys):
-        # sha256 of the stdout, recorded before phi_components checked its
-        # products; (n+2)^2 k' = 1.5e305 stays finite.
+        # sha256 of the stdout, recorded when the reflection norm came to be
+        # formed from each block's 2x2 Gram; (n+2)^2 k' = 1.5e305 stays finite.
         assert run(["bounds", "--n", "1e102", "--k", "1e101", "--eps", "0.5"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "0e44117158b185b2305ff7a1a46227f4798ddf244b52c36db9ecedef3baf0730"
+            "0202ae2de366db6586d7e942db694b509775d0cf0f8c685235ea877f23730c90"
         )
 
     def test_copies_enter_the_branches(self, capsys):
@@ -617,7 +652,8 @@ class TestBoundsCommand:
 
 
 # sha256 of the concatenated `bounds` stdout over these points, recorded
-# before the closed-form engine passed plain arrays.  The points cover
+# when the reflection norm came to be formed from each block's 2x2 Gram
+# (no printed number moved by more than 5e-16 relative).  The points cover
 # bench-style (n, k, eps) with ell and ell' in 0..3, out-of-regime points,
 # every non-whole note path and k = 1e8 and 1e12.
 PINNED_BOUNDS_POINTS = (
@@ -640,7 +676,7 @@ PINNED_BOUNDS_POINTS = (
     "--n 1e9 --k 1e8 --eps 0.1",
     "--n 1e13 --k 1e12 --eps 0.5",
 )
-PINNED_BOUNDS_SHA256 = "8cdcdbac3b3a3c9ce61fe7cb9f66b4e4ce3ff16fb8808aae3e4900d286075d31"
+PINNED_BOUNDS_SHA256 = "48a86d7d5d880e2f8d91d2f557350ecf3fbbe09f37c184fff9136e2742a2e291"
 
 
 def test_bounds_stdout_is_pinned(capsys):
