@@ -8,6 +8,9 @@ unit vectors phi_j and phi'_j (one row per block index j, the primed
 one with k' in place of k) that `phi_table` returns.  This module owns
 all of that arithmetic, together with the feasibility report and the
 headline trade-off evaluator, whose JSON-ready dict `bounds` prints.
+It builds no matrix of the Johnson scheme and imports no `johnson`:
+`assemble_adversary` sums given transporters, and `bruteforce` builds
+them and the explicit Gamma.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import johnson, linalg
+from . import linalg
 
 # Cutoff-selection constant c' in t = max(2 ell, c' ell', 1/(5 eps)).
 CPRIME = 8.0
@@ -203,19 +206,32 @@ def hadamard_psi_step(coeffs, inst: ProblemInstance) -> np.ndarray:
     return out
 
 
-def psi_power_lower_bound(inst: ProblemInstance, t: float, ell: int) -> float:
+def psi_power_lower_bound(inst: ProblemInstance, t: float, ell: int, tables=None) -> float:
     """Certified lower bound D^ell / 2 for the ell-fold entrywise Gram power.
 
     Valid for schedules with t >= 2 ell; D is the smallest block overlap
-    phi_j . phi'_j among j = 0..min(ell, k).
+    phi_j . phi'_j among j = 0..min(ell, k).  ``tables`` is a (phi,
+    phi_prime) pair with at least those rows, built here when omitted.
     """
     if ell < 0:
         raise ValueError("ell must be nonnegative")
     if t < 2 * ell:
         raise ValueError(f"bound needs t >= 2*ell, got t={t}, ell={ell}")
-    phi, phi_prime = phi_table(inst, min(ell, inst.k) + 1)
-    d = min(float(p @ q) for p, q in zip(phi, phi_prime))
+    rows = min(ell, inst.k) + 1
+    phi, phi_prime = tables if tables is not None else phi_table(inst, rows)
+    d = min(float(p @ q) for p, q in zip(phi[:rows], phi_prime[:rows]))
     return d**ell / 2.0
+
+
+def coefficient_tables(gammas, inst: ProblemInstance) -> tuple[np.ndarray, ...]:
+    """(phi, phi_prime, tilde, tilde_prime), one row per weight of ``gammas``.
+
+    The two difference norms read all four; the Gram-power bound reads
+    the first two, whose rows j <= min(ell, k) a schedule with t >= 2 ell
+    always holds.
+    """
+    phi, phi_prime = phi_table(inst, len(gammas))
+    return (phi, phi_prime, *tilde_tables(gammas, phi, phi_prime))
 
 
 def _row_past_k(gammas, inst: ProblemInstance) -> float:
@@ -233,15 +249,17 @@ def _row_past_k(gammas, inst: ProblemInstance) -> float:
     return float(gammas[inst.k] * c0)
 
 
-def norm_delta_state_gen(gammas, inst: ProblemInstance) -> tuple[float, float]:
+def norm_delta_state_gen(gammas, inst: ProblemInstance, tables=None) -> tuple[float, float]:
     """Norms of Gamma against the state-generation difference pair.
 
     Returns (max_j ||tilde_prime_j - g_j phi_j||, max_j ||g_j phi_prime_j - tilde_j||).
     The forward maximum also runs over the k' level's block k+1, where
     phi_{k+1} = 0 (``_row_past_k``); the reverse row there is 0.
+    ``tables`` is ``coefficient_tables(gammas, inst)``, built here when omitted.
     """
-    phi, phi_prime = phi_table(inst, len(gammas))
-    tilde, tilde_prime = tilde_tables(gammas, phi, phi_prime)
+    if tables is None:
+        tables = coefficient_tables(gammas, inst)
+    phi, phi_prime, tilde, tilde_prime = tables
     g = gammas[:, None]
     forward = float(np.max(np.linalg.norm(tilde_prime - g * phi, axis=1)))
     reverse = float(np.max(np.linalg.norm(g * phi_prime - tilde, axis=1)))
@@ -280,17 +298,18 @@ def reflection_row_norms(phi, phi_prime, tilde, tilde_prime) -> np.ndarray:
     return np.sqrt((g11 + g22) / 2.0 + np.hypot((g11 - g22) / 2.0, g12))
 
 
-def norm_delta_reflection(gammas, inst: ProblemInstance) -> float:
+def norm_delta_reflection(gammas, inst: ProblemInstance, tables=None) -> float:
     """Norm of Gamma against the reflection difference operator.
 
     max over j of the spectral norm of the rank-two 4x4 matrix
     phi'_j tilde'_j^T - tilde_j phi_j^T, in closed form from its 2x2 Gram
     on the span of its rows (``reflection_row_norms``), with j running to
     k+1 on the k' level, where tilde_{k+1} = 0 (``_row_past_k``).
+    ``tables`` is ``coefficient_tables(gammas, inst)``, built here when omitted.
     """
-    phi, phi_prime = phi_table(inst, len(gammas))
-    tilde, tilde_prime = tilde_tables(gammas, phi, phi_prime)
-    top = float(np.max(reflection_row_norms(phi, phi_prime, tilde, tilde_prime)))
+    if tables is None:
+        tables = coefficient_tables(gammas, inst)
+    top = float(np.max(reflection_row_norms(*tables)))
     return max(top, _row_past_k(gammas, inst))
 
 
@@ -367,11 +386,13 @@ def dual_feasibility_report(inst: ProblemInstance, t: float, ell: int) -> DualFe
 
     The constant-size requirement on the Gram-power norm is operationalised
     as D^ell/2 >= FEASIBILITY_THRESHOLD; out-of-regime instances are
-    flagged, not rejected.
+    flagged, not rejected.  One set of coefficient tables serves the
+    Gram-power bound and both difference norms that read them.
     """
     gammas = gamma_schedule(t, inst.k)
-    bound = psi_power_lower_bound(inst, t, ell)
-    gen_pair = norm_delta_state_gen(gammas, inst)
+    tables = coefficient_tables(gammas, inst)
+    bound = psi_power_lower_bound(inst, t, ell, tables[:2])
+    gen_pair = norm_delta_state_gen(gammas, inst, tables)
     return DualFeasibilityReport(
         instance=inst,
         t=float(t),
@@ -381,7 +402,7 @@ def dual_feasibility_report(inst: ProblemInstance, t: float, ell: int) -> DualFe
         membership_norm=norm_delta_membership(gammas, inst),
         state_gen_norm=max(gen_pair),
         state_gen_pair=gen_pair,
-        reflection_norm=norm_delta_reflection(gammas, inst),
+        reflection_norm=norm_delta_reflection(gammas, inst, tables),
         feasibility_threshold=FEASIBILITY_THRESHOLD,
         feasible=bound >= FEASIBILITY_THRESHOLD,
         theorem_regime=inst.theorem_regime,
@@ -460,14 +481,3 @@ def theorem_tradeoff(
             },
         }
     )
-
-
-def adversary_matrix(inst: ProblemInstance, t: float) -> np.ndarray:
-    """Explicit Gamma for one instance and cutoff, via the cached transporters."""
-    if inst.k_prime <= inst.k:
-        raise ValueError("explicit assembly needs k < k'")
-    gammas = gamma_schedule(t, inst.k)
-    transporters = [
-        johnson.transporter(inst.n, inst.k, inst.k_prime, j) for j in range(len(gammas))
-    ]
-    return assemble_adversary(gammas, transporters)

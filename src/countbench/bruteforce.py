@@ -1,7 +1,9 @@
 """Explicit matrices and the cross-check suite for every closed form.
 
 Everything the closed-form engine claims is rebuilt here the hard way:
-the overlap Gram matrix, the single-element membership differences, the
+the certificate Gamma itself (``adversary_matrix``, summed from the
+``johnson`` transporters by ``adversary.assemble_adversary``), the
+overlap Gram matrix, the single-element membership differences, the
 lifted state-generation differences that expand each entry of Gamma by
 the superposition vectors of its row and column labels, and the
 superposition isometries V and V-hat, applied entrywise.
@@ -105,6 +107,17 @@ def psi_gram(inst: ProblemInstance) -> np.ndarray:
     return linalg.freeze(overlap / math.sqrt(inst.k * inst.k_prime))
 
 
+def adversary_matrix(inst: ProblemInstance, t: float) -> np.ndarray:
+    """Explicit Gamma for one instance and cutoff, via the cached transporters."""
+    if inst.k_prime <= inst.k:
+        raise ValueError("explicit assembly needs k < k'")
+    gammas = adversary.gamma_schedule(t, inst.k)
+    transporters = [
+        johnson.transporter(inst.n, inst.k, inst.k_prime, j) for j in range(len(gammas))
+    ]
+    return adversary.assemble_adversary(gammas, transporters)
+
+
 @lru_cache(maxsize=1)
 def _adversary_matrix(inst: ProblemInstance, t: float) -> np.ndarray:
     """Gamma of one instance and cutoff, read-only, memoised.
@@ -112,7 +125,7 @@ def _adversary_matrix(inst: ProblemInstance, t: float) -> np.ndarray:
     A sweep runs the checks of one (instance, t) back to back, so one
     entry serves the six checks that read Gamma.
     """
-    return linalg.freeze(adversary.adversary_matrix(inst, t))
+    return linalg.freeze(adversary_matrix(inst, t))
 
 
 def lift(gamma: np.ndarray, inst: ProblemInstance, reverse: bool) -> np.ndarray:

@@ -8,6 +8,10 @@ a fixed format.
 
 Each `simulate` procedure is a sub-command built from `SIMULATE_FLAGS`,
 so argparse rejects any option it does not read; options follow its name.
+
+Only `verify` imports `bruteforce` (and with it `johnson`): `bounds` and
+`simulate` read the closed side alone, and `--checks` reads the check ids
+only when it is given.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, adversary, bruteforce, simulate
+from . import __version__, adversary, simulate
 from .adversary import ProblemInstance
 
 DEFAULT_INSTANCES = (
@@ -62,6 +66,16 @@ def _parse_instance(text: str) -> ProblemInstance:
     return ProblemInstance(n=n, k=k, k_prime=k_prime)
 
 
+def _check_id(text: str) -> str:
+    """One --checks value, which must name a check, in argparse's choices wording."""
+    from . import bruteforce
+
+    if text not in bruteforce.CHECK_IDS:
+        choices = ", ".join(map(repr, bruteforce.CHECK_IDS))
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {choices})")
+    return text
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and reused by `main`."""
@@ -91,8 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--checks",
         nargs="+",
         action="extend",
-        choices=bruteforce.CHECK_IDS,
-        help="restrict to these checks (repeatable)",
+        type=_check_id,
+        metavar="CHECK_ID",
+        help="restrict to these checks (repeatable; an unknown id lists the valid ones)",
     )
     p_verify.add_argument(
         "--timing",
@@ -153,6 +168,8 @@ def _blas_config() -> dict:
 
 
 def cmd_verify(args) -> int:
+    from . import bruteforce
+
     # Repeated --instance, --t or --checks values name the same rows once.
     if args.instance is not None:
         instances = list(dict.fromkeys(_parse_instance(text) for text in args.instance))

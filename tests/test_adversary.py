@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from countbench import adversary, johnson, linalg
+from countbench import adversary, bruteforce, johnson, linalg
 from countbench.adversary import ProblemInstance
 from dense_reference import unit_norm_error
 
@@ -142,20 +143,20 @@ class TestGammaSchedule:
 class TestAssembly:
     def test_t_one_gives_constant_matrix(self):
         inst = ProblemInstance(8, 2, 3)
-        gamma = adversary.adversary_matrix(inst, 1.0)
+        gamma = bruteforce.adversary_matrix(inst, 1.0)
         expected = 1.0 / math.sqrt(math.comb(8, 2) * math.comb(8, 3))
         assert np.allclose(gamma, expected, atol=1e-12)
 
     @pytest.mark.parametrize("t", [1.0, 2.0, 3.0])
     def test_spectral_norm_is_top_weight(self, t):
         inst = ProblemInstance(8, 2, 3)
-        assert linalg.spectral_norm(adversary.adversary_matrix(inst, t)) == (
+        assert linalg.spectral_norm(bruteforce.adversary_matrix(inst, t)) == (
             pytest.approx(1.0, abs=1e-9)
         )
 
     def test_projection_recovers_weight(self):
         inst = ProblemInstance(8, 2, 3)
-        gamma = adversary.adversary_matrix(inst, 2.0)
+        gamma = bruteforce.adversary_matrix(inst, 2.0)
         phi_1 = johnson.transporter(8, 2, 3, 1)
         d_1 = int(round(float(np.trace(johnson.irrep_projectors(8, 2)[1]))))
         assert float(np.sum(phi_1 * gamma)) / d_1 == pytest.approx(0.5, abs=1e-9)
@@ -396,6 +397,31 @@ class TestDualFeasibility:
         report = adversary.dual_feasibility_report(ProblemInstance(6, 1, 2), 6.0, 3)
         assert report.psi_power_bound < 0.25
         assert not report.feasible
+
+    @pytest.mark.parametrize(
+        "triple, t, ell",
+        [((8, 2, 3), 2.0, 1), ((100, 5, 6), 8.0, 4), ((1000, 10, 15), 60.0, 30)],
+        ids=["t-below-k", "t-above-k", "ell-above-k"],
+    )
+    def test_one_set_of_tables_per_report(self, monkeypatch, triple, t, ell):
+        # The Gram-power bound and both difference norms read one phi_table
+        # and one tilde_tables build, and give the bits each gives alone.
+        calls = Counter()
+        for name in ("phi_table", "tilde_tables"):
+            original = getattr(adversary, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(adversary, name, counting)
+        inst = ProblemInstance(*triple)
+        report = adversary.dual_feasibility_report(inst, t, ell)
+        assert calls == {"phi_table": 1, "tilde_tables": 1}
+        gammas = adversary.gamma_schedule(t, inst.k)
+        assert report.psi_power_bound == adversary.psi_power_lower_bound(inst, t, ell)
+        assert report.state_gen_pair == adversary.norm_delta_state_gen(gammas, inst)
+        assert report.reflection_norm == adversary.norm_delta_reflection(gammas, inst)
 
     def test_nothing_is_held_after_a_point_returns(self):
         # 1e5 rows: one cached coefficient table pair alone would hold 6.4 MB.

@@ -83,7 +83,7 @@ class TestLift:
         rng = np.random.default_rng(4)
         psi_x = bruteforce.psi_matrix(INST.n, INST.k)
         psi_y = bruteforce.psi_matrix(INST.n, INST.k_prime)
-        gamma = adversary.adversary_matrix(INST, 2.0)
+        gamma = bruteforce.adversary_matrix(INST, 2.0)
         forward = bruteforce.lift(gamma, INST, reverse=False)
         reverse = bruteforce.lift(gamma, INST, reverse=True)
         for _ in range(100):
@@ -104,7 +104,7 @@ class TestLift:
     ):
         inst = ProblemInstance(*triple)
         if planted == "adversary":
-            gamma = adversary.adversary_matrix(inst, 2.0)
+            gamma = bruteforce.adversary_matrix(inst, 2.0)
         else:
             gamma = _generic_gamma(inst, 5)
             draw = np.random.default_rng(6).random(gamma.shape)
@@ -371,7 +371,7 @@ class TestMembershipNorms:
     @pytest.mark.parametrize("inst", DEFAULT, ids=_instance_id)
     def test_matches_the_masked_norm_on_default_instances(self, inst):
         for t in (1.0, 2.0, 3.0):
-            gamma = adversary.adversary_matrix(inst, t)
+            gamma = bruteforce.adversary_matrix(inst, t)
             per_n, gaps = bruteforce._membership_norm(inst, gamma)
             want = self._masked(inst, gamma)
             assert abs(per_n - want[-1]) <= 1e-13
@@ -405,14 +405,14 @@ class TestMembershipNorms:
         # of no other, not n's.  i = n - 1 is the last gap f_i.
         a, b = [e for e in range(1, INST.n) if e != i][:2]
         x, y = index_of(INST.n, INST.k, (a, b)), index_of(INST.n, INST.k_prime, (a, b, i))
-        original = adversary.adversary_matrix
+        original = bruteforce.adversary_matrix
 
         def planted(inst, t):
             gamma = original(inst, t)
             gamma[x, y] += 1e-6
             return gamma
 
-        monkeypatch.setattr(adversary, "adversary_matrix", planted)
+        monkeypatch.setattr(bruteforce, "adversary_matrix", planted)
         bruteforce.clear_memos()
         try:
             report = bruteforce.verify("DELTA_MEMB", INST, t=2.0)
@@ -653,7 +653,7 @@ class TestPeakMemory:
 
     def test_delta_memb(self):
         # 1.0 MB: element n's two blocks (0.36 MB) and one image block at a time.
-        gamma = adversary.adversary_matrix(self.INST, 2.0)
+        gamma = bruteforce.adversary_matrix(self.INST, 2.0)
         assert _traced_peak(lambda: bruteforce._membership_norm(self.INST, gamma)) <= 2e6
 
     @pytest.mark.skipif(
@@ -715,7 +715,7 @@ class TestCutoffAboveK:
         # On block k+1 of level k', the forward state-generation Gram D^T D
         # and the reflection remainder Gram E both read row^2 times identity.
         row = adversary._row_past_k(adversary.gamma_schedule(t, inst.k), inst)
-        gamma = adversary.adversary_matrix(inst, t)
+        gamma = bruteforce.adversary_matrix(inst, t)
         psi_hat = bruteforce.psi_matrix(inst.n, inst.k_prime)
         diff = bruteforce.lift(gamma, inst, reverse=False)
         overlap = gamma * bruteforce.psi_gram(inst)
@@ -760,7 +760,7 @@ class TestReflectionLiftNorm:
     @pytest.mark.parametrize("inst", DEFAULT, ids=_instance_id)
     def test_matches_dense_on_default_instances(self, inst, t):
         brute = bruteforce.verify("DELTA_REFL", inst, t=t).brute_force
-        dense = self.dense_norm(inst, adversary.adversary_matrix(inst, t))
+        dense = self.dense_norm(inst, bruteforce.adversary_matrix(inst, t))
         assert abs(brute - dense) <= 1e-12 * dense
 
     @pytest.mark.parametrize("inst", GENERIC, ids=_instance_id)
@@ -778,13 +778,13 @@ class TestReflectionLiftNorm:
     def test_a_non_equivariant_gamma_fails_on_the_structure_residual(self, monkeypatch):
         # A 1e-9 perturbation moves the norm by far less than TOL_NORM, but the
         # remainder Grams are no longer scalar on the blocks.
-        original = adversary.adversary_matrix
+        original = bruteforce.adversary_matrix
 
         def planted(inst, t):
             gamma = original(inst, t)
             return gamma + 1e-9 * np.random.default_rng(31).standard_normal(gamma.shape)
 
-        monkeypatch.setattr(adversary, "adversary_matrix", planted)
+        monkeypatch.setattr(bruteforce, "adversary_matrix", planted)
         bruteforce.clear_memos()
         try:
             report = bruteforce.verify("DELTA_REFL", INST, t=2.0)
@@ -808,7 +808,7 @@ class TestReflectionLiftNorm:
 
     @pytest.mark.parametrize("power", [600, -600])
     def test_extreme_scales(self, power):
-        gamma = adversary.adversary_matrix(INST, 2.0)
+        gamma = bruteforce.adversary_matrix(INST, 2.0)
         want, want_residual = bruteforce._reflection_lift_norm(INST, gamma)
         got, residual = bruteforce._reflection_lift_norm(INST, gamma * 2.0**power)
         assert abs(got / 2.0**power - want) <= 1e-15 * want
@@ -869,7 +869,7 @@ class TestVerify:
         gamma = bruteforce._adversary_matrix(INST, 2.0)
         assert bruteforce._adversary_matrix(INST, 2.0) is gamma
         assert not gamma.flags.writeable
-        assert gamma.tobytes() == adversary.adversary_matrix(INST, 2.0).tobytes()
+        assert gamma.tobytes() == bruteforce.adversary_matrix(INST, 2.0).tobytes()
         assert bruteforce._adversary_matrix(INST, 3.0) is not gamma
         bruteforce.clear_memos()
 
@@ -879,7 +879,7 @@ class TestVerify:
 
     def test_hadamard_step_against_projection(self):
         stepped = adversary.hadamard_psi_step(adversary.gamma_schedule(2.0, INST.k), INST)
-        gamma = adversary.adversary_matrix(INST, 2.0)
+        gamma = bruteforce.adversary_matrix(INST, 2.0)
         had = gamma * bruteforce.psi_gram(INST)
         for j, e_j in enumerate(johnson.irrep_projectors(INST.n, INST.k)):
             phi = johnson.transporter(INST.n, INST.k, INST.k_prime, j)
@@ -892,7 +892,7 @@ class TestVerify:
         coeffs = adversary.gamma_schedule(t, INST.k)
         for _ in range(ell):
             coeffs = adversary.hadamard_psi_step(coeffs, INST)
-        had = adversary.adversary_matrix(INST, t) * bruteforce.psi_gram(INST) ** ell
+        had = bruteforce.adversary_matrix(INST, t) * bruteforce.psi_gram(INST) ** ell
         for j, e_j in enumerate(johnson.irrep_projectors(INST.n, INST.k)):
             phi = johnson.transporter(INST.n, INST.k, INST.k_prime, j)
             projected = float(np.sum(phi * had)) / int(round(float(np.trace(e_j))))
@@ -945,7 +945,7 @@ class TestFeasibilityAgainstBruteForce:
         # The feasibility report is assembled from closed forms; every entry
         # must coincide with the directly built matrix quantities.
         feas = adversary.dual_feasibility_report(INST, t=2.0, ell=1)
-        gamma = adversary.adversary_matrix(INST, 2.0)
+        gamma = bruteforce.adversary_matrix(INST, 2.0)
         assert feas.gamma_norm == pytest.approx(linalg.spectral_norm(gamma), abs=1e-9)
         per_i = [
             linalg.spectral_norm(gamma * dense_reference.delta_membership_mask(INST, i))

@@ -54,6 +54,46 @@ def test_python_m_entry_point(tmp_path):
         assert (tmp_path / module / "simulate_coupon.json").exists()
 
 
+# Runs cli.main on each argv list of the JSON in argv[1], in one process, and
+# prints the countbench modules then loaded.
+LOADED_MODULES_SCRIPT = """
+import contextlib, io, json, sys
+from countbench import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("countbench."))))
+"""
+VERIFIER_MODULES = {"countbench.bruteforce", "countbench.johnson"}
+
+
+def test_only_verify_loads_the_verifier(tmp_path):
+    # bounds and simulate read the closed side alone; a fresh process shows
+    # what each command imports.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    runs = {
+        "bounds-simulate": [
+            ["bounds", "--n", "1000", "--k", "10", "--eps", "0.5"],
+            ["simulate", "coupon", "--trials", "3", "--k", "64", "--eps", "1"],
+        ],
+        "verify": [["verify", "--instance", "6,1,2", "--t", "1", "--checks", "TABLES"]],
+    }
+    loaded = {}
+    for name, argvs in runs.items():
+        argvs = [argv + ["--out", str(tmp_path / name)] for argv in argvs]
+        proc = subprocess.run(
+            [sys.executable, "-c", LOADED_MODULES_SCRIPT, json.dumps(argvs)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded[name] = set(json.loads(proc.stdout))
+    assert not loaded["bounds-simulate"] & VERIFIER_MODULES
+    assert loaded["verify"] >= VERIFIER_MODULES
+
+
 # OpenBLAS reads the first of these that is set.
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -114,14 +154,14 @@ class TestVerifyCommand:
     def test_fail_line_names_the_details(self, tmp_path, capsys, monkeypatch):
         # An entry off by 1e-7 breaks Gamma's symmetry: DELTA_REFL's gap stays
         # under TOL_NORM, and only its structure residual fails the row.
-        original = adversary.adversary_matrix
+        original = bruteforce.adversary_matrix
 
         def planted(inst, t):
             gamma = np.array(original(inst, t))
             gamma[0, 0] += 1e-7
             return gamma
 
-        monkeypatch.setattr(adversary, "adversary_matrix", planted)
+        monkeypatch.setattr(bruteforce, "adversary_matrix", planted)
         bruteforce.clear_memos()
         argv = ["verify", "--instance", "8,2,3", "--t", "2", "--checks", "DELTA_REFL"]
         assert run(argv + ["--out", str(tmp_path)]) == 1
@@ -217,6 +257,21 @@ class TestVerifyCommand:
         summary = json.loads((out / "verify.json").read_text())
         assert summary["instances"] == [[6, 1, 2]] and summary["t_values"] == [1.0]
         assert summary["rows"] == 10
+
+    @pytest.mark.parametrize(
+        "checks",
+        [["NOPE"], ["TABLES", "NOPE"], ["TABLES", "--checks", "NOPE"]],
+        ids=["alone", "after-a-valid-id", "in-a-second-flag"],
+    )
+    def test_unknown_check_is_usage_error(self, tmp_path, capsys, checks):
+        # argparse rejects it, naming the valid ids, before --out is made.
+        out = tmp_path / "r"
+        code = run(["verify", "--instance", "6,1,2", "--checks", *checks, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        choices = ", ".join(map(repr, bruteforce.CHECK_IDS))
+        assert f"argument --checks: invalid choice: 'NOPE' (choose from {choices})" in err
+        assert not out.exists()
 
     def test_repeated_checks_flags_add_up(self, tmp_path):
         out = tmp_path / "r"
@@ -363,7 +418,7 @@ class TestLevelMajorSweep:
         table_gaps = _count_memo_misses(monkeypatch, "_level_table_gap")
         bases = _count_memo_misses(monkeypatch, "_level_bases")
         eighs, gammas = Counter(), Counter()
-        eigh, adversary_matrix = np.linalg.eigh, adversary.adversary_matrix
+        eigh, adversary_matrix = np.linalg.eigh, bruteforce.adversary_matrix
 
         def counting_eigh(a, *args, **kwargs):
             eighs[len(a)] += 1
@@ -374,7 +429,7 @@ class TestLevelMajorSweep:
             return adversary_matrix(inst, t)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        monkeypatch.setattr(adversary, "adversary_matrix", counting_gamma)
+        monkeypatch.setattr(bruteforce, "adversary_matrix", counting_gamma)
         argv = ["verify", *_instance_flags(SCRAMBLED), "--timing", "--out", str(tmp_path)]
         assert run(argv) == 0
         assert passes[12, 4, True] == 1

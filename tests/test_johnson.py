@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from countbench import adversary, johnson
+from countbench import adversary, bruteforce, johnson
 from countbench.cli import DEFAULT_INSTANCES
 import dense_reference
 
@@ -211,7 +211,7 @@ def test_adversary_and_transporter_bytes_are_pinned():
     for triple in DEFAULT_INSTANCES:
         inst = adversary.ProblemInstance(*triple)
         for t in (1.0, 2.0, 3.0):
-            digest.update(adversary.adversary_matrix(inst, t).tobytes())
+            digest.update(bruteforce.adversary_matrix(inst, t).tobytes())
         phis = [johnson.transporter(*triple, j) for j in range(inst.k + 1)]
         for one_hot in np.eye(inst.k + 1):
             digest.update(adversary.assemble_adversary(one_hot, phis).tobytes())
