@@ -8,6 +8,10 @@ unit vectors phi_j and phi'_j (one row per block index j, the primed
 one with k' in place of k) that `phi_table` returns.  This module owns
 all of that arithmetic, together with the feasibility report and the
 headline trade-off evaluator, whose JSON-ready dict `bounds` prints.
+Each row formula is one kernel that takes any run of consecutive rows:
+the closed sides `verify` checks run it once on the whole schedule, and
+the feasibility report walks the schedule in blocks of CHUNK_ROWS rows,
+so a report's working memory does not grow with t.
 It builds no matrix of the Johnson scheme and imports no `johnson`:
 `assemble_adversary` sums given transporters, and `bruteforce` builds
 them and the explicit Gamma.
@@ -26,11 +30,15 @@ from . import linalg
 CPRIME = 8.0
 # The constant-norm requirement on the Gram power, read as D^ell/2 >= this.
 FEASIBILITY_THRESHOLD = 0.25
-# Most rows a schedule or coefficient table may have.  The closed forms
-# hold about 360 B per row at their peak (the reflection norm's tables,
-# bases and products), so the cap is about 0.38 GB, and a longer schedule
-# would fail inside numpy instead of by name.
-MAX_ROWS = 1 << 20
+# Rows of the schedule a feasibility report builds tables for at once, about
+# 400 B each at the peak (the reflection norm's tables, bases and products).
+CHUNK_ROWS = 1024
+# Most rows a schedule may have.  A report holds one block of CHUNK_ROWS
+# rows at a time, so the cap bounds its time, not its memory: 2^25 rows
+# take about 20 s.  A longer schedule is refused before anything of its
+# length is allocated.  `gamma_schedule` and `phi_table`, which build whole
+# arrays, keep the same cap.
+MAX_ROWS = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -126,14 +134,27 @@ def _cap_rows(rows: int) -> None:
         raise ValueError(f"{rows} rows exceed cap MAX_ROWS = {MAX_ROWS}")
 
 
-def phi_table(inst: ProblemInstance, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (phi, phi_prime): rows j = 0..rows-1 (at most k + 1) for levels k and k'."""
-    _cap_rows(rows)
-    j = np.arange(rows)
+def phi_table(inst: ProblemInstance, stop: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (phi, phi_prime): rows j = start..stop-1 (stop at most k + 1) for levels k and k'."""
+    _cap_rows(stop - start)
+    j = np.arange(start, stop)
     return (
         linalg.freeze(phi_components(inst.n, inst.k, j)),
         linalg.freeze(phi_components(inst.n, inst.k_prime, j)),
     )
+
+
+def _live_rows(t: float, k: int) -> int:
+    """How many weights the schedule keeps, j = 0..min(k, floor(t) + 1); at most MAX_ROWS."""
+    if not t >= 1:
+        raise ValueError(f"cutoff parameter must satisfy t >= 1, got {t}")
+    live = min(k, math.floor(min(t, k)) + 1) + 1
+    _cap_rows(live)
+    return live
+
+
+def _weights(t: float, start: int, stop: int) -> np.ndarray:
+    return np.maximum(1.0 - np.arange(start, stop) / t, 0.0)
 
 
 def gamma_schedule(t: float, k: int) -> np.ndarray:
@@ -143,23 +164,30 @@ def gamma_schedule(t: float, k: int) -> np.ndarray:
     A later row j has g_{j-1} = g_j = g_{j+1} = 0, since j - 1 > t, so
     it adds exact zeros to Gamma and to the three difference norms.
     """
-    if not t >= 1:
-        raise ValueError(f"cutoff parameter must satisfy t >= 1, got {t}")
-    live = min(k, math.floor(min(t, k)) + 1) + 1
-    _cap_rows(live)
-    return linalg.freeze(np.maximum(1.0 - np.arange(live) / t, 0.0))
+    return linalg.freeze(_weights(t, 0, _live_rows(t, k)))
 
 
-def tilde_tables(gammas, phi, phi_prime) -> tuple[np.ndarray, np.ndarray]:
+def tilde_tables(gammas, phi, phi_prime, before=0.0, after=0.0) -> tuple[np.ndarray, np.ndarray]:
     """Gamma-weighted coefficient vectors, one row per weight.
 
     Row j of each output is (g_{j-1} c0, g_j c1, g_j c2, g_{j+1} c3) for
     the corresponding row of phi or phi_prime, which have as many rows as
-    there are weights.
+    there are weights.  ``before`` and ``after`` are the weights just
+    outside ``gammas``, both 0 for a whole schedule.
     """
-    g = np.pad(gammas, 1)
+    g = np.concatenate(([before], gammas, [after]))
     weights = np.stack([g[:-2], g[1:-1], g[1:-1], g[2:]], axis=1)
     return weights * phi, weights * phi_prime
+
+
+def _block_tables(inst: ProblemInstance, gammas, start=0, before=0.0, after=0.0) -> tuple:
+    """(phi, phi_prime, tilde, tilde_prime) for the rows j = start.. that ``gammas`` weights.
+
+    ``before`` and ``after`` are the weights just outside the block, as in
+    `tilde_tables`; the defaults describe a whole schedule.
+    """
+    phi, phi_prime = phi_table(inst, start + len(gammas), start)
+    return (phi, phi_prime, *tilde_tables(gammas, phi, phi_prime, before, after))
 
 
 def assemble_adversary(gammas, transporters) -> np.ndarray:
@@ -206,63 +234,64 @@ def hadamard_psi_step(coeffs, inst: ProblemInstance) -> np.ndarray:
     return out
 
 
-def psi_power_lower_bound(inst: ProblemInstance, t: float, ell: int, tables=None) -> float:
-    """Certified lower bound D^ell / 2 for the ell-fold entrywise Gram power.
-
-    Valid for schedules with t >= 2 ell; D is the smallest block overlap
-    phi_j . phi'_j among j = 0..min(ell, k).  ``tables`` is a (phi,
-    phi_prime) pair with at least those rows, built here when omitted.
-    """
+def _overlap_rows(inst: ProblemInstance, t: float, ell: int) -> int:
+    """How many rows, j = 0..min(ell, k), the Gram-power bound reads; it needs t >= 2 ell."""
     if ell < 0:
         raise ValueError("ell must be nonnegative")
     if t < 2 * ell:
         raise ValueError(f"bound needs t >= 2*ell, got t={t}, ell={ell}")
-    rows = min(ell, inst.k) + 1
-    phi, phi_prime = tables if tables is not None else phi_table(inst, rows)
-    d = min(float(p @ q) for p, q in zip(phi[:rows], phi_prime[:rows]))
+    return min(ell, inst.k) + 1
+
+
+def _min_overlap(phi, phi_prime) -> float:
+    """The smallest row overlap phi_j . phi'_j; vecdot rounds each as ``p @ q`` does."""
+    return float(np.vecdot(phi, phi_prime).min())
+
+
+def psi_power_lower_bound(inst: ProblemInstance, t: float, ell: int) -> float:
+    """Certified lower bound D^ell / 2 for the ell-fold entrywise Gram power.
+
+    Valid for schedules with t >= 2 ell; D is the smallest block overlap
+    phi_j . phi'_j among j = 0..min(ell, k).
+    """
+    d = _min_overlap(*phi_table(inst, _overlap_rows(inst, t, ell)))
     return d**ell / 2.0
 
 
-def coefficient_tables(gammas, inst: ProblemInstance) -> tuple[np.ndarray, ...]:
-    """(phi, phi_prime, tilde, tilde_prime), one row per weight of ``gammas``.
-
-    The two difference norms read all four; the Gram-power bound reads
-    the first two, whose rows j <= min(ell, k) a schedule with t >= 2 ell
-    always holds.
-    """
-    phi, phi_prime = phi_table(inst, len(gammas))
-    return (phi, phi_prime, *tilde_tables(gammas, phi, phi_prime))
-
-
-def _row_past_k(gammas, inst: ProblemInstance) -> float:
+def _row_past_k(gammas, inst: ProblemInstance, start: int = 0) -> float:
     """The row of block k+1, which only the k' level has: g_k c0'_{k+1}.
 
     There tilde'_{k+1} = (g_k c0'_{k+1}, 0, 0, 0) and the level-k terms
     vanish, so the row reads g_k c0'_{k+1} in the forward state-generation
     norm and, phi'_{k+1} being a unit vector, in the reflection norm too;
     c0'_{k+1}^2 = (k+1)(k'-k)(n-k'-k) / ((n-2k)(n-2k-1) k').  It is 0 unless
-    t > k, the only case in which g_k > 0.
+    t > k, the only case in which g_k > 0.  ``gammas`` holds the weights
+    of rows j = start.., so a block that ends before row k reads 0.
     """
-    if len(gammas) <= inst.k or gammas[inst.k] == 0.0 or inst.k_prime == inst.k:
+    row = inst.k - start
+    if len(gammas) <= row or gammas[row] == 0.0 or inst.k_prime == inst.k:
         return 0.0
     c0 = phi_components(inst.n, inst.k_prime, inst.k + 1)[0]
-    return float(gammas[inst.k] * c0)
+    return float(gammas[row] * c0)
 
 
-def norm_delta_state_gen(gammas, inst: ProblemInstance, tables=None) -> tuple[float, float]:
+def _state_gen_rows(gammas, tables) -> tuple[float, float]:
+    """(max ||tilde_prime_j - g_j phi_j||, max ||g_j phi_prime_j - tilde_j||) over the given rows."""
+    phi, phi_prime, tilde, tilde_prime = tables
+    g = gammas[:, None]
+    forward = float(np.max(np.linalg.norm(tilde_prime - g * phi, axis=1)))
+    reverse = float(np.max(np.linalg.norm(g * phi_prime - tilde, axis=1)))
+    return forward, reverse
+
+
+def norm_delta_state_gen(gammas, inst: ProblemInstance) -> tuple[float, float]:
     """Norms of Gamma against the state-generation difference pair.
 
     Returns (max_j ||tilde_prime_j - g_j phi_j||, max_j ||g_j phi_prime_j - tilde_j||).
     The forward maximum also runs over the k' level's block k+1, where
     phi_{k+1} = 0 (``_row_past_k``); the reverse row there is 0.
-    ``tables`` is ``coefficient_tables(gammas, inst)``, built here when omitted.
     """
-    if tables is None:
-        tables = coefficient_tables(gammas, inst)
-    phi, phi_prime, tilde, tilde_prime = tables
-    g = gammas[:, None]
-    forward = float(np.max(np.linalg.norm(tilde_prime - g * phi, axis=1)))
-    reverse = float(np.max(np.linalg.norm(g * phi_prime - tilde, axis=1)))
+    forward, reverse = _state_gen_rows(gammas, _block_tables(inst, gammas))
     return max(forward, _row_past_k(gammas, inst)), reverse
 
 
@@ -298,33 +327,32 @@ def reflection_row_norms(phi, phi_prime, tilde, tilde_prime) -> np.ndarray:
     return np.sqrt((g11 + g22) / 2.0 + np.hypot((g11 - g22) / 2.0, g12))
 
 
-def norm_delta_reflection(gammas, inst: ProblemInstance, tables=None) -> float:
+def norm_delta_reflection(gammas, inst: ProblemInstance) -> float:
     """Norm of Gamma against the reflection difference operator.
 
     max over j of the spectral norm of the rank-two 4x4 matrix
     phi'_j tilde'_j^T - tilde_j phi_j^T, in closed form from its 2x2 Gram
     on the span of its rows (``reflection_row_norms``), with j running to
     k+1 on the k' level, where tilde_{k+1} = 0 (``_row_past_k``).
-    ``tables`` is ``coefficient_tables(gammas, inst)``, built here when omitted.
     """
-    if tables is None:
-        tables = coefficient_tables(gammas, inst)
-    top = float(np.max(reflection_row_norms(*tables)))
+    top = float(np.max(reflection_row_norms(*_block_tables(inst, gammas))))
     return max(top, _row_past_k(gammas, inst))
 
 
-def norm_delta_membership(gammas, inst: ProblemInstance) -> float:
+def norm_delta_membership(gammas, inst: ProblemInstance, start=0, after=0.0) -> float:
     """Norm of Gamma against any single-element membership difference.
 
     max over j of the larger of
       | sqrt((k-j)(n-k'-j)) g_j - sqrt((k'-j)(n-k-j)) g_{j+1} | / (n-2j)
       | sqrt((k'-j)(n-k-j)) g_j - sqrt((k-j)(n-k'-j)) g_{j+1} | / (n-2j);
-    the value does not depend on which element is singled out.
+    the value does not depend on which element is singled out.  Over a
+    block, ``gammas`` weights the rows j = start.. and ``after`` is the
+    weight after its last; the defaults describe a whole schedule.
     """
     n, k, kp = inst.n, inst.k, inst.k_prime
     g0 = gammas
-    g1 = np.append(g0[1:], 0.0)
-    j = np.arange(len(g0), dtype=float)
+    g1 = np.append(g0[1:], after)
+    j = np.arange(start, start + len(g0), dtype=float)
     small = np.sqrt((k - j) * (n - kp - j))
     large = np.sqrt((kp - j) * (n - k - j))
     value = np.maximum(np.abs(small * g0 - large * g1), np.abs(large * g0 - small * g1))
@@ -386,23 +414,45 @@ def dual_feasibility_report(inst: ProblemInstance, t: float, ell: int) -> DualFe
 
     The constant-size requirement on the Gram-power norm is operationalised
     as D^ell/2 >= FEASIBILITY_THRESHOLD; out-of-regime instances are
-    flagged, not rejected.  One set of coefficient tables serves the
-    Gram-power bound and both difference norms that read them.
+    flagged, not rejected.  The schedule is walked in blocks of CHUNK_ROWS
+    rows, each with its own weights and coefficient tables, and the row
+    kernels of the closed sides keep running maxima (and the minimum
+    overlap D over rows j <= min(ell, k)), so the values are those of the
+    whole-schedule functions to the bit.  A schedule past MAX_ROWS is
+    refused before anything is allocated.
     """
-    gammas = gamma_schedule(t, inst.k)
-    tables = coefficient_tables(gammas, inst)
-    bound = psi_power_lower_bound(inst, t, ell, tables[:2])
-    gen_pair = norm_delta_state_gen(gammas, inst, tables)
+    overlap_rows = _overlap_rows(inst, t, ell)
+    live = _live_rows(t, inst.k)
+    gamma_norm = forward = reverse = reflection = membership = 0.0
+    d = math.inf
+    before = 0.0
+    for start in range(0, live, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, live)
+        gammas = _weights(t, start, stop)
+        after = float(_weights(t, stop, stop + 1)[0]) if stop < live else 0.0
+        tables = _block_tables(inst, gammas, start, before, after)
+        block_forward, block_reverse = _state_gen_rows(gammas, tables)
+        forward, reverse = max(forward, block_forward), max(reverse, block_reverse)
+        reflection = max(reflection, float(np.max(reflection_row_norms(*tables))))
+        membership = max(membership, norm_delta_membership(gammas, inst, start, after))
+        gamma_norm = max(gamma_norm, float(np.max(np.abs(gammas))))
+        if start < overlap_rows:
+            phi, phi_prime = tables[0][: overlap_rows - start], tables[1][: overlap_rows - start]
+            d = min(d, _min_overlap(phi, phi_prime))
+        before = float(gammas[-1])
+    past_k = _row_past_k(gammas, inst, start)  # the last block holds row k, if it is live
+    gen_pair = (max(forward, past_k), reverse)
+    bound = d**ell / 2.0
     return DualFeasibilityReport(
         instance=inst,
         t=float(t),
         ell=ell,
-        gamma_norm=float(np.max(np.abs(gammas))),
+        gamma_norm=gamma_norm,
         psi_power_bound=bound,
-        membership_norm=norm_delta_membership(gammas, inst),
+        membership_norm=membership,
         state_gen_norm=max(gen_pair),
         state_gen_pair=gen_pair,
-        reflection_norm=norm_delta_reflection(gammas, inst, tables),
+        reflection_norm=max(reflection, past_k),
         feasibility_threshold=FEASIBILITY_THRESHOLD,
         feasible=bound >= FEASIBILITY_THRESHOLD,
         theorem_regime=inst.theorem_regime,

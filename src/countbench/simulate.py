@@ -5,7 +5,8 @@ never touch an n-dimensional statevector: their dynamics provably stay
 in a two-dimensional invariant subspace (rotation picture), and the
 phase-estimation subroutine is sampled from its exact closed-form
 outcome distribution, so desk-scale n up to 1e6 costs nothing while the
-query tallies stay exact.
+query tallies stay exact.  That distribution and its CDF are built in
+place, holding at most three float arrays of the grid size at once.
 
 Each procedure is one function, named as on the command line
 (`PROCEDURES` maps the names to them).  It validates its parameters once
@@ -48,7 +49,8 @@ DECIDE_LARGE = "k_prime"
 # The phase grid resolves the two hypotheses' eigenphases this many times over.
 GRID_MARGIN = 2.0
 # Largest phase grid a set-up may ask for: its outcome distribution alone is
-# 128 MiB, and a larger one would fail inside numpy instead of by name.
+# 128 MiB (building it takes three such arrays), and a larger one would
+# fail inside numpy instead of by name.
 MAX_GRID_POINTS = 1 << 24
 # Most draws one run may ask for, and most entries of the array it counts
 # them in: either array is 128 MiB at the cap, and a larger one would fail
@@ -243,31 +245,39 @@ def phase_estimation_distribution(theta: float, m_points: int) -> np.ndarray:
     The rotation's eigenphases are +/- 2 theta; the estimation register
     lands on outcome m (measured phase 2 pi m / M) with the squared
     Dirichlet-kernel weight around each branch, each branch carrying
-    half the mass.
+    half the mass.  The grid is built in place: the call holds three
+    arrays of M floats and one of M booleans, the result included.
     """
     if m_points < 2:
         raise ValueError("need at least a two-point grid")
     if not 0.0 <= theta <= math.pi / 2:
         raise ValueError("theta must lie in [0, pi/2]")
-    m = np.arange(m_points)
     omega = theta / math.pi  # eigenphase as a fraction of a full turn
-    probs = 0.5 * (
-        _kernel(m / m_points - omega, m_points) + _kernel(m / m_points + omega, m_points)
-    )
+    grid = np.arange(m_points, dtype=float)
+    grid /= m_points
+    probs = _kernel(grid - omega, m_points, work := np.empty(m_points))
+    probs += _kernel(np.add(grid, omega, out=grid), m_points, work)
+    probs *= 0.5
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-9:
         raise ArithmeticError(f"outcome distribution sums to {total}")
-    return probs / total
+    probs /= total
+    return probs
 
 
-def _kernel(offsets: np.ndarray, m_points: int) -> np.ndarray:
+def _kernel(offsets: np.ndarray, m_points: int, work: np.ndarray) -> np.ndarray:
+    """The squared Dirichlet kernel at ``offsets``, written over them; ``work`` is scratch."""
     # The kernel has period 1; reducing into [-1/2, 1/2] first keeps the
     # sines accurate where an offset sits next to a nonzero integer.
-    offsets = offsets - np.round(offsets)
-    s = np.sin(np.pi * offsets)
+    offsets -= np.rint(offsets, out=work)
+    s = np.sin(np.multiply(np.pi, offsets, out=work), out=work)
+    exact = s == 0.0
+    value = np.sin(np.multiply(np.pi * m_points, offsets, out=offsets), out=offsets)
     with np.errstate(divide="ignore", invalid="ignore"):
-        value = (np.sin(np.pi * m_points * offsets) / (m_points * s)) ** 2
-    return np.where(s == 0.0, 1.0, value)
+        value /= np.multiply(m_points, s, out=s)
+    np.square(value, out=value)
+    value[exact] = 1.0
+    return value
 
 
 def _grid_points(theta_a: float, theta_b: float) -> int:
@@ -308,7 +318,8 @@ def _phase_estimation(a_small_hyp: float, a_large_hyp: float, a_truth_of):
             cdf = cdfs[size]
         except KeyError:
             theta = math.asin(math.sqrt(a_truth_of(size)))
-            cdf = cdfs[size] = phase_estimation_distribution(theta, m_points).cumsum()
+            cdf = cdfs[size] = phase_estimation_distribution(theta, m_points)
+            np.cumsum(cdf, out=cdf)
             cdf /= cdf[-1]
         outcome = int(cdf.searchsorted(rng.random(), side="right"))
         value = math.sin(math.pi * outcome / m_points) ** 2

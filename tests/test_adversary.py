@@ -1,6 +1,8 @@
+import importlib.util
 import math
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -14,6 +16,22 @@ from dense_reference import unit_norm_error
 
 SWEEP = [(6, 1, 2), (7, 1, 2), (8, 2, 3), (9, 2, 3), (10, 2, 3), (10, 3, 4),
          (12, 2, 4), (12, 3, 4)]
+CHUNK = adversary.CHUNK_ROWS
+
+
+def bench_bounds_points(seeds=(1, 2, 3), seconds=30):
+    """(instance, t, ell) of every bounds point the benchmark plans at these seeds."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    points = []
+    for seed in seeds:
+        for argv in workloads.bounds_plan(seed, seconds):
+            n, k, eps, ell, ell_prime = (float(argv[i]) for i in range(2, 12, 2))
+            t = adversary.theorem_tradeoff(n, k, eps, ell, ell_prime)["t_choice"]
+            points.append((ProblemInstance.from_eps(int(n), int(k), eps), max(1.0, t), int(ell)))
+    return points
 
 
 class TestProblemInstance:
@@ -257,6 +275,27 @@ class TestPsiPowerBound:
         with pytest.raises(ValueError):
             adversary.psi_power_lower_bound(ProblemInstance(8, 2, 3), 1.0, 1)
 
+    def test_vecdot_rounds_as_the_row_loop_on_bench_points(self):
+        for inst, t, ell in bench_bounds_points():
+            want = loop_gram_power_bound(inst, ell)
+            assert adversary.psi_power_lower_bound(inst, t, ell) == want
+            assert adversary.dual_feasibility_report(inst, t, ell).psi_power_bound == want
+
+    @pytest.mark.parametrize("ell", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 10**5])
+    def test_vecdot_rounds_as_the_row_loop_at_large_ell(self, ell):
+        # Rows j <= ell: the report's blocks end at multiples of CHUNK_ROWS.
+        inst = ProblemInstance(10**7, 2 * 10**5, 2 * 10**5 + 3)
+        want = loop_gram_power_bound(inst, ell)
+        assert adversary.psi_power_lower_bound(inst, 2.0 * ell, ell) == want
+        assert adversary.dual_feasibility_report(inst, 2.0 * ell, ell).psi_power_bound == want
+
+
+def loop_gram_power_bound(inst, ell):
+    """Reference for the Gram-power bound: D from one ``p @ q`` per row j <= min(ell, k)."""
+    phi, phi_prime = adversary.phi_table(inst, min(ell, inst.k) + 1)
+    d = min(float(p @ q) for p, q in zip(phi, phi_prime))
+    return d**ell / 2.0
+
 
 class TestDeltaNorms:
     def test_state_gen_symmetric_at_eps_zero(self):
@@ -400,25 +439,28 @@ class TestDualFeasibility:
 
     @pytest.mark.parametrize(
         "triple, t, ell",
-        [((8, 2, 3), 2.0, 1), ((100, 5, 6), 8.0, 4), ((1000, 10, 15), 60.0, 30)],
-        ids=["t-below-k", "t-above-k", "ell-above-k"],
+        [((8, 2, 3), 2.0, 1), ((100, 5, 6), 8.0, 4), ((1000, 10, 15), 60.0, 30),
+         ((10**6, 5000, 5500), 2 * CHUNK + 0.5, CHUNK)],
+        ids=["t-below-k", "t-above-k", "ell-above-k", "three-blocks"],
     )
-    def test_one_set_of_tables_per_report(self, monkeypatch, triple, t, ell):
+    def test_each_row_is_tabled_once_per_report(self, monkeypatch, triple, t, ell):
         # The Gram-power bound and both difference norms read one phi_table
-        # and one tilde_tables build, and give the bits each gives alone.
-        calls = Counter()
+        # and one tilde_tables row per schedule row, and give the bits each
+        # gives alone.
+        rows = Counter()
         for name in ("phi_table", "tilde_tables"):
             original = getattr(adversary, name)
 
             def counting(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
+                out = _original(*args)
+                rows[_name] += len(out[0])
+                return out
 
             monkeypatch.setattr(adversary, name, counting)
         inst = ProblemInstance(*triple)
         report = adversary.dual_feasibility_report(inst, t, ell)
-        assert calls == {"phi_table": 1, "tilde_tables": 1}
         gammas = adversary.gamma_schedule(t, inst.k)
+        assert rows == {"phi_table": len(gammas), "tilde_tables": len(gammas)}
         assert report.psi_power_bound == adversary.psi_power_lower_bound(inst, t, ell)
         assert report.state_gen_pair == adversary.norm_delta_state_gen(gammas, inst)
         assert report.reflection_norm == adversary.norm_delta_reflection(gammas, inst)
@@ -433,6 +475,71 @@ class TestDualFeasibility:
                 assert tracemalloc.get_traced_memory()[0] <= 1e6
         finally:
             tracemalloc.stop()
+
+
+def whole_schedule_values(inst, t, ell):
+    """The report's norms from the closed sides, each on the whole schedule."""
+    gammas = adversary.gamma_schedule(t, inst.k)
+    return (
+        float(np.max(np.abs(gammas))),
+        adversary.psi_power_lower_bound(inst, t, ell),
+        adversary.norm_delta_membership(gammas, inst),
+        adversary.norm_delta_state_gen(gammas, inst),
+        adversary.norm_delta_reflection(gammas, inst),
+    )
+
+
+def report_values(report):
+    return (report.gamma_norm, report.psi_power_bound, report.membership_norm,
+            report.state_gen_pair, report.reflection_norm)
+
+
+class TestBlockWalk:
+    """The report walks the schedule in CHUNK_ROWS-row blocks; it must not show."""
+
+    # A schedule at t < k keeps floor(t) + 2 rows, so t = rows - 1.5 gives
+    # exactly `rows`; k = CHUNK at t > k keeps k + 1 rows and block k + 1.
+    @pytest.mark.parametrize(
+        "triple, t, ell",
+        [
+            *[((10**6, 5000, 5500), rows - 1.5, 3)
+              for rows in (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)],
+            ((10**5, CHUNK, CHUNK + 100), 1.5 * CHUNK, 5),
+            ((10**6, 5000, 5001), 2 * CHUNK + 0.5, CHUNK),
+        ],
+        ids=["chunk-1", "chunk", "chunk+1", "2chunk+1", "t-above-k", "ell-crosses-edge"],
+    )
+    def test_report_equals_the_whole_schedule_to_the_bit(self, triple, t, ell):
+        inst = ProblemInstance(*triple)
+        report = adversary.dual_feasibility_report(inst, t, ell)
+        assert report_values(report) == whole_schedule_values(inst, t, ell)
+
+    @pytest.mark.parametrize("n,k,kp", SWEEP)
+    def test_three_row_blocks_on_the_sweep(self, monkeypatch, n, k, kp):
+        # Blocks of 3 rows put an edge next to row k, the row past k and
+        # every Gram-power range of the default sweep.
+        monkeypatch.setattr(adversary, "CHUNK_ROWS", 3)
+        inst = ProblemInstance(n, k, kp)
+        for t in (1.0, 1.5, 2.0, 3.0, 4.5, 2.0 * k + 1):
+            for ell in range(int(t // 2) + 1):
+                report = adversary.dual_feasibility_report(inst, t, ell)
+                assert report_values(report) == whole_schedule_values(inst, t, ell)
+
+    def test_working_memory_does_not_grow_with_the_schedule(self, monkeypatch):
+        # With 64-row blocks, 1e5 rows need no more than 2.5e4 rows do; the
+        # weights alone of the extra rows would be 600 kB.
+        monkeypatch.setattr(adversary, "CHUNK_ROWS", 64)
+        inst = ProblemInstance.from_eps(10**8, 10**7, 2e-6)
+        adversary.dual_feasibility_report(inst, 100.0, 0)
+        peaks = []
+        for t in (2.5e4, 1e5):
+            tracemalloc.start()
+            try:
+                adversary.dual_feasibility_report(inst, t, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 64 * 1024, peaks
 
 
 class TestTheoremTradeoff:

@@ -636,14 +636,14 @@ class TestBoundsCommand:
     @pytest.mark.parametrize(
         "flags, rows",
         [
-            ("--n 1e9 --k 1e8 --eps 1e-8", 20_000_002),  # t = 1/(5 eps) = 2e7
+            ("--n 1e10 --k 1e9 --eps 1e-9", 200_000_002),  # t = 1/(5 eps) = 2e8
             ("--n 1e9 --k 1e8 --eps 0.5 --ell 1e9", 100_000_001),  # t = 2 ell > k
         ],
     )
     def test_a_schedule_past_the_row_cap_is_refused_before_it_is_allocated(
         self, capsys, flags, rows
     ):
-        # The first refused array alone would be 8 bytes per row (153 MiB
+        # A whole schedule of weights alone would be 8 bytes per row (1.5 GiB
         # and 763 MiB); the whole command stays under 1 MB.
         tracemalloc.start()
         try:

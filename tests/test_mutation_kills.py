@@ -57,8 +57,8 @@ def _column(col, factor, row=None):
 def _tilde_prime_row_one(monkeypatch):
     original = adversary.tilde_tables
 
-    def planted(gammas, phi, phi_prime):
-        tilde, tilde_prime = original(gammas, phi, phi_prime)
+    def planted(gammas, phi, phi_prime, *halo):
+        tilde, tilde_prime = original(gammas, phi, phi_prime, *halo)
         tilde_prime = tilde_prime.copy()
         tilde_prime[1] *= 1 + REL
         return tilde, tilde_prime

@@ -198,6 +198,27 @@ class TestPhaseEstimation:
         dist = simulate.phase_estimation_distribution(0.18652775043497855, 4278)
         assert float(dist.sum()) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("m_points", [2, 3, 16, 37, 1000, 4278, 17357, 100_000])
+    def test_in_place_grid_keeps_the_bits_of_the_expression(self, m_points):
+        # pi/4 and pi/2 divide by pi to exactly 1/4 and 1/2, so on a grid of
+        # 4 | M points one offset is exactly 0 and the s == 0 fix-up is read.
+        thetas = [0.0, math.pi / 4, math.pi / 2, math.pi * (m_points // 3) / m_points]
+        thetas.append(float(np.random.default_rng(m_points).random()) * math.pi / 2)
+        for theta in thetas:
+            got = simulate.phase_estimation_distribution(theta, m_points)
+            np.testing.assert_array_equal(got, expression_distribution(theta, m_points))
+
+    def test_in_place_grid_holds_few_arrays(self):
+        # The expression held about seven arrays of M floats at its peak.
+        m_points = 100_000
+        tracemalloc.start()
+        try:
+            simulate.phase_estimation_distribution(0.3, m_points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 8 * m_points
+
     def test_grid_cap_admits_its_own_size_and_rejects_one_more(self, monkeypatch):
         points = simulate._grid_points(0.1, 0.1001)
         monkeypatch.setattr(simulate, "MAX_GRID_POINTS", points)
@@ -580,6 +601,22 @@ def collect_distinct_one_draw_at_a_time(target, size, budget, rng):
         seen.add(int(rng.integers(0, size)))
         consumed += 1
     return len(seen), consumed
+
+
+def expression_distribution(theta, m_points):
+    """Reference for `simulate.phase_estimation_distribution`: one temporary per step."""
+
+    def kernel(offsets):
+        offsets = offsets - np.round(offsets)
+        s = np.sin(np.pi * offsets)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = (np.sin(np.pi * m_points * offsets) / (m_points * s)) ** 2
+        return np.where(s == 0.0, 1.0, value)
+
+    m = np.arange(m_points)
+    omega = theta / math.pi
+    probs = 0.5 * (kernel(m / m_points - omega) + kernel(m / m_points + omega))
+    return probs / float(probs.sum())
 
 
 def estimate_with_choice(a_small_hyp, a_large_hyp, a_truth, rng):
