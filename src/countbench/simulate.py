@@ -16,28 +16,32 @@ of ``resource`` (one of `RESOURCES`) and nothing else.  `trial` runs a
 set-up once: it draws the hidden-set size, repeats the run against that
 one set, takes the majority vote and sums the costs; a run with decision
 ``None`` failed.  `run_batch` sets a named procedure up once and runs
-many trials through `trial`, so one trial of coupon counting reads
-``trial(coupon(k, eps, budget), seed)``.  A batch holds one `TrialOutcome`
-and 32 bytes of packed generator seed per trial, and nothing more.
+many trials, each with the outcome `trial` gives it, so one trial of
+coupon counting reads ``trial(coupon(k, eps, budget), seed)``.  A batch
+holds one `TrialOutcome` per trial and, beside those, only the generator
+words of one block of at most `BLOCK_RUNS` runs.
 
 Determinism contract: trial i of a batch with master seed ``seed`` runs
-on a generator bit-identical to ``np.random.default_rng((seed, i))``:
-`_child_states` derives all of those states in one vectorised pass, and
-the tests compare it with ``default_rng`` on the installed numpy.  Equal
-seeds therefore reproduce equal outcome streams bit for bit.  A run that
-draws until a stopping point draws in blocks of exactly the count it still
-needs (`_collect_distinct`: the distinct elements missing, capped by the
-budget left; `bootstrap`: one draw per remaining growth stage).  A block of
-draws yields the values of successive single draws, and no block holds a
-draw past the stopping point, so the generator ends where drawing one at a
-time would; only a terminal bootstrap failure, which can stop inside a
-block, rewinds to the state saved before the block and redraws what it read.
+on a generator bit-identical to ``np.random.default_rng((seed, i))``.
+`_child_states` derives a block of those states at once, as uint64 word
+arrays; `run_batch` steps them to draw each trial's hidden size as
+``rng.integers(2)`` does and, for a set-up whose run is one phase
+estimation, to draw each run's ``rng.random()``.  The tests compare the
+words with ``default_rng`` on the installed numpy, and every batch with
+`trial`.  Equal seeds therefore reproduce equal outcome streams bit for
+bit.  A run that draws until a stopping point draws in blocks of exactly
+the count it still needs (`_collect_distinct`: the distinct elements
+missing, capped by the budget left; `bootstrap`: one draw per remaining
+growth stage).  A block of draws yields the values of successive single
+draws, and no block holds a draw past the stopping point, so the
+generator ends where drawing one at a time would; only a terminal
+bootstrap failure, which can stop inside a block, rewinds to the state
+saved before the block and redraws what it read.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -56,8 +60,8 @@ MAX_GRID_POINTS = 1 << 24
 # them in: either array is 128 MiB at the cap, and a larger one would fail
 # inside numpy instead of by name.
 MAX_DRAWS = 1 << 24
-# Most trials one batch may run: a CLI run holds about 190 B per trial,
-# so 2^20 trials reach about 0.25 GB, and a much larger batch would
+# Most trials one batch may run: a CLI run holds about 150 B per trial,
+# so 2^20 trials reach about 0.2 GB, and a much larger batch would
 # fail for memory rather than by name.
 MAX_TRIALS = 1 << 20
 # What a procedure spends (state copies, oracle calls), in report column order.
@@ -99,6 +103,14 @@ def _k_prime(k: int, eps: float, n: int | None = None) -> int:
     return k_prime
 
 
+def _check_pins(k: int, k_prime: int, true_size: int | None, repetitions: int) -> None:
+    """Reject fewer than one repetition, or a pinned hidden size other than k and k'."""
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
+    if true_size is not None and true_size not in (k, k_prime):
+        raise ValueError(f"true_size must be {k} or {k_prime}, got {true_size}")
+
+
 def trial(setup, rng_seed, true_size: int | None = None, repetitions: int = 1) -> TrialOutcome:
     """One trial of ``setup = (k, k_prime, resource, single)``: draw the hidden set, run, vote.
 
@@ -111,15 +123,12 @@ def trial(setup, rng_seed, true_size: int | None = None, repetitions: int = 1) -
     """
     k, k_prime, resource, single = setup
     # Before the first draw, so that a rejected call leaves a Generator as it was.
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+    _check_pins(k, k_prime, true_size, repetitions)
     rng = np.random.default_rng(rng_seed)
     if true_size is None:
         size = k if rng.integers(2) == 0 else k_prime
-    elif true_size in (k, k_prime):
-        size = int(true_size)
     else:
-        raise ValueError(f"true_size must be {k} or {k_prime}, got {true_size}")
+        size = int(true_size)
     if repetitions == 1:
         decision, statistic, cost = single(rng, size)
     else:
@@ -296,38 +305,51 @@ def _grid_points(theta_a: float, theta_b: float) -> int:
     return max(2, points)
 
 
-def _phase_estimation(a_small_hyp: float, a_large_hyp: float, a_truth_of):
-    """One set-up's phase estimation: ``(m_points, estimate)``.
+class _PhaseEstimation:
+    """One set-up's phase estimation; a call ``(rng, size) -> (decision, value, cost)`` is one run.
 
     ``a_small_hyp``/``a_large_hyp`` are the success probabilities under
     the small/large size hypotheses (either may be the numerically
     larger one) and ``a_truth_of(size)`` the true one.  The grid is the
     smallest that separates the hypotheses, so it is sized here and an
-    oversized one is refused before any trial.  The normalised outcome
-    CDF depends on the true probability alone, so each hidden-set size
-    builds it on its first trial.  ``estimate(rng, size) -> (decision,
-    value)`` inverts the CDF at one ``rng.random()`` draw, as
-    ``rng.choice(m_points, p=...)`` does, and decides the nearest
-    hypothesis; ties go to the small one.
+    oversized one is refused before any trial; a run costs
+    ``calls_per_rotation`` oracle calls per grid step.  The normalised
+    outcome CDF depends on the true probability alone, so each
+    hidden-set size builds it on its first run (`cdf`).  A run inverts
+    the CDF at one ``rng.random()`` draw, as ``rng.choice(m_points,
+    p=...)`` does, and `decide` reads the outcome.
     """
-    m_points = _grid_points(math.asin(math.sqrt(a_small_hyp)), math.asin(math.sqrt(a_large_hyp)))
-    cdfs: dict = {}  # hidden-set size -> normalised outcome CDF
 
-    def estimate(rng: np.random.Generator, size: int) -> tuple[str, float]:
+    def __init__(self, a_small_hyp: float, a_large_hyp: float, a_truth_of, calls_per_rotation=1):
+        self.m_points = _grid_points(
+            math.asin(math.sqrt(a_small_hyp)), math.asin(math.sqrt(a_large_hyp))
+        )
+        self.cost = calls_per_rotation * (self.m_points - 1)
+        self._hypotheses = a_small_hyp, a_large_hyp
+        self._a_truth_of = a_truth_of
+        self._cdfs: dict = {}  # hidden-set size -> normalised outcome CDF
+
+    def cdf(self, size: int) -> np.ndarray:
         try:
-            cdf = cdfs[size]
+            return self._cdfs[size]
         except KeyError:
-            theta = math.asin(math.sqrt(a_truth_of(size)))
-            cdf = cdfs[size] = phase_estimation_distribution(theta, m_points)
+            theta = math.asin(math.sqrt(self._a_truth_of(size)))
+            cdf = self._cdfs[size] = phase_estimation_distribution(theta, self.m_points)
             np.cumsum(cdf, out=cdf)
             cdf /= cdf[-1]
-        outcome = int(cdf.searchsorted(rng.random(), side="right"))
-        value = math.sin(math.pi * outcome / m_points) ** 2
+            return cdf
+
+    def decide(self, outcome: int) -> tuple[str, float]:
+        """Outcome m estimates sin^2(pi m / M); the nearer hypothesis wins, ties the small one."""
+        a_small_hyp, a_large_hyp = self._hypotheses
+        value = math.sin(math.pi * outcome / self.m_points) ** 2
         if abs(value - a_large_hyp) < abs(value - a_small_hyp):
             return DECIDE_LARGE, value
         return DECIDE_SMALL, value
 
-    return m_points, estimate
+    def __call__(self, rng: np.random.Generator, size: int) -> tuple[str, float, int]:
+        outcome = int(self.cdf(size).searchsorted(rng.random(), side="right"))
+        return *self.decide(outcome), self.cost
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +367,7 @@ def qcount(n: int, k: int, eps: float, oracle: str = "reflections"):
     if oracle not in ("reflections", "membership"):
         raise ValueError("oracle must be 'reflections' or 'membership'")
     k_prime = _k_prime(k, eps, n)
-
-    m_points, estimate = _phase_estimation(k / n, k_prime / n, lambda size: size / n)
-
-    def single(rng: np.random.Generator, size: int):
-        return *estimate(rng, size), m_points - 1
-
-    return k, k_prime, oracle, single
+    return k, k_prime, oracle, _PhaseEstimation(k / n, k_prime / n, lambda size: size / n)
 
 
 def subset(n: int, k: int, eps: float, ell: int, oracle: str = "reflections"):
@@ -367,13 +383,8 @@ def subset(n: int, k: int, eps: float, ell: int, oracle: str = "reflections"):
         raise ValueError("oracle must be 'reflections' or 'state_generation'")
     k_prime = _k_prime(k, eps, n)
     calls_per_rotation = 1 if oracle == "reflections" else 2
-
-    m_points, estimate = _phase_estimation(ell / k, ell / k_prime, lambda size: ell / size)
-
-    def single(rng: np.random.Generator, size: int):
-        return *estimate(rng, size), calls_per_rotation * (m_points - 1)
-
-    return k, k_prime, oracle, single
+    estimate = _PhaseEstimation(ell / k, ell / k_prime, lambda size: ell / size, calls_per_rotation)
+    return k, k_prime, oracle, estimate
 
 
 def _collect_distinct(
@@ -409,13 +420,14 @@ def sample_count(n: int, k: int, eps: float):
         raise ValueError(f"sampling stage needs ell <= k/2, got ell={ell}, k={k}")
     _cap_draws("resampling budget 10 ell", 10 * ell)
 
-    m_points, estimate = _phase_estimation(ell / k, ell / k_prime, lambda size: ell / size)
+    estimate = _PhaseEstimation(ell / k, ell / k_prime, lambda size: ell / size, 2)
 
     def single(rng: np.random.Generator, size: int):
         found, consumed = _collect_distinct(ell, size, 10 * ell, rng)
         if found < ell:
             return None, float(found), consumed
-        return *estimate(rng, size), consumed + 2 * (m_points - 1)
+        decision, value, cost = estimate(rng, size)
+        return decision, value, consumed + cost
 
     return k, k_prime, "state_generation", single
 
@@ -441,9 +453,7 @@ def bootstrap(n: int, k: int, eps: float, retries: int = 3):
     _cap_draws("growth target ceil(1/eps)", target)
 
     stages: dict = {}  # hidden-set size -> growth_stage(known, size) for known < target
-    m_points, estimate = _phase_estimation(
-        target / k, target / k_prime, lambda size: target / size
-    )
+    estimate = _PhaseEstimation(target / k, target / k_prime, lambda size: target / size)
 
     def single(rng: np.random.Generator, size: int):
         if size not in stages:
@@ -468,7 +478,8 @@ def bootstrap(n: int, k: int, eps: float, retries: int = 3):
                         rng.bit_generator.state = saved
                         rng.random(read)
                     return None, float(stage + 1), reflections
-        return *estimate(rng, size), reflections + m_points - 1
+        decision, value, cost = estimate(rng, size)
+        return decision, value, reflections + cost
 
     return k, k_prime, "reflections", single
 
@@ -490,12 +501,16 @@ PROCEDURES = {
 
 # numpy.random.SeedSequence's hash constants and PCG64's LCG multiplier.
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
+_MASK64 = (1 << 64) - 1
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# Most runs one block of a batch draws for at once: the block's generator
+# words, a few uint64 arrays of this length, are its only batch-sized
+# temporaries, so a batch works in fixed memory beside its outcomes.
+BLOCK_RUNS = 1024
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -522,23 +537,49 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> 16)
 
 
-def _child_states(seed: int, trials: int) -> Iterator[tuple[int, int]]:
-    """``(state, inc)`` of ``np.random.default_rng((seed, i)).bit_generator`` for i < trials.
+def _mul_add(x, mult: int, add):
+    """``x * mult + add`` mod 2^128, on (high, low) pairs of uint64 arrays; ``mult`` is an int.
 
+    The low words' full product is summed from 32-bit limb products, which
+    cannot overflow; the low word's carry is read by comparison.
+    """
+    x_hi, x_lo = x
+    add_hi, add_lo = add
+    m_hi, m_lo = np.uint64(mult >> 64 & _MASK64), np.uint64(mult & _MASK64)
+    m1, m0 = np.uint64(mult >> 32 & _MASK32), np.uint64(mult & _MASK32)
+    x1, x0 = x_lo >> 32, x_lo & _MASK32
+    middle = (x0 * m0 >> 32) + (x1 * m0 & _MASK32) + (x0 * m1 & _MASK32)
+    hi = x1 * m1 + (x1 * m0 >> 32) + (x0 * m1 >> 32) + (middle >> 32)
+    lo = x_lo * m_lo + add_lo
+    hi += x_hi * m_lo + x_lo * m_hi + add_hi + (lo < add_lo)
+    return hi, lo
+
+
+def _xsl_rr(state) -> np.ndarray:
+    """PCG64's output at each ``(high, low)`` state: high ^ low rotated right by high >> 58."""
+    hi, lo = state
+    word = hi ^ lo
+    rotation = hi >> 58
+    return word >> rotation | word << (64 - rotation & 63)
+
+
+def _child_states(seed: int, stop: int, start: int = 0):
+    """``(state, inc)`` of ``np.random.default_rng((seed, i)).bit_generator`` for start <= i < stop.
+
+    Each is a (high, low) pair of uint64 arrays, one entry per trial.
     SeedSequence hashes the entropy words [seed words..., i] into a pool
     of four words and draws 4 uint64 from it; PCG64 seeds its 128-bit
-    state and increment from those.  This runs the hash on all indices at
-    once and returns an iterator that seeds each trial on Python ints.
-    Such a generator also has ``has_uint32 = uinteger = 0``.
+    state and increment from those.  This runs both steps on all the
+    indices at once.  Such a generator also has ``has_uint32 = uinteger = 0``.
     """
-    if trials > 1 << 32:
-        raise ValueError(f"trial indices must fit one 32-bit word, got {trials} trials")
-    entropy = [np.full(trials, word, dtype=np.uint32) for word in _uint32_words(seed)]
-    entropy.append(np.arange(trials, dtype=np.uint32))
+    if stop > 1 << 32:
+        raise ValueError(f"trial indices must fit one 32-bit word, got {stop} trials")
+    entropy = [np.full(stop - start, word, dtype=np.uint32) for word in _uint32_words(seed)]
+    entropy.append(np.arange(start, stop, dtype=np.uint32))
     hash_const = _INIT_A
     pool = []
     for word in range(_POOL_SIZE):
-        source = entropy[word] if word < len(entropy) else np.zeros(trials, np.uint32)
+        source = entropy[word] if word < len(entropy) else np.zeros(stop - start, np.uint32)
         value, hash_const = _hashmix(source, hash_const, _MULT_A)
         pool.append(value)
     for src in range(_POOL_SIZE):
@@ -551,32 +592,98 @@ def _child_states(seed: int, trials: int) -> Iterator[tuple[int, int]]:
             value, hash_const = _hashmix(source, hash_const, _MULT_A)
             pool[dst] = _mix(pool[dst], value)
     hash_const = _INIT_B
-    # Little-endian pairs of words make the uint64 seed[0], seed[1], inc[0],
-    # inc[1]; as big-endian words in the order 1, 0, 3, 2, ..., each two of
-    # those read as one 128-bit integer.
-    packed = np.empty((trials, 8), dtype=">u4")
+    words = []
     for word in range(8):
         value, hash_const = _hashmix(pool[word % _POOL_SIZE], hash_const, _MULT_B)
-        packed[:, word ^ 1] = value
-    return _pcg64_seeding(packed.tobytes())
+        words.append(value.astype(np.uint64))
+    # Little-endian pairs of words make the uint64 seed[0..3]; PCG64 reads
+    # seed[0], seed[1] as its initial state's high and low words and
+    # seed[2], seed[3] as its stream's.
+    seeds = [words[word] | words[word + 1] << 32 for word in range(0, 8, 2)]
+    initial, stream = seeds[:2], seeds[2:]
+    # pcg_setseq_128_srandom_r: inc = 2 stream + 1, then two LCG steps
+    # with the initial state added after the first.
+    inc = (stream[0] << 1 | stream[1] >> 63, stream[1] << 1 | 1)
+    return _mul_add(_mul_add(initial, 1, inc), _PCG64_MULT, inc), inc
 
 
-def _pcg64_seeding(packed: bytes) -> Iterator[tuple[int, int]]:
-    """Each trial's PCG64 ``(state, inc)`` from its 32 packed big-endian seed bytes."""
-    for row in range(0, len(packed), 32):
-        # pcg_setseq_128_srandom_r: inc = 2 initseq + 1, then two LCG steps
-        # with the initial state added after the first.
-        inc = (int.from_bytes(packed[row + 16 : row + 32], "big") << 1 | 1) & _MASK128
-        initial = int.from_bytes(packed[row : row + 16], "big")
-        yield ((inc + initial) * _PCG64_MULT + inc) & _MASK128, inc
+def _draw_sizes(state, inc):
+    """Each trial's ``rng.integers(2)``: ``(state, large, buffered)`` after one LCG step.
+
+    The draw reads bit 31 of one output's low half, and the generator keeps
+    the high half (``has_uint32 = 1``, ``uinteger = buffered``) for later.
+    """
+    state = _mul_add(state, _PCG64_MULT, inc)
+    word = _xsl_rr(state)
+    return state, (word >> 31 & 1).astype(bool), word >> 32
+
+
+def _estimate_block(setup, state, inc, large, repetitions: int) -> list[TrialOutcome]:
+    """`trial` on a block at once, for a set-up whose run is one `_PhaseEstimation` call.
+
+    Such a run reads one ``rng.random()``, one LCG step, so the block
+    draws every run's uniform together and searches each hidden size's CDF
+    once.  Each distinct outcome goes through `_PhaseEstimation.decide`
+    once; the vote and the mean statistic are those of `trial`.
+    """
+    k, k_prime, resource, estimate = setup
+    uniforms = np.empty((len(large), repetitions))
+    for run in range(repetitions):
+        state = _mul_add(state, _PCG64_MULT, inc)
+        uniforms[:, run] = (_xsl_rr(state) >> 11) * 2.0**-53  # numpy's next_double
+    outcomes = np.empty(uniforms.shape, dtype=np.intp)
+    for size, rows in ((k, ~large), (k_prime, large)):
+        if rows.any():
+            outcomes[rows] = estimate.cdf(size).searchsorted(uniforms[rows], side="right")
+    distinct, where = np.unique(outcomes.ravel(), return_inverse=True)
+    where = where.reshape(outcomes.shape)
+    decided = [estimate.decide(outcome) for outcome in distinct.tolist()]
+    votes = np.array([decision == DECIDE_LARGE for decision, _ in decided])[where]
+    values = np.array([value for _, value in decided])[where]
+    says_large = 2 * np.count_nonzero(votes, axis=1) > repetitions
+    decisions, sizes = (DECIDE_SMALL, DECIDE_LARGE), (k, k_prime)
+    cost = repetitions * estimate.cost
+    trials = zip(large.tolist(), says_large.tolist(), values.mean(axis=1).tolist())
+    return [
+        TrialOutcome(decisions[said], said == big, sizes[big], statistic, resource, cost)
+        for big, said, statistic in trials
+    ]
+
+
+def _trial_block(setup, state, inc, large, buffered, repetitions: int) -> list[TrialOutcome]:
+    """`trial` on each trial of a block, on one generator set to that trial's state.
+
+    ``buffered`` holds the half output each trial's size draw left for its
+    next 32-bit draw, or is None where no size was drawn.
+    """
+    k, k_prime = setup[:2]
+    rng = np.random.Generator(np.random.PCG64(0))
+    # One state dict for the block; only its integers change.
+    pcg = {"state": 0, "inc": 0}
+    generator = {"bit_generator": "PCG64", "state": pcg, "has_uint32": int(buffered is not None)}
+    halves = [0] * len(large) if buffered is None else buffered.tolist()
+    outcomes = []
+    for state_hi, state_lo, inc_hi, inc_lo, big, half in zip(
+        *(words.tolist() for words in (*state, *inc, large)), halves
+    ):
+        pcg["state"], pcg["inc"] = state_hi << 64 | state_lo, inc_hi << 64 | inc_lo
+        generator["uinteger"] = half
+        rng.bit_generator.state = generator
+        outcomes.append(trial(setup, rng, k_prime if big else k, repetitions))
+    return outcomes
 
 
 def run_batch(procedure: str, params: dict, trials: int, seed: int) -> list[TrialOutcome]:
     """Independent trials of a named procedure with keyword parameters.
 
-    The parameters are checked once.  Trial i runs on one reused
-    generator set to the state of ``np.random.default_rng((seed, i))``.
-    More than MAX_TRIALS trials raise before anything is allocated.
+    The parameters are checked once.  Trial i runs on the generator
+    ``np.random.default_rng((seed, i))``.  The trials go in blocks of at
+    most BLOCK_RUNS runs: `_child_states` seeds a block's generators as
+    word arrays, and one vectorised step draws their hidden sizes unless
+    ``true_size`` pins them.  A set-up whose run is a `_PhaseEstimation`
+    alone runs the whole block at once (`_estimate_block`); any other runs
+    each trial through `trial` (`_trial_block`).  More than MAX_TRIALS
+    trials raise before anything is allocated.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -588,14 +695,20 @@ def run_batch(procedure: str, params: dict, trials: int, seed: int) -> list[Tria
     true_size = params.pop("true_size", None)
     repetitions = params.pop("repetitions", 1)
     setup = PROCEDURES[procedure](**params)
-    rng = np.random.Generator(np.random.PCG64(0))
-    # One state dict for every trial; only its two integers change.
-    pcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    k, k_prime, _, single = setup
+    _check_pins(k, k_prime, true_size, repetitions)
+    block = max(1, BLOCK_RUNS // repetitions)
     outcomes = []
-    for pcg["state"], pcg["inc"] in _child_states(seed, trials):
-        rng.bit_generator.state = state
-        outcomes.append(trial(setup, rng, true_size, repetitions))
+    for start in range(0, trials, block):
+        state, inc = _child_states(seed, min(start + block, trials), start)
+        if true_size is None:
+            state, large, buffered = _draw_sizes(state, inc)
+        else:
+            large, buffered = np.full(len(inc[0]), true_size == k_prime), None
+        if isinstance(single, _PhaseEstimation):
+            outcomes += _estimate_block(setup, state, inc, large, repetitions)
+        else:
+            outcomes += _trial_block(setup, state, inc, large, buffered, repetitions)
     return outcomes
 
 

@@ -171,10 +171,11 @@ class TestPhaseEstimation:
     def test_error_mass_bound(self):
         # a = 1/4 against a hypothesis at 0.6 takes an 18-point grid.
         a = 0.25
-        m_points, estimate = simulate._phase_estimation(a, 0.6, lambda size: a)
+        estimate = simulate._PhaseEstimation(a, 0.6, lambda size: a)
+        m_points = estimate.m_points
         assert m_points == 18
         rng = np.random.default_rng(5)
-        samples = [estimate(rng, 0) for _ in range(10_000)]
+        samples = [estimate(rng, 0)[:2] for _ in range(10_000)]
         bound = math.pi / m_points + (math.pi / m_points) ** 2
         dist = simulate.phase_estimation_distribution(math.asin(math.sqrt(a)), m_points)
         exact_mass = sum(
@@ -404,10 +405,11 @@ class TestDeterminismAndScaling:
         assert abs(loglog_slope(predicted, actual) - 1.0) <= 0.15
 
 
-# Traced bytes per trial of a 2^14-trial overlap batch.  It read 168.4 with
-# CPython 3.11 and numpy 2.4: the outcome records and the 32 packed seed
-# bytes of each trial.  Per-trial generator-state dicts and tally objects
-# read 735.
+# Traced bytes per trial of a 2^14-trial overlap batch.  It reads 153.0
+# with CPython 3.11 and numpy 2.4: the outcome records, and the generator
+# words of one block of trials at a time.  With 32 packed seed bytes held
+# for every trial it read 168.4; per-trial generator-state dicts and tally
+# objects read 735.
 BATCH_BYTES_PER_TRIAL_CAP = 185
 
 
@@ -620,7 +622,7 @@ def expression_distribution(theta, m_points):
 
 
 def estimate_with_choice(a_small_hyp, a_large_hyp, a_truth, rng):
-    """Reference for a run of `simulate._phase_estimation`: one `rng.choice` on the grid."""
+    """Reference for a run of `simulate._PhaseEstimation`: one `rng.choice` on the grid."""
     m_points = simulate._grid_points(
         math.asin(math.sqrt(a_small_hyp)), math.asin(math.sqrt(a_large_hyp))
     )
@@ -698,11 +700,34 @@ def default_rng_states(seed, trials):
     return [(state["state"]["state"], state["state"]["inc"]) for state in states]
 
 
+def as_ints(words):
+    """128-bit ints from a (high, low) pair of uint64 word arrays."""
+    return [hi << 64 | lo for hi, lo in zip(words[0].tolist(), words[1].tolist())]
+
+
+def as_words(values):
+    """A (high, low) pair of uint64 word arrays from 128-bit ints."""
+    return (
+        np.array([value >> 64 for value in values], dtype=np.uint64),
+        np.array([value & (2**64 - 1) for value in values], dtype=np.uint64),
+    )
+
+
 REFERENCE_PROCEDURES = {
     "qcount": qcount_with_choice,
     "subset": subset_with_choice,
     "sample-count": sample_count_one_draw_at_a_time,
     "bootstrap": bootstrap_one_draw_per_attempt,
+}
+# One point of every procedure, cheap enough to run a few thousand trials.
+BATCH_POINTS = {
+    "coupon": dict(k=8, eps=1.0, sample_budget=40),
+    "collision": dict(k=8, eps=1.0, sample_count=12),
+    "overlap": dict(n=64, k=8, eps=1.0, copy_count=32),
+    "qcount": dict(n=1024, k=16, eps=1.0),
+    "subset": dict(n=4096, k=64, eps=0.5, ell=16),
+    "sample-count": dict(n=4096, k=64, eps=0.25),
+    "bootstrap": dict(n=4096, k=64, eps=0.125, retries=1),
 }
 # Points of each quantum procedure; the full subset's true fraction is 1.
 QUANTUM_POINTS = [
@@ -742,12 +767,62 @@ class TestStreamIdenticalFastPaths:
 
     @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 2**33 + 7])
     def test_child_states_match_default_rng(self, seed):
-        assert list(simulate._child_states(seed, 2001)) == default_rng_states(seed, 2001)
+        state, inc = simulate._child_states(seed, 2001)
+        assert list(zip(as_ints(state), as_ints(inc))) == default_rng_states(seed, 2001)
+        # A later block's words are the same trials' words.
+        later = simulate._child_states(seed, 2001, 1000)
+        for whole, part in zip((*state, *inc), (*later[0], *later[1])):
+            assert np.array_equal(whole[1000:], part)
 
     def test_child_states_match_default_rng_at_random_seeds(self):
         seeds = np.random.default_rng(2026).integers(0, 2**63, 4).tolist() + [2**100 + 3]
         for seed in seeds:
-            assert list(simulate._child_states(seed, 300)) == default_rng_states(seed, 300)
+            state, inc = simulate._child_states(seed, 300)
+            assert list(zip(as_ints(state), as_ints(inc))) == default_rng_states(seed, 300)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 2**33 + 7])
+    def test_word_kernels_step_as_random_raw(self, seed):
+        state, inc = simulate._child_states(seed, 2001)
+        outputs = []
+        for _ in range(4):
+            state = simulate._mul_add(state, simulate._PCG64_MULT, inc)
+            outputs.append(simulate._xsl_rr(state))
+        want = [np.random.default_rng((seed, i)).bit_generator.random_raw(4) for i in range(2001)]
+        assert np.array_equal(np.stack(outputs, axis=1), np.array(want))
+
+    @pytest.mark.parametrize("rotation", [0, 1, 32, 63])
+    def test_word_kernels_at_planted_rotations(self, rotation):
+        # States one LCG step before a state whose high word's top six bits,
+        # the output's rotation, are planted; low bits all clear, all set, mixed.
+        rng = np.random.default_rng(5)
+        inc = rng.bit_generator.state["state"]["inc"]
+        inverse = pow(simulate._PCG64_MULT, -1, 2**128)
+        targets = [rotation << 122 | low for low in (0, 2**122 - 1, 0x0123456789ABCDEF << 40 | 77)]
+        befores = [(target - inc) * inverse % 2**128 for target in targets]
+        stepped = simulate._mul_add(as_words(befores), simulate._PCG64_MULT, as_words([inc] * 3))
+        assert as_ints(stepped) == targets
+        for before, got in zip(befores, simulate._xsl_rr(stepped).tolist()):
+            rng.bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": before, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            assert got == rng.bit_generator.random_raw()
+
+    @pytest.mark.parametrize("seed", [0, 2**32])
+    def test_size_draw_reads_as_integers(self, seed):
+        state, inc = simulate._child_states(seed, 2001)
+        stepped, large, buffered = simulate._draw_sizes(state, inc)
+        assert 0 < np.count_nonzero(large) < 2001
+        for i, (after, big, half) in enumerate(
+            zip(as_ints(stepped), large.tolist(), buffered.tolist())
+        ):
+            rng = np.random.default_rng((seed, i))
+            assert rng.integers(2) == big
+            generator = rng.bit_generator.state
+            assert generator["state"]["state"] == after
+            assert (generator["has_uint32"], generator["uinteger"]) == (1, half)
 
     def test_child_states_reject_what_seed_sequence_rejects(self):
         for bad, error in ((-1, ValueError), (-(2**40), ValueError), (1.5, TypeError)):
@@ -758,13 +833,24 @@ class TestStreamIdenticalFastPaths:
         with pytest.raises(ValueError):
             simulate.run_batch("coupon", dict(k=4, eps=1.0, sample_budget=20), 3, -1)
 
-    def test_batch_trials_equal_single_trials_seeded_by_index(self):
-        params = dict(n=4096, k=64, eps=0.125, retries=1)
-        batch = simulate.run_batch("bootstrap", params, 40, 5)
+    @pytest.mark.parametrize("repetitions", [1, 2, 3])
+    @pytest.mark.parametrize("pin", [None, "k", "k_prime"])
+    @pytest.mark.parametrize("procedure", list(BATCH_POINTS))
+    def test_batch_trials_equal_single_trials_seeded_by_index(self, procedure, pin, repetitions):
+        # Batches of 1, B - 1, B and B + 1 trials, with B = BLOCK_RUNS, are
+        # prefixes of the same trials, each seeded by its index; two
+        # repetitions can tie the vote.
+        params = BATCH_POINTS[procedure]
+        setup = simulate.PROCEDURES[procedure](**params)
+        true_size = None if pin is None else setup[0 if pin == "k" else 1]
+        block = simulate.BLOCK_RUNS
         singles = [
-            simulate.trial(simulate.bootstrap(**params), (5, i)) for i in range(40)
+            repr(simulate.trial(setup, (5, i), true_size, repetitions)) for i in range(block + 1)
         ]
-        assert repr(batch) == repr(singles)
+        pins = dict(true_size=true_size, repetitions=repetitions)
+        for trials in (1, block - 1, block, block + 1):
+            batch = simulate.run_batch(procedure, dict(params, **pins), trials, 5)
+            assert [repr(out) for out in batch] == singles[:trials]
 
     @pytest.mark.parametrize(
         "a_small, a_large",
@@ -773,9 +859,10 @@ class TestStreamIdenticalFastPaths:
     )
     @pytest.mark.parametrize("a_truth", [0.0, 0.001, 1 / 3, 0.5, math.sin(1.3) ** 2, 1.0])
     def test_phase_estimation_matches_grid_points_and_choice(self, a_small, a_large, a_truth):
-        m_points, estimate = simulate._phase_estimation(a_small, a_large, lambda size: a_truth)
+        estimate = simulate._PhaseEstimation(a_small, a_large, lambda size: a_truth)
+        assert estimate.cost == estimate.m_points - 1
         fast, slow = np.random.default_rng(7), np.random.default_rng(7)
-        got = [(*estimate(fast, 0), m_points) for _ in range(300)]
+        got = [(*estimate(fast, 0)[:2], estimate.m_points) for _ in range(300)]
         want = [estimate_with_choice(a_small, a_large, a_truth, slow) for _ in range(300)]
         assert got == want
         assert fast.bit_generator.state == slow.bit_generator.state
