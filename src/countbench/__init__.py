@@ -7,9 +7,10 @@ form against explicit matrices, and simulates the matching algorithms
 with exact query accounting.
 
 Importing the package loads the closed side only: `adversary`, `linalg`
-and `simulate`, all that `bounds` and `simulate` read.  `johnson` and
-`bruteforce`, which build the explicit matrices, load when imported by
-name (`from countbench import bruteforce`), as `verify` does.
+and `simulate` (with its `_pcg64`), all that `bounds` and `simulate`
+read.  `johnson` and `bruteforce`, which build the explicit matrices,
+load when imported by name (`from countbench import bruteforce`), as
+`verify` does.
 """
 
 __version__ = "0.1.0"

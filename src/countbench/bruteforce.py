@@ -544,7 +544,7 @@ def _memo_misses() -> int:
 
 
 @lru_cache(maxsize=1)
-def _channel_norms(inst: ProblemInstance) -> tuple[float, float]:
+def _channel_norms(inst: ProblemInstance) -> tuple[float, float, int]:
     """V_DECOMP's and PHI_COMMUTE's values from one pass in block coordinates per level.
 
     Each value is a Frobenius norm of something that must vanish, and
@@ -557,6 +557,7 @@ def _channel_norms(inst: ProblemInstance) -> tuple[float, float]:
     (S_{j+m} tensor I) Khat/||Khat|| - (K/||K||) S_j; the largest counts.
     The difference is formed one ground slice i at a time, and the squared
     Frobenius norms of its slices add up, so no core-sized temporary is held.
+    Also returns how many channels PHI_COMMUTE compared.
     """
     # The larger k' pass first, so that the k pass's result does not sit under its peak.
     channels_hat, residual_hat = _hatted_level_channels(inst.n, inst.k_prime)
@@ -580,7 +581,7 @@ def _channel_norms(inst: ProblemInstance) -> tuple[float, float]:
             moved -= core[:, i] @ s[j]
             square += float(np.vdot(moved, moved))
         worst = max(worst, math.sqrt(square))
-    return max(residual, residual_hat), worst
+    return max(residual, residual_hat), worst, len(channels)
 
 
 def _check_v_decomp(inst: ProblemInstance, t: float, ell: int):
@@ -589,8 +590,12 @@ def _check_v_decomp(inst: ProblemInstance, t: float, ell: int):
 
 
 def _check_phi_commute(inst: ProblemInstance, t: float, ell: int):
-    worst = _channel_norms(inst)[1]
-    return 0.0, worst, worst, {}
+    _, worst, compared = _channel_norms(inst)
+    # Level k keeps every live core.  A channel left uncompared fails the
+    # row, as PROJECTORS fails a rank mismatch: the gap of at least 1 lies
+    # above TOL_NORM.
+    gap = worst if compared == len(_live_channels(inst.k)) else max(worst, 1.0)
+    return 0.0, worst, gap, {"channels_compared": compared}
 
 
 def _table_vector_gaps(n: int, k: int, j: int) -> float:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -56,6 +57,13 @@ def _fmt_float(x: float) -> str:
 
 def _fmt_bool(x: bool) -> str:
     return "true" if x else "false"
+
+
+def _fmt_detail(value) -> str:
+    """A FAIL line's detail: a flag, a count, or a float to four digits."""
+    if isinstance(value, bool):
+        return _fmt_bool(value)
+    return str(value) if isinstance(value, int) else f"{value:.3e}"
 
 
 def _parse_instance(text: str) -> ProblemInstance:
@@ -226,10 +234,7 @@ def cmd_verify(args) -> int:
     )
     for r in failures:
         # A row can fail on a detail alone, with its discrepancy in tolerance.
-        details = "".join(
-            f" {name}={_fmt_bool(value) if isinstance(value, bool) else f'{value:.3e}'}"
-            for name, value in r.details.items()
-        )
+        details = "".join(f" {name}={_fmt_detail(value)}" for name, value in r.details.items())
         print(
             f"FAIL {r.check_id} n={r.n} k={r.k} k'={r.k_prime} t={r.t:g} "
             f"discrepancy={r.discrepancy:.3e} tol={r.tolerance:.0e}{details}",
@@ -325,27 +330,60 @@ def _simulate_params(args) -> dict:
     return params
 
 
+def _texts(column: np.ndarray, memo: dict, text) -> list[str]:
+    """``text`` of each entry of ``column``, each distinct entry formatted once per ``memo``.
+
+    ``memo`` is keyed by the entries' 64-bit patterns, so 0.0 and -0.0 stay apart.
+    """
+    return [
+        memo[key] if key in memo else memo.setdefault(key, text(value))
+        for key, value in zip(column.view(np.int64).tolist(), column.tolist())
+    ]
+
+
+def _write_trials(report, batch) -> None:
+    """``batch``'s CSV rows, one `simulate.BLOCK_RUNS` slice at a time.
+
+    A row is the trial's index, its head (true size, decision, correct,
+    failed), its statistic and its tally.  Each distinct head, statistic
+    and tally is formatted once per batch.
+    """
+    heads = {
+        (large, says_large, failed): (
+            f"{batch.k_prime if large else batch.k},"
+            f"{simulate.DECIDE_LARGE if says_large else simulate.DECIDE_SMALL},"
+            f"{_fmt_bool(says_large == large and not failed)},{_fmt_bool(failed)},"
+        )
+        for large, says_large, failed in itertools.product((False, True), repeat=3)
+    }
+    # Every trial spends the set-up's one resource; the other tally columns read 0.
+    tally = ",".join("{}" if name == batch.resource else "0" for name in simulate.RESOURCES)
+    statistics: dict = {}
+    tallies: dict = {}
+    for start in range(0, len(batch.large), simulate.BLOCK_RUNS):
+        part = slice(start, start + simulate.BLOCK_RUNS)
+        flags = zip(*(flag[part].tolist() for flag in (batch.large, batch.says_large, batch.failed)))
+        rows = zip(
+            itertools.count(start),
+            flags,
+            _texts(batch.statistic[part], statistics, _fmt_float),
+            _texts(batch.cost[part], tallies, tally.format),
+        )
+        report.write("".join(f"{i},{heads[flag]}{stat},{spent}\n" for i, flag, stat, spent in rows))
+
+
 def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     params = _simulate_params(args)
 
-    outcomes = simulate.run_batch(args.procedure, params, args.trials, args.seed)
-    stats = simulate.aggregate(outcomes)
+    batch = simulate.run_batch(args.procedure, params, args.trials, args.seed)
+    stats = simulate.aggregate(batch)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     tag = args.procedure.replace("-", "_")
-    # Every trial spends the set-up's one resource; the other tally columns read 0.
-    spent = outcomes[0].resource
-    tally = ",".join("{}" if name == spent else "0" for name in simulate.RESOURCES) + "\n"
-    # Row by row, so that no copy of the whole report is held beside the outcomes.
     with (out_dir / f"simulate_{tag}.csv").open("w") as report:
         report.write(SIMULATE_CSV_HEADER + "\n")
-        for idx, out in enumerate(outcomes):
-            report.write(
-                f"{idx},{out.true_size},{out.decision},{_fmt_bool(out.correct)},"
-                f"{_fmt_bool(out.failed)},{_fmt_float(out.statistic)},"
-                + tally.format(out.cost)
-            )
+        _write_trials(report, batch)
 
     payload = {
         "version": __version__,

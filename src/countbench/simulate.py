@@ -6,7 +6,7 @@ in a two-dimensional invariant subspace (rotation picture), and the
 phase-estimation subroutine is sampled from its exact closed-form
 outcome distribution, so desk-scale n up to 1e6 costs nothing while the
 query tallies stay exact.  That distribution and its CDF are built in
-place, holding at most three float arrays of the grid size at once.
+place, in one float array of the grid size.
 
 Each procedure is one function, named as on the command line
 (`PROCEDURES` maps the names to them).  It validates its parameters once
@@ -18,12 +18,12 @@ one set, takes the majority vote and sums the costs; a run with decision
 ``None`` failed.  `run_batch` sets a named procedure up once and runs
 many trials, each with the outcome `trial` gives it, so one trial of
 coupon counting reads ``trial(coupon(k, eps, budget), seed)``.  A batch
-holds one `TrialOutcome` per trial and, beside those, only the generator
-words of one block of at most `BLOCK_RUNS` runs.
+is a `Batch` of columns, 19 B per trial; beside them it holds only the
+generator words and outcomes of one block of at most `BLOCK_RUNS` runs.
 
 Determinism contract: trial i of a batch with master seed ``seed`` runs
 on a generator bit-identical to ``np.random.default_rng((seed, i))``.
-`_child_states` derives a block of those states at once, as uint64 word
+`_pcg64` derives a block of those states at once, as uint64 word
 arrays; `run_batch` steps them to draw each trial's hidden size as
 ``rng.integers(2)`` does and, for a set-up whose run is one phase
 estimation, to draw each run's ``rng.random()``.  The tests compare the
@@ -47,22 +47,22 @@ from typing import NamedTuple
 import numpy as np
 
 from . import adversary
+from ._pcg64 import _child_states, _doubles, _draw_sizes, _generators
 
 DECIDE_SMALL = "k"
 DECIDE_LARGE = "k_prime"
 # The phase grid resolves the two hypotheses' eigenphases this many times over.
 GRID_MARGIN = 2.0
 # Largest phase grid a set-up may ask for: its outcome distribution alone is
-# 128 MiB (building it takes three such arrays), and a larger one would
-# fail inside numpy instead of by name.
+# 128 MiB, and a larger one would fail inside numpy instead of by name.
 MAX_GRID_POINTS = 1 << 24
 # Most draws one run may ask for, and most entries of the array it counts
 # them in: either array is 128 MiB at the cap, and a larger one would fail
 # inside numpy instead of by name.
 MAX_DRAWS = 1 << 24
-# Most trials one batch may run: a CLI run holds about 150 B per trial,
-# so 2^20 trials reach about 0.2 GB, and a much larger batch would
-# fail for memory rather than by name.
+# Most trials one batch may run.  A CLI run holds its columns, 19 B per
+# trial, and one block's temporaries, so 2^20 trials peak under 60 MB RSS;
+# the cap bounds the run's time, 1-6 s at 2^20 trials on 2 CPUs.
 MAX_TRIALS = 1 << 20
 # What a procedure spends (state copies, oracle calls), in report column order.
 RESOURCES = ("copies", "state_generation", "reflections", "membership")
@@ -254,18 +254,21 @@ def phase_estimation_distribution(theta: float, m_points: int) -> np.ndarray:
     The rotation's eigenphases are +/- 2 theta; the estimation register
     lands on outcome m (measured phase 2 pi m / M) with the squared
     Dirichlet-kernel weight around each branch, each branch carrying
-    half the mass.  The grid is built in place: the call holds three
-    arrays of M floats and one of M booleans, the result included.
+    half the mass.  The grid is built in place, 4096 points at a time: the
+    call holds the result's M floats and temporaries of 4096 points.
     """
     if m_points < 2:
         raise ValueError("need at least a two-point grid")
     if not 0.0 <= theta <= math.pi / 2:
         raise ValueError("theta must lie in [0, pi/2]")
     omega = theta / math.pi  # eigenphase as a fraction of a full turn
-    grid = np.arange(m_points, dtype=float)
-    grid /= m_points
-    probs = _kernel(grid - omega, m_points, work := np.empty(m_points))
-    probs += _kernel(np.add(grid, omega, out=grid), m_points, work)
+    probs = np.empty(m_points)
+    for start in range(0, m_points, 4096):
+        grid = np.arange(start, min(start + 4096, m_points), dtype=float)
+        grid /= m_points
+        part = np.subtract(grid, omega, out=probs[start : start + len(grid)])
+        _kernel(part, m_points, work := np.empty_like(grid))
+        part += _kernel(np.add(grid, omega, out=grid), m_points, work)
     probs *= 0.5
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-9:
@@ -499,138 +502,47 @@ PROCEDURES = {
 }
 
 
-# numpy.random.SeedSequence's hash constants and PCG64's LCG multiplier.
-_MASK32 = 0xFFFFFFFF
-_MASK64 = (1 << 64) - 1
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # Most runs one block of a batch draws for at once: the block's generator
-# words, a few uint64 arrays of this length, are its only batch-sized
-# temporaries, so a batch works in fixed memory beside its outcomes.
+# words, a few uint64 arrays of this length, and the outcomes of its
+# trials are its only temporaries, so a batch holds nothing per trial
+# beside its columns.
 BLOCK_RUNS = 1024
 
 
-def _uint32_words(value: int) -> list[int]:
-    """``value``'s 32-bit words, least significant first, as SeedSequence splits it."""
-    if value < 0:
-        raise ValueError(f"seed must be nonnegative, got {value}")
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
+class Batch(NamedTuple):
+    """A batch's trials as columns: entry i of each array is trial i's.
 
-
-def _hashmix(value: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray, int]:
-    # The constant's sequence does not depend on the data, so it stays a
-    # Python int; the uint32 arrays wrap like SeedSequence's uint32_t.
-    value = value ^ hash_const
-    hash_const = hash_const * mult & _MASK32
-    value = value * hash_const
-    return value ^ (value >> 16), hash_const
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return result ^ (result >> 16)
-
-
-def _mul_add(x, mult: int, add):
-    """``x * mult + add`` mod 2^128, on (high, low) pairs of uint64 arrays; ``mult`` is an int.
-
-    The low words' full product is summed from 32-bit limb products, which
-    cannot overflow; the low word's carry is read by comparison.
+    Trial i spent ``cost[i]`` units of ``resource`` and nothing else.  A
+    failed trial decided nothing, so its ``says_large`` is False, as a
+    failed `trial` reads DECIDE_SMALL.  The columns take 19 B per trial.
     """
-    x_hi, x_lo = x
-    add_hi, add_lo = add
-    m_hi, m_lo = np.uint64(mult >> 64 & _MASK64), np.uint64(mult & _MASK64)
-    m1, m0 = np.uint64(mult >> 32 & _MASK32), np.uint64(mult & _MASK32)
-    x1, x0 = x_lo >> 32, x_lo & _MASK32
-    middle = (x0 * m0 >> 32) + (x1 * m0 & _MASK32) + (x0 * m1 & _MASK32)
-    hi = x1 * m1 + (x1 * m0 >> 32) + (x0 * m1 >> 32) + (middle >> 32)
-    lo = x_lo * m_lo + add_lo
-    hi += x_hi * m_lo + x_lo * m_hi + add_hi + (lo < add_lo)
-    return hi, lo
+
+    k: int
+    k_prime: int
+    resource: str
+    large: np.ndarray  # bool: the hidden set has k' elements
+    says_large: np.ndarray  # bool: the trial decided k'
+    failed: np.ndarray  # bool
+    statistic: np.ndarray  # float64
+    cost: np.ndarray  # int64
+
+    @property
+    def correct(self) -> np.ndarray:
+        return (self.says_large == self.large) & ~self.failed
 
 
-def _xsl_rr(state) -> np.ndarray:
-    """PCG64's output at each ``(high, low)`` state: high ^ low rotated right by high >> 58."""
-    hi, lo = state
-    word = hi ^ lo
-    rotation = hi >> 58
-    return word >> rotation | word << (64 - rotation & 63)
-
-
-def _child_states(seed: int, stop: int, start: int = 0):
-    """``(state, inc)`` of ``np.random.default_rng((seed, i)).bit_generator`` for start <= i < stop.
-
-    Each is a (high, low) pair of uint64 arrays, one entry per trial.
-    SeedSequence hashes the entropy words [seed words..., i] into a pool
-    of four words and draws 4 uint64 from it; PCG64 seeds its 128-bit
-    state and increment from those.  This runs both steps on all the
-    indices at once.  Such a generator also has ``has_uint32 = uinteger = 0``.
-    """
-    if stop > 1 << 32:
-        raise ValueError(f"trial indices must fit one 32-bit word, got {stop} trials")
-    entropy = [np.full(stop - start, word, dtype=np.uint32) for word in _uint32_words(seed)]
-    entropy.append(np.arange(start, stop, dtype=np.uint32))
-    hash_const = _INIT_A
-    pool = []
-    for word in range(_POOL_SIZE):
-        source = entropy[word] if word < len(entropy) else np.zeros(stop - start, np.uint32)
-        value, hash_const = _hashmix(source, hash_const, _MULT_A)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, hash_const = _hashmix(pool[src], hash_const, _MULT_A)
-                pool[dst] = _mix(pool[dst], value)
-    for source in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            value, hash_const = _hashmix(source, hash_const, _MULT_A)
-            pool[dst] = _mix(pool[dst], value)
-    hash_const = _INIT_B
-    words = []
-    for word in range(8):
-        value, hash_const = _hashmix(pool[word % _POOL_SIZE], hash_const, _MULT_B)
-        words.append(value.astype(np.uint64))
-    # Little-endian pairs of words make the uint64 seed[0..3]; PCG64 reads
-    # seed[0], seed[1] as its initial state's high and low words and
-    # seed[2], seed[3] as its stream's.
-    seeds = [words[word] | words[word + 1] << 32 for word in range(0, 8, 2)]
-    initial, stream = seeds[:2], seeds[2:]
-    # pcg_setseq_128_srandom_r: inc = 2 stream + 1, then two LCG steps
-    # with the initial state added after the first.
-    inc = (stream[0] << 1 | stream[1] >> 63, stream[1] << 1 | 1)
-    return _mul_add(_mul_add(initial, 1, inc), _PCG64_MULT, inc), inc
-
-
-def _draw_sizes(state, inc):
-    """Each trial's ``rng.integers(2)``: ``(state, large, buffered)`` after one LCG step.
-
-    The draw reads bit 31 of one output's low half, and the generator keeps
-    the high half (``has_uint32 = 1``, ``uinteger = buffered``) for later.
-    """
-    state = _mul_add(state, _PCG64_MULT, inc)
-    word = _xsl_rr(state)
-    return state, (word >> 31 & 1).astype(bool), word >> 32
-
-
-def _estimate_block(setup, state, inc, large, repetitions: int) -> list[TrialOutcome]:
+def _estimate_block(setup, state, inc, large, repetitions: int):
     """`trial` on a block at once, for a set-up whose run is one `_PhaseEstimation` call.
 
     Such a run reads one ``rng.random()``, one LCG step, so the block
     draws every run's uniform together and searches each hidden size's CDF
     once.  Each distinct outcome goes through `_PhaseEstimation.decide`
-    once; the vote and the mean statistic are those of `trial`.
+    once; the vote and the mean statistic are those of `trial`.  Returns
+    the block's `Batch` columns from ``says_large`` on, a scalar where
+    every trial has the same entry.
     """
-    k, k_prime, resource, estimate = setup
-    uniforms = np.empty((len(large), repetitions))
-    for run in range(repetitions):
-        state = _mul_add(state, _PCG64_MULT, inc)
-        uniforms[:, run] = (_xsl_rr(state) >> 11) * 2.0**-53  # numpy's next_double
+    k, k_prime, _, estimate = setup
+    uniforms = _doubles(state, inc, repetitions)
     outcomes = np.empty(uniforms.shape, dtype=np.intp)
     for size, rows in ((k, ~large), (k_prime, large)):
         if rows.any():
@@ -641,40 +553,27 @@ def _estimate_block(setup, state, inc, large, repetitions: int) -> list[TrialOut
     votes = np.array([decision == DECIDE_LARGE for decision, _ in decided])[where]
     values = np.array([value for _, value in decided])[where]
     says_large = 2 * np.count_nonzero(votes, axis=1) > repetitions
-    decisions, sizes = (DECIDE_SMALL, DECIDE_LARGE), (k, k_prime)
-    cost = repetitions * estimate.cost
-    trials = zip(large.tolist(), says_large.tolist(), values.mean(axis=1).tolist())
-    return [
-        TrialOutcome(decisions[said], said == big, sizes[big], statistic, resource, cost)
-        for big, said, statistic in trials
-    ]
+    return says_large, False, values.mean(axis=1), repetitions * estimate.cost
 
 
-def _trial_block(setup, state, inc, large, buffered, repetitions: int) -> list[TrialOutcome]:
-    """`trial` on each trial of a block, on one generator set to that trial's state.
+def _trial_block(setup, state, inc, large, buffered, repetitions: int):
+    """`trial` on each trial of a block, on a generator set to that trial's state.
 
     ``buffered`` holds the half output each trial's size draw left for its
-    next 32-bit draw, or is None where no size was drawn.
+    next 32-bit draw, or is None where no size was drawn.  Returns the
+    block's columns as `_estimate_block` does.
     """
     k, k_prime = setup[:2]
-    rng = np.random.Generator(np.random.PCG64(0))
-    # One state dict for the block; only its integers change.
-    pcg = {"state": 0, "inc": 0}
-    generator = {"bit_generator": "PCG64", "state": pcg, "has_uint32": int(buffered is not None)}
-    halves = [0] * len(large) if buffered is None else buffered.tolist()
-    outcomes = []
-    for state_hi, state_lo, inc_hi, inc_lo, big, half in zip(
-        *(words.tolist() for words in (*state, *inc, large)), halves
-    ):
-        pcg["state"], pcg["inc"] = state_hi << 64 | state_lo, inc_hi << 64 | inc_lo
-        generator["uinteger"] = half
-        rng.bit_generator.state = generator
-        outcomes.append(trial(setup, rng, k_prime if big else k, repetitions))
-    return outcomes
+    outcomes = [
+        trial(setup, rng, k_prime if big else k, repetitions)
+        for rng, big in zip(_generators(state, inc, buffered), large.tolist())
+    ]
+    decisions, _, _, statistics, _, costs, failures = zip(*outcomes)
+    return [decision == DECIDE_LARGE for decision in decisions], failures, statistics, costs
 
 
-def run_batch(procedure: str, params: dict, trials: int, seed: int) -> list[TrialOutcome]:
-    """Independent trials of a named procedure with keyword parameters.
+def run_batch(procedure: str, params: dict, trials: int, seed: int) -> Batch:
+    """Independent trials of a named procedure with keyword parameters, as a `Batch`.
 
     The parameters are checked once.  Trial i runs on the generator
     ``np.random.default_rng((seed, i))``.  The trials go in blocks of at
@@ -682,8 +581,9 @@ def run_batch(procedure: str, params: dict, trials: int, seed: int) -> list[Tria
     word arrays, and one vectorised step draws their hidden sizes unless
     ``true_size`` pins them.  A set-up whose run is a `_PhaseEstimation`
     alone runs the whole block at once (`_estimate_block`); any other runs
-    each trial through `trial` (`_trial_block`).  More than MAX_TRIALS
-    trials raise before anything is allocated.
+    each trial through `trial` (`_trial_block`).  Each block fills its
+    slice of the columns, allocated up front.  More than MAX_TRIALS trials
+    raise before anything is allocated.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -695,38 +595,39 @@ def run_batch(procedure: str, params: dict, trials: int, seed: int) -> list[Tria
     true_size = params.pop("true_size", None)
     repetitions = params.pop("repetitions", 1)
     setup = PROCEDURES[procedure](**params)
-    k, k_prime, _, single = setup
+    k, k_prime, resource, single = setup
     _check_pins(k, k_prime, true_size, repetitions)
+    dtypes = bool, bool, bool, float, np.int64
+    batch = Batch(k, k_prime, resource, *(np.empty(trials, dtype) for dtype in dtypes))
     block = max(1, BLOCK_RUNS // repetitions)
-    outcomes = []
     for start in range(0, trials, block):
-        state, inc = _child_states(seed, min(start + block, trials), start)
+        stop = min(start + block, trials)
+        state, inc = _child_states(seed, stop, start)
         if true_size is None:
             state, large, buffered = _draw_sizes(state, inc)
         else:
-            large, buffered = np.full(len(inc[0]), true_size == k_prime), None
+            large, buffered = np.full(stop - start, true_size == k_prime), None
         if isinstance(single, _PhaseEstimation):
-            outcomes += _estimate_block(setup, state, inc, large, repetitions)
+            columns = _estimate_block(setup, state, inc, large, repetitions)
         else:
-            outcomes += _trial_block(setup, state, inc, large, buffered, repetitions)
-    return outcomes
+            columns = _trial_block(setup, state, inc, large, buffered, repetitions)
+        # The per-trial columns, ``large`` to ``cost``.
+        for column, entries in zip(batch[3:], (large, *columns)):
+            column[start:stop] = entries
+    return batch
 
 
-def aggregate(outcomes) -> dict:
+def aggregate(batch: Batch) -> dict:
     """Success rate with binomial standard error, plus the mean cost of each resource."""
-    trials = correct = failed = 0
-    spent = dict.fromkeys(RESOURCES, 0)
-    for trials, out in enumerate(outcomes, 1):
-        correct += out.correct
-        failed += out.failed
-        spent[out.resource] += out.cost
+    trials = len(batch.large)
     if trials == 0:
         raise ValueError("nothing to aggregate")
-    rate = correct / trials
+    rate = int(np.count_nonzero(batch.correct)) / trials
+    spent = int(batch.cost.sum())
     return {
         "trials": trials,
         "success_rate": rate,
         "standard_error": math.sqrt(rate * (1.0 - rate) / trials),
-        "failure_rate": failed / trials,
-        **{f"mean_{resource}": total / trials for resource, total in spent.items()},
+        "failure_rate": int(np.count_nonzero(batch.failed)) / trials,
+        **{f"mean_{name}": (name == batch.resource) * spent / trials for name in RESOURCES},
     }

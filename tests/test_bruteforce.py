@@ -1,3 +1,4 @@
+import inspect
 import math
 import sys
 import tracemalloc
@@ -292,6 +293,35 @@ class TestChannelPass:
         assert report.discrepancy == pytest.approx(
             2.0 * math.sqrt(johnson.block_dimension(INST.n, 2))
         )
+
+    @pytest.mark.parametrize("inst", DEFAULT, ids=_instance_id)
+    def test_phi_commute_compares_every_live_channel(self, inst):
+        report = bruteforce.verify("PHI_COMMUTE", inst, t=1.0)
+        assert report.details == {"channels_compared": len(bruteforce._live_channels(inst.k))}
+        assert report.discrepancy == report.brute_force
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("else level + 1", "else level - 1"), ("max(j, j + m) < top", "max(j, j - m) < top")],
+        ids=["top-level-minus-1", "keeps-j-minus-m"],
+    )
+    def test_planted_short_channel_pass_fails_phi_commute(self, monkeypatch, old, new):
+        # Either defect in _level_channels keeps fewer cores of level k, so
+        # PHI_COMMUTE compares fewer channels; the ones it compares still
+        # commute, and V_DECOMP, which sums every core's norm, still passes.
+        # On every default instance only the channel count fails the row.
+        source = inspect.getsource(bruteforce._level_channels)
+        assert source.count(old) == 1
+        namespace = dict(vars(bruteforce))
+        exec(compile(source.replace(old, new), bruteforce.__file__, "exec"), namespace)
+        monkeypatch.setattr(bruteforce, "_level_channels", namespace["_level_channels"])
+        for inst in DEFAULT:
+            report = bruteforce.verify("PHI_COMMUTE", inst, t=1.0)
+            assert report.details["channels_compared"] < len(bruteforce._live_channels(inst.k))
+            assert report.brute_force <= bruteforce.TOL_NORM
+            assert report.discrepancy >= 1.0 and not report.passed
+            assert bruteforce.verify("V_DECOMP", inst, t=1.0).passed
+            bruteforce.clear_memos()
 
     def test_degenerate_channel_raises(self, monkeypatch):
         original = bruteforce.psi_matrix

@@ -175,6 +175,16 @@ class TestVerifyCommand:
         assert float(match[1]) <= bruteforce.TOL_NORM
         assert float(match[2]) > bruteforce.TOL_EXACT
 
+    def test_fail_line_names_a_short_channel_count(self, tmp_path, capsys, monkeypatch):
+        # A channel pass that compared three of the nine live channels of level k = 2.
+        monkeypatch.setattr(bruteforce, "_channel_norms", lambda inst: (0.0, 0.0, 3))
+        argv = ["verify", "--instance", "8,2,3", "--t", "1", "--checks", "PHI_COMMUTE"]
+        assert run(argv + ["--out", str(tmp_path)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (
+            "FAIL PHI_COMMUTE n=8 k=2 k'=3 t=1 discrepancy=1.000e+00 tol=1e-08 channels_compared=3"
+        )
+
     def test_empty_instance_list_is_usage_error(self, tmp_path):
         code = run(["verify", "--instance", "", "--out", str(tmp_path / "r")])
         assert code == 2

@@ -4,14 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from batches import columns, pack
 
-from countbench import adversary, simulate
+from countbench import _pcg64, adversary, cli, simulate
 from countbench.simulate import DECIDE_LARGE, DECIDE_SMALL
 
 
-def success_floor(outcomes, target=2.0 / 3.0):
+def success_floor(batch, target=2.0 / 3.0):
     """Check the observed success rate clears target minus 3 binomial SEs."""
-    agg = simulate.aggregate(outcomes)
+    agg = simulate.aggregate(batch)
     return agg["success_rate"] >= target - 3.0 * agg["standard_error"]
 
 
@@ -69,7 +70,7 @@ class TestCollision:
                 simulate.trial(setup, (7, true_size, i), true_size=true_size)
                 for i in range(10_000)
             ]
-            assert success_floor(outs)
+            assert success_floor(pack(outs, setup))
 
     def test_mean_pair_count_matches_expectation(self):
         k, eps, samples, size = 256, 0.5, 256, 256
@@ -102,7 +103,7 @@ class TestOverlap:
                 simulate.trial(setup, (3, true_size, i), true_size=true_size)
                 for i in range(5_000)
             ]
-            assert success_floor(outs)
+            assert success_floor(pack(outs, setup))
 
     def test_single_copy_uninformative_floor(self):
         outs = [
@@ -210,15 +211,17 @@ class TestPhaseEstimation:
             np.testing.assert_array_equal(got, expression_distribution(theta, m_points))
 
     def test_in_place_grid_holds_few_arrays(self):
-        # The expression held about seven arrays of M floats at its peak.
-        m_points = 100_000
+        # The result's M floats beside temporaries of 4096 points (about 25 B
+        # each).  The expression held about seven arrays of M floats at its
+        # peak, and the whole-grid build three and a mask.
+        m_points = 2**20
         tracemalloc.start()
         try:
             simulate.phase_estimation_distribution(0.3, m_points)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5 * 8 * m_points
+        assert peak <= 8 * m_points + 64 * 4096
 
     def test_grid_cap_admits_its_own_size_and_rejects_one_more(self, monkeypatch):
         points = simulate._grid_points(0.1, 0.1001)
@@ -287,10 +290,9 @@ class TestKnownSubsetCounting:
         assert spent(gen, "state_generation") == 2 * spent(refl, "reflections")
 
     def test_full_subset_is_out_of_regime_but_runs(self):
-        outs = [
-            simulate.trial(simulate.subset(32, 4, 0.5, 4), (1, i)) for i in range(800)
-        ]
-        assert success_floor(outs)
+        setup = simulate.subset(32, 4, 0.5, 4)
+        outs = [simulate.trial(setup, (1, i)) for i in range(800)]
+        assert success_floor(pack(outs, setup))
 
     def test_ell_validation(self):
         with pytest.raises(ValueError):
@@ -360,9 +362,9 @@ class TestDeterminismAndScaling:
     def test_identical_seeds_bitwise_identical(self):
         a = simulate.run_batch("qcount", dict(n=1024, k=16, eps=1.0), 50, 99)
         b = simulate.run_batch("qcount", dict(n=1024, k=16, eps=1.0), 50, 99)
-        assert repr(a) == repr(b)
+        assert columns(a) == columns(b)
         c = simulate.run_batch("qcount", dict(n=1024, k=16, eps=1.0), 50, 100)
-        assert repr(a) != repr(c)
+        assert columns(a) != columns(c)
 
     def test_qcount_slope(self):
         ns = [1024, 2048, 4096, 8192]
@@ -405,25 +407,48 @@ class TestDeterminismAndScaling:
         assert abs(loglog_slope(predicted, actual) - 1.0) <= 0.15
 
 
-# Traced bytes per trial of a 2^14-trial overlap batch.  It reads 153.0
-# with CPython 3.11 and numpy 2.4: the outcome records, and the generator
-# words of one block of trials at a time.  With 32 packed seed bytes held
-# for every trial it read 168.4; per-trial generator-state dicts and tally
-# objects read 735.
-BATCH_BYTES_PER_TRIAL_CAP = 185
+# Traced bytes per trial of a 2^14-trial batch, and of a whole 2^14-trial
+# `simulate` command.  With CPython 3.11 and numpy 2.4 an overlap batch
+# reads 47.8 and its command 47.9; qcount reads 36.9 and 36.8.  That is
+# the 19-byte columns and one block's temporaries (generator words as
+# Python ints and the block's outcomes), which 2^14 trials share 16
+# ways; 2^18 overlap trials read 20.8.  One outcome record per trial
+# read 153.0; 32 packed seed bytes per trial beside them read 168.4;
+# per-trial generator-state dicts and tally objects read 735.
+BATCH_BYTES_PER_TRIAL_CAP = 56
+
+
+def traced(run):
+    """``run()``'s value and the peak bytes tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        value = run()
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestBatchMemory:
     def test_batch_holds_outcomes_and_packed_seeds_only(self):
         params = dict(n=4096, k=64, eps=0.5, copy_count=256)
         simulate.run_batch("overlap", params, 16, 1)  # first-call allocations
-        tracemalloc.start()
-        try:
-            outs = simulate.run_batch("overlap", params, 2**14, 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(outs) == 2**14
+        batch, peak = traced(lambda: simulate.run_batch("overlap", params, 2**14, 3))
+        assert len(batch.large) == 2**14
+        assert peak / 2**14 <= BATCH_BYTES_PER_TRIAL_CAP
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["qcount", "--n", "1024", "--k", "16", "--eps", "1"],
+            ["overlap", "--n", "4096", "--k", "64", "--eps", "0.5", "--copies", "256"],
+        ],
+        ids=["qcount", "overlap"],
+    )
+    def test_simulate_command_holds_the_same_per_trial_bytes(self, tmp_path, capsys, argv):
+        argv = ["simulate", *argv, "--out", str(tmp_path)]
+        assert cli.main(argv + ["--trials", "16"]) == 0  # first-call allocations
+        code, peak = traced(lambda: cli.main(argv + ["--trials", str(2**14)]))
+        assert code == 0 and f"{2**14} trials" in capsys.readouterr().out
         assert peak / 2**14 <= BATCH_BYTES_PER_TRIAL_CAP
 
     @pytest.mark.parametrize(
@@ -513,7 +538,8 @@ class TestRepetitionsAndDispatch:
         rate_single = simulate.aggregate(single)["success_rate"]
         rate_voted = simulate.aggregate(voted)["success_rate"]
         assert rate_voted >= rate_single - 0.02
-        assert spent(voted[0], "reflections") == 5 * spent(single[0], "reflections")
+        assert voted.resource == single.resource == "reflections"
+        assert voted.cost[0] == 5 * single.cost[0]
 
     def test_classical_samplers_accept_repetitions(self):
         out = simulate.trial(
@@ -540,8 +566,9 @@ class TestRepetitionsAndDispatch:
     def test_majority_vote_reads_the_truth_label(self, monkeypatch):
         # Failed repetitions carry a placeholder decision; the vote among the
         # rest must still be scored against the hidden set's own label.
-        def label(out, k):
-            return DECIDE_SMALL if out.true_size == k else DECIDE_LARGE
+        def labelled(outs):
+            """Where each trial's decision is its hidden set's own label."""
+            return outs.says_large == outs.large
 
         real_collect = simulate._collect_distinct
         calls = itertools.count()
@@ -554,19 +581,19 @@ class TestRepetitionsAndDispatch:
         outs = simulate.run_batch(
             "sample-count", dict(n=4096, k=64, eps=0.25, repetitions=3), 200, 43
         )
-        assert not any(out.failed for out in outs)
-        assert all(out.correct == (out.decision == label(out, 64)) for out in outs)
-        assert any(out.decision == DECIDE_LARGE for out in outs)
+        assert not outs.failed.any()
+        assert np.array_equal(outs.correct, labelled(outs))
+        assert outs.says_large.any()
         monkeypatch.undo()
 
         params = dict(n=4096, k=64, eps=0.0625, retries=0)
         single = simulate.run_batch("bootstrap", params, 200, 47)
         assert 0.2 <= simulate.aggregate(single)["failure_rate"] <= 0.8
         outs = simulate.run_batch("bootstrap", dict(params, repetitions=3), 200, 47)
-        decided = [out for out in outs if not out.failed]
-        assert 0 < len(decided) < len(outs)
-        assert all(out.correct == (out.decision == label(out, 64)) for out in decided)
-        assert not any(out.correct for out in outs if out.failed)
+        decided = ~outs.failed
+        assert 0 < np.count_nonzero(decided) < len(decided)
+        assert np.array_equal(outs.correct[decided], labelled(outs)[decided])
+        assert not outs.correct[outs.failed].any()
 
 
 # One call per procedure at a valid point, with eps left free.
@@ -767,28 +794,34 @@ class TestStreamIdenticalFastPaths:
 
     @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 2**33 + 7])
     def test_child_states_match_default_rng(self, seed):
-        state, inc = simulate._child_states(seed, 2001)
+        state, inc = _pcg64._child_states(seed, 2001)
         assert list(zip(as_ints(state), as_ints(inc))) == default_rng_states(seed, 2001)
         # A later block's words are the same trials' words.
-        later = simulate._child_states(seed, 2001, 1000)
+        later = _pcg64._child_states(seed, 2001, 1000)
         for whole, part in zip((*state, *inc), (*later[0], *later[1])):
             assert np.array_equal(whole[1000:], part)
 
     def test_child_states_match_default_rng_at_random_seeds(self):
         seeds = np.random.default_rng(2026).integers(0, 2**63, 4).tolist() + [2**100 + 3]
         for seed in seeds:
-            state, inc = simulate._child_states(seed, 300)
+            state, inc = _pcg64._child_states(seed, 300)
             assert list(zip(as_ints(state), as_ints(inc))) == default_rng_states(seed, 300)
 
     @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 2**33 + 7])
     def test_word_kernels_step_as_random_raw(self, seed):
-        state, inc = simulate._child_states(seed, 2001)
+        state, inc = _pcg64._child_states(seed, 2001)
         outputs = []
         for _ in range(4):
-            state = simulate._mul_add(state, simulate._PCG64_MULT, inc)
-            outputs.append(simulate._xsl_rr(state))
+            state = _pcg64._mul_add(state, _pcg64._PCG64_MULT, inc)
+            outputs.append(_pcg64._xsl_rr(state))
         want = [np.random.default_rng((seed, i)).bit_generator.random_raw(4) for i in range(2001)]
         assert np.array_equal(np.stack(outputs, axis=1), np.array(want))
+
+    @pytest.mark.parametrize("seed", [0, 2**32])
+    def test_doubles_read_as_random(self, seed):
+        state, inc = _pcg64._child_states(seed, 2001)
+        want = [np.random.default_rng((seed, i)).random(3) for i in range(2001)]
+        assert np.array_equal(_pcg64._doubles(state, inc, 3), np.array(want))
 
     @pytest.mark.parametrize("rotation", [0, 1, 32, 63])
     def test_word_kernels_at_planted_rotations(self, rotation):
@@ -796,12 +829,12 @@ class TestStreamIdenticalFastPaths:
         # the output's rotation, are planted; low bits all clear, all set, mixed.
         rng = np.random.default_rng(5)
         inc = rng.bit_generator.state["state"]["inc"]
-        inverse = pow(simulate._PCG64_MULT, -1, 2**128)
+        inverse = pow(_pcg64._PCG64_MULT, -1, 2**128)
         targets = [rotation << 122 | low for low in (0, 2**122 - 1, 0x0123456789ABCDEF << 40 | 77)]
         befores = [(target - inc) * inverse % 2**128 for target in targets]
-        stepped = simulate._mul_add(as_words(befores), simulate._PCG64_MULT, as_words([inc] * 3))
+        stepped = _pcg64._mul_add(as_words(befores), _pcg64._PCG64_MULT, as_words([inc] * 3))
         assert as_ints(stepped) == targets
-        for before, got in zip(befores, simulate._xsl_rr(stepped).tolist()):
+        for before, got in zip(befores, _pcg64._xsl_rr(stepped).tolist()):
             rng.bit_generator.state = {
                 "bit_generator": "PCG64",
                 "state": {"state": before, "inc": inc},
@@ -812,8 +845,8 @@ class TestStreamIdenticalFastPaths:
 
     @pytest.mark.parametrize("seed", [0, 2**32])
     def test_size_draw_reads_as_integers(self, seed):
-        state, inc = simulate._child_states(seed, 2001)
-        stepped, large, buffered = simulate._draw_sizes(state, inc)
+        state, inc = _pcg64._child_states(seed, 2001)
+        stepped, large, buffered = _pcg64._draw_sizes(state, inc)
         assert 0 < np.count_nonzero(large) < 2001
         for i, (after, big, half) in enumerate(
             zip(as_ints(stepped), large.tolist(), buffered.tolist())
@@ -829,7 +862,7 @@ class TestStreamIdenticalFastPaths:
             with pytest.raises(error):
                 np.random.default_rng((bad, 0))
             with pytest.raises(error):
-                simulate._child_states(bad, 3)
+                _pcg64._child_states(bad, 3)
         with pytest.raises(ValueError):
             simulate.run_batch("coupon", dict(k=4, eps=1.0, sample_budget=20), 3, -1)
 
@@ -844,13 +877,12 @@ class TestStreamIdenticalFastPaths:
         setup = simulate.PROCEDURES[procedure](**params)
         true_size = None if pin is None else setup[0 if pin == "k" else 1]
         block = simulate.BLOCK_RUNS
-        singles = [
-            repr(simulate.trial(setup, (5, i), true_size, repetitions)) for i in range(block + 1)
-        ]
+        singles = [simulate.trial(setup, (5, i), true_size, repetitions) for i in range(block + 1)]
         pins = dict(true_size=true_size, repetitions=repetitions)
         for trials in (1, block - 1, block, block + 1):
             batch = simulate.run_batch(procedure, dict(params, **pins), trials, 5)
-            assert [repr(out) for out in batch] == singles[:trials]
+            assert columns(batch) == columns(pack(singles[:trials], setup))
+            assert batch.correct.tolist() == [out.correct for out in singles[:trials]]
 
     @pytest.mark.parametrize(
         "a_small, a_large",
@@ -892,7 +924,7 @@ class TestStreamIdenticalFastPaths:
         monkeypatch.setattr(simulate, "phase_estimation_distribution", counted)
         outs = simulate.run_batch(procedure, params, 300, 8)
         k, k_prime, _, _ = simulate.PROCEDURES[procedure](**params)
-        assert {out.true_size for out in outs} == {k, k_prime}
+        assert {outs.k_prime if big else outs.k for big in outs.large.tolist()} == {k, k_prime}
         assert len(calls) <= 2
 
     @pytest.mark.parametrize("retries", [0, 3])
