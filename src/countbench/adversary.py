@@ -8,10 +8,10 @@ unit vectors phi_j and phi'_j (one row per block index j, the primed
 one with k' in place of k) that `phi_table` returns.  This module owns
 all of that arithmetic, together with the feasibility report and the
 headline trade-off evaluator, whose JSON-ready dict `bounds` prints.
-Each row formula is one kernel that takes any run of consecutive rows:
-the closed sides `verify` checks run it once on the whole schedule, and
-the feasibility report walks the schedule in blocks of CHUNK_ROWS rows,
-so a report's working memory does not grow with t.
+One kernel, `closed_rows`, gives every closed row of any run of
+consecutive schedule rows: `verify`'s closed sides are maxima over one
+whole-schedule call, and the feasibility report folds it over blocks of
+CHUNK_ROWS rows, so a report's working memory does not grow with t.
 It builds no matrix of the Johnson scheme and imports no `johnson`:
 `assemble_adversary` sums given transporters, and `bruteforce` builds
 them and the explicit Gamma.
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -144,7 +145,7 @@ def phi_table(inst: ProblemInstance, stop: int, start: int = 0) -> tuple[np.ndar
     )
 
 
-def _live_rows(t: float, k: int) -> int:
+def live_rows(t: float, k: int) -> int:
     """How many weights the schedule keeps, j = 0..min(k, floor(t) + 1); at most MAX_ROWS."""
     if not t >= 1:
         raise ValueError(f"cutoff parameter must satisfy t >= 1, got {t}")
@@ -164,7 +165,7 @@ def gamma_schedule(t: float, k: int) -> np.ndarray:
     A later row j has g_{j-1} = g_j = g_{j+1} = 0, since j - 1 > t, so
     it adds exact zeros to Gamma and to the three difference norms.
     """
-    return linalg.freeze(_weights(t, 0, _live_rows(t, k)))
+    return linalg.freeze(_weights(t, 0, live_rows(t, k)))
 
 
 def tilde_tables(gammas, phi, phi_prime, before=0.0, after=0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -178,16 +179,6 @@ def tilde_tables(gammas, phi, phi_prime, before=0.0, after=0.0) -> tuple[np.ndar
     g = np.concatenate(([before], gammas, [after]))
     weights = np.stack([g[:-2], g[1:-1], g[1:-1], g[2:]], axis=1)
     return weights * phi, weights * phi_prime
-
-
-def _block_tables(inst: ProblemInstance, gammas, start=0, before=0.0, after=0.0) -> tuple:
-    """(phi, phi_prime, tilde, tilde_prime) for the rows j = start.. that ``gammas`` weights.
-
-    ``before`` and ``after`` are the weights just outside the block, as in
-    `tilde_tables`; the defaults describe a whole schedule.
-    """
-    phi, phi_prime = phi_table(inst, start + len(gammas), start)
-    return (phi, phi_prime, *tilde_tables(gammas, phi, phi_prime, before, after))
 
 
 def assemble_adversary(gammas, transporters) -> np.ndarray:
@@ -234,7 +225,7 @@ def hadamard_psi_step(coeffs, inst: ProblemInstance) -> np.ndarray:
     return out
 
 
-def _overlap_rows(inst: ProblemInstance, t: float, ell: int) -> int:
+def gram_power_rows(inst: ProblemInstance, t: float, ell: int) -> int:
     """How many rows, j = 0..min(ell, k), the Gram-power bound reads; it needs t >= 2 ell."""
     if ell < 0:
         raise ValueError("ell must be nonnegative")
@@ -243,56 +234,26 @@ def _overlap_rows(inst: ProblemInstance, t: float, ell: int) -> int:
     return min(ell, inst.k) + 1
 
 
-def _min_overlap(phi, phi_prime) -> float:
-    """The smallest row overlap phi_j . phi'_j; vecdot rounds each as ``p @ q`` does."""
-    return float(np.vecdot(phi, phi_prime).min())
+def gram_power_bound(d: float, ell: int) -> float:
+    """Certified lower bound D^ell / 2 for the ell-fold entrywise Gram power (t >= 2 ell).
 
-
-def psi_power_lower_bound(inst: ProblemInstance, t: float, ell: int) -> float:
-    """Certified lower bound D^ell / 2 for the ell-fold entrywise Gram power.
-
-    Valid for schedules with t >= 2 ell; D is the smallest block overlap
-    phi_j . phi'_j among j = 0..min(ell, k).
+    D is the smallest overlap phi_j . phi'_j (`closed_rows`) of the `gram_power_rows` rows.
     """
-    d = _min_overlap(*phi_table(inst, _overlap_rows(inst, t, ell)))
     return d**ell / 2.0
 
 
-def _row_past_k(gammas, inst: ProblemInstance, start: int = 0) -> float:
+def _row_past_k(g_k, inst: ProblemInstance) -> float:
     """The row of block k+1, which only the k' level has: g_k c0'_{k+1}.
 
     There tilde'_{k+1} = (g_k c0'_{k+1}, 0, 0, 0) and the level-k terms
     vanish, so the row reads g_k c0'_{k+1} in the forward state-generation
     norm and, phi'_{k+1} being a unit vector, in the reflection norm too;
     c0'_{k+1}^2 = (k+1)(k'-k)(n-k'-k) / ((n-2k)(n-2k-1) k').  It is 0 unless
-    t > k, the only case in which g_k > 0.  ``gammas`` holds the weights
-    of rows j = start.., so a block that ends before row k reads 0.
+    t > k, the only case in which the weight g_k of row k is positive.
     """
-    row = inst.k - start
-    if len(gammas) <= row or gammas[row] == 0.0 or inst.k_prime == inst.k:
+    if g_k == 0.0 or inst.k_prime == inst.k:
         return 0.0
-    c0 = phi_components(inst.n, inst.k_prime, inst.k + 1)[0]
-    return float(gammas[row] * c0)
-
-
-def _state_gen_rows(gammas, tables) -> tuple[float, float]:
-    """(max ||tilde_prime_j - g_j phi_j||, max ||g_j phi_prime_j - tilde_j||) over the given rows."""
-    phi, phi_prime, tilde, tilde_prime = tables
-    g = gammas[:, None]
-    forward = float(np.max(np.linalg.norm(tilde_prime - g * phi, axis=1)))
-    reverse = float(np.max(np.linalg.norm(g * phi_prime - tilde, axis=1)))
-    return forward, reverse
-
-
-def norm_delta_state_gen(gammas, inst: ProblemInstance) -> tuple[float, float]:
-    """Norms of Gamma against the state-generation difference pair.
-
-    Returns (max_j ||tilde_prime_j - g_j phi_j||, max_j ||g_j phi_prime_j - tilde_j||).
-    The forward maximum also runs over the k' level's block k+1, where
-    phi_{k+1} = 0 (``_row_past_k``); the reverse row there is 0.
-    """
-    forward, reverse = _state_gen_rows(gammas, _block_tables(inst, gammas))
-    return max(forward, _row_past_k(gammas, inst)), reverse
+    return float(g_k * phi_components(inst.n, inst.k_prime, inst.k + 1)[0])
 
 
 def _rowwise_dot(a, b) -> np.ndarray:
@@ -327,36 +288,74 @@ def reflection_row_norms(phi, phi_prime, tilde, tilde_prime) -> np.ndarray:
     return np.sqrt((g11 + g22) / 2.0 + np.hypot((g11 - g22) / 2.0, g12))
 
 
-def norm_delta_reflection(gammas, inst: ProblemInstance) -> float:
-    """Norm of Gamma against the reflection difference operator.
+class ClosedRows(NamedTuple):
+    """Closed rows j = start..stop-1; a norm of Gamma is the maximum of its array.
 
-    max over j of the spectral norm of the rank-two 4x4 matrix
-    phi'_j tilde'_j^T - tilde_j phi_j^T, in closed form from its 2x2 Gram
-    on the span of its rows (``reflection_row_norms``), with j running to
-    k+1 on the k' level, where tilde_{k+1} = 0 (``_row_past_k``).
+    ``forward`` and ``reflection`` hold one more entry, the k' level's block
+    k+1 (``_row_past_k``), when the rows end at row k.
     """
-    top = float(np.max(reflection_row_norms(*_block_tables(inst, gammas))))
-    return max(top, _row_past_k(gammas, inst))
+
+    forward: np.ndarray  # ||tilde'_j - g_j phi_j||, state generation
+    reverse: np.ndarray  # ||g_j phi'_j - tilde_j||
+    reflection: np.ndarray  # ||phi'_j tilde'_j^T - tilde_j phi_j^T|| (``reflection_row_norms``)
+    membership: np.ndarray  # any single-element membership difference
+    gamma: np.ndarray  # |g_j|
+    overlap: np.ndarray  # phi_j . phi'_j, rounded as ``p @ q`` rounds it
 
 
-def norm_delta_membership(gammas, inst: ProblemInstance, start=0, after=0.0) -> float:
-    """Norm of Gamma against any single-element membership difference.
+def closed_rows(inst: ProblemInstance, t: float, start: int, stop: int) -> ClosedRows:
+    """Every closed row j = start..stop-1 of the schedule at cutoff t.
 
-    max over j of the larger of
+    The weights just outside the block come from t, so a block's rows carry
+    the bits they have in the whole schedule.  The membership row is the larger of
       | sqrt((k-j)(n-k'-j)) g_j - sqrt((k'-j)(n-k-j)) g_{j+1} | / (n-2j)
-      | sqrt((k'-j)(n-k-j)) g_j - sqrt((k-j)(n-k'-j)) g_{j+1} | / (n-2j);
-    the value does not depend on which element is singled out.  Over a
-    block, ``gammas`` weights the rows j = start.. and ``after`` is the
-    weight after its last; the defaults describe a whole schedule.
+      | sqrt((k'-j)(n-k-j)) g_j - sqrt((k-j)(n-k'-j)) g_{j+1} | / (n-2j),
+    which does not depend on which element is singled out.
     """
+    live = live_rows(t, inst.k)
+    if not 0 <= start < stop <= live:
+        raise ValueError(f"need 0 <= start < stop <= {live} rows, got {start}..{stop}")
+    gammas = _weights(t, start, stop)
+    before = float(_weights(t, start - 1, start)[0]) if start else 0.0
+    after = float(_weights(t, stop, stop + 1)[0]) if stop < live else 0.0
+    phi, phi_prime = phi_table(inst, stop, start)
+    tilde, tilde_prime = tilde_tables(gammas, phi, phi_prime, before, after)
+    g = gammas[:, None]
+    forward = np.linalg.norm(tilde_prime - g * phi, axis=1)
+    reflection = reflection_row_norms(phi, phi_prime, tilde, tilde_prime)
+    if stop == inst.k + 1:
+        past_k = _row_past_k(gammas[-1], inst)
+        forward, reflection = np.append(forward, past_k), np.append(reflection, past_k)
     n, k, kp = inst.n, inst.k, inst.k_prime
-    g0 = gammas
-    g1 = np.append(g0[1:], after)
-    j = np.arange(start, start + len(g0), dtype=float)
+    j = np.arange(start, stop, dtype=float)
     small = np.sqrt((k - j) * (n - kp - j))
     large = np.sqrt((kp - j) * (n - k - j))
-    value = np.maximum(np.abs(small * g0 - large * g1), np.abs(large * g0 - small * g1))
-    return float(np.max(value / (n - 2 * j)))
+    g1 = np.append(gammas[1:], after)
+    membership = np.maximum(abs(small * gammas - large * g1), abs(large * gammas - small * g1))
+    return ClosedRows(
+        forward=forward,
+        reverse=np.linalg.norm(g * phi_prime - tilde, axis=1),
+        reflection=reflection,
+        membership=membership / (n - 2 * j),
+        gamma=np.abs(gammas),
+        overlap=np.vecdot(phi, phi_prime),
+    )
+
+
+# Gamma's norms against the difference operators over a whole schedule, as
+# maxima of `closed_rows`.  The package calls none of them; the benchmark's
+# tracer wraps them by name.
+def norm_delta_state_gen(inst: ProblemInstance, t: float) -> tuple[float, float]:
+    rows = closed_rows(inst, t, 0, live_rows(t, inst.k))
+    return float(rows.forward.max()), float(rows.reverse.max())
+
+
+def norm_delta_reflection(inst: ProblemInstance, t: float) -> float:
+    return float(closed_rows(inst, t, 0, live_rows(t, inst.k)).reflection.max())
+
+
+def norm_delta_membership(inst: ProblemInstance, t: float) -> float:
+    return float(closed_rows(inst, t, 0, live_rows(t, inst.k)).membership.max())
 
 
 @dataclass(frozen=True)
@@ -414,45 +413,33 @@ def dual_feasibility_report(inst: ProblemInstance, t: float, ell: int) -> DualFe
 
     The constant-size requirement on the Gram-power norm is operationalised
     as D^ell/2 >= FEASIBILITY_THRESHOLD; out-of-regime instances are
-    flagged, not rejected.  The schedule is walked in blocks of CHUNK_ROWS
-    rows, each with its own weights and coefficient tables, and the row
-    kernels of the closed sides keep running maxima (and the minimum
-    overlap D over rows j <= min(ell, k)), so the values are those of the
-    whole-schedule functions to the bit.  A schedule past MAX_ROWS is
+    flagged, not rejected.  The schedule is folded through `closed_rows`
+    in blocks of CHUNK_ROWS rows, keeping each row array's running maximum
+    (and the minimum overlap D over rows j <= min(ell, k)), so the values
+    are the whole schedule's to the bit.  A schedule past MAX_ROWS is
     refused before anything is allocated.
     """
-    overlap_rows = _overlap_rows(inst, t, ell)
-    live = _live_rows(t, inst.k)
-    gamma_norm = forward = reverse = reflection = membership = 0.0
+    power_rows = gram_power_rows(inst, t, ell)
+    live = live_rows(t, inst.k)
+    top = dict.fromkeys(("forward", "reverse", "reflection", "membership", "gamma"), 0.0)
     d = math.inf
-    before = 0.0
     for start in range(0, live, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, live)
-        gammas = _weights(t, start, stop)
-        after = float(_weights(t, stop, stop + 1)[0]) if stop < live else 0.0
-        tables = _block_tables(inst, gammas, start, before, after)
-        block_forward, block_reverse = _state_gen_rows(gammas, tables)
-        forward, reverse = max(forward, block_forward), max(reverse, block_reverse)
-        reflection = max(reflection, float(np.max(reflection_row_norms(*tables))))
-        membership = max(membership, norm_delta_membership(gammas, inst, start, after))
-        gamma_norm = max(gamma_norm, float(np.max(np.abs(gammas))))
-        if start < overlap_rows:
-            phi, phi_prime = tables[0][: overlap_rows - start], tables[1][: overlap_rows - start]
-            d = min(d, _min_overlap(phi, phi_prime))
-        before = float(gammas[-1])
-    past_k = _row_past_k(gammas, inst, start)  # the last block holds row k, if it is live
-    gen_pair = (max(forward, past_k), reverse)
-    bound = d**ell / 2.0
+        rows = closed_rows(inst, t, start, min(start + CHUNK_ROWS, live))
+        for name in top:
+            top[name] = max(top[name], float(getattr(rows, name).max()))
+        if start < power_rows:
+            d = min(d, float(rows.overlap[: power_rows - start].min()))
+    bound = gram_power_bound(d, ell)
     return DualFeasibilityReport(
         instance=inst,
         t=float(t),
         ell=ell,
-        gamma_norm=gamma_norm,
+        gamma_norm=top["gamma"],
         psi_power_bound=bound,
-        membership_norm=membership,
-        state_gen_norm=max(gen_pair),
-        state_gen_pair=gen_pair,
-        reflection_norm=max(reflection, past_k),
+        membership_norm=top["membership"],
+        state_gen_norm=max(top["forward"], top["reverse"]),
+        state_gen_pair=(top["forward"], top["reverse"]),
+        reflection_norm=top["reflection"],
         feasibility_threshold=FEASIBILITY_THRESHOLD,
         feasible=bound >= FEASIBILITY_THRESHOLD,
         theorem_regime=inst.theorem_regime,

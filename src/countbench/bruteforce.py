@@ -12,10 +12,10 @@ reporting the worst discrepancy; ``_CHECKS`` is the one table of what
 each check is.  ``sweep`` runs many instances' rows.
 
 Memos: work that depends on one level only is memoised per level, the
-channel norms per instance and Gamma per (instance, t).  ``sweep`` alone
-ends them: per n, every cutoff row, then every schedule-free row, with
-the memos emptied after each phase.  A schedule-free row that missed no
-memo is reported ``memoised``.
+channel norms per instance, Gamma and the closed rows per (instance, t).
+``sweep`` alone ends them: per n, every cutoff row, then every
+schedule-free row, with the memos emptied after each phase.  A
+schedule-free row that missed no memo is reported ``memoised``.
 
 V_DECOMP and PHI_COMMUTE read the channel transporters Xi in block
 coordinates (``_level_channels``), one ground element i at a time,
@@ -126,6 +126,13 @@ def _adversary_matrix(inst: ProblemInstance, t: float) -> np.ndarray:
     entry serves the six checks that read Gamma.
     """
     return linalg.freeze(adversary_matrix(inst, t))
+
+
+@lru_cache(maxsize=1)
+def _closed_rows(inst: ProblemInstance, t: float) -> adversary.ClosedRows:
+    """``adversary.closed_rows`` over one whole schedule, read-only; memoised as Gamma is."""
+    rows = adversary.closed_rows(inst, t, 0, adversary.live_rows(t, inst.k))
+    return adversary.ClosedRows(*map(linalg.freeze, rows))
 
 
 def lift(gamma: np.ndarray, inst: ProblemInstance, reverse: bool) -> np.ndarray:
@@ -273,7 +280,9 @@ def _check_psi_coeffs(inst: ProblemInstance, t: float, ell: int):
 
 
 def _check_delta_gen(inst: ProblemInstance, t: float, ell: int):
-    closed = adversary.norm_delta_state_gen(adversary.gamma_schedule(t, inst.k), inst)
+    """The two lifted differences' norms against the largest forward and reverse closed rows."""
+    rows = _closed_rows(inst, t)
+    closed = (float(rows.forward.max()), float(rows.reverse.max()))
     gamma = _adversary_matrix(inst, t)
     # Each difference goes straight into spectral_norm, which drops it once
     # its Gram exists, so no lifted array lies under the eigensolve.
@@ -285,7 +294,8 @@ def _check_delta_gen(inst: ProblemInstance, t: float, ell: int):
 
 
 def _check_delta_refl(inst: ProblemInstance, t: float, ell: int):
-    closed = adversary.norm_delta_reflection(adversary.gamma_schedule(t, inst.k), inst)
+    """The lifted reflection difference's norm against the largest closed reflection row."""
+    closed = float(_closed_rows(inst, t).reflection.max())
     brute, residual = _reflection_lift_norm(inst, _adversary_matrix(inst, t))
     return closed, brute, abs(brute - closed), {"structure_residual": residual}
 
@@ -343,14 +353,14 @@ def _reflection_lift_norm(inst: ProblemInstance, gamma: np.ndarray) -> tuple[flo
 
 
 def _check_delta_memb(inst: ProblemInstance, t: float, ell: int):
-    """DELTA_MEMB from element n, and a certificate for every other element.
+    """DELTA_MEMB at element n against the top closed membership row; a bound for every other i.
 
     The norm of gamma o Delta_i differs from that of gamma o Delta_n by at
     most the transposition gap f_i (``_membership_norm``), so
     |per_n - closed| + max_i f_i bounds the worst gap over all i, and
     2 max_i f_i the spread of the per-element norms.
     """
-    closed = adversary.norm_delta_membership(adversary.gamma_schedule(t, inst.k), inst)
+    closed = float(_closed_rows(inst, t).membership.max())
     per_n, gaps = _membership_norm(inst, _adversary_matrix(inst, t))
     moved = float(gaps.max())
     details = {"spread_over_i": 2.0 * moved}
@@ -670,16 +680,18 @@ def _check_projectors(inst: ProblemInstance, t: float, ell: int):
 
 
 def _check_norm_gamma(inst: ProblemInstance, t: float, ell: int):
-    closed = float(np.max(np.abs(adversary.gamma_schedule(t, inst.k))))
+    """||Gamma|| against the largest closed row |gamma_j|."""
+    closed = float(_closed_rows(inst, t).gamma.max())
     brute = linalg.spectral_norm(_adversary_matrix(inst, t))
     return closed, brute, abs(brute - closed), {}
 
 
 def _check_psi_power(inst: ProblemInstance, t: float, ell: int):
-    bound = adversary.psi_power_lower_bound(inst, t, ell)
+    """||Gamma o P^ell|| must reach D^ell/2, D the least closed overlap of rows j <= min(ell, k)."""
+    overlap = _closed_rows(inst, t).overlap[: adversary.gram_power_rows(inst, t, ell)]
+    bound = adversary.gram_power_bound(float(overlap.min()), ell)
     brute = linalg.spectral_norm(_adversary_matrix(inst, t) * psi_gram(inst) ** ell)
-    shortfall = max(0.0, bound - brute)
-    return bound, brute, shortfall, {}
+    return bound, brute, max(0.0, bound - brute), {}
 
 
 class _Check(NamedTuple):

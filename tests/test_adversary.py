@@ -252,12 +252,12 @@ class TestOverlap:
 
 class TestPsiPowerBound:
     def test_empty_power(self):
-        assert adversary.psi_power_lower_bound(ProblemInstance(8, 2, 3), 1.0, 0) == 0.5
+        assert whole_gram_power_bound(ProblemInstance(8, 2, 3), 1.0, 0) == 0.5
 
     def test_two_step_value(self):
         inst = ProblemInstance(8, 2, 3)
         d = min(overlap(inst, j) for j in range(3))
-        assert adversary.psi_power_lower_bound(inst, 4.0, 2) == pytest.approx(
+        assert whole_gram_power_bound(inst, 4.0, 2) == pytest.approx(
             d**2 / 2.0
         )
 
@@ -268,17 +268,19 @@ class TestPsiPowerBound:
         coeffs = adversary.gamma_schedule(t, inst.k)
         for _ in range(ell):
             coeffs = adversary.hadamard_psi_step(coeffs, inst)
-        bound = adversary.psi_power_lower_bound(inst, t, ell)
+        bound = whole_gram_power_bound(inst, t, ell)
         assert float(np.max(np.abs(coeffs))) >= bound - 1e-12
 
     def test_requires_t_at_least_two_ell(self):
         with pytest.raises(ValueError):
-            adversary.psi_power_lower_bound(ProblemInstance(8, 2, 3), 1.0, 1)
+            adversary.gram_power_rows(ProblemInstance(8, 2, 3), 1.0, 1)
+        with pytest.raises(ValueError):
+            adversary.dual_feasibility_report(ProblemInstance(8, 2, 3), 1.0, 1)
 
     def test_vecdot_rounds_as_the_row_loop_on_bench_points(self):
         for inst, t, ell in bench_bounds_points():
             want = loop_gram_power_bound(inst, ell)
-            assert adversary.psi_power_lower_bound(inst, t, ell) == want
+            assert whole_gram_power_bound(inst, t, ell) == want
             assert adversary.dual_feasibility_report(inst, t, ell).psi_power_bound == want
 
     @pytest.mark.parametrize("ell", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 10**5])
@@ -286,8 +288,19 @@ class TestPsiPowerBound:
         # Rows j <= ell: the report's blocks end at multiples of CHUNK_ROWS.
         inst = ProblemInstance(10**7, 2 * 10**5, 2 * 10**5 + 3)
         want = loop_gram_power_bound(inst, ell)
-        assert adversary.psi_power_lower_bound(inst, 2.0 * ell, ell) == want
+        assert whole_gram_power_bound(inst, 2.0 * ell, ell) == want
         assert adversary.dual_feasibility_report(inst, 2.0 * ell, ell).psi_power_bound == want
+
+
+def whole_rows(inst, t):
+    """`closed_rows` over the whole schedule at cutoff t, as verify reads it."""
+    return adversary.closed_rows(inst, t, 0, adversary.live_rows(t, inst.k))
+
+
+def whole_gram_power_bound(inst, t, ell):
+    """The Gram-power bound from one whole-schedule `closed_rows` call, as PSI_POWER reads it."""
+    overlap = whole_rows(inst, t).overlap[: adversary.gram_power_rows(inst, t, ell)]
+    return adversary.gram_power_bound(float(overlap.min()), ell)
 
 
 def loop_gram_power_bound(inst, ell):
@@ -300,8 +313,7 @@ def loop_gram_power_bound(inst, ell):
 class TestDeltaNorms:
     def test_state_gen_symmetric_at_eps_zero(self):
         inst = ProblemInstance(8, 3, 3)
-        gammas = adversary.gamma_schedule(2.0, 3)
-        forward, reverse = adversary.norm_delta_state_gen(gammas, inst)
+        forward, reverse = adversary.norm_delta_state_gen(inst, 2.0)
         assert forward == pytest.approx(reverse, abs=1e-14)
         assert forward > 0.0  # the 1/t weight offsets survive
 
@@ -309,10 +321,9 @@ class TestDeltaNorms:
         # With t = 1 only blocks 0 and 1 carry weight; truncating the table
         # beyond block 1 must not change the value.
         inst = ProblemInstance(10, 3, 4)
-        gammas = adversary.gamma_schedule(1.0, 3)
         phi, _, g, _, tilde_prime = full_rows(inst, 1.0)
         per_j = np.linalg.norm(tilde_prime - g[:, None] * phi, axis=1)
-        full, _ = adversary.norm_delta_state_gen(gammas, inst)
+        full, _ = adversary.norm_delta_state_gen(inst, 1.0)
         assert full == pytest.approx(float(np.max(per_j[:2])), abs=1e-14)
 
     @pytest.mark.parametrize(
@@ -324,7 +335,7 @@ class TestDeltaNorms:
         gammas = adversary.gamma_schedule(t, k)
         c0_sq = (k + 1) * (kp - k) * (n - kp - k) / ((n - 2 * k) * (n - 2 * k - 1) * kp)
         want = (1.0 - k / t) * math.sqrt(c0_sq)
-        assert adversary._row_past_k(gammas, inst) == pytest.approx(want, rel=1e-14)
+        assert adversary._row_past_k(gammas[k], inst) == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize(
         "n, k, kp, t", [(10, 3, 4, 1.0), (10, 3, 4, 2.5), (10, 3, 4, 3.0), (9, 3, 3, 5.0)]
@@ -332,16 +343,14 @@ class TestDeltaNorms:
     def test_row_past_k_vanishes_unless_t_exceeds_k_below_k_prime(self, n, k, kp, t):
         # t <= k gives g_k = 0; k' = k leaves the k' level without a block k+1.
         inst = ProblemInstance(n, k, kp)
-        assert adversary._row_past_k(adversary.gamma_schedule(t, k), inst) == 0.0
+        assert adversary._row_past_k(loop_gamma(t, k, k), inst) == 0.0
 
     def test_reflection_vanishes_at_eps_zero_large_t(self):
         inst = ProblemInstance(8, 3, 3)
-        gammas = adversary.gamma_schedule(1e6, 3)
-        assert adversary.norm_delta_reflection(gammas, inst) < 1e-5
+        assert adversary.norm_delta_reflection(inst, 1e6) < 1e-5
 
     def test_reflection_t_one_explicit_blocks(self):
         inst = ProblemInstance(8, 2, 3)
-        gammas = adversary.gamma_schedule(1.0, 2)
         p = adversary.phi_components(8, 2, 0)
         q = adversary.phi_components(8, 3, 0)
         block0 = np.zeros((4, 4))
@@ -358,20 +367,18 @@ class TestDeltaNorms:
             np.linalg.svd(block0, compute_uv=False)[0],
             np.linalg.svd(block1, compute_uv=False)[0],
         )
-        assert adversary.norm_delta_reflection(gammas, inst) == pytest.approx(
+        assert adversary.norm_delta_reflection(inst, 1.0) == pytest.approx(
             expected, abs=1e-14
         )
 
     def test_membership_t_one_frozen_value(self):
         inst = ProblemInstance(8, 2, 3)
-        gammas = adversary.gamma_schedule(1.0, 2)
-        assert adversary.norm_delta_membership(gammas, inst) == pytest.approx(
+        assert adversary.norm_delta_membership(inst, 1.0) == pytest.approx(
             math.sqrt(18.0) / 8.0, abs=1e-14
         )
 
     def test_membership_eps_zero_offsets(self):
         inst = ProblemInstance(9, 4, 4)
-        gammas = adversary.gamma_schedule(2.0, 4)
         n, k = 9, 4
         expected = max(
             math.sqrt((k - j) * (n - k - j))
@@ -379,7 +386,7 @@ class TestDeltaNorms:
             / (n - 2 * j)
             for j in range(k + 1)
         )
-        assert adversary.norm_delta_membership(gammas, inst) == pytest.approx(
+        assert adversary.norm_delta_membership(inst, 2.0) == pytest.approx(
             expected, abs=1e-14
         )
 
@@ -391,7 +398,7 @@ class TestDeltaNorms:
         # (8,2,3) gives 0.250 at t=4 but 0.375 at t=8.
         inst = ProblemInstance(n, k, kp)
         values = [
-            adversary.norm_delta_membership(adversary.gamma_schedule(t, k), inst)
+            adversary.norm_delta_membership(inst, t)
             for t in (1.0, 2.0, 4.0, 8.0)
             if t <= k
         ]
@@ -402,7 +409,7 @@ class TestDeltaNorms:
     def test_membership_monotone_in_t_at_regime_scale(self, n, k, kp):
         inst = ProblemInstance(n, k, kp)
         values = [
-            adversary.norm_delta_membership(adversary.gamma_schedule(t, k), inst)
+            adversary.norm_delta_membership(inst, t)
             for t in (1.0, 2.0, 4.0, 8.0)
         ]
         for earlier, later in zip(values, values[1:]):
@@ -461,9 +468,9 @@ class TestDualFeasibility:
         report = adversary.dual_feasibility_report(inst, t, ell)
         gammas = adversary.gamma_schedule(t, inst.k)
         assert rows == {"phi_table": len(gammas), "tilde_tables": len(gammas)}
-        assert report.psi_power_bound == adversary.psi_power_lower_bound(inst, t, ell)
-        assert report.state_gen_pair == adversary.norm_delta_state_gen(gammas, inst)
-        assert report.reflection_norm == adversary.norm_delta_reflection(gammas, inst)
+        assert report.psi_power_bound == whole_gram_power_bound(inst, t, ell)
+        assert report.state_gen_pair == adversary.norm_delta_state_gen(inst, t)
+        assert report.reflection_norm == adversary.norm_delta_reflection(inst, t)
 
     def test_nothing_is_held_after_a_point_returns(self):
         # 1e5 rows: one cached coefficient table pair alone would hold 6.4 MB.
@@ -478,20 +485,33 @@ class TestDualFeasibility:
 
 
 def whole_schedule_values(inst, t, ell):
-    """The report's norms from the closed sides, each on the whole schedule."""
-    gammas = adversary.gamma_schedule(t, inst.k)
+    """The report's norms from one `closed_rows` call on the whole schedule."""
+    rows = whole_rows(inst, t)
     return (
-        float(np.max(np.abs(gammas))),
-        adversary.psi_power_lower_bound(inst, t, ell),
-        adversary.norm_delta_membership(gammas, inst),
-        adversary.norm_delta_state_gen(gammas, inst),
-        adversary.norm_delta_reflection(gammas, inst),
+        float(rows.gamma.max()),
+        whole_gram_power_bound(inst, t, ell),
+        float(rows.membership.max()),
+        (float(rows.forward.max()), float(rows.reverse.max())),
+        float(rows.reflection.max()),
     )
 
 
 def report_values(report):
     return (report.gamma_norm, report.psi_power_bound, report.membership_norm,
             report.state_gen_pair, report.reflection_norm)
+
+
+def blockwise_rows(inst, t):
+    """`closed_rows` over CHUNK_ROWS-row blocks of the schedule, each array concatenated."""
+    live, step = adversary.live_rows(t, inst.k), adversary.CHUNK_ROWS
+    blocks = [adversary.closed_rows(inst, t, start, min(start + step, live))
+              for start in range(0, live, step)]
+    return adversary.ClosedRows(*(np.concatenate(arrays) for arrays in zip(*blocks)))
+
+
+def assert_same_bits(got, want):
+    for name, a, b in zip(adversary.ClosedRows._fields, got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 class TestBlockWalk:
@@ -524,6 +544,27 @@ class TestBlockWalk:
             for ell in range(int(t // 2) + 1):
                 report = adversary.dual_feasibility_report(inst, t, ell)
                 assert report_values(report) == whole_schedule_values(inst, t, ell)
+
+    @pytest.mark.parametrize(
+        "triple, t",
+        [
+            *[((10**6, 5000, 5500), rows - 1.5)
+              for rows in (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)],
+            ((10**5, CHUNK, CHUNK + 100), 1.5 * CHUNK),
+            ((10**6, 5000, 5001), 2 * CHUNK + 0.5),
+        ],
+        ids=["chunk-1", "chunk", "chunk+1", "2chunk+1", "t-above-k", "ell-crosses-edge"],
+    )
+    def test_block_rows_concatenate_to_the_whole_schedule(self, triple, t):
+        inst = ProblemInstance(*triple)
+        assert_same_bits(blockwise_rows(inst, t), whole_rows(inst, t))
+
+    @pytest.mark.parametrize("n,k,kp", SWEEP)
+    def test_three_row_block_rows_on_the_sweep(self, monkeypatch, n, k, kp):
+        monkeypatch.setattr(adversary, "CHUNK_ROWS", 3)
+        inst = ProblemInstance(n, k, kp)
+        for t in (1.0, 1.5, 2.0, 3.0, 4.5, 2.0 * k + 1):
+            assert_same_bits(blockwise_rows(inst, t), whole_rows(inst, t))
 
     def test_working_memory_does_not_grow_with_the_schedule(self, monkeypatch):
         # With 64-row blocks, 1e5 rows need no more than 2.5e4 rows do; the
@@ -645,31 +686,50 @@ def loop_tildes(inst, t):
     return weights * phi, weights * phi_prime
 
 
-def loop_norms(inst, t):
-    """(state-generation pair, reflection norm, membership norm), row by row."""
+def loop_rows(inst, t):
+    """Every row j = 0..k of each closed-row array, as a dict of lists, row by row.
+
+    ``forward`` and ``reflection`` also hold block k+1 of the k' level
+    (0 at k' = k, which has no such block).
+    """
     n, k, kp = inst.n, inst.k, inst.k_prime
     phi, phi_prime = loop_tables(inst)
     tilde, tilde_prime = loop_tildes(inst, t)
-    forward = reverse = refl = memb = 0.0
+    rows = {name: [] for name in adversary.ClosedRows._fields}
     for j in range(k + 1):
         g0, g1 = loop_gamma(t, k, j), loop_gamma(t, k, j + 1)
-        forward = max(forward, float(np.linalg.norm(tilde_prime[j] - g0 * phi[j])))
-        reverse = max(reverse, float(np.linalg.norm(g0 * phi_prime[j] - tilde[j])))
+        rows["forward"].append(float(np.linalg.norm(tilde_prime[j] - g0 * phi[j])))
+        rows["reverse"].append(float(np.linalg.norm(g0 * phi_prime[j] - tilde[j])))
         m = np.outer(phi_prime[j], tilde_prime[j]) - np.outer(tilde[j], phi[j])
-        refl = max(refl, float(np.linalg.svd(m, compute_uv=False)[0]))
+        rows["reflection"].append(float(np.linalg.svd(m, compute_uv=False)[0]))
         small = math.sqrt((k - j) * (n - kp - j))
         large = math.sqrt((kp - j) * (n - k - j))
         value = max(abs(small * g0 - large * g1), abs(large * g0 - small * g1))
-        memb = max(memb, value / (n - 2 * j))
+        rows["membership"].append(value / (n - 2 * j))
+        rows["gamma"].append(abs(g0))
+        rows["overlap"].append(float(sum(p * q for p, q in zip(phi[j], phi_prime[j]))))
+    forward_next = reflection_next = 0.0
     if kp > k:
         # Block k+1 lies on the k' level only: tilde'_{k+1} = (g_k c0'_{k+1}, 0, 0, 0)
         # and the level-k terms vanish.
         phi_next = loop_phi_row(n, kp, k + 1)
         tilde_next = [loop_gamma(t, k, k) * phi_next[0], 0.0, 0.0, 0.0]
-        forward = max(forward, float(np.linalg.norm(tilde_next)))
+        forward_next = float(np.linalg.norm(tilde_next))
         m = np.outer(phi_next, tilde_next)
-        refl = max(refl, float(np.linalg.svd(m, compute_uv=False)[0]))
-    return (forward, reverse), refl, memb
+        reflection_next = float(np.linalg.svd(m, compute_uv=False)[0])
+    rows["forward"].append(forward_next)
+    rows["reflection"].append(reflection_next)
+    return rows
+
+
+def loop_norms(inst, t):
+    """(state-generation pair, reflection norm, membership norm), row by row."""
+    rows = loop_rows(inst, t)
+    return (
+        (max(rows["forward"]), max(rows["reverse"])),
+        max(rows["reflection"]),
+        max(rows["membership"]),
+    )
 
 
 def loop_hadamard_step(coeffs, inst):
@@ -774,11 +834,31 @@ class TestVectorisedAgainstRowLoops:
     @given(certificate_points())
     def test_three_norms(self, point):
         inst, t, _ = point
-        gammas = adversary.gamma_schedule(t, inst.k)
+        rows = whole_rows(inst, t)
         pair, refl, memb = loop_norms(inst, t)
-        assert_rel(adversary.norm_delta_state_gen(gammas, inst), pair)
-        assert_rel(adversary.norm_delta_reflection(gammas, inst), refl)
-        assert_rel(adversary.norm_delta_membership(gammas, inst), memb)
+        assert_rel((rows.forward.max(), rows.reverse.max()), pair)
+        assert_rel(rows.reflection.max(), refl)
+        assert_rel(rows.membership.max(), memb)
+
+    @settings(max_examples=40, deadline=None)
+    @given(certificate_points())
+    def test_every_closed_row(self, point):
+        # Each live row of each array, and the row past k where the schedule
+        # reaches row k; every loop row the schedule drops must be exactly 0.
+        inst, t, _ = point
+        rows = whole_rows(inst, t)
+        live = adversary.live_rows(t, inst.k)
+        want = loop_rows(inst, t)
+        kept = list(range(live)) + ([inst.k + 1] if live == inst.k + 1 else [])
+        for name in ("forward", "reflection"):
+            assert len(getattr(rows, name)) == len(kept)
+            assert_rel(getattr(rows, name), [want[name][j] for j in kept])
+            assert all(want[name][j] == 0.0 for j in range(inst.k + 2) if j not in kept)
+        for name in ("reverse", "membership", "gamma", "overlap"):
+            assert len(getattr(rows, name)) == live
+            assert_rel(getattr(rows, name), want[name][:live])
+            if name != "overlap":
+                assert all(value == 0.0 for value in want[name][live:])
 
     @settings(max_examples=40, deadline=None)
     @given(certificate_points())
@@ -812,11 +892,9 @@ class TestVectorisedAgainstRowLoops:
         per_row = full_row_values(inst, t)
         assert np.all(per_row[len(gammas) :] == 0.0)
         want = [float(v) for v in per_row.max(axis=0)]
-        got = [
-            *adversary.norm_delta_state_gen(gammas, inst),
-            adversary.norm_delta_reflection(gammas, inst),
-            adversary.norm_delta_membership(gammas, inst),
-        ]
+        rows = whole_rows(inst, t)
+        got = [float(getattr(rows, name).max())
+               for name in ("forward", "reverse", "reflection", "membership")]
         assert got == want
 
     def test_reflection_at_a_small_eps_bench_point(self):
@@ -824,9 +902,8 @@ class TestVectorisedAgainstRowLoops:
         # rank-two blocks nearly cancel; the closed form must still match
         # one SVD per row.
         inst = ProblemInstance(482983, 27110, 27112)
-        gammas = adversary.gamma_schedule(2711.0, inst.k)
         _, want, _ = loop_norms(inst, 2711.0)
-        assert_rel(adversary.norm_delta_reflection(gammas, inst), want)
+        assert_rel(whole_rows(inst, 2711.0).reflection.max(), want)
 
 
 def referee_reflection_row(inst, gammas, j):

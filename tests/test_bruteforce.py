@@ -744,7 +744,7 @@ class TestCutoffAboveK:
     def test_block_k_plus_one_of_the_brute_force_grams(self, inst, t):
         # On block k+1 of level k', the forward state-generation Gram D^T D
         # and the reflection remainder Gram E both read row^2 times identity.
-        row = adversary._row_past_k(adversary.gamma_schedule(t, inst.k), inst)
+        row = adversary._row_past_k(adversary.gamma_schedule(t, inst.k)[inst.k], inst)
         gamma = bruteforce.adversary_matrix(inst, t)
         psi_hat = bruteforce.psi_matrix(inst.n, inst.k_prime)
         diff = bruteforce.lift(gamma, inst, reverse=False)

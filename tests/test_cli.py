@@ -590,7 +590,7 @@ class TestBoundsCommand:
     def test_reflection_at_k_prime_equal_k_calls_no_lapack(self, no_lapack):
         # k' = k has no CLI form (eps > 0), so the norm is called directly.
         inst = ProblemInstance(8, 3, 3)
-        assert adversary.norm_delta_reflection(adversary.gamma_schedule(2.5, 3), inst) > 0
+        assert adversary.norm_delta_reflection(inst, 2.5) > 0
 
     def test_out_of_regime_is_flagged_not_rejected(self, capsys):
         code = run(["bounds", "--n", "30", "--k", "10", "--eps", "0.5"])
@@ -750,6 +750,33 @@ def test_bounds_stdout_is_pinned(capsys):
         assert run(["bounds", *point.split()]) == 0, point
         digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == PINNED_BOUNDS_SHA256
+
+
+# sha256 of the concatenated `bounds` stdout over points whose schedules end
+# at or past a CHUNK_ROWS block edge, recorded before one closed-row kernel
+# served both `bounds` and `verify`, with each point's schedule rows: 1023,
+# 1024, 1025 and 2049 rows, a Gram-power range of 1025 rows at t > k, and
+# t > k at k = 1024.
+PINNED_BLOCK_EDGE_POINTS = {
+    "--n 100000000 --k 10000000 --eps 0.0001957": 1023,
+    "--n 10000 --k 2000 --eps 0.5 --ell 511": 1024,
+    "--n 100000000 --k 10000000 --eps 0.0001955": 1025,
+    "--n 100000000 --k 10000000 --eps 0.0000977": 2049,
+    "--n 10000 --k 2000 --eps 0.5 --ell 1024": 2001,
+    "--n 10000 --k 1024 --eps 0.5 --ell 600": 1025,
+}
+PINNED_BLOCK_EDGE_SHA256 = "759080dcfba8891e231337874c3533c79bba8a8366d5db831df4c39e7b8fac61"
+
+
+def test_bounds_stdout_at_block_edges_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for point, rows in PINNED_BLOCK_EDGE_POINTS.items():
+        assert run(["bounds", *point.split()]) == 0, point
+        out = capsys.readouterr().out
+        report = json.loads(out)["dual_feasibility"]
+        assert adversary.live_rows(report["t"], report["k"]) == rows, point
+        digest.update(out.encode())
+    assert digest.hexdigest() == PINNED_BLOCK_EDGE_SHA256
 
 
 # sha256 of simulate_<proc>.csv and .json for 60 trials, recorded before the

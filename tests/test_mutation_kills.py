@@ -1,7 +1,8 @@
 """Mutation kills: every one-line defect in a closed form fails a brute-force row.
 
 Each mutant perturbs one closed-form function of ``adversary`` or
-``johnson`` by monkeypatch, and all ten checks run on the listed
+``johnson``, or one row array of ``adversary.closed_rows``, by
+monkeypatch, and all ten checks run on the listed
 (instance, t) rows, PSI_POWER at ell = t // 2 as in the default sweep.
 A mutant counts as killed only by the ``verify`` rows that fail; the set
 of failing checks must be exactly the recorded one.  Each mutant gets a
@@ -10,12 +11,12 @@ k + 1 of (8,2,3) into the forward state-generation maximum, and t = 5
 makes tilde'_1 of (6,1,2) decide it.
 
 The relative perturbation is 1e-6 unless the row says otherwise.
-psi_power_lower_bound is an inequality, so its row records the smallest
-inflation PSI_POWER catches on the default sweep: 27.6%, on (10,2,3) at
-t = 2, ell = 1, where the bound 0.48512 meets the norm 0.61911.
+The Gram-power bound D^ell/2 is an inequality, so its rows scale the
+overlaps phi_j . phi'_j, which at ell = 1 scales the bound alike, and
+record the smallest inflation PSI_POWER catches on the default sweep:
+27.6%, on (10,2,3) at t = 2, ell = 1, where the bound 0.48512 meets the
+norm 0.61911.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -80,19 +81,30 @@ def _hadamard_next_term(monkeypatch):
     monkeypatch.setattr(adversary, "hadamard_psi_step", planted)
 
 
-def _membership_row_one(monkeypatch):
-    # Row j = 1 of norm_delta_membership's maximum, times 1 + 1e-6.
-    original = adversary.norm_delta_membership
+def _closed_rows(edit):
+    """Plant ``edit(rows, start)``, which returns edited rows, into every ``closed_rows`` result."""
 
-    def planted(gammas, inst):
-        n, k, kp = inst.n, inst.k, inst.k_prime
-        g = np.append(gammas, [0.0, 0.0])
-        small = math.sqrt((k - 1) * (n - kp - 1))
-        large = math.sqrt((kp - 1) * (n - k - 1))
-        row = max(abs(small * g[1] - large * g[2]), abs(large * g[1] - small * g[2])) / (n - 2)
-        return max(original(gammas, inst), (1 + REL) * row)
+    def plant(monkeypatch):
+        original = adversary.closed_rows
 
-    monkeypatch.setattr(adversary, "norm_delta_membership", planted)
+        def planted(inst, t, start, stop):
+            return edit(original(inst, t, start, stop), start)
+
+        monkeypatch.setattr(adversary, "closed_rows", planted)
+
+    return plant
+
+
+def _membership_row_one(rows, start):
+    # Row j = 1 of the membership rows, times 1 + 1e-6.
+    membership = rows.membership.copy()
+    if start <= 1 < start + len(membership):
+        membership[1 - start] *= 1 + REL
+    return rows._replace(membership=membership)
+
+
+def _overlaps_scaled(factor):
+    return lambda rows, start: rows._replace(overlap=rows.overlap * factor)
 
 
 def _scaled(module, name, factor):
@@ -132,16 +144,16 @@ MUTANTS = [
     ("tilde' row j=1", _tilde_prime_row_one, [((6, 1, 2), 5.0), ((10, 3, 4), 2.0)],
      {"DELTA_GEN", "DELTA_REFL"}),
     ("hadamard_psi_step c_{j+1} term", _hadamard_next_term, [((6, 1, 2), 2.0)], {"PSI_COEFFS"}),
-    ("DELTA_MEMB row j=1", _membership_row_one, [((6, 1, 2), 3.0)], {"DELTA_MEMB"}),
+    ("DELTA_MEMB row j=1", _closed_rows(_membership_row_one), [((6, 1, 2), 3.0)], {"DELTA_MEMB"}),
     ("_row_past_k", _scaled(adversary, "_row_past_k", 1 + REL), [((8, 2, 3), 5.0)], {"DELTA_GEN"}),
     ("T4[0,3]", _table_entry(1, 0, 3), [((6, 1, 2), 1.0)], {"TABLES"}),
     ("T2[0,1]", _table_entry(0, 0, 1), [((6, 1, 2), 1.0)], {"TABLES"}),
     ("c0 sign flipped", _coefficients(_column(0, -1.0)), [((6, 1, 2), 1.0)], {"V_DECOMP"}),
     ("c1 sign flipped", _coefficients(_column(1, -1.0)), [((6, 1, 2), 1.0)], {"V_DECOMP"}),
     ("c3 sign flipped", _coefficients(_column(3, -1.0)), [((6, 1, 2), 1.0)], {"V_DECOMP"}),
-    ("psi_power_lower_bound +27.7%", _scaled(adversary, "psi_power_lower_bound", 1.277),
-     [((10, 2, 3), 2.0)], {"PSI_POWER"}),
-    ("psi_power_lower_bound +27.5%, not caught", _scaled(adversary, "psi_power_lower_bound", 1.275),
+    ("Gram-power bound +27.7%", _closed_rows(_overlaps_scaled(1.277)), [((10, 2, 3), 2.0)],
+     {"PSI_POWER"}),
+    ("Gram-power bound +27.5%, not caught", _closed_rows(_overlaps_scaled(1.275)),
      [((10, 2, 3), 2.0)], set()),
 ]
 
