@@ -7,7 +7,8 @@ the weights `gamma_schedule` returns, and the tables of 4-dimensional
 unit vectors phi_j and phi'_j (one row per block index j, the primed
 one with k' in place of k) that `phi_table` returns.  This module owns
 all of that arithmetic, together with the feasibility report and the
-headline trade-off evaluator, whose JSON-ready dict `bounds` prints.
+headline trade-off evaluator, whose plain numbers `bounds` prints (the
+command line writes a non-finite one as JSON null).
 One kernel, `closed_rows`, gives every closed row of any run of
 consecutive schedule rows: `verify`'s closed sides are maxima over one
 whole-schedule call, and the feasibility report folds it over blocks of
@@ -20,7 +21,7 @@ them and the explicit Gamma.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -358,54 +359,31 @@ def norm_delta_membership(inst: ProblemInstance, t: float) -> float:
     return float(closed_rows(inst, t, 0, live_rows(t, inst.k)).membership.max())
 
 
-@dataclass(frozen=True)
-class DualFeasibilityReport:
-    """The five certificate quantities for one (instance, t, ell)."""
+class DualFeasibilityReport(NamedTuple):
+    """The certificate quantities for one (instance, t, ell), named as `bounds` prints them."""
 
-    instance: ProblemInstance
+    n: int
+    k: int
+    k_prime: int
+    eps: float
     t: float
     ell: int
     gamma_norm: float
     psi_power_bound: float
-    membership_norm: float      # 1/T1
-    state_gen_norm: float       # 1/T2 (max of the pair)
-    state_gen_pair: tuple
-    reflection_norm: float      # 1/T3
+    membership_norm: float
+    state_gen_norm: float  # the larger of state_gen_pair
+    state_gen_pair: tuple  # (forward, reverse)
+    reflection_norm: float
     feasibility_threshold: float
     feasible: bool
     theorem_regime: bool
-
-    @property
-    def t1(self) -> float:
-        return _safe_inverse(self.membership_norm)
-
-    @property
-    def t2(self) -> float:
-        return _safe_inverse(self.state_gen_norm)
-
-    @property
-    def t3(self) -> float:
-        return _safe_inverse(self.reflection_norm)
-
-    def as_dict(self) -> dict:
-        out = asdict(self)
-        out.update(out.pop("instance"), eps=self.instance.eps, T1=self.t1, T2=self.t2, T3=self.t3)
-        return _finite_or_none(out)
+    T1: float  # 1/membership_norm, inf where that is 0
+    T2: float  # 1/state_gen_norm
+    T3: float  # 1/reflection_norm
 
 
 def _safe_inverse(x: float) -> float:
     return math.inf if x == 0.0 else 1.0 / x
-
-
-def _finite_or_none(value):
-    """``value`` for JSON: every non-finite float, at any depth, becomes None."""
-    if isinstance(value, dict):
-        return {key: _finite_or_none(val) for key, val in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite_or_none(val) for val in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
 
 
 def dual_feasibility_report(inst: ProblemInstance, t: float, ell: int) -> DualFeasibilityReport:
@@ -430,19 +408,21 @@ def dual_feasibility_report(inst: ProblemInstance, t: float, ell: int) -> DualFe
         if start < power_rows:
             d = min(d, float(rows.overlap[: power_rows - start].min()))
     bound = gram_power_bound(d, ell)
+    state_gen = max(top["forward"], top["reverse"])
     return DualFeasibilityReport(
-        instance=inst,
-        t=float(t),
-        ell=ell,
+        n=inst.n, k=inst.k, k_prime=inst.k_prime, eps=inst.eps, t=float(t), ell=ell,
         gamma_norm=top["gamma"],
         psi_power_bound=bound,
         membership_norm=top["membership"],
-        state_gen_norm=max(top["forward"], top["reverse"]),
+        state_gen_norm=state_gen,
         state_gen_pair=(top["forward"], top["reverse"]),
         reflection_norm=top["reflection"],
         feasibility_threshold=FEASIBILITY_THRESHOLD,
         feasible=bound >= FEASIBILITY_THRESHOLD,
         theorem_regime=inst.theorem_regime,
+        T1=_safe_inverse(top["membership"]),
+        T2=_safe_inverse(state_gen),
+        T3=_safe_inverse(top["reflection"]),
     )
 
 
@@ -460,8 +440,9 @@ def theorem_tradeoff(
     regime conditions n >= 5k and 1/k <= eps <= 1 are recorded as flags.
     An ell of 0 drops the copy-assisted state-generation term; ell +
     ell_prime = 0 likewise drops the assisted reflection term.  The cutoff
-    uses c' = CPRIME.  The result is ready for JSON: a term that overflows,
-    or divides by a k eps^2 that underflows to 0, reads None.
+    uses c' = CPRIME.  Every value is a plain number or flag: a dropped
+    term, one that overflows and one that divides by a k eps^2 that
+    underflows to 0 all read math.inf.
     """
     if not all(map(math.isfinite, (n, k, eps, ell, ell_prime))):
         raise ValueError("n, k, eps, ell and ell_prime must be finite")
@@ -491,30 +472,28 @@ def theorem_tradeoff(
     membership = root_nk / eps
     state_bound = min(state_terms.values())
     refl_bound = min(refl_terms.values())
-    return _finite_or_none(
-        {
-            "n": float(n),
-            "k": float(k),
-            "eps": float(eps),
-            "ell": float(ell),
-            "ell_prime": float(ell_prime),
-            "cprime": CPRIME,
-            "copies_terms": copies_terms,
-            "copies_bound": min(copies_terms.values()),
-            "state_generation_terms": state_terms,
-            "state_generation_bound": state_bound,
-            "reflection_terms": refl_terms,
-            "reflection_bound": refl_bound,
-            "membership_bound": membership,
-            "fifth_case_threshold": root_nk,
-            "fifth_case_reflection": math.sqrt(k / eps),
-            "t_choice": max(2.0 * ell, CPRIME * ell_prime, 1.0 / (5.0 * eps)),
-            "regime_n": n >= 5 * k,
-            "regime_eps": (1.0 / k) <= eps <= 1.0,
-            "weights": {
-                "membership": _safe_inverse(membership),
-                "state_generation": _safe_inverse(state_bound),
-                "reflection": _safe_inverse(refl_bound),
-            },
-        }
-    )
+    return {
+        "n": float(n),
+        "k": float(k),
+        "eps": float(eps),
+        "ell": float(ell),
+        "ell_prime": float(ell_prime),
+        "cprime": CPRIME,
+        "copies_terms": copies_terms,
+        "copies_bound": min(copies_terms.values()),
+        "state_generation_terms": state_terms,
+        "state_generation_bound": state_bound,
+        "reflection_terms": refl_terms,
+        "reflection_bound": refl_bound,
+        "membership_bound": membership,
+        "fifth_case_threshold": root_nk,
+        "fifth_case_reflection": math.sqrt(k / eps),
+        "t_choice": max(2.0 * ell, CPRIME * ell_prime, 1.0 / (5.0 * eps)),
+        "regime_n": n >= 5 * k,
+        "regime_eps": (1.0 / k) <= eps <= 1.0,
+        "weights": {
+            "membership": _safe_inverse(membership),
+            "state_generation": _safe_inverse(state_bound),
+            "reflection": _safe_inverse(refl_bound),
+        },
+    }

@@ -12,6 +12,9 @@ so argparse rejects any option it does not read; options follow its name.
 Only `verify` imports `bruteforce` (and with it `johnson`): `bounds` and
 `simulate` read the closed side alone, and `--checks` reads the check ids
 only when it is given.
+
+`adversary` returns plain numbers, math.inf included; `bounds` alone
+writes each non-finite one as JSON null, so its stdout is strict JSON.
 """
 
 from __future__ import annotations
@@ -254,26 +257,30 @@ def _whole(name: str, x: float) -> int:
     return int(x)
 
 
+def _finite_or_none(value):
+    """``value`` for JSON: every non-finite float, at any depth, becomes None."""
+    if isinstance(value, dict):
+        return {key: _finite_or_none(val) for key, val in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(val) for val in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def cmd_bounds(args) -> int:
-    report = adversary.theorem_tradeoff(
+    tradeoff = adversary.theorem_tradeoff(
         args.n, args.k, args.eps, ell=args.ell, ell_prime=args.ell_prime
     )
-    payload = {"version": __version__, "tradeoff": report}
-    feasibility = None
-    note = None
+    payload = {"version": __version__, "tradeoff": tradeoff, "dual_feasibility": None}
     try:
         inst = ProblemInstance.from_eps(_whole("n", args.n), _whole("k", args.k), args.eps)
-        # A t_choice of None is 1/(5 eps) overflowing to +inf.
-        t = max(1.0, math.inf if report["t_choice"] is None else report["t_choice"])
-        feasibility = adversary.dual_feasibility_report(
-            inst, t=t, ell=_whole("ell", args.ell)
-        ).as_dict()
+        payload["dual_feasibility"] = adversary.dual_feasibility_report(
+            inst, t=max(1.0, tradeoff["t_choice"]), ell=_whole("ell", args.ell)
+        )._asdict()
     except (ValueError, OverflowError) as exc:
-        note = f"dual feasibility unavailable: {exc}"
-    payload["dual_feasibility"] = feasibility
-    if note:
-        payload["note"] = note
-    print(json.dumps(payload, indent=2, sort_keys=True))
+        payload["note"] = f"dual feasibility unavailable: {exc}"
+    print(json.dumps(_finite_or_none(payload), indent=2, sort_keys=True))
     return 0
 
 

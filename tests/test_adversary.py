@@ -435,9 +435,9 @@ class TestDualFeasibility:
 
     def test_finite_positive_quantities(self):
         report = adversary.dual_feasibility_report(ProblemInstance(8, 2, 3), 2.0, 1)
-        for value in (report.t1, report.t2, report.t3):
+        for value in (report.T1, report.T2, report.T3):
             assert 0.0 < value < math.inf
-        assert report.membership_norm == pytest.approx(1.0 / report.t1)
+        assert report.membership_norm == pytest.approx(1.0 / report.T1)
 
     def test_threshold_flag(self):
         report = adversary.dual_feasibility_report(ProblemInstance(6, 1, 2), 6.0, 3)
@@ -566,6 +566,16 @@ class TestBlockWalk:
         for t in (1.0, 1.5, 2.0, 3.0, 4.5, 2.0 * k + 1):
             assert_same_bits(blockwise_rows(inst, t), whole_rows(inst, t))
 
+    def test_the_row_cap_counts_the_rows_of_a_block(self, monkeypatch):
+        # 60 rows in 16-row blocks under a 64-row cap: the last block, rows
+        # 48..59, is 12 rows, not 48 + 60.
+        inst = ProblemInstance(1000, 100, 150)
+        want = adversary.dual_feasibility_report(inst, 58.5, 0)
+        monkeypatch.setattr(adversary, "MAX_ROWS", 64)
+        monkeypatch.setattr(adversary, "CHUNK_ROWS", 16)
+        assert adversary.live_rows(58.5, inst.k) == 60
+        assert adversary.dual_feasibility_report(inst, 58.5, 0) == want
+
     def test_working_memory_does_not_grow_with_the_schedule(self, monkeypatch):
         # With 64-row blocks, 1e5 rows need no more than 2.5e4 rows do; the
         # weights alone of the extra rows would be 600 kB.
@@ -621,14 +631,14 @@ class TestTheoremTradeoff:
         assert report["copies_bound"] == pytest.approx(min(16.0, 4.0, 100.0 / 16.0))
 
     def test_dropped_terms_read_infinite(self):
-        # The report is ready for JSON, where None stands for +inf.
+        # `bounds` prints these as null (test_cli).
         report = adversary.theorem_tradeoff(1e6, 1e4, 0.1, 0, 0)
-        assert report["state_generation_terms"]["sqrt_k_over_ell_over_eps"] is None
-        assert report["reflection_terms"]["sqrt_k_over_copies_over_eps"] is None
+        assert report["state_generation_terms"]["sqrt_k_over_ell_over_eps"] == math.inf
+        assert report["reflection_terms"]["sqrt_k_over_copies_over_eps"] == math.inf
 
-    def test_underflowing_k_eps2_reads_none(self):
+    def test_underflowing_k_eps2_reads_infinite(self):
         report = adversary.theorem_tradeoff(100, 10, 1e-170)
-        assert report["copies_terms"]["n_over_k_eps2"] is None
+        assert report["copies_terms"]["n_over_k_eps2"] == math.inf
         assert report["copies_bound"] == 10.0
 
     def test_usage_errors(self):

@@ -699,6 +699,23 @@ class TestBoundsCommand:
         assert payload["tradeoff"]["t_choice"] == 24.0
 
     @pytest.mark.parametrize(
+        "flags, path",
+        [
+            ("--n 1e6 --k 1e4 --eps 0.1", "state_generation_terms.sqrt_k_over_ell_over_eps"),
+            ("--n 1e6 --k 1e4 --eps 0.1", "reflection_terms.sqrt_k_over_copies_over_eps"),
+            ("--n 100 --k 10 --eps 1e-170", "copies_terms.n_over_k_eps2"),
+        ],
+        ids=["no-copies-state", "no-copies-reflection", "k-eps2-underflows"],
+    )
+    def test_an_infinite_term_prints_null(self, capsys, flags, path):
+        # theorem_tradeoff reads these terms as math.inf (test_adversary).
+        assert run(["bounds", *flags.split()]) == 0
+        value = json.loads(capsys.readouterr().out)["tradeoff"]
+        for key in path.split("."):
+            value = value[key]
+        assert value is None
+
+    @pytest.mark.parametrize(
         "n, k, eps",
         [
             ("1e300", "1e-300", "0.5"),  # sqrt(n/k) overflows

@@ -161,6 +161,11 @@ class TestTransporter:
         with pytest.raises(ValueError):
             johnson.transporter(6, 2, 4, 0)  # needs k' <= n - k'
 
+    def test_n_below_two_k_prime_is_refused_by_its_own_check(self):
+        # irrep_projectors(7, 4) would refuse n < 2k' too, with another message.
+        with pytest.raises(ValueError, match="need 0 <= j <= k < k' <= n - k', got n=7"):
+            johnson.transporter(7, 2, 4, 0)
+
 
 # sha256 over the subset masks and the reference vectors of every level
 # 1 <= k <= (n-1)//2 with n <= 12, recorded while the vectors were still

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -109,6 +110,16 @@ class TestSpectralNorm:
         assert linalg.spectral_norm(q) == pytest.approx(1.0, abs=1e-10)
 
 
+class TestGramSafe:
+    @pytest.mark.parametrize("top", [2.0**500, 2.0**-500, 3 * 2.0**450])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_out_of_range_tops_are_brought_into_one_to_two(self, top, sign):
+        m = np.array([[sign * top, 0.25 * top], [-0.5 * top, 0.0]])
+        scaled, scale = linalg.gram_safe(m)
+        assert 1.0 <= np.max(np.abs(scaled)) < 2.0
+        assert math.frexp(scale)[0] == 0.5 and np.array_equal(scaled * scale, m)
+
+
 class TestAsMatrix:
     @pytest.mark.parametrize("position", ["first", "middle", "last"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
@@ -152,6 +163,14 @@ class TestOrthonormalColumnBasis:
     def test_zero_matrix_gives_zero_columns(self):
         q = linalg.orthonormal_column_basis(np.zeros((4, 3)))
         assert q.shape == (4, 0)
+
+    def test_rank_cutoff_is_relative_to_the_top_singular_value(self):
+        # 1e-5 is below DEFAULT_RANK_TOL * 1e6 = 1e-4; 1e-3 is above it.
+        m = np.zeros((4, 3))
+        m[0, 0], m[1, 1], m[2, 2] = 1e-3, 1e6, 1e-5
+        q = linalg.orthonormal_column_basis(m)
+        assert q.shape == (4, 2)
+        assert np.allclose(np.abs(q), [[0, 1], [1, 0], [0, 0], [0, 0]], atol=1e-12)
 
     def test_span_preserved(self):
         rng = np.random.default_rng(13)
