@@ -15,6 +15,9 @@ only when it is given.
 
 `adversary` returns plain numbers, math.inf included; `bounds` alone
 writes each non-finite one as JSON null, so its stdout is strict JSON.
+Likewise the `simulate` module returns each trial's hidden size and
+decision as booleans (``large``, ``says_large``); the `simulate` command
+alone writes a decision as the text ``k`` or ``k_prime``.
 """
 
 from __future__ import annotations
@@ -358,7 +361,7 @@ def _write_trials(report, batch) -> None:
     heads = {
         (large, says_large, failed): (
             f"{batch.k_prime if large else batch.k},"
-            f"{simulate.DECIDE_LARGE if says_large else simulate.DECIDE_SMALL},"
+            f"{'k_prime' if says_large else 'k'},"
             f"{_fmt_bool(says_large == large and not failed)},{_fmt_bool(failed)},"
         )
         for large, says_large, failed in itertools.product((False, True), repeat=3)
@@ -420,7 +423,7 @@ def main(argv=None) -> int:
     handlers = {"verify": cmd_verify, "bounds": cmd_bounds, "simulate": cmd_simulate}
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

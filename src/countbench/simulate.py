@@ -11,15 +11,17 @@ place, in one float array of the grid size.
 Each procedure is one function, named as on the command line
 (`PROCEDURES` maps the names to them).  It validates its parameters once
 and returns the set-up ``(k, k_prime, resource, single)``: one run
-``single(rng, size) -> (decision, statistic, cost)`` spends ``cost`` units
-of ``resource`` (one of `RESOURCES`) and nothing else.  `trial` runs a
+``single(rng, size) -> (says_large, statistic, cost)`` spends ``cost``
+units of ``resource`` (one of `RESOURCES`) and nothing else, and says
+whether it decided for k' (a bool), or None if it failed.  `trial` runs a
 set-up once: it draws the hidden-set size, repeats the run against that
-one set, takes the majority vote and sums the costs; a run with decision
-``None`` failed.  `run_batch` sets a named procedure up once and runs
-many trials, each with the outcome `trial` gives it, so one trial of
-coupon counting reads ``trial(coupon(k, eps, budget), seed)``.  A batch
-is a `Batch` of columns, 19 B per trial; beside them it holds only the
-generator words and outcomes of one block of at most `BLOCK_RUNS` runs.
+one set, takes the majority vote and sums the costs.  `run_batch` sets a
+named procedure up once and runs many trials, each with the outcome
+`trial` gives it, so one trial of coupon counting reads
+``trial(coupon(k, eps, budget), seed)``.  A batch is a `Batch` of
+columns, 19 B per trial, and a `TrialOutcome` is one row of them; beside
+them a batch holds only the generator words and outcomes of one block of
+at most `BLOCK_RUNS` runs, and it makes at most `MAX_TRIALS` runs.
 
 Determinism contract: trial i of a batch with master seed ``seed`` runs
 on a generator bit-identical to ``np.random.default_rng((seed, i))``.
@@ -49,8 +51,6 @@ import numpy as np
 from . import adversary
 from ._pcg64 import _child_states, _doubles, _draw_sizes, _generators
 
-DECIDE_SMALL = "k"
-DECIDE_LARGE = "k_prime"
 # The phase grid resolves the two hypotheses' eigenphases this many times over.
 GRID_MARGIN = 2.0
 # Largest phase grid a set-up may ask for: its outcome distribution alone is
@@ -60,24 +60,23 @@ MAX_GRID_POINTS = 1 << 24
 # them in: either array is 128 MiB at the cap, and a larger one would fail
 # inside numpy instead of by name.
 MAX_DRAWS = 1 << 24
-# Most trials one batch may run.  A CLI run holds its columns, 19 B per
-# trial, and one block's temporaries, so 2^20 trials peak under 60 MB RSS;
-# the cap bounds the run's time, 1-6 s at 2^20 trials on 2 CPUs.
+# Most runs, trials times repetitions, one batch may make.  A CLI run holds
+# its columns, 19 B per trial, and one block's temporaries, so 2^20 trials
+# peak under 60 MB RSS; the cap bounds the run's time, 1-6 s at 2^20 runs
+# on 2 CPUs.
 MAX_TRIALS = 1 << 20
 # What a procedure spends (state copies, oracle calls), in report column order.
 RESOURCES = ("copies", "state_generation", "reflections", "membership")
 
 
 class TrialOutcome(NamedTuple):
-    """One trial's result: it spent ``cost`` units of ``resource`` and nothing else."""
+    """One trial's row of the per-trial `Batch` columns, in their order."""
 
-    decision: str
-    correct: bool
-    true_size: int
+    large: bool
+    says_large: bool
+    failed: bool
     statistic: float
-    resource: str
     cost: int
-    failed: bool = False
 
 
 def _cap_draws(what: str, count: int) -> None:
@@ -117,35 +116,28 @@ def trial(setup, rng_seed, true_size: int | None = None, repetitions: int = 1) -
     All ``repetitions`` runs share one generator and one hidden set of
     size k or k' (drawn fairly unless ``true_size`` pins it).  Ties go to
     the small hypothesis and the costs add up.  If every run failed,
-    the trial fails with the first run's statistic; otherwise the
-    statistic is the mean over all runs.  ``rng_seed`` is anything
-    ``np.random.default_rng`` takes; a Generator is used as it is.
+    the trial fails, says small and keeps the first run's statistic;
+    otherwise the statistic is the mean over all runs.  ``rng_seed`` is
+    anything ``np.random.default_rng`` takes; a Generator is used as it is.
     """
-    k, k_prime, resource, single = setup
+    k, k_prime, _, single = setup
     # Before the first draw, so that a rejected call leaves a Generator as it was.
     _check_pins(k, k_prime, true_size, repetitions)
     rng = np.random.default_rng(rng_seed)
-    if true_size is None:
-        size = k if rng.integers(2) == 0 else k_prime
-    else:
-        size = int(true_size)
+    large = bool(rng.integers(2)) if true_size is None else true_size == k_prime
+    size = k_prime if large else k
     if repetitions == 1:
-        decision, statistic, cost = single(rng, size)
+        says_large, statistic, cost = single(rng, size)
     else:
         runs = [single(rng, size) for _ in range(repetitions)]
         statistic = runs[0][1]
         cost = sum(spent for _, _, spent in runs)
-        decided = [decision for decision, _, _ in runs if decision is not None]
+        decided = [says for says, _, _ in runs if says is not None]
+        says_large = None
         if decided:
             statistic = float(np.mean([stat for _, stat, _ in runs]))
-            large_votes = decided.count(DECIDE_LARGE)
-            decision = DECIDE_LARGE if 2 * large_votes > len(decided) else DECIDE_SMALL
-        else:
-            decision = None
-    if decision is None:
-        return TrialOutcome(DECIDE_SMALL, False, size, statistic, resource, cost, True)
-    truth = DECIDE_SMALL if size == k else DECIDE_LARGE
-    return TrialOutcome(decision, decision == truth, size, statistic, resource, cost)
+            says_large = 2 * sum(decided) > len(decided)
+    return TrialOutcome(large, bool(says_large), says_large is None, statistic, cost)
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +161,7 @@ def coupon(k: int, eps: float, sample_budget: int):
     def single(rng: np.random.Generator, size: int):
         draws = rng.integers(0, size, sample_budget)  # no draw at all for a zero budget
         distinct = int(np.count_nonzero(np.bincount(draws, minlength=size)))
-        decision = DECIDE_SMALL if distinct <= k else DECIDE_LARGE
-        return decision, float(distinct), sample_budget
+        return distinct > k, float(distinct), sample_budget
 
     return k, k_prime, "copies", single
 
@@ -193,8 +184,7 @@ def collision(k: int, eps: float, sample_count: int):
     def single(rng: np.random.Generator, size: int):
         counts = np.bincount(rng.integers(0, size, sample_count))
         pairs = int(counts @ (counts - 1)) / 2.0
-        decision = DECIDE_SMALL if pairs > midpoint else DECIDE_LARGE
-        return decision, pairs, sample_count
+        return pairs <= midpoint, pairs, sample_count
 
     return k, k_prime, "copies", single
 
@@ -204,18 +194,20 @@ def overlap(n: int, k: int, eps: float, copy_count: int):
 
     Each consumed copy succeeds independently with probability |x|/n;
     the success fraction is thresholded midway between k/n and k'/n.
+    numpy draws the successes from an int64 count, so the copies must fit one.
     """
     k_prime = _k_prime(k, eps)
     if k_prime > n:
         raise ValueError(f"hidden set size k' = {k_prime} exceeds the ground set size n = {n}")
     if copy_count < 1:
         raise ValueError("need at least one copy")
+    if copy_count >= 2**63:
+        raise ValueError(f"copy count {copy_count} exceeds the int64 limit 2^63 - 1")
     midpoint = (k + k_prime) / (2.0 * n)
 
     def single(rng: np.random.Generator, size: int):
         fraction = int(rng.binomial(copy_count, size / n)) / copy_count
-        decision = DECIDE_LARGE if fraction > midpoint else DECIDE_SMALL
-        return decision, fraction, copy_count
+        return fraction > midpoint, fraction, copy_count
 
     return k, k_prime, "copies", single
 
@@ -309,48 +301,43 @@ def _grid_points(theta_a: float, theta_b: float) -> int:
 
 
 class _PhaseEstimation:
-    """One set-up's phase estimation; a call ``(rng, size) -> (decision, value, cost)`` is one run.
+    """One set-up's phase estimation; a call ``(rng, size) -> (says_large, value, cost)`` is one run.
 
-    ``a_small_hyp``/``a_large_hyp`` are the success probabilities under
-    the small/large size hypotheses (either may be the numerically
-    larger one) and ``a_truth_of(size)`` the true one.  The grid is the
-    smallest that separates the hypotheses, so it is sized here and an
-    oversized one is refused before any trial; a run costs
-    ``calls_per_rotation`` oracle calls per grid step.  The normalised
-    outcome CDF depends on the true probability alone, so each
-    hidden-set size builds it on its first run (`cdf`).  A run inverts
-    the CDF at one ``rng.random()`` draw, as ``rng.choice(m_points,
-    p=...)`` does, and `decide` reads the outcome.
+    ``a_of(size)`` is the success probability on a hidden set of ``size``,
+    so ``a_of(k)`` and ``a_of(k_prime)`` are the two hypotheses' (either
+    may be the numerically larger one).  The grid is the smallest that
+    separates the hypotheses, so it is sized here and an oversized one is
+    refused before any trial; a run costs ``calls_per_rotation`` oracle
+    calls per grid step.  The normalised outcome CDF depends on the true
+    probability alone, so each hidden-set size builds it on its first run
+    (`cdf`).  A run inverts the CDF at one ``rng.random()`` draw, as
+    ``rng.choice(m_points, p=...)`` does, and `decide` reads the outcome.
     """
 
-    def __init__(self, a_small_hyp: float, a_large_hyp: float, a_truth_of, calls_per_rotation=1):
-        self.m_points = _grid_points(
-            math.asin(math.sqrt(a_small_hyp)), math.asin(math.sqrt(a_large_hyp))
-        )
+    def __init__(self, k: int, k_prime: int, a_of, calls_per_rotation=1):
+        self._hypotheses = a_of(k), a_of(k_prime)
+        self.m_points = _grid_points(*(math.asin(math.sqrt(a)) for a in self._hypotheses))
         self.cost = calls_per_rotation * (self.m_points - 1)
-        self._hypotheses = a_small_hyp, a_large_hyp
-        self._a_truth_of = a_truth_of
+        self._a_of = a_of
         self._cdfs: dict = {}  # hidden-set size -> normalised outcome CDF
 
     def cdf(self, size: int) -> np.ndarray:
         try:
             return self._cdfs[size]
         except KeyError:
-            theta = math.asin(math.sqrt(self._a_truth_of(size)))
+            theta = math.asin(math.sqrt(self._a_of(size)))
             cdf = self._cdfs[size] = phase_estimation_distribution(theta, self.m_points)
             np.cumsum(cdf, out=cdf)
             cdf /= cdf[-1]
             return cdf
 
-    def decide(self, outcome: int) -> tuple[str, float]:
+    def decide(self, outcome: int) -> tuple[bool, float]:
         """Outcome m estimates sin^2(pi m / M); the nearer hypothesis wins, ties the small one."""
         a_small_hyp, a_large_hyp = self._hypotheses
         value = math.sin(math.pi * outcome / self.m_points) ** 2
-        if abs(value - a_large_hyp) < abs(value - a_small_hyp):
-            return DECIDE_LARGE, value
-        return DECIDE_SMALL, value
+        return abs(value - a_large_hyp) < abs(value - a_small_hyp), value
 
-    def __call__(self, rng: np.random.Generator, size: int) -> tuple[str, float, int]:
+    def __call__(self, rng: np.random.Generator, size: int) -> tuple[bool, float, int]:
         outcome = int(self.cdf(size).searchsorted(rng.random(), side="right"))
         return *self.decide(outcome), self.cost
 
@@ -370,7 +357,7 @@ def qcount(n: int, k: int, eps: float, oracle: str = "reflections"):
     if oracle not in ("reflections", "membership"):
         raise ValueError("oracle must be 'reflections' or 'membership'")
     k_prime = _k_prime(k, eps, n)
-    return k, k_prime, oracle, _PhaseEstimation(k / n, k_prime / n, lambda size: size / n)
+    return k, k_prime, oracle, _PhaseEstimation(k, k_prime, lambda size: size / n)
 
 
 def subset(n: int, k: int, eps: float, ell: int, oracle: str = "reflections"):
@@ -386,7 +373,7 @@ def subset(n: int, k: int, eps: float, ell: int, oracle: str = "reflections"):
         raise ValueError("oracle must be 'reflections' or 'state_generation'")
     k_prime = _k_prime(k, eps, n)
     calls_per_rotation = 1 if oracle == "reflections" else 2
-    estimate = _PhaseEstimation(ell / k, ell / k_prime, lambda size: ell / size, calls_per_rotation)
+    estimate = _PhaseEstimation(k, k_prime, lambda size: ell / size, calls_per_rotation)
     return k, k_prime, oracle, estimate
 
 
@@ -423,14 +410,14 @@ def sample_count(n: int, k: int, eps: float):
         raise ValueError(f"sampling stage needs ell <= k/2, got ell={ell}, k={k}")
     _cap_draws("resampling budget 10 ell", 10 * ell)
 
-    estimate = _PhaseEstimation(ell / k, ell / k_prime, lambda size: ell / size, 2)
+    estimate = _PhaseEstimation(k, k_prime, lambda size: ell / size, 2)
 
     def single(rng: np.random.Generator, size: int):
         found, consumed = _collect_distinct(ell, size, 10 * ell, rng)
         if found < ell:
             return None, float(found), consumed
-        decision, value, cost = estimate(rng, size)
-        return decision, value, consumed + cost
+        says_large, value, cost = estimate(rng, size)
+        return says_large, value, consumed + cost
 
     return k, k_prime, "state_generation", single
 
@@ -456,7 +443,7 @@ def bootstrap(n: int, k: int, eps: float, retries: int = 3):
     _cap_draws("growth target ceil(1/eps)", target)
 
     stages: dict = {}  # hidden-set size -> growth_stage(known, size) for known < target
-    estimate = _PhaseEstimation(target / k, target / k_prime, lambda size: target / size)
+    estimate = _PhaseEstimation(k, k_prime, lambda size: target / size)
 
     def single(rng: np.random.Generator, size: int):
         if size not in stages:
@@ -481,8 +468,8 @@ def bootstrap(n: int, k: int, eps: float, retries: int = 3):
                         rng.bit_generator.state = saved
                         rng.random(read)
                     return None, float(stage + 1), reflections
-        decision, value, cost = estimate(rng, size)
-        return decision, value, reflections + cost
+        says_large, value, cost = estimate(rng, size)
+        return says_large, value, reflections + cost
 
     return k, k_prime, "reflections", single
 
@@ -513,8 +500,9 @@ class Batch(NamedTuple):
     """A batch's trials as columns: entry i of each array is trial i's.
 
     Trial i spent ``cost[i]`` units of ``resource`` and nothing else.  A
-    failed trial decided nothing, so its ``says_large`` is False, as a
-    failed `trial` reads DECIDE_SMALL.  The columns take 19 B per trial.
+    failed trial decided nothing, so its ``says_large`` is False.  Row i of
+    the columns from ``large`` on is trial i's `TrialOutcome`; they take
+    19 B per trial.
     """
 
     k: int
@@ -550,7 +538,7 @@ def _estimate_block(setup, state, inc, large, repetitions: int):
     distinct, where = np.unique(outcomes.ravel(), return_inverse=True)
     where = where.reshape(outcomes.shape)
     decided = [estimate.decide(outcome) for outcome in distinct.tolist()]
-    votes = np.array([decision == DECIDE_LARGE for decision, _ in decided])[where]
+    votes = np.array([says for says, _ in decided])[where]
     values = np.array([value for _, value in decided])[where]
     says_large = 2 * np.count_nonzero(votes, axis=1) > repetitions
     return says_large, False, values.mean(axis=1), repetitions * estimate.cost
@@ -568,8 +556,8 @@ def _trial_block(setup, state, inc, large, buffered, repetitions: int):
         trial(setup, rng, k_prime if big else k, repetitions)
         for rng, big in zip(_generators(state, inc, buffered), large.tolist())
     ]
-    decisions, _, _, statistics, _, costs, failures = zip(*outcomes)
-    return [decision == DECIDE_LARGE for decision in decisions], failures, statistics, costs
+    _, *columns = zip(*outcomes)
+    return columns
 
 
 def run_batch(procedure: str, params: dict, trials: int, seed: int) -> Batch:
@@ -582,18 +570,20 @@ def run_batch(procedure: str, params: dict, trials: int, seed: int) -> Batch:
     ``true_size`` pins them.  A set-up whose run is a `_PhaseEstimation`
     alone runs the whole block at once (`_estimate_block`); any other runs
     each trial through `trial` (`_trial_block`).  Each block fills its
-    slice of the columns, allocated up front.  More than MAX_TRIALS trials
-    raise before anything is allocated.
+    slice of the columns, allocated up front.  More than MAX_TRIALS runs,
+    trials times repetitions, raise before anything is allocated.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if trials > MAX_TRIALS:
-        raise ValueError(f"{trials} trials exceed cap MAX_TRIALS = {MAX_TRIALS}")
-    if procedure not in PROCEDURES:
-        raise ValueError(f"unknown procedure {procedure!r}; known: {tuple(PROCEDURES)}")
     params = dict(params)
     true_size = params.pop("true_size", None)
     repetitions = params.pop("repetitions", 1)
+    if trials * repetitions > MAX_TRIALS:
+        raise ValueError(
+            f"{trials} trials x {repetitions} repetitions exceed cap MAX_TRIALS = {MAX_TRIALS} runs"
+        )
+    if procedure not in PROCEDURES:
+        raise ValueError(f"unknown procedure {procedure!r}; known: {tuple(PROCEDURES)}")
     setup = PROCEDURES[procedure](**params)
     k, k_prime, resource, single = setup
     _check_pins(k, k_prime, true_size, repetitions)

@@ -919,6 +919,31 @@ class TestSimulateCommand:
         message = capsys.readouterr().err
         assert str(trials) in message and str(simulate.MAX_TRIALS) in message
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["qcount", "--n", "1024", "--k", "16", "--eps", "1", "--repetitions", "1000000000"],
+             "1 trials x 1000000000 repetitions exceed cap MAX_TRIALS"),
+            (["coupon", "--k", "16", "--eps", "1", "--repetitions", "1000000000"],
+             "1 trials x 1000000000 repetitions exceed cap MAX_TRIALS"),
+            (["overlap", "--n", "1024", "--k", "16", "--eps", "1",
+              "--copies", "100000000000000000000"],
+             "copy count 100000000000000000000 exceeds the int64 limit"),
+            # Each run's 2^62 copies fit; the trial's 2^63 do not fit the cost column.
+            (["overlap", "--n", "1024", "--k", "16", "--eps", "1",
+              "--copies", "4611686018427387904", "--repetitions", "2"],
+             "too large"),
+        ],
+        ids=["qcount-runs", "coupon-runs", "overlap-copies", "overlap-cost"],
+    )
+    def test_oversized_batch_is_usage_error(self, tmp_path, capsys, argv, named):
+        # Each ended in a traceback with exit 1, or ran until it was killed.
+        out = tmp_path / "s"
+        code = run(["simulate", *argv, "--trials", "1", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert named in capsys.readouterr().err
+
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_empty_ground_set_is_named_before_the_copy_count(self, tmp_path, capsys, n):
         # The default copy count 64n/(k eps^2) is not positive here; the

@@ -7,7 +7,6 @@ import pytest
 from batches import columns, pack
 
 from countbench import _pcg64, adversary, cli, simulate
-from countbench.simulate import DECIDE_LARGE, DECIDE_SMALL
 
 
 def success_floor(batch, target=2.0 / 3.0):
@@ -16,10 +15,10 @@ def success_floor(batch, target=2.0 / 3.0):
     return agg["success_rate"] >= target - 3.0 * agg["standard_error"]
 
 
-def spent(out, resource):
-    """A trial's cost, once it is checked to be all of ``resource``."""
-    assert out.resource == resource
-    return out.cost
+def spent(resource, setup, *args, **kwargs):
+    """The cost of ``trial(setup, *args, **kwargs)``, once ``setup`` is checked to spend ``resource``."""
+    assert setup[2] == resource
+    return simulate.trial(setup, *args, **kwargs).cost
 
 
 def loglog_slope(xs, ys):
@@ -30,36 +29,33 @@ def loglog_slope(xs, ys):
 
 class TestCoupon:
     def test_one_sided_on_small_sets(self):
-        for seed in range(200):
-            out = simulate.trial(simulate.coupon(16, 1.0, 200), seed, true_size=16)
-            assert out.decision == DECIDE_SMALL and out.correct
+        setup = simulate.coupon(16, 1.0, 200)
+        outs = pack([simulate.trial(setup, seed, true_size=16) for seed in range(200)], setup)
+        assert not outs.says_large.any() and outs.correct.all()
 
     def test_zero_budget_decides_small(self):
-        out = simulate.trial(simulate.coupon(8, 1.0, 0), 3, true_size=16)
-        assert out.decision == DECIDE_SMALL and not out.correct
-        assert spent(out, "copies") == 0
+        setup = simulate.coupon(8, 1.0, 0)
+        out = simulate.trial(setup, 3, true_size=16)
+        assert out.large and not out.says_large and not out.failed
+        assert spent("copies", setup, 3, true_size=16) == 0
 
     def test_full_collection_budget_detects_large(self):
         k, eps = 32, 1.0
         k_prime = 64
         budget = math.ceil(k_prime * sum(1.0 / i for i in range(1, k_prime + 1)))
-        outs = [
-            simulate.trial(simulate.coupon(k, eps, budget), (101, i), true_size=k_prime)
-            for i in range(10_000)
-        ]
-        rate = sum(o.correct for o in outs) / len(outs)
-        assert rate >= 0.99
+        setup = simulate.coupon(k, eps, budget)
+        outs = [simulate.trial(setup, (101, i), true_size=k_prime) for i in range(10_000)]
+        assert pack(outs, setup).correct.mean() >= 0.99
 
     def test_copies_tally(self):
-        out = simulate.trial(simulate.coupon(8, 1.0, 37), 5)
-        assert spent(out, "copies") == 37
+        assert spent("copies", simulate.coupon(8, 1.0, 37), 5) == 37
 
 
 class TestCollision:
     def test_degenerate_singleton_always_small(self):
         out = simulate.trial(simulate.collision(1, 1.0, 8), 2, true_size=1)
         assert out.statistic == 8 * 7 / 2.0
-        assert out.decision == DECIDE_SMALL
+        assert not out.says_large
 
     def test_success_both_hypotheses(self):
         k, eps = 256, 0.5
@@ -92,7 +88,7 @@ class TestOverlap:
         # |x| = n makes every measurement land on the uniform direction.
         for seed in range(50):
             out = simulate.trial(simulate.overlap(64, 32, 1.0, 16), seed, true_size=64)
-            assert out.statistic == 1.0 and out.decision == DECIDE_LARGE
+            assert out.statistic == 1.0 and out.says_large
 
     def test_success_at_reference_point(self):
         n, k, eps = 1024, 64, 1.0
@@ -106,15 +102,18 @@ class TestOverlap:
             assert success_floor(pack(outs, setup))
 
     def test_single_copy_uninformative_floor(self):
-        outs = [
-            simulate.trial(simulate.overlap(1000, 500, 0.002, 1), (23, i)) for i in range(4_000)
-        ]
-        rate = sum(o.correct for o in outs) / len(outs)
-        assert 0.45 <= rate <= 0.56
+        setup = simulate.overlap(1000, 500, 0.002, 1)
+        outs = [simulate.trial(setup, (23, i)) for i in range(4_000)]
+        assert 0.45 <= pack(outs, setup).correct.mean() <= 0.56
 
     def test_tally(self):
-        out = simulate.trial(simulate.overlap(64, 8, 1.0, 12), 4)
-        assert spent(out, "copies") == 12
+        assert spent("copies", simulate.overlap(64, 8, 1.0, 12), 4) == 12
+
+    def test_copy_count_must_fit_int64(self):
+        # Generator.binomial takes an int64 count; 2^63 failed inside it.
+        simulate.overlap(1024, 16, 1.0, 2**63 - 1)
+        with pytest.raises(ValueError, match=f"copy count {2**63} exceeds the int64 limit"):
+            simulate.overlap(1024, 16, 1.0, 2**63)
 
 
 class TestGrowthStage:
@@ -149,15 +148,17 @@ class TestGrowthStage:
 
     def test_bootstrap_charges_growth_stage_iterations(self):
         n, k, eps, target = 4096, 64, 0.125, 8
+        setup = simulate.bootstrap(n, k, eps, retries=0)
+        assert setup[2] == "reflections"
         grown = 0
         for seed in range(20):
-            out = simulate.trial(simulate.bootstrap(n, k, eps, retries=0), seed, true_size=k)
+            out = simulate.trial(setup, seed, true_size=k)
             if out.failed:
                 continue
             grown += 1
             growth = sum(simulate.growth_stage(s, k)[0] for s in range(1, target))
-            peer = simulate.trial(simulate.subset(n, k, eps, target), 0, true_size=k)
-            assert spent(out, "reflections") == growth + spent(peer, "reflections")
+            peer = spent("reflections", simulate.subset(n, k, eps, target), 0, true_size=k)
+            assert out.cost == growth + peer
         assert grown > 0
 
 
@@ -170,9 +171,10 @@ class TestPhaseEstimation:
         assert float(dist.sum()) == pytest.approx(1.0, abs=1e-12)
 
     def test_error_mass_bound(self):
-        # a = 1/4 against a hypothesis at 0.6 takes an 18-point grid.
+        # a = 1/4 against a hypothesis at 0.6 takes an 18-point grid; hidden
+        # size 0 reads a, and every run below is on it.
         a = 0.25
-        estimate = simulate._PhaseEstimation(a, 0.6, lambda size: a)
+        estimate = simulate._PhaseEstimation(0, 1, [a, 0.6].__getitem__)
         m_points = estimate.m_points
         assert m_points == 18
         rng = np.random.default_rng(5)
@@ -249,24 +251,21 @@ class TestQuantumCounting:
             assert success_floor(outs)
 
     def test_reflection_budget(self):
-        out = simulate.trial(simulate.qcount(1024, 16, 1.0), 0)
-        assert spent(out, "reflections") <= 20 * math.sqrt(1024 / 16)
+        cost = spent("reflections", simulate.qcount(1024, 16, 1.0), 0)
+        assert cost <= 20 * math.sqrt(1024 / 16)
 
     def test_membership_oracle_variant(self):
-        out = simulate.trial(simulate.qcount(1024, 16, 1.0, oracle="membership"), 0)
-        assert spent(out, "membership") > 0
+        assert spent("membership", simulate.qcount(1024, 16, 1.0, oracle="membership"), 0) > 0
 
     def test_doubling_n_scales_by_sqrt2(self):
         tallies = [
-            spent(simulate.trial(simulate.qcount(n, 16, 1.0), 1), "reflections")
-            for n in (1024, 2048, 4096, 8192)
+            spent("reflections", simulate.qcount(n, 16, 1.0), 1) for n in (1024, 2048, 4096, 8192)
         ]
         for a, b in zip(tallies, tallies[1:]):
             assert math.sqrt(2.0) * 0.75 <= b / a <= math.sqrt(2.0) * 1.25
 
     def test_huge_gap_needs_minimal_grid(self):
-        out = simulate.trial(simulate.qcount(16, 1, 7.0), 2)
-        assert spent(out, "reflections") <= 15
+        assert spent("reflections", simulate.qcount(16, 1, 7.0), 2) <= 15
 
 
 class TestKnownSubsetCounting:
@@ -281,13 +280,13 @@ class TestKnownSubsetCounting:
             assert success_floor(outs)
 
     def test_reflection_budget_and_free_elements(self):
-        out = simulate.trial(simulate.subset(4096, 64, 0.5, 16), 0)
-        assert spent(out, "reflections") <= 20 * (1.0 / 0.5) * math.sqrt(64 / 16)
+        cost = spent("reflections", simulate.subset(4096, 64, 0.5, 16), 0)
+        assert cost <= 20 * (1.0 / 0.5) * math.sqrt(64 / 16)
 
     def test_state_generation_variant_doubles(self):
-        refl = simulate.trial(simulate.subset(4096, 64, 0.5, 16), 0)
-        gen = simulate.trial(simulate.subset(4096, 64, 0.5, 16, oracle="state_generation"), 0)
-        assert spent(gen, "state_generation") == 2 * spent(refl, "reflections")
+        refl = spent("reflections", simulate.subset(4096, 64, 0.5, 16), 0)
+        gen_setup = simulate.subset(4096, 64, 0.5, 16, oracle="state_generation")
+        assert spent("state_generation", gen_setup, 0) == 2 * refl
 
     def test_full_subset_is_out_of_regime_but_runs(self):
         setup = simulate.subset(32, 4, 0.5, 4)
@@ -304,8 +303,7 @@ class TestKnownSubsetCounting:
 class TestSampleThenCount:
     def test_minimal_sample_stage(self):
         # eps = 1, k = 8: a single sample suffices before estimating.
-        out = simulate.trial(simulate.sample_count(64, 8, 1.0), 0)
-        assert spent(out, "state_generation") >= 1
+        assert spent("state_generation", simulate.sample_count(64, 8, 1.0), 0) >= 1
 
     def test_success_at_reference_point(self):
         for true_size in (64, 80):
@@ -336,9 +334,9 @@ class TestSampleThenCount:
 
 class TestBootstrapCounting:
     def test_eps_one_skips_growth(self):
-        out = simulate.trial(simulate.bootstrap(1024, 64, 1.0), 0, true_size=64)
-        peer = simulate.trial(simulate.subset(1024, 64, 1.0, 1), 0, true_size=64)
-        assert spent(out, "reflections") == spent(peer, "reflections")
+        out = spent("reflections", simulate.bootstrap(1024, 64, 1.0), 0, true_size=64)
+        peer = spent("reflections", simulate.subset(1024, 64, 1.0, 1), 0, true_size=64)
+        assert out == peer
 
     def test_success_at_reference_point(self):
         for true_size in (64, 72):
@@ -368,16 +366,13 @@ class TestDeterminismAndScaling:
 
     def test_qcount_slope(self):
         ns = [1024, 2048, 4096, 8192]
-        tallies = [
-            spent(simulate.trial(simulate.qcount(n, 16, 1.0), 1), "reflections") for n in ns
-        ]
+        tallies = [spent("reflections", simulate.qcount(n, 16, 1.0), 1) for n in ns]
         assert abs(loglog_slope(ns, tallies) - 0.5) <= 0.08
 
     def test_subset_slope(self):
         ells = [4, 8, 16, 32]
         tallies = [
-            spent(simulate.trial(simulate.subset(8192, 1024, 0.5, ell), 1), "reflections")
-            for ell in ells
+            spent("reflections", simulate.subset(8192, 1024, 0.5, ell), 1) for ell in ells
         ]
         assert abs(loglog_slope(ells, tallies) + 0.5) <= 0.08
 
@@ -542,14 +537,10 @@ class TestRepetitionsAndDispatch:
         assert voted.cost[0] == 5 * single.cost[0]
 
     def test_classical_samplers_accept_repetitions(self):
-        out = simulate.trial(
-            simulate.overlap(1024, 64, 1.0, 256), 41, true_size=128, repetitions=3
-        )
-        assert spent(out, "copies") == 3 * 256
-        out = simulate.trial(simulate.collision(64, 1.0, 64), 41, repetitions=3)
-        assert spent(out, "copies") == 3 * 64
-        out = simulate.trial(simulate.coupon(16, 1.0, 50), 41, repetitions=3)
-        assert spent(out, "copies") == 3 * 50
+        overlap = simulate.overlap(1024, 64, 1.0, 256)
+        assert spent("copies", overlap, 41, true_size=128, repetitions=3) == 3 * 256
+        assert spent("copies", simulate.collision(64, 1.0, 64), 41, repetitions=3) == 3 * 64
+        assert spent("copies", simulate.coupon(16, 1.0, 50), 41, repetitions=3) == 3 * 50
 
     @pytest.mark.parametrize("repetitions", [0, -1])
     def test_rejected_repetitions_leave_the_generator_unchanged(self, repetitions):
@@ -563,9 +554,38 @@ class TestRepetitionsAndDispatch:
         with pytest.raises(ValueError):
             simulate.run_batch("nope", {}, 1, 0)
 
+    def test_run_cap_admits_its_own_size_and_rejects_one_more(self, monkeypatch):
+        params = dict(k=16, eps=1.0, sample_budget=8)
+        monkeypatch.setattr(simulate, "MAX_TRIALS", 6)
+        assert len(simulate.run_batch("coupon", dict(params, repetitions=3), 2, 0).large) == 2
+        with pytest.raises(ValueError, match="2 trials x 4 repetitions exceed cap MAX_TRIALS = 6"):
+            simulate.run_batch("coupon", dict(params, repetitions=4), 2, 0)
+
+    @pytest.mark.parametrize(
+        "procedure, params",
+        [("qcount", dict(n=1024, k=16, eps=1.0)), ("coupon", dict(k=16, eps=1.0, sample_budget=80))],
+    )
+    def test_run_cap_refuses_before_allocating(self, procedure, params):
+        # 10^9 runs of one trial drew 8 GB of uniforms for qcount, and ran
+        # coupon until it was killed.
+        params = dict(params, repetitions=10**9)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"1 trials x {10**9} repetitions") as error:
+                simulate.run_batch(procedure, params, 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(simulate.MAX_TRIALS) in str(error.value)
+        assert peak < 2**20
+
+    def test_outcome_is_a_row_of_the_batch_columns(self):
+        # run_batch, _trial_block and tests/batches.pack read this one order.
+        assert simulate.TrialOutcome._fields == simulate.Batch._fields[3:]
+
     def test_majority_vote_reads_the_truth_label(self, monkeypatch):
-        # Failed repetitions carry a placeholder decision; the vote among the
-        # rest must still be scored against the hidden set's own label.
+        # Failed repetitions decide nothing; the vote among the rest must
+        # still be scored against the hidden set's own label.
         def labelled(outs):
             """Where each trial's decision is its hidden set's own label."""
             return outs.says_large == outs.large
@@ -655,17 +675,15 @@ def estimate_with_choice(a_small_hyp, a_large_hyp, a_truth, rng):
     )
     p = simulate.phase_estimation_distribution(math.asin(math.sqrt(a_truth)), m_points)
     estimate = math.sin(math.pi * int(rng.choice(m_points, p=p)) / m_points) ** 2
-    if abs(estimate - a_large_hyp) < abs(estimate - a_small_hyp):
-        return DECIDE_LARGE, estimate, m_points
-    return DECIDE_SMALL, estimate, m_points
+    return abs(estimate - a_large_hyp) < abs(estimate - a_small_hyp), estimate, m_points
 
 
 def qcount_with_choice(n, k, eps):
     k_prime = simulate._k_prime(k, eps)
 
     def single(rng, size):
-        decision, estimate, m_points = estimate_with_choice(k / n, k_prime / n, size / n, rng)
-        return decision, estimate, m_points - 1
+        says_large, estimate, m_points = estimate_with_choice(k / n, k_prime / n, size / n, rng)
+        return says_large, estimate, m_points - 1
 
     return k, k_prime, "reflections", single
 
@@ -674,8 +692,8 @@ def subset_with_choice(n, k, eps, ell):
     k_prime = simulate._k_prime(k, eps)
 
     def single(rng, size):
-        decision, estimate, m_points = estimate_with_choice(ell / k, ell / k_prime, ell / size, rng)
-        return decision, estimate, m_points - 1
+        says_large, estimate, m_points = estimate_with_choice(ell / k, ell / k_prime, ell / size, rng)
+        return says_large, estimate, m_points - 1
 
     return k, k_prime, "reflections", single
 
@@ -688,8 +706,8 @@ def sample_count_one_draw_at_a_time(n, k, eps):
         found, consumed = collect_distinct_one_draw_at_a_time(ell, size, 10 * ell, rng)
         if found < ell:
             return None, float(found), consumed
-        decision, estimate, m_points = estimate_with_choice(ell / k, ell / k_prime, ell / size, rng)
-        return decision, estimate, consumed + 2 * (m_points - 1)
+        says_large, estimate, m_points = estimate_with_choice(ell / k, ell / k_prime, ell / size, rng)
+        return says_large, estimate, consumed + 2 * (m_points - 1)
 
     return k, k_prime, "state_generation", single
 
@@ -709,10 +727,10 @@ def bootstrap_one_draw_per_attempt(n, k, eps, retries=3):
                     break
             else:
                 return None, float(known), reflections
-        decision, estimate, m_points = estimate_with_choice(
+        says_large, estimate, m_points = estimate_with_choice(
             target / k, target / k_prime, target / size, rng
         )
-        return decision, estimate, reflections + m_points - 1
+        return says_large, estimate, reflections + m_points - 1
 
     return k, k_prime, "reflections", single
 
@@ -882,7 +900,6 @@ class TestStreamIdenticalFastPaths:
         for trials in (1, block - 1, block, block + 1):
             batch = simulate.run_batch(procedure, dict(params, **pins), trials, 5)
             assert columns(batch) == columns(pack(singles[:trials], setup))
-            assert batch.correct.tolist() == [out.correct for out in singles[:trials]]
 
     @pytest.mark.parametrize(
         "a_small, a_large",
@@ -891,10 +908,11 @@ class TestStreamIdenticalFastPaths:
     )
     @pytest.mark.parametrize("a_truth", [0.0, 0.001, 1 / 3, 0.5, math.sin(1.3) ** 2, 1.0])
     def test_phase_estimation_matches_grid_points_and_choice(self, a_small, a_large, a_truth):
-        estimate = simulate._PhaseEstimation(a_small, a_large, lambda size: a_truth)
+        # Hidden sizes 0 and 1 are the hypotheses; size 2 is the truth.
+        estimate = simulate._PhaseEstimation(0, 1, [a_small, a_large, a_truth].__getitem__)
         assert estimate.cost == estimate.m_points - 1
         fast, slow = np.random.default_rng(7), np.random.default_rng(7)
-        got = [(*estimate(fast, 0)[:2], estimate.m_points) for _ in range(300)]
+        got = [(*estimate(fast, 2)[:2], estimate.m_points) for _ in range(300)]
         want = [estimate_with_choice(a_small, a_large, a_truth, slow) for _ in range(300)]
         assert got == want
         assert fast.bit_generator.state == slow.bit_generator.state
@@ -957,7 +975,7 @@ class TestStreamIdenticalFastPaths:
             want = simulate.trial((k, k_prime, resource, recorded), slow, repetitions=repetitions)
             assert got == want
             assert fast.bit_generator.state == slow.bit_generator.state
-        failed = sum(decision is None for decision, _, _ in runs)
+        failed = sum(says_large is None for says_large, _, _ in runs)
         if retries == 0 and eps < 1:
             assert 0 < failed < len(runs)
         elif eps == 1:
