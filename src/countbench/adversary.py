@@ -50,7 +50,7 @@ class ProblemInstance:
     k' = (1 + eps) k with eps = (k' - k)/k; n >= 2k' + 1 keeps every
     coefficient denominator positive and both level decompositions valid.
     The degenerate case k' = k is accepted for closed-form testing only
-    (transporters and brute-force checks need k < k').
+    (transporters and brute-force checks need k < k'; `from_eps` refuses it).
     """
 
     n: int
@@ -71,7 +71,7 @@ class ProblemInstance:
 
     @classmethod
     def from_eps(cls, n: int, k: int, eps: float) -> "ProblemInstance":
-        return cls(n=n, k=k, k_prime=whole_k_prime(k, eps))
+        return cls(n=n, k=k, k_prime=k_prime(k, eps))
 
     @property
     def eps(self) -> float:
@@ -83,17 +83,24 @@ class ProblemInstance:
         return self.n >= 5 * self.k and 1.0 / self.k <= self.eps <= 1.0
 
 
-def whole_k_prime(k: int, eps: float) -> int:
-    """k' = (1 + eps) k, which must be a whole number up to round-off.
+def k_prime(k: int, eps: float) -> int:
+    """k' = (1 + eps) k for finite, positive eps: a whole number above k.
 
     The round-off allowed is 1e-9 relative to k' (absolute below k' = 1):
     (1 + 0.1) * 10**8 evaluates to 110000000.00000001 and still names 110000000.
     """
-    value = (1.0 + eps) * k
-    rounded = round(value)
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
+    try:
+        value = (1.0 + eps) * k
+        rounded = round(value)
+    except OverflowError:
+        raise ValueError(f"k' = (1+eps)k overflows, with k = {k}, eps = {eps!r}") from None
     if abs(value - rounded) > 1e-9 * max(1.0, abs(value)):
         raise ValueError(f"(1+eps)k = {value} is not an integer")
-    return int(rounded)
+    if rounded <= k:
+        raise ValueError(f"k' = (1+eps)k = {rounded} is not above k = {k}")
+    return rounded
 
 
 def phi_components(n: int, size: int, j) -> np.ndarray:

@@ -324,7 +324,7 @@ _BUDGETS = {
 def _simulate_params(args) -> dict:
     # Before the default budgets, which divide by eps.
     try:
-        simulate._k_prime(args.k, args.eps)
+        adversary.k_prime(args.k, args.eps)
     except ValueError as exc:
         raise ValueError(f"--eps {args.eps!r} with --k {args.k}: {exc}") from None
     params: dict = {}
@@ -359,27 +359,26 @@ def _write_trials(report, batch) -> None:
     and tally is formatted once per batch.
     """
     heads = {
-        (large, says_large, failed): (
-            f"{batch.k_prime if large else batch.k},"
-            f"{'k_prime' if says_large else 'k'},"
-            f"{_fmt_bool(says_large == large and not failed)},{_fmt_bool(failed)},"
+        (large, says_large, correct, failed): (
+            f"{batch.k_prime if large else batch.k},{'k_prime' if says_large else 'k'},"
+            f"{_fmt_bool(correct)},{_fmt_bool(failed)},"
         )
-        for large, says_large, failed in itertools.product((False, True), repeat=3)
+        for large, says_large, correct, failed in itertools.product((False, True), repeat=4)
     }
+    columns = batch.large, batch.says_large, batch.correct, batch.failed
     # Every trial spends the set-up's one resource; the other tally columns read 0.
     tally = ",".join("{}" if name == batch.resource else "0" for name in simulate.RESOURCES)
     statistics: dict = {}
     tallies: dict = {}
     for start in range(0, len(batch.large), simulate.BLOCK_RUNS):
         part = slice(start, start + simulate.BLOCK_RUNS)
-        flags = zip(*(flag[part].tolist() for flag in (batch.large, batch.says_large, batch.failed)))
         rows = zip(
             itertools.count(start),
-            flags,
+            zip(*(column[part].tolist() for column in columns)),
             _texts(batch.statistic[part], statistics, _fmt_float),
             _texts(batch.cost[part], tallies, tally.format),
         )
-        report.write("".join(f"{i},{heads[flag]}{stat},{spent}\n" for i, flag, stat, spent in rows))
+        report.write("".join(f"{i},{heads[head]}{stat},{spent}\n" for i, head, stat, spent in rows))
 
 
 def cmd_simulate(args) -> int:

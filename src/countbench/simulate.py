@@ -85,19 +85,10 @@ def _cap_draws(what: str, count: int) -> None:
         raise ValueError(f"{what} = {count} exceeds cap MAX_DRAWS = {MAX_DRAWS}")
 
 
-def _k_prime(k: int, eps: float, n: int | None = None) -> int:
-    """k' = (1+eps)k for finite, positive eps; it must be whole, above k and below any n."""
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and positive, got {eps!r}")
-    try:
-        k_prime = adversary.whole_k_prime(k, eps)
-    except OverflowError:
-        raise ValueError(f"k' = (1+eps)k overflows, with k = {k}, eps = {eps!r}") from None
-    if k_prime <= 0:
-        raise ValueError(f"k' = (1+eps)k = {k_prime} is not positive")
-    if k_prime <= k:
-        raise ValueError(f"k' = (1+eps)k = {k_prime} is not above k = {k}")
-    if n is not None and k_prime >= n:
+def _k_prime(k: int, eps: float, n: int) -> int:
+    """`adversary.k_prime`, which must also lie below n."""
+    k_prime = adversary.k_prime(k, eps)
+    if k_prime >= n:
         raise ValueError("need k' < n")
     return k_prime
 
@@ -115,10 +106,11 @@ def trial(setup, rng_seed, true_size: int | None = None, repetitions: int = 1) -
 
     All ``repetitions`` runs share one generator and one hidden set of
     size k or k' (drawn fairly unless ``true_size`` pins it).  Ties go to
-    the small hypothesis and the costs add up.  If every run failed,
-    the trial fails, says small and keeps the first run's statistic;
-    otherwise the statistic is the mean over all runs.  ``rng_seed`` is
-    anything ``np.random.default_rng`` takes; a Generator is used as it is.
+    the small hypothesis; the costs add up, and a sum past the int64
+    ``cost`` column is refused.  If every run failed, the trial fails,
+    says small and keeps the first run's statistic; otherwise the
+    statistic is the mean over all runs.  ``rng_seed`` is anything
+    ``np.random.default_rng`` takes; a Generator is used as it is.
     """
     k, k_prime, _, single = setup
     # Before the first draw, so that a rejected call leaves a Generator as it was.
@@ -137,6 +129,8 @@ def trial(setup, rng_seed, true_size: int | None = None, repetitions: int = 1) -
         if decided:
             statistic = float(np.mean([stat for _, stat, _ in runs]))
             says_large = 2 * sum(decided) > len(decided)
+    if cost >= 2**63:
+        raise ValueError(f"summed cost {cost} exceeds the cost column's int64 limit 2^63 - 1")
     return TrialOutcome(large, bool(says_large), says_large is None, statistic, cost)
 
 
@@ -154,7 +148,7 @@ def coupon(k: int, eps: float, sample_budget: int):
     """
     if sample_budget < 0:
         raise ValueError("sample budget must be nonnegative")
-    k_prime = _k_prime(k, eps)
+    k_prime = adversary.k_prime(k, eps)
     _cap_draws("sample budget", sample_budget)
     _cap_draws("hidden-set size k'", k_prime)  # a run counts every element's draws
 
@@ -175,7 +169,7 @@ def collision(k: int, eps: float, sample_count: int):
     """
     if sample_count < 2:
         raise ValueError("need at least two samples")
-    k_prime = _k_prime(k, eps)
+    k_prime = adversary.k_prime(k, eps)
     _cap_draws("sample count", sample_count)
     _cap_draws("hidden-set size k'", k_prime)  # a run counts every element's draws
     total_pairs = sample_count * (sample_count - 1) / 2.0
@@ -196,7 +190,7 @@ def overlap(n: int, k: int, eps: float, copy_count: int):
     the success fraction is thresholded midway between k/n and k'/n.
     numpy draws the successes from an int64 count, so the copies must fit one.
     """
-    k_prime = _k_prime(k, eps)
+    k_prime = adversary.k_prime(k, eps)
     if k_prime > n:
         raise ValueError(f"hidden set size k' = {k_prime} exceeds the ground set size n = {n}")
     if copy_count < 1:
@@ -613,7 +607,7 @@ def aggregate(batch: Batch) -> dict:
     if trials == 0:
         raise ValueError("nothing to aggregate")
     rate = int(np.count_nonzero(batch.correct)) / trials
-    spent = int(batch.cost.sum())
+    spent = batch.cost.sum(dtype=object)  # exact: an int64 sum could wrap
     return {
         "trials": trials,
         "success_rate": rate,

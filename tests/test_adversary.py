@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import re
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -49,6 +50,25 @@ class TestProblemInstance:
             ProblemInstance.from_eps(20, 3, 0.5)  # 4.5 not an integer
         with pytest.raises(ValueError):
             ProblemInstance.from_eps(10**9, 10**8, 0.1 + 5e-9)  # off by 0.5
+
+    @pytest.mark.parametrize(
+        "k, eps, message",
+        [
+            (10, 0.0, "eps must be finite and positive, got 0.0"),
+            (10, math.nan, "eps must be finite and positive, got nan"),
+            # (1 + 1e-12) * 10 rounds to k' = k: both hypotheses would have one size.
+            (10, 1e-12, "k' = (1+eps)k = 10 is not above k = 10"),
+            (10, 1e308, "k' = (1+eps)k overflows, with k = 10, eps = 1e+308"),
+            (10**400, 1.0, "k' = (1+eps)k overflows, with k = 1" + "0" * 400),
+        ],
+        ids=["zero-eps", "nan-eps", "k-prime-equals-k", "eps-overflows", "k-overflows"],
+    )
+    def test_from_eps_needs_a_whole_k_prime_above_k(self, k, eps, message):
+        ProblemInstance(10**401, k, k)  # the closed-form limit k' = k stays constructible
+        with pytest.raises(ValueError, match=re.escape(message)):
+            adversary.k_prime(k, eps)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ProblemInstance.from_eps(10**401, k, eps)
 
     def test_validation(self):
         with pytest.raises(ValueError):

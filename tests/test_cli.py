@@ -689,6 +689,26 @@ class TestBoundsCommand:
             "0202ae2de366db6586d7e942db694b509775d0cf0f8c685235ea877f23730c90"
         )
 
+    @pytest.mark.parametrize(
+        "eps, reason",
+        [
+            ("1e-12", "k' = (1+eps)k = 10 is not above k = 10"),
+            ("1e308", "k' = (1+eps)k overflows, with k = 10, eps = 1e+308"),
+        ],
+        ids=["k-prime-equals-k", "overflow"],
+    )
+    def test_bounds_and_simulate_share_the_k_prime_rule(self, tmp_path, capsys, eps, reason):
+        # bounds reported dual feasibility at k' = k here, or noted that it
+        # "cannot convert float infinity to integer", where simulate refused.
+        assert run(["bounds", "--n", "100", "--k", "10", "--eps", eps]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["dual_feasibility"] is None
+        assert payload["note"] == f"dual feasibility unavailable: {reason}"
+        out = tmp_path / "s"
+        argv = ["simulate", "coupon", "--k", "10", "--eps", eps, "--trials", "3", "--out", str(out)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: --eps {float(eps)!r} with --k 10: {reason}\n"
+
     def test_copies_enter_the_branches(self, capsys):
         code = run(
             ["bounds", "--n", "320", "--k", "64", "--eps", "1", "--ell", "2",
@@ -932,7 +952,7 @@ class TestSimulateCommand:
             # Each run's 2^62 copies fit; the trial's 2^63 do not fit the cost column.
             (["overlap", "--n", "1024", "--k", "16", "--eps", "1",
               "--copies", "4611686018427387904", "--repetitions", "2"],
-             "too large"),
+             "summed cost 9223372036854775808 exceeds the cost column's int64 limit 2^63 - 1"),
         ],
         ids=["qcount-runs", "coupon-runs", "overlap-copies", "overlap-cost"],
     )
@@ -1224,6 +1244,15 @@ class TestKnobInventory:
         assert commands
         for argv in commands:
             assert cli.build_parser().parse_args(argv).command == argv[0]
+
+    def test_readme_python_calls_run(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        calls = re.findall(r"`(simulate\.(?:trial|run_batch)\(.*?\))`", section)
+        assert len(calls) == 2
+        trial, batch = (eval(call, {"simulate": simulate, "seed": 5}) for call in calls)
+        assert isinstance(trial, simulate.TrialOutcome) and trial.cost == 160
+        assert isinstance(batch, simulate.Batch) and len(batch.large) == 1000
 
     def test_cached_parser_keeps_no_values_between_calls(self):
         parser = cli.build_parser()

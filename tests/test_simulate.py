@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -579,6 +580,23 @@ class TestRepetitionsAndDispatch:
         assert str(simulate.MAX_TRIALS) in str(error.value)
         assert peak < 2**20
 
+    def test_summed_cost_must_fit_the_cost_column(self):
+        def runs_costing(*costs):
+            costs = iter(costs)
+            return 1, 2, "copies", lambda rng, size: (True, 0.0, next(costs))
+
+        assert simulate.trial(runs_costing(2**62, 2**62 - 1), 0, repetitions=2).cost == 2**63 - 1
+        message = "summed cost 9223372036854775808 exceeds the cost column's int64 limit 2^63 - 1"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate.trial(runs_costing(2**62, 2**62), 0, repetitions=2)
+
+    @pytest.mark.parametrize("trials", [3, 4])
+    def test_aggregate_sums_costs_exactly(self, trials):
+        # 2^62 copies a trial: the int64 sum wrapped to -1.54e18 at 3 trials, 0 at 4.
+        params = dict(n=1024, k=16, eps=1.0, copy_count=2**62)
+        batch = simulate.run_batch("overlap", params, trials, 0)
+        assert simulate.aggregate(batch)["mean_copies"] == 2.0**62
+
     def test_outcome_is_a_row_of_the_batch_columns(self):
         # run_batch, _trial_block and tests/batches.pack read this one order.
         assert simulate.TrialOutcome._fields == simulate.Batch._fields[3:]
@@ -679,7 +697,7 @@ def estimate_with_choice(a_small_hyp, a_large_hyp, a_truth, rng):
 
 
 def qcount_with_choice(n, k, eps):
-    k_prime = simulate._k_prime(k, eps)
+    k_prime = adversary.k_prime(k, eps)
 
     def single(rng, size):
         says_large, estimate, m_points = estimate_with_choice(k / n, k_prime / n, size / n, rng)
@@ -689,7 +707,7 @@ def qcount_with_choice(n, k, eps):
 
 
 def subset_with_choice(n, k, eps, ell):
-    k_prime = simulate._k_prime(k, eps)
+    k_prime = adversary.k_prime(k, eps)
 
     def single(rng, size):
         says_large, estimate, m_points = estimate_with_choice(ell / k, ell / k_prime, ell / size, rng)
@@ -699,7 +717,7 @@ def subset_with_choice(n, k, eps, ell):
 
 
 def sample_count_one_draw_at_a_time(n, k, eps):
-    k_prime = simulate._k_prime(k, eps)
+    k_prime = adversary.k_prime(k, eps)
     ell = math.ceil(k ** (1.0 / 3.0) / (2.0 * eps ** (2.0 / 3.0)))
 
     def single(rng, size):
@@ -714,7 +732,7 @@ def sample_count_one_draw_at_a_time(n, k, eps):
 
 def bootstrap_one_draw_per_attempt(n, k, eps, retries=3):
     """Reference for `simulate.bootstrap`: the stage loop its block reads replaced."""
-    k_prime = simulate._k_prime(k, eps)
+    k_prime = adversary.k_prime(k, eps)
     target = math.ceil(1.0 / eps)
 
     def single(rng, size):
