@@ -155,8 +155,8 @@ def phi_table(inst: ProblemInstance, stop: int, start: int = 0) -> tuple[np.ndar
 
 def live_rows(t: float, k: int) -> int:
     """How many weights the schedule keeps, j = 0..min(k, floor(t) + 1); at most MAX_ROWS."""
-    if not t >= 1:
-        raise ValueError(f"cutoff parameter must satisfy t >= 1, got {t}")
+    if not (math.isfinite(t) and t >= 1):
+        raise ValueError(f"cutoff parameter must be finite and >= 1, got {t}")
     live = min(k, math.floor(min(t, k)) + 1) + 1
     _cap_rows(live)
     return live

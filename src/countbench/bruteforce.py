@@ -13,8 +13,9 @@ each check is.  ``sweep`` runs many instances' rows.
 
 Memos: work that depends on one level only is memoised per level, the
 channel norms per instance, Gamma and the closed rows per (instance, t).
-``sweep`` alone ends them: per n, every cutoff row, then every
-schedule-free row, with the memos emptied after each phase.  A
+``sweep`` alone ends them: per n, every cutoff row but DELTA_GEN, then
+every schedule-free row, then, with the ``johnson`` projector families
+freed, every DELTA_GEN row, with the memos emptied after each phase.  A
 schedule-free row that missed no memo is reported ``memoised``.
 
 V_DECOMP and PHI_COMMUTE read the channel transporters Xi in block
@@ -786,11 +787,15 @@ def sweep(instances, t_values, checks) -> list[DiscrepancyReport]:
 
     Every instance is admitted before any row runs.  Instances run
     level-major, by (n, k', k), so those that share a level run back to
-    back and its memoised work is done once.  Each n runs all its cutoff
-    rows, then all its schedule-free rows, and ``clear_memos`` ends each
-    phase: no level memo lies under a cutoff row's peak and no Gamma under
-    a schedule-free row's.  Inside a phase each instance runs t-major, so
-    its memos serve t >= 2.  PSI_POWER runs at ell = floor(t / 2).
+    back and its memoised work is done once.  Each n runs in three phases:
+    its cutoff rows other than DELTA_GEN, then its schedule-free rows,
+    then its DELTA_GEN rows, and ``clear_memos`` ends each phase: no level
+    memo lies under a cutoff row's peak and no Gamma under a schedule-free
+    row's.  DELTA_GEN reads no projector family, only the cached Phi_j, so
+    the families are freed before its lifted differences, the largest
+    arrays of the sweep, and it sums Gamma again.  Inside a phase each
+    instance runs t-major, so its memos serve t >= 2.  PSI_POWER runs at
+    ell = floor(t / 2).
     """
     for inst in instances:
         check_instance(inst)
@@ -800,23 +805,25 @@ def sweep(instances, t_values, checks) -> list[DiscrepancyReport]:
         for check in checks
     ]
     phases = (
-        [row for row in rows if row[0] not in _SCHEDULE_FREE],
+        [row for row in rows if row[0] not in _SCHEDULE_FREE | {"DELTA_GEN"}],
         [row for row in rows if row[0] in _SCHEDULE_FREE],
+        [row for row in rows if row[0] == "DELTA_GEN"],
     )
     groups: dict[int, list] = {}
     for inst in sorted(instances, key=lambda i: (i.n, i.k_prime, i.k)):
         groups.setdefault(inst.n, []).append(inst)
     reports = []
     for index, group in enumerate(groups.values()):
-        # The johnson caches end before a larger n, not after the last one:
-        # cache_clear also resets the lru statistics, and the benchmark's
-        # warm-cache gate reads johnson.irrep_projectors' misses after a
-        # traced sweep has returned.
+        # An n's Johnson objects serve no larger n.  The memos keep their
+        # miss counts across a clear, which the benchmark's warm-cache gate
+        # reads after a traced sweep has returned.
         if index:
             johnson.clear_caches()
-        for phase in phases:
+        for phase, phase_rows in enumerate(phases):
+            if phase == 2:
+                johnson.drop_projector_families()
             for inst in group:
                 # ``verify`` as a module global, so a wrapper set on the module sees each row.
-                reports += [verify(check, inst, t, ell) for check, t, ell in phase]
+                reports += [verify(check, inst, t, ell) for check, t, ell in phase_rows]
             clear_memos()
     return reports

@@ -19,7 +19,10 @@ explicitly:
 Construction is pure.  The subset masks, projectors, transporters and
 reference vectors are cached and returned read-only; the inclusion matrices,
 read once by each projector family and transporter built from them, are
-rebuilt on each call, so that none outlives its reader.
+rebuilt on each call, so that none outlives its reader.  The memos count
+their misses across ``cache_clear``, so each count is every build so far,
+and ``drop_projector_families`` empties the largest one alone, leaving
+the Phi_j built from it cached.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, wraps
 
 import numpy as np
 
@@ -41,7 +44,33 @@ MAX_GROUND_SET = 20
 DEGENERATE_SCALE = 1e-8
 
 
-@lru_cache(maxsize=None)
+def _memo(fn):
+    """``lru_cache(maxsize=None)`` whose ``cache_info()`` keeps counting across ``cache_clear``.
+
+    A plain lru_cache resets its hits and misses when it is cleared; this
+    one carries them over, so ``misses`` counts every build since import.
+    """
+    cached = lru_cache(maxsize=None)(fn)
+    carried = (0, 0)  # the hits and misses before the last clear
+
+    @wraps(fn)
+    def memo(*args):
+        return cached(*args)
+
+    def cache_info():
+        info = cached.cache_info()
+        return info._replace(hits=info.hits + carried[0], misses=info.misses + carried[1])
+
+    def cache_clear():
+        nonlocal carried
+        carried = cache_info()[:2]
+        cached.cache_clear()
+
+    memo.cache_info, memo.cache_clear = cache_info, cache_clear
+    return memo
+
+
+@_memo
 def subset_basis(n: int, k: int) -> np.ndarray:
     """Bit masks of the k-subsets of {1..n} in lexicographic order, read-only.
 
@@ -77,7 +106,7 @@ def block_dimension(n: int, j: int) -> int:
     return math.comb(n, j) - (math.comb(n, j - 1) if j >= 1 else 0)
 
 
-@lru_cache(maxsize=None)
+@_memo
 def irrep_projectors(n: int, k: int) -> tuple[np.ndarray, ...]:
     """Read-only (E_0, ..., E_k) from nested column spaces of inclusion operators.
 
@@ -101,7 +130,7 @@ def irrep_projectors(n: int, k: int) -> tuple[np.ndarray, ...]:
     return tuple(projectors)
 
 
-@lru_cache(maxsize=None)
+@_memo
 def transporter(n: int, k: int, k_prime: int, j: int) -> np.ndarray:
     """Read-only Phi_j from block j of level k' onto block j of level k.
 
@@ -221,7 +250,7 @@ def _validate_reference_params(n: int, k: int, j: int) -> None:
         raise ValueError(f"need n >= 2k+1, got n={n}, k={k}")
 
 
-@lru_cache(maxsize=None)
+@_memo
 def reference_vectors(n: int, k: int, j: int) -> ReferenceVectors:
     _validate_reference_params(n, k, j)
     term = partial(_signed_sum, subset_basis(n, k))
@@ -278,16 +307,22 @@ def reference_vectors(n: int, k: int, j: int) -> ReferenceVectors:
     )
 
 
-# The lru-cached functions as defined here.  ``clear_caches`` clears these
-# objects, not whatever the module attributes hold: a caller may have
-# replaced an attribute with a wrapper that has no cache of its own.
+# The memos as defined here.  ``clear_caches`` and ``drop_projector_families``
+# clear these objects, not whatever the module attributes hold: a caller may
+# have replaced an attribute with a wrapper that has no cache of its own.
 _CACHED = (subset_basis, irrep_projectors, transporter, reference_vectors)
+_FAMILIES = irrep_projectors
 
 
 def clear_caches() -> None:
-    """Empty every lru-cached function of this module."""
+    """Empty every memo of this module."""
     for cached in _CACHED:
         cached.cache_clear()
+
+
+def drop_projector_families() -> None:
+    """Empty the projector-family memo alone; the Phi_j built from the families stay cached."""
+    _FAMILIES.cache_clear()
 
 
 def basis_change_tables(n: int, k: int, j: int) -> tuple[np.ndarray, np.ndarray | None]:

@@ -157,6 +157,12 @@ class TestGammaSchedule:
         with pytest.raises(ValueError):
             adversary.gamma_schedule(0.5, 3)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_live_rows_refuses_a_non_finite_cutoff(self, t):
+        # At t = inf every weight is 1; the schedule kept all k + 1 rows.
+        with pytest.raises(ValueError, match="cutoff parameter must be finite"):
+            adversary.live_rows(t, 10)
+
     def test_row_cap_admits_its_own_count(self, monkeypatch):
         monkeypatch.setattr(adversary, "MAX_ROWS", 5)
         assert len(adversary.gamma_schedule(3.0, 10)) == 5

@@ -74,8 +74,9 @@ def test_every_eigvalsh_runs_inside_a_traced_spectral_norm(monkeypatch, tracer):
 
 def test_a_traced_sweep_spans_every_row_and_ends_with_cache_misses(tmp_path, tracer):
     # The worker's warm-cache gate reads johnson.irrep_projectors' misses
-    # after a traced sweep.  cache_clear resets lru statistics, so a sweep
-    # that cleared the johnson caches after its last n would read 0 here.
+    # after a traced sweep.  The sweep empties that memo before each n's
+    # DELTA_GEN rows; the johnson memos carry their counts across a clear,
+    # where a plain lru_cache would read 0 here.
     argv = ["verify", "--instance", "7,1,2", "--instance", "6,1,2", "--t", "1", "--t", "2"]
     assert cli.main(argv + ["--out", str(tmp_path)]) == 0
     with (tmp_path / "verify.csv").open(newline="") as fh:

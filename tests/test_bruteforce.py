@@ -646,6 +646,9 @@ class TestPeakMemory:
     blocks gathered at once, and 1.0 MB one element at a time.  A whole
     n = 12 sweep peaked at 33.7 MB under V_DECOMP with the inclusion
     matrices cached, and at 30.7 MB under DELTA_GEN's Gram without them.
+    With the projector families freed before the DELTA_GEN rows, those
+    rows read 18.2 MB and the sweep peaks at 28.6 MB, under the channel
+    pass of (12,3,4).
     """
 
     INST = ProblemInstance(12, 3, 4)
@@ -716,7 +719,10 @@ class TestPeakMemory:
 
     def test_sweep_at_n_12(self, tmp_path):
         # Every default check and t at (12,2,4) and (12,3,4), from empty
-        # caches: 30.7 MB, set by DELTA_GEN's forward Gram formation.
+        # caches: 28.6 MB, set by the channel pass of (12,3,4) at its
+        # V_DECOMP row.  DELTA_GEN set 30.7 MB while the projector families
+        # stayed cached under its lifted differences; it runs last, without
+        # them, at 18.2 MB.
         bruteforce.clear_memos()
         johnson.clear_caches()
         argv = ["verify", "--instance", "12,2,4", "--instance", "12,3,4", "--out", str(tmp_path)]

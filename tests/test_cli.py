@@ -440,6 +440,10 @@ class TestLevelMajorSweep:
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(bruteforce, "adversary_matrix", counting_gamma)
+        # From empty Johnson memos, whose miss counts run on across the sweep's clears.
+        johnson.clear_caches()
+        families, phis = (johnson.irrep_projectors.cache_info().misses,
+                          johnson.transporter.cache_info().misses)
         argv = ["verify", *_instance_flags(SCRAMBLED), "--timing", "--out", str(tmp_path)]
         assert run(argv) == 0
         assert passes[12, 4, True] == 1
@@ -450,8 +454,15 @@ class TestLevelMajorSweep:
         for gaps in (family_gaps, table_gaps, bases):
             assert set(gaps) == levels and set(gaps.values()) == {1}
         assert eighs == Counter(math.comb(n, level) for n, level in levels)
-        # Gamma is assembled once per (instance, t), not once per check.
-        assert set(gammas.values()) == {1} and set(gammas) == {
+        # Each projector family and each Phi_j is built once.
+        assert johnson.irrep_projectors.cache_info().misses - families == len(levels)
+        assert johnson.transporter.cache_info().misses - phis == sum(
+            k + 1 for _, k, _ in SCRAMBLED
+        )
+        # Gamma is assembled twice per (instance, t), not once per check:
+        # for the first phase's five checks, and for DELTA_GEN's, which runs
+        # after the families are freed, from the cached Phi_j.
+        assert set(gammas.values()) == {2} and set(gammas) == {
             (ProblemInstance(*triple), t) for triple in SCRAMBLED for t in cli.DEFAULT_T_VALUES
         }
         assert set(passes) == {(n, k, False) for n, k, _ in SCRAMBLED} | {
@@ -486,11 +497,12 @@ class TestLevelMajorSweep:
     )
     def test_memos_end_with_their_level(self, tmp_path, monkeypatch, checks):
         # (12,2,4) and (12,3,4) share the k' = 4 pass; (13,1,2) moves to a
-        # larger n.  Each n runs its cutoff rows, then its schedule-free rows,
-        # and every memo ends with its phase, so no level memo is held under a
-        # cutoff row and no Gamma under a schedule-free row.  With V_DECOMP
-        # run before DELTA_GEN and no PROJECTORS, memos that ended per
-        # instance would keep the block bases under the DELTA_GEN rows.
+        # larger n.  Each n runs its cutoff rows but DELTA_GEN, then its
+        # schedule-free rows, then its DELTA_GEN rows, and every memo ends
+        # with its phase, so no level memo is held under a cutoff row and no
+        # Gamma under a schedule-free row.  With V_DECOMP run before
+        # DELTA_GEN and no PROJECTORS, memos that ended per instance would
+        # keep the block bases under the DELTA_GEN rows.
         held = []
         verify = bruteforce.verify
 
@@ -521,9 +533,35 @@ class TestLevelMajorSweep:
             name for name, value in vars(bruteforce).items()
             if hasattr(value, "cache_info") and value.cache_info().currsize
         ]
-        # Only the n = 13 Johnson objects are left: (13,1), (13,2) and Phi_0, Phi_1.
-        assert johnson.irrep_projectors.cache_info().currsize == 2
+        # Of the Johnson objects only the n = 13 Phi_0 and Phi_1 are left: the
+        # (13,1) and (13,2) families were freed before the DELTA_GEN rows.
+        assert johnson.irrep_projectors.cache_info().currsize == 0
         assert johnson.transporter.cache_info().currsize == 2
+
+    def test_delta_gen_runs_with_the_families_freed(self, tmp_path, monkeypatch):
+        # Every default check and cutoff at the default n = 12 instances.
+        # Each DELTA_GEN row finds no projector family cached and builds no
+        # Phi_j: it sums Gamma from the seven that the earlier phases left.
+        johnson.clear_caches()
+        families, phis = johnson.irrep_projectors, johnson.transporter
+        built = families.cache_info().misses
+        verify = bruteforce.verify
+        seen = []
+
+        def recording(check_id, inst, t, ell):
+            held, before = families.cache_info().currsize, phis.cache_info()
+            report = verify(check_id, inst, t, ell)
+            if check_id == "DELTA_GEN":
+                after = phis.cache_info()
+                seen.append((held, before.currsize, after.misses - before.misses))
+            return report
+
+        monkeypatch.setattr(bruteforce, "verify", recording)
+        argv = ["verify", "--instance", "12,2,4", "--instance", "12,3,4", "--out", str(tmp_path)]
+        assert run(argv) == 0
+        assert seen == [(0, 3 + 4, 0)] * 2 * len(cli.DEFAULT_T_VALUES)
+        # The (12,2), (12,3) and (12,4) families, each built once.
+        assert families.cache_info().misses - built == 3
 
 
 def _count_memo_misses(monkeypatch, name) -> Counter:
@@ -708,6 +746,18 @@ class TestBoundsCommand:
         argv = ["simulate", "coupon", "--k", "10", "--eps", eps, "--trials", "3", "--out", str(out)]
         assert run(argv) == 2
         assert capsys.readouterr().err == f"error: --eps {float(eps)!r} with --k 10: {reason}\n"
+
+    @pytest.mark.parametrize("flag", ["--ell", "--ell-prime"])
+    def test_an_infinite_cutoff_gets_a_note(self, capsys, flag):
+        # Either copy count at 1e308 takes t_choice to inf; bounds printed a
+        # full report there, with "t": null and every gamma_j = 1.
+        assert run(["bounds", "--n", "100", "--k", "10", "--eps", "1", flag, "1e308"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["tradeoff"]["t_choice"] is None
+        assert payload["dual_feasibility"] is None
+        assert payload["note"] == (
+            "dual feasibility unavailable: cutoff parameter must be finite and >= 1, got inf"
+        )
 
     def test_copies_enter_the_branches(self, capsys):
         code = run(

@@ -35,6 +35,33 @@ class TestClearCaches:
         johnson.clear_caches()
         assert original.cache_info().currsize == 0
 
+    def test_misses_survive_a_clear(self):
+        # A plain lru_cache resets its counts when cleared; the benchmark's
+        # warm-cache gate reads them after sweeps that clear between levels.
+        johnson.transporter(7, 1, 2, 1)
+        counted = [memo.cache_info() for memo in johnson._CACHED]
+        assert all(info.misses > 0 for info in counted)
+        johnson.clear_caches()
+        cleared = [memo.cache_info() for memo in johnson._CACHED]
+        assert [info.currsize for info in cleared] == [0] * len(johnson._CACHED)
+        assert [info[:2] for info in cleared] == [info[:2] for info in counted]
+        # Phi_1 built again from empty memos misses in every one of them.
+        johnson.transporter(7, 1, 2, 1)
+        rebuilt = [memo.cache_info() for memo in johnson._CACHED]
+        assert all(b.misses > a.misses for a, b in zip(counted, rebuilt))
+
+    def test_dropping_the_families_keeps_the_phis_and_the_counts(self):
+        johnson.transporter(7, 1, 2, 1)
+        families, phis = johnson.irrep_projectors.cache_info(), johnson.transporter.cache_info()
+        assert families.currsize >= 2
+        johnson.drop_projector_families()
+        assert johnson.irrep_projectors.cache_info() == families._replace(currsize=0)
+        assert johnson.transporter.cache_info() == phis
+        # Phi_1 is a hit, which builds no family again.
+        johnson.transporter(7, 1, 2, 1)
+        assert johnson.irrep_projectors.cache_info() == families._replace(currsize=0)
+        assert johnson.transporter.cache_info() == phis._replace(hits=phis.hits + 1)
+
 
 class TestSubsetBasis:
     def test_small_order(self):
