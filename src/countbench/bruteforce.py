@@ -13,9 +13,12 @@ each check is.  ``sweep`` runs many instances' rows.
 
 Memos: work that depends on one level only is memoised per level, the
 channel norms per instance, Gamma and the closed rows per (instance, t).
-``sweep`` alone ends them: per n, every cutoff row but DELTA_GEN, then
-every schedule-free row, then, with the ``johnson`` projector families
-freed, every DELTA_GEN row, with the memos emptied after each phase.  A
+``sweep`` alone ends them.  Per n it runs every cutoff row but
+DELTA_GEN, which read the ``johnson`` projector families; then every
+PROJECTORS row, which builds each level's block bases and family gap
+from them; then, with the families freed, every other schedule-free row;
+then every DELTA_GEN row.  The memos are emptied after the cutoff rows,
+after the schedule-free rows and after the DELTA_GEN rows.  A
 schedule-free row that missed no memo is reported ``memoised``.
 
 V_DECOMP and PHI_COMMUTE read the channel transporters Xi in block
@@ -439,12 +442,14 @@ def _block_bases(projectors: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.nda
     return q_all, edges
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=None)
 def _level_bases(n: int, level: int) -> tuple[np.ndarray, np.ndarray]:
     """``_block_bases`` of one level's family, read-only and memoised per level.
 
-    V_DECOMP's channel pass and PROJECTORS read the same bases; an
-    instance reads its two levels, so two entries serve it.
+    V_DECOMP's channel pass and PROJECTORS read the same bases.  ``sweep``
+    frees an n's families once the bases its later rows read are built,
+    and ends this memo with the schedule-free rows, so it holds every
+    level of that n.
     """
     q_all, edges = _block_bases(johnson.irrep_projectors(n, level))
     return linalg.freeze(q_all), linalg.freeze(edges)
@@ -489,13 +494,17 @@ def _level_channels(n: int, level: int, hatted: bool):
     # Level k' keeps the cores with j, j + m < k', the ones any k < k' reads.
     top = level if hatted else level + 1
     live = _live_channels(level)
-    # The kept cores, (a, i, b) (one Pi_0 row per a), allocated before the
-    # N x N buffers, so that those are freed at the top of the heap.
-    cores = {
-        (j, el, m): np.empty((dims[j + m], n if el else 1, dims[j]))
+    # The kept cores, (a, i, b) (one Pi_0 row per a), views of one buffer
+    # allocated before the N x N buffers, so that those are freed at the
+    # top of the heap.
+    shapes = {
+        (j, el, m): (dims[j + m], n if el else 1, dims[j])
         for _, j, el, m in live
         if max(j, j + m) < top
     }
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    parts = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+    cores = {key: part.reshape(shape) for (key, shape), part in zip(shapes.items(), parts)}
     # One N x N buffer: the rows of the mean slot M, then M squared, then each slot.
     slot = q_all * np.sqrt(psi.sum(axis=1) / n)[:, None]
     mean = slot.T @ slot
@@ -669,8 +678,10 @@ def _projector_family_gap(n: int, level: int) -> tuple[float, bool]:
 
 
 def _check_projectors(inst: ProblemInstance, t: float, ell: int):
-    gap_x, ok_x = _projector_family_gap(inst.n, inst.k)
+    # The larger k' level first, so that the k level's bases do not sit
+    # under the eigh of its L.
     gap_y, ok_y = _projector_family_gap(inst.n, inst.k_prime)
+    gap_x, ok_x = _projector_family_gap(inst.n, inst.k)
     gap = max(gap_x, gap_y)
     details = {"ranks_match": ok_x and ok_y}
     # A rank mismatch is a hard failure regardless of the numeric gap: the
@@ -782,20 +793,49 @@ def verify(
     )
 
 
+def _build_before_freeing_the_families(group, t_values, checks) -> None:
+    """Build what one n's rows after the family drop read from the families.
+
+    The channel pass reads both levels' block bases and every Phi_j,
+    DELTA_GEN the Phi_j of its schedules; once built, none of them needs a
+    projector family.  In a default sweep the cutoff and PROJECTORS rows
+    have built them all, and every call here is a hit.
+    """
+    channels = not {"V_DECOMP", "PHI_COMMUTE"}.isdisjoint(checks)
+    for inst in group:
+        if channels:
+            phis = inst.k + 1
+            for level in (inst.k, inst.k_prime):
+                _level_bases(inst.n, level)
+        elif "DELTA_GEN" in checks:
+            phis = max((adversary.live_rows(t, inst.k) for t in t_values), default=0)
+        else:
+            phis = 0
+        for j in range(phis):
+            johnson.transporter(inst.n, inst.k, inst.k_prime, j)
+
+
 def sweep(instances, t_values, checks) -> list[DiscrepancyReport]:
     """Every (check, instance, t) row, in run order; each memo ends here.
 
     Every instance is admitted before any row runs.  Instances run
     level-major, by (n, k', k), so those that share a level run back to
-    back and its memoised work is done once.  Each n runs in three phases:
-    its cutoff rows other than DELTA_GEN, then its schedule-free rows,
-    then its DELTA_GEN rows, and ``clear_memos`` ends each phase: no level
-    memo lies under a cutoff row's peak and no Gamma under a schedule-free
-    row's.  DELTA_GEN reads no projector family, only the cached Phi_j, so
-    the families are freed before its lifted differences, the largest
-    arrays of the sweep, and it sums Gamma again.  Inside a phase each
-    instance runs t-major, so its memos serve t >= 2.  PSI_POWER runs at
-    ell = floor(t / 2).
+    back and its memoised work is done once.  Each n runs in three phases,
+    and ``clear_memos`` ends each, so no level memo lies under a cutoff
+    row's peak and no Gamma under a schedule-free row's:
+
+    1. its cutoff rows other than DELTA_GEN, which read the ``johnson``
+       projector families (PSI_COEFFS its ranks, DELTA_REFL its block
+       scalars);
+    2. its PROJECTORS rows, which build each level's block bases and
+       family gap; then, with every block basis and Phi_j that a later row
+       reads built, the families are freed, and its other schedule-free
+       rows run;
+    3. its DELTA_GEN rows, whose lifted differences are the largest arrays
+       of the sweep; they sum Gamma again from the cached Phi_j.
+
+    Inside a phase each instance runs t-major, so its memos serve t >= 2.
+    PSI_POWER runs at ell = floor(t / 2).
     """
     for inst in instances:
         check_instance(inst)
@@ -804,26 +844,37 @@ def sweep(instances, t_values, checks) -> list[DiscrepancyReport]:
         for t in t_values
         for check in checks
     ]
-    phases = (
-        [row for row in rows if row[0] not in _SCHEDULE_FREE | {"DELTA_GEN"}],
-        [row for row in rows if row[0] in _SCHEDULE_FREE],
-        [row for row in rows if row[0] == "DELTA_GEN"],
-    )
+
+    def rows_of(ids):
+        return [row for row in rows if row[0] in ids]
+
+    cutoff = rows_of(set(CHECK_IDS) - _SCHEDULE_FREE - {"DELTA_GEN"})
+    projectors = rows_of({"PROJECTORS"})
+    free = rows_of(_SCHEDULE_FREE - {"PROJECTORS"})
+    delta_gen = rows_of({"DELTA_GEN"})
     groups: dict[int, list] = {}
     for inst in sorted(instances, key=lambda i: (i.n, i.k_prime, i.k)):
         groups.setdefault(inst.n, []).append(inst)
     reports = []
+
+    def run(group, phase_rows):
+        for inst in group:
+            # ``verify`` as a module global, so a wrapper set on the module sees each row.
+            reports.extend(verify(check, inst, t, ell) for check, t, ell in phase_rows)
+
     for index, group in enumerate(groups.values()):
         # An n's Johnson objects serve no larger n.  The memos keep their
         # miss counts across a clear, which the benchmark's warm-cache gate
         # reads after a traced sweep has returned.
         if index:
             johnson.clear_caches()
-        for phase, phase_rows in enumerate(phases):
-            if phase == 2:
-                johnson.drop_projector_families()
-            for inst in group:
-                # ``verify`` as a module global, so a wrapper set on the module sees each row.
-                reports += [verify(check, inst, t, ell) for check, t, ell in phase_rows]
-            clear_memos()
+        run(group, cutoff)
+        clear_memos()
+        run(group, projectors)
+        _build_before_freeing_the_families(group, t_values, checks)
+        johnson.drop_projector_families()
+        run(group, free)
+        clear_memos()
+        run(group, delta_gen)
+        clear_memos()
     return reports

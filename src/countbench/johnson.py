@@ -9,7 +9,7 @@ explicitly:
 * subset bit masks in lexicographic order,
 * set-inclusion operators between levels,
 * the orthogonal projectors E_0..E_k onto the irreducible blocks, as a
-  tuple of matrices, and their predicted ranks,
+  tuple of views of one (k+1) x N x N array, and their predicted ranks,
 * the norm-one transporters Phi_j between the j-th blocks of two
   levels, sign-fixed so that the large-level reference vector maps onto
   the small-level one,
@@ -22,7 +22,10 @@ read once by each projector family and transporter built from them, are
 rebuilt on each call, so that none outlives its reader.  The memos count
 their misses across ``cache_clear``, so each count is every build so far,
 and ``drop_projector_families`` empties the largest one alone, leaving
-the Phi_j built from it cached.
+the Phi_j built from it cached.  Each family is one array, so dropping
+it frees one block of memory, which ``bruteforce.sweep`` does once an n's
+block bases, family gaps and Phi_j are built, before the rows that read
+no family.
 """
 
 from __future__ import annotations
@@ -114,20 +117,27 @@ def irrep_projectors(n: int, k: int) -> tuple[np.ndarray, ...]:
     inclusion_matrix(n, k, j).  Requires n >= 2k, the regime in which the
     level decomposes multiplicity-free into blocks j = 0..k.
     inclusion_matrix(n, k, k) is the identity, so P_k = I takes no SVD.
+    The E_j are views of one (k+1) x N x N array, so a family is one
+    block of memory, and freeing it returns that block whole.
     """
     if n < 2 * k:
         raise ValueError(f"projector decomposition needs n >= 2k, got n={n}, k={k}")
-    projectors = []
     size = math.comb(n, k)
+    family = np.empty((k + 1, size, size))
     prev = np.zeros((size, size))
     for j in range(k):
         q = linalg.orthonormal_column_basis(inclusion_matrix(n, k, j))
         p = q @ q.T
         p = (p + p.T) / 2.0
-        projectors.append(linalg.freeze(p - prev))
+        np.subtract(p, prev, out=family[j])
         prev = p
-    projectors.append(linalg.freeze(np.eye(size) - prev))
-    return tuple(projectors)
+    # E_k = I - P_{k-1}, with I written into E_k's own slot: a separate
+    # identity would be one N x N array more at the family's peak.
+    last = family[k]
+    last.fill(0.0)
+    np.fill_diagonal(last, 1.0)
+    np.subtract(last, prev, out=last)
+    return tuple(linalg.freeze(family))
 
 
 @_memo

@@ -3,12 +3,13 @@ import math
 import re
 import tracemalloc
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from countbench import adversary, bruteforce, johnson, linalg
@@ -783,10 +784,43 @@ def loop_hadamard_step(coeffs, inst):
     return out
 
 
-def assert_rel(got, want, rel=1e-13):
+def assert_rel(got, want, rel=1e-13, cancelled=0.0):
+    """|got - want| <= rel times the larger of max |want| and, row by row, ``cancelled``.
+
+    ``cancelled`` is the size of the terms a row's value cancels; a row
+    that cancels nothing (0) keeps the bound set by max |want|.
+    """
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
-    scale = max(float(np.max(np.abs(want))), np.finfo(float).tiny)
-    assert float(np.max(np.abs(got - want))) <= rel * scale, (got, want)
+    scale = np.maximum(max(float(np.max(np.abs(want))), np.finfo(float).tiny), cancelled)
+    assert np.all(np.abs(got - want) <= rel * scale), (got, want)
+
+
+def loop_reflection_products(inst, t):
+    """|phi'_j| |tilde'_j| + |tilde_j| |phi_j| for rows j = 0..k, then 0 for row k+1.
+
+    Block j of the reflection difference is phi'_j tilde'_j^T - tilde_j
+    phi_j^T, so a rounding in either product, or one ulp of its inputs,
+    moves the block's norm by up to an ulp of these sizes, however small
+    the difference.  The row past k is one product and cancels nothing.
+    """
+    phi, phi_prime = loop_tables(inst)
+    tilde, tilde_prime = loop_tildes(inst, t)
+    norms = partial(np.linalg.norm, axis=1)
+    products = norms(phi_prime) * norms(tilde_prime) + norms(tilde) * norms(phi)
+    return np.append(products, 0.0)
+
+
+def fifty_digit_reflection(phi, phi_prime, tilde, tilde_prime):
+    """||phi' tilde'^T - tilde phi^T|| at 50 digits, the four float rows taken as exact."""
+    with mpmath.workdps(50):
+        p, q, a, b = (
+            [mpmath.mpf(float(x)) for x in row] for row in (phi, phi_prime, tilde, tilde_prime)
+        )
+        block = mpmath.matrix(4, 4)
+        for r in range(4):
+            for c in range(4):
+                block[r, c] = q[r] * b[c] - a[r] * p[c]
+        return mpmath.svd_r(block, compute_uv=False)[0]
 
 
 @st.composite
@@ -878,23 +912,51 @@ class TestVectorisedAgainstRowLoops:
 
     @settings(max_examples=40, deadline=None)
     @given(certificate_points())
+    @example((ProblemInstance(29814424, 352, 352), 482.0, 0))
     def test_every_closed_row(self, point):
         # Each live row of each array, and the row past k where the schedule
         # reaches row k; every loop row the schedule drops must be exactly 0.
+        # A reflection row is held to 1e-13 of the products its block
+        # cancels where those outweigh the largest row (the example's row
+        # 131: see test_a_cancelling_reflection_row_is_exact_to_its_products).
         inst, t, _ = point
         rows = whole_rows(inst, t)
         live = adversary.live_rows(t, inst.k)
         want = loop_rows(inst, t)
         kept = list(range(live)) + ([inst.k + 1] if live == inst.k + 1 else [])
+        cancelled = {"forward": 0.0, "reflection": loop_reflection_products(inst, t)[kept]}
         for name in ("forward", "reflection"):
             assert len(getattr(rows, name)) == len(kept)
-            assert_rel(getattr(rows, name), [want[name][j] for j in kept])
+            assert_rel(
+                getattr(rows, name), [want[name][j] for j in kept], cancelled=cancelled[name]
+            )
             assert all(want[name][j] == 0.0 for j in range(inst.k + 2) if j not in kept)
         for name in ("reverse", "membership", "gamma", "overlap"):
             assert len(getattr(rows, name)) == live
             assert_rel(getattr(rows, name), want[name][:live])
             if name != "overlap":
                 assert all(value == 0.0 for value in want[name][live:])
+
+    def test_a_cancelling_reflection_row_is_exact_to_its_products(self):
+        # Reflection row 131 here reads 1.0029e-3 on both sides, 1.1e-16
+        # apart: more than 1e-13 of the largest row, 1.037e-3.  Its block
+        # cancels products of size 1.45, and the two sides' inputs differ
+        # in one ulp.  Each side lies within an ulp of those products of the
+        # 50-digit norm of its own inputs, so neither norm method is at fault.
+        inst, t, j = ProblemInstance(29814424, 352, 352), 482.0, 131
+        gammas = adversary.gamma_schedule(t, inst.k)
+        phi, phi_prime = adversary.phi_table(inst, len(gammas))
+        sides = [
+            (whole_rows(inst, t).reflection[j],
+             (phi, phi_prime, *adversary.tilde_tables(gammas, phi, phi_prime))),
+            (loop_rows(inst, t)["reflection"][j], (*loop_tables(inst), *loop_tildes(inst, t))),
+        ]
+        products = loop_reflection_products(inst, t)[j]
+        gap = abs(sides[0][0] - sides[1][0])
+        assert 1e-13 * max(loop_rows(inst, t)["reflection"]) < gap <= 1e-13 * products
+        for value, tables in sides:
+            exact = fifty_digit_reflection(*(table[j] for table in tables))
+            assert abs(mpmath.mpf(float(value)) - exact) <= np.finfo(float).eps * products
 
     @settings(max_examples=40, deadline=None)
     @given(certificate_points())

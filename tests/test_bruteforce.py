@@ -323,6 +323,16 @@ class TestChannelPass:
             assert bruteforce.verify("V_DECOMP", inst, t=1.0).passed
             bruteforce.clear_memos()
 
+    @pytest.mark.parametrize("hatted", [False, True], ids=["k", "k-prime"])
+    def test_a_levels_cores_share_one_buffer(self, hatted):
+        # One allocation holds every kept core of a level, so dropping the
+        # pass's result frees one block, not one per core.
+        cores, _ = bruteforce._level_channels(INST.n, INST.k_prime, hatted)
+        buffer = next(iter(cores.values())).base
+        assert buffer is not None and buffer.flags.owndata
+        assert all(core.base is buffer for core in cores.values())
+        assert sum(core.size for core in cores.values()) == buffer.size
+
     def test_degenerate_channel_raises(self, monkeypatch):
         original = bruteforce.psi_matrix
 
@@ -647,8 +657,10 @@ class TestPeakMemory:
     n = 12 sweep peaked at 33.7 MB under V_DECOMP with the inclusion
     matrices cached, and at 30.7 MB under DELTA_GEN's Gram without them.
     With the projector families freed before the DELTA_GEN rows, those
-    rows read 18.2 MB and the sweep peaks at 28.6 MB, under the channel
-    pass of (12,3,4).
+    rows read 18.2 MB and the sweep peaked at 28.6 MB, under the channel
+    pass of (12,3,4).  With the families freed before the channel pass
+    too, the sweep peaks at 23.5 MB, under DELTA_REFL at (12,3,4), whose
+    block scalars still read the three cached families.
     """
 
     INST = ProblemInstance(12, 3, 4)
@@ -719,15 +731,16 @@ class TestPeakMemory:
 
     def test_sweep_at_n_12(self, tmp_path):
         # Every default check and t at (12,2,4) and (12,3,4), from empty
-        # caches: 28.6 MB, set by the channel pass of (12,3,4) at its
-        # V_DECOMP row.  DELTA_GEN set 30.7 MB while the projector families
-        # stayed cached under its lifted differences; it runs last, without
-        # them, at 18.2 MB.
+        # caches: 23.5 MB, set by DELTA_REFL at (12,3,4) with the (12,2),
+        # (12,3) and (12,4) projector families cached.  The channel pass of
+        # (12,3,4) set 28.6 MB while the families stayed cached under it,
+        # and DELTA_GEN 30.7 MB under its lifted differences; both now run
+        # after the PROJECTORS rows, with the families freed.
         bruteforce.clear_memos()
         johnson.clear_caches()
         argv = ["verify", "--instance", "12,2,4", "--instance", "12,3,4", "--out", str(tmp_path)]
         codes = []
-        assert _traced_peak(lambda: codes.append(cli.main(argv))) <= 31e6
+        assert _traced_peak(lambda: codes.append(cli.main(argv))) <= 25e6
         assert codes == [0]
 
 

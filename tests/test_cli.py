@@ -427,11 +427,20 @@ class TestLevelMajorSweep:
         family_gaps = _count_memo_misses(monkeypatch, "_projector_family_gap")
         table_gaps = _count_memo_misses(monkeypatch, "_level_table_gap")
         bases = _count_memo_misses(monkeypatch, "_level_bases")
-        eighs, gammas = Counter(), Counter()
+        eighs, gammas, eigh_rows = Counter(), Counter(), Counter()
         eigh, adversary_matrix = np.linalg.eigh, bruteforce.adversary_matrix
+        verify, running = bruteforce.verify, [None]
+
+        def recording(check_id, inst, t, ell):
+            running[0] = check_id
+            try:
+                return verify(check_id, inst, t, ell)
+            finally:
+                running[0] = None
 
         def counting_eigh(a, *args, **kwargs):
             eighs[len(a)] += 1
+            eigh_rows[running[0]] += 1
             return eigh(a, *args, **kwargs)
 
         def counting_gamma(inst, t):
@@ -440,6 +449,7 @@ class TestLevelMajorSweep:
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(bruteforce, "adversary_matrix", counting_gamma)
+        monkeypatch.setattr(bruteforce, "verify", recording)
         # From empty Johnson memos, whose miss counts run on across the sweep's clears.
         johnson.clear_caches()
         families, phis = (johnson.irrep_projectors.cache_info().misses,
@@ -454,6 +464,10 @@ class TestLevelMajorSweep:
         for gaps in (family_gaps, table_gaps, bases):
             assert set(gaps) == levels and set(gaps.values()) == {1}
         assert eighs == Counter(math.comb(n, level) for n, level in levels)
+        # The PROJECTORS rows run first among an n's schedule-free rows, so
+        # each block-basis build is charged to one of them, before the
+        # families are freed.
+        assert eigh_rows == {"PROJECTORS": len(levels)}
         # Each projector family and each Phi_j is built once.
         assert johnson.irrep_projectors.cache_info().misses - families == len(levels)
         assert johnson.transporter.cache_info().misses - phis == sum(
@@ -484,7 +498,8 @@ class TestLevelMajorSweep:
     def test_a_row_whose_levels_are_both_done_is_memoised(self, tmp_path):
         # (12,3,4) shares the (12,3) level with (12,2,3) and the (12,4) level
         # with (12,2,4), so its TABLES and PROJECTORS rows miss no memo, even
-        # at the first cutoff.
+        # at the first cutoff.  Every PROJECTORS row runs before the families
+        # are freed and every TABLES row after; each set runs by instance.
         triples = ((12, 2, 3), (12, 2, 4), (12, 3, 4))
         argv = ["verify", *_instance_flags(triples), "--checks", "TABLES", "PROJECTORS",
                 "--t", "1", "--timing", "--out", str(tmp_path)]
@@ -498,11 +513,13 @@ class TestLevelMajorSweep:
     def test_memos_end_with_their_level(self, tmp_path, monkeypatch, checks):
         # (12,2,4) and (12,3,4) share the k' = 4 pass; (13,1,2) moves to a
         # larger n.  Each n runs its cutoff rows but DELTA_GEN, then its
-        # schedule-free rows, then its DELTA_GEN rows, and every memo ends
-        # with its phase, so no level memo is held under a cutoff row and no
-        # Gamma under a schedule-free row.  With V_DECOMP run before
-        # DELTA_GEN and no PROJECTORS, memos that ended per instance would
-        # keep the block bases under the DELTA_GEN rows.
+        # PROJECTORS rows, then, with the families freed, its other
+        # schedule-free rows, then its DELTA_GEN rows.  Every memo ends with
+        # its phase, so no level memo is held under a cutoff row and no
+        # Gamma under a schedule-free row.  With no PROJECTORS the block
+        # bases are built before the families are freed, outside any row,
+        # and V_DECOMP still runs without the families; memos that ended per
+        # instance would keep the bases under the DELTA_GEN rows.
         held = []
         verify = bruteforce.verify
 
@@ -512,9 +529,10 @@ class TestLevelMajorSweep:
         def recording(check_id, inst, t, ell):
             level = (bruteforce._hatted_level_channels, bruteforce._level_bases)
             before = sizes(*level), sizes(bruteforce._adversary_matrix)
+            families = sizes(johnson.irrep_projectors)
             report = verify(check_id, inst, t, ell)
             after = sizes(*level), sizes(bruteforce._adversary_matrix)
-            held.append((check_id, before, after))
+            held.append((check_id, before, after, families + sizes(johnson.irrep_projectors)))
             return report
 
         monkeypatch.setattr(bruteforce, "verify", recording)
@@ -523,18 +541,20 @@ class TestLevelMajorSweep:
         argv += ["--checks", *checks] if checks else []
         assert run(argv + ["--out", str(tmp_path)]) == 0
         assert len(held) == 3 * 2 * len(checks or bruteforce.CHECK_IDS)
-        for check_id, before, after in held:
+        for check_id, before, after, families in held:
             if check_id in bruteforce._SCHEDULE_FREE:
                 assert before[1] == after[1] == 0, check_id
             else:
                 assert before[0] == after[0] == 0, check_id
+            if check_id in ("V_DECOMP", "DELTA_GEN"):
+                assert families == 0, check_id
         # After the sweep every bruteforce memo is empty.
         assert not [
             name for name, value in vars(bruteforce).items()
             if hasattr(value, "cache_info") and value.cache_info().currsize
         ]
         # Of the Johnson objects only the n = 13 Phi_0 and Phi_1 are left: the
-        # (13,1) and (13,2) families were freed before the DELTA_GEN rows.
+        # (13,1) and (13,2) families were freed before the V_DECOMP rows.
         assert johnson.irrep_projectors.cache_info().currsize == 0
         assert johnson.transporter.cache_info().currsize == 2
 
@@ -560,6 +580,40 @@ class TestLevelMajorSweep:
         argv = ["verify", "--instance", "12,2,4", "--instance", "12,3,4", "--out", str(tmp_path)]
         assert run(argv) == 0
         assert seen == [(0, 3 + 4, 0)] * 2 * len(cli.DEFAULT_T_VALUES)
+        # The (12,2), (12,3) and (12,4) families, each built once.
+        assert families.cache_info().misses - built == 3
+
+    @pytest.mark.parametrize(
+        "checks", [None, ("DELTA_GEN",), ("PHI_COMMUTE", "TABLES")],
+        ids=["default", "DELTA_GEN", "PHI_COMMUTE"],
+    )
+    def test_rows_after_projectors_run_with_the_families_freed(
+        self, tmp_path, monkeypatch, checks
+    ):
+        # Every cutoff at the default n = 12 instances.  The cutoff rows but
+        # DELTA_GEN read all three families, and the PROJECTORS rows, which
+        # run first among the schedule-free rows, read them too; every later
+        # row finds none cached and builds none.  Without those rows the
+        # block bases and Phi_j that later rows read are built before the
+        # families are freed.
+        johnson.clear_caches()
+        families = johnson.irrep_projectors
+        built = families.cache_info().misses
+        verify = bruteforce.verify
+        held = {}
+
+        def recording(check_id, inst, t, ell):
+            before = families.cache_info().currsize
+            report = verify(check_id, inst, t, ell)
+            held.setdefault(check_id, set()).update((before, families.cache_info().currsize))
+            return report
+
+        monkeypatch.setattr(bruteforce, "verify", recording)
+        argv = ["verify", "--instance", "12,2,4", "--instance", "12,3,4", "--out", str(tmp_path)]
+        assert run(argv + (["--checks", *checks] if checks else [])) == 0
+        freed = {"V_DECOMP", "PHI_COMMUTE", "TABLES", "DELTA_GEN"} & set(checks or held)
+        assert {check: held[check] for check in freed} == dict.fromkeys(freed, {0})
+        assert held.get("PROJECTORS", {3}) == {3}
         # The (12,2), (12,3) and (12,4) families, each built once.
         assert families.cache_info().misses - built == 3
 

@@ -1,13 +1,14 @@
 import hashlib
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from countbench import adversary, bruteforce, johnson
+from countbench import adversary, bruteforce, johnson, linalg
 from countbench.cli import DEFAULT_INSTANCES
 import dense_reference
 
@@ -147,6 +148,45 @@ class TestProjectors:
     def test_rejects_n_below_2k(self):
         with pytest.raises(ValueError):
             johnson.irrep_projectors(5, 3)
+
+    @pytest.mark.parametrize("n,k", [(6, 2), (8, 3), (9, 4)])
+    def test_family_is_one_read_only_buffer(self, n, k):
+        # Every E_j is a view of one C-contiguous (k+1) x N x N array, equal
+        # bit for bit to P_j - P_{j-1} built one matrix at a time.
+        johnson.drop_projector_families()
+        family = johnson.irrep_projectors(n, k)
+        buffer = family[0].base
+        size = math.comb(n, k)
+        assert buffer.shape == (k + 1, size, size)
+        assert buffer.flags.c_contiguous and not buffer.flags.writeable
+        prev = np.zeros((size, size))
+        for j, e in enumerate(family):
+            assert e.base is buffer and not e.flags.writeable
+            p = np.eye(size)
+            if j < k:
+                q = linalg.orthonormal_column_basis(johnson.inclusion_matrix(n, k, j))
+                p = q @ q.T
+                p = (p + p.T) / 2.0
+            assert e.tobytes() == (p - prev).tobytes()
+            prev = p
+
+    def test_dropping_a_family_frees_its_buffer(self):
+        # After every check of (8,2,3) has read both families, and with the
+        # verifier's memos still full, no view of either buffer outlives the
+        # drop.
+        inst = adversary.ProblemInstance(8, 2, 3)
+        johnson.drop_projector_families()
+        bruteforce.clear_memos()
+        for check in bruteforce.CHECK_IDS:
+            assert bruteforce.verify(check, inst, t=2.0, ell=1).passed, check
+        buffers = [
+            weakref.ref(johnson.irrep_projectors(inst.n, level)[0].base)
+            for level in (inst.k, inst.k_prime)
+        ]
+        assert all(ref() is not None for ref in buffers)
+        johnson.drop_projector_families()
+        assert [ref() for ref in buffers] == [None, None]
+        bruteforce.clear_memos()
 
 
 class TestTransporter:
