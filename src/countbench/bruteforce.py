@@ -13,13 +13,14 @@ each check is.  ``sweep`` runs many instances' rows.
 
 Memos: work that depends on one level only is memoised per level, the
 channel norms per instance, Gamma and the closed rows per (instance, t).
-``sweep`` alone ends them.  Per n it runs every cutoff row but
-DELTA_GEN, which read the ``johnson`` projector families; then every
-PROJECTORS row, which builds each level's block bases and family gap
-from them; then, with the families freed, every other schedule-free row;
-then every DELTA_GEN row.  The memos are emptied after the cutoff rows,
-after the schedule-free rows and after the DELTA_GEN rows.  A
-schedule-free row that missed no memo is reported ``memoised``.
+``sweep`` alone ends them.  Per n it first builds the ``johnson``
+projector families, largest level first, and reads off each level what
+the rows need: the block bases, the PROJECTORS gap and ranks, the level
+record (the ranks d_j and the class table of ``_level_record``) and
+each instance's Phi_j.  Then it frees the families, so no family lies
+under any row, and runs every row but DELTA_GEN, then, with the memos
+emptied, every DELTA_GEN row, and empties them again.  A schedule-free
+row that missed no memo is reported ``memoised``.
 
 V_DECOMP and PHI_COMMUTE read the channel transporters Xi in block
 coordinates (``_level_channels``), one ground element i at a time,
@@ -35,7 +36,9 @@ Work the symmetry makes identical is done once.  DELTA_MEMB takes the
 norm at element n alone and certifies every other element i by how far
 Gamma moves under the transposition (i n).  One eigh of sum_j j E_j per
 level gives the block bases that both the channel pass and PROJECTORS
-read.
+read.  Each E_j is constant on the pairs (x, y) with one |x & y|, so
+DELTA_REFL reads its block scalars from the class sums of its Grams and
+a (k+1) x (k+1) class table of the family, not from the family.
 
 Block ordering for lifted matrices is label-major: the lifted row index
 (x, i) enumerates i = 1..n inside each x, and the lifted column index
@@ -64,6 +67,9 @@ SIZE_CAP = 20000
 TOL_NORM = 1e-8
 TOL_EXACT = 1e-10
 
+
+# Entries per band of rows of a level-sized matrix in the class-sum readout.
+_BAND_ENTRIES = 1 << 16
 
 # Channel labels (ell, m): ground-space component ell tensor block shift m.
 XI_CHANNELS = ((1, -1), (0, 0), (1, 0), (1, 1))
@@ -267,16 +273,18 @@ def _check_psi_coeffs(inst: ProblemInstance, t: float, ell: int):
     Every Phi_j is built before Gamma is assembled, and Gamma o P is formed
     afresh for each j in one buffer and multiplied by Phi_j in place, so
     that the memoised Gamma adds no array of its size to this check's peak.
+    d_j is read from the level record.
     """
     closed = adversary.hadamard_psi_step(adversary.gamma_schedule(t, inst.k), inst)
     phis = [johnson.transporter(inst.n, inst.k, inst.k_prime, j) for j in range(inst.k + 1)]
+    dims = _level_record(inst.n, inst.k).dims
     gamma, overlap = _adversary_matrix(inst, t), psi_gram(inst)
     had = np.empty_like(gamma)
     brute = []
-    for phi, e_j in zip(phis, johnson.irrep_projectors(inst.n, inst.k)):
+    for phi, d_j in zip(phis, dims):
         np.multiply(gamma, overlap, out=had)
         had *= phi
-        brute.append(float(np.sum(had)) / int(round(float(np.trace(e_j)))))
+        brute.append(float(np.sum(had)) / int(d_j))
     brute = np.array(brute)
     gaps = np.abs(brute - closed)
     worst = int(np.argmax(gaps))
@@ -340,10 +348,10 @@ def _reflection_lift_norm(inst: ProblemInstance, gamma: np.ndarray) -> tuple[flo
     """Norm of the lifted reflection difference, and its structure residual.
 
     For an S_n-equivariant gamma, C is a scalar on each block of level k
-    and E on each block of level k', so ``linalg.block_scalars`` reads
-    them with no eigensolve: the norm is scale * sqrt(max_j m_j) over the
-    blocks of both levels.  The structure residual is the larger of the
-    two Grams' residuals ||M - sum_j m_j E_j||_F, relative to max_j m_j;
+    and E on each block of level k', so ``_block_scalars`` reads them from
+    their class sums with no eigensolve: the norm is scale * sqrt(max_j
+    m_j) over the blocks of both levels.  The structure residual is the
+    larger of the two Grams' residuals ||M - sum_j m_j E_j||_F, relative to max_j m_j;
     by Weyl's inequality it bounds the relative error of max_j m_j as the
     top eigenvalue, and ``verify`` fails the row when it exceeds TOL_EXACT.
     A gamma that is not equivariant leaves a large residual.
@@ -351,9 +359,85 @@ def _reflection_lift_norm(inst: ProblemInstance, gamma: np.ndarray) -> tuple[flo
     c, e, scale = _reflection_remainder_grams(inst, gamma)
     top = residual = 0.0
     for gram, level in ((c, inst.k), (e, inst.k_prime)):
-        m, off = linalg.block_scalars(gram, johnson.irrep_projectors(inst.n, level))
+        m, off = _block_scalars(gram, inst.n, level)
         top, residual = max(top, float(m.max())), max(residual, off)
     return scale * math.sqrt(top), residual / top if top > 0.0 else residual
+
+
+def _class_bands(masks: np.ndarray):
+    """Each band of rows of a level-sized matrix, and the classes |x & y| of its pairs (x, y).
+
+    A band holds about ``_BAND_ENTRIES`` entries, which bounds the
+    temporaries of the readers that walk the bands.
+    """
+    step = max(1, _BAND_ENTRIES // len(masks))
+    for lo in range(0, len(masks), step):
+        band = slice(lo, lo + step)
+        yield band, np.bitwise_count(masks[band, None] & masks)
+
+
+def _class_sums(matrices, masks: np.ndarray, level: int) -> np.ndarray:
+    """S[i, c], the sum of ``matrices[i]`` over the pairs (x, y) of a level with |x & y| = c.
+
+    Each class's entries of a band are gathered into one array and added
+    pairwise, and the bands' sums add up in order.  np.bincount(weights=)
+    and np.sum(where=) add one entry at a time, which put DELTA_REFL's
+    gaps at about 3e-13.
+    """
+    sums = np.zeros((len(matrices), level + 1))
+    for band, classes in _class_bands(masks):
+        runs = [np.flatnonzero(classes == c) for c in range(level + 1)]
+        for i, matrix in enumerate(matrices):
+            values = matrix[band].ravel()
+            sums[i] += [np.sum(values[run]) for run in runs]
+    return sums
+
+
+class _Level(NamedTuple):
+    """What the rows read of one level's projector family, once it is freed."""
+
+    dims: np.ndarray  # d_j, the rounded trace of E_j
+    classes: np.ndarray  # classes[j, c]: the mean of E_j over the pairs with |x & y| = c
+
+
+@lru_cache(maxsize=None)
+def _level_record(n: int, level: int) -> _Level:
+    """The ranks d_j and the class table of one level's family, read-only, memoised per level.
+
+    Each E_j lies in the Bose-Mesner algebra of the Johnson scheme: its
+    entry (x, y) depends on |x & y| = c alone.  So E_j is e_j(c) on the
+    pairs of class c, read here as the mean over the class; a level holds
+    N C(level, c) C(n - level, level - c) pairs of class c.
+    """
+    family = johnson.irrep_projectors(n, level)
+    masks = johnson.subset_basis(n, level)
+    dims = np.array([round(float(np.trace(e))) for e in family])
+    pairs = [len(masks) * math.comb(level, c) * math.comb(n - level, level - c)
+             for c in range(level + 1)]
+    classes = _class_sums(family, masks, level) / np.array(pairs, dtype=float)
+    return _Level(linalg.freeze(dims), linalg.freeze(classes))
+
+
+def _block_scalars(gram: np.ndarray, n: int, level: int) -> tuple[np.ndarray, float]:
+    """The scalars of a Gram on the blocks of one level, and the residual, from class sums.
+
+    For a family E_j of ranks d_j that sum to I, m_j = <M, E_j> / d_j
+    and the residual is ||M - sum_j m_j E_j||_F.  An S_n-equivariant Gram
+    on a Johnson level is sum_j m_j E_j by Schur's lemma, and for any
+    symmetric M, Weyl's inequality bounds |lambda_max(M) - max_j m_j| by
+    that residual: the pair is a certified top eigenvalue, read with no
+    eigensolve.  E_j is e_j(c) on the pairs of class c (``_level_record``),
+    so <M, E_j> = sum_c e_j(c) S_c over the class sums S_c of M, and
+    sum_j m_j E_j is f(c) = sum_j m_j e_j(c) on class c.  ``gram`` is
+    overwritten by the residual M - f, one band of rows at a time.
+    """
+    record = _level_record(n, level)
+    masks = johnson.subset_basis(n, level)
+    m = record.classes @ _class_sums([gram], masks, level)[0] / record.dims
+    fit = m @ record.classes
+    for band, classes in _class_bands(masks):
+        gram[band] -= fit[classes.astype(np.intp)]
+    return m, float(np.linalg.norm(gram))
 
 
 def _check_delta_memb(inst: ProblemInstance, t: float, ell: int):
@@ -447,9 +531,9 @@ def _level_bases(n: int, level: int) -> tuple[np.ndarray, np.ndarray]:
     """``_block_bases`` of one level's family, read-only and memoised per level.
 
     V_DECOMP's channel pass and PROJECTORS read the same bases.  ``sweep``
-    frees an n's families once the bases its later rows read are built,
-    and ends this memo with the schedule-free rows, so it holds every
-    level of that n.
+    builds them for every level of an n before it frees the families, and
+    ends this memo with that n's rows but DELTA_GEN, so it holds every
+    level of the n.
     """
     q_all, edges = _block_bases(johnson.irrep_projectors(n, level))
     return linalg.freeze(q_all), linalg.freeze(edges)
@@ -649,7 +733,7 @@ def _check_tables(inst: ProblemInstance, t: float, ell: int):
     return 0.0, gap, gap, {}
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=None)
 def _projector_family_gap(n: int, level: int) -> tuple[float, bool]:
     """The PROJECTORS gap and rank test of one level's family, memoised per level.
 
@@ -793,49 +877,60 @@ def verify(
     )
 
 
-def _build_before_freeing_the_families(group, t_values, checks) -> None:
-    """Build what one n's rows after the family drop read from the families.
+def _build_levels(group, t_values, checks) -> None:
+    """Build one n's projector families, largest level first, and read off what its rows need.
 
-    The channel pass reads both levels' block bases and every Phi_j,
-    DELTA_GEN the Phi_j of its schedules; once built, none of them needs a
-    projector family.  In a default sweep the cutoff and PROJECTORS rows
-    have built them all, and every call here is a hit.
+    Once a level's family is built, the Phi_j of each instance whose k
+    level it is come first (its k' family, larger, is built already): all
+    k + 1 for the channel pass and PSI_COEFFS, else as many as its Gammas
+    read.  Then come the level's block bases (V_DECOMP, PHI_COMMUTE), its
+    PROJECTORS gap and ranks, and its record (PSI_COEFFS, DELTA_REFL).
+    After this no row of the n reads a family.  The order was picked by
+    peak RSS: with each Phi_j built after its k level's bases, (14,3,4)
+    read 136 MB where it reads 114 MB.
     """
-    channels = not {"V_DECOMP", "PHI_COMMUTE"}.isdisjoint(checks)
-    for inst in group:
-        if channels:
-            phis = inst.k + 1
-            for level in (inst.k, inst.k_prime):
-                _level_bases(inst.n, level)
-        elif "DELTA_GEN" in checks:
-            phis = max((adversary.live_rows(t, inst.k) for t in t_values), default=0)
-        else:
-            phis = 0
-        for j in range(phis):
-            johnson.transporter(inst.n, inst.k, inst.k_prime, j)
+    checks = set(checks)
+    n = group[0].n
+    every_phi = not checks.isdisjoint({"PSI_COEFFS", "V_DECOMP", "PHI_COMMUTE"})
+    gammas = any(_CHECKS[check].reads_schedule for check in checks)
+    for level in sorted({lv for inst in group for lv in (inst.k, inst.k_prime)}, reverse=True):
+        for inst in (inst for inst in group if inst.k == level):
+            if every_phi:
+                phis = inst.k + 1
+            else:
+                live = (adversary.live_rows(t, inst.k) for t in t_values)
+                phis = max(live, default=0) if gammas else 0
+            for j in range(phis):
+                johnson.transporter(n, inst.k, inst.k_prime, j)
+        if not checks.isdisjoint({"V_DECOMP", "PHI_COMMUTE"}):
+            _level_bases(n, level)
+        if "PROJECTORS" in checks:
+            _projector_family_gap(n, level)
+        if not checks.isdisjoint({"PSI_COEFFS", "DELTA_REFL"}):
+            _level_record(n, level)
 
 
-def sweep(instances, t_values, checks) -> list[DiscrepancyReport]:
+def sweep(instances, t_values, checks, build_s=None) -> list[DiscrepancyReport]:
     """Every (check, instance, t) row, in run order; each memo ends here.
 
     Every instance is admitted before any row runs.  Instances run
     level-major, by (n, k', k), so those that share a level run back to
-    back and its memoised work is done once.  Each n runs in three phases,
-    and ``clear_memos`` ends each, so no level memo lies under a cutoff
-    row's peak and no Gamma under a schedule-free row's:
+    back and its memoised work is done once.  Each n takes one build step
+    and two row phases:
 
-    1. its cutoff rows other than DELTA_GEN, which read the ``johnson``
-       projector families (PSI_COEFFS its ranks, DELTA_REFL its block
-       scalars);
-    2. its PROJECTORS rows, which build each level's block bases and
-       family gap; then, with every block basis and Phi_j that a later row
-       reads built, the families are freed, and its other schedule-free
-       rows run;
-    3. its DELTA_GEN rows, whose lifted differences are the largest arrays
-       of the sweep; they sum Gamma again from the cached Phi_j.
+    1. ``_build_levels`` builds its projector families, largest first,
+       and reads off each level's block bases, PROJECTORS gap and record
+       and each instance's Phi_j; then the families are freed, so no
+       family lies under any row;
+    2. its rows but DELTA_GEN: the cutoff rows, then the schedule-free
+       rows;
+    3. after ``clear_memos``, its DELTA_GEN rows, whose lifted differences
+       are the largest arrays of the sweep; they sum Gamma again from the
+       cached Phi_j, and ``clear_memos`` ends them.
 
     Inside a phase each instance runs t-major, so its memos serve t >= 2.
-    PSI_POWER runs at ell = floor(t / 2).
+    PSI_POWER runs at ell = floor(t / 2).  A dict passed as ``build_s``
+    receives each n's build-step seconds, which no row's time includes.
     """
     for inst in instances:
         check_instance(inst)
@@ -849,8 +944,7 @@ def sweep(instances, t_values, checks) -> list[DiscrepancyReport]:
         return [row for row in rows if row[0] in ids]
 
     cutoff = rows_of(set(CHECK_IDS) - _SCHEDULE_FREE - {"DELTA_GEN"})
-    projectors = rows_of({"PROJECTORS"})
-    free = rows_of(_SCHEDULE_FREE - {"PROJECTORS"})
+    free = rows_of(_SCHEDULE_FREE)
     delta_gen = rows_of({"DELTA_GEN"})
     groups: dict[int, list] = {}
     for inst in sorted(instances, key=lambda i: (i.n, i.k_prime, i.k)):
@@ -862,17 +956,18 @@ def sweep(instances, t_values, checks) -> list[DiscrepancyReport]:
             # ``verify`` as a module global, so a wrapper set on the module sees each row.
             reports.extend(verify(check, inst, t, ell) for check, t, ell in phase_rows)
 
-    for index, group in enumerate(groups.values()):
+    for index, (n, group) in enumerate(groups.items()):
         # An n's Johnson objects serve no larger n.  The memos keep their
         # miss counts across a clear, which the benchmark's warm-cache gate
         # reads after a traced sweep has returned.
         if index:
             johnson.clear_caches()
-        run(group, cutoff)
-        clear_memos()
-        run(group, projectors)
-        _build_before_freeing_the_families(group, t_values, checks)
+        start = time.perf_counter()
+        _build_levels(group, t_values, checks)
         johnson.drop_projector_families()
+        if build_s is not None:
+            build_s[n] = time.perf_counter() - start
+        run(group, cutoff)
         run(group, free)
         clear_memos()
         run(group, delta_gen)

@@ -126,8 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--timing",
         action="store_true",
-        help="write measured wall times into the CSV, and the memoised rows and the "
-        "BLAS configuration into verify.json (breaks byte-for-byte determinism)",
+        help="write measured wall times into the CSV, and the memoised rows, each n's "
+        "build step and the BLAS configuration into verify.json (breaks byte-for-byte "
+        "determinism)",
     )
 
     p_bounds = sub.add_parser(
@@ -198,8 +199,9 @@ def cmd_verify(args) -> int:
 
     # bruteforce.sweep picks the run order and ends each memo; the reports
     # are sorted below, so the run order moves no output byte.
+    build_s = {} if args.timing else None
     start = time.perf_counter()
-    reports = bruteforce.sweep(instances, t_values, checks)
+    reports = bruteforce.sweep(instances, t_values, checks, build_s)
     sweep_s = time.perf_counter() - start
     reports.sort(key=lambda r: (r.check_id, r.n, r.k, r.k_prime, r.t, r.ell))
 
@@ -230,6 +232,8 @@ def cmd_verify(args) -> int:
         summary["memoised"] = [
             [r.check_id, r.n, r.k, r.k_prime, r.t, r.ell] for r in reports if r.memoised
         ]
+        # Each n's build step, which no row's millis includes.
+        summary["build_ms"] = [[n, int(round(s * 1000.0))] for n, s in build_s.items()]
         summary["blas"] = _blas_config()
     (out_dir / "verify.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n"

@@ -23,9 +23,11 @@ rebuilt on each call, so that none outlives its reader.  The memos count
 their misses across ``cache_clear``, so each count is every build so far,
 and ``drop_projector_families`` empties the largest one alone, leaving
 the Phi_j built from it cached.  Each family is one array, so dropping
-it frees one block of memory, which ``bruteforce.sweep`` does once an n's
-block bases, family gaps and Phi_j are built, before the rows that read
-no family.
+it frees one block of memory.  ``bruteforce.sweep`` builds an n's
+families in one step, largest level first, reads off what its rows need
+(block bases, PROJECTORS gaps and ranks, class tables, Phi_j) and drops
+them before the n's first row, so no row reads a family.  The reference
+vectors of one (n, k, j) are summed in one integer pass.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial, wraps
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -175,58 +177,64 @@ def transporter(n: int, k: int, k_prime: int, j: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Reference vectors.
 #
-# Each vector is a sum of signed terms built by ``_signed_sum``: the
-# alternating top pairs ({n}-{n-1}) box ({n-2}-{n-3}) box ..., then fixed
-# elements, then all subsets of a given size of a free set, as a disjoint
-# union.  Its integer coefficients are read off each subset's bit mask,
-# for all terms of a sum in one pass; terms add as integers and ``_unit``
-# normalises once, a positive multiple, so signs match the defining sums.
+# Each vector is a sum of signed terms: the alternating top pairs
+# ({n}-{n-1}) box ({n-2}-{n-3}) box ..., then fixed elements, then all
+# subsets of a given size of a free set, as a disjoint union.  Its integer
+# coefficients are read off each subset's bit mask, for every term of every
+# vector of one (n, k, j) in one pass (``_signed_sums``); terms add as
+# integers and each vector is normalised once, a positive multiple, so
+# signs match the defining sums.  Elements and sets are written as bit
+# masks throughout: element e is bit e - 1.
 # ---------------------------------------------------------------------------
 
 
-def _bits(elements) -> int:
-    return sum(1 << (e - 1) for e in elements)
+def _signed_sums(masks, sums) -> np.ndarray:
+    """Integer coefficients of sums of terms ({a1}-{b1}) box ... box {fixed} box (size-subsets of free).
 
-
-def _signed_sum(masks, terms, fixed, size: int) -> np.ndarray:
-    """Coefficients of a sum of terms ({a1}-{b1}) box ... box {fixed} box (size-subsets of free).
-
-    Each of ``terms`` is a pair (pairs, free), every one with as many pairs.
-    The coefficient of subset x in one term is [x within the support]
-    [fixed within x] [|x & free| = size] times bit_a(x) - bit_b(x) per
-    pair (a, b), which is 0 when x holds both elements of the pair or
-    neither.  The terms are rows of one integer array, summed at the end.
+    Each of ``sums`` is (terms, fixed, size), and each of its terms a pair
+    (pairs, free), with the elements a, b and the sets fixed, free as bit
+    masks.  The coefficient of subset x in one term is [x within the
+    support] [fixed within x] [|x & free| = size] times bit_a(x) - bit_b(x)
+    per pair (a, b), which is 0 when x holds both elements of the pair or
+    neither.  The terms of all sums are rows of one integer array, padded
+    to one pair count with pairs (0, 0), whose factor reads 1; row s of the
+    result adds up the terms of sum s.
     """
+    rows = [(pairs, fixed, free, size) for terms, fixed, size in sums for pairs, free in terms]
+    width = max(len(pairs) for pairs, *_ in rows)
     pair_bits = np.array(
-        [[[1 << (a - 1), 1 << (b - 1)] for a, b in pairs] for pairs, _ in terms],
-        dtype=np.int64,
-    ).reshape(len(terms), -1, 2)
-    fixed_bits = _bits(fixed)
-    free_bits = np.array([_bits(free) for _, free in terms], dtype=np.int64)[:, None]
-    support = np.bitwise_or.reduce(pair_bits.reshape(len(terms), -1), axis=1)[:, None]
-    support |= fixed_bits | free_bits
+        [pairs + [(0, 0)] * (width - len(pairs)) for pairs, *_ in rows], dtype=np.int64
+    ).reshape(len(rows), width, 2)
+    fixed, free, size = np.array([row[1:] for row in rows], dtype=np.int64).T[:, :, None]
+    support = np.bitwise_or.reduce(pair_bits.reshape(len(rows), -1), axis=1)[:, None]
+    support |= fixed | free
     # The factors are disjoint iff their bit counts add up to the support's.
-    parts = 2 * pair_bits.shape[1] + fixed_bits.bit_count() + np.bitwise_count(free_bits)
+    parts = np.bitwise_count(pair_bits).sum(axis=(1, 2))[:, None]
+    parts += np.bitwise_count(fixed) + np.bitwise_count(free)
     if np.any(np.bitwise_count(support) != parts):
         raise RuntimeError("disjoint-union factors overlap")
+    # One term's coefficients are -1, 0 or 1; the sums add up in int64.
     coeff = (
         ((masks & ~support) == 0)
-        & ((masks & fixed_bits) == fixed_bits)
-        & (np.bitwise_count(masks & free_bits) == size)
-    ).astype(np.int64)
+        & ((masks & fixed) == fixed)
+        & (np.bitwise_count(masks & free) == size)
+    ).view(np.int8)
     for a, b in pair_bits.transpose(1, 2, 0)[:, :, :, None]:
-        coeff *= ((masks & a) != 0).astype(np.int64) - ((masks & b) != 0)
-    return coeff.sum(axis=0)
+        coeff *= ((masks & a) != 0).view(np.int8) - ((masks & b) != 0).view(np.int8) + (a == 0)
+    starts = np.cumsum([0] + [len(terms) for terms, *_ in sums[:-1]])
+    return np.add.reduceat(coeff, starts, axis=0, dtype=np.int64)
 
 
-def _unit(coeff) -> np.ndarray:
-    vec = coeff.astype(float)
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
+def _units(coeff) -> np.ndarray:
+    """The rows of an integer array, each divided by its norm; read-only.
+
+    The squares of integer coefficients add up exactly, so each norm is
+    the correctly rounded square root of an exact sum, in any order.
+    """
+    squares = np.einsum("ij,ij->i", coeff, coeff)
+    if np.any(squares == 0):
         raise ArithmeticError("reference sum collapsed to the zero vector")
-    return linalg.freeze(vec / norm)
-
-
+    return linalg.freeze(coeff / np.sqrt(squares.astype(float))[:, None])
 @dataclass(frozen=True)
 class ReferenceVectors:
     """Unit reference vectors of level k with 0, 1, or 2 fixed elements.
@@ -263,58 +271,46 @@ def _validate_reference_params(n: int, k: int, j: int) -> None:
 @_memo
 def reference_vectors(n: int, k: int, j: int) -> ReferenceVectors:
     _validate_reference_params(n, k, j)
-    term = partial(_signed_sum, subset_basis(n, k))
-
-    top = [(n - 2 * i + 2, n - 2 * i + 1) for i in range(1, j + 1)]
+    top = [(1 << (n - 2 * i + 1), 1 << (n - 2 * i)) for i in range(1, j + 1)]
     a0 = n - 2 * j  # elements 1..a0 are the unfixed ground set
-    b, c, d = a0, a0 + 2, a0 + 1
-    ground = set(range(1, a0 + 1))
+    b, c, d = 1 << (a0 - 1), 1 << (a0 + 1), 1 << a0
+    ground = (1 << a0) - 1
+    elements = [1 << e for e in range(a0)]
 
-    v = _unit(term([(top, ground)], (), k - j))
-
-    v_tilde = w_out = w_in = None
+    # Each vector's (terms, fixed, size), all summed in one pass.
+    sums = {"v": ([(top, ground)], 0, k - j)}
     if j <= k - 1:
-        w_out = _unit(term([(top, ground - {b})], (), k - j))
-        w_in = _unit(term([(top, ground - {b})], (b,), k - j - 1))
-        v_tilde = _unit(
-            term([(top + [(a, b)], ground - {a, b}) for a in ground - {b}], (), k - j - 1)
+        sums["w_out"] = ([(top, ground & ~b)], 0, k - j)
+        sums["w_in"] = ([(top, ground & ~b)], b, k - j - 1)
+        sums["v_tilde"] = (
+            [(top + [(a, b)], ground & ~(a | b)) for a in elements if a != b], 0, k - j - 1
         )
-
-    v_minus = v_zero = v_plus = w_empty = w_c = w_d = w_cd = None
     if j >= 1:
         sub = top[:-1]
-        wide = ground | {c, d}
-        w_empty = _unit(term([(sub, ground)], (), k - j + 1))
-        w_c = _unit(term([(sub, ground)], (c,), k - j))
-        w_d = _unit(term([(sub, ground)], (d,), k - j))
-        v_minus = _unit(term([(sub, wide)], (), k - j + 1))
-        v_zero = _unit(
-            term(
-                [(sub + [(a, e)], wide - {a, e}) for a in ground for e in (c, d)],
-                (),
-                k - j,
-            )
+        wide = ground | c | d
+        sums["w_empty"] = ([(sub, ground)], 0, k - j + 1)
+        sums["w_c"] = ([(sub, ground)], c, k - j)
+        sums["w_d"] = ([(sub, ground)], d, k - j)
+        sums["v_minus"] = ([(sub, wide)], 0, k - j + 1)
+        sums["v_zero"] = (
+            [(sub + [(a, e)], wide & ~(a | e)) for a in elements for e in (c, d)], 0, k - j
         )
         if j <= k - 1:
-            w_cd = _unit(term([(sub, ground)], (c, d), k - j - 1))
-            v_plus = _unit(
-                term(
-                    [
-                        (sub + [(a, c), (a2, d)], ground - {a, a2})
-                        for a in ground
-                        for a2 in ground
-                        if a != a2
-                    ],
-                    (),
-                    k - j - 1,
-                )
+            sums["w_cd"] = ([(sub, ground)], c | d, k - j - 1)
+            sums["v_plus"] = (
+                [
+                    (sub + [(a, c), (a2, d)], ground & ~(a | a2))
+                    for a in elements
+                    for a2 in elements
+                    if a != a2
+                ],
+                0,
+                k - j - 1,
             )
 
-    return ReferenceVectors(
-        v=v, v_tilde=v_tilde, w_out=w_out, w_in=w_in,
-        v_minus=v_minus, v_zero=v_zero, v_plus=v_plus,
-        w_empty=w_empty, w_c=w_c, w_d=w_d, w_cd=w_cd,
-    )
+    vectors = _units(_signed_sums(subset_basis(n, k), list(sums.values())))
+    fields = dict.fromkeys(ReferenceVectors.__dataclass_fields__)
+    return ReferenceVectors(**(fields | dict(zip(sums, vectors))))
 
 
 # The memos as defined here.  ``clear_caches`` and ``drop_projector_families``

@@ -3,9 +3,8 @@
 Matrices are plain 2-D float64 numpy arrays in row-major order.  The
 routines are thin wrappers around LAPACK (via numpy) that pin down the
 conventions everything downstream relies on: spectral norms through
-the smaller Gram (the package's only ``eigvalsh``), a
-relative singular-value cutoff for rank decisions, and the readout of a
-Gram that is a scalar on each block of a projector family.
+the smaller Gram (the package's only ``eigvalsh``) and a
+relative singular-value cutoff for rank decisions.
 """
 
 from __future__ import annotations
@@ -23,10 +22,6 @@ DEFAULT_RANK_TOL = 1e-10
 # sums cannot overflow for any matrix that fits in memory.
 _GRAM_SAFE_LOW = 2.0**-400
 _GRAM_SAFE_HIGH = 2.0**400
-
-# Entries per band of rows in ``block_scalars``: the band's scaled
-# projector rows are its only temporary.
-_BAND_ENTRIES = 1 << 16
 
 
 def freeze(a: np.ndarray) -> np.ndarray:
@@ -94,27 +89,6 @@ def _gram_scale(top: float) -> float:
     if top == 0.0 or _GRAM_SAFE_LOW <= top <= _GRAM_SAFE_HIGH:
         return 1.0
     return math.ldexp(1.0, math.frexp(top)[1] - 1)
-
-
-def block_scalars(gram: np.ndarray, projectors) -> tuple[np.ndarray, float]:
-    """The scalars of a Gram on the blocks of a projector family, and the residual.
-
-    For orthogonal projectors E_j of ranks d_j that sum to I, returns
-    m_j = <M, E_j> / d_j for each j and ||M - sum_j m_j E_j||_F.  An
-    S_n-equivariant Gram on a Johnson level is sum_j m_j E_j by Schur's
-    lemma, and for any symmetric M, Weyl's inequality bounds
-    |lambda_max(M) - max_j m_j| by that residual: the pair is a certified
-    top eigenvalue, read in O((k+1) N^2) with no eigensolve.  ``gram``
-    is overwritten by the residual, one band of rows at a time, so no
-    second N x N array is formed.
-    """
-    m = np.array([np.vdot(gram, e) / round(float(np.trace(e))) for e in projectors])
-    step = max(1, _BAND_ENTRIES // len(gram))
-    for lo in range(0, len(gram), step):
-        band = gram[lo : lo + step]
-        for m_j, e in zip(m, projectors):
-            band -= m_j * e[lo : lo + step]
-    return m, float(np.linalg.norm(gram))
 
 
 def orthonormal_column_basis(values) -> np.ndarray:

@@ -32,6 +32,9 @@ They stay here as the definition that split and readout are gated
 against, with the same label-major block ordering.
 ``remainder_gram_norm`` is the exact-eigenvalue norm of the split, for a
 gamma that is not equivariant, where the block readout does not apply.
+``block_scalars`` reads a Gram's scalars on the blocks of a dense
+projector family and its residual, the definition that DELTA_REFL's
+class-sum reader (``bruteforce._block_scalars``) is gated against.
 ``delta_membership_mask`` is the 0/1 matrix Delta_i whose entrywise product
 with gamma defines the membership difference; the package takes that norm
 from two blocks of gamma instead.
@@ -145,6 +148,20 @@ def remainder_gram_norm(inst, gamma) -> float:
     c, e, scale = bruteforce._reflection_remainder_grams(inst, gamma)
     top = max(np.linalg.eigvalsh(c)[-1], np.linalg.eigvalsh(e)[-1], 0.0)
     return scale * math.sqrt(top)
+
+
+def block_scalars(gram: np.ndarray, projectors) -> tuple[np.ndarray, float]:
+    """The scalars of a Gram on the blocks of a projector family, and the residual.
+
+    For orthogonal projectors E_j of ranks d_j that sum to I, returns
+    m_j = <M, E_j> / d_j for each j and ||M - sum_j m_j E_j||_F.  An
+    S_n-equivariant Gram on a Johnson level is sum_j m_j E_j by Schur's
+    lemma, and for any symmetric M, Weyl's inequality bounds
+    |lambda_max(M) - max_j m_j| by that residual.
+    """
+    m = np.array([np.vdot(gram, e) / round(float(np.trace(e))) for e in projectors])
+    residual = gram - sum(m_j * e for m_j, e in zip(m, projectors))
+    return m, float(np.linalg.norm(residual))
 
 
 def build_projection_pair(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -659,8 +659,12 @@ class TestPeakMemory:
     With the projector families freed before the DELTA_GEN rows, those
     rows read 18.2 MB and the sweep peaked at 28.6 MB, under the channel
     pass of (12,3,4).  With the families freed before the channel pass
-    too, the sweep peaks at 23.5 MB, under DELTA_REFL at (12,3,4), whose
-    block scalars still read the three cached families.
+    too, the sweep peaked at 23.5 MB, under DELTA_REFL at (12,3,4), whose
+    block scalars still read the three cached families.  With every
+    family read in the build step and freed before the first row, the
+    sweep peaks at 19.4 MB in the n = 12 build step, building the (12,4)
+    family and its block bases; V_DECOMP at (12,3,4) reads 19.2 MB and
+    DELTA_GEN 18.2 MB.
     """
 
     INST = ProblemInstance(12, 3, 4)
@@ -731,16 +735,16 @@ class TestPeakMemory:
 
     def test_sweep_at_n_12(self, tmp_path):
         # Every default check and t at (12,2,4) and (12,3,4), from empty
-        # caches: 23.5 MB, set by DELTA_REFL at (12,3,4) with the (12,2),
-        # (12,3) and (12,4) projector families cached.  The channel pass of
-        # (12,3,4) set 28.6 MB while the families stayed cached under it,
-        # and DELTA_GEN 30.7 MB under its lifted differences; both now run
-        # after the PROJECTORS rows, with the families freed.
+        # caches: 19.4 MB, set by the n = 12 build step, which builds the
+        # (12,4) family and reads it before the first row.  DELTA_REFL at
+        # (12,3,4) set 23.5 MB while its block scalars read the three cached
+        # families, the channel pass 28.6 MB while they stayed cached under
+        # it, and DELTA_GEN 30.7 MB under its lifted differences.
         bruteforce.clear_memos()
         johnson.clear_caches()
         argv = ["verify", "--instance", "12,2,4", "--instance", "12,3,4", "--out", str(tmp_path)]
         codes = []
-        assert _traced_peak(lambda: codes.append(cli.main(argv))) <= 25e6
+        assert _traced_peak(lambda: codes.append(cli.main(argv))) <= 20.7e6
         assert codes == [0]
 
 
@@ -870,6 +874,129 @@ class TestReflectionLiftNorm:
         monkeypatch.setattr(bruteforce, "lift", unreachable)
         monkeypatch.setattr(np.linalg, "qr", unreachable)
         assert bruteforce.verify("DELTA_REFL", ProblemInstance(12, 3, 4), t=2.0).passed
+
+
+def projector_family(size, dims, seed):
+    """Orthogonal projectors onto the consecutive column blocks of a random orthogonal Q."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((size, size)))
+    edges = np.cumsum([0, *dims])
+    return [q[:, lo:hi] @ q[:, lo:hi].T for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+class TestDenseBlockScalars:
+    """The dense block readout that the class-sum reader is gated against."""
+
+    DIMS = (1, 9, 30, 60)
+
+    def test_reads_a_block_scalar_gram(self):
+        projectors = projector_family(100, self.DIMS, 1)
+        want = np.array([0.5, 3.0, 2.0, 0.25])
+        gram = sum(m_j * e for m_j, e in zip(want, projectors))
+        m, residual = dense_reference.block_scalars(gram, projectors)
+        assert np.max(np.abs(m - want)) <= 1e-14
+        assert residual <= 1e-13
+
+    def test_residual_certifies_the_top_eigenvalue(self):
+        # Weyl: |lambda_max(M) - max_j m_j| <= ||M - sum m_j E_j||_F for any symmetric M.
+        projectors = projector_family(100, self.DIMS, 2)
+        rng = np.random.default_rng(3)
+        noise = rng.standard_normal((100, 100))
+        gram = sum(m_j * e for m_j, e in zip((1.0, 2.0, 0.5, 1.5), projectors))
+        gram += 0.01 * (noise + noise.T)
+        top = np.linalg.eigvalsh(gram)[-1]
+        scalars = [float(np.vdot(gram, e)) / d for e, d in zip(projectors, self.DIMS)]
+        off = gram - sum(m_j * e for m_j, e in zip(scalars, projectors))
+        m, residual = dense_reference.block_scalars(gram, projectors)
+        assert np.max(np.abs(m - scalars)) <= 1e-13
+        assert residual == pytest.approx(np.linalg.norm(off), rel=1e-12)
+        assert residual > 0.1
+        assert abs(top - m.max()) <= residual
+
+
+def _remainder_grams(inst, gamma):
+    """DELTA_REFL's two remainder Grams with their levels: (C, k) and (E, k')."""
+    c, e, _ = bruteforce._reflection_remainder_grams(inst, gamma)
+    return ((c, inst.k), (e, inst.k_prime))
+
+
+class TestClassSumReader:
+    """DELTA_REFL's block scalars from class sums against the dense block readout."""
+
+    @pytest.mark.parametrize("t", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("n, level", DEFAULT_LEVELS)
+    def test_matches_the_dense_readout_on_every_default_level(self, n, level, t):
+        family = johnson.irrep_projectors(n, level)
+        grams = [
+            gram
+            for inst in DEFAULT
+            if inst.n == n
+            for gram, at in _remainder_grams(inst, bruteforce.adversary_matrix(inst, t))
+            if at == level
+        ]
+        assert grams
+        for gram in grams:
+            want, want_residual = dense_reference.block_scalars(gram, family)
+            got, residual = bruteforce._block_scalars(gram.copy(), n, level)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            # Both residuals are Frobenius norms at round-off, relative to the
+            # Gram's; the dense one also carries the family's own round-off
+            # (1.7e-14 against 6.9e-16 for the E Gram of (12,3,4) at t = 2,
+            # of norm 0.38).
+            assert abs(residual - want_residual) <= 1e-13 * np.linalg.norm(gram)
+
+    @pytest.mark.parametrize("inst", GENERIC, ids=_instance_id)
+    def test_matches_the_dense_readout_on_a_generic_gram(self, inst):
+        # Every E_j is constant on each class, so for any M, equivariant or
+        # not, sum_j m_j E_j is the class function the reader subtracts:
+        # the scalars and the residual both match.
+        for gram, level in _remainder_grams(inst, _generic_gamma(inst, 37)):
+            want, want_residual = dense_reference.block_scalars(
+                gram, johnson.irrep_projectors(inst.n, level)
+            )
+            got, residual = bruteforce._block_scalars(gram.copy(), inst.n, level)
+            scale = float(np.linalg.norm(gram))
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale
+            assert abs(residual - want_residual) <= 1e-12 * scale
+            assert residual > 1e-3 * scale
+
+    def test_a_non_equivariant_gamma_fails_delta_refl_in_a_sweep(self, tmp_path, monkeypatch):
+        # The families are freed before the row; the class tables read in
+        # the build step still leave a planted defect in the residual.
+        original = bruteforce.adversary_matrix
+
+        def planted(inst, t):
+            gamma = original(inst, t)
+            return gamma + 1e-9 * np.random.default_rng(41).standard_normal(gamma.shape)
+
+        monkeypatch.setattr(bruteforce, "adversary_matrix", planted)
+        bruteforce.clear_memos()
+        reports = bruteforce.sweep([ProblemInstance(12, 3, 4)], (2.0,), ("DELTA_REFL",))
+        bruteforce.clear_memos()
+        [report] = reports
+        assert report.discrepancy <= bruteforce.TOL_NORM
+        assert report.details["structure_residual"] > bruteforce.TOL_EXACT
+        assert not report.passed
+
+    def test_default_sweep_discrepancies_stay_at_round_off(self):
+        # Pairwise class sums: 1.8e-15 at most, where the dense readout read
+        # 2.1e-15 and sums that add one entry at a time read 2.5e-13.
+        bruteforce.clear_memos()
+        worst = max(
+            bruteforce.verify("DELTA_REFL", inst, t).discrepancy
+            for inst in DEFAULT
+            for t in cli.DEFAULT_T_VALUES
+        )
+        bruteforce.clear_memos()
+        assert worst <= 4e-15
+
+    def test_forms_no_second_gram(self):
+        # One band of rows at a time: the E Gram of (12,3,4), 1.96 MB, read
+        # with its level record built, peaks at 1.24 MB.
+        inst = ProblemInstance(12, 3, 4)
+        (_, _), (gram, level) = _remainder_grams(inst, bruteforce.adversary_matrix(inst, 2.0))
+        bruteforce._level_record(inst.n, level)
+        peak = _traced_peak(lambda: bruteforce._block_scalars(gram, inst.n, level))
+        assert peak < gram.nbytes
 
 
 class TestKronApply:

@@ -464,18 +464,21 @@ class TestLevelMajorSweep:
         for gaps in (family_gaps, table_gaps, bases):
             assert set(gaps) == levels and set(gaps.values()) == {1}
         assert eighs == Counter(math.comb(n, level) for n, level in levels)
-        # The PROJECTORS rows run first among an n's schedule-free rows, so
-        # each block-basis build is charged to one of them, before the
-        # families are freed.
-        assert eigh_rows == {"PROJECTORS": len(levels)}
+        # Every eigh of L runs in an n's build step, which reads the bases
+        # off each family before the families are freed and before the n's
+        # first row, so no row is charged for one; --timing writes each n's
+        # build step to verify.json instead.
+        assert eigh_rows == {None: len(levels)}
+        build_ms = json.loads((tmp_path / "verify.json").read_text())["build_ms"]
+        assert [n for n, _ in build_ms] == sorted({n for n, _, _ in SCRAMBLED})
         # Each projector family and each Phi_j is built once.
         assert johnson.irrep_projectors.cache_info().misses - families == len(levels)
         assert johnson.transporter.cache_info().misses - phis == sum(
             k + 1 for _, k, _ in SCRAMBLED
         )
         # Gamma is assembled twice per (instance, t), not once per check:
-        # for the first phase's five checks, and for DELTA_GEN's, which runs
-        # after the families are freed, from the cached Phi_j.
+        # for the five cutoff checks but DELTA_GEN, and, after the memos are
+        # emptied, for DELTA_GEN's, from the cached Phi_j.
         assert set(gammas.values()) == {2} and set(gammas) == {
             (ProblemInstance(*triple), t) for triple in SCRAMBLED for t in cli.DEFAULT_T_VALUES
         }
@@ -484,42 +487,44 @@ class TestLevelMajorSweep:
         }
         assert set(passes.values()) == {1}
         # The schedule-free rows that missed no memo: all four at t = 2 and 3,
-        # and PHI_COMMUTE, which reads V_DECOMP's channel norms, at t = 1.
+        # and at t = 1 PHI_COMMUTE, which reads V_DECOMP's channel norms, and
+        # PROJECTORS, whose gaps the build step read.
         memoised = json.loads((tmp_path / "verify.json").read_text())["memoised"]
-        served = [("PHI_COMMUTE", 1.0)] + [
+        served = [("PHI_COMMUTE", 1.0), ("PROJECTORS", 1.0)] + [
             (check, t)
             for check in ("V_DECOMP", "PHI_COMMUTE", "TABLES", "PROJECTORS")
             for t in (2.0, 3.0)
         ]
-        assert len(memoised) == 72 and sorted(memoised) == sorted(
+        assert len(memoised) == 80 and sorted(memoised) == sorted(
             [check, *triple, t, 0] for triple in SCRAMBLED for check, t in served
         )
 
     def test_a_row_whose_levels_are_both_done_is_memoised(self, tmp_path):
         # (12,3,4) shares the (12,3) level with (12,2,3) and the (12,4) level
-        # with (12,2,4), so its TABLES and PROJECTORS rows miss no memo, even
-        # at the first cutoff.  Every PROJECTORS row runs before the families
-        # are freed and every TABLES row after; each set runs by instance.
+        # with (12,2,4), so its TABLES row misses no memo, even at the first
+        # cutoff.  The build step reads every level's PROJECTORS gap before
+        # the first row, so no PROJECTORS row misses one.
         triples = ((12, 2, 3), (12, 2, 4), (12, 3, 4))
         argv = ["verify", *_instance_flags(triples), "--checks", "TABLES", "PROJECTORS",
                 "--t", "1", "--timing", "--out", str(tmp_path)]
         assert run(argv) == 0
         memoised = json.loads((tmp_path / "verify.json").read_text())["memoised"]
-        assert sorted(memoised) == [[check, 12, 3, 4, 1.0, 0] for check in ("PROJECTORS", "TABLES")]
+        assert sorted(memoised) == sorted(
+            [["PROJECTORS", *triple, 1.0, 0] for triple in triples] + [["TABLES", 12, 3, 4, 1.0, 0]]
+        )
 
     @pytest.mark.parametrize(
         "checks", [None, ("V_DECOMP", "DELTA_GEN")], ids=["default", "no-PROJECTORS"]
     )
     def test_memos_end_with_their_level(self, tmp_path, monkeypatch, checks):
         # (12,2,4) and (12,3,4) share the k' = 4 pass; (13,1,2) moves to a
-        # larger n.  Each n runs its cutoff rows but DELTA_GEN, then its
-        # PROJECTORS rows, then, with the families freed, its other
-        # schedule-free rows, then its DELTA_GEN rows.  Every memo ends with
-        # its phase, so no level memo is held under a cutoff row and no
-        # Gamma under a schedule-free row.  With no PROJECTORS the block
-        # bases are built before the families are freed, outside any row,
-        # and V_DECOMP still runs without the families; memos that ended per
-        # instance would keep the bases under the DELTA_GEN rows.
+        # larger n.  Each n builds its families, reads off every level's
+        # bases and record and frees them before its first row; then it runs
+        # its rows but DELTA_GEN, and, with every memo emptied, its
+        # DELTA_GEN rows.  So every level's bases are held from the n's
+        # first row, no level memo lies under a DELTA_GEN row, and no family
+        # under any row.  With no PROJECTORS the build step still builds the
+        # bases that V_DECOMP reads.
         held = []
         verify = bruteforce.verify
 
@@ -528,11 +533,11 @@ class TestLevelMajorSweep:
 
         def recording(check_id, inst, t, ell):
             level = (bruteforce._hatted_level_channels, bruteforce._level_bases)
-            before = sizes(*level), sizes(bruteforce._adversary_matrix)
+            before = sizes(*level), sizes(bruteforce._level_bases)
             families = sizes(johnson.irrep_projectors)
             report = verify(check_id, inst, t, ell)
-            after = sizes(*level), sizes(bruteforce._adversary_matrix)
-            held.append((check_id, before, after, families + sizes(johnson.irrep_projectors)))
+            after = sizes(*level), sizes(bruteforce._level_bases)
+            held.append((check_id, inst.n, before, after, families + sizes(johnson.irrep_projectors)))
             return report
 
         monkeypatch.setattr(bruteforce, "verify", recording)
@@ -541,20 +546,23 @@ class TestLevelMajorSweep:
         argv += ["--checks", *checks] if checks else []
         assert run(argv + ["--out", str(tmp_path)]) == 0
         assert len(held) == 3 * 2 * len(checks or bruteforce.CHECK_IDS)
-        for check_id, before, after, families in held:
-            if check_id in bruteforce._SCHEDULE_FREE:
-                assert before[1] == after[1] == 0, check_id
-            else:
+        levels = {12: 3, 13: 2}
+        for n in levels:
+            order = [check_id == "DELTA_GEN" for check_id, at, *_ in held if at == n]
+            assert order == sorted(order), n
+        for check_id, n, before, after, families in held:
+            assert families == 0, check_id
+            if check_id == "DELTA_GEN":
                 assert before[0] == after[0] == 0, check_id
-            if check_id in ("V_DECOMP", "DELTA_GEN"):
-                assert families == 0, check_id
+            else:
+                assert before[1] == after[1] == levels[n], check_id
         # After the sweep every bruteforce memo is empty.
         assert not [
             name for name, value in vars(bruteforce).items()
             if hasattr(value, "cache_info") and value.cache_info().currsize
         ]
         # Of the Johnson objects only the n = 13 Phi_0 and Phi_1 are left: the
-        # (13,1) and (13,2) families were freed before the V_DECOMP rows.
+        # (13,1) and (13,2) families were freed before the first n = 13 row.
         assert johnson.irrep_projectors.cache_info().currsize == 0
         assert johnson.transporter.cache_info().currsize == 2
 
@@ -584,38 +592,32 @@ class TestLevelMajorSweep:
         assert families.cache_info().misses - built == 3
 
     @pytest.mark.parametrize(
-        "checks", [None, ("DELTA_GEN",), ("PHI_COMMUTE", "TABLES")],
-        ids=["default", "DELTA_GEN", "PHI_COMMUTE"],
+        "checks",
+        [None, ("DELTA_REFL",), ("PSI_COEFFS",), ("PHI_COMMUTE",), ("DELTA_GEN",)],
+        ids=["default", "DELTA_REFL", "PSI_COEFFS", "PHI_COMMUTE", "DELTA_GEN"],
     )
-    def test_rows_after_projectors_run_with_the_families_freed(
-        self, tmp_path, monkeypatch, checks
-    ):
-        # Every cutoff at the default n = 12 instances.  The cutoff rows but
-        # DELTA_GEN read all three families, and the PROJECTORS rows, which
-        # run first among the schedule-free rows, read them too; every later
-        # row finds none cached and builds none.  Without those rows the
-        # block bases and Phi_j that later rows read are built before the
-        # families are freed.
+    def test_no_row_runs_with_a_family_cached(self, tmp_path, monkeypatch, checks):
+        # Every default instance and cutoff.  Each n's build step reads its
+        # families and frees them before the n's first row, so every row,
+        # whichever checks run, starts and ends with no family cached and
+        # builds none: each of the 14 default families is built once.
         johnson.clear_caches()
         families = johnson.irrep_projectors
         built = families.cache_info().misses
         verify = bruteforce.verify
-        held = {}
+        held = set()
 
         def recording(check_id, inst, t, ell):
-            before = families.cache_info().currsize
+            held.add(families.cache_info().currsize)
             report = verify(check_id, inst, t, ell)
-            held.setdefault(check_id, set()).update((before, families.cache_info().currsize))
+            held.add(families.cache_info().currsize)
             return report
 
         monkeypatch.setattr(bruteforce, "verify", recording)
-        argv = ["verify", "--instance", "12,2,4", "--instance", "12,3,4", "--out", str(tmp_path)]
+        argv = ["verify", "--out", str(tmp_path)]
         assert run(argv + (["--checks", *checks] if checks else [])) == 0
-        freed = {"V_DECOMP", "PHI_COMMUTE", "TABLES", "DELTA_GEN"} & set(checks or held)
-        assert {check: held[check] for check in freed} == dict.fromkeys(freed, {0})
-        assert held.get("PROJECTORS", {3}) == {3}
-        # The (12,2), (12,3) and (12,4) families, each built once.
-        assert families.cache_info().misses - built == 3
+        assert held == {0}
+        assert families.cache_info().misses - built == 14
 
 
 def _count_memo_misses(monkeypatch, name) -> Counter:

@@ -290,6 +290,14 @@ def test_adversary_and_transporter_bytes_are_pinned():
     assert digest.hexdigest() == ADVERSARY_DIGEST
 
 
+def _bit(element) -> int:
+    return 1 << (element - 1)
+
+
+def _bits(elements) -> int:
+    return sum(map(_bit, elements))
+
+
 class TestReferenceVectors:
     def test_bytes_are_pinned(self):
         digest = hashlib.sha256()
@@ -306,21 +314,24 @@ class TestReferenceVectors:
 
     @pytest.mark.parametrize("n, k, j", [(8, 3, 1), (11, 4, 2), (12, 5, 1)])
     def test_one_pass_sums_equal_the_sums_of_single_terms(self, n, k, j):
-        # The v_plus sum of block j: one integer pass against term by term.
+        # The v_plus sum of block j, beside a one-term sum with another pair
+        # count: one integer pass against term by term.
         masks = johnson.subset_basis(n, k)
         a0 = n - 2 * j
-        sub = [(n - 2 * i + 2, n - 2 * i + 1) for i in range(1, j)]
-        ground = set(range(1, a0 + 1))
+        sub = [(_bit(n - 2 * i + 2), _bit(n - 2 * i + 1)) for i in range(1, j)]
+        ground = _bits(range(1, a0 + 1))
         terms = [
-            (sub + [(a, a0 + 2), (a2, a0 + 1)], ground - {a, a2})
-            for a in ground
-            for a2 in ground
+            (sub + [(_bit(a), _bit(a0 + 2)), (_bit(a2), _bit(a0 + 1))], ground & ~_bits((a, a2)))
+            for a in range(1, a0 + 1)
+            for a2 in range(1, a0 + 1)
             if a != a2
         ]
-        whole = johnson._signed_sum(masks, terms, (), k - j - 1)
-        single = sum(johnson._signed_sum(masks, [term], (), k - j - 1) for term in terms)
-        assert whole.dtype == np.int64 and np.array_equal(whole, single)
-        assert np.any(whole)
+        short = ([(sub, ground)], _bit(a0 + 2), k - j)
+        whole = johnson._signed_sums(masks, [(terms, 0, k - j - 1), short])
+        single = sum(johnson._signed_sums(masks, [([term], 0, k - j - 1)])[0] for term in terms)
+        assert whole.dtype == np.int64 and np.array_equal(whole[0], single)
+        assert np.array_equal(whole[1], johnson._signed_sums(masks, [short])[0])
+        assert np.any(whole[0]) and np.any(whole[1])
 
     @pytest.mark.parametrize(
         "terms, fixed",
@@ -332,8 +343,9 @@ class TestReferenceVectors:
         ids=["pair", "fixed", "one-term-of-two"],
     )
     def test_overlapping_factors_raise(self, terms, fixed):
+        terms = [([(_bit(a), _bit(b)) for a, b in pairs], _bits(free)) for pairs, free in terms]
         with pytest.raises(RuntimeError, match="overlap"):
-            johnson._signed_sum(johnson.subset_basis(6, 2), terms, fixed, 1)
+            johnson._signed_sums(johnson.subset_basis(6, 2), [(terms, _bits(fixed), 1)])
 
     def test_uniform_at_block_zero(self):
         refs = johnson.reference_vectors(8, 2, 0)

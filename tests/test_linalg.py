@@ -179,52 +179,3 @@ class TestOrthonormalColumnBasis:
         assert q.shape[1] == 4
         # Projection onto span(q) reproduces m.
         assert np.max(np.abs(q @ (q.T @ m) - m)) < 1e-10
-
-
-def projector_family(size, dims, seed):
-    """Orthogonal projectors onto the consecutive column blocks of a random orthogonal Q."""
-    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((size, size)))
-    edges = np.cumsum([0, *dims])
-    return [q[:, lo:hi] @ q[:, lo:hi].T for lo, hi in zip(edges[:-1], edges[1:])]
-
-
-class TestBlockScalars:
-    DIMS = (1, 9, 30, 60)
-
-    def test_reads_a_block_scalar_gram(self):
-        projectors = projector_family(100, self.DIMS, 1)
-        want = np.array([0.5, 3.0, 2.0, 0.25])
-        gram = sum(m_j * e for m_j, e in zip(want, projectors))
-        m, residual = linalg.block_scalars(gram, projectors)
-        assert np.max(np.abs(m - want)) <= 1e-14
-        assert residual <= 1e-13
-
-    def test_residual_certifies_the_top_eigenvalue(self):
-        # Weyl: |lambda_max(M) - max_j m_j| <= ||M - sum m_j E_j||_F for any symmetric M.
-        projectors = projector_family(100, self.DIMS, 2)
-        rng = np.random.default_rng(3)
-        noise = rng.standard_normal((100, 100))
-        gram = sum(m_j * e for m_j, e in zip((1.0, 2.0, 0.5, 1.5), projectors))
-        gram += 0.01 * (noise + noise.T)
-        top = np.linalg.eigvalsh(gram)[-1]
-        scalars = [float(np.vdot(gram, e)) / d for e, d in zip(projectors, self.DIMS)]
-        off = gram - sum(m_j * e for m_j, e in zip(scalars, projectors))
-        m, residual = linalg.block_scalars(gram, projectors)
-        assert np.max(np.abs(m - scalars)) <= 1e-13
-        assert residual == pytest.approx(np.linalg.norm(off), rel=1e-12)
-        assert residual > 0.1
-        assert abs(top - m.max()) <= residual
-        # The Gram is overwritten by the residual.
-        assert np.max(np.abs(gram - off)) <= 1e-13
-
-    def test_forms_no_second_gram(self):
-        projectors = projector_family(400, (1, 39, 160, 200), 4)
-        gram = sum(m_j * e for m_j, e in zip((1.0, 2.0, 3.0, 4.0), projectors))
-        tracemalloc.start()
-        try:
-            linalg.block_scalars(gram, projectors)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # A copy of the 1.28 MB Gram, or one scaled projector, would exceed this.
-        assert peak < gram.nbytes // 2
