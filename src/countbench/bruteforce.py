@@ -12,15 +12,15 @@ reporting the worst discrepancy; ``_CHECKS`` is the one table of what
 each check is.  ``sweep`` runs many instances' rows.
 
 Memos: work that depends on one level only is memoised per level, the
-channel norms per instance, Gamma and the closed rows per (instance, t).
-``sweep`` alone ends them.  Per n it first builds the ``johnson``
-projector families, largest level first, and reads off each level what
-the rows need: the block bases, the PROJECTORS gap and ranks, the level
-record (the ranks d_j and the class table of ``_level_record``) and
-each instance's Phi_j.  Then it frees the families, so no family lies
-under any row, and runs every row but DELTA_GEN, then, with the memos
-emptied, every DELTA_GEN row, and empties them again.  A schedule-free
-row that missed no memo is reported ``memoised``.
+overlap Gram and the channel norms per instance, Gamma and the closed
+rows per (instance, t).  ``sweep`` alone ends them.  Per n it first
+builds the ``johnson`` projector families, largest level first, and
+reads each level's family once into its ``_level`` record (the ranks
+d_j, the class table, the block bases and the PROJECTORS gap and ranks)
+and builds each instance's Phi_j.  Then it frees the families, so no
+family lies under any row, and runs every row but DELTA_GEN, then, with
+the memos emptied, every DELTA_GEN row, and empties them again.  A
+schedule-free row that missed no memo is reported ``memoised``.
 
 V_DECOMP and PHI_COMMUTE read the channel transporters Xi in block
 coordinates (``_level_channels``), one ground element i at a time,
@@ -108,9 +108,9 @@ def psi_matrix(n: int, k: int) -> np.ndarray:
     return linalg.freeze(out)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def psi_gram(inst: ProblemInstance) -> np.ndarray:
-    """Overlap matrix, read-only: entry (x, y) is |x & y| / sqrt(k k')."""
+    """Overlap matrix, read-only, memoised per instance: entry (x, y) is |x & y| / sqrt(k k')."""
     xm = johnson.subset_basis(inst.n, inst.k)
     ym = johnson.subset_basis(inst.n, inst.k_prime)
     overlap = np.bitwise_count(xm[:, None] & ym[None, :])
@@ -277,7 +277,7 @@ def _check_psi_coeffs(inst: ProblemInstance, t: float, ell: int):
     """
     closed = adversary.hadamard_psi_step(adversary.gamma_schedule(t, inst.k), inst)
     phis = [johnson.transporter(inst.n, inst.k, inst.k_prime, j) for j in range(inst.k + 1)]
-    dims = _level_record(inst.n, inst.k).dims
+    dims = _level(inst.n, inst.k).dims
     gamma, overlap = _adversary_matrix(inst, t), psi_gram(inst)
     had = np.empty_like(gamma)
     brute = []
@@ -398,11 +398,25 @@ class _Level(NamedTuple):
 
     dims: np.ndarray  # d_j, the rounded trace of E_j
     classes: np.ndarray  # classes[j, c]: the mean of E_j over the pairs with |x & y| = c
+    q_all: np.ndarray  # the block bases side by side: Q_j is q_all[:, edges[j]:edges[j + 1]]
+    edges: np.ndarray
+    projector_gap: float
+    ranks_match: bool  # each d_j is ``johnson.block_dimension(n, j)``
 
 
 @lru_cache(maxsize=None)
-def _level_record(n: int, level: int) -> _Level:
-    """The ranks d_j and the class table of one level's family, read-only, memoised per level.
+def _level(n: int, level: int) -> _Level:
+    """Everything the rows read of one level's family, read off it once; memoised per level.
+
+    The block bases Q_j come from one eigendecomposition: L = sum_j j E_j
+    has the eigenvalues 0..k exactly, since the E_j are orthogonal
+    projectors that sum to I, and eigh lists them in ascending order, so
+    Q_j holds the eigenvectors whose eigenvalue rounds to j and the blocks
+    stand side by side.  V_DECOMP's channel pass and PROJECTORS read them.
+    If Q is orthogonal and each E_j is Q_j Q_j^T, the family is symmetric,
+    idempotent, mutually orthogonal and sums to Q Q^T = I; so the
+    PROJECTORS gap is the largest of ||Q^T Q - I||_F and
+    ||E_j - Q_j Q_j^T||_F, two N^3 products in all.
 
     Each E_j lies in the Bose-Mesner algebra of the Johnson scheme: its
     entry (x, y) depends on |x & y| = c alone.  So E_j is e_j(c) on the
@@ -410,12 +424,34 @@ def _level_record(n: int, level: int) -> _Level:
     N C(level, c) C(n - level, level - c) pairs of class c.
     """
     family = johnson.irrep_projectors(n, level)
-    masks = johnson.subset_basis(n, level)
     dims = np.array([round(float(np.trace(e))) for e in family])
+    values, q_all = np.linalg.eigh(sum(j * e_j for j, e_j in enumerate(family)))
+    # edges[j] is the first eigenvalue that rounds to j or above; one that
+    # rounds below 0 or above k falls into block 0 or k and fails its count.
+    edges = np.searchsorted(np.rint(values), np.arange(level + 2) - 0.5)
+    edges[0], edges[-1] = 0, len(values)
+    for j, (count, rank) in enumerate(zip(np.diff(edges), dims)):
+        if count != rank:
+            raise ArithmeticError(
+                f"block {j} of level {level} has a {count}-dimensional range, "
+                f"trace {rank}"
+            )
+    diff = q_all.T @ q_all
+    diff[np.diag_indices_from(diff)] -= 1.0
+    gap = float(np.linalg.norm(diff))
+    for j, e in enumerate(family):
+        q_j = q_all[:, edges[j] : edges[j + 1]]
+        diff = q_j @ q_j.T
+        diff -= e
+        gap = max(gap, float(np.linalg.norm(diff)))
+    del diff  # dropped before the class sums run
+    ranks_match = all(d_j == johnson.block_dimension(n, j) for j, d_j in enumerate(dims))
+    masks = johnson.subset_basis(n, level)
     pairs = [len(masks) * math.comb(level, c) * math.comb(n - level, level - c)
              for c in range(level + 1)]
     classes = _class_sums(family, masks, level) / np.array(pairs, dtype=float)
-    return _Level(linalg.freeze(dims), linalg.freeze(classes))
+    frozen = map(linalg.freeze, (dims, classes, q_all, edges))
+    return _Level(*frozen, gap, ranks_match)
 
 
 def _block_scalars(gram: np.ndarray, n: int, level: int) -> tuple[np.ndarray, float]:
@@ -426,12 +462,12 @@ def _block_scalars(gram: np.ndarray, n: int, level: int) -> tuple[np.ndarray, fl
     on a Johnson level is sum_j m_j E_j by Schur's lemma, and for any
     symmetric M, Weyl's inequality bounds |lambda_max(M) - max_j m_j| by
     that residual: the pair is a certified top eigenvalue, read with no
-    eigensolve.  E_j is e_j(c) on the pairs of class c (``_level_record``),
+    eigensolve.  E_j is e_j(c) on the pairs of class c (``_level``),
     so <M, E_j> = sum_c e_j(c) S_c over the class sums S_c of M, and
     sum_j m_j E_j is f(c) = sum_j m_j e_j(c) on class c.  ``gram`` is
     overwritten by the residual M - f, one band of rows at a time.
     """
-    record = _level_record(n, level)
+    record = _level(n, level)
     masks = johnson.subset_basis(n, level)
     m = record.classes @ _class_sums([gram], masks, level)[0] / record.dims
     fit = m @ record.classes
@@ -500,45 +536,6 @@ def _membership_norm(inst: ProblemInstance, gamma: np.ndarray) -> tuple[float, n
     return scale * norm, scale * gaps
 
 
-def _block_bases(projectors: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases Q_j of all blocks from one eigendecomposition.
-
-    L = sum_j j E_j has the eigenvalues 0..k exactly, since the E_j are
-    orthogonal projectors that sum to I, and eigh lists them in ascending
-    order.  So Q_j holds the eigenvectors whose eigenvalue rounds to j,
-    and the blocks stand side by side.  Returns the eigenvectors and the
-    column offsets: Q_j is ``q_all[:, edges[j]:edges[j + 1]]``.
-    """
-    level = len(projectors) - 1
-    values, q_all = np.linalg.eigh(sum(j * e_j for j, e_j in enumerate(projectors)))
-    # edges[j] is the first eigenvalue that rounds to j or above; one that
-    # rounds below 0 or above k falls into block 0 or k and fails its count.
-    edges = np.searchsorted(np.rint(values), np.arange(level + 2) - 0.5)
-    edges[0], edges[-1] = 0, len(values)
-    for j, e_j in enumerate(projectors):
-        count = edges[j + 1] - edges[j]
-        rank = int(round(float(np.trace(e_j))))
-        if count != rank:
-            raise ArithmeticError(
-                f"block {j} of level {level} has a {count}-dimensional range, "
-                f"trace {rank}"
-            )
-    return q_all, edges
-
-
-@lru_cache(maxsize=None)
-def _level_bases(n: int, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_block_bases`` of one level's family, read-only and memoised per level.
-
-    V_DECOMP's channel pass and PROJECTORS read the same bases.  ``sweep``
-    builds them for every level of an n before it frees the families, and
-    ends this memo with that n's rows but DELTA_GEN, so it holds every
-    level of the n.
-    """
-    q_all, edges = _block_bases(johnson.irrep_projectors(n, level))
-    return linalg.freeze(q_all), linalg.freeze(edges)
-
-
 def _level_channels(n: int, level: int, hatted: bool):
     """Channel cores and the V_DECOMP residual norm of one level.
 
@@ -567,8 +564,8 @@ def _level_channels(n: int, level: int, hatted: bool):
     level k' those with j, j + m < k', which any k < k' reads), and ||R||_F.
     """
     coeffs = adversary.phi_components(n, level, np.arange(level + 1))
-    q_all, edges = _level_bases(n, level)
-    dims = np.diff(edges)
+    record = _level(n, level)
+    q_all, edges, dims = record.q_all, record.edges, record.dims
     psi = psi_matrix(n, level)
     blocks = [slice(edges[j], edges[j + 1]) for j in range(level + 1)]
 
@@ -666,13 +663,11 @@ def _channel_norms(inst: ProblemInstance) -> tuple[float, float, int]:
     # The larger k' pass first, so that the k pass's result does not sit under its peak.
     channels_hat, residual_hat = _hatted_level_channels(inst.n, inst.k_prime)
     channels, residual = _level_channels(inst.n, inst.k, hatted=False)
-    # The two passes left both levels' bases in the ``_level_bases`` memo.
-    q_all, edges = _level_bases(inst.n, inst.k)
-    q_hat, edges_hat = _level_bases(inst.n, inst.k_prime)
+    x, y = _level(inst.n, inst.k), _level(inst.n, inst.k_prime)
     s = [
-        q_all[:, edges[j] : edges[j + 1]].T
+        x.q_all[:, x.edges[j] : x.edges[j + 1]].T
         @ johnson.transporter(inst.n, inst.k, inst.k_prime, j)
-        @ q_hat[:, edges_hat[j] : edges_hat[j + 1]]
+        @ y.q_all[:, y.edges[j] : y.edges[j + 1]]
         for j in range(inst.k + 1)
     ]
     worst = 0.0
@@ -722,7 +717,7 @@ def _table_vector_gaps(n: int, k: int, j: int) -> float:
     return gap
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=None)
 def _level_table_gap(n: int, level: int) -> float:
     """The worst TABLES gap over the blocks of one level, memoised per level."""
     return max(_table_vector_gaps(n, level, j) for j in range(level + 1))
@@ -733,46 +728,15 @@ def _check_tables(inst: ProblemInstance, t: float, ell: int):
     return 0.0, gap, gap, {}
 
 
-@lru_cache(maxsize=None)
-def _projector_family_gap(n: int, level: int) -> tuple[float, bool]:
-    """The PROJECTORS gap and rank test of one level's family, memoised per level.
-
-    The block bases Q_j come from one eigh of L = sum_j j E_j
-    (``_level_bases``, shared with the channel pass).  If Q is orthogonal
-    and each E_j is Q_j Q_j^T, the family is symmetric, idempotent,
-    mutually orthogonal and sums to Q Q^T = I; so the gap is the largest
-    of ||Q^T Q - I||_F and ||E_j - Q_j Q_j^T||_F, two N^3 products in all.
-    The rank test compares each E_j's rounded trace with
-    ``johnson.block_dimension``.
-    """
-    projs = johnson.irrep_projectors(n, level)
-    q_all, edges = _level_bases(n, level)
-    diff = q_all.T @ q_all
-    diff[np.diag_indices_from(diff)] -= 1.0
-    gap = float(np.linalg.norm(diff))
-    rank_ok = True
-    for j, e in enumerate(projs):
-        q_j = q_all[:, edges[j] : edges[j + 1]]
-        diff = q_j @ q_j.T
-        diff -= e
-        gap = max(gap, float(np.linalg.norm(diff)))
-        if int(round(float(np.trace(e)))) != johnson.block_dimension(n, j):
-            rank_ok = False
-    return gap, rank_ok
-
-
 def _check_projectors(inst: ProblemInstance, t: float, ell: int):
-    # The larger k' level first, so that the k level's bases do not sit
-    # under the eigh of its L.
-    gap_y, ok_y = _projector_family_gap(inst.n, inst.k_prime)
-    gap_x, ok_x = _projector_family_gap(inst.n, inst.k)
-    gap = max(gap_x, gap_y)
-    details = {"ranks_match": ok_x and ok_y}
+    levels = [_level(inst.n, level) for level in (inst.k_prime, inst.k)]
+    gap = max(record.projector_gap for record in levels)
+    ranks_match = all(record.ranks_match for record in levels)
     # A rank mismatch is a hard failure regardless of the numeric gap: the
     # gap of at least 1 lies above TOL_EXACT.
-    if not (ok_x and ok_y):
+    if not ranks_match:
         gap = max(gap, 1.0)
-    return 0.0, gap, gap, details
+    return 0.0, gap, gap, {"ranks_match": ranks_match}
 
 
 def _check_norm_gamma(inst: ProblemInstance, t: float, ell: int):
@@ -796,6 +760,7 @@ class _Check(NamedTuple):
     run: Callable  # (inst, t, ell) -> (closed, brute, discrepancy, details)
     tolerance: str  # "norm" (TOL_NORM, eigensolver-limited) or "exact" (TOL_EXACT)
     reads_schedule: bool  # False: the row is the same at every t
+    reads_level: bool  # the row reads the ``_level`` records of its two levels
     bounded_detail: str | None  # a detail also held to TOL_EXACT
     description: str
 
@@ -803,26 +768,26 @@ class _Check(NamedTuple):
 # DELTA_MEMB bounds the spread over the singled-out element and DELTA_REFL
 # its structure residual relative to its Gram scalars, on top of the gap.
 _CHECKS = {
-    "PSI_COEFFS": _Check(_check_psi_coeffs, "norm", True, None,
+    "PSI_COEFFS": _Check(_check_psi_coeffs, "norm", True, True, None,
         "transporter coefficients of the Gram-Hadamard product match the four-term recurrence"),
-    "DELTA_GEN": _Check(_check_delta_gen, "norm", True, None,
+    "DELTA_GEN": _Check(_check_delta_gen, "norm", True, False, None,
         "state-generation difference norms match the max vector-norm formulas"),
-    "DELTA_REFL": _Check(_check_delta_refl, "norm", True, "structure_residual",
+    "DELTA_REFL": _Check(_check_delta_refl, "norm", True, True, "structure_residual",
         "reflection difference norm matches the max 4x4 rank-two norm formula"),
-    "DELTA_MEMB": _Check(_check_delta_memb, "norm", True, "spread_over_i",
+    "DELTA_MEMB": _Check(_check_delta_memb, "norm", True, False, "spread_over_i",
         "membership difference norm matches the two-branch formula, "
         "identically in the singled-out element"),
-    "V_DECOMP": _Check(_check_v_decomp, "norm", False, None,
+    "V_DECOMP": _Check(_check_v_decomp, "norm", False, True, None,
         "the superposition isometry decomposes over the four transporter channels"),
-    "PHI_COMMUTE": _Check(_check_phi_commute, "norm", False, None,
+    "PHI_COMMUTE": _Check(_check_phi_commute, "norm", False, True, None,
         "level transporters commute with the channel transporters, signs included"),
-    "TABLES": _Check(_check_tables, "exact", False, None,
+    "TABLES": _Check(_check_tables, "exact", False, False, None,
         "closed-form basis-change tables are orthogonal and match the constructed reference vectors"),
-    "PROJECTORS": _Check(_check_projectors, "exact", False, None,
+    "PROJECTORS": _Check(_check_projectors, "exact", False, True, None,
         "block projectors form a complete orthogonal idempotent family with the predicted ranks"),
-    "NORM_GAMMA": _Check(_check_norm_gamma, "norm", True, None,
+    "NORM_GAMMA": _Check(_check_norm_gamma, "norm", True, False, None,
         "the assembled certificate matrix has spectral norm equal to its top weight"),
-    "PSI_POWER": _Check(_check_psi_power, "norm", True, None,
+    "PSI_POWER": _Check(_check_psi_power, "norm", True, False, None,
         "the entrywise Gram power keeps the certificate norm above the overlap bound"),
 }
 CHECK_IDS = tuple(_CHECKS)
@@ -883,8 +848,8 @@ def _build_levels(group, t_values, checks) -> None:
     Once a level's family is built, the Phi_j of each instance whose k
     level it is come first (its k' family, larger, is built already): all
     k + 1 for the channel pass and PSI_COEFFS, else as many as its Gammas
-    read.  Then come the level's block bases (V_DECOMP, PHI_COMMUTE), its
-    PROJECTORS gap and ranks, and its record (PSI_COEFFS, DELTA_REFL).
+    read.  Then comes the level's ``_level`` record, if a chosen check
+    reads one (``_Check.reads_level``); a TABLES run alone builds none.
     After this no row of the n reads a family.  The order was picked by
     peak RSS: with each Phi_j built after its k level's bases, (14,3,4)
     read 136 MB where it reads 114 MB.
@@ -893,6 +858,7 @@ def _build_levels(group, t_values, checks) -> None:
     n = group[0].n
     every_phi = not checks.isdisjoint({"PSI_COEFFS", "V_DECOMP", "PHI_COMMUTE"})
     gammas = any(_CHECKS[check].reads_schedule for check in checks)
+    records = any(_CHECKS[check].reads_level for check in checks)
     for level in sorted({lv for inst in group for lv in (inst.k, inst.k_prime)}, reverse=True):
         for inst in (inst for inst in group if inst.k == level):
             if every_phi:
@@ -902,12 +868,8 @@ def _build_levels(group, t_values, checks) -> None:
                 phis = max(live, default=0) if gammas else 0
             for j in range(phis):
                 johnson.transporter(n, inst.k, inst.k_prime, j)
-        if not checks.isdisjoint({"V_DECOMP", "PHI_COMMUTE"}):
-            _level_bases(n, level)
-        if "PROJECTORS" in checks:
-            _projector_family_gap(n, level)
-        if not checks.isdisjoint({"PSI_COEFFS", "DELTA_REFL"}):
-            _level_record(n, level)
+        if records:
+            _level(n, level)
 
 
 def sweep(instances, t_values, checks, build_s=None) -> list[DiscrepancyReport]:
@@ -919,9 +881,9 @@ def sweep(instances, t_values, checks, build_s=None) -> list[DiscrepancyReport]:
     and two row phases:
 
     1. ``_build_levels`` builds its projector families, largest first,
-       and reads off each level's block bases, PROJECTORS gap and record
-       and each instance's Phi_j; then the families are freed, so no
-       family lies under any row;
+       and each instance's Phi_j, and reads each level's ``_level``
+       record if a chosen check reads one; then the families are freed,
+       so no family lies under any row;
     2. its rows but DELTA_GEN: the cutoff rows, then the schedule-free
        rows;
     3. after ``clear_memos``, its DELTA_GEN rows, whose lifted differences

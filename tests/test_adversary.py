@@ -810,6 +810,28 @@ def loop_reflection_products(inst, t):
     return np.append(products, 0.0)
 
 
+def loop_forward_products(inst, t):
+    """|tilde'_j| + |g_j| |phi_j| for rows j = 0..k, then 0 for row k+1.
+
+    Forward row j is ||tilde'_j - g_j phi_j||, so, as in a reflection
+    block, a rounding in either term, or one ulp of its inputs, moves the
+    row by up to an ulp of these sizes.  The row past k cancels nothing.
+    """
+    phi, _ = loop_tables(inst)
+    _, tilde_prime = loop_tildes(inst, t)
+    g = np.array([loop_gamma(t, inst.k, j) for j in range(inst.k + 1)])
+    products = np.linalg.norm(tilde_prime, axis=1) + np.abs(g) * np.linalg.norm(phi, axis=1)
+    return np.append(products, 0.0)
+
+
+def fifty_digit_forward(phi, tilde_prime, g):
+    """||tilde' - g phi|| at 50 digits, the float inputs taken as exact."""
+    with mpmath.workdps(50):
+        g = mpmath.mpf(float(g))
+        terms = (mpmath.mpf(float(a)) - g * mpmath.mpf(float(b)) for a, b in zip(tilde_prime, phi))
+        return mpmath.sqrt(sum(term**2 for term in terms))
+
+
 def fifty_digit_reflection(phi, phi_prime, tilde, tilde_prime):
     """||phi' tilde'^T - tilde phi^T|| at 50 digits, the four float rows taken as exact."""
     with mpmath.workdps(50):
@@ -913,18 +935,24 @@ class TestVectorisedAgainstRowLoops:
     @settings(max_examples=40, deadline=None)
     @given(certificate_points())
     @example((ProblemInstance(29814424, 352, 352), 482.0, 0))
+    @example((ProblemInstance(6020359, 859, 864), 453.0, 0))
     def test_every_closed_row(self, point):
         # Each live row of each array, and the row past k where the schedule
         # reaches row k; every loop row the schedule drops must be exactly 0.
-        # A reflection row is held to 1e-13 of the products its block
-        # cancels where those outweigh the largest row (the example's row
-        # 131: see test_a_cancelling_reflection_row_is_exact_to_its_products).
+        # A forward or reflection row is held to 1e-13 of the products it
+        # cancels where those outweigh the largest row (the examples'
+        # reflection row 131 and forward row 5: see
+        # test_a_cancelling_reflection_row_is_exact_to_its_products and
+        # test_a_cancelling_forward_row_is_exact_to_its_products).
         inst, t, _ = point
         rows = whole_rows(inst, t)
         live = adversary.live_rows(t, inst.k)
         want = loop_rows(inst, t)
         kept = list(range(live)) + ([inst.k + 1] if live == inst.k + 1 else [])
-        cancelled = {"forward": 0.0, "reflection": loop_reflection_products(inst, t)[kept]}
+        cancelled = {
+            "forward": loop_forward_products(inst, t)[kept],
+            "reflection": loop_reflection_products(inst, t)[kept],
+        }
         for name in ("forward", "reflection"):
             assert len(getattr(rows, name)) == len(kept)
             assert_rel(
@@ -956,6 +984,29 @@ class TestVectorisedAgainstRowLoops:
         assert 1e-13 * max(loop_rows(inst, t)["reflection"]) < gap <= 1e-13 * products
         for value, tables in sides:
             exact = fifty_digit_reflection(*(table[j] for table in tables))
+            assert abs(mpmath.mpf(float(value)) - exact) <= np.finfo(float).eps * products
+
+    def test_a_cancelling_forward_row_is_exact_to_its_products(self):
+        # Forward row 5 here reads 2.1958e-3 on both sides, 2.21e-16 apart:
+        # more than 1e-13 of the largest row, 2.208e-3.  The row cancels
+        # products of size 1.98, and the two sides' inputs differ in one
+        # ulp.  Each side lies within 0.03 ulp of those products of the
+        # 50-digit norm of its own inputs, so neither kernel is at fault.
+        inst, t, j = ProblemInstance(6020359, 859, 864), 453.0, 5
+        gammas = adversary.gamma_schedule(t, inst.k)
+        phi, phi_prime = adversary.phi_table(inst, len(gammas))
+        tilde_prime = adversary.tilde_tables(gammas, phi, phi_prime)[1]
+        loop_phi, loop_tilde_prime = loop_tables(inst)[0], loop_tildes(inst, t)[1]
+        loop_forward = loop_rows(inst, t)["forward"]
+        sides = [
+            (whole_rows(inst, t).forward[j], (phi[j], tilde_prime[j], gammas[j])),
+            (loop_forward[j], (loop_phi[j], loop_tilde_prime[j], loop_gamma(t, inst.k, j))),
+        ]
+        products = loop_forward_products(inst, t)[j]
+        gap = abs(sides[0][0] - sides[1][0])
+        assert 1e-13 * max(loop_forward) < gap <= 1e-13 * products
+        for value, inputs in sides:
+            exact = fifty_digit_forward(*inputs)
             assert abs(mpmath.mpf(float(value)) - exact) <= np.finfo(float).eps * products
 
     @settings(max_examples=40, deadline=None)

@@ -2,6 +2,7 @@ import inspect
 import math
 import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -542,31 +543,49 @@ class TestLiveChannels:
 
 
 class TestBlockBases:
+    @pytest.fixture(autouse=True)
+    def fresh_memos(self):
+        bruteforce.clear_memos()
+        yield
+        bruteforce.clear_memos()
+
     @pytest.mark.parametrize("n, level", DEFAULT_LEVELS, ids=lambda v: str(v))
     def test_orthonormal_block_bases_from_one_eigh(self, monkeypatch, n, level):
+        # One eigh per level, and each E_j's trace read once.
         projectors = johnson.irrep_projectors(n, level)
-        calls = []
-        original = np.linalg.eigh
+        calls = Counter()
 
-        def counting(a, *args, **kwargs):
-            calls.append(None)
-            return original(a, *args, **kwargs)
+        def count(module, name):
+            original = getattr(module, name)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting)
-        q_all, edges = bruteforce._block_bases(projectors)
-        assert len(calls) == 1
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+
+        count(np.linalg, "eigh")
+        count(np, "trace")
+        record = bruteforce._level(n, level)
+        assert calls == {"eigh": 1, "trace": level + 1}
+        q_all, edges = record.q_all, record.edges
         assert np.max(np.abs(q_all.T @ q_all - np.eye(len(q_all)))) <= 1e-12
         for j, e_j in enumerate(projectors):
             q_j = q_all[:, edges[j] : edges[j + 1]]
-            assert q_j.shape[1] == johnson.block_dimension(n, j)
+            assert q_j.shape[1] == record.dims[j] == johnson.block_dimension(n, j)
             assert np.max(np.abs(e_j @ q_j - q_j)) <= 1e-12
 
-    def test_a_non_orthogonal_family_fails_the_block_dimension(self):
+    def test_a_non_orthogonal_family_fails_the_block_dimension(self, monkeypatch):
         # E_1 + E_2 in place of E_1: L = E_1 + 3 E_2 has no eigenvalue 2, and
         # block 1 finds d_1 eigenvectors against a trace of d_1 + d_2.
         e0, e1, e2 = johnson.irrep_projectors(INST.n, INST.k)
+        original = johnson.irrep_projectors
+        monkeypatch.setattr(
+            johnson, "irrep_projectors",
+            lambda m, k: (e0, e1 + e2, e2) if (m, k) == (INST.n, INST.k) else original(m, k),
+        )
         with pytest.raises(ArithmeticError, match="block 1 of level 2"):
-            bruteforce._block_bases((e0, e1 + e2, e2))
+            bruteforce._level(INST.n, INST.k)
 
 
 def _scaled_block_one(family):
@@ -603,7 +622,8 @@ class TestProjectorFamilyGap:
     def test_both_gaps_vanish_on_every_default_level(self):
         assert len(DEFAULT_LEVELS) == 14
         for n, level in DEFAULT_LEVELS:
-            gap, rank_ok = bruteforce._projector_family_gap(n, level)
+            record = bruteforce._level(n, level)
+            gap, rank_ok = record.projector_gap, record.ranks_match
             dense_gap, dense_rank_ok = dense_reference.projector_family_gap(
                 n, johnson.irrep_projectors(n, level)
             )
@@ -619,8 +639,9 @@ class TestProjectorFamilyGap:
             johnson, "irrep_projectors",
             lambda m, k: family if (m, k) == (n, level) else original(m, k),
         )
+        record = bruteforce._level(n, level)
         for gap, rank_ok in (
-            bruteforce._projector_family_gap(n, level),
+            (record.projector_gap, record.ranks_match),
             dense_reference.projector_family_gap(n, family),
         ):
             assert gap > bruteforce.TOL_EXACT or not rank_ok
@@ -725,12 +746,12 @@ class TestPeakMemory:
         assert len(live) == 2 and max(live) <= 4e6
 
     def test_phi_commute_one_ground_slice_at_a_time(self):
-        # The k' pass and both levels' bases memoised: 5.4 MB, the k pass
+        # The k' pass and both levels' records memoised: 5.4 MB, the k pass
         # and one ground slice of a core difference at a time.
         inst = self.INST
         bruteforce._hatted_level_channels(inst.n, inst.k_prime)
         for level in (inst.k, inst.k_prime):
-            bruteforce._level_bases(inst.n, level)
+            bruteforce._level(inst.n, level)
         assert _traced_peak(lambda: bruteforce._channel_norms(inst)) <= 7e6
 
     def test_sweep_at_n_12(self, tmp_path):
@@ -773,8 +794,8 @@ class TestCutoffAboveK:
         diff = bruteforce.lift(gamma, inst, reverse=False)
         overlap = gamma * bruteforce.psi_gram(inst)
         remainder = (gamma.T @ gamma) * (psi_hat @ psi_hat.T) - overlap.T @ overlap
-        q_all, edges = bruteforce._block_bases(johnson.irrep_projectors(inst.n, inst.k_prime))
-        q = q_all[:, edges[inst.k + 1] : edges[inst.k + 2]]
+        record = bruteforce._level(inst.n, inst.k_prime)
+        q = record.q_all[:, record.edges[inst.k + 1] : record.edges[inst.k + 2]]
         for gram in (diff.T @ diff, remainder):
             assert np.max(np.abs(q.T @ gram @ q - row**2 * np.eye(q.shape[1]))) <= 1e-13
 
@@ -994,7 +1015,7 @@ class TestClassSumReader:
         # with its level record built, peaks at 1.24 MB.
         inst = ProblemInstance(12, 3, 4)
         (_, _), (gram, level) = _remainder_grams(inst, bruteforce.adversary_matrix(inst, 2.0))
-        bruteforce._level_record(inst.n, level)
+        bruteforce._level(inst.n, level)
         peak = _traced_peak(lambda: bruteforce._block_scalars(gram, inst.n, level))
         assert peak < gram.nbytes
 

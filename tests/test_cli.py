@@ -424,9 +424,8 @@ class TestLevelMajorSweep:
             return level_channels(n, level, hatted)
 
         monkeypatch.setattr(bruteforce, "_level_channels", counting_pass)
-        family_gaps = _count_memo_misses(monkeypatch, "_projector_family_gap")
+        records = _count_memo_misses(monkeypatch, "_level")
         table_gaps = _count_memo_misses(monkeypatch, "_level_table_gap")
-        bases = _count_memo_misses(monkeypatch, "_level_bases")
         eighs, gammas, eigh_rows = Counter(), Counter(), Counter()
         eigh, adversary_matrix = np.linalg.eigh, bruteforce.adversary_matrix
         verify, running = bruteforce.verify, [None]
@@ -457,12 +456,13 @@ class TestLevelMajorSweep:
         argv = ["verify", *_instance_flags(SCRAMBLED), "--timing", "--out", str(tmp_path)]
         assert run(argv) == 0
         assert passes[12, 4, True] == 1
-        assert family_gaps[12, 4] == 1 and family_gaps[10, 3] == 1
-        # Every level's pass, gaps and block bases ran once, and no other did:
-        # one eigh of L per level, which the channel pass and PROJECTORS share.
+        assert records[12, 4] == 1 and records[10, 3] == 1
+        # Every level's pass, record and TABLES gap ran once, and no other
+        # did: one eigh of L per level, in the record that the channel pass
+        # and PROJECTORS share.
         levels = {(n, level) for n, k, k_prime in SCRAMBLED for level in (k, k_prime)}
-        for gaps in (family_gaps, table_gaps, bases):
-            assert set(gaps) == levels and set(gaps.values()) == {1}
+        for misses in (records, table_gaps):
+            assert set(misses) == levels and set(misses.values()) == {1}
         assert eighs == Counter(math.comb(n, level) for n, level in levels)
         # Every eigh of L runs in an n's build step, which reads the bases
         # off each family before the families are freed and before the n's
@@ -518,13 +518,13 @@ class TestLevelMajorSweep:
     )
     def test_memos_end_with_their_level(self, tmp_path, monkeypatch, checks):
         # (12,2,4) and (12,3,4) share the k' = 4 pass; (13,1,2) moves to a
-        # larger n.  Each n builds its families, reads off every level's
-        # bases and record and frees them before its first row; then it runs
-        # its rows but DELTA_GEN, and, with every memo emptied, its
-        # DELTA_GEN rows.  So every level's bases are held from the n's
-        # first row, no level memo lies under a DELTA_GEN row, and no family
-        # under any row.  With no PROJECTORS the build step still builds the
-        # bases that V_DECOMP reads.
+        # larger n.  Each n builds its families, reads every level's record
+        # off them and frees them before its first row; then it runs its
+        # rows but DELTA_GEN, and, with every memo emptied, its DELTA_GEN
+        # rows.  So every level's record is held from the n's first row, no
+        # level memo lies under a DELTA_GEN row, and no family under any
+        # row.  With no PROJECTORS the build step still builds the records
+        # that V_DECOMP reads.
         held = []
         verify = bruteforce.verify
 
@@ -532,11 +532,11 @@ class TestLevelMajorSweep:
             return sum(memo.cache_info().currsize for memo in memos)
 
         def recording(check_id, inst, t, ell):
-            level = (bruteforce._hatted_level_channels, bruteforce._level_bases)
-            before = sizes(*level), sizes(bruteforce._level_bases)
+            level = (bruteforce._hatted_level_channels, bruteforce._level)
+            before = sizes(*level), sizes(bruteforce._level)
             families = sizes(johnson.irrep_projectors)
             report = verify(check_id, inst, t, ell)
-            after = sizes(*level), sizes(bruteforce._level_bases)
+            after = sizes(*level), sizes(bruteforce._level)
             held.append((check_id, inst.n, before, after, families + sizes(johnson.irrep_projectors)))
             return report
 
@@ -591,19 +591,18 @@ class TestLevelMajorSweep:
         # The (12,2), (12,3) and (12,4) families, each built once.
         assert families.cache_info().misses - built == 3
 
-    @pytest.mark.parametrize(
-        "checks",
-        [None, ("DELTA_REFL",), ("PSI_COEFFS",), ("PHI_COMMUTE",), ("DELTA_GEN",)],
-        ids=["default", "DELTA_REFL", "PSI_COEFFS", "PHI_COMMUTE", "DELTA_GEN"],
-    )
-    def test_no_row_runs_with_a_family_cached(self, tmp_path, monkeypatch, checks):
-        # Every default instance and cutoff.  Each n's build step reads its
-        # families and frees them before the n's first row, so every row,
-        # whichever checks run, starts and ends with no family cached and
-        # builds none: each of the 14 default families is built once.
+    @pytest.mark.parametrize("check", [None, *bruteforce.CHECK_IDS], ids=lambda c: c or "default")
+    def test_no_row_runs_with_a_family_cached(self, tmp_path, monkeypatch, check):
+        # Every default instance and cutoff, with every check or one alone.
+        # Each n's build step reads its families and frees them before the
+        # n's first row, so every row starts and ends with no family cached
+        # and builds none: each of the 14 default families is built once,
+        # and each level's record once if a check reads one.  TABLES alone
+        # reads neither a Phi_j nor a record, so it builds no family.
         johnson.clear_caches()
         families = johnson.irrep_projectors
         built = families.cache_info().misses
+        records = _count_memo_misses(monkeypatch, "_level")
         verify = bruteforce.verify
         held = set()
 
@@ -615,9 +614,12 @@ class TestLevelMajorSweep:
 
         monkeypatch.setattr(bruteforce, "verify", recording)
         argv = ["verify", "--out", str(tmp_path)]
-        assert run(argv + (["--checks", *checks] if checks else [])) == 0
+        assert run(argv + (["--checks", check] if check else [])) == 0
         assert held == {0}
-        assert families.cache_info().misses - built == 14
+        assert families.cache_info().misses - built == (0 if check == "TABLES" else 14)
+        no_record = {"TABLES", "NORM_GAMMA", "DELTA_MEMB", "PSI_POWER", "DELTA_GEN"}
+        assert len(records) == (0 if check in no_record else 14)
+        assert set(records.values()) <= {1}
 
 
 def _count_memo_misses(monkeypatch, name) -> Counter:
